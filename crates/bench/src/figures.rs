@@ -868,10 +868,13 @@ pub fn kernels_bench(fraction: f64) -> crate::report::KernelsReport {
             }
 
             // -- leaf-scan: MINMINDIST + NXNDIST of one LPQ-owner MBR
-            //    against every leaf point viewed as a degenerate MBR —
-            //    exactly the MBA/kNN leaf scan (`soa_mbrs()` on a leaf
-            //    aliases lo = hi to the point columns; the scalar path
-            //    gathered each entry through `Mbr::from_point`).
+            //    against every leaf point viewed as a degenerate MBR
+            //    (`soa_mbrs()` on a leaf aliases lo = hi to the point
+            //    columns; the scalar path gathered each entry through
+            //    `Mbr::from_point`). This is the scan a *node* owner
+            //    runs over a leaf; a point owner (MBA's Gather stage,
+            //    kNN, MNN) takes the exact `dist_sq_batch` path that
+            //    the point-leaf-scan row above times.
             {
                 let mut scalar = |omin: &mut Vec<f64>, oup: &mut Vec<f64>| {
                     let mut bound = f64::INFINITY;

@@ -141,7 +141,9 @@ pub struct TreeShape {
 ///    MBR the child node reports for itself;
 /// 2. a node's MBR is the tight union of its entries;
 /// 3. each child entry's `count` equals the child subtree's object count;
-/// 4. every object lies inside its leaf's MBR;
+/// 4. every object lies inside its leaf's MBR (implied by 2 — and what
+///    lets a point×leaf scan reject a whole leaf on
+///    `MINMINDIST(point, leaf MBR)`, see `scan.rs`);
 /// 5. the root's count matches [`SpatialIndex::num_points`].
 ///
 /// Returns shape statistics on success.

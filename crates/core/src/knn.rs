@@ -7,11 +7,12 @@
 //! [`crate::mba`] when you need neighbors of *every* indexed point.
 
 use crate::index::SpatialIndex;
-use crate::lpq::BoundTracker;
-use crate::node::Entry;
+use crate::node::{Entry, ObjectEntry};
 use crate::resilience::{QueryGuard, QueryResult};
-use crate::scratch::{BestFirstItem, QueryScratch};
-use ann_geom::{kernels, min_min_dist_sq, Mbr, Point, PruneMetric};
+use crate::scan::{BestFirst, NodeScan};
+use crate::scratch::QueryScratch;
+use crate::stats::AnnStats;
+use ann_geom::{min_min_dist_sq, Mbr, Point, PruneMetric};
 
 /// Finds the `k` nearest indexed points to `query`, closest first.
 ///
@@ -75,84 +76,42 @@ where
     if k == 0 || index.num_points() == 0 {
         return Ok(out);
     }
-    let qmbr = Mbr::from_point(query);
-    let mut bound = BoundTracker::new(k, f64::INFINITY);
-    let mut heap = scratch.take_best_first();
-    let mut mind_buf = scratch.take_f64();
-    let mut maxd_buf = scratch.take_f64();
-    let mut hints = scratch.take_hints();
-    let hinting = index.pool().prefetch_enabled();
-
-    let root_mbr = index.bounds();
-    let root = Entry::Node(crate::node::NodeEntry {
-        page: index.root_page(),
-        count: index.num_points(),
-        mbr: root_mbr,
+    // The scan's owner: the query as a data object (its oid is never read).
+    let owner = Entry::Object(ObjectEntry {
+        oid: u64::MAX,
+        point: *query,
     });
-    let maxd_sq = M::upper_sq(&qmbr, &root_mbr);
-    bound.offer(maxd_sq);
-    heap.push(BestFirstItem {
-        mind_sq: min_min_dist_sq(&qmbr, &root_mbr),
-        maxd_sq,
-        entry: root,
-    });
+    let mut front = BestFirst::seeded::<M, I>(index, query, k, scratch.take_best_first());
+    let mut scan = NodeScan::checkout(scratch);
+    // kNN reports no work counters.
+    let mut stats = AnnStats::default();
 
-    while let Some(item) = heap.pop() {
-        if bound.prunes(item.mind_sq) {
-            break;
-        }
-        bound.remove(item.maxd_sq);
-        match item.entry {
-            Entry::Object(o) => {
-                out.push((o.oid, item.mind_sq.sqrt()));
-                bound.satisfy_one();
-                if out.len() == k {
-                    break;
-                }
+    let walk = (|| -> QueryResult<()> {
+        while let Some(item) = front.heap.pop() {
+            if front.bound.prunes(item.mind_sq) {
+                break;
             }
-            Entry::Node(n) => {
-                guard.tick()?;
-                let node = index.read_node_cached(n.page)?;
-                // Batch the per-entry bounds over the node's SoA columns,
-                // then replay the accept/prune decisions sequentially under
-                // the evolving bound — bit-identical to the scalar loop.
-                let cols = node.soa_mbrs();
-                kernels::min_min_dist_sq_batch(&qmbr, &cols, &mut mind_buf);
-                M::upper_sq_batch(&qmbr, &cols, &mut maxd_buf);
-                for (i, e) in node.entries.iter().enumerate() {
-                    if !bound.prunes(mind_buf[i]) {
-                        bound.offer(maxd_buf[i]);
-                        heap.push(BestFirstItem {
-                            mind_sq: mind_buf[i],
-                            maxd_sq: maxd_buf[i],
-                            entry: *e,
-                        });
-                        if hinting {
-                            if let Entry::Node(c) = e {
-                                // First touch only: a node-cached page is
-                                // served without a pool read, so hinting it
-                                // would be pure wasted disk I/O.
-                                if !index.node_is_cached(c.page) {
-                                    hints.push((
-                                        c.page,
-                                        crate::readahead::depth_priority(c.count),
-                                    ));
-                                }
-                            }
-                        }
+            front.bound.remove(item.maxd_sq);
+            match item.entry {
+                Entry::Object(o) => {
+                    out.push((o.oid, item.mind_sq.sqrt()));
+                    front.bound.satisfy_one();
+                    if out.len() == k {
+                        break;
                     }
                 }
-                // Readahead for the pages just pushed: changes only when
-                // their physical reads happen, never the search decisions.
-                crate::readahead::submit(index.pool(), &mut hints);
+                Entry::Node(n) => {
+                    guard.tick()?;
+                    let node = index.read_node_cached(n.page)?;
+                    scan.scan::<D, M, _, _>(index, &owner, &node, &mut front, &mut stats);
+                }
             }
         }
-    }
-    scratch.put_best_first(heap);
-    scratch.put_f64(mind_buf);
-    scratch.put_f64(maxd_buf);
-    scratch.put_hints(hints);
-    Ok(out)
+        Ok(())
+    })();
+    scratch.put_best_first(front.heap);
+    scan.release(scratch);
+    walk.map(|()| out)
 }
 
 /// Finds every indexed point within `radius` of `query`, closest first.

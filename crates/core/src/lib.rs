@@ -60,6 +60,7 @@ pub mod prelude;
 pub mod query;
 pub mod readahead;
 pub mod resilience;
+mod scan;
 pub mod scratch;
 pub mod snapshot;
 pub mod stats;

@@ -175,12 +175,18 @@ impl BoundTracker {
         unreachable!("live_len >= k_remaining guarantees termination")
     }
 
+    /// The epsilon-tolerant rejection threshold: [`prunes`](Self::prunes)
+    /// is exactly `mind_sq > prune_threshold_sq()`.
+    #[inline]
+    pub fn prune_threshold_sq(&self) -> f64 {
+        self.bound_sq() * (1.0 + PRUNE_EPS)
+    }
+
     /// Epsilon-tolerant pruning test: `true` when an entry at squared
     /// lower-bound distance `mind_sq` cannot contribute a result.
     #[inline]
     pub fn prunes(&self, mind_sq: f64) -> bool {
-        let b = self.bound_sq();
-        mind_sq > b * (1.0 + PRUNE_EPS)
+        mind_sq > self.prune_threshold_sq()
     }
 }
 
@@ -223,6 +229,14 @@ pub fn distances_within<const D: usize, M: PruneMetric>(
     target: &Entry<D>,
     threshold_sq: f64,
 ) -> Option<(f64, f64)> {
+    if let (Entry::Object(o), Entry::Object(t)) = (owner, target) {
+        // Between two points MIND ≡ MAXD ≡ `dist_sq`, bit for bit under
+        // either metric (see [`crate::scan`]), and the early exit fires
+        // iff the full sum exceeds the threshold: same decision, same
+        // values, no metric evaluation.
+        let d_sq = o.point.dist_sq(&t.point);
+        return (d_sq <= threshold_sq).then_some((d_sq, d_sq));
+    }
     let om = owner.mbr();
     let tm = target.mbr();
     let mind_sq = min_min_dist_sq_within(&om, &tm, threshold_sq)?;
@@ -238,6 +252,10 @@ pub struct Lpq<const D: usize> {
     entries: Vec<QueuedEntry<D>>,
     head: usize,
     bound: BoundTracker,
+    /// `true` while [`satisfy_one`](Self::satisfy_one) has tightened the
+    /// bound since the last Filter pass — the one way the bound can drop
+    /// below a queued entry's `MIND` outside [`try_enqueue`](Self::try_enqueue).
+    filter_pending: bool,
     /// Lifetime tallies for observability ([`crate::trace`]): entries ever
     /// accepted, entries the Filter stage evicted, and the queue-length
     /// high-water mark. Maintained unconditionally — three integer ops per
@@ -269,6 +287,7 @@ impl<const D: usize> Lpq<D> {
             entries: storage,
             head: 0,
             bound: BoundTracker::new(k, inherited_bound_sq),
+            filter_pending: false,
             enqueued_total: 0,
             filtered_total: 0,
             high_water: 0,
@@ -277,7 +296,7 @@ impl<const D: usize> Lpq<D> {
 
     /// Consumes the queue and hands its backing storage back (cleared,
     /// capacity kept) for recycling via
-    /// [`crate::scratch::QueryScratch::put_entries`].
+    /// [`crate::scratch::QueryScratch::put_lpq`].
     pub fn into_storage(self) -> Vec<QueuedEntry<D>> {
         let mut v = self.entries;
         v.clear();
@@ -309,7 +328,7 @@ impl<const D: usize> Lpq<D> {
     /// that cannot be accepted.
     #[inline]
     pub fn prune_threshold_sq(&self) -> f64 {
-        self.bound.bound_sq() * (1.0 + PRUNE_EPS)
+        self.bound.prune_threshold_sq()
     }
 
     /// Entries currently queued (not yet dequeued, not filtered).
@@ -331,7 +350,8 @@ impl<const D: usize> Lpq<D> {
     /// Returns `(accepted, filtered)`: whether the entry was queued, and
     /// how many queued entries the Filter stage evicted.
     pub fn try_enqueue(&mut self, e: QueuedEntry<D>) -> (bool, u64) {
-        if self.bound.prunes(e.mind_sq) {
+        let bound_before = self.bound.bound_sq();
+        if e.mind_sq > bound_before * (1.0 + PRUNE_EPS) {
             return (false, 0);
         }
         self.bound.offer(e.maxd_sq);
@@ -349,10 +369,18 @@ impl<const D: usize> Lpq<D> {
         if len > self.high_water {
             self.high_water = len;
         }
-        // Filter stage: drop the tail that the (possibly tightened) bound
-        // now excludes. The vector is MIND-sorted, so the victims form a
-        // suffix.
-        let bound = self.bound.bound_sq() * (1.0 + PRUNE_EPS);
+        // Filter stage: drop the tail that the tightened bound now
+        // excludes. Every queued entry passed the probe test against a
+        // bound no tighter than `bound_before` (a dequeue only loosens
+        // it; `satisfy_one` raises `filter_pending`), so when the offer
+        // left the bound where it was there is nothing to evict.
+        let bound_after = self.bound.bound_sq();
+        if bound_after == bound_before && !self.filter_pending {
+            return (true, 0);
+        }
+        self.filter_pending = false;
+        // The vector is MIND-sorted, so the victims form a suffix.
+        let bound = bound_after * (1.0 + PRUNE_EPS);
         let cut = self.entries[self.head..].partition_point(|q| q.mind_sq <= bound) + self.head;
         let filtered = (self.entries.len() - cut) as u64;
         for victim in &self.entries[cut..] {
@@ -405,6 +433,7 @@ impl<const D: usize> Lpq<D> {
     /// Records one emitted result for this LPQ's owner (AkNN bookkeeping).
     pub fn satisfy_one(&mut self) {
         self.bound.satisfy_one();
+        self.filter_pending = true;
     }
 }
 

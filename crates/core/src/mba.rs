@@ -25,10 +25,11 @@ use crate::index::SpatialIndex;
 use crate::lpq::{distances_within, Lpq, QueuedEntry};
 use crate::node::{DecodedNode, Entry, NodeEntry};
 use crate::resilience::{attach_partial_stats, QueryError, QueryGuard, QueryResult};
+use crate::scan::NodeScan;
 use crate::scratch::QueryScratch;
 use crate::stats::{AnnOutput, NeighborPair};
 use crate::trace::{Phase, PruneReason, Side, TraceEvent, Tracer};
-use ann_geom::{kernels, PruneMetric};
+use ann_geom::PruneMetric;
 use std::collections::VecDeque;
 
 /// Index traversal order for the query-side recursion (§3.3.2).
@@ -95,20 +96,14 @@ struct Ctx<'a, const D: usize, M: PruneMetric, IS: SpatialIndex<D>> {
     parent_rejects: u64,
     /// Buffer arena for LPQ storage, traversal queues and kernel outputs.
     scratch: &'a mut QueryScratch<D>,
-    /// Checked-out kernel output buffers (returned by [`Ctx::finish`]).
-    mind_buf: Vec<f64>,
-    maxd_buf: Vec<f64>,
-    /// Checked-out readahead hint buffer: child pages a decision loop has
-    /// just committed to visit, handed to the `I_S` pool's prefetcher.
-    hint_buf: Vec<(ann_store::PageId, u32)>,
+    /// Checked-out node-scan buffers (returned by [`Ctx::finish`]).
+    scan: NodeScan,
     _metric: std::marker::PhantomData<M>,
 }
 
 impl<'a, const D: usize, M: PruneMetric, IS: SpatialIndex<D>> Ctx<'a, D, M, IS> {
     fn new(is: &'a IS, cfg: &MbaConfig, tracer: Tracer<'a>, scratch: &'a mut QueryScratch<D>) -> Self {
-        let mind_buf = scratch.take_f64();
-        let maxd_buf = scratch.take_f64();
-        let hint_buf = scratch.take_hints();
+        let scan = NodeScan::checkout(scratch);
         Ctx {
             is,
             cfg: *cfg,
@@ -117,9 +112,7 @@ impl<'a, const D: usize, M: PruneMetric, IS: SpatialIndex<D>> Ctx<'a, D, M, IS> 
             tracer,
             parent_rejects: 0,
             scratch,
-            mind_buf,
-            maxd_buf,
-            hint_buf,
+            scan,
             _metric: std::marker::PhantomData,
         }
     }
@@ -127,16 +120,9 @@ impl<'a, const D: usize, M: PruneMetric, IS: SpatialIndex<D>> Ctx<'a, D, M, IS> 
     /// Returns the checked-out buffers to the arena and yields the output.
     fn finish(self) -> AnnOutput {
         let Ctx {
-            scratch,
-            mind_buf,
-            maxd_buf,
-            hint_buf,
-            out,
-            ..
+            scratch, scan, out, ..
         } = self;
-        scratch.put_f64(mind_buf);
-        scratch.put_f64(maxd_buf);
-        scratch.put_hints(hint_buf);
+        scan.release(scratch);
         out
     }
 
@@ -167,58 +153,13 @@ impl<'a, const D: usize, M: PruneMetric, IS: SpatialIndex<D>> Ctx<'a, D, M, IS> 
         self.out.stats.pruned_in_queue += filtered;
     }
 
-    /// Probes every entry of a decoded `I_S` node against `lpq` with the
-    /// batched SoA kernels instead of one [`Ctx::probe`] per entry.
-    ///
-    /// Per-candidate `(MIND², MAXD²)` values are bit-identical to the
-    /// scalar path's ([`ann_geom::kernels`]' contract), and the
-    /// accept/reject decisions are then applied *sequentially* under the
-    /// same evolving bound the scalar probe sequence would see, so queue
-    /// contents and every counter match exactly. The scalar path computes
-    /// `MAXD` only for surviving entries and early-exits `MIND`; the batch
-    /// computes both in full for all entries — pure value computation with
-    /// no observable effect, traded for the SoA scan's throughput.
+    /// Probes every entry of a decoded `I_S` node against `lpq` in one
+    /// [`NodeScan::scan`] instead of one [`Ctx::probe`] per entry — same
+    /// decisions, queue contents and counters (see [`crate::scan`]).
     fn probe_node(&mut self, lpq: &mut Lpq<D>, node: &DecodedNode<D>) {
-        let om = lpq.owner.mbr();
-        let cols = node.soa_mbrs();
-        kernels::min_min_dist_sq_batch(&om, &cols, &mut self.mind_buf);
-        M::upper_sq_batch(&om, &cols, &mut self.maxd_buf);
-        // Readahead: accepted child pages are handed to the prefetcher
-        // after the loop. Hint collection reads no traversal state and
-        // mutates none — decisions and counters are identical either way.
-        let hinting = self.is.pool().prefetch_enabled();
-        for (i, e) in node.entries.iter().enumerate() {
-            self.out.stats.distance_computations += 1;
-            // Same rejection `distances_within` performs, against the same
-            // threshold the scalar probe would read at this point.
-            if self.mind_buf[i] > lpq.prune_threshold_sq() {
-                self.out.stats.pruned_on_probe += 1;
-                continue;
-            }
-            let (accepted, filtered) = lpq.try_enqueue(QueuedEntry {
-                mind_sq: self.mind_buf[i],
-                maxd_sq: self.maxd_buf[i],
-                entry: *e,
-            });
-            if accepted {
-                self.out.stats.enqueued += 1;
-                if hinting {
-                    if let Entry::Node(n) = e {
-                        // First touch only: a node-cached page is served
-                        // without a pool read, so hinting it would be pure
-                        // wasted disk I/O.
-                        if !self.is.node_is_cached(n.page) {
-                            self.hint_buf
-                                .push((n.page, crate::readahead::depth_priority(n.count)));
-                        }
-                    }
-                }
-            } else {
-                self.out.stats.pruned_on_probe += 1;
-            }
-            self.out.stats.pruned_in_queue += filtered;
-        }
-        crate::readahead::submit(self.is.pool(), &mut self.hint_buf);
+        let owner = lpq.owner;
+        self.scan
+            .scan::<D, M, _, _>(self.is, &owner, node, lpq, &mut self.out.stats);
     }
 
     /// The Gather stage: `lpq.owner` is a data object; drain in `MIND`
@@ -255,7 +196,7 @@ impl<'a, const D: usize, M: PruneMetric, IS: SpatialIndex<D>> Ctx<'a, D, M, IS> 
             }
         }
         self.trace_lpq_retired(&lpq);
-        self.scratch.put_entries(lpq.into_storage());
+        self.scratch.put_lpq(lpq);
         Ok(())
     }
 
@@ -288,8 +229,7 @@ impl<'a, const D: usize, M: PruneMetric, IS: SpatialIndex<D>> Ctx<'a, D, M, IS> 
         let inherited = lpq.bound_sq();
         let mut children = self.scratch.take_lpq_list();
         for c in node.entries.iter() {
-            let storage = self.scratch.take_entries();
-            children.push(Lpq::new_in(*c, self.k_eff, inherited, storage));
+            children.push(self.scratch.take_lpq(*c, self.k_eff, inherited));
         }
         self.out.stats.lpqs_created += children.len() as u64;
 
@@ -340,11 +280,11 @@ impl<'a, const D: usize, M: PruneMetric, IS: SpatialIndex<D>> Ctx<'a, D, M, IS> 
             if !child.is_empty() {
                 queue.push_back(child);
             } else {
-                self.scratch.put_entries(child.into_storage());
+                self.scratch.put_lpq(child);
             }
         }
         self.scratch.put_lpq_list(children);
-        self.scratch.put_entries(lpq.into_storage());
+        self.scratch.put_lpq(lpq);
         Ok(())
     }
 
@@ -380,7 +320,7 @@ impl<'a, const D: usize, M: PruneMetric, IS: SpatialIndex<D>> Ctx<'a, D, M, IS> 
         // On abort the queue may still hold live LPQs; hand their storage
         // (and the queue itself) back so the scratch stays reusable.
         for child in queue.drain(..) {
-            self.scratch.put_entries(child.into_storage());
+            self.scratch.put_lpq(child);
         }
         self.scratch.put_lpq_queue(queue);
         walk
@@ -604,8 +544,7 @@ where
             count: ir.num_points(),
             mbr: ir.bounds(),
         });
-        let storage = ctx.scratch.take_entries();
-        let mut root_lpq = Lpq::new_in(root_owner, ctx.k_eff, f64::INFINITY, storage);
+        let mut root_lpq = ctx.scratch.take_lpq(root_owner, ctx.k_eff, f64::INFINITY);
         ctx.out.stats.lpqs_created += 1;
         let root_target = Entry::Node(NodeEntry {
             page: is.root_page(),
@@ -634,7 +573,7 @@ where
         // On abort the queue may still hold live LPQs; recycle them so the
         // scratch arena is fully reusable by the next query.
         for lpq in queue.drain(..) {
-            ctx.scratch.put_entries(lpq.into_storage());
+            ctx.scratch.put_lpq(lpq);
         }
         ctx.scratch.put_lpq_queue(queue);
         tracer.span_exit(Phase::Join, span_j, io_now);
@@ -810,8 +749,7 @@ where
                 count: ir.num_points(),
                 mbr: ir.bounds(),
             });
-            let storage = ctx.scratch.take_entries();
-            let mut root_lpq = Lpq::new_in(root_owner, ctx.k_eff, f64::INFINITY, storage);
+            let mut root_lpq = ctx.scratch.take_lpq(root_owner, ctx.k_eff, f64::INFINITY);
             ctx.out.stats.lpqs_created += 1;
             ctx.probe(
                 &mut root_lpq,
@@ -853,7 +791,7 @@ where
                         // On abort unpublished children recycle into the
                         // worker's arena before the tallies fold.
                         for lpq in children.drain(..) {
-                            ctx.scratch.put_entries(lpq.into_storage());
+                            ctx.scratch.put_lpq(lpq);
                         }
                         ctx.emit_prune_summary();
                         (ctx.finish(), walk)

@@ -10,13 +10,13 @@
 //! `I_S` pages in the buffer pool.
 
 use crate::index::SpatialIndex;
-use crate::lpq::BoundTracker;
-use crate::node::Entry;
+use crate::node::{Entry, ObjectEntry};
 use crate::resilience::{attach_partial_stats, QueryGuard, QueryResult};
-use crate::scratch::{BestFirstItem, QueryScratch};
+use crate::scan::{BestFirst, NodeScan};
+use crate::scratch::QueryScratch;
 use crate::stats::{AnnOutput, NeighborPair};
 use crate::trace::{Phase, PruneReason, Side, TraceEvent, Tracer};
-use ann_geom::{kernels, min_min_dist_sq, Mbr, Point, PruneMetric};
+use ann_geom::PruneMetric;
 
 /// Configuration for [`mnn`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -168,8 +168,7 @@ where
                         Entry::Object(o) => {
                             knn_search::<D, M, IS>(
                                 is,
-                                o.oid,
-                                &o.point,
+                                o,
                                 cfg,
                                 out,
                                 tracer,
@@ -320,8 +319,7 @@ where
                                 Entry::Object(o) => {
                                     knn_search::<D, M, IS>(
                                         is,
-                                        o.oid,
-                                        &o.point,
+                                        o,
                                         cfg,
                                         &mut wout,
                                         wt,
@@ -415,8 +413,7 @@ where
                     Entry::Object(o) => {
                         knn_search::<D, M, IS>(
                             is,
-                            o.oid,
-                            &o.point,
+                            o,
                             cfg,
                             out,
                             tracer,
@@ -435,14 +432,13 @@ where
     join
 }
 
-/// One best-first (Hjaltason-Samet) kNN search from `point` over `is`,
-/// with the pruning-metric upper bound tightening the search exactly as
-/// the LPQ bound does in MBA.
+/// One best-first (Hjaltason-Samet) kNN search from the `I_R` object `r`
+/// over `is`, with the pruning-metric upper bound tightening the search
+/// exactly as the LPQ bound does in MBA.
 #[allow(clippy::too_many_arguments)]
 fn knn_search<const D: usize, M, IS>(
     is: &IS,
-    r_oid: u64,
-    point: &Point<D>,
+    r: &ObjectEntry<D>,
     cfg: &MnnConfig,
     out: &mut AnnOutput,
     tracer: Tracer<'_>,
@@ -455,106 +451,54 @@ where
     IS: SpatialIndex<D>,
 {
     let k_eff = cfg.k + usize::from(cfg.exclude_self);
-    let mut bound = BoundTracker::new(k_eff, f64::INFINITY);
-    let qmbr = Mbr::from_point(point);
-    let mut heap = scratch.take_best_first();
-    let mut mind_buf = scratch.take_f64();
-    let mut maxd_buf = scratch.take_f64();
-    let mut hints = scratch.take_hints();
-    let hinting = is.pool().prefetch_enabled();
-    let root = Entry::Node(crate::node::NodeEntry {
-        page: is.root_page(),
-        count: is.num_points(),
-        mbr: is.bounds(),
-    });
-    let (mind_sq, maxd_sq) = (
-        min_min_dist_sq(&qmbr, &is.bounds()),
-        M::upper_sq(&qmbr, &is.bounds()),
-    );
+    let owner = Entry::Object(*r);
+    let mut front = BestFirst::seeded::<M, IS>(is, &r.point, k_eff, scratch.take_best_first());
+    let mut scan = NodeScan::checkout(scratch);
+    // The root's probe, tallied like every other.
     out.stats.distance_computations += 1;
-    bound.offer(maxd_sq);
-    heap.push(BestFirstItem {
-        mind_sq,
-        maxd_sq,
-        entry: root,
-    });
     out.stats.enqueued += 1;
 
     let mut found = 0;
-    while let Some(item) = heap.pop() {
-        if bound.prunes(item.mind_sq) {
-            // The min-heap yields ascending MIND: everything else is at
-            // least this far, and the bound is backed by entries we have
-            // already processed or emitted.
-            if tracer.enabled() {
-                *cutoff_total += heap.len() as u64 + 1;
-            }
-            break;
-        }
-        bound.remove(item.maxd_sq);
-        match item.entry {
-            Entry::Object(s) => {
-                if cfg.exclude_self && s.oid == r_oid {
-                    continue;
+    let walk = (|| -> QueryResult<()> {
+        while let Some(item) = front.heap.pop() {
+            if front.bound.prunes(item.mind_sq) {
+                // The min-heap yields ascending MIND: everything else is at
+                // least this far, and the bound is backed by entries we have
+                // already processed or emitted.
+                if tracer.enabled() {
+                    *cutoff_total += front.heap.len() as u64 + 1;
                 }
-                out.results.push(NeighborPair {
-                    r_oid,
-                    s_oid: s.oid,
-                    dist: item.mind_sq.sqrt(),
-                });
-                bound.satisfy_one();
-                found += 1;
-                if found == cfg.k {
-                    break;
-                }
+                break;
             }
-            Entry::Node(n) => {
-                guard.tick()?;
-                let node = is.read_node_cached(n.page)?;
-                out.stats.s_nodes_expanded += 1;
-                tracer.node_expanded(Side::S, n.page, &node.entries);
-                // Batch both bounds over the node's SoA columns, then
-                // replay the accept/prune decisions sequentially under the
-                // evolving bound — bit-identical to the scalar loop.
-                let cols = node.soa_mbrs();
-                kernels::min_min_dist_sq_batch(&qmbr, &cols, &mut mind_buf);
-                M::upper_sq_batch(&qmbr, &cols, &mut maxd_buf);
-                for (i, e) in node.entries.iter().enumerate() {
-                    out.stats.distance_computations += 1;
-                    if !bound.prunes(mind_buf[i]) {
-                        bound.offer(maxd_buf[i]);
-                        heap.push(BestFirstItem {
-                            mind_sq: mind_buf[i],
-                            maxd_sq: maxd_buf[i],
-                            entry: *e,
-                        });
-                        out.stats.enqueued += 1;
-                        if hinting {
-                            if let Entry::Node(c) = e {
-                                // First touch only: a node-cached page is
-                                // served without a pool read, so hinting it
-                                // would be pure wasted disk I/O.
-                                if !is.node_is_cached(c.page) {
-                                    hints.push((
-                                        c.page,
-                                        crate::readahead::depth_priority(c.count),
-                                    ));
-                                }
-                            }
-                        }
-                    } else {
-                        out.stats.pruned_on_probe += 1;
+            front.bound.remove(item.maxd_sq);
+            match item.entry {
+                Entry::Object(s) => {
+                    if cfg.exclude_self && s.oid == r.oid {
+                        continue;
+                    }
+                    out.results.push(NeighborPair {
+                        r_oid: r.oid,
+                        s_oid: s.oid,
+                        dist: item.mind_sq.sqrt(),
+                    });
+                    front.bound.satisfy_one();
+                    found += 1;
+                    if found == cfg.k {
+                        break;
                     }
                 }
-                // Readahead for the pages just pushed: changes only when
-                // their physical reads happen, never the search decisions.
-                crate::readahead::submit(is.pool(), &mut hints);
+                Entry::Node(n) => {
+                    guard.tick()?;
+                    let node = is.read_node_cached(n.page)?;
+                    out.stats.s_nodes_expanded += 1;
+                    tracer.node_expanded(Side::S, n.page, &node.entries);
+                    scan.scan::<D, M, _, _>(is, &owner, &node, &mut front, &mut out.stats);
+                }
             }
         }
-    }
-    scratch.put_best_first(heap);
-    scratch.put_f64(mind_buf);
-    scratch.put_f64(maxd_buf);
-    scratch.put_hints(hints);
-    Ok(())
+        Ok(())
+    })();
+    scratch.put_best_first(front.heap);
+    scan.release(scratch);
+    walk
 }

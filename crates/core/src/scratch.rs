@@ -143,7 +143,13 @@ impl Ord for KBest {
 #[derive(Debug, Default)]
 pub struct QueryScratch<const D: usize> {
     f64_bufs: Vec<Vec<f64>>,
-    entry_bufs: Vec<Vec<QueuedEntry<D>>>,
+    /// LPQ backing storage, pooled by owner kind (`[object-owned,
+    /// node-owned]`). A node-owned LPQ queues hundreds of entries, an
+    /// object-owned one a few dozen; out of one shared LIFO pool every
+    /// buffer eventually serves a node owner and keeps that capacity
+    /// (8.6 MiB parked per serving worker after ~100 queries of a
+    /// 4 000-point join, against 0.75 MiB pooled by kind).
+    entry_bufs: [Vec<Vec<QueuedEntry<D>>>; 2],
     lpq_lists: Vec<Vec<Lpq<D>>>,
     lpq_queues: Vec<VecDeque<Lpq<D>>>,
     page_stacks: Vec<Vec<PageId>>,
@@ -174,15 +180,21 @@ impl<const D: usize> QueryScratch<D> {
         self.f64_bufs.push(buf);
     }
 
-    /// Backing storage for an LPQ (pass to [`Lpq::new_in`]).
-    pub fn take_entries(&mut self) -> Vec<QueuedEntry<D>> {
-        self.entry_bufs.pop().unwrap_or_default()
+    fn entry_pool(&mut self, owner: &Entry<D>) -> &mut Vec<Vec<QueuedEntry<D>>> {
+        &mut self.entry_bufs[usize::from(matches!(owner, Entry::Node(_)))]
     }
 
-    /// Returns LPQ storage (from [`Lpq::into_storage`]) to the pool.
-    pub fn put_entries(&mut self, mut buf: Vec<QueuedEntry<D>>) {
-        buf.clear();
-        self.entry_bufs.push(buf);
+    /// An empty LPQ for `owner` (see [`Lpq::new`]) over pooled storage.
+    pub fn take_lpq(&mut self, owner: Entry<D>, k: usize, inherited_bound_sq: f64) -> Lpq<D> {
+        let storage = self.entry_pool(&owner).pop().unwrap_or_default();
+        Lpq::new_in(owner, k, inherited_bound_sq, storage)
+    }
+
+    /// Returns a finished (or abandoned) LPQ's storage to its owner kind's
+    /// pool.
+    pub fn put_lpq(&mut self, lpq: Lpq<D>) {
+        let owner = lpq.owner;
+        self.entry_pool(&owner).push(lpq.into_storage());
     }
 
     /// A child-LPQ list for MBA's Expand stage.
@@ -273,7 +285,7 @@ impl<const D: usize> QueryScratch<D> {
     /// identical queries proves the steady state allocates nothing new.
     pub fn footprint_bytes(&self) -> usize {
         pool_bytes(&self.f64_bufs)
-            + pool_bytes(&self.entry_bufs)
+            + self.entry_bufs.iter().map(|p| pool_bytes(p)).sum::<usize>()
             + self
                 .lpq_lists
                 .iter()
@@ -294,7 +306,7 @@ impl<const D: usize> QueryScratch<D> {
     /// Number of buffers currently parked across all pools.
     pub fn parked(&self) -> usize {
         self.f64_bufs.len()
-            + self.entry_bufs.len()
+            + self.entry_bufs.iter().map(Vec::len).sum::<usize>()
             + self.lpq_lists.len()
             + self.lpq_queues.len()
             + self.page_stacks.len()
@@ -321,6 +333,37 @@ mod tests {
         assert!(b.capacity() >= 100, "…but keep their capacity");
         s.put_f64(b);
         assert_eq!(s.parked(), 1);
+    }
+
+    #[test]
+    fn lpq_storage_is_pooled_by_owner_kind() {
+        use crate::node::{NodeEntry, ObjectEntry};
+        use ann_geom::{Mbr, Point};
+        let node = Entry::Node(NodeEntry {
+            page: 0,
+            count: 300,
+            mbr: Mbr::new([0.0, 0.0], [1.0, 1.0]),
+        });
+        let object = Entry::Object(ObjectEntry {
+            oid: 1,
+            point: Point::new([0.0, 0.0]),
+        });
+        let mut s: QueryScratch<2> = QueryScratch::new();
+        let mut big = s.take_lpq(node, 1, f64::INFINITY);
+        for i in 0..300 {
+            big.try_enqueue(QueuedEntry {
+                mind_sq: f64::from(i),
+                maxd_sq: f64::INFINITY,
+                entry: object,
+            });
+        }
+        s.put_lpq(big);
+        // An object-owned queue does not inherit the node-owned capacity…
+        let small = s.take_lpq(object, 1, f64::INFINITY);
+        assert_eq!(small.into_storage().capacity(), 0);
+        // …which is parked for the next node owner.
+        let big = s.take_lpq(node, 1, f64::INFINITY);
+        assert!(big.into_storage().capacity() >= 300);
     }
 
     #[test]

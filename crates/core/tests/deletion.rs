@@ -9,7 +9,7 @@
 use ann_core::brute::brute_force_aknn;
 use ann_core::index::{collect_objects, validate};
 use ann_core::mba::{mba, MbaConfig};
-use ann_core::SpatialIndex;
+use ann_core::{Entry, SpatialIndex};
 use ann_geom::{NxnDist, Point};
 use ann_mbrqt::{Mbrqt, MbrqtConfig};
 use ann_rstar::{RStar, RStarConfig};
@@ -33,6 +33,29 @@ fn random_points(n: usize, seed: u64) -> Vec<(u64, Point<2>)> {
             )
         })
         .collect()
+}
+
+/// Every leaf's own MBR — read the way the traversals read it, through the
+/// node cache — contains each point the leaf stores. The point×leaf scan
+/// rejects a whole leaf on `MINMINDIST(point, leaf MBR)` (DESIGN.md §11),
+/// which is only counter-identical to probing the points one by one while
+/// this holds, after any mix of inserts and deletes.
+fn assert_leaf_mbrs_contain_their_points<I: SpatialIndex<2>>(tree: &I) {
+    let mut stack = vec![tree.root_page()];
+    while let Some(page) = stack.pop() {
+        let node = tree.read_node_cached(page).unwrap();
+        for e in &node.entries {
+            match e {
+                Entry::Node(n) => stack.push(n.page),
+                Entry::Object(o) => assert!(
+                    node.mbr.contains_point(&o.point),
+                    "page {page}: {:?} outside leaf MBR {:?}",
+                    o.point,
+                    node.mbr
+                ),
+            }
+        }
+    }
 }
 
 #[test]
@@ -59,6 +82,7 @@ fn rstar_delete_half_keeps_tree_valid() {
     }
     assert_eq!(tree.num_points(), 1000);
     validate(&tree).unwrap();
+    assert_leaf_mbrs_contain_their_points(&tree);
 
     // Remaining objects are exactly the undeleted ones.
     let mut got: Vec<u64> = collect_objects(&tree)
@@ -88,6 +112,7 @@ fn mbrqt_delete_half_keeps_tree_valid() {
     for &(oid, p) in &pts {
         tree.insert(oid, p).unwrap();
     }
+    assert_leaf_mbrs_contain_their_points(&tree);
     let mut order = pts.clone();
     order.shuffle(&mut StdRng::seed_from_u64(2));
     for (i, (oid, p)) in order.iter().take(1500).enumerate() {
@@ -101,6 +126,7 @@ fn mbrqt_delete_half_keeps_tree_valid() {
     // Collapse should have shrunk the tree considerably.
     let shape = validate(&tree).unwrap();
     assert_eq!(shape.objects, 500);
+    assert_leaf_mbrs_contain_their_points(&tree);
 }
 
 #[test]
@@ -120,6 +146,7 @@ fn queries_stay_exact_under_churn() {
         assert!(tree.delete(v_oid, &v_p).unwrap());
     }
     validate(&tree).unwrap();
+    assert_leaf_mbrs_contain_their_points(&tree);
 
     let mut out = mba::<2, NxnDist, _, _>(
         &tree,

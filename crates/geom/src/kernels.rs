@@ -23,8 +23,10 @@
 //!   the scalar metric (`(m.lo[d] - hi).max(lo - m.hi[d]).max(0.0)` for
 //!   MINMINDIST, the Algorithm-1 endpoint/midpoint evaluation for NXNDIST,
 //!   ...), so the individual contributions are bit-equal too;
-//! * block remainders fall back to the scalar functions on a gathered
-//!   [`Mbr`]/[`Point`], which is trivially identical.
+//! * block remainders of the MBR kernels fall back to the scalar functions
+//!   on a gathered [`Mbr`], which is trivially identical; [`dist_sq_batch`]
+//!   — the kernel every point×leaf scan runs — keeps its remainder in the
+//!   lane loop.
 //!
 //! The `_within` variants replace the scalar early-exit
 //! ([`crate::min_min_dist_sq_within`]) with a *compute-full, decide-after*
@@ -42,7 +44,7 @@ use crate::{Mbr, Point};
 /// accumulators fill four 256-bit vector registers, and a 16-wide block
 /// amortizes the per-block slice checks far enough that they disappear
 /// from the profile; the value is a tuning knob, not a correctness
-/// parameter (remainders fall back to the scalar metrics either way).
+/// parameter (remainders are bit-equal to the scalar metrics either way).
 pub const LANES: usize = 16;
 
 /// A borrowed column-major view of `len` points: coordinate `d` of point
@@ -143,6 +145,12 @@ fn lanes(cols: &[f64], base: usize) -> &[f64; LANES] {
 }
 
 /// Batched [`Point::dist_sq`]: `out[i] = q.dist_sq(points[i])`, bit-exact.
+///
+/// No candidate is gathered back into a [`Point`]: the last `n % LANES`
+/// candidates — all of them when `n < LANES`, and a 10-D leaf holds about a
+/// dozen points — run the same lane loop over a narrower window, each
+/// accumulator still seeing its terms in ascending `d` exactly like the
+/// scalar loop.
 pub fn dist_sq_batch<const D: usize>(q: &Point<D>, points: &SoaPoints<'_>, out: &mut Vec<f64>) {
     let n = points.len;
     debug_assert_eq!(points.cols.len(), D * n);
@@ -164,9 +172,16 @@ pub fn dist_sq_batch<const D: usize>(q: &Point<D>, points: &SoaPoints<'_>, out: 
         out[i..i + LANES].copy_from_slice(&acc);
         i += LANES;
     }
-    while i < n {
-        out[i] = q.dist_sq(&points.point::<D>(i));
-        i += 1;
+    if i < n {
+        let mut acc = [0.0f64; LANES];
+        for d in 0..D {
+            let col = &cols[d * n + i..(d + 1) * n];
+            for (a, c) in acc.iter_mut().zip(col) {
+                let diff = q.0[d] - c;
+                *a += diff * diff;
+            }
+        }
+        out[i..].copy_from_slice(&acc[..n - i]);
     }
 }
 
@@ -471,6 +486,75 @@ mod tests {
         for i in 0..9 {
             assert_eq!(a[i].to_bits(), b[i].to_bits());
         }
+    }
+
+    /// The identity the exact point×leaf scan rests on: between two
+    /// *points*, both upper-bound metrics and MINMINDIST are `dist_sq`,
+    /// bit for bit — NXNDIST's cancellation clamp collapses onto the
+    /// MINMINDIST sum, MAXMAXDIST adds the same `|q − p|²` terms in the
+    /// same order — so a point owner can score a leaf with one kernel.
+    fn check_point_pair_identity<const D: usize>(seed: u64) {
+        use crate::{MaxMaxDist, NxnDist, PruneMetric};
+        let mut rng = Rng(seed);
+        let offsets = [0.0, 1e8, -1e8, 1e-8];
+        for case in 0..256 {
+            let mut q = [0.0; D];
+            let mut p = [0.0; D];
+            for d in 0..D {
+                q[d] = offsets[case % 4] + rng.f64() * 10.0;
+                p[d] = offsets[(case / 4) % 4] + rng.f64() * 10.0;
+            }
+            match case % 5 {
+                // Coincident points.
+                3 => p = q,
+                // Equal coordinates in one dimension only.
+                4 => p[case % D] = q[case % D],
+                _ => {}
+            }
+            let (q, p) = (Point(q), Point(p));
+            let (qm, pm) = (Mbr::from_point(&q), Mbr::from_point(&p));
+            let want = q.dist_sq(&p).to_bits();
+            for (name, got) in [
+                ("minmin", min_min_dist_sq(&qm, &pm)),
+                ("nxn", NxnDist::upper_sq(&qm, &pm)),
+                ("maxmax", MaxMaxDist::upper_sq(&qm, &pm)),
+            ] {
+                assert_eq!(got.to_bits(), want, "{name} D={D} {q:?} {p:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn point_pair_metrics_equal_dist_sq_bitwise() {
+        check_point_pair_identity::<1>(0xA1);
+        check_point_pair_identity::<2>(0xA2);
+        check_point_pair_identity::<8>(0xA8);
+        check_point_pair_identity::<10>(0xAA);
+    }
+
+    /// Every split of `n` into full blocks and an in-loop tail.
+    fn check_dist_tails<const D: usize>(seed: u64) {
+        let mut rng = Rng(seed);
+        let mut out = Vec::new();
+        for n in 0..=2 * LANES + 1 {
+            let (cols, _) = gen_mbrs::<D>(&mut rng, n);
+            let pts = SoaPoints::new(n, &cols);
+            let q = Point(gen_owner::<D>(&mut rng).lo);
+            dist_sq_batch(&q, &pts, &mut out);
+            assert_eq!(out.len(), n);
+            for i in 0..n {
+                let want = q.dist_sq(&pts.point::<D>(i));
+                assert_eq!(out[i].to_bits(), want.to_bits(), "D={D} n={n} i={i}");
+            }
+        }
+    }
+
+    #[test]
+    fn dist_sq_batch_tails_are_bit_identical() {
+        check_dist_tails::<1>(0xB1);
+        check_dist_tails::<2>(0xB2);
+        check_dist_tails::<8>(0xB8);
+        check_dist_tails::<10>(0xBA);
     }
 
     #[test]

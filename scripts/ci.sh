@@ -1,12 +1,29 @@
 #!/usr/bin/env bash
-# Repo CI gate: formatting, lints, build, and the full test suite.
+# Repo CI gate: the offline benchmark leg, then formatting, lints, build,
+# and the full test suite.
 #
-# Requires network access to the cargo registry (or a pre-populated
-# vendor/registry cache). In the offline growth container, use
-# target/devcheck/{build,test,itest}.sh instead, which compile the
-# workspace crates directly with rustc against dependency shims.
+# Everything after the offline leg requires network access to the cargo
+# registry (or a pre-populated vendor/registry cache). `scripts/ci.sh
+# offline` stops after the offline leg, which is the one part that builds
+# and runs from a clean clone with an empty registry.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# Offline leg: perf/ is its own workspace with std-only shims for the
+# registry crates, so it builds the library crates with an empty registry.
+# The generators must still produce the pinned inputs, and a short traced
+# pass of both join workloads must pass every check the benchmark makes
+# (brute-force sample bit-exact, serial = parallel = BNN byte for byte).
+# Seed 2: a seed nobody tunes against.
+perf/run.sh --self-test
+for workload in join2d_hot join10d_cold; do
+  perf/run.sh --workload "$workload" --seed 2 --seconds 2 --trace 1 | tail -n 1 |
+    grep -Eq '^\{"correct": true, "attempted": [0-9]+, "failed": 0,' ||
+    { echo "ci: perf $workload did not end in correct: true, failed: 0" >&2; exit 1; }
+done
+if [ "${1:-}" = offline ]; then
+  exit 0
+fi
 
 cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
