@@ -326,14 +326,10 @@ pub fn extra_hnn(fraction: f64) -> Figure {
 }
 
 /// Extra: scaling of the parallel MBA extension over worker threads.
-/// Builds the indices once and measures the join at 1/2/4/8 threads plus
-/// the serial implementation as the baseline.
-// Drives the legacy per-algorithm entrypoints on purpose: the sweep
-// compares them head-to-head, bypassing the unified dispatch layer.
-#[allow(deprecated)]
+/// Builds the indices once and measures the join at 2/4/8 threads, with
+/// the one-worker (serial) run as the baseline.
 pub fn extra_parallel(fraction: f64) -> Figure {
-    use ann_core::mba::{mba, mba_parallel, MbaConfig};
-    use ann_geom::NxnDist;
+    use ann_core::query::{Algorithm, AnnRequest, Input};
     use ann_mbrqt::{Mbrqt, MbrqtConfig};
     use ann_store::{BufferPool, MemDisk};
     use std::sync::Arc;
@@ -355,9 +351,12 @@ pub fn extra_parallel(fraction: f64) -> Figure {
     let pool = Arc::new(BufferPool::new(MemDisk::new(), 1 << 16));
     let ir = Mbrqt::bulk_build(pool.clone(), &data, &MbrqtConfig::default()).expect("build");
     let is = Mbrqt::bulk_build(pool.clone(), &data, &MbrqtConfig::default()).expect("build");
-    let cfg = MbaConfig {
-        exclude_self: true,
-        ..Default::default()
+    let req = AnnRequest::new(Algorithm::mba()).exclude_self(true);
+    let join = |threads: usize| {
+        req.clone()
+            .threads(threads)
+            .run(Input::Index(&ir), Input::Index(&is))
+            .expect("join")
     };
 
     let mut push = |group: &str, label: String, out: ann_core::stats::AnnOutput, secs: f64| {
@@ -379,16 +378,16 @@ pub fn extra_parallel(fraction: f64) -> Figure {
     };
 
     let t0 = Instant::now();
-    let out = mba::<2, NxnDist, _, _>(&ir, &is, &cfg).expect("serial");
+    let out = join(1);
     push(
         "serial",
         "MBA serial".into(),
         out,
         t0.elapsed().as_secs_f64(),
     );
-    for threads in [1usize, 2, 4, 8] {
+    for threads in [2usize, 4, 8] {
         let t0 = Instant::now();
-        let out = mba_parallel::<2, NxnDist, _, _>(&ir, &is, &cfg, threads).expect("parallel");
+        let out = join(threads);
         push(
             &format!("{threads}T"),
             format!("MBA parallel x{threads}"),
@@ -404,13 +403,10 @@ pub fn extra_parallel(fraction: f64) -> Figure {
 /// buffer pool and against a single-shard pool (the seed's one-big-mutex
 /// design), with the pool hit/miss/contention and node-cache counters
 /// that explain the curves. Emitted as `BENCH_parallel_scaling.json`.
-// Same deliberate legacy-entrypoint use as `extra_parallel` above.
-#[allow(deprecated)]
 pub fn parallel_scaling(fraction: f64) -> crate::report::ScalingReport {
     use crate::report::{ScalingReport, ScalingRow};
     use ann_core::index::SpatialIndex;
-    use ann_core::mba::{mba_parallel, MbaConfig};
-    use ann_geom::NxnDist;
+    use ann_core::query::{Algorithm, AnnRequest, Input};
     use ann_mbrqt::{Mbrqt, MbrqtConfig};
     use ann_store::{BufferPool, MemDisk};
     use std::sync::Arc;
@@ -439,10 +435,7 @@ pub fn parallel_scaling(fraction: f64) -> crate::report::ScalingReport {
     // Big enough to hold both trees: the study isolates lock/cache
     // behavior, not eviction policy.
     const FRAMES: usize = 1 << 16;
-    let cfg = MbaConfig {
-        exclude_self: true,
-        ..Default::default()
-    };
+    let req = AnnRequest::new(Algorithm::mba()).exclude_self(true);
 
     for (kind, shards) in [("single-mutex", Some(1)), ("sharded", None)] {
         let pool = Arc::new(match shards {
@@ -463,7 +456,11 @@ pub fn parallel_scaling(fraction: f64) -> crate::report::ScalingReport {
                 }
             }
             let t0 = Instant::now();
-            let out = mba_parallel::<2, NxnDist, _, _>(&ir, &is, &cfg, threads).expect("join");
+            let out = req
+                .clone()
+                .threads(threads)
+                .run(Input::Index(&ir), Input::Index(&is))
+                .expect("join");
             let wall = t0.elapsed().as_secs_f64();
             let wall_1t = *wall_1t.get_or_insert(wall);
 

@@ -87,7 +87,7 @@ impl Figure {
 pub struct ScalingRow {
     /// Pool variant the row ran against: `"sharded"` or `"single-mutex"`.
     pub pool: String,
-    /// Worker threads handed to `mba_parallel`.
+    /// Worker threads requested (`AnnRequest::threads`).
     pub threads: usize,
     /// Wall-clock seconds for the join.
     pub wall_seconds: f64,

@@ -12,37 +12,19 @@
 //! instantiated with [`ann_geom::NxnDist`], which is the "BNN NXNDIST"
 //! bar of Figure 3a).
 
+use crate::exec::{self, ExecCtx, Join, Spill};
 use crate::index::SpatialIndex;
 use crate::lpq::{BoundTracker, PRUNE_EPS};
+use crate::morsel::chunk_ranges;
 use crate::node::Entry;
-use crate::resilience::{attach_partial_stats, QueryGuard, QueryResult};
+use crate::resilience::QueryResult;
 use crate::scratch::{GroupHeapItem, KBest, QueryScratch};
 use crate::stats::{AnnOutput, NeighborPair};
-use crate::trace::{Phase, PruneReason, Side, TraceEvent, Tracer};
+use crate::trace::{Phase, PruneReason, Side, TraceEvent};
 use ann_geom::{curve::GridMapper, kernels, min_min_dist_sq, Mbr, Point, PruneMetric, SoaPoints};
 use std::collections::BinaryHeap;
-
-/// Configuration for [`bnn`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BnnConfig {
-    /// Neighbors per query object.
-    pub k: usize,
-    /// Query objects per group (Zhang et al. size groups to fit memory;
-    /// the default of 256 approximates one leaf page of queries).
-    pub group_size: usize,
-    /// Self-join mode: skip same-oid pairs.
-    pub exclude_self: bool,
-}
-
-impl Default for BnnConfig {
-    fn default() -> Self {
-        BnnConfig {
-            k: 1,
-            group_size: 256,
-            exclude_self: false,
-        }
-    }
-}
+use std::marker::PhantomData;
+use std::ops::Range;
 
 /// Per-query-point state within a group.
 struct PointState<const D: usize> {
@@ -82,306 +64,126 @@ impl<const D: usize> PointState<D> {
     }
 }
 
+/// One BNN join: the Hilbert-sorted queries, the target index and the
+/// request's knobs. Shared read-only by every worker.
+struct Bnn<'a, const D: usize, M, IS> {
+    sorted: Vec<&'a (u64, Point<D>)>,
+    is: &'a IS,
+    k: usize,
+    group_size: usize,
+    exclude_self: bool,
+    _metric: PhantomData<fn() -> M>,
+}
+
+/// A worker's only BNN state beside its scratch and output: heap entries
+/// cut off unpopped, tallied while tracing.
+type Worker<'w, const D: usize> = exec::Worker<'w, D, u64>;
+
+impl<const D: usize, M, IS> Join<D> for Bnn<'_, D, M, IS>
+where
+    M: PruneMetric,
+    IS: SpatialIndex<D> + Sync,
+{
+    /// One group: an index range over the sorted queries.
+    type Morsel = Range<usize>;
+    type Local = u64;
+
+    fn local(&self, _scratch: &mut QueryScratch<D>) -> u64 {
+        0
+    }
+
+    /// Exactly the boundaries `slice::chunks(group_size)` produces. Each
+    /// group's traversal, heaps and bounds are self-contained in
+    /// [`run_group`], so per-group results are independent of
+    /// scheduling.
+    fn seeds(&self, _lead: &mut Worker<'_, D>) -> Vec<Range<usize>> {
+        chunk_ranges(self.sorted.len(), self.group_size)
+    }
+
+    fn step(
+        &self,
+        w: &mut Worker<'_, D>,
+        range: Range<usize>,
+        _spill: &mut Spill<'_, Range<usize>>,
+    ) -> QueryResult<()> {
+        run_group(self, w, &self.sorted[range])
+    }
+
+    fn retire(&self, w: Worker<'_, D>) -> AnnOutput {
+        exec::emit_pruned(
+            w.tracer,
+            M::NAME,
+            &[
+                (PruneReason::OnProbe, w.out.stats.pruned_on_probe),
+                (PruneReason::HeapCutoff, w.local),
+            ],
+        );
+        w.out
+    }
+}
+
 /// Evaluates AkNN for the points `r` (not necessarily indexed) against the
-/// indexed set `is`, with the batched traversal described above.
-#[deprecated(
-    since = "0.1.0",
-    note = "thin delegate kept for compatibility; use ann_core::query::run / run_scratch (or the *_guarded canonical path)"
-)]
-pub fn bnn<const D: usize, M, IS>(
+/// indexed set `is`, with the batched traversal described above:
+/// `group_size` query objects per group (Zhang et al. size groups to fit
+/// memory), same-oid pairs skipped under `exclude_self`.
+pub(crate) fn run<const D: usize, M, IS>(
+    ctx: ExecCtx<'_, D>,
     r: &[(u64, Point<D>)],
     is: &IS,
-    cfg: &BnnConfig,
-) -> QueryResult<AnnOutput>
-where
-    M: PruneMetric,
-    IS: SpatialIndex<D>,
-{
-    bnn_guarded::<D, M, IS>(
-        r,
-        is,
-        cfg,
-        Tracer::disabled(),
-        &mut QueryScratch::new(),
-        &QueryGuard::disabled(),
-    )
-}
-
-/// [`bnn`] with an attached [`Tracer`]. With `Tracer::disabled()` this is
-/// exactly [`bnn`]: all instrumentation sites are guarded.
-#[deprecated(
-    since = "0.1.0",
-    note = "thin delegate kept for compatibility; use ann_core::query::run / run_scratch (or the *_guarded canonical path)"
-)]
-pub fn bnn_traced<const D: usize, M, IS>(
-    r: &[(u64, Point<D>)],
-    is: &IS,
-    cfg: &BnnConfig,
-    tracer: Tracer<'_>,
-) -> QueryResult<AnnOutput>
-where
-    M: PruneMetric,
-    IS: SpatialIndex<D>,
-{
-    bnn_guarded::<D, M, IS>(r, is, cfg, tracer, &mut QueryScratch::new(), &QueryGuard::disabled())
-}
-
-/// [`bnn_traced`] with a caller-owned [`QueryScratch`] — the group heap,
-/// per-point k-best heaps and kernel distance buffers are all recycled
-/// through the scratch from one group to the next.
-#[deprecated(
-    since = "0.1.0",
-    note = "thin delegate kept for compatibility; use ann_core::query::run / run_scratch (or the *_guarded canonical path)"
-)]
-pub fn bnn_traced_scratch<const D: usize, M, IS>(
-    r: &[(u64, Point<D>)],
-    is: &IS,
-    cfg: &BnnConfig,
-    tracer: Tracer<'_>,
-    scratch: &mut QueryScratch<D>,
-) -> QueryResult<AnnOutput>
-where
-    M: PruneMetric,
-    IS: SpatialIndex<D>,
-{
-    bnn_guarded::<D, M, IS>(r, is, cfg, tracer, scratch, &QueryGuard::disabled())
-}
-
-/// [`bnn_traced_scratch`] under a [`QueryGuard`], consulted before every
-/// `I_S` node read. Aborts close the open spans, record a
-/// [`TraceEvent::QueryAborted`], and report the stats accumulated so far.
-pub fn bnn_guarded<const D: usize, M, IS>(
-    r: &[(u64, Point<D>)],
-    is: &IS,
-    cfg: &BnnConfig,
-    tracer: Tracer<'_>,
-    scratch: &mut QueryScratch<D>,
-    guard: &QueryGuard<'_>,
-) -> QueryResult<AnnOutput>
-where
-    M: PruneMetric,
-    IS: SpatialIndex<D>,
-{
-    assert!(cfg.group_size >= 1, "group size must be at least 1");
-    if cfg.k == 0 {
-        guard.tick()?;
-        return Ok(AnnOutput::default());
-    }
-    let mut out = AnnOutput::default();
-    let io0 = is.pool().stats();
-    let io_now = || is.pool().stats();
-    let span_q = tracer.span_enter(Phase::Query, io_now);
-    let abort_phase = std::cell::Cell::new(Phase::Query.name());
-
-    let walk = (|out: &mut AnnOutput| -> QueryResult<()> {
-        guard.tick()?;
-        if r.is_empty() || is.num_points() == 0 {
-            return Ok(());
-        }
-        // Sort queries in Hilbert order over their own bounding box, then
-        // chunk into groups.
-        let span_sort = tracer.span_enter(Phase::Sort, io_now);
-        let bounds = Mbr::from_points(r.iter().map(|(_, p)| p));
-        let mapper = GridMapper::new(bounds);
-        let mut sorted: Vec<&(u64, Point<D>)> = r.iter().collect();
-        sorted.sort_by_key(|(_, p)| mapper.hilbert_key(p));
-        tracer.span_exit(Phase::Sort, span_sort, io_now);
-
-        tracer.event(|| TraceEvent::Root {
-            side: Side::S,
-            page: is.root_page(),
-        });
-        let span_j = tracer.span_enter(Phase::Join, io_now);
-        abort_phase.set(Phase::Join.name());
-        let mut cutoff_total = 0u64;
-        let join = (|| -> QueryResult<()> {
-            for group in sorted.chunks(cfg.group_size) {
-                run_group::<D, M, IS>(
-                    group,
-                    is,
-                    cfg,
-                    out,
-                    tracer,
-                    &mut cutoff_total,
-                    scratch,
-                    guard,
-                )?;
-            }
-            Ok(())
-        })();
-        if tracer.enabled() {
-            for (reason, count) in [
-                (PruneReason::OnProbe, out.stats.pruned_on_probe),
-                (PruneReason::HeapCutoff, cutoff_total),
-            ] {
-                if count > 0 {
-                    tracer.event(|| TraceEvent::Pruned {
-                        metric: M::NAME,
-                        reason,
-                        count,
-                    });
-                }
-            }
-        }
-        tracer.span_exit(Phase::Join, span_j, io_now);
-        join
-    })(&mut out);
-    tracer.span_exit(Phase::Query, span_q, io_now);
-
-    out.stats.io = is.pool().stats().since(&io0);
-    match walk {
-        Ok(()) => Ok(out),
-        Err(e) => {
-            tracer.event(|| TraceEvent::QueryAborted {
-                reason: e.reason(),
-                phase: abort_phase.get(),
-            });
-            Err(attach_partial_stats(e, &out.stats))
-        }
-    }
-}
-
-/// [`bnn_guarded`] with the group loop fanned out over the shared morsel
-/// engine ([`crate::par::run_workers`]).
-///
-/// Morsels are index ranges over the Hilbert-sorted query list with
-/// exactly the boundaries `slice::chunks(group_size)` would produce, so
-/// every parallel group is one of the serial groups: each group's
-/// traversal, heaps and bounds are fully self-contained in
-/// [`run_group`], which makes per-group results independent of
-/// scheduling. The engine's canonical merge then renders the output
-/// byte-identical to (sorted) serial at any thread count.
-pub fn bnn_parallel_guarded<const D: usize, M, IS>(
-    r: &[(u64, Point<D>)],
-    is: &IS,
-    cfg: &BnnConfig,
-    threads: usize,
-    tracer: Tracer<'_>,
-    guard: &QueryGuard<'_>,
+    k: usize,
+    group_size: usize,
+    exclude_self: bool,
 ) -> QueryResult<AnnOutput>
 where
     M: PruneMetric,
     IS: SpatialIndex<D> + Sync,
 {
-    assert!(cfg.group_size >= 1, "group size must be at least 1");
-    if cfg.k == 0 {
-        guard.tick()?;
-        return Ok(AnnOutput::default());
-    }
-    let threads = crate::morsel::resolve_threads(threads);
-    if threads <= 1 {
-        let mut out =
-            bnn_guarded::<D, M, IS>(r, is, cfg, tracer, &mut QueryScratch::new(), guard)?;
-        out.sort();
-        return Ok(out);
-    }
-    let mut out = AnnOutput::default();
-    let io0 = is.pool().stats();
-    let io_now = || is.pool().stats();
-    let span_q = tracer.span_enter(Phase::Query, io_now);
-    let abort_phase = std::cell::Cell::new(Phase::Query.name());
-
-    let walk = (|out: &mut AnnOutput| -> QueryResult<()> {
-        guard.tick()?;
-        if r.is_empty() || is.num_points() == 0 {
-            return Ok(());
-        }
-        // The Hilbert sort stays serial (it is a tiny fraction of the
-        // join and its order defines the group boundaries).
-        let span_sort = tracer.span_enter(Phase::Sort, io_now);
-        let bounds = Mbr::from_points(r.iter().map(|(_, p)| p));
-        let mapper = GridMapper::new(bounds);
-        let mut sorted: Vec<&(u64, Point<D>)> = r.iter().collect();
-        sorted.sort_by_key(|(_, p)| mapper.hilbert_key(p));
-        tracer.span_exit(Phase::Sort, span_sort, io_now);
-
-        tracer.event(|| TraceEvent::Root {
+    assert!(group_size >= 1, "group size must be at least 1");
+    let degenerate = k == 0 || r.is_empty() || is.num_points() == 0;
+    exec::drive(ctx, degenerate, |frame| {
+        // Sort queries in Hilbert order over their own bounding box; the
+        // order defines the group boundaries, so the sort stays serial.
+        let sorted = frame.phase(Phase::Sort, || {
+            let mapper = GridMapper::new(Mbr::from_points(r.iter().map(|(_, p)| p)));
+            let mut sorted: Vec<&(u64, Point<D>)> = r.iter().collect();
+            sorted.sort_by_key(|(_, p)| mapper.hilbert_key(p));
+            sorted
+        });
+        frame.tracer.event(|| TraceEvent::Root {
             side: Side::S,
             page: is.root_page(),
         });
-        let span_j = tracer.span_enter(Phase::Join, io_now);
-        abort_phase.set(Phase::Join.name());
-        let seeds = crate::morsel::chunk_ranges(sorted.len(), cfg.group_size);
-        let sorted = &sorted;
-        let (pout, err) = crate::par::run_workers(threads, seeds, tracer, |h| {
-            let mut scratch = QueryScratch::new();
-            let mut wout = AnnOutput::default();
-            let mut cutoff_total = 0u64;
-            let wt = h.tracer();
-            let join = (|| -> QueryResult<()> {
-                while let Some(range) = h.pop() {
-                    let group = run_group::<D, M, IS>(
-                        &sorted[range],
-                        is,
-                        cfg,
-                        &mut wout,
-                        wt,
-                        &mut cutoff_total,
-                        &mut scratch,
-                        guard,
-                    );
-                    h.complete();
-                    group?;
-                }
-                Ok(())
-            })();
-            // Per-worker prune summary: the sink sums the counts, so the
-            // merged totals equal the serial end-of-run summary.
-            if wt.enabled() {
-                for (reason, count) in [
-                    (PruneReason::OnProbe, wout.stats.pruned_on_probe),
-                    (PruneReason::HeapCutoff, cutoff_total),
-                ] {
-                    if count > 0 {
-                        wt.event(|| TraceEvent::Pruned {
-                            metric: M::NAME,
-                            reason,
-                            count,
-                        });
-                    }
-                }
-            }
-            (wout, join)
-        });
-        *out = pout;
-        tracer.span_exit(Phase::Join, span_j, io_now);
-        match err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
-    })(&mut out);
-    tracer.span_exit(Phase::Query, span_q, io_now);
-
-    out.stats.io = is.pool().stats().since(&io0);
-    match walk {
-        Ok(()) => Ok(out),
-        Err(e) => {
-            tracer.event(|| TraceEvent::QueryAborted {
-                reason: e.reason(),
-                phase: abort_phase.get(),
-            });
-            Err(attach_partial_stats(e, &out.stats))
-        }
-    }
+        frame.join(&Bnn::<D, M, IS> {
+            sorted,
+            is,
+            k,
+            group_size,
+            exclude_self,
+            _metric: PhantomData,
+        })
+    })
 }
 
-#[allow(clippy::too_many_arguments)]
+/// One group's best-first traversal of `I_S`.
 fn run_group<const D: usize, M, IS>(
+    join: &Bnn<'_, D, M, IS>,
+    w: &mut Worker<'_, D>,
     group: &[&(u64, Point<D>)],
-    is: &IS,
-    cfg: &BnnConfig,
-    out: &mut AnnOutput,
-    tracer: Tracer<'_>,
-    cutoff_total: &mut u64,
-    scratch: &mut QueryScratch<D>,
-    guard: &QueryGuard<'_>,
 ) -> QueryResult<()>
 where
     M: PruneMetric,
     IS: SpatialIndex<D>,
 {
+    let exec::Worker {
+        tracer,
+        guard,
+        scratch,
+        out,
+        local: cutoff_total,
+    } = w;
+    let is = join.is;
     let mut heap_pops = 0u64;
-    let k_eff = cfg.k + usize::from(cfg.exclude_self);
+    let k_eff = join.k + usize::from(join.exclude_self);
     let gmbr = Mbr::from_points(group.iter().map(|(_, p)| p));
     let mut states: Vec<PointState<D>> = group
         .iter()
@@ -453,7 +255,7 @@ where
                 kernels::dist_sq_batch(&s.point, &gpoints, &mut dist_buf);
                 let mut improved_max = false;
                 for (i, st) in states.iter_mut().enumerate() {
-                    if cfg.exclude_self && st.oid == s.oid {
+                    if join.exclude_self && st.oid == s.oid {
                         continue;
                     }
                     out.stats.distance_computations += 1;
@@ -527,7 +329,7 @@ where
                 .partial_cmp(&(b.dist_sq, b.s_oid))
                 .expect("finite")
         });
-        for b in best.iter().take(cfg.k) {
+        for b in best.iter().take(join.k) {
             out.results.push(NeighborPair {
                 r_oid: st.oid,
                 s_oid: b.s_oid,

@@ -24,34 +24,15 @@
 
 #![allow(clippy::needless_range_loop)] // fixed-D kernels index 0..D
 
-use crate::resilience::{attach_partial_stats, QueryGuard, QueryResult};
+use crate::exec::{self, ExecCtx, Join, Spill};
+use crate::morsel::{chunk_ranges, POINT_MORSEL};
+use crate::resilience::QueryResult;
 use crate::scratch::{KBest, QueryScratch};
 use crate::stats::{AnnOutput, NeighborPair};
-use crate::trace::{Phase, PruneReason, TraceEvent, Tracer};
+use crate::trace::{Phase, PruneReason};
 use ann_geom::{kernels, Mbr, Point, SoaPoints};
-use ann_store::IoSnapshot;
 use std::collections::{BinaryHeap, HashMap};
-
-/// Configuration for [`hnn`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct HnnConfig {
-    /// Neighbors per query object.
-    pub k: usize,
-    /// Target average number of `S` points per grid cell.
-    pub avg_cell_occupancy: f64,
-    /// Self-join mode: skip same-oid pairs.
-    pub exclude_self: bool,
-}
-
-impl Default for HnnConfig {
-    fn default() -> Self {
-        HnnConfig {
-            k: 1,
-            avg_cell_occupancy: 8.0,
-            exclude_self: false,
-        }
-    }
-}
+use std::ops::Range;
 
 /// One grid cell's points, structure-of-arrays.
 struct CellSoa<const D: usize> {
@@ -213,255 +194,116 @@ impl<const D: usize> Grid<D> {
     }
 }
 
-/// Evaluates AkNN without any index: spatial-hash `S`, ring-search per
-/// query point.
-#[deprecated(
-    since = "0.1.0",
-    note = "thin delegate kept for compatibility; use ann_core::query::run / run_scratch (or the *_guarded canonical path)"
-)]
-pub fn hnn<const D: usize>(
-    r: &[(u64, Point<D>)],
-    s: &[(u64, Point<D>)],
-    cfg: &HnnConfig,
-) -> QueryResult<AnnOutput> {
-    hnn_guarded(
-        r,
-        s,
-        cfg,
-        Tracer::disabled(),
-        &mut QueryScratch::new(),
-        &QueryGuard::disabled(),
-    )
-}
-
-/// [`hnn`] with an attached [`Tracer`]. HNN reads no buffer pool, so its
-/// span I/O deltas are all-zero; the interesting signals are the phase
-/// wall times (grid build vs ring search) and the ring-cutoff prunes.
-/// With `Tracer::disabled()` this is exactly [`hnn`].
-#[deprecated(
-    since = "0.1.0",
-    note = "thin delegate kept for compatibility; use ann_core::query::run / run_scratch (or the *_guarded canonical path)"
-)]
-pub fn hnn_traced<const D: usize>(
-    r: &[(u64, Point<D>)],
-    s: &[(u64, Point<D>)],
-    cfg: &HnnConfig,
-    tracer: Tracer<'_>,
-) -> QueryResult<AnnOutput> {
-    hnn_guarded(r, s, cfg, tracer, &mut QueryScratch::new(), &QueryGuard::disabled())
-}
-
-/// [`hnn_traced`] with a caller-owned [`QueryScratch`] — per-query k-best
-/// heaps and the cell distance buffer are recycled across query points.
-#[deprecated(
-    since = "0.1.0",
-    note = "thin delegate kept for compatibility; use ann_core::query::run / run_scratch (or the *_guarded canonical path)"
-)]
-pub fn hnn_traced_scratch<const D: usize>(
-    r: &[(u64, Point<D>)],
-    s: &[(u64, Point<D>)],
-    cfg: &HnnConfig,
-    tracer: Tracer<'_>,
-    scratch: &mut QueryScratch<D>,
-) -> QueryResult<AnnOutput> {
-    hnn_guarded(r, s, cfg, tracer, scratch, &QueryGuard::disabled())
-}
-
-/// [`hnn_traced_scratch`] under a [`QueryGuard`]. HNN performs no I/O, so
-/// an I/O budget never trips here; cancellation, deadlines and the visit
-/// budget are checked once per query point (the poolless analogue of one
-/// node expansion).
-pub fn hnn_guarded<const D: usize>(
-    r: &[(u64, Point<D>)],
-    s: &[(u64, Point<D>)],
-    cfg: &HnnConfig,
-    tracer: Tracer<'_>,
-    scratch: &mut QueryScratch<D>,
-    guard: &QueryGuard<'_>,
-) -> QueryResult<AnnOutput> {
-    assert!(cfg.avg_cell_occupancy > 0.0);
-    let mut out = AnnOutput::default();
-    if cfg.k == 0 || r.is_empty() || s.is_empty() {
-        guard.tick()?;
-        return Ok(out);
-    }
-    let span_q = tracer.span_enter(Phase::Query, IoSnapshot::default);
-    let abort_phase = std::cell::Cell::new(Phase::Query.name());
-    let walk = (|out: &mut AnnOutput| -> QueryResult<()> {
-        guard.tick()?;
-        let span_b = tracer.span_enter(Phase::Build, IoSnapshot::default);
-        abort_phase.set(Phase::Build.name());
-        let grid = Grid::build(s, cfg.avg_cell_occupancy);
-        tracer.span_exit(Phase::Build, span_b, IoSnapshot::default);
-        let k_eff = cfg.k + usize::from(cfg.exclude_self);
-        let span_j = tracer.span_enter(Phase::Join, IoSnapshot::default);
-        abort_phase.set(Phase::Join.name());
-        let mut rings_cut_total = 0u64;
-        let mut dist_buf = scratch.take_f64();
-
-        let join = (|| -> QueryResult<()> {
-            for &(r_oid, r_pt) in r {
-                guard.tick()?;
-                run_point(
-                    r_oid,
-                    r_pt,
-                    s,
-                    cfg,
-                    k_eff,
-                    &grid,
-                    out,
-                    tracer,
-                    &mut rings_cut_total,
-                    &mut dist_buf,
-                    scratch,
-                );
-            }
-            Ok(())
-        })();
-        scratch.put_f64(dist_buf);
-        if rings_cut_total > 0 {
-            tracer.event(|| TraceEvent::Pruned {
-                metric: "euclidean",
-                reason: PruneReason::RingCutoff,
-                count: rings_cut_total,
-            });
-        }
-        tracer.span_exit(Phase::Join, span_j, IoSnapshot::default);
-        join
-    })(&mut out);
-    tracer.span_exit(Phase::Query, span_q, IoSnapshot::default);
-    match walk {
-        Ok(()) => Ok(out),
-        Err(e) => {
-            tracer.event(|| TraceEvent::QueryAborted {
-                reason: e.reason(),
-                phase: abort_phase.get(),
-            });
-            Err(attach_partial_stats(e, &out.stats))
-        }
-    }
-}
-
-/// [`hnn_guarded`] with the per-point ring searches fanned out over the
-/// shared morsel engine ([`crate::par::run_workers`]).
-///
-/// The grid build stays serial (one pass over `S`, shared read-only by
-/// every worker); morsels are [`crate::morsel::POINT_MORSEL`]-sized
-/// slices of `R`. Each point's ring search touches only its own heap and
-/// buffers, so per-point results are independent of scheduling and the
-/// engine's canonical merge makes the output byte-identical to (sorted)
-/// serial at any thread count.
-pub fn hnn_parallel_guarded<const D: usize>(
-    r: &[(u64, Point<D>)],
-    s: &[(u64, Point<D>)],
-    cfg: &HnnConfig,
-    threads: usize,
-    tracer: Tracer<'_>,
-    guard: &QueryGuard<'_>,
-) -> QueryResult<AnnOutput> {
-    assert!(cfg.avg_cell_occupancy > 0.0);
-    let mut out = AnnOutput::default();
-    if cfg.k == 0 || r.is_empty() || s.is_empty() {
-        guard.tick()?;
-        return Ok(out);
-    }
-    let threads = crate::morsel::resolve_threads(threads);
-    if threads <= 1 {
-        let mut out = hnn_guarded(r, s, cfg, tracer, &mut QueryScratch::new(), guard)?;
-        out.sort();
-        return Ok(out);
-    }
-    let span_q = tracer.span_enter(Phase::Query, IoSnapshot::default);
-    let abort_phase = std::cell::Cell::new(Phase::Query.name());
-    let walk = (|out: &mut AnnOutput| -> QueryResult<()> {
-        guard.tick()?;
-        let span_b = tracer.span_enter(Phase::Build, IoSnapshot::default);
-        abort_phase.set(Phase::Build.name());
-        let grid = Grid::build(s, cfg.avg_cell_occupancy);
-        tracer.span_exit(Phase::Build, span_b, IoSnapshot::default);
-        let k_eff = cfg.k + usize::from(cfg.exclude_self);
-        let span_j = tracer.span_enter(Phase::Join, IoSnapshot::default);
-        abort_phase.set(Phase::Join.name());
-        let seeds = crate::morsel::chunk_ranges(r.len(), crate::morsel::POINT_MORSEL);
-        let grid = &grid;
-        let (pout, err) = crate::par::run_workers(threads, seeds, tracer, |h| {
-            let mut scratch = QueryScratch::new();
-            let mut wout = AnnOutput::default();
-            let mut rings_cut_total = 0u64;
-            let mut dist_buf = scratch.take_f64();
-            let wt = h.tracer();
-            let join = (|| -> QueryResult<()> {
-                while let Some(range) = h.pop() {
-                    let step = (|| -> QueryResult<()> {
-                        for &(r_oid, r_pt) in &r[range.clone()] {
-                            guard.tick()?;
-                            run_point(
-                                r_oid,
-                                r_pt,
-                                s,
-                                cfg,
-                                k_eff,
-                                grid,
-                                &mut wout,
-                                wt,
-                                &mut rings_cut_total,
-                                &mut dist_buf,
-                                &mut scratch,
-                            );
-                        }
-                        Ok(())
-                    })();
-                    h.complete();
-                    step?;
-                }
-                Ok(())
-            })();
-            scratch.put_f64(dist_buf);
-            if rings_cut_total > 0 {
-                wt.event(|| TraceEvent::Pruned {
-                    metric: "euclidean",
-                    reason: PruneReason::RingCutoff,
-                    count: rings_cut_total,
-                });
-            }
-            (wout, join)
-        });
-        *out = pout;
-        tracer.span_exit(Phase::Join, span_j, IoSnapshot::default);
-        match err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
-    })(&mut out);
-    tracer.span_exit(Phase::Query, span_q, IoSnapshot::default);
-    match walk {
-        Ok(()) => Ok(out),
-        Err(e) => {
-            tracer.event(|| TraceEvent::QueryAborted {
-                reason: e.reason(),
-                phase: abort_phase.get(),
-            });
-            Err(attach_partial_stats(e, &out.stats))
-        }
-    }
-}
-
-/// The ring search for one query point (the body of the [`hnn`] join
-/// loop, factored out so the guarded entrypoint stays readable).
-#[allow(clippy::too_many_arguments)]
-fn run_point<const D: usize>(
-    r_oid: u64,
-    r_pt: Point<D>,
-    s: &[(u64, Point<D>)],
-    cfg: &HnnConfig,
+/// One HNN join: both point sets, the grid over `S` and the request's
+/// knobs. Shared read-only by every worker.
+struct Hnn<'a, const D: usize> {
+    r: &'a [(u64, Point<D>)],
+    s: &'a [(u64, Point<D>)],
+    grid: Grid<D>,
+    k: usize,
+    /// `k`, plus one in self-join mode.
     k_eff: usize,
-    grid: &Grid<D>,
-    out: &mut AnnOutput,
-    tracer: Tracer<'_>,
-    rings_cut_total: &mut u64,
-    dist_buf: &mut Vec<f64>,
-    scratch: &mut QueryScratch<D>,
-) {
+    exclude_self: bool,
+}
+
+/// A worker's HNN state beside its scratch and output.
+struct Local {
+    /// Rings never visited, tallied while tracing.
+    rings_cut: u64,
+    /// The cell distance buffer, recycled across query points.
+    dist_buf: Vec<f64>,
+}
+
+type Worker<'w, const D: usize> = exec::Worker<'w, D, Local>;
+
+impl<const D: usize> Join<D> for Hnn<'_, D> {
+    /// A slice of `R`. Each point's ring search touches only its own
+    /// heap and buffers, so per-point results are independent of
+    /// scheduling.
+    type Morsel = Range<usize>;
+    type Local = Local;
+
+    fn local(&self, scratch: &mut QueryScratch<D>) -> Local {
+        Local {
+            rings_cut: 0,
+            dist_buf: scratch.take_f64(),
+        }
+    }
+
+    fn seeds(&self, _lead: &mut Worker<'_, D>) -> Vec<Range<usize>> {
+        chunk_ranges(self.r.len(), POINT_MORSEL)
+    }
+
+    /// HNN performs no I/O, so an I/O budget never trips here;
+    /// cancellation, deadlines and the visit budget are checked once per
+    /// query point (the poolless analogue of one node expansion).
+    fn step(
+        &self,
+        w: &mut Worker<'_, D>,
+        range: Range<usize>,
+        _spill: &mut Spill<'_, Range<usize>>,
+    ) -> QueryResult<()> {
+        for &(r_oid, r_pt) in &self.r[range] {
+            w.guard.tick()?;
+            run_point(self, w, r_oid, r_pt);
+        }
+        Ok(())
+    }
+
+    fn retire(&self, w: Worker<'_, D>) -> AnnOutput {
+        exec::emit_pruned(
+            w.tracer,
+            "euclidean",
+            &[(PruneReason::RingCutoff, w.local.rings_cut)],
+        );
+        w.scratch.put_f64(w.local.dist_buf);
+        w.out
+    }
+}
+
+/// Evaluates AkNN without any index: spatial-hash `S` into a grid of
+/// about `avg_cell_occupancy` points per cell, then ring-search per query
+/// point, skipping same-oid pairs under `exclude_self`.
+///
+/// HNN reads no buffer pool; the interesting trace signals are the phase
+/// wall times (grid build vs ring search) and the ring-cutoff prunes.
+pub(crate) fn run<const D: usize>(
+    ctx: ExecCtx<'_, D>,
+    r: &[(u64, Point<D>)],
+    s: &[(u64, Point<D>)],
+    k: usize,
+    avg_cell_occupancy: f64,
+    exclude_self: bool,
+) -> QueryResult<AnnOutput> {
+    assert!(avg_cell_occupancy > 0.0);
+    let degenerate = k == 0 || r.is_empty() || s.is_empty();
+    exec::drive(ctx, degenerate, |frame| {
+        // One pass over `S`, shared read-only by every worker.
+        let grid = frame.phase(Phase::Build, || Grid::build(s, avg_cell_occupancy));
+        frame.join(&Hnn {
+            r,
+            s,
+            grid,
+            k,
+            k_eff: k + usize::from(exclude_self),
+            exclude_self,
+        })
+    })
+}
+
+/// The ring search for one query point.
+fn run_point<const D: usize>(join: &Hnn<'_, D>, w: &mut Worker<'_, D>, r_oid: u64, r_pt: Point<D>) {
+    let (s, grid, k_eff) = (join.s, &join.grid, join.k_eff);
+    let exec::Worker {
+        tracer,
+        scratch,
+        out,
+        local: Local {
+            rings_cut: rings_cut_total,
+            dist_buf,
+        },
+        ..
+    } = w;
     {
         let home = grid.cell_of(&r_pt);
         let max_ring = grid.max_ring_from(&home);
@@ -491,7 +333,7 @@ fn run_point<const D: usize>(
                 // counted, exactly like the scalar skip.
                 kernels::dist_sq_batch(&r_pt, &cell.points(), dist_buf);
                 for (i, &s_oid) in cell.oids.iter().enumerate() {
-                    if cfg.exclude_self && s_oid == r_oid {
+                    if join.exclude_self && s_oid == r_oid {
                         continue;
                     }
                     out.stats.distance_computations += 1;
@@ -526,7 +368,7 @@ fn run_point<const D: usize>(
                 .partial_cmp(&(b.dist_sq, b.s_oid))
                 .expect("finite")
         });
-        for h in hits.iter().take(cfg.k) {
+        for h in hits.iter().take(join.k) {
             out.results.push(NeighborPair {
                 r_oid,
                 s_oid: h.s_oid,
@@ -538,12 +380,18 @@ fn run_point<const D: usize>(
 }
 
 #[cfg(test)]
-// The deprecated `hnn` delegate is exercised on purpose: it must stay
-// identical to the guarded canonical path.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::brute::brute_force_aknn;
+    use crate::query::{Algorithm, AnnRequest, Input, NoIndex};
+
+    fn hnn(r: &[(u64, Point<2>)], s: &[(u64, Point<2>)], req: &AnnRequest<'_>) -> AnnOutput {
+        req.run(
+            Input::<2, NoIndex>::Points(r),
+            Input::<2, NoIndex>::Points(s),
+        )
+        .unwrap()
+    }
 
     fn pts(n: usize, seed: u64) -> Vec<(u64, Point<2>)> {
         // Simple LCG so this module needs no dev-deps.
@@ -559,10 +407,9 @@ mod tests {
             .collect()
     }
 
-    fn check(r: &[(u64, Point<2>)], s: &[(u64, Point<2>)], cfg: &HnnConfig) {
-        let mut got = hnn(r, s, cfg).unwrap();
-        got.sort();
-        let mut want = brute_force_aknn(r, s, cfg.k, cfg.exclude_self);
+    fn check(r: &[(u64, Point<2>)], s: &[(u64, Point<2>)], req: &AnnRequest<'_>) {
+        let got = hnn(r, s, req);
+        let mut want = brute_force_aknn(r, s, req.k, req.exclude_self);
         want.sort_by(|a, b| {
             (a.r_oid, a.dist, a.s_oid)
                 .partial_cmp(&(b.r_oid, b.dist, b.s_oid))
@@ -579,7 +426,7 @@ mod tests {
     fn matches_brute_force() {
         let r = pts(500, 1);
         let s = pts(600, 2);
-        check(&r, &s, &HnnConfig::default());
+        check(&r, &s, &AnnRequest::new(Algorithm::hnn()));
     }
 
     #[test]
@@ -588,11 +435,7 @@ mod tests {
         check(
             &p,
             &p,
-            &HnnConfig {
-                k: 5,
-                exclude_self: true,
-                ..Default::default()
-            },
+            &AnnRequest::new(Algorithm::hnn()).k(5).exclude_self(true),
         );
     }
 
@@ -605,30 +448,22 @@ mod tests {
             .into_iter()
             .map(|(o, p)| (o, Point::new([p[0] * 0.01, p[1] * 0.01])))
             .collect();
-        check(&r, &s, &HnnConfig::default());
+        check(&r, &s, &AnnRequest::new(Algorithm::hnn()));
     }
 
     #[test]
     fn k_exceeding_cardinality() {
         let r = pts(50, 6);
         let s = pts(5, 7);
-        check(
-            &r,
-            &s,
-            &HnnConfig {
-                k: 20,
-                ..Default::default()
-            },
-        );
+        check(&r, &s, &AnnRequest::new(Algorithm::hnn()).k(20));
     }
 
     #[test]
     fn empty_inputs() {
         let p = pts(10, 8);
-        let empty_r = hnn::<2>(&[], &p, &HnnConfig::default()).unwrap();
-        assert!(empty_r.results.is_empty());
-        let empty_s = hnn::<2>(&p, &[], &HnnConfig::default()).unwrap();
-        assert!(empty_s.results.is_empty());
+        let req = AnnRequest::new(Algorithm::hnn());
+        assert!(hnn(&[], &p, &req).results.is_empty());
+        assert!(hnn(&p, &[], &req).results.is_empty());
     }
 
     #[test]
@@ -636,14 +471,10 @@ mod tests {
         let r = pts(300, 9);
         let s = pts(300, 10);
         for occ in [1.0, 8.0, 64.0] {
-            check(
-                &r,
-                &s,
-                &HnnConfig {
-                    avg_cell_occupancy: occ,
-                    ..Default::default()
-                },
-            );
+            let alg = Algorithm::Hnn {
+                avg_cell_occupancy: occ,
+            };
+            check(&r, &s, &AnnRequest::new(alg));
         }
     }
 }

@@ -45,6 +45,7 @@
 pub mod bnn;
 pub mod brute;
 pub mod closest_pairs;
+mod exec;
 pub mod extsort;
 pub mod hnn;
 pub mod index;
@@ -72,9 +73,7 @@ pub use index::SpatialIndex;
 pub use node::{DecodedNode, Entry, Node, NodeColumns, NodeEntry, ObjectEntry};
 pub use scratch::QueryScratch;
 pub use snapshot::{MetaFields, MetaReader, ReadContext, VersionedHandle};
-pub use morsel::MorselPool;
 pub use node_cache::{NodeCache, NodeCacheStats};
-pub use par::{run_workers, WorkerHandle};
 pub use query::{Algorithm, AnnRequest, MetricChoice};
 pub use resilience::{BudgetKind, CancelToken, QueryError, QueryGuard, QueryResult};
 pub use stats::{AnnOutput, AnnStats, NeighborPair};

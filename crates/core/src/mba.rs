@@ -1,7 +1,7 @@
 //! The **MBA** algorithm (paper §3.3.2, Algorithms 2-4) and its traversal /
 //! expansion variants (§3.3.2's four-way design space).
 //!
-//! [`mba`] evaluates ANN (or AkNN for `k > 1`) between two indexed point
+//! [`run`] evaluates ANN (or AkNN for `k > 1`) between two indexed point
 //! sets by descending both indices simultaneously. Each reached entry of
 //! the query index `I_R` owns a [`Lpq`] of candidate `I_S` entries; the
 //! `ExpandAndPrune` equivalent in this module applies the Three-Stage
@@ -21,16 +21,18 @@
 //! pruning metric ([`ann_geom::NxnDist`] vs [`ann_geom::MaxMaxDist`]),
 //! which is the comparison of Figure 3(a).
 
+use crate::exec::{self, ExecCtx, Join, Spill};
 use crate::index::SpatialIndex;
 use crate::lpq::{distances_within, Lpq, QueuedEntry};
+use crate::morsel::INLINE_SUBTREE_OBJECTS;
 use crate::node::{DecodedNode, Entry, NodeEntry};
-use crate::resilience::{attach_partial_stats, QueryError, QueryGuard, QueryResult};
+use crate::resilience::QueryResult;
 use crate::scan::NodeScan;
 use crate::scratch::QueryScratch;
-use crate::stats::{AnnOutput, NeighborPair};
-use crate::trace::{Phase, PruneReason, Side, TraceEvent, Tracer};
+use crate::stats::{AnnOutput, AnnStats, NeighborPair};
+use crate::trace::{PruneReason, Side, TraceEvent};
 use ann_geom::PruneMetric;
-use std::collections::VecDeque;
+use std::marker::PhantomData;
 
 /// Index traversal order for the query-side recursion (§3.3.2).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -56,115 +58,88 @@ pub enum Expansion {
     Unidirectional,
 }
 
-/// Configuration for [`mba`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MbaConfig {
-    /// Number of nearest neighbors per query object (`k = 1` is ANN).
-    pub k: usize,
-    /// Query-side traversal order.
-    pub traversal: Traversal,
-    /// Node-expansion strategy.
-    pub expansion: Expansion,
-    /// Self-join mode: skip the pair `(r, s)` when both sides carry the
-    /// same object id. The pruning bound is computed for `k + 1` neighbors
-    /// internally so that excluding the self match never starves a query.
-    pub exclude_self: bool,
-}
-
-impl Default for MbaConfig {
-    fn default() -> Self {
-        MbaConfig {
-            k: 1,
-            traversal: Traversal::DepthFirst,
-            expansion: Expansion::Bidirectional,
-            exclude_self: false,
-        }
-    }
-}
-
-struct Ctx<'a, const D: usize, M: PruneMetric, IS: SpatialIndex<D>> {
+/// One MBA join: the two indices and the request's knobs. Shared
+/// read-only by every worker.
+struct Mba<'a, const D: usize, M, IR, IS> {
+    ir: &'a IR,
     is: &'a IS,
-    cfg: MbaConfig,
-    /// `cfg.k`, plus one in self-join mode (the self match may have to be
+    k: usize,
+    /// `k`, plus one in self-join mode (the self match may have to be
     /// discarded, so bounds must guarantee one extra candidate).
     k_eff: usize,
-    out: AnnOutput,
-    tracer: Tracer<'a>,
-    /// Of `out.stats.pruned_on_probe`, how many came from the parent-level
-    /// rejection in [`Ctx::expand`]. Tallied only while tracing, to split
-    /// the prune-reason breakdown without a new `AnnStats` field.
-    parent_rejects: u64,
-    /// Buffer arena for LPQ storage, traversal queues and kernel outputs.
-    scratch: &'a mut QueryScratch<D>,
-    /// Checked-out node-scan buffers (returned by [`Ctx::finish`]).
-    scan: NodeScan,
-    _metric: std::marker::PhantomData<M>,
+    exclude_self: bool,
+    traversal: Traversal,
+    expansion: Expansion,
+    _metric: PhantomData<fn() -> M>,
 }
 
-impl<'a, const D: usize, M: PruneMetric, IS: SpatialIndex<D>> Ctx<'a, D, M, IS> {
-    fn new(is: &'a IS, cfg: &MbaConfig, tracer: Tracer<'a>, scratch: &'a mut QueryScratch<D>) -> Self {
-        let scan = NodeScan::checkout(scratch);
-        Ctx {
-            is,
-            cfg: *cfg,
-            k_eff: cfg.k + usize::from(cfg.exclude_self),
-            out: AnnOutput::default(),
-            tracer,
-            parent_rejects: 0,
-            scratch,
-            scan,
-            _metric: std::marker::PhantomData,
-        }
-    }
+/// A worker's MBA state beside its scratch and output.
+struct Local {
+    /// Checked-out node-scan buffers.
+    scan: NodeScan,
+    /// Of `stats.pruned_on_probe`, how many came from the parent-level
+    /// rejection in [`Mba::expand`]. Tallied only while tracing, to split
+    /// the prune-reason breakdown without a new `AnnStats` field.
+    parent_rejects: u64,
+}
 
-    /// Returns the checked-out buffers to the arena and yields the output.
-    fn finish(self) -> AnnOutput {
-        let Ctx {
-            scratch, scan, out, ..
-        } = self;
-        scan.release(scratch);
-        out
-    }
+type Worker<'w, const D: usize> = exec::Worker<'w, D, Local>;
 
-    /// Probes `target` against `lpq`, computing distances and enqueueing
-    /// when the probe test passes.
-    fn probe(&mut self, lpq: &mut Lpq<D>, target: Entry<D>) {
-        self.out.stats.distance_computations += 1;
-        // Early-exit Distances: `None` iff try_enqueue would reject on the
-        // probe test, so the decision (and every counter) is identical to
-        // the full computation — only the arithmetic for hopeless entries
-        // is skipped.
-        let Some((mind_sq, maxd_sq)) =
-            distances_within::<D, M>(&lpq.owner, &target, lpq.prune_threshold_sq())
-        else {
-            self.out.stats.pruned_on_probe += 1;
-            return;
-        };
-        let (accepted, filtered) = lpq.try_enqueue(QueuedEntry {
-            mind_sq,
-            maxd_sq,
-            entry: target,
-        });
-        if accepted {
-            self.out.stats.enqueued += 1;
-        } else {
-            self.out.stats.pruned_on_probe += 1;
-        }
-        self.out.stats.pruned_in_queue += filtered;
+/// Probes `target` against `lpq`, computing distances and enqueueing
+/// when the probe test passes.
+fn probe<const D: usize, M: PruneMetric>(stats: &mut AnnStats, lpq: &mut Lpq<D>, target: Entry<D>) {
+    stats.distance_computations += 1;
+    // Early-exit Distances: `None` iff try_enqueue would reject on the
+    // probe test, so the decision (and every counter) is identical to
+    // the full computation — only the arithmetic for hopeless entries
+    // is skipped.
+    let Some((mind_sq, maxd_sq)) =
+        distances_within::<D, M>(&lpq.owner, &target, lpq.prune_threshold_sq())
+    else {
+        stats.pruned_on_probe += 1;
+        return;
+    };
+    let (accepted, filtered) = lpq.try_enqueue(QueuedEntry {
+        mind_sq,
+        maxd_sq,
+        entry: target,
+    });
+    if accepted {
+        stats.enqueued += 1;
+    } else {
+        stats.pruned_on_probe += 1;
     }
+    stats.pruned_in_queue += filtered;
+}
 
+/// The root entry of `index`: the whole point set behind its root page.
+fn root_entry<const D: usize, I: SpatialIndex<D>>(index: &I) -> Entry<D> {
+    Entry::Node(NodeEntry {
+        page: index.root_page(),
+        count: index.num_points(),
+        mbr: index.bounds(),
+    })
+}
+
+impl<const D: usize, M, IR, IS> Mba<'_, D, M, IR, IS>
+where
+    M: PruneMetric,
+    IR: SpatialIndex<D>,
+    IS: SpatialIndex<D>,
+{
     /// Probes every entry of a decoded `I_S` node against `lpq` in one
-    /// [`NodeScan::scan`] instead of one [`Ctx::probe`] per entry — same
+    /// [`NodeScan::scan`] instead of one [`probe`] per entry — same
     /// decisions, queue contents and counters (see [`crate::scan`]).
-    fn probe_node(&mut self, lpq: &mut Lpq<D>, node: &DecodedNode<D>) {
+    fn probe_node(&self, w: &mut Worker<'_, D>, lpq: &mut Lpq<D>, node: &DecodedNode<D>) {
         let owner = lpq.owner;
-        self.scan
-            .scan::<D, M, _, _>(self.is, &owner, node, lpq, &mut self.out.stats);
+        w.local
+            .scan
+            .scan::<D, M, _, _>(self.is, &owner, node, lpq, &mut w.out.stats);
     }
 
     /// The Gather stage: `lpq.owner` is a data object; drain in `MIND`
     /// order and report the first `k` objects popped.
-    fn gather(&mut self, guard: &QueryGuard<'_>, mut lpq: Lpq<D>) -> QueryResult<()> {
+    fn gather(&self, w: &mut Worker<'_, D>, mut lpq: Lpq<D>) -> QueryResult<()> {
         let Entry::Object(owner) = lpq.owner else {
             unreachable!("gather called with a node owner")
         };
@@ -172,66 +147,61 @@ impl<'a, const D: usize, M: PruneMetric, IS: SpatialIndex<D>> Ctx<'a, D, M, IS> 
         while let Some(q) = lpq.dequeue() {
             match q.entry {
                 Entry::Object(s) => {
-                    if self.cfg.exclude_self && s.oid == owner.oid {
+                    if self.exclude_self && s.oid == owner.oid {
                         continue;
                     }
-                    self.out.results.push(NeighborPair {
+                    w.out.results.push(NeighborPair {
                         r_oid: owner.oid,
                         s_oid: s.oid,
                         dist: q.mind_sq.sqrt(),
                     });
                     lpq.satisfy_one();
                     found += 1;
-                    if found == self.cfg.k {
+                    if found == self.k {
                         break;
                     }
                 }
                 Entry::Node(n) => {
-                    guard.tick()?;
+                    w.guard.tick()?;
                     let node = self.is.read_node_cached(n.page)?;
-                    self.out.stats.s_nodes_expanded += 1;
-                    self.tracer.node_expanded(Side::S, n.page, &node.entries);
-                    self.probe_node(&mut lpq, &node);
+                    w.out.stats.s_nodes_expanded += 1;
+                    w.tracer.node_expanded(Side::S, n.page, &node.entries);
+                    self.probe_node(w, &mut lpq, &node);
                 }
             }
         }
-        self.trace_lpq_retired(&lpq);
-        self.scratch.put_lpq(lpq);
-        Ok(())
-    }
-
-    /// Emits the queue-lifecycle summary for a retired object LPQ.
-    #[inline]
-    fn trace_lpq_retired(&self, lpq: &Lpq<D>) {
-        self.tracer.event(|| TraceEvent::LpqRetired {
+        // The queue-lifecycle summary for a retired object LPQ.
+        w.tracer.event(|| TraceEvent::LpqRetired {
             enqueued: lpq.enqueued_total(),
             filtered: lpq.filtered_total(),
             high_water: lpq.high_water(),
         });
+        w.scratch.put_lpq(lpq);
+        Ok(())
     }
 
     /// The Expand stage: `lpq.owner` is an internal `I_R` node; spawn one
-    /// child LPQ per child entry and redistribute the drained queue.
-    fn expand<IR: SpatialIndex<D>>(
-        &mut self,
-        ir: &IR,
-        guard: &QueryGuard<'_>,
+    /// child LPQ per child entry, redistribute the drained queue and hand
+    /// the non-empty children to `emit`.
+    fn expand(
+        &self,
+        w: &mut Worker<'_, D>,
         mut lpq: Lpq<D>,
-        queue: &mut VecDeque<Lpq<D>>,
+        emit: &mut impl FnMut(Lpq<D>),
     ) -> QueryResult<()> {
         let Entry::Node(owner) = lpq.owner else {
             unreachable!("expand called with an object owner")
         };
-        guard.tick()?;
-        let node = ir.read_node_cached(owner.page)?;
-        self.out.stats.r_nodes_expanded += 1;
-        self.tracer.node_expanded(Side::R, owner.page, &node.entries);
+        w.guard.tick()?;
+        let node = self.ir.read_node_cached(owner.page)?;
+        w.out.stats.r_nodes_expanded += 1;
+        w.tracer.node_expanded(Side::R, owner.page, &node.entries);
         let inherited = lpq.bound_sq();
-        let mut children = self.scratch.take_lpq_list();
+        let mut children = w.scratch.take_lpq_list();
         for c in node.entries.iter() {
-            children.push(self.scratch.take_lpq(*c, self.k_eff, inherited));
+            children.push(w.scratch.take_lpq(*c, self.k_eff, inherited));
         }
-        self.out.stats.lpqs_created += children.len() as u64;
+        w.out.stats.lpqs_created += children.len() as u64;
 
         while let Some(q) = lpq.dequeue() {
             // Algorithm 4 lines 13-18: a popped entry is only worth
@@ -239,19 +209,19 @@ impl<'a, const D: usize, M: PruneMetric, IS: SpatialIndex<D>> Ctx<'a, D, M, IS> 
             // MIND against the parent owner lower-bounds MIND against every
             // child, so this rejection is safe and saves the node read.
             if children.iter().all(|c| c.prunes(q.mind_sq)) {
-                self.out.stats.pruned_on_probe += 1;
-                if self.tracer.enabled() {
-                    self.parent_rejects += 1;
+                w.out.stats.pruned_on_probe += 1;
+                if w.tracer.enabled() {
+                    w.local.parent_rejects += 1;
                 }
                 continue;
             }
-            match (self.cfg.expansion, q.entry) {
+            match (self.expansion, q.entry) {
                 (Expansion::Bidirectional, Entry::Node(n)) => {
                     // Bi-directional: descend the I_S side one level too.
-                    guard.tick()?;
+                    w.guard.tick()?;
                     let s_node = self.is.read_node_cached(n.page)?;
-                    self.out.stats.s_nodes_expanded += 1;
-                    self.tracer.node_expanded(Side::S, n.page, &s_node.entries);
+                    w.out.stats.s_nodes_expanded += 1;
+                    w.tracer.node_expanded(Side::S, n.page, &s_node.entries);
                     // The scalar path iterated entry-outer / child-inner;
                     // batching flips that so each child scans the node's SoA
                     // columns once. Children are independent queues, so each
@@ -260,14 +230,14 @@ impl<'a, const D: usize, M: PruneMetric, IS: SpatialIndex<D>> Ctx<'a, D, M, IS> 
                     // counters are nesting-order-invariant: decisions and
                     // stats are unchanged.
                     for child in children.iter_mut() {
-                        self.probe_node(child, &s_node);
+                        self.probe_node(w, child, &s_node);
                     }
                 }
                 // Objects cannot be expanded; under uni-directional
                 // expansion nodes are re-probed as-is.
                 (_, entry) => {
                     for child in children.iter_mut() {
-                        self.probe(child, entry);
+                        probe::<D, M>(&mut w.out.stats, child, entry);
                     }
                 }
             }
@@ -278,547 +248,159 @@ impl<'a, const D: usize, M: PruneMetric, IS: SpatialIndex<D>> Ctx<'a, D, M, IS> 
         // fully drained parent.
         for child in children.drain(..) {
             if !child.is_empty() {
-                queue.push_back(child);
+                emit(child);
             } else {
-                self.scratch.put_lpq(child);
+                w.scratch.put_lpq(child);
             }
         }
-        self.scratch.put_lpq_list(children);
-        self.scratch.put_lpq(lpq);
+        w.scratch.put_lpq_list(children);
+        w.scratch.put_lpq(lpq);
         Ok(())
     }
 
     /// One `ExpandAndPrune` step (Algorithm 4): dispatches on the owner.
-    fn expand_and_prune<IR: SpatialIndex<D>>(
-        &mut self,
-        ir: &IR,
-        guard: &QueryGuard<'_>,
+    fn expand_and_prune(
+        &self,
+        w: &mut Worker<'_, D>,
         lpq: Lpq<D>,
-        queue: &mut VecDeque<Lpq<D>>,
+        emit: &mut impl FnMut(Lpq<D>),
     ) -> QueryResult<()> {
         match lpq.owner {
-            Entry::Object(_) => self.gather(guard, lpq),
-            Entry::Node(_) => self.expand(ir, guard, lpq, queue),
+            Entry::Object(_) => self.gather(w, lpq),
+            Entry::Node(_) => self.expand(w, lpq, emit),
         }
     }
 
     /// `ANN-DFBI` (Algorithm 3): depth-first recursion over child LPQs.
-    fn dfbi<IR: SpatialIndex<D>>(
-        &mut self,
-        ir: &IR,
-        guard: &QueryGuard<'_>,
-        lpq: Lpq<D>,
-    ) -> QueryResult<()> {
-        let mut queue = self.scratch.take_lpq_queue();
+    fn dfbi(&self, w: &mut Worker<'_, D>, lpq: Lpq<D>) -> QueryResult<()> {
+        let mut queue = w.scratch.take_lpq_queue();
         let walk = (|| -> QueryResult<()> {
-            self.expand_and_prune(ir, guard, lpq, &mut queue)?;
+            self.expand_and_prune(w, lpq, &mut |child| queue.push_back(child))?;
             while let Some(child) = queue.pop_front() {
-                self.dfbi(ir, guard, child)?;
+                self.dfbi(w, child)?;
             }
             Ok(())
         })();
         // On abort the queue may still hold live LPQs; hand their storage
         // (and the queue itself) back so the scratch stays reusable.
         for child in queue.drain(..) {
-            self.scratch.put_lpq(child);
+            w.scratch.put_lpq(child);
         }
-        self.scratch.put_lpq_queue(queue);
+        w.scratch.put_lpq_queue(queue);
         walk
     }
+}
 
-    /// One parallel morsel: object-owned LPQs and small node-owned
-    /// subtrees are finished inline with the exact serial recursion
-    /// ([`Ctx::dfbi`]); a large node-owned subtree is split by one
-    /// `ExpandAndPrune` step, its child LPQs published to the pool as
-    /// fresh stealable morsels. Each child inherits the parent's bound at
-    /// creation and never reads shared mutable state afterwards, so its
-    /// results are identical no matter which worker runs it, or when.
-    fn morsel_step<IR: SpatialIndex<D>>(
-        &mut self,
-        ir: &IR,
-        guard: &QueryGuard<'_>,
-        lpq: Lpq<D>,
-        children: &mut VecDeque<Lpq<D>>,
-        h: &crate::par::WorkerHandle<'_, Lpq<D>>,
-    ) -> QueryResult<()> {
-        let split = match lpq.owner {
-            Entry::Object(_) => false,
-            Entry::Node(n) => n.count > crate::morsel::INLINE_SUBTREE_OBJECTS,
-        };
-        if !split {
-            return self.dfbi(ir, guard, lpq);
+impl<const D: usize, M, IR, IS> Join<D> for Mba<'_, D, M, IR, IS>
+where
+    M: PruneMetric,
+    IR: SpatialIndex<D> + Sync,
+    IS: SpatialIndex<D> + Sync,
+{
+    /// One LPQ: the `I_R` subtree (or object) that owns it. A child
+    /// inherits its parent's bound at creation and never reads shared
+    /// mutable state afterwards, so its results are identical no matter
+    /// which worker runs it, or when.
+    type Morsel = Lpq<D>;
+    type Local = Local;
+
+    fn local(&self, scratch: &mut QueryScratch<D>) -> Local {
+        Local {
+            scan: NodeScan::checkout(scratch),
+            parent_rejects: 0,
         }
-        self.expand_and_prune(ir, guard, lpq, children)?;
-        for child in children.drain(..) {
-            h.push(child);
-        }
-        Ok(())
     }
 
-    /// Emits this context's prune-reason breakdown. Safe to call from
-    /// several worker contexts sharing one sink: the sink sums the counts.
-    fn emit_prune_summary(&self) {
-        if !self.tracer.enabled() {
-            return;
+    /// Algorithm 2: the root LPQ owns `I_R`'s root, seeded with `I_S`'s.
+    fn seeds(&self, lead: &mut Worker<'_, D>) -> Vec<Lpq<D>> {
+        let mut root = lead
+            .scratch
+            .take_lpq(root_entry(self.ir), self.k_eff, f64::INFINITY);
+        lead.out.stats.lpqs_created += 1;
+        probe::<D, M>(&mut lead.out.stats, &mut root, root_entry(self.is));
+        vec![root]
+    }
+
+    /// With siblings to feed, a node-owned subtree above
+    /// [`INLINE_SUBTREE_OBJECTS`] is split by one `ExpandAndPrune` step,
+    /// its child LPQs published as fresh morsels, so skewed data
+    /// rebalances continuously; anything smaller is finished inline with
+    /// the serial recursion. Alone, the walk is the request's
+    /// [`Traversal`]: depth-first finishes the root LPQ inline,
+    /// breadth-first splits every LPQ into the FIFO.
+    fn step(
+        &self,
+        w: &mut Worker<'_, D>,
+        lpq: Lpq<D>,
+        spill: &mut Spill<'_, Lpq<D>>,
+    ) -> QueryResult<()> {
+        let split = if spill.shared() {
+            matches!(lpq.owner, Entry::Node(n) if n.count > INLINE_SUBTREE_OBJECTS)
+        } else {
+            self.traversal == Traversal::BreadthFirst
+        };
+        if split {
+            self.expand_and_prune(w, lpq, &mut |child| spill.push(child))
+        } else {
+            self.dfbi(w, lpq)
         }
-        let s = &self.out.stats;
-        let on_probe = s.pruned_on_probe - self.parent_rejects;
-        for (reason, count) in [
-            (PruneReason::OnProbe, on_probe),
-            (PruneReason::ParentReject, self.parent_rejects),
-            (PruneReason::InQueue, s.pruned_in_queue),
-        ] {
-            if count > 0 {
-                self.tracer.event(|| TraceEvent::Pruned {
-                    metric: M::NAME,
-                    reason,
-                    count,
-                });
-            }
-        }
+    }
+
+    fn retire(&self, w: Worker<'_, D>) -> AnnOutput {
+        let s = &w.out.stats;
+        exec::emit_pruned(
+            w.tracer,
+            M::NAME,
+            &[
+                (
+                    PruneReason::OnProbe,
+                    s.pruned_on_probe - w.local.parent_rejects,
+                ),
+                (PruneReason::ParentReject, w.local.parent_rejects),
+                (PruneReason::InQueue, s.pruned_in_queue),
+            ],
+        );
+        w.local.scan.release(w.scratch);
+        w.out
     }
 }
 
 /// Evaluates the all-`k`-nearest-neighbor join: for every point indexed by
-/// `ir`, find its `cfg.k` nearest neighbors among the points indexed by
-/// `is` (paper Algorithm 2).
+/// `ir`, find its `k` nearest neighbors among the points indexed by `is`
+/// (paper Algorithm 2).
 ///
-/// With the default configuration this is the paper's MBA/RBA algorithm
-/// (depth-first, bi-directional); other [`Traversal`] × [`Expansion`]
-/// combinations reproduce the §3.3.2 design-space ablation.
-#[deprecated(
-    since = "0.1.0",
-    note = "thin delegate kept for compatibility; use ann_core::query::run / run_scratch (or the *_guarded canonical path)"
-)]
-pub fn mba<const D: usize, M, IR, IS>(ir: &IR, is: &IS, cfg: &MbaConfig) -> QueryResult<AnnOutput>
-where
-    M: PruneMetric,
-    IR: SpatialIndex<D>,
-    IS: SpatialIndex<D>,
-{
-    mba_guarded::<D, M, IR, IS>(
-        ir,
-        is,
-        cfg,
-        Tracer::disabled(),
-        &mut QueryScratch::new(),
-        &QueryGuard::disabled(),
-    )
-}
-
-/// [`mba`] with an attached [`Tracer`]. With `Tracer::disabled()` this is
-/// exactly [`mba`]: every instrumentation site is guarded, so decisions,
-/// counters and physical page-op order are identical.
-#[deprecated(
-    since = "0.1.0",
-    note = "thin delegate kept for compatibility; use ann_core::query::run / run_scratch (or the *_guarded canonical path)"
-)]
-pub fn mba_traced<const D: usize, M, IR, IS>(
+/// Depth-first, bi-directional is the paper's MBA/RBA algorithm; the other
+/// [`Traversal`] × [`Expansion`] combinations reproduce the §3.3.2
+/// design-space ablation. In self-join mode (`exclude_self`) the pair
+/// `(r, s)` is skipped when both sides carry the same object id.
+pub(crate) fn run<const D: usize, M, IR, IS>(
+    ctx: ExecCtx<'_, D>,
     ir: &IR,
     is: &IS,
-    cfg: &MbaConfig,
-    tracer: Tracer<'_>,
-) -> QueryResult<AnnOutput>
-where
-    M: PruneMetric,
-    IR: SpatialIndex<D>,
-    IS: SpatialIndex<D>,
-{
-    mba_guarded::<D, M, IR, IS>(
-        ir,
-        is,
-        cfg,
-        tracer,
-        &mut QueryScratch::new(),
-        &QueryGuard::disabled(),
-    )
-}
-
-/// [`mba`] with a caller-owned [`QueryScratch`]: repeated queries through
-/// the same arena reach an allocation-free steady state. Results, stats
-/// and page-op order are identical to [`mba`].
-#[deprecated(
-    since = "0.1.0",
-    note = "thin delegate kept for compatibility; use ann_core::query::run / run_scratch (or the *_guarded canonical path)"
-)]
-pub fn mba_scratch<const D: usize, M, IR, IS>(
-    ir: &IR,
-    is: &IS,
-    cfg: &MbaConfig,
-    scratch: &mut QueryScratch<D>,
-) -> QueryResult<AnnOutput>
-where
-    M: PruneMetric,
-    IR: SpatialIndex<D>,
-    IS: SpatialIndex<D>,
-{
-    mba_guarded::<D, M, IR, IS>(ir, is, cfg, Tracer::disabled(), scratch, &QueryGuard::disabled())
-}
-
-/// [`mba_traced`] with a caller-owned [`QueryScratch`] — delegates to
-/// [`mba_guarded`] with resilience checks disabled.
-#[deprecated(
-    since = "0.1.0",
-    note = "thin delegate kept for compatibility; use ann_core::query::run / run_scratch (or the *_guarded canonical path)"
-)]
-pub fn mba_traced_scratch<const D: usize, M, IR, IS>(
-    ir: &IR,
-    is: &IS,
-    cfg: &MbaConfig,
-    tracer: Tracer<'_>,
-    scratch: &mut QueryScratch<D>,
-) -> QueryResult<AnnOutput>
-where
-    M: PruneMetric,
-    IR: SpatialIndex<D>,
-    IS: SpatialIndex<D>,
-{
-    mba_guarded::<D, M, IR, IS>(ir, is, cfg, tracer, scratch, &QueryGuard::disabled())
-}
-
-/// [`mba_traced_scratch`] under a [`QueryGuard`] — the fully general serial
-/// entrypoint the other serial variants delegate to.
-///
-/// The guard is consulted once before the traversal starts (so a
-/// pre-cancelled request returns without touching either index) and then
-/// before every node read, bounding abort latency to one node expansion.
-/// On abort the open trace spans are closed, a
-/// [`TraceEvent::QueryAborted`] records the reason and phase, every
-/// checked-out scratch buffer returns to the arena, and — because node
-/// reads pin pages only for the duration of the copy — no buffer-pool pin
-/// outlives the call. [`QueryError::BudgetExhausted`] carries the counters
-/// accumulated up to the abort point.
-pub fn mba_guarded<const D: usize, M, IR, IS>(
-    ir: &IR,
-    is: &IS,
-    cfg: &MbaConfig,
-    tracer: Tracer<'_>,
-    scratch: &mut QueryScratch<D>,
-    guard: &QueryGuard<'_>,
-) -> QueryResult<AnnOutput>
-where
-    M: PruneMetric,
-    IR: SpatialIndex<D>,
-    IS: SpatialIndex<D>,
-{
-    if cfg.k == 0 {
-        guard.tick()?;
-        return Ok(AnnOutput::default());
-    }
-    let mut ctx: Ctx<D, M, IS> = Ctx::new(is, cfg, tracer, scratch);
-
-    let io_r0 = ir.pool().stats();
-    let shared_pool = std::ptr::eq(
-        ir.pool() as *const _ as *const u8,
-        is.pool() as *const _ as *const u8,
-    );
-    let io_s0 = is.pool().stats();
-    let io_now = || {
-        let mut io = ir.pool().stats();
-        if !shared_pool {
-            io = io.merge(&is.pool().stats());
-        }
-        io
-    };
-    let span_q = tracer.span_enter(Phase::Query, io_now);
-    let abort_phase = std::cell::Cell::new(Phase::Query.name());
-
-    let walk = (|ctx: &mut Ctx<D, M, IS>| -> QueryResult<()> {
-        guard.tick()?;
-        if ir.num_points() == 0 || is.num_points() == 0 {
-            return Ok(());
-        }
-        tracer.event(|| TraceEvent::Root {
-            side: Side::R,
-            page: ir.root_page(),
-        });
-        tracer.event(|| TraceEvent::Root {
-            side: Side::S,
-            page: is.root_page(),
-        });
-        let span_j = tracer.span_enter(Phase::Join, io_now);
-        abort_phase.set(Phase::Join.name());
-        // Algorithm 2: root LPQ owns I_R's root, seeded with I_S's root.
-        let root_owner = Entry::Node(NodeEntry {
-            page: ir.root_page(),
-            count: ir.num_points(),
-            mbr: ir.bounds(),
-        });
-        let mut root_lpq = ctx.scratch.take_lpq(root_owner, ctx.k_eff, f64::INFINITY);
-        ctx.out.stats.lpqs_created += 1;
-        let root_target = Entry::Node(NodeEntry {
-            page: is.root_page(),
-            count: is.num_points(),
-            mbr: is.bounds(),
-        });
-        ctx.probe(&mut root_lpq, root_target);
-
-        let mut queue = ctx.scratch.take_lpq_queue();
-        queue.push_back(root_lpq);
-        let join = (|| -> QueryResult<()> {
-            match cfg.traversal {
-                Traversal::DepthFirst => {
-                    while let Some(lpq) = queue.pop_front() {
-                        ctx.dfbi(ir, guard, lpq)?;
-                    }
-                }
-                Traversal::BreadthFirst => {
-                    while let Some(lpq) = queue.pop_front() {
-                        ctx.expand_and_prune(ir, guard, lpq, &mut queue)?;
-                    }
-                }
-            }
-            Ok(())
-        })();
-        // On abort the queue may still hold live LPQs; recycle them so the
-        // scratch arena is fully reusable by the next query.
-        for lpq in queue.drain(..) {
-            ctx.scratch.put_lpq(lpq);
-        }
-        ctx.scratch.put_lpq_queue(queue);
-        tracer.span_exit(Phase::Join, span_j, io_now);
-        join
-    })(&mut ctx);
-
-    ctx.emit_prune_summary();
-    tracer.span_exit(Phase::Query, span_q, io_now);
-
-    let mut io = ir.pool().stats().since(&io_r0);
-    if !shared_pool {
-        io = io.merge(&is.pool().stats().since(&io_s0));
-    }
-    let mut out = ctx.finish();
-    out.stats.io = io;
-    match walk {
-        Ok(()) => Ok(out),
-        Err(e) => {
-            tracer.event(|| TraceEvent::QueryAborted {
-                reason: e.reason(),
-                phase: abort_phase.get(),
-            });
-            Err(attach_partial_stats(e, &out.stats))
-        }
-    }
-}
-
-/// Parallel MBA: identical results to [`mba`], with the depth-first
-/// recursion over the root's child LPQs fanned out across `threads` OS
-/// threads (0 = one per available core).
-///
-/// The expansion of the root is inherently serial (it produces the
-/// first-level LPQs); everything below is independent per subtree because
-/// the indices are read-only and the buffer pool is internally
-/// synchronized. With a shared pool the threads also share cache capacity,
-/// exactly as concurrent scans would in a database.
-///
-/// This is an extension beyond the paper (which evaluates single-threaded
-/// on a 2007 laptop); it exists to show the algorithm parallelizes
-/// naturally, and by how much — see the `parallel_speedup` test and the
-/// bench harness.
-#[deprecated(
-    since = "0.1.0",
-    note = "thin delegate kept for compatibility; use ann_core::query::run / run_scratch (or the *_guarded canonical path)"
-)]
-pub fn mba_parallel<const D: usize, M, IR, IS>(
-    ir: &IR,
-    is: &IS,
-    cfg: &MbaConfig,
-    threads: usize,
+    k: usize,
+    exclude_self: bool,
+    traversal: Traversal,
+    expansion: Expansion,
 ) -> QueryResult<AnnOutput>
 where
     M: PruneMetric,
     IR: SpatialIndex<D> + Sync,
     IS: SpatialIndex<D> + Sync,
 {
-    mba_parallel_guarded::<D, M, IR, IS>(
-        ir,
-        is,
-        cfg,
-        threads,
-        Tracer::disabled(),
-        &QueryGuard::disabled(),
-    )
-}
-
-/// [`mba_parallel`] with an attached [`Tracer`]. The sink is shared by all
-/// workers (hence the `Send + Sync` bound on [`crate::trace::TraceSink`]);
-/// per-worker prune summaries are emitted separately and summed by the
-/// sink. With `Tracer::disabled()` this is exactly [`mba_parallel`].
-#[deprecated(
-    since = "0.1.0",
-    note = "thin delegate kept for compatibility; use ann_core::query::run / run_scratch (or the *_guarded canonical path)"
-)]
-pub fn mba_parallel_traced<const D: usize, M, IR, IS>(
-    ir: &IR,
-    is: &IS,
-    cfg: &MbaConfig,
-    threads: usize,
-    tracer: Tracer<'_>,
-) -> QueryResult<AnnOutput>
-where
-    M: PruneMetric,
-    IR: SpatialIndex<D> + Sync,
-    IS: SpatialIndex<D> + Sync,
-{
-    mba_parallel_guarded::<D, M, IR, IS>(ir, is, cfg, threads, tracer, &QueryGuard::disabled())
-}
-
-/// [`mba_parallel_traced`] under a [`QueryGuard`] — a thin delegate onto
-/// the shared morsel engine ([`crate::par::run_workers`]).
-///
-/// The engine is seeded with the single root LPQ; workers split
-/// node-owned subtrees on demand, one `ExpandAndPrune` step at a time,
-/// publishing child LPQs as stealable morsels until a subtree falls at or
-/// under [`crate::morsel::INLINE_SUBTREE_OBJECTS`] objects and is
-/// finished inline with the exact serial recursion. Skewed data
-/// therefore rebalances continuously instead of depending on the top
-/// tree levels being uniform (the old static `threads * 16` seeding
-/// split, which this replaces).
-///
-/// The guard's counters are interior atomics, so the one guard is shared
-/// by every worker: a deadline, cancellation or budget trip observed by
-/// any worker aborts the pool and is observed by all of them within one
-/// morsel step. The first error (in worker index order) is the one
-/// reported; its partial stats cover the seeding probe plus every worker
-/// that folded its tallies before unwinding.
-pub fn mba_parallel_guarded<const D: usize, M, IR, IS>(
-    ir: &IR,
-    is: &IS,
-    cfg: &MbaConfig,
-    threads: usize,
-    tracer: Tracer<'_>,
-    guard: &QueryGuard<'_>,
-) -> QueryResult<AnnOutput>
-where
-    M: PruneMetric,
-    IR: SpatialIndex<D> + Sync,
-    IS: SpatialIndex<D> + Sync,
-{
-    if cfg.k == 0 {
-        guard.tick()?;
-        return Ok(AnnOutput::default());
-    }
-    let threads = crate::morsel::resolve_threads(threads);
-    if threads <= 1 {
-        let mut out =
-            mba_guarded::<D, M, IR, IS>(ir, is, cfg, tracer, &mut QueryScratch::new(), guard)?;
-        // The parallel contract promises canonical output order; the
-        // serial traversal emits in discovery order.
-        out.sort();
-        return Ok(out);
-    }
-
-    let io_r0 = ir.pool().stats();
-    let shared_pool = std::ptr::eq(
-        ir.pool() as *const _ as *const u8,
-        is.pool() as *const _ as *const u8,
-    );
-    let io_s0 = is.pool().stats();
-    let io_now = || {
-        let mut io = ir.pool().stats();
-        if !shared_pool {
-            io = io.merge(&is.pool().stats());
+    let degenerate = k == 0 || ir.num_points() == 0 || is.num_points() == 0;
+    exec::drive(ctx, degenerate, |frame| {
+        for (side, page) in [(Side::R, ir.root_page()), (Side::S, is.root_page())] {
+            frame.tracer.event(|| TraceEvent::Root { side, page });
         }
-        io
-    };
-    let span_q = tracer.span_enter(Phase::Query, io_now);
-    let abort_phase = std::cell::Cell::new(Phase::Query.name());
-    let mut failure: Option<QueryError> = None;
-
-    let mut out = AnnOutput::default();
-    if ir.num_points() > 0 && is.num_points() > 0 {
-        tracer.event(|| TraceEvent::Root {
-            side: Side::R,
-            page: ir.root_page(),
-        });
-        tracer.event(|| TraceEvent::Root {
-            side: Side::S,
-            page: is.root_page(),
-        });
-        let span_seed = tracer.span_enter(Phase::Seed, io_now);
-        abort_phase.set(Phase::Seed.name());
-        // Serial seeding is now minimal: one root LPQ, probed with the
-        // I_S root. All further splitting happens dynamically inside the
-        // workers, so skew rebalances continuously via stealing.
-        let mut seed_scratch = QueryScratch::new();
-        let mut ctx: Ctx<D, M, IS> = Ctx::new(is, cfg, tracer, &mut seed_scratch);
-        let seeded = (|ctx: &mut Ctx<D, M, IS>| -> QueryResult<Lpq<D>> {
-            guard.tick()?;
-            let root_owner = Entry::Node(NodeEntry {
-                page: ir.root_page(),
-                count: ir.num_points(),
-                mbr: ir.bounds(),
-            });
-            let mut root_lpq = ctx.scratch.take_lpq(root_owner, ctx.k_eff, f64::INFINITY);
-            ctx.out.stats.lpqs_created += 1;
-            ctx.probe(
-                &mut root_lpq,
-                Entry::Node(NodeEntry {
-                    page: is.root_page(),
-                    count: is.num_points(),
-                    mbr: is.bounds(),
-                }),
-            );
-            Ok(root_lpq)
-        })(&mut ctx);
-        ctx.emit_prune_summary();
-        tracer.span_exit(Phase::Seed, span_seed, io_now);
-        let seed_out = ctx.finish();
-        let seed_stats = seed_out.stats;
-        out.results = seed_out.results;
-
-        match seeded {
-            Err(e) => {
-                out.stats = seed_stats;
-                failure = Some(e);
-            }
-            Ok(root_lpq) => {
-                let span_j = tracer.span_enter(Phase::Join, io_now);
-                abort_phase.set(Phase::Join.name());
-                let (pout, err) =
-                    crate::par::run_workers(threads, vec![root_lpq], tracer, |h| {
-                        let mut scratch = QueryScratch::new();
-                        let mut ctx: Ctx<D, M, IS> = Ctx::new(is, cfg, h.tracer(), &mut scratch);
-                        let mut children = VecDeque::new();
-                        let walk = (|| -> QueryResult<()> {
-                            while let Some(lpq) = h.pop() {
-                                let step = ctx.morsel_step(ir, guard, lpq, &mut children, &h);
-                                h.complete();
-                                step?;
-                            }
-                            Ok(())
-                        })();
-                        // On abort unpublished children recycle into the
-                        // worker's arena before the tallies fold.
-                        for lpq in children.drain(..) {
-                            ctx.scratch.put_lpq(lpq);
-                        }
-                        ctx.emit_prune_summary();
-                        (ctx.finish(), walk)
-                    });
-                out.results.extend(pout.results);
-                out.stats = pout.stats;
-                out.stats.merge(&seed_stats);
-                failure = err;
-                tracer.span_exit(Phase::Join, span_j, io_now);
-            }
-        }
-    }
-    tracer.span_exit(Phase::Query, span_q, io_now);
-
-    let mut io = ir.pool().stats().since(&io_r0);
-    if !shared_pool {
-        io = io.merge(&is.pool().stats().since(&io_s0));
-    }
-    out.stats.io = io;
-    match failure {
-        None => Ok(out),
-        Some(e) => {
-            tracer.event(|| TraceEvent::QueryAborted {
-                reason: e.reason(),
-                phase: abort_phase.get(),
-            });
-            Err(attach_partial_stats(e, &out.stats))
-        }
-    }
+        frame.join(&Mba::<D, M, IR, IS> {
+            ir,
+            is,
+            k,
+            k_eff: k + usize::from(exclude_self),
+            exclude_self,
+            traversal,
+            expansion,
+            _metric: PhantomData,
+        })
+    })
 }

@@ -1,20 +1,20 @@
 //! The shared morsel-driven parallel execution engine.
 //!
-//! Every parallel algorithm variant (`mba_parallel_guarded`,
-//! `bnn_parallel_guarded`, `mnn_parallel_guarded`, `hnn_parallel_guarded`)
-//! delegates to [`run_workers`]: the caller seeds a [`MorselPool`] with
-//! its algorithm-specific units of work and supplies one worker closure;
-//! the engine owns thread spawning, work stealing, the statistics fold,
-//! trace aggregation, deterministic result merging, and first-error
-//! selection. The contract that makes the parallel output **byte-identical**
-//! to serial:
+//! The join driver (`exec.rs`) hands every algorithm's morsel step to
+//! [`run_workers`] whenever a request resolves to more than one worker:
+//! the driver seeds a [`MorselPool`] with the algorithm's units of work
+//! and supplies one worker closure; the engine owns thread spawning, work
+//! stealing, the statistics fold, trace aggregation, result merging, and
+//! first-error selection. The contract that makes the parallel output
+//! **byte-identical** to serial:
 //!
 //! - **Independent morsels.** Each unit's results and prune decisions
 //!   depend only on the unit itself (plus immutable shared state), never
 //!   on which worker ran it or what ran before it on the same worker.
 //! - **Canonical merge.** Worker outputs are concatenated in worker-index
-//!   order, then sorted under the canonical `(r_oid, dist, s_oid)`
-//!   tie-break — the same order every comparison path in the repo uses —
+//!   order and the driver sorts the union under the canonical
+//!   `(r_oid, dist, s_oid)` tie-break — the same order every comparison
+//!   path in the repo uses, and the same sort the one-worker path gets —
 //!   so scheduling nondeterminism cannot reach the caller.
 //! - **Commutative counters.** [`AnnStats`] fields are sums; workers fold
 //!   into one relaxed [`AtomicAnnStats`] and the engine cross-checks the
@@ -32,9 +32,9 @@
 //! pool, so every sibling's next `pop` returns `None` and the whole team
 //! unwinds within one morsel step. Outputs from aborted workers still
 //! fold in — partial statistics stay faithful — and the first error in
-//! worker-index order is returned for the caller to wrap
+//! worker-index order is returned for the driver to wrap
 //! ([`crate::resilience::attach_partial_stats`] plus the `QueryAborted`
-//! trace event stay the caller's job, exactly as on the serial paths).
+//! trace event are the driver's job, exactly as with one worker).
 //!
 //! Panic propagation: each worker closure runs under `catch_unwind`. A
 //! panicking worker popped a morsel it will never `complete()`, so
@@ -120,10 +120,10 @@ impl<'e, T> WorkerHandle<'e, T> {
 /// (`while let Some(unit) = h.pop() { ...; h.complete(); }`), returning
 /// its local [`AnnOutput`] *unconditionally* — even when it also returns
 /// an error — so partial statistics survive aborts. The engine returns
-/// the canonically sorted union of all results plus the first error in
-/// worker-index order, if any. The caller keeps responsibility for I/O
-/// attribution, `attach_partial_stats`, and the `QueryAborted` event,
-/// mirroring the serial entrypoints.
+/// the union of all results (in worker-index order; the caller sorts)
+/// plus the first error in worker-index order, if any. The caller keeps
+/// responsibility for I/O attribution, `attach_partial_stats`, and the
+/// `QueryAborted` event.
 pub fn run_workers<T, F>(
     threads: usize,
     seeds: Vec<T>,
@@ -237,7 +237,6 @@ where
         }
     }
 
-    out.sort();
     (out, failure)
 }
 
@@ -255,7 +254,7 @@ mod tests {
     }
 
     #[test]
-    fn merges_results_canonically_and_folds_stats() {
+    fn merges_results_and_folds_stats() {
         for threads in [1usize, 2, 3, 8] {
             let seeds: Vec<u64> = (0..37).collect();
             let (out, err) = run_workers(threads, seeds, Tracer::disabled(), |h| {
@@ -270,10 +269,9 @@ mod tests {
             assert!(err.is_none());
             assert_eq!(out.results.len(), 37, "threads={threads}");
             assert_eq!(out.stats.distance_computations, 37);
-            let oids: Vec<u64> = out.results.iter().map(|p| p.r_oid).collect();
-            let mut sorted = oids.clone();
-            sorted.sort_unstable();
-            assert_eq!(oids, sorted, "canonical order at threads={threads}");
+            let mut oids: Vec<u64> = out.results.iter().map(|p| p.r_oid).collect();
+            oids.sort_unstable();
+            assert_eq!(oids, (0..37).collect::<Vec<u64>>(), "threads={threads}");
         }
     }
 

@@ -1,12 +1,14 @@
 //! The unified ANN query entrypoint: one request builder, one `run`.
 //!
-//! The crate grew five divergent entrypoints (`mba`, `bnn`, `mnn`, `hnn`,
-//! plus `gorder_join` in `ann-gorder`), each with its own `*Config` — so
-//! calling, comparing, or instrumenting them meant five slightly different
-//! dances. [`AnnRequest`] carries the fields they all share (`k`,
-//! `exclude_self`, the pruning-metric choice, and the [`Tracer`] hookup),
-//! while [`Algorithm`] carries each method's extras as variant payload.
-//! The legacy entrypoints remain as thin wrappers and behave identically.
+//! [`AnnRequest`] carries the fields every join algorithm shares (`k`,
+//! `exclude_self`, the pruning-metric choice, the worker count, the
+//! resilience limits and the [`Tracer`] hookup), while [`Algorithm`]
+//! carries each method's extras as variant payload. [`run_scratch`] is the
+//! only way in: it builds the guard and hands each algorithm's single
+//! `run` one execution context (tracer, guard, scratch, worker count),
+//! and the crate-private join driver (`exec.rs`) executes it — serially
+//! when the count resolves to one worker, over the morsel engine
+//! otherwise.
 //!
 //! GORDER lives downstream of this crate (`ann-gorder` depends on
 //! `ann-core`), so it cannot appear in [`Algorithm`]; it follows the same
@@ -48,16 +50,15 @@
 //! # Ok(()) }
 //! ```
 
-use crate::bnn::{bnn_guarded, bnn_parallel_guarded, BnnConfig};
-use crate::hnn::{hnn_guarded, hnn_parallel_guarded, HnnConfig};
+use crate::exec::ExecCtx;
 use crate::index::{collect_objects, SpatialIndex};
-use crate::mba::{mba_guarded, mba_parallel_guarded, Expansion, MbaConfig, Traversal};
-use crate::mnn::{mnn_guarded, mnn_parallel_guarded, MnnConfig};
+use crate::mba::{Expansion, Traversal};
 use crate::node_cache::NodeCache;
 use crate::resilience::{CancelToken, QueryGuard, QueryResult, RetryOverride};
 use crate::scratch::QueryScratch;
 use crate::stats::AnnOutput;
 use crate::trace::{TraceSink, Tracer};
+use crate::{bnn, hnn, mba, mnn};
 use ann_geom::{MaxMaxDist, Mbr, NxnDist, Point, PruneMetric};
 use ann_store::{BufferPool, PageId, RetryPolicy};
 use std::time::{Duration, Instant};
@@ -89,7 +90,7 @@ impl MetricChoice {
 
 /// Which join algorithm evaluates the request, with its method-specific
 /// knobs as payload. Construct via the [`Algorithm::mba`]-style helpers
-/// for the defaults each legacy `*Config` used.
+/// for each method's defaults.
 ///
 /// Wire-facing (serialized by `ann_core::wire`): `#[non_exhaustive]`, so
 /// downstream matches keep a wildcard arm and the roadmap's future
@@ -127,6 +128,12 @@ pub enum Algorithm {
     },
 }
 
+/// [`Algorithm::bnn`]'s group size: approximates one leaf page of queries.
+const DEFAULT_BNN_GROUP_SIZE: usize = 256;
+
+/// [`Algorithm::hnn`]'s target average number of `S` points per grid cell.
+const DEFAULT_HNN_CELL_OCCUPANCY: f64 = 8.0;
+
 impl Algorithm {
     /// MBA/RBA with the paper's defaults: depth-first, bi-directional,
     /// serial.
@@ -138,17 +145,17 @@ impl Algorithm {
         }
     }
 
-    /// BNN with the default group size ([`BnnConfig::default`]).
+    /// BNN with the default group size (256 query objects).
     pub fn bnn() -> Self {
         Algorithm::Bnn {
-            group_size: BnnConfig::default().group_size,
+            group_size: DEFAULT_BNN_GROUP_SIZE,
         }
     }
 
-    /// HNN with the default occupancy ([`HnnConfig::default`]).
+    /// HNN with the default occupancy (8 points per cell).
     pub fn hnn() -> Self {
         Algorithm::Hnn {
-            avg_cell_occupancy: HnnConfig::default().avg_cell_occupancy,
+            avg_cell_occupancy: DEFAULT_HNN_CELL_OCCUPANCY,
         }
     }
 
@@ -239,15 +246,16 @@ pub struct AnnRequest<'a> {
     /// [`Input`]; the field rides along so one request value carries the
     /// full query description across the wire and into logs.
     pub version: Option<u32>,
-    /// Intra-query worker threads: `1` (the default) runs the serial
-    /// path, `0` means one worker per available core, and any other
-    /// value fans the join out over that many workers through the
-    /// morsel engine ([`crate::par`]). The unified entrypoint returns
-    /// canonical `(r_oid, dist, s_oid)` order at *every* thread count
-    /// (serial traversal output is sorted on the way out), so results
-    /// are byte-identical regardless of this knob. For
-    /// [`Algorithm::Mba`] this overrides the variant's own `threads`
-    /// knob unless left at `1`.
+    /// Intra-query worker threads: `1` (the default) asks for the serial
+    /// algorithm, `0` for one worker per available core, and any other
+    /// value for that many workers. A count that *resolves* to one
+    /// worker — `1`, or `0` on a one-core host — runs on the calling
+    /// thread with the caller's scratch; more fan the join out through
+    /// the morsel engine ([`crate::par`]). Output is in canonical
+    /// `(r_oid, dist, s_oid)` order at *every* count, so results are
+    /// byte-identical regardless of this knob. For [`Algorithm::Mba`]
+    /// this overrides the variant's own `threads` knob unless left at
+    /// `1` (see [`effective_threads`](AnnRequest::effective_threads)).
     pub threads: usize,
     cancel: Option<CancelToken>,
     tracer: Tracer<'a>,
@@ -279,6 +287,19 @@ impl<'a> AnnRequest<'a> {
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
+    }
+
+    /// The worker count the request asks for, before `0` is resolved to
+    /// the host's cores: the request-level [`threads`](AnnRequest::threads)
+    /// wins unless left at its serial default, in which case
+    /// [`Algorithm::Mba`]'s own wire-level `threads` knob applies. The
+    /// one statement of that precedence — the join driver resolves this
+    /// value, and a server sizing a compute grant must ask for the same.
+    pub fn effective_threads(&self) -> usize {
+        match (self.threads, self.algorithm) {
+            (1, Algorithm::Mba { threads, .. }) => threads,
+            (n, _) => n,
+        }
     }
 
     /// Pins the query to snapshot `version` of a versioned index
@@ -424,9 +445,8 @@ impl std::fmt::Debug for AnnRequest<'_> {
 /// side, find its `req.k` nearest neighbors on the `s` side.
 ///
 /// Dispatches the runtime [`MetricChoice`] onto the compile-time
-/// [`PruneMetric`] generics of the legacy entrypoints, which this calls
-/// unchanged — results, stats, and page-op order are identical to calling
-/// those directly with the equivalent `*Config`.
+/// [`PruneMetric`] generics of the algorithms, so their inner loops stay
+/// monomorphised.
 ///
 /// Degenerate requests are uniform across algorithms: `k == 0` or an
 /// empty side yields an empty result, and `k > |S|` yields fewer than `k`
@@ -450,16 +470,16 @@ where
     run_scratch(req, r, s, &mut QueryScratch::new())
 }
 
-/// [`run`] through a caller-owned [`QueryScratch`] — **the** canonical
-/// execution path. Every other entrypoint (the free [`run`], the
-/// [`AnnRequest::run`] sugar, the deprecated per-algorithm wrappers, and
-/// the serving layer's `QuerySpec` path) funnels into this one function,
-/// so there is exactly one place where metric dispatch, guard setup, and
-/// algorithm selection happen.
+/// [`run`] through a caller-owned [`QueryScratch`] — **the** execution
+/// path. Everything else (the free [`run`], the [`AnnRequest::run`]
+/// sugar, and the serving layer's `QuerySpec` path) funnels into this one
+/// function, so there is exactly one place where metric dispatch, guard
+/// setup, and algorithm selection happen.
 ///
 /// A long-lived caller (a server worker, a benchmark loop) reuses one
 /// scratch arena across queries and reaches a zero-allocation steady
-/// state; results, stats, and page-op order are identical to [`run`].
+/// state whenever the worker count resolves to 1; results, stats, and
+/// page-op order are identical to [`run`].
 pub fn run_scratch<const D: usize, IR, IS>(
     req: &AnnRequest<'_>,
     r: Input<'_, D, IR>,
@@ -487,7 +507,6 @@ where
     IR: SpatialIndex<D> + Sync,
     IS: SpatialIndex<D> + Sync,
 {
-    let tracer = req.tracer;
     // The pools the query will touch: the guard charges their physical
     // reads against the I/O budget and the retry override applies there.
     let mut pools: Vec<&BufferPool> = Vec::with_capacity(2);
@@ -506,11 +525,18 @@ where
     );
     guard.preflight()?;
     let _retry = req.retry.map(|policy| RetryOverride::apply(&pools, policy));
-    let ran = match req.algorithm {
+    let ctx = ExecCtx {
+        tracer: req.tracer,
+        guard: &guard,
+        scratch,
+        threads: req.effective_threads(),
+    };
+    let (k, exclude_self) = (req.k, req.exclude_self);
+    match req.algorithm {
         Algorithm::Mba {
             traversal,
             expansion,
-            threads,
+            ..
         } => {
             let Input::Index(ir) = r else {
                 panic!("Algorithm::Mba requires Input::Index on the r side")
@@ -518,34 +544,11 @@ where
             let Input::Index(is) = s else {
                 panic!("Algorithm::Mba requires Input::Index on the s side")
             };
-            let cfg = MbaConfig {
-                k: req.k,
-                traversal,
-                expansion,
-                exclude_self: req.exclude_self,
-            };
-            // The request-level knob wins unless left at its serial
-            // default; the variant's own `threads` remains for wire
-            // compatibility and the legacy parallel entrypoints.
-            let threads = if req.threads == 1 {
-                threads
-            } else {
-                req.threads
-            };
-            if threads == 1 {
-                mba_guarded::<D, M, IR, IS>(ir, is, &cfg, tracer, scratch, &guard)
-            } else {
-                mba_parallel_guarded::<D, M, IR, IS>(ir, is, &cfg, threads, tracer, &guard)
-            }
+            mba::run::<D, M, IR, IS>(ctx, ir, is, k, exclude_self, traversal, expansion)
         }
         Algorithm::Bnn { group_size } => {
             let Input::Index(is) = s else {
                 panic!("Algorithm::Bnn requires Input::Index on the s side")
-            };
-            let cfg = BnnConfig {
-                k: req.k,
-                group_size,
-                exclude_self: req.exclude_self,
             };
             let collected;
             let r_pts = match r {
@@ -555,11 +558,7 @@ where
                     &collected
                 }
             };
-            if req.threads == 1 {
-                bnn_guarded::<D, M, IS>(r_pts, is, &cfg, tracer, scratch, &guard)
-            } else {
-                bnn_parallel_guarded::<D, M, IS>(r_pts, is, &cfg, req.threads, tracer, &guard)
-            }
+            bnn::run::<D, M, IS>(ctx, r_pts, is, k, group_size, exclude_self)
         }
         Algorithm::Mnn => {
             let Input::Index(ir) = r else {
@@ -568,22 +567,9 @@ where
             let Input::Index(is) = s else {
                 panic!("Algorithm::Mnn requires Input::Index on the s side")
             };
-            let cfg = MnnConfig {
-                k: req.k,
-                exclude_self: req.exclude_self,
-            };
-            if req.threads == 1 {
-                mnn_guarded::<D, M, IR, IS>(ir, is, &cfg, tracer, scratch, &guard)
-            } else {
-                mnn_parallel_guarded::<D, M, IR, IS>(ir, is, &cfg, req.threads, tracer, &guard)
-            }
+            mnn::run::<D, M, IR, IS>(ctx, ir, is, k, exclude_self)
         }
         Algorithm::Hnn { avg_cell_occupancy } => {
-            let cfg = HnnConfig {
-                k: req.k,
-                avg_cell_occupancy,
-                exclude_self: req.exclude_self,
-            };
             let r_collected;
             let r_pts = match r {
                 Input::Points(p) => p,
@@ -600,20 +586,7 @@ where
                     &s_collected
                 }
             };
-            if req.threads == 1 {
-                hnn_guarded(r_pts, s_pts, &cfg, tracer, scratch, &guard)
-            } else {
-                hnn_parallel_guarded(r_pts, s_pts, &cfg, req.threads, tracer, &guard)
-            }
+            hnn::run(ctx, r_pts, s_pts, k, avg_cell_occupancy, exclude_self)
         }
-    };
-    // Canonical `(r_oid, dist, s_oid)` order on every path: the morsel
-    // engine already merges into it, but the serial algorithms emit
-    // traversal order — sorting here makes the unified entrypoint's
-    // output byte-identical at *any* thread count, including 1, so
-    // library callers never see ordering flip between threads=1 and
-    // threads=2. (Near-free on the parallel paths: already sorted.)
-    let mut out = ran?;
-    out.sort();
-    Ok(out)
+    }
 }

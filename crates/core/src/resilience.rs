@@ -26,7 +26,7 @@
 //! use), and a subsequent fault-free run returns byte-identical results.
 
 use crate::stats::AnnStats;
-use ann_store::{BufferPool, RetryPolicy, StoreError};
+use ann_store::{BufferPool, IoSnapshot, RetryPolicy, StoreError};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -149,9 +149,10 @@ pub type QueryResult<T> = std::result::Result<T, QueryError>;
 
 /// The per-query limit checker threaded through every traversal.
 ///
-/// Internally atomic, so the parallel MBA workers share one guard by
-/// reference. [`QueryGuard::disabled`] (what the legacy entrypoints use)
-/// reduces [`tick`](QueryGuard::tick) to one predictable branch.
+/// Internally atomic, so every worker of a parallel join shares one guard
+/// by reference. [`QueryGuard::disabled`] (what the standalone kNN and
+/// closest-pairs primitives use) reduces [`tick`](QueryGuard::tick) to one
+/// predictable branch.
 pub struct QueryGuard<'p> {
     active: bool,
     cancel: Option<CancelToken>,
@@ -160,7 +161,8 @@ pub struct QueryGuard<'p> {
     visits: AtomicU64,
     io_budget: u64,
     io_base: u64,
-    /// Pools whose physical reads count against `io_budget` (deduped).
+    /// The distinct pools the query touches: their physical reads count
+    /// against `io_budget`, and their counters are the query's I/O.
     pools: Vec<&'p BufferPool>,
 }
 
@@ -197,8 +199,8 @@ impl<'p> QueryGuard<'p> {
                 deduped.push(p);
             }
         }
-        let io_budget_set = io_budget.is_some();
-        let active = cancel.is_some() || deadline.is_some() || visit_budget.is_some() || io_budget_set;
+        let active =
+            cancel.is_some() || deadline.is_some() || visit_budget.is_some() || io_budget.is_some();
         let mut guard = QueryGuard {
             active,
             cancel,
@@ -207,7 +209,7 @@ impl<'p> QueryGuard<'p> {
             visits: AtomicU64::new(0),
             io_budget: io_budget.unwrap_or(u64::MAX),
             io_base: 0,
-            pools: if io_budget_set { deduped } else { Vec::new() },
+            pools: deduped,
         };
         guard.io_base = guard.physical_reads();
         guard
@@ -216,6 +218,14 @@ impl<'p> QueryGuard<'p> {
     /// Physical reads so far across the charged pools.
     fn physical_reads(&self) -> u64 {
         self.pools.iter().map(|p| p.physical_reads()).sum()
+    }
+
+    /// The touched pools' counters, each distinct pool counted once —
+    /// what the join driver takes the query's I/O delta over.
+    pub(crate) fn io(&self) -> IoSnapshot {
+        self.pools
+            .iter()
+            .fold(IoSnapshot::default(), |io, p| io.merge(&p.stats()))
     }
 
     /// Node expansions charged so far.

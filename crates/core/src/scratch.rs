@@ -14,10 +14,11 @@
 //! Buffers are checked out with `take_*` (popping a parked buffer, or
 //! allocating an empty one the first time) and checked back in with
 //! `put_*`, which clears the contents but keeps the capacity. The arena
-//! is deliberately not thread-safe: parallel MBA workers each own one.
-//! The legacy entrypoints (`mba`, `bnn`, ...) create a transient arena
-//! internally; the `*_scratch` variants accept a caller-owned arena for
-//! allocation-free steady state.
+//! is deliberately not thread-safe: the workers of a parallel join each
+//! own one. [`query::run`](crate::query::run) creates a transient arena
+//! internally; [`query::run_scratch`](crate::query::run_scratch) accepts a
+//! caller-owned arena, which a join resolving to one worker uses
+//! directly, for an allocation-free steady state.
 //!
 //! # Observability
 //!

@@ -61,8 +61,6 @@ pub enum Phase {
     Pca,
     /// Space-ordering sort (GORDER grid-order, BNN Hilbert sort).
     Sort,
-    /// Serial seeding of the parallel work queue (`mba_parallel`).
-    Seed,
     /// The main join / traversal loop.
     Join,
     /// The whole query, from entry to returning results.
@@ -76,7 +74,6 @@ impl Phase {
             Phase::Build => "build",
             Phase::Pca => "pca",
             Phase::Sort => "sort",
-            Phase::Seed => "seed",
             Phase::Join => "join",
             Phase::Query => "query",
         }
@@ -209,7 +206,7 @@ pub enum TraceEvent {
 }
 
 /// Receiver of spans and events. Implementations must be cheap and
-/// thread-safe: `mba_parallel` workers share one sink.
+/// thread-safe: the workers of a parallel join share one sink.
 ///
 /// All methods default to no-ops so a sink only implements what it needs.
 pub trait TraceSink: Send + Sync {

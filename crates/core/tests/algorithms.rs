@@ -2,18 +2,9 @@
 //! on both index structures, with both pruning metrics, across k values
 //! and traversal variants.
 
-
-// The per-algorithm entrypoints these tests drive are deprecated thin
-// delegates now; exercising them here is the point (they must stay
-// identical to the canonical `query::run` path).
-#![allow(deprecated)]
-use ann_core::bnn::{bnn, BnnConfig};
 use ann_core::brute::brute_force_aknn;
-use ann_core::index::SpatialIndex;
-use ann_core::mba::{mba, Expansion, MbaConfig, Traversal};
-use ann_core::mnn::{mnn, MnnConfig};
-use ann_core::stats::{AnnOutput, NeighborPair};
-use ann_geom::{MaxMaxDist, NxnDist, Point};
+use ann_core::prelude::*;
+use ann_geom::Point;
 use ann_mbrqt::{Mbrqt, MbrqtConfig};
 use ann_rstar::{RStar, RStarConfig};
 use ann_store::{BufferPool, MemDisk};
@@ -36,6 +27,20 @@ fn random_points<const D: usize>(n: usize, seed: u64) -> Vec<(u64, Point<D>)> {
             (i as u64, Point::new(c))
         })
         .collect()
+}
+
+/// The paper's MBA/RBA request: depth-first, bi-directional, NXNDIST, k=1.
+fn mba() -> AnnRequest<'static> {
+    AnnRequest::new(Algorithm::mba())
+}
+
+/// Runs `req` over two indexed sides.
+fn join<const D: usize, IR, IS>(req: AnnRequest<'_>, ir: &IR, is: &IS) -> AnnOutput
+where
+    IR: SpatialIndex<D> + Sync,
+    IS: SpatialIndex<D> + Sync,
+{
+    req.run(Input::Index(ir), Input::Index(is)).unwrap()
 }
 
 /// Small node capacities force multi-level trees even at test scale.
@@ -95,26 +100,19 @@ fn mba_on_mbrqt_matches_brute_force_2d() {
     let pool = pool(256);
     let ir = Mbrqt::bulk_build(pool.clone(), &r, &mbrqt_cfg()).unwrap();
     let is = Mbrqt::bulk_build(pool, &s, &mbrqt_cfg()).unwrap();
-    for cfg in [
-        MbaConfig::default(),
-        MbaConfig {
-            traversal: Traversal::BreadthFirst,
-            ..Default::default()
-        },
-        MbaConfig {
-            expansion: Expansion::Unidirectional,
-            ..Default::default()
-        },
-        MbaConfig {
-            traversal: Traversal::BreadthFirst,
-            expansion: Expansion::Unidirectional,
-            ..Default::default()
-        },
-    ] {
-        let out = mba::<2, NxnDist, _, _>(&ir, &is, &cfg).unwrap();
-        assert_matches_truth(out, &truth, &format!("MBA {cfg:?}"));
-        let out = mba::<2, MaxMaxDist, _, _>(&ir, &is, &cfg).unwrap();
-        assert_matches_truth(out, &truth, &format!("MBA maxmax {cfg:?}"));
+    for traversal in [Traversal::DepthFirst, Traversal::BreadthFirst] {
+        for expansion in [Expansion::Bidirectional, Expansion::Unidirectional] {
+            let req = AnnRequest::new(Algorithm::Mba {
+                traversal,
+                expansion,
+                threads: 1,
+            });
+            let label = format!("{traversal:?} {expansion:?}");
+            let out = join(req.clone(), &ir, &is);
+            assert_matches_truth(out, &truth, &format!("MBA {label}"));
+            let out = join(req.metric(MetricChoice::MaxMax), &ir, &is);
+            assert_matches_truth(out, &truth, &format!("MBA maxmax {label}"));
+        }
     }
 }
 
@@ -126,9 +124,9 @@ fn rba_on_rstar_matches_brute_force_2d() {
     let pool = pool(256);
     let ir = RStar::bulk_build(pool.clone(), &r, &rstar_cfg()).unwrap();
     let is = RStar::bulk_build(pool, &s, &rstar_cfg()).unwrap();
-    let out = mba::<2, NxnDist, _, _>(&ir, &is, &MbaConfig::default()).unwrap();
+    let out = join(mba(), &ir, &is);
     assert_matches_truth(out, &truth, "RBA NXNDIST");
-    let out = mba::<2, MaxMaxDist, _, _>(&ir, &is, &MbaConfig::default()).unwrap();
+    let out = join(mba().metric(MetricChoice::MaxMax), &ir, &is);
     assert_matches_truth(out, &truth, "RBA MAXMAXDIST");
 }
 
@@ -141,7 +139,7 @@ fn mixed_index_kinds_work_together() {
     let pool = pool(256);
     let ir = Mbrqt::bulk_build(pool.clone(), &r, &mbrqt_cfg()).unwrap();
     let is = RStar::bulk_build(pool, &s, &rstar_cfg()).unwrap();
-    let out = mba::<2, NxnDist, _, _>(&ir, &is, &MbaConfig::default()).unwrap();
+    let out = join(mba(), &ir, &is);
     assert_matches_truth(out, &truth, "mixed indices");
 }
 
@@ -154,11 +152,7 @@ fn aknn_matches_brute_force_for_k_up_to_10() {
     let is = Mbrqt::bulk_build(pool, &s, &mbrqt_cfg()).unwrap();
     for k in [1, 2, 3, 5, 10] {
         let truth = truth_sorted(&r, &s, k, false);
-        let cfg = MbaConfig {
-            k,
-            ..Default::default()
-        };
-        let out = mba::<2, NxnDist, _, _>(&ir, &is, &cfg).unwrap();
+        let out = join(mba().k(k), &ir, &is);
         assert_matches_truth(out, &truth, &format!("AkNN k={k}"));
     }
 }
@@ -169,12 +163,7 @@ fn self_join_with_exclusion() {
     let truth = truth_sorted(&pts, &pts, 3, true);
     let pool = pool(256);
     let tree = Mbrqt::bulk_build(pool, &pts, &mbrqt_cfg()).unwrap();
-    let cfg = MbaConfig {
-        k: 3,
-        exclude_self: true,
-        ..Default::default()
-    };
-    let out = mba::<2, NxnDist, _, _>(&tree, &tree, &cfg).unwrap();
+    let out = join(mba().k(3).exclude_self(true), &tree, &tree);
     assert_matches_truth(out, &truth, "self-join k=3");
 }
 
@@ -186,7 +175,7 @@ fn higher_dimensions_4d_and_6d() {
     let p = pool(256);
     let ir = Mbrqt::bulk_build(p.clone(), &r4, &mbrqt_cfg()).unwrap();
     let is = Mbrqt::bulk_build(p, &s4, &mbrqt_cfg()).unwrap();
-    let out = mba::<4, NxnDist, _, _>(&ir, &is, &MbaConfig::default()).unwrap();
+    let out = join(mba(), &ir, &is);
     assert_matches_truth(out, &truth, "4D");
 
     let r6 = random_points::<6>(300, 333);
@@ -195,7 +184,7 @@ fn higher_dimensions_4d_and_6d() {
     let p = pool(256);
     let ir = RStar::bulk_build(p.clone(), &r6, &rstar_cfg()).unwrap();
     let is = RStar::bulk_build(p, &s6, &rstar_cfg()).unwrap();
-    let out = mba::<6, NxnDist, _, _>(&ir, &is, &MbaConfig::default()).unwrap();
+    let out = join(mba(), &ir, &is);
     assert_matches_truth(out, &truth, "6D");
 }
 
@@ -207,14 +196,12 @@ fn bnn_matches_brute_force() {
     let is = RStar::bulk_build(pool, &s, &rstar_cfg()).unwrap();
     for k in [1, 4] {
         let truth = truth_sorted(&r, &s, k, false);
-        let cfg = BnnConfig {
-            k,
-            group_size: 64,
-            exclude_self: false,
-        };
-        let out = bnn::<2, NxnDist, _>(&r, &is, &cfg).unwrap();
+        let req = AnnRequest::new(Algorithm::Bnn { group_size: 64 }).k(k);
+        let r_side = || Input::<2, NoIndex>::Points(&r);
+        let out = req.run(r_side(), Input::Index(&is)).unwrap();
         assert_matches_truth(out, &truth, &format!("BNN nxn k={k}"));
-        let out = bnn::<2, MaxMaxDist, _>(&r, &is, &cfg).unwrap();
+        let req = req.metric(MetricChoice::MaxMax);
+        let out = req.run(r_side(), Input::Index(&is)).unwrap();
         assert_matches_truth(out, &truth, &format!("BNN maxmax k={k}"));
     }
 }
@@ -227,12 +214,9 @@ fn bnn_group_size_is_just_performance() {
     let is = RStar::bulk_build(pool, &s, &rstar_cfg()).unwrap();
     let truth = truth_sorted(&r, &s, 1, false);
     for group_size in [1, 7, 64, 1000] {
-        let cfg = BnnConfig {
-            k: 1,
-            group_size,
-            exclude_self: false,
-        };
-        let out = bnn::<2, NxnDist, _>(&r, &is, &cfg).unwrap();
+        let out = AnnRequest::new(Algorithm::Bnn { group_size })
+            .run(Input::<2, NoIndex>::Points(&r), Input::Index(&is))
+            .unwrap();
         assert_matches_truth(out, &truth, &format!("BNN group={group_size}"));
     }
 }
@@ -246,11 +230,7 @@ fn mnn_matches_brute_force() {
     let is = RStar::bulk_build(pool, &s, &rstar_cfg()).unwrap();
     for k in [1, 5] {
         let truth = truth_sorted(&r, &s, k, false);
-        let cfg = MnnConfig {
-            k,
-            exclude_self: false,
-        };
-        let out = mnn::<2, NxnDist, _, _>(&ir, &is, &cfg).unwrap();
+        let out = join(AnnRequest::new(Algorithm::Mnn).k(k), &ir, &is);
         assert_matches_truth(out, &truth, &format!("MNN k={k}"));
     }
 }
@@ -271,8 +251,8 @@ fn nxndist_prunes_more_than_maxmaxdist() {
     };
     let ir = Mbrqt::bulk_build(pool.clone(), &r, &cfg).unwrap();
     let is = Mbrqt::bulk_build(pool, &s, &cfg).unwrap();
-    let nxn = mba::<2, NxnDist, _, _>(&ir, &is, &MbaConfig::default()).unwrap();
-    let mm = mba::<2, MaxMaxDist, _, _>(&ir, &is, &MbaConfig::default()).unwrap();
+    let nxn = join(mba(), &ir, &is);
+    let mm = join(mba().metric(MetricChoice::MaxMax), &ir, &is);
     assert!(
         nxn.stats.enqueued < mm.stats.enqueued,
         "NXNDIST must retain fewer entries: {} vs {}",
@@ -295,18 +275,8 @@ fn empty_inputs_produce_empty_results() {
     let p = pool(64);
     let empty = Mbrqt::<2>::bulk_build(p.clone(), &[], &mbrqt_cfg()).unwrap();
     let full = Mbrqt::bulk_build(p, &pts, &mbrqt_cfg()).unwrap();
-    assert!(
-        mba::<2, NxnDist, _, _>(&empty, &full, &MbaConfig::default())
-            .unwrap()
-            .results
-            .is_empty()
-    );
-    assert!(
-        mba::<2, NxnDist, _, _>(&full, &empty, &MbaConfig::default())
-            .unwrap()
-            .results
-            .is_empty()
-    );
+    assert!(join(mba(), &empty, &full).results.is_empty());
+    assert!(join(mba(), &full, &empty).results.is_empty());
 }
 
 #[test]
@@ -316,11 +286,7 @@ fn k_exceeding_target_cardinality_returns_all() {
     let p = pool(64);
     let ir = Mbrqt::bulk_build(p.clone(), &r, &mbrqt_cfg()).unwrap();
     let is = Mbrqt::bulk_build(p, &s, &mbrqt_cfg()).unwrap();
-    let cfg = MbaConfig {
-        k: 20,
-        ..Default::default()
-    };
-    let out = mba::<2, NxnDist, _, _>(&ir, &is, &cfg).unwrap();
+    let out = join(mba().k(20), &ir, &is);
     // Each query finds all 5 targets.
     assert_eq!(out.results.len(), 50 * 5);
     let truth = truth_sorted(&r, &s, 20, false);
@@ -336,7 +302,7 @@ fn identical_coincident_points() {
     let truth = truth_sorted(&pts, &pts, 1, false);
     let p = pool(64);
     let t = Mbrqt::bulk_build(p, &pts, &mbrqt_cfg()).unwrap();
-    let out = mba::<2, NxnDist, _, _>(&t, &t, &MbaConfig::default()).unwrap();
+    let out = join(mba(), &t, &t);
     assert_matches_truth(out, &truth, "coincident");
 }
 
@@ -348,7 +314,7 @@ fn tiny_buffer_pool_does_not_affect_results() {
     let p = pool(8); // pathologically small
     let ir = Mbrqt::bulk_build(p.clone(), &r, &mbrqt_cfg()).unwrap();
     let is = Mbrqt::bulk_build(p.clone(), &s, &mbrqt_cfg()).unwrap();
-    let out = mba::<2, NxnDist, _, _>(&ir, &is, &MbaConfig::default()).unwrap();
+    let out = join(mba(), &ir, &is);
     assert!(out.stats.io.physical_reads > 0, "must thrash");
     assert_matches_truth(out, &truth, "tiny pool");
 }
@@ -360,7 +326,7 @@ fn stats_are_populated() {
     let p = pool(32);
     let ir = Mbrqt::bulk_build(p.clone(), &r, &mbrqt_cfg()).unwrap();
     let is = Mbrqt::bulk_build(p, &s, &mbrqt_cfg()).unwrap();
-    let out = mba::<2, NxnDist, _, _>(&ir, &is, &MbaConfig::default()).unwrap();
+    let out = join(mba(), &ir, &is);
     let st = out.stats;
     assert!(st.distance_computations > 0);
     assert!(st.lpqs_created > 1);
@@ -385,7 +351,7 @@ fn plain_quadrant_ablation_correct_with_maxmaxdist() {
     let p = pool(256);
     let ir = Mbrqt::bulk_build(p.clone(), &r, &cfg).unwrap();
     let is = Mbrqt::bulk_build(p, &s, &cfg).unwrap();
-    let out = mba::<2, MaxMaxDist, _, _>(&ir, &is, &MbaConfig::default()).unwrap();
+    let out = join(mba().metric(MetricChoice::MaxMax), &ir, &is);
     assert_matches_truth(out, &truth, "quadrant ablation");
 }
 
@@ -398,8 +364,8 @@ fn results_identical_across_index_structures() {
     let qt_s = Mbrqt::bulk_build(p.clone(), &s, &mbrqt_cfg()).unwrap();
     let rs_r = RStar::bulk_build(p.clone(), &r, &rstar_cfg()).unwrap();
     let rs_s = RStar::bulk_build(p, &s, &rstar_cfg()).unwrap();
-    let mut a = mba::<3, NxnDist, _, _>(&qt_r, &qt_s, &MbaConfig::default()).unwrap();
-    let mut b = mba::<3, NxnDist, _, _>(&rs_r, &rs_s, &MbaConfig::default()).unwrap();
+    let mut a = join(mba(), &qt_r, &qt_s);
+    let mut b = join(mba(), &rs_r, &rs_s);
     a.sort();
     b.sort();
     assert_eq!(a.results.len(), b.results.len());
@@ -420,6 +386,6 @@ fn incremental_trees_query_identically_to_bulk() {
     }
     assert_eq!(inc.num_points(), bulk.num_points());
     let truth = truth_sorted(&pts, &pts, 1, false);
-    let out = mba::<2, NxnDist, _, _>(&inc, &bulk, &MbaConfig::default()).unwrap();
+    let out = join(mba(), &inc, &bulk);
     assert_matches_truth(out, &truth, "incremental vs bulk");
 }

@@ -1,16 +1,11 @@
 //! Deletion tests for both indices: structural invariants hold after
 //! arbitrary delete sequences, and queries over the remainder stay exact.
 
-
-// The per-algorithm entrypoints these tests drive are deprecated thin
-// delegates now; exercising them here is the point (they must stay
-// identical to the canonical `query::run` path).
-#![allow(deprecated)]
 use ann_core::brute::brute_force_aknn;
 use ann_core::index::{collect_objects, validate};
-use ann_core::mba::{mba, MbaConfig};
+use ann_core::query::{Algorithm, AnnRequest, Input};
 use ann_core::{Entry, SpatialIndex};
-use ann_geom::{NxnDist, Point};
+use ann_geom::Point;
 use ann_mbrqt::{Mbrqt, MbrqtConfig};
 use ann_rstar::{RStar, RStarConfig};
 use ann_store::{BufferPool, MemDisk};
@@ -148,16 +143,10 @@ fn queries_stay_exact_under_churn() {
     validate(&tree).unwrap();
     assert_leaf_mbrs_contain_their_points(&tree);
 
-    let mut out = mba::<2, NxnDist, _, _>(
-        &tree,
-        &tree,
-        &MbaConfig {
-            exclude_self: true,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    out.sort();
+    let out = AnnRequest::new(Algorithm::mba())
+        .exclude_self(true)
+        .run(Input::Index(&tree), Input::Index(&tree))
+        .unwrap();
     let mut truth = brute_force_aknn(&live, &live, 1, true);
     truth.sort_by(|a, b| {
         (a.r_oid, a.dist, a.s_oid)

@@ -2,14 +2,10 @@
 //! errors as `Err` (never panic) when the disk dies mid-flight, and
 //! must never return silently-partial results.
 
-
-// The per-algorithm entrypoints these tests drive are deprecated thin
-// delegates now; exercising them here is the point (they must stay
-// identical to the canonical `query::run` path).
-#![allow(deprecated)]
 use ann_core::index::validate;
-use ann_core::mba::{mba, MbaConfig};
-use ann_geom::{NxnDist, Point};
+use ann_core::query::{Algorithm, AnnRequest, Input};
+use ann_core::{AnnOutput, QueryResult, SpatialIndex};
+use ann_geom::Point;
 use ann_mbrqt::{Mbrqt, MbrqtConfig};
 use ann_rstar::{RStar, RStarConfig};
 use ann_store::{BufferPool, FaultyDisk, MemDisk};
@@ -27,6 +23,15 @@ fn random_points(n: usize, seed: u64) -> Vec<(u64, Point<2>)> {
             )
         })
         .collect()
+}
+
+/// The paper's MBA (k = 1, NXNDIST) through the unified entrypoint.
+fn mba<IR, IS>(ir: &IR, is: &IS) -> QueryResult<AnnOutput>
+where
+    IR: SpatialIndex<2> + Sync,
+    IS: SpatialIndex<2> + Sync,
+{
+    AnnRequest::new(Algorithm::mba()).run(Input::Index(ir), Input::Index(is))
 }
 
 /// Small-node configs so even a 600-point dataset spans many pages.
@@ -50,7 +55,7 @@ fn healthy_op_count(pts: &[(u64, Point<2>)]) -> u64 {
     let pool = Arc::new(BufferPool::new(MemDisk::new(), 16));
     let ir = Mbrqt::bulk_build(pool.clone(), pts, &qt_cfg()).unwrap();
     let is = RStar::bulk_build(pool.clone(), pts, &rs_cfg()).unwrap();
-    mba::<2, NxnDist, _, _>(&ir, &is, &MbaConfig::default()).unwrap();
+    mba(&ir, &is).unwrap();
     let s = pool.stats();
     s.physical_reads + s.physical_writes + pool.num_pages() as u64
 }
@@ -76,7 +81,7 @@ fn every_budget_point_errors_cleanly() {
         let result = (|| -> ann_core::QueryResult<usize> {
             let ir = Mbrqt::bulk_build(pool.clone(), &pts, &qt_cfg())?;
             let is = RStar::bulk_build(pool.clone(), &pts, &rs_cfg())?;
-            let out = mba::<2, NxnDist, _, _>(&ir, &is, &MbaConfig::default())?;
+            let out = mba(&ir, &is)?;
             Ok(out.results.len())
         })();
         match result {
@@ -319,8 +324,7 @@ fn bit_rot_is_detected_or_harmless_never_silent() {
             Ok(tree) => {
                 // `open` validated the whole tree, so every reachable page
                 // passed its checksum: queries must see the full dataset.
-                let out = mba::<2, NxnDist, _, _>(&tree, &tree, &MbaConfig::default())
-                    .expect("queries over a validated tree succeed");
+                let out = mba(&tree, &tree).expect("queries over a validated tree succeed");
                 assert_eq!(out.results.len(), 400, "no silently partial results");
                 intact += 1;
             }

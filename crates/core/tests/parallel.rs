@@ -1,14 +1,10 @@
-//! Tests for the parallel MBA extension: identical results to the serial
+//! Tests for the parallel join engine: identical results to the serial
 //! algorithm, across thread counts, configurations and index types.
 
-
-// The per-algorithm entrypoints these tests drive are deprecated thin
-// delegates now; exercising them here is the point (they must stay
-// identical to the canonical `query::run` path).
-#![allow(deprecated)]
 use ann_core::brute::brute_force_aknn;
-use ann_core::mba::{mba, mba_parallel, MbaConfig};
-use ann_geom::{NxnDist, Point};
+use ann_core::query::{Algorithm, AnnRequest, Input, NoIndex};
+use ann_core::{CancelToken, ExecutionReport, QueryError, RecordingSink, SpatialIndex};
+use ann_geom::Point;
 use ann_mbrqt::{Mbrqt, MbrqtConfig};
 use ann_rstar::{RStar, RStarConfig};
 use ann_store::{BufferPool, MemDisk};
@@ -33,6 +29,20 @@ fn random_points<const D: usize>(n: usize, seed: u64) -> Vec<(u64, Point<D>)> {
         .collect()
 }
 
+/// MBA with the paper's defaults over `threads` workers.
+fn mba(threads: usize) -> AnnRequest<'static> {
+    AnnRequest::new(Algorithm::mba()).threads(threads)
+}
+
+/// Runs `req` over two indexed sides.
+fn join<const D: usize, IR, IS>(req: AnnRequest<'_>, ir: &IR, is: &IS) -> ann_core::AnnOutput
+where
+    IR: SpatialIndex<D> + Sync,
+    IS: SpatialIndex<D> + Sync,
+{
+    req.run(Input::Index(ir), Input::Index(is)).unwrap()
+}
+
 fn canonical(mut out: ann_core::stats::AnnOutput) -> Vec<(u64, u64)> {
     out.sort();
     out.results
@@ -48,10 +58,9 @@ fn parallel_matches_serial_exactly() {
     let p = pool(1024);
     let ir = Mbrqt::bulk_build(p.clone(), &r, &MbrqtConfig::default()).unwrap();
     let is = Mbrqt::bulk_build(p, &s, &MbrqtConfig::default()).unwrap();
-    let cfg = MbaConfig::default();
-    let serial = canonical(mba::<2, NxnDist, _, _>(&ir, &is, &cfg).unwrap());
-    for threads in [1usize, 2, 4, 7] {
-        let par = canonical(mba_parallel::<2, NxnDist, _, _>(&ir, &is, &cfg, threads).unwrap());
+    let serial = canonical(join(mba(1), &ir, &is));
+    for threads in [2usize, 4, 7] {
+        let par = canonical(join(mba(threads), &ir, &is));
         assert_eq!(par, serial, "threads={threads}");
     }
 }
@@ -61,13 +70,7 @@ fn parallel_matches_brute_force_aknn() {
     let pts = random_points::<3>(1500, 43);
     let p = pool(1024);
     let tree = RStar::bulk_build(p, &pts, &RStarConfig::default()).unwrap();
-    let cfg = MbaConfig {
-        k: 4,
-        exclude_self: true,
-        ..Default::default()
-    };
-    let mut out = mba_parallel::<3, NxnDist, _, _>(&tree, &tree, &cfg, 0).unwrap();
-    out.sort();
+    let out = join(mba(0).k(4).exclude_self(true), &tree, &tree);
     let mut truth = brute_force_aknn(&pts, &pts, 4, true);
     truth.sort_by(|a, b| {
         (a.r_oid, a.dist, a.s_oid)
@@ -87,13 +90,8 @@ fn parallel_on_empty_and_tiny_inputs() {
     let empty = Mbrqt::<2>::bulk_build(p.clone(), &[], &MbrqtConfig::default()).unwrap();
     let one =
         Mbrqt::bulk_build(p, &[(7, Point::new([1.0, 1.0]))], &MbrqtConfig::default()).unwrap();
-    assert!(
-        mba_parallel::<2, NxnDist, _, _>(&empty, &one, &MbaConfig::default(), 4)
-            .unwrap()
-            .results
-            .is_empty()
-    );
-    let out = mba_parallel::<2, NxnDist, _, _>(&one, &one, &MbaConfig::default(), 4).unwrap();
+    assert!(join(mba(4), &empty, &one).results.is_empty());
+    let out = join(mba(4), &one, &one);
     assert_eq!(out.results.len(), 1);
 }
 
@@ -104,11 +102,8 @@ fn parallel_work_counters_match_serial() {
     let pts = random_points::<2>(4000, 44);
     let p = pool(4096);
     let tree = Mbrqt::bulk_build(p, &pts, &MbrqtConfig::default()).unwrap();
-    let cfg = MbaConfig::default();
-    let serial = mba::<2, NxnDist, _, _>(&tree, &tree, &cfg).unwrap().stats;
-    let par = mba_parallel::<2, NxnDist, _, _>(&tree, &tree, &cfg, 4)
-        .unwrap()
-        .stats;
+    let serial = join(mba(1), &tree, &tree).stats;
+    let par = join(mba(4), &tree, &tree).stats;
     assert_eq!(serial.distance_computations, par.distance_computations);
     assert_eq!(serial.enqueued, par.enqueued);
     assert_eq!(serial.r_nodes_expanded, par.r_nodes_expanded);
@@ -130,15 +125,11 @@ fn parallel_speedup_on_large_input() {
     let pts = ann_datagen::tac_like(40_000, 45);
     let p = pool(16384);
     let tree = Mbrqt::bulk_build(p, &pts, &MbrqtConfig::default()).unwrap();
-    let cfg = MbaConfig {
-        exclude_self: true,
-        ..Default::default()
-    };
     let t0 = std::time::Instant::now();
-    let serial = mba::<2, NxnDist, _, _>(&tree, &tree, &cfg).unwrap();
+    let serial = join(mba(1).exclude_self(true), &tree, &tree);
     let t_serial = t0.elapsed();
     let t0 = std::time::Instant::now();
-    let par = mba_parallel::<2, NxnDist, _, _>(&tree, &tree, &cfg, 0).unwrap();
+    let par = join(mba(0).exclude_self(true), &tree, &tree);
     let t_par = t0.elapsed();
     assert_eq!(serial.results.len(), par.results.len());
     // Wall-clock assertions are inherently flaky on throttled or
@@ -153,10 +144,7 @@ fn parallel_speedup_on_large_input() {
     eprintln!("serial {t_serial:?}, parallel {t_par:?}");
 }
 
-// ---- the shared morsel engine, via AnnRequest::threads ----
-
-use ann_core::query::{Algorithm, AnnRequest, Input, NoIndex};
-use ann_core::{CancelToken, QueryError};
+// ---- every algorithm over the shared morsel engine ----
 
 fn triples(mut out: ann_core::stats::AnnOutput) -> Vec<(u64, u64, u64)> {
     out.sort();
@@ -232,6 +220,66 @@ fn request_threads_counters_match_serial() {
         assert_eq!(serial.pruned_on_probe, par.pruned_on_probe, "{name}");
         assert_eq!(serial.r_nodes_expanded, par.r_nodes_expanded, "{name}");
         assert_eq!(serial.s_nodes_expanded, par.s_nodes_expanded, "{name}");
+    }
+}
+
+/// The trace is thread-count-invariant too: the same phases (never a
+/// `seed` phase — the root probe runs under `join` at every count), the
+/// same per-reason prune totals and node-expansion counts as the serial
+/// run, and no span left open.
+#[test]
+fn trace_shape_is_thread_count_invariant() {
+    let pts = ann_datagen::gaussian_clusters::<2>(3000, 12, 0.02, 48);
+    let p = pool(2048);
+    let tree = Mbrqt::bulk_build(p, &pts, &MbrqtConfig::default()).unwrap();
+    for (algorithm, prepares) in [
+        (Algorithm::mba(), None),
+        (Algorithm::bnn(), Some("sort")),
+        (Algorithm::Mnn, None),
+        (Algorithm::hnn(), Some("build")),
+    ] {
+        let name = algorithm.name();
+        let want_phases: Vec<&str> = prepares.into_iter().chain(["join", "query"]).collect();
+        let traced = |threads: usize| {
+            let sink = RecordingSink::new();
+            AnnRequest::new(algorithm)
+                .k(2)
+                .exclude_self(true)
+                .threads(threads)
+                .trace(&sink)
+                .run(Input::Index(&tree), Input::Index(&tree))
+                .unwrap();
+            assert_eq!(sink.open_spans(), 0, "{name} threads={threads}");
+            sink.report(name)
+        };
+        let serial = traced(1);
+        for threads in [1usize, 2, 3] {
+            let report = traced(threads);
+            let phases: Vec<&str> = report.phases.iter().map(|ph| ph.phase).collect();
+            assert_eq!(phases, want_phases, "{name} threads={threads}: phases");
+            let prunes = |r: &ExecutionReport| -> Vec<(&str, &str, u64)> {
+                r.prunes
+                    .iter()
+                    .map(|p| (p.metric, p.reason, p.count))
+                    .collect()
+            };
+            assert_eq!(
+                prunes(&report),
+                prunes(&serial),
+                "{name} threads={threads}: prune totals"
+            );
+            let expansions = |r: &ExecutionReport| -> Vec<(&str, u32, u64, u64)> {
+                r.levels
+                    .iter()
+                    .map(|l| (l.side, l.level, l.expansions, l.objects))
+                    .collect()
+            };
+            assert_eq!(
+                expansions(&report),
+                expansions(&serial),
+                "{name} threads={threads}: node expansions"
+            );
+        }
     }
 }
 

@@ -1,20 +1,10 @@
 //! The unified-entrypoint contract: every [`Algorithm`] variant driven
-//! through `ann_core::query::run` must match brute-force ground truth,
-//! stay counter-identical to the legacy entrypoints, and stay
-//! counter-identical with a recording [`TraceSink`] attached (tracing
+//! through `ann_core::query::run` must match brute-force ground truth and
+//! stay counter-identical with a recording [`TraceSink`] attached (tracing
 //! observes; it never steers).
 
-
-// The per-algorithm entrypoints these tests drive are deprecated thin
-// delegates now; exercising them here is the point (they must stay
-// identical to the canonical `query::run` path).
-#![allow(deprecated)]
-use ann_core::bnn::{bnn, BnnConfig};
 use ann_core::brute::brute_force_aknn;
-use ann_core::hnn::{hnn, HnnConfig};
 use ann_core::knn::knn;
-use ann_core::mba::{mba, Expansion, MbaConfig, Traversal};
-use ann_core::mnn::{mnn, MnnConfig};
 use ann_core::prelude::*;
 use ann_core::trace::Side;
 use ann_geom::{NxnDist, Point};
@@ -179,99 +169,39 @@ fn fresh_indexes<const D: usize>(
     (ir, is)
 }
 
-/// With no sink (and with one), the unified entrypoint must produce the
-/// very same `AnnStats` — including logical/physical page counters — as
-/// the legacy per-algorithm entrypoints. Each run gets freshly built
+/// With a recording sink attached, the unified entrypoint must produce
+/// the very same `AnnStats` — including logical/physical page counters —
+/// and the same results as without one. Each run gets freshly built
 /// indices so every comparison starts from the same cold state.
 #[test]
-fn unified_entrypoint_is_counter_identical_to_legacy() {
+fn recording_sink_does_not_perturb_counters() {
     let r = random_points::<2>(400, 77);
     let s = random_points::<2>(420, 88);
-
-    type Variant<'a> = (
-        &'a str,
-        Algorithm,
-        Box<dyn Fn(&Mbrqt<2>, &RStar<2>) -> AnnOutput>,
-    );
     let k = 3;
-    let r2 = r.clone();
-    let variants: Vec<Variant> = vec![
-        (
-            "mba",
-            Algorithm::Mba {
-                traversal: Traversal::default(),
-                expansion: Expansion::default(),
-                threads: 1,
-            },
-            Box::new(move |ir, is| {
-                let cfg = MbaConfig {
-                    k,
-                    ..Default::default()
-                };
-                mba::<2, NxnDist, _, _>(ir, is, &cfg).unwrap()
-            }),
-        ),
-        (
-            "bnn",
-            Algorithm::Bnn { group_size: 64 },
-            Box::new(move |_ir, is| {
-                let cfg = BnnConfig {
-                    k,
-                    group_size: 64,
-                    exclude_self: false,
-                };
-                bnn::<2, NxnDist, _>(&r2, is, &cfg).unwrap()
-            }),
-        ),
-        (
-            "mnn",
-            Algorithm::Mnn,
-            Box::new(move |ir, is| {
-                let cfg = MnnConfig {
-                    k,
-                    exclude_self: false,
-                };
-                mnn::<2, NxnDist, _, _>(ir, is, &cfg).unwrap()
-            }),
-        ),
-    ];
 
-    for (name, alg, legacy) in variants {
-        let (ir, is) = fresh_indexes(&r, &s);
-        // The unified entrypoint returns canonical (r_oid, dist, s_oid)
-        // order at every thread count; the legacy entrypoints emit
-        // traversal order. Canonicalize before comparing content.
-        let mut legacy_out = legacy(&ir, &is);
-        legacy_out.sort();
-
-        let (ir, is) = fresh_indexes(&r, &s);
-        let req = AnnRequest::new(alg).k(k);
-        let plain_out = match alg {
-            Algorithm::Bnn { .. } => req.run(Input::<2, NoIndex>::Points(&r), Input::Index(&is)),
-            _ => req.run(Input::Index(&ir), Input::Index(&is)),
-        }
-        .unwrap();
-
-        let (ir, is) = fresh_indexes(&r, &s);
+    for alg in [
+        Algorithm::mba(),
+        Algorithm::Bnn { group_size: 64 },
+        Algorithm::Mnn,
+    ] {
+        let name = alg.name();
+        let run = |req: AnnRequest<'_>| {
+            let (ir, is) = fresh_indexes(&r, &s);
+            match alg {
+                Algorithm::Bnn { .. } => {
+                    req.run(Input::<2, NoIndex>::Points(&r), Input::Index(&is))
+                }
+                _ => req.run(Input::Index(&ir), Input::Index(&is)),
+            }
+            .unwrap()
+        };
+        let plain_out = run(AnnRequest::new(alg).k(k));
         let sink = RecordingSink::new();
-        let req = AnnRequest::new(alg).k(k).trace(&sink);
-        let traced_out = match alg {
-            Algorithm::Bnn { .. } => req.run(Input::<2, NoIndex>::Points(&r), Input::Index(&is)),
-            _ => req.run(Input::Index(&ir), Input::Index(&is)),
-        }
-        .unwrap();
+        let traced_out = run(AnnRequest::new(alg).k(k).trace(&sink));
 
-        assert_eq!(
-            plain_out.stats, legacy_out.stats,
-            "{name}: unified vs legacy stats"
-        );
         assert_eq!(
             traced_out.stats, plain_out.stats,
             "{name}: recording sink must not perturb counters"
-        );
-        assert_eq!(
-            plain_out.results, legacy_out.results,
-            "{name}: unified vs legacy results"
         );
         assert_eq!(
             traced_out.results, plain_out.results,
@@ -280,23 +210,19 @@ fn unified_entrypoint_is_counter_identical_to_legacy() {
     }
 
     // HNN is poolless; one dataset pair suffices.
-    let h_cfg = HnnConfig {
-        k,
-        ..Default::default()
+    let run_hnn = |req: AnnRequest<'_>| {
+        req.k(k)
+            .run(
+                Input::<2, NoIndex>::Points(&r),
+                Input::<2, NoIndex>::Points(&s),
+            )
+            .unwrap()
     };
-    let mut legacy_out = hnn(&r, &s, &h_cfg).unwrap();
-    legacy_out.sort();
+    let plain_out = run_hnn(AnnRequest::new(Algorithm::hnn()));
     let sink = RecordingSink::new();
-    let traced_out = AnnRequest::new(Algorithm::hnn())
-        .k(k)
-        .trace(&sink)
-        .run(
-            Input::<2, NoIndex>::Points(&r),
-            Input::<2, NoIndex>::Points(&s),
-        )
-        .unwrap();
-    assert_eq!(traced_out.stats, legacy_out.stats, "hnn stats");
-    assert_eq!(traced_out.results, legacy_out.results, "hnn results");
+    let traced_out = run_hnn(AnnRequest::new(Algorithm::hnn()).trace(&sink));
+    assert_eq!(traced_out.stats, plain_out.stats, "hnn stats");
+    assert_eq!(traced_out.results, plain_out.results, "hnn results");
 }
 
 /// Every span a traced run opens must be closed by the time it returns,

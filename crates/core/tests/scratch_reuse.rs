@@ -6,21 +6,11 @@
 //! byte-stable footprint across 100 queries proves the pooled paths
 //! performed no reallocation after warm-up.
 //!
-//! Also asserts that the scratch-threaded entrypoints return exactly what
-//! the transient-scratch entrypoints return: pooling is invisible.
+//! Also asserts that `run_scratch` with a caller-owned arena returns
+//! exactly what `run` with a transient one returns: pooling is invisible.
 
-
-// The per-algorithm entrypoints these tests drive are deprecated thin
-// delegates now; exercising them here is the point (they must stay
-// identical to the canonical `query::run` path).
-#![allow(deprecated)]
-use ann_core::bnn::{bnn, bnn_traced_scratch, BnnConfig};
-use ann_core::hnn::{hnn, hnn_traced_scratch, HnnConfig};
 use ann_core::knn::{knn, knn_scratch};
-use ann_core::mba::{mba, mba_scratch, MbaConfig};
-use ann_core::mnn::{mnn, mnn_traced_scratch, MnnConfig};
 use ann_core::prelude::*;
-use ann_core::trace::Tracer;
 use ann_core::QueryScratch;
 use ann_geom::{NxnDist, Point};
 use ann_mbrqt::{Mbrqt, MbrqtConfig};
@@ -98,13 +88,12 @@ fn mba_steady_state_reallocates_nothing() {
     let s = random_points::<2>(700, 2);
     let ir = build_tree(&r);
     let is = build_tree(&s);
-    let cfg = MbaConfig {
-        k: 3,
-        ..Default::default()
-    };
-    let want = mba::<2, NxnDist, _, _>(&ir, &is, &cfg).unwrap();
+    let req = AnnRequest::new(Algorithm::mba()).k(3);
+    let want = req.run(Input::Index(&ir), Input::Index(&is)).unwrap();
     assert_steady_state("mba", |scratch| {
-        let got = mba_scratch::<2, NxnDist, _, _>(&ir, &is, &cfg, scratch).unwrap();
+        let got = req
+            .run_scratch(Input::Index(&ir), Input::Index(&is), scratch)
+            .unwrap();
         assert_eq!(got.results, want.results);
         assert_eq!(got.stats.distance_computations, want.stats.distance_computations);
         assert_eq!(got.stats.enqueued, want.stats.enqueued);
@@ -117,15 +106,12 @@ fn mnn_steady_state_reallocates_nothing() {
     let s = random_points::<2>(400, 4);
     let ir = build_tree(&r);
     let is = build_tree(&s);
-    let cfg = MnnConfig {
-        k: 2,
-        ..Default::default()
-    };
-    let want = mnn::<2, NxnDist, _, _>(&ir, &is, &cfg).unwrap();
+    let req = AnnRequest::new(Algorithm::Mnn).k(2);
+    let want = req.run(Input::Index(&ir), Input::Index(&is)).unwrap();
     assert_steady_state("mnn", |scratch| {
-        let got =
-            mnn_traced_scratch::<2, NxnDist, _, _>(&ir, &is, &cfg, Tracer::disabled(), scratch)
-                .unwrap();
+        let got = req
+            .run_scratch(Input::Index(&ir), Input::Index(&is), scratch)
+            .unwrap();
         assert_eq!(got.results, want.results);
         assert_eq!(got.stats.distance_computations, want.stats.distance_computations);
     });
@@ -136,16 +122,13 @@ fn bnn_steady_state_reallocates_nothing() {
     let r = random_points::<2>(500, 5);
     let s = random_points::<2>(500, 6);
     let is = build_tree(&s);
-    let cfg = BnnConfig {
-        k: 2,
-        group_size: 64,
-        ..Default::default()
-    };
-    let want = bnn::<2, NxnDist, _>(&r, &is, &cfg).unwrap();
+    let req = AnnRequest::new(Algorithm::Bnn { group_size: 64 }).k(2);
+    let r_side = || Input::<2, NoIndex>::Points(&r);
+    let want = req.run(r_side(), Input::Index(&is)).unwrap();
     assert_steady_state("bnn", |scratch| {
-        let got =
-            bnn_traced_scratch::<2, NxnDist, _>(&r, &is, &cfg, Tracer::disabled(), scratch)
-                .unwrap();
+        let got = req
+            .run_scratch(r_side(), Input::Index(&is), scratch)
+            .unwrap();
         assert_eq!(got.results, want.results);
         assert_eq!(got.stats.distance_computations, want.stats.distance_computations);
     });
@@ -155,13 +138,18 @@ fn bnn_steady_state_reallocates_nothing() {
 fn hnn_steady_state_reallocates_nothing() {
     let r = random_points::<2>(400, 7);
     let s = random_points::<2>(400, 8);
-    let cfg = HnnConfig {
-        k: 2,
-        ..Default::default()
+    let req = AnnRequest::new(Algorithm::hnn()).k(2);
+    let sides = || {
+        (
+            Input::<2, NoIndex>::Points(&r),
+            Input::<2, NoIndex>::Points(&s),
+        )
     };
-    let want = hnn(&r, &s, &cfg).unwrap();
+    let (r_side, s_side) = sides();
+    let want = req.run(r_side, s_side).unwrap();
     assert_steady_state("hnn", |scratch| {
-        let got = hnn_traced_scratch(&r, &s, &cfg, Tracer::disabled(), scratch).unwrap();
+        let (r_side, s_side) = sides();
+        let got = req.run_scratch(r_side, s_side, scratch).unwrap();
         assert_eq!(got.results, want.results);
         assert_eq!(got.stats.distance_computations, want.stats.distance_computations);
     });

@@ -469,22 +469,14 @@ fn execute(
     // than oversubscribing the box. Grabbed after the pin fallible
     // section so every early return above cannot strand a grant.
     //
-    // The MBA variant carries its own wire-level `threads` knob that the
-    // core falls back to whenever the request-level value is 1, so fold
-    // it into the ask and overwrite it with the grant below — otherwise
-    // a body like {"algorithm":{"name":"mba",...,"threads":N}} with no
-    // top-level field would bypass the compute-token clamp entirely.
-    let asked = match job.spec.threads {
-        1 => match job.spec.algorithm {
-            Algorithm::Mba { threads, .. } => threads,
-            _ => 1,
-        },
-        n => n,
-    };
-    let wanted = match asked {
-        1 => 1,
-        n => ann_core::morsel::resolve_threads(n),
-    };
+    // `effective_threads` is the core's own precedence rule (the MBA
+    // variant's wire-level `threads` knob applies whenever the
+    // request-level value is 1), so the ask covers exactly what the join
+    // driver would resolve; the variant knob is overwritten with the
+    // grant below — otherwise a body like
+    // {"algorithm":{"name":"mba",...,"threads":N}} with no top-level
+    // field would bypass the compute-token clamp entirely.
+    let wanted = ann_core::morsel::resolve_threads(req.effective_threads());
     let extra = if wanted > 1 {
         ctx.compute.try_take(wanted - 1)
     } else {

@@ -11,7 +11,7 @@
 //! # Sharding
 //!
 //! The paper runs single-threaded against SHORE's one buffer pool; our
-//! `mba_parallel` extension fans the traversal across cores, and a single
+//! parallel-join extension fans the traversal across cores, and a single
 //! pool mutex serializes every page touch. The pool is therefore striped
 //! into [`DEFAULT_SHARDS`] sub-pools (see [`BufferPool::with_shards`]),
 //! each an exact-LRU pool over the pages with `page % shards == i`, each

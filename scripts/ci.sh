@@ -21,6 +21,13 @@ for workload in join2d_hot join10d_cold; do
     grep -Eq '^\{"correct": true, "attempted": [0-9]+, "failed": 0,' ||
     { echo "ci: perf $workload did not end in correct: true, failed: 0" >&2; exit 1; }
 done
+# The per-algorithm entrypoint fan is gone (DESIGN.md §16: one `run` per
+# algorithm behind `query::run_scratch`); nothing may bring a deprecated
+# shim, or a test that needs one, back.
+if git grep -nE '#!?\[(allow\()?deprecated' -- crates src tests examples; then
+  echo "ci: deprecated items or allow(deprecated) found outside perf/" >&2
+  exit 1
+fi
 if [ "${1:-}" = offline ]; then
   exit 0
 fi
@@ -88,9 +95,10 @@ print(f"validated {len(rep['rows'])} parallel-join rows across "
 EOF
 
 # Observability gate: every Algorithm variant through the unified
-# entrypoint must match brute force, stay counter-identical to the
-# legacy entrypoints, and stay counter-identical with a recording
-# TraceSink attached (query_equivalence covers sink-on/sink-off).
+# entrypoint must match brute force at every thread count, reproduce the
+# frozen counters on three seeded inputs, and stay counter-identical with
+# a recording TraceSink attached (query_equivalence covers
+# sink-on/sink-off).
 cargo test -q -p ann-core --test query_equivalence
 
 # Correctness-harness gate (DESIGN.md §10): fixed-seed differential fuzz

@@ -2,19 +2,10 @@
 //! both indices, every join algorithm — exercised together through the
 //! `allnn` facade.
 
-
-// The per-algorithm entrypoints these tests drive are deprecated thin
-// delegates now; exercising them here is the point (they must stay
-// identical to the canonical `query::run` path).
-#![allow(deprecated)]
-use allnn::core::bnn::{bnn, BnnConfig};
 use allnn::core::brute::brute_force_aknn;
-use allnn::core::hnn::{hnn, HnnConfig};
 use allnn::core::index::validate;
-use allnn::core::mba::{mba, MbaConfig};
-use allnn::core::mnn::{mnn, MnnConfig};
+use allnn::core::query::{Algorithm, AnnRequest, Input, NoIndex};
 use allnn::core::stats::NeighborPair;
-use allnn::geom::NxnDist;
 use allnn::gorder::{gorder_join, GorderConfig};
 use allnn::mbrqt::{Mbrqt, MbrqtConfig};
 use allnn::rstar::{RStar, RStarConfig};
@@ -60,38 +51,22 @@ fn all_six_methods_agree() {
     let qt = Mbrqt::bulk_build(pool.clone(), &data, &MbrqtConfig::default()).unwrap();
     let rs = RStar::bulk_build(pool.clone(), &data, &RStarConfig::default()).unwrap();
 
-    let mba_cfg = MbaConfig {
-        k,
-        exclude_self: true,
-        ..Default::default()
-    };
-    let mba_out = mba::<2, NxnDist, _, _>(&qt, &qt, &mba_cfg).unwrap();
+    let request = |algorithm| AnnRequest::new(algorithm).k(k).exclude_self(true);
+    let mba = request(Algorithm::mba());
+    let mba_out = mba.run(Input::Index(&qt), Input::Index(&qt)).unwrap();
     assert_agrees(&canonical(mba_out.results), &truth, "MBA");
 
-    let rba_out = mba::<2, NxnDist, _, _>(&rs, &rs, &mba_cfg).unwrap();
+    let rba_out = mba.run(Input::Index(&rs), Input::Index(&rs)).unwrap();
     assert_agrees(&canonical(rba_out.results), &truth, "RBA");
 
-    let bnn_out = bnn::<2, NxnDist, _>(
-        &data,
-        &rs,
-        &BnnConfig {
-            k,
-            group_size: 128,
-            exclude_self: true,
-        },
-    )
-    .unwrap();
+    let bnn_out = request(Algorithm::Bnn { group_size: 128 })
+        .run(Input::<2, NoIndex>::Points(&data), Input::Index(&rs))
+        .unwrap();
     assert_agrees(&canonical(bnn_out.results), &truth, "BNN");
 
-    let mnn_out = mnn::<2, NxnDist, _, _>(
-        &qt,
-        &rs,
-        &MnnConfig {
-            k,
-            exclude_self: true,
-        },
-    )
-    .unwrap();
+    let mnn_out = request(Algorithm::Mnn)
+        .run(Input::Index(&qt), Input::Index(&rs))
+        .unwrap();
     assert_agrees(&canonical(mnn_out.results), &truth, "MNN");
 
     let g_out = gorder_join(
@@ -107,16 +82,12 @@ fn all_six_methods_agree() {
     .unwrap();
     assert_agrees(&canonical(g_out.results), &truth, "GORDER");
 
-    let h_out = hnn(
-        &data,
-        &data,
-        &HnnConfig {
-            k,
-            exclude_self: true,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let h_out = request(Algorithm::hnn())
+        .run(
+            Input::<2, NoIndex>::Points(&data),
+            Input::<2, NoIndex>::Points(&data),
+        )
+        .unwrap();
     assert_agrees(&canonical(h_out.results), &truth, "HNN");
 }
 
@@ -147,12 +118,11 @@ fn file_backed_end_to_end() {
     assert_eq!(validate(&qt).unwrap().objects, 2_000);
     assert_eq!(validate(&rs).unwrap().objects, 2_000);
 
-    let cfg = MbaConfig {
-        exclude_self: true,
-        ..Default::default()
-    };
     pool.clear().unwrap(); // cold cache for the query phase
-    let out = mba::<2, NxnDist, _, _>(&qt, &rs, &cfg).unwrap();
+    let out = AnnRequest::new(Algorithm::mba())
+        .exclude_self(true)
+        .run(Input::Index(&qt), Input::Index(&rs))
+        .unwrap();
     assert_agrees(&canonical(out.results), &truth, "file-backed");
     assert!(out.stats.io.physical_reads > 0, "cold start must hit disk");
 
@@ -168,12 +138,11 @@ fn results_independent_of_pool_size() {
     for frames in [8usize, 64, 1024] {
         let pool = Arc::new(BufferPool::new(MemDisk::new(), frames));
         let qt = Mbrqt::bulk_build(pool.clone(), &data, &MbrqtConfig::default()).unwrap();
-        let cfg = MbaConfig {
-            k: 2,
-            exclude_self: true,
-            ..Default::default()
-        };
-        let out = mba::<10, NxnDist, _, _>(&qt, &qt, &cfg).unwrap();
+        let out = AnnRequest::new(Algorithm::mba())
+            .k(2)
+            .exclude_self(true)
+            .run(Input::Index(&qt), Input::Index(&qt))
+            .unwrap();
         let canon = canonical(out.results);
         match &reference {
             None => reference = Some(canon),
@@ -192,7 +161,9 @@ fn separate_pools_per_index() {
     let pool_s = Arc::new(BufferPool::new(MemDisk::new(), 16));
     let ir = Mbrqt::bulk_build(pool_r, &r, &MbrqtConfig::default()).unwrap();
     let is = Mbrqt::bulk_build(pool_s, &s, &MbrqtConfig::default()).unwrap();
-    let out = mba::<2, NxnDist, _, _>(&ir, &is, &MbaConfig::default()).unwrap();
+    let out = AnnRequest::new(Algorithm::mba())
+        .run(Input::Index(&ir), Input::Index(&is))
+        .unwrap();
     let truth = canonical(brute_force_aknn(&r, &s, 1, false));
     assert_agrees(&canonical(out.results), &truth, "separate pools");
     assert!(out.stats.io.logical_reads > 0);
@@ -206,12 +177,11 @@ fn aknn_produces_k_results_per_query() {
     let pool = Arc::new(BufferPool::new(MemDisk::new(), 256));
     let qt = Mbrqt::bulk_build(pool, &data, &MbrqtConfig::default()).unwrap();
     for k in [1usize, 10] {
-        let cfg = MbaConfig {
-            k,
-            exclude_self: true,
-            ..Default::default()
-        };
-        let out = mba::<2, NxnDist, _, _>(&qt, &qt, &cfg).unwrap();
+        let out = AnnRequest::new(Algorithm::mba())
+            .k(k)
+            .exclude_self(true)
+            .run(Input::Index(&qt), Input::Index(&qt))
+            .unwrap();
         assert_eq!(out.results.len(), 5_000 * k);
         // Per-query counts.
         let mut counts = std::collections::HashMap::new();
