@@ -30,7 +30,7 @@
 //! with I/O deltas, per-level node-expansion histograms, and the
 //! pruning-effectiveness breakdown). Measured counters are unaffected.
 
-use ann_bench::{figures, report::Figure};
+use ann_bench::{figures, report::Report};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -117,82 +117,12 @@ fn usage() -> String {
         .to_string()
 }
 
-fn emit(fig: Figure, json_dir: &Option<PathBuf>) {
-    print!("{}", fig.render());
-    println!();
-    if let Some(dir) = json_dir {
-        if let Err(e) = fig.write_json(dir) {
-            eprintln!("warning: could not write JSON for {}: {e}", fig.id);
-        }
-    }
-}
-
-fn emit_scaling(rep: ann_bench::report::ScalingReport, json_dir: &Option<PathBuf>) {
+fn emit(rep: impl Report, json_dir: &Option<PathBuf>) {
     print!("{}", rep.render());
     println!();
     if let Some(dir) = json_dir {
         if let Err(e) = rep.write_json(dir) {
-            eprintln!("warning: could not write JSON for {}: {e}", rep.id);
-        }
-    }
-}
-
-fn emit_parallel_join(rep: ann_bench::report::ParallelJoinReport, json_dir: &Option<PathBuf>) {
-    print!("{}", rep.render());
-    println!();
-    if let Some(dir) = json_dir {
-        if let Err(e) = rep.write_json(dir) {
-            eprintln!("warning: could not write JSON for {}: {e}", rep.id);
-        }
-    }
-}
-
-fn emit_kernels(rep: ann_bench::report::KernelsReport, json_dir: &Option<PathBuf>) {
-    print!("{}", rep.render());
-    println!();
-    if let Some(dir) = json_dir {
-        if let Err(e) = rep.write_json(dir) {
-            eprintln!("warning: could not write JSON for {}: {e}", rep.id);
-        }
-    }
-}
-
-fn emit_robustness(rep: ann_bench::report::RobustnessReport, json_dir: &Option<PathBuf>) {
-    print!("{}", rep.render());
-    println!();
-    if let Some(dir) = json_dir {
-        if let Err(e) = rep.write_json(dir) {
-            eprintln!("warning: could not write JSON for {}: {e}", rep.id);
-        }
-    }
-}
-
-fn emit_outofcore(rep: ann_bench::report::OutofcoreReport, json_dir: &Option<PathBuf>) {
-    print!("{}", rep.render());
-    println!();
-    if let Some(dir) = json_dir {
-        if let Err(e) = rep.write_json(dir) {
-            eprintln!("warning: could not write JSON for {}: {e}", rep.id);
-        }
-    }
-}
-
-fn emit_serving(rep: ann_bench::report::ServingReport, json_dir: &Option<PathBuf>) {
-    print!("{}", rep.render());
-    println!();
-    if let Some(dir) = json_dir {
-        if let Err(e) = rep.write_json(dir) {
-            eprintln!("warning: could not write JSON for {}: {e}", rep.id);
-        }
-    }
-}
-
-fn emit_mvcc(rep: ann_bench::report::MvccReport, json_dir: &Option<PathBuf>) {
-    print!("{}", rep.render());
-    println!();
-    if let Some(dir) = json_dir {
-        if let Err(e) = rep.write_json(dir) {
-            eprintln!("warning: could not write JSON for {}: {e}", rep.id);
+            eprintln!("warning: could not write JSON for {}: {e}", rep.id());
         }
     }
 }
@@ -230,23 +160,23 @@ fn main() -> ExitCode {
         "extra-hnn" => emit(figures::extra_hnn(f), &args.json_dir),
         "ablation-packing" => emit(figures::ablation_packing(f), &args.json_dir),
         "extra-parallel" => emit(figures::extra_parallel(f), &args.json_dir),
-        "parallel-scaling" => emit_scaling(figures::parallel_scaling(f), &args.json_dir),
-        "parallel-join" => emit_parallel_join(figures::parallel_join(f), &args.json_dir),
-        "kernels" => emit_kernels(figures::kernels_bench(f), &args.json_dir),
-        "robustness" => emit_robustness(figures::robustness_bench(f), &args.json_dir),
-        "outofcore" => emit_outofcore(figures::outofcore(f, &args.outofcore), &args.json_dir),
-        "serving" => emit_serving(figures::serving(f), &args.json_dir),
-        "mvcc" => emit_mvcc(figures::mvcc(f), &args.json_dir),
+        "parallel-scaling" => emit(figures::parallel_scaling(f), &args.json_dir),
+        "parallel-join" => emit(figures::parallel_join(f), &args.json_dir),
+        "kernels" => emit(figures::kernels_bench(f), &args.json_dir),
+        "robustness" => emit(figures::robustness_bench(f), &args.json_dir),
+        "outofcore" => emit(figures::outofcore(f, &args.outofcore), &args.json_dir),
+        "serving" => emit(figures::serving(f), &args.json_dir),
+        "mvcc" => emit(figures::mvcc(f), &args.json_dir),
         "all" => {
             for fig in figures::all(f) {
                 emit(fig, &args.json_dir);
             }
-            emit_scaling(figures::parallel_scaling(f), &args.json_dir);
-            emit_parallel_join(figures::parallel_join(f), &args.json_dir);
-            emit_kernels(figures::kernels_bench(f), &args.json_dir);
-            emit_robustness(figures::robustness_bench(f), &args.json_dir);
-            emit_serving(figures::serving(f), &args.json_dir);
-            emit_mvcc(figures::mvcc(f), &args.json_dir);
+            emit(figures::parallel_scaling(f), &args.json_dir);
+            emit(figures::parallel_join(f), &args.json_dir);
+            emit(figures::kernels_bench(f), &args.json_dir);
+            emit(figures::robustness_bench(f), &args.json_dir);
+            emit(figures::serving(f), &args.json_dir);
+            emit(figures::mvcc(f), &args.json_dir);
         }
         "list-datasets" => print!("{}", figures::table2(f)),
         other => {

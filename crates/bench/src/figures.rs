@@ -503,8 +503,9 @@ pub fn parallel_scaling(fraction: f64) -> crate::report::ScalingReport {
 /// single-thread run. The identity bit is the load-bearing output: the
 /// work-stealing engine must produce the exact serial pair set at every
 /// thread count, on every workload shape. CI validates the schema and
-/// the identity bits unconditionally, and the 4-thread speedup only when
-/// `ANN_ASSERT_SPEEDUP=1` (wall clock is meaningless on 1-core hosts).
+/// the identity bits unconditionally, and the 4-thread speedup when the
+/// artifact's own `host_cores` is at least 4 (wall clock is meaningless
+/// on hosts with fewer cores than workers).
 ///
 /// [`AnnRequest`]: ann_core::query::AnnRequest
 pub fn parallel_join(fraction: f64) -> crate::report::ParallelJoinReport {
@@ -590,20 +591,6 @@ pub fn parallel_join(fraction: f64) -> crate::report::ParallelJoinReport {
         }
     }
     report
-}
-
-/// SplitMix64 step — a tiny deterministic generator so the kernels study
-/// (and its offline mirror under `target/devcheck`) needs no RNG crate.
-fn splitmix_next(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn unit_f64(state: &mut u64) -> f64 {
-    (splitmix_next(state) >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// Timings for one benchmark pipeline: cold and warm seconds for each
@@ -754,12 +741,12 @@ pub fn kernels_bench(fraction: f64) -> crate::report::KernelsReport {
 
     macro_rules! sweep {
         ($dim:literal) => {{
-            let mut st: u64 = SEED ^ ($dim as u64);
+            let mut rng = ann_datagen::Rng::new(SEED ^ ($dim as u64));
             let pts: Vec<Point<$dim>> = (0..n)
                 .map(|_| {
                     let mut c = [0.0; $dim];
                     for v in c.iter_mut() {
-                        *v = unit_f64(&mut st) * 100.0;
+                        *v = rng.f64() * 100.0;
                     }
                     Point::new(c)
                 })
@@ -775,8 +762,8 @@ pub fn kernels_bench(fraction: f64) -> crate::report::KernelsReport {
                     let mut lo = [0.0; $dim];
                     let mut hi = [0.0; $dim];
                     for d in 0..$dim {
-                        lo[d] = unit_f64(&mut st) * 100.0;
-                        hi[d] = lo[d] + unit_f64(&mut st) * 5.0;
+                        lo[d] = rng.f64() * 100.0;
+                        hi[d] = lo[d] + rng.f64() * 5.0;
                     }
                     Mbr::new(lo, hi)
                 })
@@ -793,9 +780,9 @@ pub fn kernels_bench(fraction: f64) -> crate::report::KernelsReport {
             let mut qlo = [0.0; $dim];
             let mut qhi = [0.0; $dim];
             for d in 0..$dim {
-                qc[d] = unit_f64(&mut st) * 100.0;
-                qlo[d] = unit_f64(&mut st) * 100.0;
-                qhi[d] = qlo[d] + unit_f64(&mut st) * 10.0;
+                qc[d] = rng.f64() * 100.0;
+                qlo[d] = rng.f64() * 100.0;
+                qhi[d] = qlo[d] + rng.f64() * 10.0;
             }
             let q = Point::new(qc);
             let qm = Mbr::new(qlo, qhi);
@@ -1455,51 +1442,6 @@ pub fn table2(fraction: f64) -> String {
     out
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Smoke test: every generator runs end-to-end at a tiny fraction.
-    /// (Figure *values* are covered by the EXPERIMENTS.md runs; here we
-    /// only assert structure.)
-    #[test]
-    fn generators_produce_expected_row_counts() {
-        let f = 0.003; // floors to the 2000-point minimum everywhere
-        assert_eq!(fig3a(f).rows.len(), 7);
-        assert_eq!(fig3b(f).rows.len(), 8);
-        assert_eq!(fig4(f).rows.len(), 6);
-        assert_eq!(fig5(f).rows.len(), 10);
-        assert_eq!(fig6(f).rows.len(), 10);
-        assert_eq!(ablation_traversal(f).rows.len(), 4);
-        assert_eq!(ablation_mbr(f).rows.len(), 3);
-        assert_eq!(extra_mnn(f).rows.len(), 2);
-    }
-
-    #[test]
-    fn every_method_produces_full_results() {
-        let f = 0.003;
-        for fig in [fig3a(f), fig4(f)] {
-            let expected = fig.rows[0].measurement.result_pairs;
-            assert!(expected > 0);
-            for row in &fig.rows {
-                assert_eq!(
-                    row.measurement.result_pairs, expected,
-                    "{} disagrees on result count",
-                    row.measurement.label
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn table2_lists_all_datasets() {
-        let t = table2(0.1);
-        for name in ["500K2D", "500K4D", "500K6D", "TAC", "FC"] {
-            assert!(t.contains(name));
-        }
-    }
-}
-
 /// The serving load sweep (`BENCH_serving`): the zero-dep HTTP
 /// front-end under closed-loop load.
 ///
@@ -1537,9 +1479,11 @@ pub fn serving(fraction: f64) -> crate::report::ServingReport {
         .collect();
     let rows: Vec<[f64; 2]> = points.iter().map(|(_, p)| [p.0[0], p.0[1]]).collect();
 
-    let mut spec = QuerySpec::default();
-    spec.k = k;
-    spec.exclude_self = true;
+    let spec = QuerySpec {
+        k,
+        exclude_self: true,
+        ..QuerySpec::default()
+    };
 
     // Library-side reference, canonicalized to "pairs only" in the
     // server's canonical `(r_oid, dist, s_oid)` wire order.
@@ -1718,9 +1662,11 @@ pub fn mvcc(fraction: f64) -> crate::report::MvccReport {
     tree.enable_versioning(DEFAULT_KEEP).expect("versioning");
     let handle = tree.versioned_handle().expect("versioned handle");
 
-    let mut spec = QuerySpec::default();
-    spec.k = k;
-    spec.exclude_self = true;
+    let spec = QuerySpec {
+        k,
+        exclude_self: true,
+        ..QuerySpec::default()
+    };
     let req = spec.to_request();
 
     // Warm the buffer pool and the node cache for the current version.
@@ -1855,5 +1801,50 @@ pub fn mvcc(fraction: f64) -> crate::report::MvccReport {
         keep: DEFAULT_KEEP,
         rows: vec![row_ro, row_w],
         reader_p95_ratio: ratio,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Smoke test: every generator runs end-to-end at a tiny fraction.
+    /// (Figure *values* are covered by the EXPERIMENTS.md runs; here we
+    /// only assert structure.)
+    #[test]
+    fn generators_produce_expected_row_counts() {
+        let f = 0.003; // floors to the 2000-point minimum everywhere
+        assert_eq!(fig3a(f).rows.len(), 7);
+        assert_eq!(fig3b(f).rows.len(), 8);
+        assert_eq!(fig4(f).rows.len(), 6);
+        assert_eq!(fig5(f).rows.len(), 10);
+        assert_eq!(fig6(f).rows.len(), 10);
+        assert_eq!(ablation_traversal(f).rows.len(), 4);
+        assert_eq!(ablation_mbr(f).rows.len(), 3);
+        assert_eq!(extra_mnn(f).rows.len(), 2);
+    }
+
+    #[test]
+    fn every_method_produces_full_results() {
+        let f = 0.003;
+        for fig in [fig3a(f), fig4(f)] {
+            let expected = fig.rows[0].measurement.result_pairs;
+            assert!(expected > 0);
+            for row in &fig.rows {
+                assert_eq!(
+                    row.measurement.result_pairs, expected,
+                    "{} disagrees on result count",
+                    row.measurement.label
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn table2_lists_all_datasets() {
+        let t = table2(0.1);
+        for name in ["500K2D", "500K4D", "500K6D", "TAC", "FC"] {
+            assert!(t.contains(name));
+        }
     }
 }

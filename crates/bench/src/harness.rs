@@ -15,7 +15,6 @@ use ann_gorder::{gorder_join_traced, GorderConfig};
 use ann_mbrqt::{Mbrqt, MbrqtConfig};
 use ann_rstar::{RStar, RStarConfig};
 use ann_store::{BufferPool, MemDisk};
-use serde::Serialize;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -33,7 +32,7 @@ pub const DEFAULT_POOL_FRAMES: usize = 64;
 
 /// Pruning metric selector (runtime dispatch over the compile-time
 /// [`ann_geom::PruneMetric`] strategies).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Metric {
     /// The paper's NXNDIST.
     Nxn,
@@ -52,7 +51,7 @@ impl Metric {
 }
 
 /// Algorithm selector.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Method {
     /// MBRQT-based ANN (the paper's contribution).
     Mba,
@@ -123,7 +122,7 @@ impl Default for RunConfig {
 }
 
 /// Measured outcome of one run.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Measurement {
     /// `"MBA NXNDIST"`-style label.
     pub label: String,
@@ -144,6 +143,18 @@ pub struct Measurement {
     /// Time spent building indices / sorted files (not part of the bars).
     pub build_seconds: f64,
 }
+
+crate::report::json_fields!(Measurement {
+    label,
+    cpu_seconds,
+    physical_pages,
+    io_seconds,
+    logical_reads,
+    result_pairs,
+    distance_computations,
+    enqueued,
+    build_seconds,
+});
 
 impl Measurement {
     fn from_output(label: String, output: &AnnOutput, cpu: f64, build: f64) -> Self {

@@ -1,12 +1,94 @@
 //! Table formatting and JSON dumping for experiment results.
 
 use crate::harness::Measurement;
-use serde::Serialize;
-use std::io::Write;
+use ann_core::wire::JsonValue;
 use std::path::Path;
 
+/// A value that becomes one JSON value in a report file.
+pub trait ToJson {
+    /// The value as JSON.
+    fn to_json(&self) -> JsonValue;
+}
+
+impl ToJson for String {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::Str(self.clone())
+    }
+}
+
+impl ToJson for bool {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::Bool(*self)
+    }
+}
+
+impl ToJson for f64 {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::Num(*self)
+    }
+}
+
+macro_rules! int_to_json {
+    ($($ty:ty),+) => {$(
+        impl ToJson for $ty {
+            fn to_json(&self) -> JsonValue {
+                JsonValue::Int(*self as u64)
+            }
+        }
+    )+};
+}
+int_to_json!(u32, u64, usize);
+
+impl<T: ToJson> ToJson for Option<T> {
+    fn to_json(&self) -> JsonValue {
+        self.as_ref().map_or(JsonValue::Null, T::to_json)
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::Arr(self.iter().map(T::to_json).collect())
+    }
+}
+
+/// Implements [`ToJson`] for a struct as an object of the listed fields,
+/// in the listed order, keyed by field name. The list must name every
+/// field: the destructuring pattern has no `..`, so a field added to the
+/// struct and forgotten here is a compile error.
+macro_rules! json_fields {
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
+        impl $crate::report::ToJson for $ty {
+            fn to_json(&self) -> ann_core::wire::JsonValue {
+                let $ty { $($field),+ } = self;
+                ann_core::wire::JsonValue::Obj(vec![
+                    $((stringify!($field).to_string(), $crate::report::ToJson::to_json($field))),+
+                ])
+            }
+        }
+    };
+}
+pub(crate) use json_fields;
+
+/// A regenerated figure or `BENCH_*` study: a text table for the
+/// terminal and a JSON document for `results/`.
+pub trait Report: ToJson {
+    /// Output id — also the JSON file stem.
+    fn id(&self) -> &str;
+
+    /// Renders the report as an aligned text table.
+    fn render(&self) -> String;
+
+    /// Writes the report as JSON under `dir/<id>.json` (for EXPERIMENTS.md
+    /// bookkeeping). Creates the directory when missing.
+    fn write_json(&self, dir: &Path) -> std::io::Result<()> {
+        std::fs::create_dir_all(dir)?;
+        let path = dir.join(format!("{}.json", self.id()));
+        std::fs::write(path, self.to_json().to_string())
+    }
+}
+
 /// A complete regenerated figure: its id, workload description, and rows.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Figure {
     /// Paper figure id (e.g. `"fig3a"`).
     pub id: String,
@@ -17,14 +99,25 @@ pub struct Figure {
     pub rows: Vec<FigureRow>,
 }
 
+json_fields!(Figure { id, workload, rows });
+
 /// One bar / series point.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct FigureRow {
     /// X-axis group (dataset, buffer size, dimensionality, k, ...).
     pub group: String,
-    /// The measurement.
-    #[serde(flatten)]
+    /// The measurement; its fields sit beside `group` in the JSON row.
     pub measurement: Measurement,
+}
+
+impl ToJson for FigureRow {
+    fn to_json(&self) -> JsonValue {
+        let mut fields = vec![("group".to_string(), self.group.to_json())];
+        if let JsonValue::Obj(measurement) = self.measurement.to_json() {
+            fields.extend(measurement);
+        }
+        JsonValue::Obj(fields)
+    }
 }
 
 impl Figure {
@@ -44,10 +137,15 @@ impl Figure {
             measurement: m,
         });
     }
+}
 
-    /// Renders the figure as an aligned text table (the same rows/series
-    /// the paper plots).
-    pub fn render(&self) -> String {
+impl Report for Figure {
+    fn id(&self) -> &str {
+        &self.id
+    }
+
+    /// The same rows/series the paper plots.
+    fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("== {} — {} ==\n", self.id, self.workload));
         out.push_str(&format!(
@@ -70,20 +168,10 @@ impl Figure {
         }
         out
     }
-
-    /// Writes the figure as JSON under `dir/<id>.json` (for EXPERIMENTS.md
-    /// bookkeeping). Creates the directory when missing.
-    pub fn write_json(&self, dir: &Path) -> std::io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{}.json", self.id));
-        let mut f = std::fs::File::create(path)?;
-        let body = serde_json::to_string_pretty(self).expect("serializable");
-        f.write_all(body.as_bytes())
-    }
 }
 
 /// One row of the thread-scaling study (`BENCH_parallel_scaling`).
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct ScalingRow {
     /// Pool variant the row ran against: `"sharded"` or `"single-mutex"`.
     pub pool: String,
@@ -110,10 +198,24 @@ pub struct ScalingRow {
     pub result_pairs: usize,
 }
 
+json_fields!(ScalingRow {
+    pool,
+    threads,
+    wall_seconds,
+    speedup_vs_one_thread,
+    speedup_vs_single_mutex,
+    pool_hits,
+    pool_misses,
+    lock_contention,
+    node_cache_hits,
+    node_cache_misses,
+    result_pairs,
+});
+
 /// The thread-scaling figure: sharded pool vs a single-mutex pool across
 /// worker-thread counts, with the concurrency counters that explain the
 /// difference.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct ScalingReport {
     /// Output id (`BENCH_parallel_scaling` — also the JSON file stem).
     pub id: String,
@@ -125,9 +227,14 @@ pub struct ScalingReport {
     pub rows: Vec<ScalingRow>,
 }
 
-impl ScalingReport {
-    /// Renders the report as an aligned text table.
-    pub fn render(&self) -> String {
+json_fields!(ScalingReport { id, workload, host_cores, rows });
+
+impl Report for ScalingReport {
+    fn id(&self) -> &str {
+        &self.id
+    }
+
+    fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("== {} — {} ==\n", self.id, self.workload));
         out.push_str(&format!(
@@ -161,19 +268,10 @@ impl ScalingReport {
         }
         out
     }
-
-    /// Writes the report as JSON under `dir/<id>.json`.
-    pub fn write_json(&self, dir: &Path) -> std::io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{}.json", self.id));
-        let mut f = std::fs::File::create(path)?;
-        let body = serde_json::to_string_pretty(self).expect("serializable");
-        f.write_all(body.as_bytes())
-    }
 }
 
 /// One row of the batched-kernel throughput study (`BENCH_kernels`).
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct KernelRow {
     /// Pipeline measured: `"point-leaf-scan"` (point→candidate-points
     /// distances, the HNN/BNN/brute inner loop) or `"mbr-probe"`
@@ -202,11 +300,24 @@ pub struct KernelRow {
     pub bit_identical: bool,
 }
 
+json_fields!(KernelRow {
+    kernel,
+    dims,
+    cache,
+    candidates,
+    scalar_seconds,
+    batched_seconds,
+    scalar_melems_per_sec,
+    batched_melems_per_sec,
+    speedup,
+    bit_identical,
+});
+
 /// The batched-kernel throughput figure: the scalar per-entry loops the
 /// algorithms used before the SoA kernels landed, against the batched
 /// kernels, on the same candidate sets — cold and warm cache, across
 /// dimensionalities. Emitted as `BENCH_kernels.json`.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct KernelsReport {
     /// Output id (`BENCH_kernels` — also the JSON file stem).
     pub id: String,
@@ -218,9 +329,14 @@ pub struct KernelsReport {
     pub rows: Vec<KernelRow>,
 }
 
-impl KernelsReport {
-    /// Renders the report as an aligned text table.
-    pub fn render(&self) -> String {
+json_fields!(KernelsReport { id, workload, lanes, rows });
+
+impl Report for KernelsReport {
+    fn id(&self) -> &str {
+        &self.id
+    }
+
+    fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("== {} — {} ==\n", self.id, self.workload));
         out.push_str(&format!(
@@ -253,19 +369,10 @@ impl KernelsReport {
         }
         out
     }
-
-    /// Writes the report as JSON under `dir/<id>.json`.
-    pub fn write_json(&self, dir: &Path) -> std::io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{}.json", self.id));
-        let mut f = std::fs::File::create(path)?;
-        let body = serde_json::to_string_pretty(self).expect("serializable");
-        f.write_all(body.as_bytes())
-    }
 }
 
 /// One row of the resilience-overhead study (`BENCH_robustness`).
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct RobustnessRow {
     /// Algorithm variant measured (e.g. `"mba"`, `"mba-2t"`, `"bnn"`).
     pub algorithm: String,
@@ -287,10 +394,20 @@ pub struct RobustnessRow {
     pub decision_identical: bool,
 }
 
+json_fields!(RobustnessRow {
+    algorithm,
+    n,
+    runs,
+    baseline_seconds,
+    armed_seconds,
+    overhead_percent,
+    decision_identical,
+});
+
 /// The resilience fault-free-overhead figure: every pool-backed variant
 /// (plus HNN) through the unified entrypoint, ungoverned vs fully armed,
 /// on the same warm indexes. Emitted as `BENCH_robustness.json`.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct RobustnessReport {
     /// Output id (`BENCH_robustness` — also the JSON file stem).
     pub id: String,
@@ -302,9 +419,14 @@ pub struct RobustnessReport {
     pub rows: Vec<RobustnessRow>,
 }
 
-impl RobustnessReport {
-    /// Renders the report as an aligned text table.
-    pub fn render(&self) -> String {
+json_fields!(RobustnessReport { id, workload, max_overhead_percent, rows });
+
+impl Report for RobustnessReport {
+    fn id(&self) -> &str {
+        &self.id
+    }
+
+    fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("== {} — {} ==\n", self.id, self.workload));
         out.push_str(&format!(
@@ -329,15 +451,6 @@ impl RobustnessReport {
         ));
         out
     }
-
-    /// Writes the report as JSON under `dir/<id>.json`.
-    pub fn write_json(&self, dir: &Path) -> std::io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{}.json", self.id));
-        let mut f = std::fs::File::create(path)?;
-        let body = serde_json::to_string_pretty(self).expect("serializable");
-        f.write_all(body.as_bytes())
-    }
 }
 
 /// One cell of the out-of-core sweep (`BENCH_outofcore`): an MBA
@@ -345,7 +458,7 @@ impl RobustnessReport {
 /// cold pool, with the prefetcher off or on.
 ///
 /// [`FileDisk`]: ann_store::FileDisk
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct OutofcoreRow {
     /// Points per side of the self-join.
     pub points: usize,
@@ -382,8 +495,25 @@ pub struct OutofcoreRow {
     pub identical_to_baseline: bool,
 }
 
+json_fields!(OutofcoreRow {
+    points,
+    pool_pages,
+    dataset_pages,
+    prefetch,
+    build_seconds,
+    wall_seconds,
+    logical_reads,
+    physical_reads,
+    prefetch_issued,
+    prefetch_hits,
+    prefetch_wasted,
+    prefetch_hit_rate,
+    result_pairs,
+    identical_to_baseline,
+});
+
 /// The ≥10⁷-point external-build validation row of `BENCH_outofcore`.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct OutofcoreCensus {
     /// Points streamed through the external build.
     pub points: usize,
@@ -401,10 +531,20 @@ pub struct OutofcoreCensus {
     pub census_complete: bool,
 }
 
+json_fields!(OutofcoreCensus {
+    points,
+    run_budget,
+    build_seconds,
+    validate_seconds,
+    census_seconds,
+    objects,
+    census_complete,
+});
+
 /// The out-of-core figure: streaming external builds plus the
 /// prefetch-off vs prefetch-on cold query sweep. Emitted as
 /// `BENCH_outofcore.json`.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct OutofcoreReport {
     /// Output id (`BENCH_outofcore` — also the JSON file stem).
     pub id: String,
@@ -418,9 +558,14 @@ pub struct OutofcoreReport {
     pub census: OutofcoreCensus,
 }
 
-impl OutofcoreReport {
-    /// Renders the report as an aligned text table.
-    pub fn render(&self) -> String {
+json_fields!(OutofcoreReport { id, workload, seed, rows, census });
+
+impl Report for OutofcoreReport {
+    fn id(&self) -> &str {
+        &self.id
+    }
+
+    fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("== {} — {} ==\n", self.id, self.workload));
         out.push_str(&format!(
@@ -469,21 +614,12 @@ impl OutofcoreReport {
         ));
         out
     }
-
-    /// Writes the report as JSON under `dir/<id>.json`.
-    pub fn write_json(&self, dir: &Path) -> std::io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{}.json", self.id));
-        let mut f = std::fs::File::create(path)?;
-        let body = serde_json::to_string_pretty(self).expect("serializable");
-        f.write_all(body.as_bytes())
-    }
 }
 
 /// One closed-loop serving load level (`BENCH_serving`): a fixed number
 /// of concurrent keep-alive clients, each issuing queries back-to-back
 /// against the in-process HTTP front-end.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct ServingRow {
     /// Concurrent closed-loop clients at this level.
     pub clients: usize,
@@ -508,11 +644,24 @@ pub struct ServingRow {
     pub p99_us: f64,
 }
 
+json_fields!(ServingRow {
+    clients,
+    requests_per_client,
+    total_requests,
+    failed_requests,
+    results_identical,
+    wall_seconds,
+    throughput_qps,
+    p50_us,
+    p95_us,
+    p99_us,
+});
+
 /// The serving benchmark: the zero-dep HTTP front-end under a
 /// closed-loop load sweep, one row per concurrency level. Emitted as
 /// `BENCH_serving.json`; CI gates on zero failures and result identity
 /// at every level.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct ServingReport {
     /// Output id (`BENCH_serving` — also the JSON file stem).
     pub id: String,
@@ -530,9 +679,14 @@ pub struct ServingReport {
     pub rows: Vec<ServingRow>,
 }
 
-impl ServingReport {
-    /// Renders the report as an aligned text table.
-    pub fn render(&self) -> String {
+json_fields!(ServingReport { id, workload, n, k, workers, queue_depth, rows });
+
+impl Report for ServingReport {
+    fn id(&self) -> &str {
+        &self.id
+    }
+
+    fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("== {} — {} ==\n", self.id, self.workload));
         out.push_str(&format!(
@@ -554,21 +708,12 @@ impl ServingReport {
         }
         out
     }
-
-    /// Writes the report as JSON under `dir/<id>.json`.
-    pub fn write_json(&self, dir: &Path) -> std::io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{}.json", self.id));
-        let mut f = std::fs::File::create(path)?;
-        let body = serde_json::to_string_pretty(self).expect("serializable");
-        f.write_all(body.as_bytes())
-    }
 }
 
 /// One cell of the morsel-engine scaling study (`BENCH_parallel_join`):
 /// one algorithm variant on one dataset at one thread count, always
 /// diffed against its own single-thread run.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct ParallelJoinRow {
     /// Algorithm variant (`"mba"`, `"bnn"`, `"mnn"`, `"hnn"`, ...).
     pub algorithm: String,
@@ -591,12 +736,23 @@ pub struct ParallelJoinRow {
     pub byte_identical: bool,
 }
 
+json_fields!(ParallelJoinRow {
+    algorithm,
+    dataset,
+    n,
+    threads,
+    wall_seconds,
+    speedup_vs_serial,
+    result_pairs,
+    byte_identical,
+});
+
 /// The morsel-driven parallel-join figure: every algorithm variant
 /// through the unified entrypoint at 1/2/4/8 worker threads on uniform
 /// and clustered data, each row byte-diffed against its serial twin.
 /// Emitted as `BENCH_parallel_join.json`; CI gates on the identity bit
 /// on every row and (opt-in) on the 4-thread speedup.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct ParallelJoinReport {
     /// Output id (`BENCH_parallel_join` — also the JSON file stem).
     pub id: String,
@@ -610,9 +766,14 @@ pub struct ParallelJoinReport {
     pub rows: Vec<ParallelJoinRow>,
 }
 
-impl ParallelJoinReport {
-    /// Renders the report as an aligned text table.
-    pub fn render(&self) -> String {
+json_fields!(ParallelJoinReport { id, workload, host_cores, k, rows });
+
+impl Report for ParallelJoinReport {
+    fn id(&self) -> &str {
+        &self.id
+    }
+
+    fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("== {} — {} ==\n", self.id, self.workload));
         out.push_str(&format!(
@@ -634,15 +795,6 @@ impl ParallelJoinReport {
         }
         out
     }
-
-    /// Writes the report as JSON under `dir/<id>.json`.
-    pub fn write_json(&self, dir: &Path) -> std::io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{}.json", self.id));
-        let mut f = std::fs::File::create(path)?;
-        let body = serde_json::to_string_pretty(self).expect("serializable");
-        f.write_all(body.as_bytes())
-    }
 }
 
 /// One MVCC reader-latency phase (`BENCH_mvcc`): a fixed pool of reader
@@ -650,7 +802,7 @@ impl ParallelJoinReport {
 /// self-join against it, either on a quiescent store (`read_only`) or
 /// while a writer thread commits versioned transactions back-to-back
 /// (`with_writer`).
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct MvccRow {
     /// Phase name: `"read_only"` or `"with_writer"`.
     pub mode: String,
@@ -675,11 +827,24 @@ pub struct MvccRow {
     pub p99_us: f64,
 }
 
+json_fields!(MvccRow {
+    mode,
+    readers,
+    queries,
+    failed,
+    writer_commits,
+    wall_seconds,
+    throughput_qps,
+    p50_us,
+    p95_us,
+    p99_us,
+});
+
 /// The MVCC snapshot-isolation benchmark: reader latency with an active
 /// writer vs. read-only, over the versioned page store. Emitted as
 /// `BENCH_mvcc.json`; CI gates on zero failed queries and on
 /// `reader_p95_ratio` staying within the readers-not-blocked bound.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct MvccReport {
     /// Output id (`BENCH_mvcc` — also the JSON file stem).
     pub id: String,
@@ -698,9 +863,14 @@ pub struct MvccReport {
     pub reader_p95_ratio: f64,
 }
 
-impl MvccReport {
-    /// Renders the report as an aligned text table.
-    pub fn render(&self) -> String {
+json_fields!(MvccReport { id, workload, n, k, keep, rows, reader_p95_ratio });
+
+impl Report for MvccReport {
+    fn id(&self) -> &str {
+        &self.id
+    }
+
+    fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("== {} — {} ==\n", self.id, self.workload));
         out.push_str(&format!(
@@ -726,15 +896,6 @@ impl MvccReport {
             self.reader_p95_ratio
         ));
         out
-    }
-
-    /// Writes the report as JSON under `dir/<id>.json`.
-    pub fn write_json(&self, dir: &Path) -> std::io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{}.json", self.id));
-        let mut f = std::fs::File::create(path)?;
-        let body = serde_json::to_string_pretty(self).expect("serializable");
-        f.write_all(body.as_bytes())
     }
 }
 
@@ -792,10 +953,10 @@ mod tests {
         assert!(text.contains("BENCH_kernels"));
         assert!(text.contains("point-leaf-scan"));
         assert!(text.contains("2.00x"));
-        let parsed: serde_json::Value =
-            serde_json::from_str(&serde_json::to_string_pretty(&rep).unwrap()).unwrap();
-        assert_eq!(parsed["rows"][0]["speedup"], 2.0);
-        assert_eq!(parsed["rows"][0]["bit_identical"], true);
+        let parsed = JsonValue::parse(&rep.to_json().to_string()).unwrap();
+        let row = &parsed.get("rows").and_then(JsonValue::as_arr).unwrap()[0];
+        assert_eq!(row.get("speedup"), Some(&JsonValue::Num(2.0)));
+        assert_eq!(row.get("bit_identical"), Some(&JsonValue::Bool(true)));
     }
 
     #[test]
@@ -820,11 +981,11 @@ mod tests {
         assert!(text.contains("BENCH_parallel_join"));
         assert!(text.contains("clustered"));
         assert!(text.contains("3.10x"));
-        let parsed: serde_json::Value =
-            serde_json::from_str(&serde_json::to_string_pretty(&rep).unwrap()).unwrap();
-        assert_eq!(parsed["rows"][0]["threads"], 4);
-        assert_eq!(parsed["rows"][0]["byte_identical"], true);
-        assert_eq!(parsed["rows"][0]["speedup_vs_serial"], 3.1);
+        let parsed = JsonValue::parse(&rep.to_json().to_string()).unwrap();
+        let row = &parsed.get("rows").and_then(JsonValue::as_arr).unwrap()[0];
+        assert_eq!(row.get("threads"), Some(&JsonValue::Int(4)));
+        assert_eq!(row.get("byte_identical"), Some(&JsonValue::Bool(true)));
+        assert_eq!(row.get("speedup_vs_serial"), Some(&JsonValue::Num(3.1)));
     }
 
     #[test]
@@ -834,9 +995,25 @@ mod tests {
         fig.push("g", sample_measurement("BNN MAXMAXDIST"));
         fig.write_json(&dir).unwrap();
         let body = std::fs::read_to_string(dir.join("figY.json")).unwrap();
-        let parsed: serde_json::Value = serde_json::from_str(&body).unwrap();
-        assert_eq!(parsed["id"], "figY");
-        assert_eq!(parsed["rows"][0]["label"], "BNN MAXMAXDIST");
+        let parsed = JsonValue::parse(&body).unwrap();
+        assert_eq!(parsed.get("id").and_then(JsonValue::as_str), Some("figY"));
+        let row = &parsed.get("rows").and_then(JsonValue::as_arr).unwrap()[0];
+        assert_eq!(row.get("group").and_then(JsonValue::as_str), Some("g"));
+        assert_eq!(
+            row.get("label").and_then(JsonValue::as_str),
+            Some("BNN MAXMAXDIST")
+        );
         std::fs::remove_dir_all(&dir).ok();
+
+        // Same keys, in the same order, as the committed figure artifacts.
+        let keys = |v: &JsonValue| match v {
+            JsonValue::Obj(fields) => fields.iter().map(|(k, _)| k.clone()).collect(),
+            _ => Vec::new(),
+        };
+        let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/fig3a.json");
+        let committed = JsonValue::parse(&std::fs::read_to_string(committed).unwrap()).unwrap();
+        let committed_row = &committed.get("rows").and_then(JsonValue::as_arr).unwrap()[0];
+        assert_eq!(keys(&parsed), keys(&committed));
+        assert_eq!(keys(row), keys(committed_row));
     }
 }

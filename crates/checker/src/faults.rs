@@ -15,7 +15,7 @@
 //! Never a panic, never a silently wrong answer, never poisoned state.
 
 use crate::gen::{self, DiffCase};
-use crate::rng::Rng;
+use ann_datagen::Rng;
 use ann_core::mba::{Expansion, Traversal};
 use ann_core::prelude::*;
 use ann_mbrqt::{Mbrqt, MbrqtConfig};

@@ -7,7 +7,7 @@
 //! cancellation), and boundary cardinalities (`|S| ∈ {0, 1}`,
 //! `k ∈ {0, 1, |S|−1, |S|, >|S|}`).
 
-use crate::rng::Rng;
+use ann_datagen::Rng;
 use ann_geom::Point;
 
 /// Point-set shapes the generators produce.

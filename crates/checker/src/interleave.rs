@@ -32,7 +32,7 @@ use ann_store::{BufferPool, MemDisk, StoreError, VersionedStore};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use crate::rng::Rng;
+use ann_datagen::Rng;
 
 /// The tree operations the interleaving driver needs, implemented by
 /// both index kinds so one driver checks both.
@@ -200,9 +200,8 @@ fn run_case<T: VersionedTree>(
     if T::REJECTS_OUT_OF_UNIVERSE {
         let latest_before = tree.store().latest();
         let outside = Point::new([20.0 * scale, 20.0 * scale]);
-        match tree.insert(next_oid, outside) {
-            Ok(()) => return Some("out-of-universe insert was accepted".to_string()),
-            Err(_) => {}
+        if tree.insert(next_oid, outside).is_ok() {
+            return Some("out-of-universe insert was accepted".to_string());
         }
         if tree.store().latest() != latest_before {
             return Some(format!(
@@ -415,7 +414,7 @@ fn threaded_race<T: VersionedTree>(
                         for (oid, p) in &census {
                             let on_lattice = p.0.iter().all(|c| {
                                 let cell = c / scale;
-                                cell >= 0.0 && cell <= 9.0 && cell.fract() == 0.0
+                                (0.0..=9.0).contains(&cell) && cell.fract() == 0.0
                             });
                             if !on_lattice {
                                 return Some(format!(

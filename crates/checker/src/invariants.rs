@@ -2,16 +2,17 @@
 //! metric orderings, index-tree well-formedness under random mutation
 //! interleavings, and journal-recovery idempotence under injected crashes.
 
-use crate::rng::Rng;
 use ann_core::index::validate;
 use ann_core::prelude::*;
+use ann_core::wire::JsonValue;
+use ann_datagen::{splitmix64, Rng};
 use ann_geom::{
     kernels, max_max_dist_sq, min_min_dist_sq, min_min_dist_sq_within, nxn_dist_sq, Mbr, Point,
     SoaMbrs, SoaPoints,
 };
 use ann_mbrqt::{Mbrqt, MbrqtConfig};
 use ann_rstar::{RStar, RStarConfig};
-use ann_store::{splitmix64, BufferPool, FaultyDisk, InjectedFault, MemDisk, FRAME_SIZE};
+use ann_store::{BufferPool, FaultyDisk, InjectedFault, MemDisk, FRAME_SIZE};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -84,10 +85,7 @@ pub fn check_nxn_case<const D: usize>(rng: &mut Rng) -> Option<String> {
     // Query points: every corner-ish extreme plus random interior points.
     let mut queries: Vec<Point<D>> = vec![Point::new(m_mbr.lo), Point::new(m_mbr.hi)];
     for _ in 0..4 {
-        let mut c = [0.0; D];
-        for d in 0..D {
-            c[d] = m_mbr.lo[d] + rng.f64() * (m_mbr.hi[d] - m_mbr.lo[d]);
-        }
+        let c = std::array::from_fn(|d| m_mbr.lo[d] + rng.f64() * (m_mbr.hi[d] - m_mbr.lo[d]));
         queries.push(Point::new(c));
     }
     for r in &queries {
@@ -175,45 +173,45 @@ pub fn check_kernels_case<const D: usize>(rng: &mut Rng) -> Option<String> {
 
     let mut out = Vec::new();
     kernels::dist_sq_batch(&q, &points, &mut out);
-    for i in 0..n {
+    for (i, &got) in out.iter().enumerate() {
         let want = q.dist_sq(&points.point::<D>(i));
-        if out[i].to_bits() != want.to_bits() {
+        if got.to_bits() != want.to_bits() {
             return Some(format!(
                 "dist_sq_batch[{i}] = {:?} != scalar {want:?} (q={q:?} p={:?})",
-                out[i],
+                got,
                 points.point::<D>(i)
             ));
         }
     }
     kernels::min_min_dist_sq_batch(&m, &mbrs, &mut out);
-    for i in 0..n {
+    for (i, &got) in out.iter().enumerate() {
         let want = min_min_dist_sq(&m, &mbrs.mbr::<D>(i));
-        if out[i].to_bits() != want.to_bits() {
+        if got.to_bits() != want.to_bits() {
             return Some(format!(
                 "min_min_dist_sq_batch[{i}] = {:?} != scalar {want:?} (m={m:?} n={:?})",
-                out[i],
+                got,
                 mbrs.mbr::<D>(i)
             ));
         }
     }
     kernels::max_max_dist_sq_batch(&m, &mbrs, &mut out);
-    for i in 0..n {
+    for (i, &got) in out.iter().enumerate() {
         let want = max_max_dist_sq(&m, &mbrs.mbr::<D>(i));
-        if out[i].to_bits() != want.to_bits() {
+        if got.to_bits() != want.to_bits() {
             return Some(format!(
                 "max_max_dist_sq_batch[{i}] = {:?} != scalar {want:?} (m={m:?} n={:?})",
-                out[i],
+                got,
                 mbrs.mbr::<D>(i)
             ));
         }
     }
     kernels::nxn_dist_sq_batch(&m, &mbrs, &mut out);
-    for i in 0..n {
+    for (i, &got) in out.iter().enumerate() {
         let want = nxn_dist_sq(&m, &mbrs.mbr::<D>(i));
-        if out[i].to_bits() != want.to_bits() {
+        if got.to_bits() != want.to_bits() {
             return Some(format!(
                 "nxn_dist_sq_batch[{i}] = {:?} != scalar {want:?} (m={m:?} n={:?})",
-                out[i],
+                got,
                 mbrs.mbr::<D>(i)
             ));
         }
@@ -227,21 +225,21 @@ pub fn check_kernels_case<const D: usize>(rng: &mut Rng) -> Option<String> {
     }
     for bound in bounds {
         kernels::min_min_dist_sq_within_batch(&m, &mbrs, bound, &mut out);
-        for i in 0..n {
+        for (i, &got) in out.iter().enumerate() {
             match min_min_dist_sq_within(&m, &mbrs.mbr::<D>(i), bound) {
                 Some(v) => {
-                    if out[i] > bound || out[i].to_bits() != v.to_bits() {
+                    if got > bound || got.to_bits() != v.to_bits() {
                         return Some(format!(
                             "within_batch[{i}] = {:?} != accepted scalar {v:?} at bound {bound:?}",
-                            out[i]
+                            got
                         ));
                     }
                 }
                 None => {
-                    if out[i] <= bound {
+                    if got <= bound {
                         return Some(format!(
                             "within_batch[{i}] = {:?} accepted, scalar rejects at bound {bound:?}",
-                            out[i]
+                            got
                         ));
                     }
                 }
@@ -591,7 +589,7 @@ pub fn check_wire_case(rng: &mut Rng) -> Option<String> {
     if QuerySpec::from_json(&trailing).is_ok() {
         return Some(format!("parser accepted trailing bytes: {trailing}"));
     }
-    if ann_core::wire::JsonValue::parse(&trailing).is_ok() {
+    if JsonValue::parse(&trailing).is_ok() {
         return Some(format!("JsonValue accepted trailing bytes: {trailing}"));
     }
 
@@ -603,7 +601,7 @@ pub fn check_wire_case(rng: &mut Rng) -> Option<String> {
         return Some(format!("parser accepted duplicate keys: {dup}"));
     }
     let dup_nested = "{\"a\":{\"x\":1,\"x\":2}}";
-    if ann_core::wire::JsonValue::parse(dup_nested).is_ok() {
+    if JsonValue::parse(dup_nested).is_ok() {
         return Some(format!("JsonValue accepted nested duplicate keys: {dup_nested}"));
     }
 
@@ -624,5 +622,60 @@ pub fn check_wire_case(rng: &mut Rng) -> Option<String> {
             return Some(format!("corruption produced absurd version: {e}: {corrupted}"));
         }
     }
-    None
+
+    // -- report writer: the pretty `Display` parses back -------------------
+    // `parse(to_string(v)) == v` for arbitrary documents (full-range
+    // integers, every escape class, any float bit pattern), except that a
+    // non-finite number is written as `null`.
+    let (doc, expected) = arbitrary_json(rng, 0);
+    let text = doc.to_string();
+    match JsonValue::parse(&text) {
+        Ok(back) if back == expected => None,
+        Ok(back) => Some(format!("writer round-trip changed {doc:?} into {back:?}: {text}")),
+        Err(e) => Some(format!("writer output failed to parse ({e}): {text}")),
+    }
+}
+
+/// A random JSON document and what it must parse back to once written.
+fn arbitrary_json(rng: &mut Rng, depth: usize) -> (JsonValue, JsonValue) {
+    let same = |v: JsonValue| (v.clone(), v);
+    match rng.range(0, if depth < 3 { 7 } else { 5 }) {
+        0 => same(JsonValue::Null),
+        1 => same(JsonValue::Bool(rng.chance(0.5))),
+        2 => {
+            let any = rng.next_u64();
+            same(JsonValue::Int(*rng.pick(&[0, 1, u64::MAX, any])))
+        }
+        3 => {
+            let n = f64::from_bits(rng.next_u64());
+            let back = if n.is_finite() { JsonValue::Num(n) } else { JsonValue::Null };
+            (JsonValue::Num(n), back)
+        }
+        4 => same(JsonValue::Str(arbitrary_string(rng))),
+        5 => {
+            let (items, back) = (0..rng.range(0, 4)).map(|_| arbitrary_json(rng, depth + 1)).unzip();
+            (JsonValue::Arr(items), JsonValue::Arr(back))
+        }
+        _ => {
+            // Keys are numbered: a duplicate key is a parse error.
+            let (fields, back) = (0..rng.range(0, 4))
+                .map(|i| {
+                    let key = format!("{i}{}", arbitrary_string(rng));
+                    let (value, back) = arbitrary_json(rng, depth + 1);
+                    ((key.clone(), value), (key, back))
+                })
+                .unzip();
+            (JsonValue::Obj(fields), JsonValue::Obj(back))
+        }
+    }
+}
+
+/// Up to seven characters drawn from every class the writer escapes or
+/// passes through: quotes, backslashes, control characters, ASCII, and
+/// multi-byte code points.
+fn arbitrary_string(rng: &mut Rng) -> String {
+    const ALPHABET: &[char] = &[
+        '"', '\\', '/', '\n', '\r', '\t', '\u{0}', '\u{1f}', '\u{7f}', ' ', 'a', 'Z', '0', 'é', '→', '😀',
+    ];
+    (0..rng.range(0, 8)).map(|_| *rng.pick(ALPHABET)).collect()
 }

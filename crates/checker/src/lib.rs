@@ -61,11 +61,10 @@ pub mod interleave;
 pub mod invariants;
 pub mod parallel;
 pub mod report;
-pub mod rng;
 pub mod shrink;
 
 use report::Failure;
-use rng::Rng;
+use ann_datagen::Rng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// The invariant classes the fuzzer can exercise.

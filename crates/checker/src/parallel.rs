@@ -11,7 +11,7 @@
 
 use crate::diff;
 use crate::gen::{self, DiffCase};
-use crate::rng::Rng;
+use ann_datagen::Rng;
 use ann_core::prelude::*;
 use ann_mbrqt::{Mbrqt, MbrqtConfig};
 use ann_rstar::{RStar, RStarConfig};

@@ -152,7 +152,7 @@ impl<const D: usize> HilbertSorter<D> {
         self.spill()?;
         let mut heads = BinaryHeap::with_capacity(self.runs.len());
         for (run, heap) in self.runs.iter().enumerate() {
-            if heap.len() > 0 {
+            if !heap.is_empty() {
                 let first = KeyedPoint::<D>::decode(&heap.get(0)?);
                 heads.push(Reverse(MergeHead {
                     key: first.key,

@@ -26,7 +26,7 @@
 //!
 //! ```no_run
 //! use ann_core::prelude::*;
-//! # fn demo<I: SpatialIndex<2>>(ir: &I, is: &I) -> QueryResult<()> {
+//! # fn demo<I: SpatialIndex<2> + Sync>(ir: &I, is: &I) -> QueryResult<()> {
 //! // `ir` indexes the query set R, `is` the target set S.
 //! let req = AnnRequest::new(Algorithm::mba());
 //! let output = run(&req, Input::Index(ir), Input::Index(is))?;

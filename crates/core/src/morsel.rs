@@ -35,10 +35,11 @@
 //! are independent of processing order, and the engine
 //! ([`crate::par::run_workers`]) canonicalizes the merged output.
 
+use ann_store::sync::{unpoisoned, Mutex};
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::Condvar;
 
 /// Subtrees holding at most this many objects are processed inline
 /// (serial recursion) instead of being split into child morsels: below
@@ -124,7 +125,7 @@ impl<T> MorselPool<T> {
     /// Bumps the wake epoch and wakes every parked worker. Called by
     /// every event a sleeper's park condition depends on.
     fn notify(&self) {
-        *self.wake.lock().unwrap_or_else(|e| e.into_inner()) += 1;
+        *self.wake.lock() += 1;
         self.wake_cv.notify_all();
     }
 
@@ -133,7 +134,6 @@ impl<T> MorselPool<T> {
         self.in_flight.fetch_add(1, Ordering::SeqCst);
         self.deques[worker]
             .lock()
-            .unwrap_or_else(|e| e.into_inner())
             .push_back(unit);
         self.notify();
     }
@@ -153,10 +153,9 @@ impl<T> MorselPool<T> {
             // Snapshot the wake epoch before scanning: any push /
             // final-complete / abort racing with the scan bumps it and
             // forbids the park below, so the event cannot be missed.
-            let epoch = *self.wake.lock().unwrap_or_else(|e| e.into_inner());
+            let epoch = *self.wake.lock();
             if let Some(unit) = self.deques[worker]
                 .lock()
-                .unwrap_or_else(|e| e.into_inner())
                 .pop_back()
             {
                 return Some(unit);
@@ -165,7 +164,6 @@ impl<T> MorselPool<T> {
                 let victim = (worker + i) % n;
                 if let Some(unit) = self.deques[victim]
                     .lock()
-                    .unwrap_or_else(|e| e.into_inner())
                     .pop_front()
                 {
                     return Some(unit);
@@ -179,15 +177,12 @@ impl<T> MorselPool<T> {
                 std::thread::yield_now();
                 continue;
             }
-            let mut guard = self.wake.lock().unwrap_or_else(|e| e.into_inner());
+            let mut guard = self.wake.lock();
             while *guard == epoch
                 && !self.aborted.load(Ordering::Acquire)
                 && self.in_flight.load(Ordering::SeqCst) != 0
             {
-                guard = self
-                    .wake_cv
-                    .wait(guard)
-                    .unwrap_or_else(|e| e.into_inner());
+                guard = unpoisoned(self.wake_cv.wait(guard));
             }
             drop(guard);
             spins = 0;

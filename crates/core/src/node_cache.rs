@@ -40,17 +40,18 @@
 //!
 //! # Concurrency
 //!
-//! The map is striped into shards, each behind its own `std::sync::Mutex`,
+//! The map is striped into shards, each behind its own mutex,
 //! so parallel MBA workers probing different nodes rarely contend.
 //! Eviction is per shard by least-recent access stamp. The cache is
 //! purely an accelerator: it never holds the only copy of anything, and
 //! any entry may be evicted at any time.
 
 use crate::node::DecodedNode;
+use ann_store::sync::Mutex;
 use ann_store::PageId;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Default capacity in decoded nodes. Sized to hold the working set of the
 /// benchmark trees many times over; decoded nodes are at most a few KiB,
@@ -76,10 +77,13 @@ pub struct NodeCacheStats {
     pub misses: u64,
 }
 
+/// One lock stripe: `(epoch, page)` → slot.
+type Shard<const D: usize> = Mutex<HashMap<(u64, PageId), Slot<D>>>;
+
 /// A sharded `(epoch, page) → Arc<Node>` cache with per-shard
 /// least-recently-stamped eviction. See the module docs.
 pub struct NodeCache<const D: usize> {
-    shards: Box<[Mutex<HashMap<(u64, PageId), Slot<D>>>]>,
+    shards: Box<[Shard<D>]>,
     per_shard_capacity: usize,
     epoch: AtomicU64,
     /// Keys strictly below this floor are retired: inserts under them are
@@ -137,7 +141,7 @@ impl<const D: usize> NodeCache<D> {
         // Eager drop: stale epochs can never be read again, so free them
         // now rather than waiting for capacity eviction to find them.
         for shard in self.shards.iter() {
-            shard.lock().unwrap_or_else(|e| e.into_inner()).clear();
+            shard.lock().clear();
         }
     }
 
@@ -153,7 +157,6 @@ impl<const D: usize> NodeCache<D> {
         for shard in self.shards.iter() {
             shard
                 .lock()
-                .unwrap_or_else(|e| e.into_inner())
                 .retain(|(key, _), _| *key >= floor);
         }
     }
@@ -167,7 +170,6 @@ impl<const D: usize> NodeCache<D> {
             .iter()
             .map(|s| {
                 s.lock()
-                    .unwrap_or_else(|e| e.into_inner())
                     .keys()
                     .filter(|(key, _)| *key < floor)
                     .count()
@@ -176,7 +178,7 @@ impl<const D: usize> NodeCache<D> {
     }
 
     #[inline]
-    fn shard(&self, page: PageId) -> &Mutex<HashMap<(u64, PageId), Slot<D>>> {
+    fn shard(&self, page: PageId) -> &Shard<D> {
         &self.shards[page as usize % self.shards.len()]
     }
 
@@ -188,13 +190,12 @@ impl<const D: usize> NodeCache<D> {
     pub fn contains(&self, epoch: u64, page: PageId) -> bool {
         self.shard(page)
             .lock()
-            .unwrap_or_else(|e| e.into_inner())
             .contains_key(&(epoch, page))
     }
 
     /// Looks up `page` under `epoch`, refreshing its access stamp.
     pub fn get(&self, epoch: u64, page: PageId) -> Option<Arc<DecodedNode<D>>> {
-        let mut shard = self.shard(page).lock().unwrap_or_else(|e| e.into_inner());
+        let mut shard = self.shard(page).lock();
         match shard.get_mut(&(epoch, page)) {
             Some(slot) => {
                 slot.stamp = self.clock.fetch_add(1, Ordering::Relaxed);
@@ -217,7 +218,7 @@ impl<const D: usize> NodeCache<D> {
         if epoch < self.floor.load(Ordering::Acquire) {
             return;
         }
-        let mut shard = self.shard(page).lock().unwrap_or_else(|e| e.into_inner());
+        let mut shard = self.shard(page).lock();
         if shard.len() >= self.per_shard_capacity && !shard.contains_key(&(epoch, page)) {
             if let Some(victim) = shard
                 .iter()
@@ -235,7 +236,7 @@ impl<const D: usize> NodeCache<D> {
     /// this (with [`ann_store::BufferPool::clear`]) to start a phase cold.
     pub fn clear(&self) {
         for shard in self.shards.iter() {
-            shard.lock().unwrap_or_else(|e| e.into_inner()).clear();
+            shard.lock().clear();
         }
     }
 
@@ -243,7 +244,7 @@ impl<const D: usize> NodeCache<D> {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).len())
+            .map(|s| s.lock().len())
             .sum()
     }
 

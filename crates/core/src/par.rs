@@ -48,8 +48,8 @@
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
+use ann_store::sync::Mutex;
 use crate::morsel::MorselPool;
 use crate::resilience::{QueryError, QueryResult};
 use crate::stats::{AnnOutput, AnnStats, AtomicAnnStats};
@@ -71,7 +71,6 @@ impl TraceSink for BufferedSink<'_> {
         let tag = self.seq.fetch_add(1, Ordering::Relaxed);
         self.events
             .lock()
-            .unwrap_or_else(|e| e.into_inner())
             .push((tag, event.clone()));
     }
 }
@@ -146,7 +145,7 @@ where
     let shared_stats = AtomicAnnStats::new();
 
     let mut panicked: Option<Box<dyn std::any::Any + Send>> = None;
-    let results: Vec<(AnnOutput, QueryResult<()>)> = crossbeam::thread::scope(|scope| {
+    let results: Vec<(AnnOutput, QueryResult<()>)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|index| {
                 let pool = &pool;
@@ -154,7 +153,7 @@ where
                 let shared_stats = &shared_stats;
                 let worker = &worker;
                 let traced = tracer.enabled();
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let wtracer = if traced {
                         Tracer::new(sink)
                     } else {
@@ -196,8 +195,7 @@ where
             }
         }
         results
-    })
-    .expect("parallel scope failed");
+    });
     if let Some(payload) = panicked {
         // Re-raise on the calling thread, exactly as the serial path
         // would have; all siblings have already drained and joined.
@@ -229,7 +227,7 @@ where
     if tracer.enabled() {
         let mut events: Vec<(u64, TraceEvent)> = Vec::new();
         for sink in sinks {
-            events.extend(sink.events.into_inner().unwrap_or_else(|e| e.into_inner()));
+            events.extend(sink.events.into_inner());
         }
         events.sort_by_key(|&(tag, _)| tag);
         for (_, event) in events {

@@ -25,9 +25,9 @@
 //! third-party dependency. The bench `figures --trace DIR` mode writes one
 //! such report per run.
 
+use ann_store::sync::Mutex;
 use ann_store::{IoSnapshot, PageId};
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Which of the two joined sets an index-side observation belongs to.
@@ -385,12 +385,12 @@ impl RecordingSink {
     /// Spans currently open (entered, not yet exited). Zero after a
     /// well-formed query.
     pub fn open_spans(&self) -> usize {
-        self.state.lock().unwrap_or_else(|e| e.into_inner()).open.len()
+        self.state.lock().open.len()
     }
 
     /// Total span enters and exits seen, for balance checks.
     pub fn span_counts(&self) -> (u64, u64) {
-        let st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let st = self.state.lock();
         let enters = st.phases.values().map(|a| a.enters).sum();
         let exits = st.phases.values().map(|a| a.exits).sum();
         (enters, exits)
@@ -399,7 +399,7 @@ impl RecordingSink {
     /// Renders everything recorded so far as an [`ExecutionReport`]
     /// labeled `label`. Does not reset the sink.
     pub fn report(&self, label: &str) -> ExecutionReport {
-        let st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let st = self.state.lock();
         ExecutionReport {
             label: label.to_string(),
             phases: st
@@ -466,13 +466,13 @@ impl RecordingSink {
 
 impl TraceSink for RecordingSink {
     fn span_enter(&self, phase: Phase) {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut st = self.state.lock();
         st.open.push((phase, Instant::now()));
         st.phases.entry(phase).or_default().enters += 1;
     }
 
     fn span_exit(&self, phase: Phase, io: IoSnapshot) {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut st = self.state.lock();
         // Close the innermost open span of this phase; tolerate (but
         // record) an unbalanced exit so tests can detect it.
         let wall = st
@@ -488,7 +488,7 @@ impl TraceSink for RecordingSink {
     }
 
     fn event(&self, event: &TraceEvent) {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut st = self.state.lock();
         match event {
             TraceEvent::Root { side, page } => {
                 st.page_level.insert((*side, *page), 0);

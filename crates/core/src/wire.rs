@@ -207,6 +207,50 @@ impl JsonValue {
             _ => None,
         }
     }
+
+    fn write_pretty(&self, f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
+        let pad = |f: &mut fmt::Formatter<'_>, depth: usize| write!(f, "\n{:1$}", "", 2 * depth);
+        match self {
+            JsonValue::Null => f.write_str("null"),
+            JsonValue::Bool(b) => write!(f, "{b}"),
+            JsonValue::Int(i) => write!(f, "{i}"),
+            JsonValue::Num(n) => f.write_str(&json_num(*n)),
+            JsonValue::Str(s) => write!(f, "\"{}\"", json_escape(s)),
+            JsonValue::Arr(items) if items.is_empty() => f.write_str("[]"),
+            JsonValue::Obj(fields) if fields.is_empty() => f.write_str("{}"),
+            JsonValue::Arr(items) => {
+                f.write_str("[")?;
+                for (i, item) in items.iter().enumerate() {
+                    f.write_str(if i == 0 { "" } else { "," })?;
+                    pad(f, depth + 1)?;
+                    item.write_pretty(f, depth + 1)?;
+                }
+                pad(f, depth)?;
+                f.write_str("]")
+            }
+            JsonValue::Obj(fields) => {
+                f.write_str("{")?;
+                for (i, (key, value)) in fields.iter().enumerate() {
+                    f.write_str(if i == 0 { "" } else { "," })?;
+                    pad(f, depth + 1)?;
+                    write!(f, "\"{}\": ", json_escape(key))?;
+                    value.write_pretty(f, depth + 1)?;
+                }
+                pad(f, depth)?;
+                f.write_str("}")
+            }
+        }
+    }
+}
+
+/// The document, pretty-printed: two-space indent, one array item or
+/// object field per line. Non-finite numbers print as `null`; everything
+/// else parses back ([`JsonValue::parse`]) to an equal value, nesting
+/// depth permitting.
+impl fmt::Display for JsonValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_pretty(f, 0)
+    }
 }
 
 /// Maximum nesting depth the parser accepts.
@@ -1283,6 +1327,28 @@ mod tests {
             v.get("a").unwrap().as_arr().unwrap()[1].get("b"),
             Some(&JsonValue::Bool(false))
         );
+    }
+
+    #[test]
+    fn json_value_displays_pretty_and_parses_back() {
+        let v = JsonValue::Obj(vec![
+            ("id".into(), JsonValue::Str("a\"b".into())),
+            ("n".into(), JsonValue::Int(u64::MAX)),
+            ("x".into(), JsonValue::Num(2.0)),
+            ("nan".into(), JsonValue::Num(f64::NAN)),
+            ("rows".into(), JsonValue::Arr(vec![JsonValue::Bool(true), JsonValue::Arr(vec![])])),
+            ("none".into(), JsonValue::Obj(vec![])),
+        ]);
+        let text = v.to_string();
+        assert_eq!(
+            text,
+            "{\n  \"id\": \"a\\\"b\",\n  \"n\": 18446744073709551615,\n  \"x\": 2.0,\n  \
+             \"nan\": null,\n  \"rows\": [\n    true,\n    []\n  ],\n  \"none\": {}\n}"
+        );
+        let back = JsonValue::parse(&text).unwrap();
+        assert_eq!(back.get("n"), Some(&JsonValue::Int(u64::MAX)));
+        assert_eq!(back.get("nan"), Some(&JsonValue::Null));
+        assert_eq!(back.get("id"), v.get("id"));
     }
 
     #[test]

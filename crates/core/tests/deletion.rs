@@ -9,9 +9,7 @@ use ann_geom::Point;
 use ann_mbrqt::{Mbrqt, MbrqtConfig};
 use ann_rstar::{RStar, RStarConfig};
 use ann_store::{BufferPool, MemDisk};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use ann_datagen::Rng;
 use std::sync::Arc;
 
 fn pool() -> Arc<BufferPool> {
@@ -19,12 +17,12 @@ fn pool() -> Arc<BufferPool> {
 }
 
 fn random_points(n: usize, seed: u64) -> Vec<(u64, Point<2>)> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::new(seed);
     (0..n)
         .map(|i| {
             (
                 i as u64,
-                Point::new([rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0)]),
+                Point::new([rng.range_f64(0.0, 100.0), rng.range_f64(0.0, 100.0)]),
             )
         })
         .collect()
@@ -67,7 +65,7 @@ fn rstar_delete_half_keeps_tree_valid() {
     )
     .unwrap();
     let mut order = pts.clone();
-    order.shuffle(&mut StdRng::seed_from_u64(1));
+    Rng::new(1).shuffle(&mut order);
     for (i, (oid, p)) in order.iter().take(1000).enumerate() {
         assert!(tree.delete(*oid, p).unwrap(), "delete #{i} (oid {oid})");
         if i % 250 == 249 {
@@ -109,7 +107,7 @@ fn mbrqt_delete_half_keeps_tree_valid() {
     }
     assert_leaf_mbrs_contain_their_points(&tree);
     let mut order = pts.clone();
-    order.shuffle(&mut StdRng::seed_from_u64(2));
+    Rng::new(2).shuffle(&mut order);
     for (i, (oid, p)) in order.iter().take(1500).enumerate() {
         assert!(tree.delete(*oid, p).unwrap(), "delete #{i}");
         if i % 300 == 299 {
@@ -131,12 +129,12 @@ fn queries_stay_exact_under_churn() {
     let pts = random_points(1200, 63);
     let mut tree = RStar::bulk_build(pool(), &pts[..800], &RStarConfig::default()).unwrap();
     let mut live: Vec<(u64, Point<2>)> = pts[..800].to_vec();
-    let mut rng = StdRng::seed_from_u64(3);
+    let mut rng = Rng::new(3);
     for &(oid, p) in &pts[800..] {
         // Insert one, delete one random existing.
         tree.insert(oid, p).unwrap();
         live.push((oid, p));
-        let victim = rng.gen_range(0..live.len());
+        let victim = rng.range(0, live.len());
         let (v_oid, v_p) = live.swap_remove(victim);
         assert!(tree.delete(v_oid, &v_p).unwrap());
     }

@@ -9,17 +9,16 @@ use ann_geom::Point;
 use ann_mbrqt::{Mbrqt, MbrqtConfig};
 use ann_rstar::{RStar, RStarConfig};
 use ann_store::{BufferPool, FaultyDisk, MemDisk};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use ann_datagen::Rng;
 use std::sync::Arc;
 
 fn random_points(n: usize, seed: u64) -> Vec<(u64, Point<2>)> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::new(seed);
     (0..n)
         .map(|i| {
             (
                 i as u64,
-                Point::new([rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0)]),
+                Point::new([rng.range_f64(0.0, 100.0), rng.range_f64(0.0, 100.0)]),
             )
         })
         .collect()
@@ -151,7 +150,8 @@ fn incremental_insert_failures_do_not_corrupt_earlier_state() {
 // panic, never serve a silently partial index.
 // ---------------------------------------------------------------------------
 
-use ann_store::{splitmix64, InjectedFault, RetryPolicy, StoreError, FRAME_SIZE};
+use ann_datagen::splitmix64;
+use ann_store::{InjectedFault, RetryPolicy, StoreError, FRAME_SIZE};
 
 /// Disk operations a healthy MBRQT bulk build needs (op indexing matches
 /// `FaultyDisk`: every read, write and allocation counts).

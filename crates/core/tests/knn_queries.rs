@@ -5,8 +5,7 @@ use ann_geom::{MaxMaxDist, NxnDist, Point};
 use ann_mbrqt::{Mbrqt, MbrqtConfig};
 use ann_rstar::{RStar, RStarConfig};
 use ann_store::{BufferPool, MemDisk};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use ann_datagen::Rng;
 use std::sync::Arc;
 
 fn pool() -> Arc<BufferPool> {
@@ -14,12 +13,12 @@ fn pool() -> Arc<BufferPool> {
 }
 
 fn random_points<const D: usize>(n: usize, seed: u64) -> Vec<(u64, Point<D>)> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::new(seed);
     (0..n)
         .map(|i| {
             let mut c = [0.0; D];
             for v in c.iter_mut() {
-                *v = rng.gen_range(0.0..100.0);
+                *v = rng.range_f64(0.0, 100.0);
             }
             (i as u64, Point::new(c))
         })
@@ -56,9 +55,9 @@ fn knn_matches_brute_force_on_both_indices() {
         },
     )
     .unwrap();
-    let mut rng = StdRng::seed_from_u64(1);
+    let mut rng = Rng::new(1);
     for _ in 0..50 {
-        let q = Point::new([rng.gen_range(-10.0..110.0), rng.gen_range(-10.0..110.0)]);
+        let q = Point::new([rng.range_f64(-10.0, 110.0), rng.range_f64(-10.0, 110.0)]);
         for k in [1usize, 7] {
             let want = brute_knn(&pts, &q, k);
             for got in [

@@ -3,8 +3,8 @@
 
 use ann_core::lpq::{BoundTracker, Lpq, QueuedEntry};
 use ann_core::node::{Entry, NodeEntry, ObjectEntry};
+use ann_datagen::{for_each_case, Rng};
 use ann_geom::{Mbr, Point};
-use proptest::prelude::*;
 
 fn obj_entry(oid: u64) -> Entry<2> {
     Entry::Object(ObjectEntry {
@@ -30,30 +30,47 @@ fn qe(oid: u64, mind: f64, slack: f64) -> QueuedEntry<2> {
     }
 }
 
-proptest! {
-    /// Dequeue order is always ascending MIND, whatever the insert order.
-    #[test]
-    fn dequeue_is_sorted(
-        entries in proptest::collection::vec((0.0f64..100.0, 0.0f64..100.0), 1..60)
-    ) {
+/// Cases per property.
+const CASES: usize = 256;
+
+/// `(mind, slack)` pairs: `mind` in `[0, 100)`, `slack` in `[0, max_slack)`.
+fn entries(rng: &mut Rng, max_slack: f64) -> Vec<(f64, f64)> {
+    (0..rng.range(1, 60))
+        .map(|_| (rng.range_f64(0.0, 100.0), rng.range_f64(0.0, max_slack)))
+        .collect()
+}
+
+/// Between `min_len` and 39 offers in `[0, 100)`.
+fn offers(rng: &mut Rng, min_len: usize) -> Vec<f64> {
+    (0..rng.range(min_len, 40))
+        .map(|_| rng.range_f64(0.0, 100.0))
+        .collect()
+}
+
+/// Dequeue order is always ascending MIND, whatever the insert order.
+#[test]
+fn dequeue_is_sorted() {
+    for_each_case(0x1b01, CASES, |rng| {
+        let entries = entries(rng, 100.0);
         let mut lpq = Lpq::new(owner(), 1, f64::INFINITY);
         for (i, (mind, slack)) in entries.iter().enumerate() {
             lpq.try_enqueue(qe(i as u64, *mind, *slack));
         }
         let mut last = f64::NEG_INFINITY;
         while let Some(e) = lpq.dequeue() {
-            prop_assert!(e.mind_sq >= last);
+            assert!(e.mind_sq >= last);
             last = e.mind_sq;
         }
-    }
+    });
+}
 
-    /// Every entry surviving in the queue respects the bound, and the
-    /// bound equals the minimum MAXD that was ever accepted (k = 1,
-    /// no inherited bound).
-    #[test]
-    fn k1_bound_is_min_accepted_maxd(
-        entries in proptest::collection::vec((0.0f64..100.0, 0.0f64..100.0), 1..60)
-    ) {
+/// Every entry surviving in the queue respects the bound, and the
+/// bound equals the minimum MAXD that was ever accepted (k = 1,
+/// no inherited bound).
+#[test]
+fn k1_bound_is_min_accepted_maxd() {
+    for_each_case(0x1b02, CASES, |rng| {
+        let entries = entries(rng, 100.0);
         let mut lpq = Lpq::new(owner(), 1, f64::INFINITY);
         let mut min_accepted: f64 = f64::INFINITY;
         for (i, (mind, slack)) in entries.iter().enumerate() {
@@ -63,19 +80,20 @@ proptest! {
                 min_accepted = min_accepted.min(e.maxd_sq);
             }
         }
-        prop_assert_eq!(lpq.bound_sq(), min_accepted);
+        assert_eq!(lpq.bound_sq(), min_accepted);
         let bound = lpq.bound_sq() * (1.0 + 1e-12);
         while let Some(e) = lpq.dequeue() {
-            prop_assert!(e.mind_sq <= bound);
+            assert!(e.mind_sq <= bound);
         }
-    }
+    });
+}
 
-    /// The Filter stage never drops an entry whose MIND is within the
-    /// final bound — i.e. filtering is exactly the tail truncation.
-    #[test]
-    fn filter_only_drops_beyond_bound(
-        entries in proptest::collection::vec((0.0f64..100.0, 0.0f64..20.0), 1..60)
-    ) {
+/// The Filter stage never drops an entry whose MIND is within the
+/// final bound — i.e. filtering is exactly the tail truncation.
+#[test]
+fn filter_only_drops_beyond_bound() {
+    for_each_case(0x1b03, CASES, |rng| {
+        let entries = entries(rng, 20.0);
         let mut lpq = Lpq::new(owner(), 1, f64::INFINITY);
         let mut accepted: Vec<QueuedEntry<2>> = vec![];
         for (i, (mind, slack)) in entries.iter().enumerate() {
@@ -95,25 +113,30 @@ proptest! {
         // Everything accepted whose mind is within the final bound must
         // still be present.
         for e in &accepted {
-            let Entry::Object(o) = e.entry else { unreachable!() };
+            let Entry::Object(o) = e.entry else {
+                unreachable!()
+            };
             if e.mind_sq <= bound {
-                prop_assert!(
+                assert!(
                     surviving.contains(&o.oid),
                     "entry {} (mind {}) missing though within bound {}",
-                    o.oid, e.mind_sq, bound
+                    o.oid,
+                    e.mind_sq,
+                    bound
                 );
             }
         }
-    }
+    });
+}
 
-    /// BoundTracker with k entries: the bound is never below the true
-    /// k-th smallest live offer and never above the inherited bound… and
-    /// satisfy_one only ever tightens or keeps it.
-    #[test]
-    fn tracker_bound_is_kth_smallest_live(
-        offers in proptest::collection::vec(0.0f64..100.0, 1..40),
-        k in 2usize..6,
-    ) {
+/// BoundTracker with k entries: the bound is never below the true
+/// k-th smallest live offer and never above the inherited bound… and
+/// satisfy_one only ever tightens or keeps it.
+#[test]
+fn tracker_bound_is_kth_smallest_live() {
+    for_each_case(0x1b04, CASES, |rng| {
+        let offers = offers(rng, 1);
+        let k = rng.range(2, 6);
         let mut t = BoundTracker::new(k, f64::INFINITY);
         for &o in &offers {
             t.offer(o);
@@ -121,24 +144,25 @@ proptest! {
         let mut sorted = offers.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
         if offers.len() >= k {
-            prop_assert_eq!(t.bound_sq(), sorted[k - 1]);
+            assert_eq!(t.bound_sq(), sorted[k - 1]);
         } else {
-            prop_assert_eq!(t.bound_sq(), f64::INFINITY);
+            assert_eq!(t.bound_sq(), f64::INFINITY);
         }
         // Removing the largest live offer can only tighten or keep the
         // k-th smallest of the rest… recompute and compare.
         if offers.len() > k {
             let largest = *sorted.last().unwrap();
             t.remove(largest);
-            prop_assert_eq!(t.bound_sq(), sorted[k - 1]);
+            assert_eq!(t.bound_sq(), sorted[k - 1]);
         }
-    }
+    });
+}
 
-    /// satisfy_one monotonically tightens the tracker's bound.
-    #[test]
-    fn satisfy_one_never_loosens(
-        offers in proptest::collection::vec(0.0f64..100.0, 4..40),
-    ) {
+/// satisfy_one monotonically tightens the tracker's bound.
+#[test]
+fn satisfy_one_never_loosens() {
+    for_each_case(0x1b05, CASES, |rng| {
+        let offers = offers(rng, 4);
         let mut t = BoundTracker::new(4, f64::INFINITY);
         for &o in &offers {
             t.offer(o);
@@ -147,21 +171,22 @@ proptest! {
         for _ in 0..4 {
             t.satisfy_one();
             let now = t.bound_sq();
-            prop_assert!(now <= prev);
+            assert!(now <= prev);
             prev = now;
         }
-    }
+    });
+}
 
-    /// An inherited bound caps the tracker regardless of offers.
-    #[test]
-    fn inherited_bound_caps(
-        offers in proptest::collection::vec(0.0f64..100.0, 0..40),
-        inherited in 0.0f64..50.0,
-    ) {
+/// An inherited bound caps the tracker regardless of offers.
+#[test]
+fn inherited_bound_caps() {
+    for_each_case(0x1b06, CASES, |rng| {
+        let offers = offers(rng, 0);
+        let inherited = rng.range_f64(0.0, 50.0);
         let mut t = BoundTracker::new(1, inherited);
         for &o in &offers {
             t.offer(o);
         }
-        prop_assert!(t.bound_sq() <= inherited);
-    }
+        assert!(t.bound_sq() <= inherited);
+    });
 }

@@ -8,18 +8,17 @@ use ann_geom::Point;
 use ann_mbrqt::{Mbrqt, MbrqtConfig};
 use ann_rstar::{RStar, RStarConfig};
 use ann_store::{BufferPool, FaultyDisk, InjectedFault, MemDisk};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use ann_datagen::Rng;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn random_points(n: usize, seed: u64) -> Vec<(u64, Point<2>)> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::new(seed);
     (0..n)
         .map(|i| {
             (
                 i as u64,
-                Point::new([rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0)]),
+                Point::new([rng.range_f64(0.0, 100.0), rng.range_f64(0.0, 100.0)]),
             )
         })
         .collect()

@@ -19,73 +19,52 @@ use ann_core::mba::{Expansion, Traversal};
 use ann_core::prelude::*;
 use ann_core::resilience::CancelToken;
 use ann_core::stats::NeighborPair;
-
-/// Tiny deterministic generator (splitmix64) so the property tests need
-/// no external crate.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    }
-
-    fn pick<T: Copy>(&mut self, xs: &[T]) -> T {
-        xs[(self.next() % xs.len() as u64) as usize]
-    }
-
-    fn chance(&mut self, percent: u64) -> bool {
-        self.next() % 100 < percent
-    }
-}
+use ann_datagen::Rng;
 
 fn arbitrary_spec(rng: &mut Rng) -> QuerySpec {
-    let algorithm = match rng.next() % 5 {
+    let algorithm = match rng.next_u64() % 5 {
         0 => Algorithm::mba(),
         1 => Algorithm::Mba {
-            traversal: rng.pick(&[Traversal::DepthFirst, Traversal::BreadthFirst]),
-            expansion: rng.pick(&[Expansion::Bidirectional, Expansion::Unidirectional]),
-            threads: rng.pick(&[0, 1, 2, 8]),
+            traversal: *rng.pick(&[Traversal::DepthFirst, Traversal::BreadthFirst]),
+            expansion: *rng.pick(&[Expansion::Bidirectional, Expansion::Unidirectional]),
+            threads: *rng.pick(&[0, 1, 2, 8]),
         },
         2 => Algorithm::Bnn {
-            group_size: rng.pick(&[1, 4, 4096]),
+            group_size: *rng.pick(&[1, 4, 4096]),
         },
         3 => Algorithm::Mnn,
         _ => Algorithm::Hnn {
-            avg_cell_occupancy: rng.pick(&[0.5, 1.0, 8.0, 1e-3]),
+            avg_cell_occupancy: *rng.pick(&[0.5, 1.0, 8.0, 1e-3]),
         },
     };
     let mut spec = QuerySpec::new(algorithm);
-    spec.k = rng.pick(&[0, 1, 2, 17, usize::MAX >> 11]);
-    spec.exclude_self = rng.chance(50);
-    spec.metric = rng.pick(&[MetricChoice::Nxn, MetricChoice::MaxMax]);
-    if rng.chance(40) {
-        spec.deadline_ms = Some(rng.next() % 1_000_000);
+    spec.k = *rng.pick(&[0, 1, 2, 17, usize::MAX >> 11]);
+    spec.exclude_self = rng.chance(0.5);
+    spec.metric = *rng.pick(&[MetricChoice::Nxn, MetricChoice::MaxMax]);
+    if rng.chance(0.4) {
+        spec.deadline_ms = Some(rng.next_u64() % 1_000_000);
     }
-    if rng.chance(40) {
-        spec.io_budget = Some(rng.next() % 100_000);
+    if rng.chance(0.4) {
+        spec.io_budget = Some(rng.next_u64() % 100_000);
     }
-    if rng.chance(40) {
-        spec.visit_budget = Some(rng.next() % 100_000);
+    if rng.chance(0.4) {
+        spec.visit_budget = Some(rng.next_u64() % 100_000);
     }
-    if rng.chance(30) {
+    if rng.chance(0.3) {
         spec.retry = Some(RetryPolicy {
-            max_attempts: (rng.next() % 7 + 1) as u32,
-            backoff: Duration::from_millis(rng.next() % 500),
+            max_attempts: (rng.next_u64() % 7 + 1) as u32,
+            backoff: Duration::from_millis(rng.next_u64() % 500),
         });
     }
-    if rng.chance(40) {
-        spec.version = Some((rng.next() % 10_000 + 1) as u32);
+    if rng.chance(0.4) {
+        spec.version = Some((rng.next_u64() % 10_000 + 1) as u32);
     }
     spec
 }
 
 #[test]
 fn property_round_trip_is_identity_and_byte_stable() {
-    let mut rng = Rng(0xC0FFEE);
+    let mut rng = Rng::new(0xC0FFEE);
     for case in 0..2000 {
         let spec = arbitrary_spec(&mut rng);
         let json = spec.to_json();
@@ -187,7 +166,7 @@ fn outcome_distances_survive_json_bit_exactly() {
         f64::MIN_POSITIVE,
         5e-324, // subnormal
         1.7976931348623157e308,
-        123456789.123456789,
+        123456789.12345679,
         0.0,
     ];
     let outcome = QueryOutcome {

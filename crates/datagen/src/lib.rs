@@ -23,10 +23,11 @@
 #![forbid(unsafe_code)]
 
 pub mod io;
+mod rng;
+
+pub use rng::{for_each_case, splitmix64, Rng};
 
 use ann_geom::Point;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// A labelled dataset description, mirroring the paper's Table 2.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -75,12 +76,11 @@ pub const TABLE2: &[DatasetSpec] = &[
     },
 ];
 
-/// One standard-normal sample via Box-Muller (keeps us inside the `rand`
-/// crate without `rand_distr`).
-fn normal(rng: &mut StdRng) -> f64 {
+/// One standard-normal sample via Box-Muller.
+fn normal(rng: &mut Rng) -> f64 {
     loop {
-        let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-        let u2: f64 = rng.gen_range(0.0..1.0);
+        let u1 = rng.range_f64(f64::EPSILON, 1.0);
+        let u2 = rng.f64();
         let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
         if z.is_finite() {
             return z;
@@ -100,11 +100,11 @@ pub fn uniform_stream<const D: usize>(
     n: usize,
     seed: u64,
 ) -> impl Iterator<Item = (u64, Point<D>)> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::new(seed);
     (0..n).map(move |i| {
         let mut c = [0.0; D];
         for v in c.iter_mut() {
-            *v = rng.gen_range(0.0..1.0);
+            *v = rng.f64();
         }
         (i as u64, Point::new(c))
     })
@@ -120,19 +120,19 @@ pub fn gaussian_clusters<const D: usize>(
     seed: u64,
 ) -> Vec<(u64, Point<D>)> {
     assert!(clusters >= 1, "need at least one cluster");
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::new(seed);
     let centers: Vec<[f64; D]> = (0..clusters)
         .map(|_| {
             let mut c = [0.0; D];
             for v in c.iter_mut() {
-                *v = rng.gen_range(0.1..0.9);
+                *v = rng.range_f64(0.1, 0.9);
             }
             c
         })
         .collect();
     (0..n)
         .map(|i| {
-            let center = centers[rng.gen_range(0..clusters)];
+            let center = centers[rng.range(0, clusters)];
             let mut c = [0.0; D];
             for (d, v) in c.iter_mut().enumerate() {
                 *v = (center[d] + sigma * normal(&mut rng)).clamp(0.0, 1.0);
@@ -148,13 +148,12 @@ pub fn gaussian_clusters<const D: usize>(
 /// paper's §2 remark on HNN).
 pub fn skewed<const D: usize>(n: usize, alpha: f64, seed: u64) -> Vec<(u64, Point<D>)> {
     assert!(alpha > 0.0, "alpha must be positive");
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::new(seed);
     (0..n)
         .map(|i| {
             let mut c = [0.0; D];
             for v in c.iter_mut() {
-                let u: f64 = rng.gen_range(0.0..1.0);
-                *v = u.powf(alpha);
+                *v = rng.f64().powf(alpha);
             }
             (i as u64, Point::new(c))
         })
@@ -170,28 +169,28 @@ pub fn skewed<const D: usize>(n: usize, alpha: f64, seed: u64) -> Vec<(u64, Poin
 /// inclined band with ~35 % near-uniform background — large, 2-D and
 /// non-uniform, which is what the TAC experiments exercise.
 pub fn tac_like(n: usize, seed: u64) -> Vec<(u64, Point<2>)> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::new(seed);
     let n_clusters = 400.max(n / 2000);
     // Cluster centers concentrated around a sinusoidal "galactic band".
     let centers: Vec<(f64, f64, f64)> = (0..n_clusters)
         .map(|_| {
-            let ra: f64 = rng.gen_range(0.0..360.0);
+            let ra = rng.range_f64(0.0, 360.0);
             let band = 25.0 * (ra.to_radians() * 1.0).sin();
             let dec = (band + 18.0 * normal(&mut rng)).clamp(-89.0, 89.0);
-            let sigma = rng.gen_range(0.05..1.2);
+            let sigma = rng.range_f64(0.05, 1.2);
             (ra, dec, sigma)
         })
         .collect();
     (0..n)
         .map(|i| {
-            let (ra, dec) = if rng.gen_bool(0.65) {
-                let (cra, cdec, sigma) = centers[rng.gen_range(0..n_clusters)];
+            let (ra, dec) = if rng.chance(0.65) {
+                let (cra, cdec, sigma) = centers[rng.range(0, n_clusters)];
                 (
                     (cra + sigma * normal(&mut rng)).rem_euclid(360.0),
                     (cdec + sigma * normal(&mut rng)).clamp(-90.0, 90.0),
                 )
             } else {
-                (rng.gen_range(0.0..360.0), rng.gen_range(-90.0..90.0))
+                (rng.range_f64(0.0, 360.0), rng.range_f64(-90.0, 90.0))
             };
             (i as u64, Point::new([ra, dec]))
         })
@@ -219,7 +218,7 @@ pub fn tac_like(n: usize, seed: u64) -> Vec<(u64, Point<2>)> {
 ///   therefore quantizes every dimension to a realistic resolution and
 ///   samples rows from a pool of `n / 5` distinct profiles.
 pub fn fc_like(n: usize, seed: u64) -> Vec<(u64, Point<10>)> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::new(seed);
     let distinct = (n / 5).max(1);
     // Fixed mixing matrix: 10 attributes from 3 latent factors.
     // Rows chosen so groups of attributes share factors (like the three
@@ -244,7 +243,7 @@ pub fn fc_like(n: usize, seed: u64) -> Vec<(u64, Point<10>)> {
         // Latents: two gaussian, one bimodal (forest type regimes).
         let f0 = normal(&mut rng);
         let f1 = normal(&mut rng);
-        let f2 = 0.6 * normal(&mut rng) + if rng.gen_bool(0.5) { 1.2 } else { -1.2 };
+        let f2 = 0.6 * normal(&mut rng) + if rng.chance(0.5) { 1.2 } else { -1.2 };
         let mut c = [0.0; 10];
         for (d, row) in MIX.iter().enumerate() {
             c[d] = row[0] * f0 + row[1] * f1 + row[2] * f2 + NOISE * normal(&mut rng);
@@ -273,7 +272,7 @@ pub fn fc_like(n: usize, seed: u64) -> Vec<(u64, Point<10>)> {
         .collect();
     (0..n)
         .map(|i| {
-            let profile = profiles[rng.gen_range(0..profiles.len())];
+            let profile = *rng.pick(&profiles);
             (i as u64, Point::new(profile))
         })
         .collect()

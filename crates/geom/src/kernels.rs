@@ -348,22 +348,7 @@ pub fn nxn_dist_sq_batch<const D: usize>(m: &Mbr<D>, mbrs: &SoaMbrs<'_>, out: &m
 mod tests {
     use super::*;
     use crate::{max_max_dist_sq, min_min_dist_sq, min_min_dist_sq_within, nxn_dist_sq};
-
-    /// Deterministic splitmix64 — keeps the tests seed-stable without a
-    /// rand dependency.
-    struct Rng(u64);
-    impl Rng {
-        fn next_u64(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E3779B97F4A7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-            z ^ (z >> 31)
-        }
-        fn f64(&mut self) -> f64 {
-            (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-        }
-    }
+    use ann_datagen::Rng;
 
     /// Adversarial candidate set: large offsets (cancellation), coincident
     /// points, degenerate and fat boxes. Returns (lo, hi) columns.
@@ -405,7 +390,7 @@ mod tests {
     }
 
     fn check_dims<const D: usize>(seed: u64) {
-        let mut rng = Rng(seed);
+        let mut rng = Rng::new(seed);
         // Cover every block/remainder split around LANES.
         for n in [0, 1, 3, 4, 5, 7, 8, 13, 64] {
             let (lo, hi) = gen_mbrs::<D>(&mut rng, n);
@@ -473,7 +458,7 @@ mod tests {
 
     #[test]
     fn point_view_matches_degenerate_mbrs() {
-        let mut rng = Rng(7);
+        let mut rng = Rng::new(7);
         let (cols, _) = gen_mbrs::<2>(&mut rng, 9);
         let pts = SoaPoints::new(9, &cols);
         let m = gen_owner::<2>(&mut rng);
@@ -495,7 +480,7 @@ mod tests {
     /// same order — so a point owner can score a leaf with one kernel.
     fn check_point_pair_identity<const D: usize>(seed: u64) {
         use crate::{MaxMaxDist, NxnDist, PruneMetric};
-        let mut rng = Rng(seed);
+        let mut rng = Rng::new(seed);
         let offsets = [0.0, 1e8, -1e8, 1e-8];
         for case in 0..256 {
             let mut q = [0.0; D];
@@ -534,7 +519,7 @@ mod tests {
 
     /// Every split of `n` into full blocks and an in-loop tail.
     fn check_dist_tails<const D: usize>(seed: u64) {
-        let mut rng = Rng(seed);
+        let mut rng = Rng::new(seed);
         let mut out = Vec::new();
         for n in 0..=2 * LANES + 1 {
             let (cols, _) = gen_mbrs::<D>(&mut rng, n);
@@ -559,7 +544,7 @@ mod tests {
 
     #[test]
     fn output_vec_capacity_is_reused() {
-        let mut rng = Rng(11);
+        let mut rng = Rng::new(11);
         let (lo, hi) = gen_mbrs::<2>(&mut rng, 64);
         let mbrs = SoaMbrs::new(64, &lo, &hi);
         let m = gen_owner::<2>(&mut rng);

@@ -13,38 +13,24 @@
 //! * for every `r ∈ M`: `min_{s ∈ S} dist(r, s) ≤ NXNDIST(M, N)` — the
 //!   defining ANN-pruning guarantee of the paper.
 
+use ann_datagen::Rng;
 use ann_geom::{max_max_dist_sq, min_min_dist_sq, nxn_dist_sq, Mbr, Point};
 
-/// Self-contained SplitMix64 so this crate keeps zero dependencies.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn lattice(&mut self) -> f64 {
-        (self.next() % 9) as f64
-    }
-
-    fn unit(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64
-    }
+/// A coordinate on a 9-step lattice, so touching and coincident boxes are
+/// common.
+fn lattice(rng: &mut Rng) -> f64 {
+    rng.range(0, 9) as f64
 }
 
 /// One random configuration at a given scale/offset; panics with a full
 /// witness on any violated bound.
 fn check_one<const D: usize>(rng: &mut Rng, scale: f64, offset: f64) {
-    let n_s = 1 + (rng.next() % 8) as usize;
+    let n_s = rng.range(1, 9);
     let s: Vec<Point<D>> = (0..n_s)
         .map(|_| {
             let mut c = [0.0; D];
             for v in c.iter_mut() {
-                *v = rng.lattice() * scale + offset;
+                *v = lattice(rng) * scale + offset;
             }
             Point::new(c)
         })
@@ -54,13 +40,13 @@ fn check_one<const D: usize>(rng: &mut Rng, scale: f64, offset: f64) {
     let mut lo = [0.0; D];
     let mut hi = [0.0; D];
     for d in 0..D {
-        let a = rng.lattice() * scale + offset;
+        let a = lattice(rng) * scale + offset;
         // One third of dimensions degenerate to a point — that also
         // produces shared-face and fully coincident configurations.
-        let b = if rng.next() % 3 == 0 {
+        let b = if rng.range(0, 3) == 0 {
             a
         } else {
-            rng.lattice() * scale + offset
+            lattice(rng) * scale + offset
         };
         lo[d] = a.min(b);
         hi[d] = a.max(b);
@@ -78,10 +64,7 @@ fn check_one<const D: usize>(rng: &mut Rng, scale: f64, offset: f64) {
     // The defining property, sampled at corners and interior points.
     let mut queries = vec![Point::new(m.lo), Point::new(m.hi)];
     for _ in 0..4 {
-        let mut c = [0.0; D];
-        for d in 0..D {
-            c[d] = m.lo[d] + rng.unit() * (m.hi[d] - m.lo[d]);
-        }
+        let c = std::array::from_fn(|d| m.lo[d] + rng.f64() * (m.hi[d] - m.lo[d]));
         queries.push(Point::new(c));
     }
     for r in &queries {
@@ -99,7 +82,7 @@ fn check_one<const D: usize>(rng: &mut Rng, scale: f64, offset: f64) {
 
 #[test]
 fn nxn_bounds_hold_on_lattice_configurations_2d() {
-    let mut rng = Rng(0x5EED_0001);
+    let mut rng = Rng::new(0x5EED_0001);
     for _ in 0..500 {
         check_one::<2>(&mut rng, 1.0, 0.0);
     }
@@ -107,7 +90,7 @@ fn nxn_bounds_hold_on_lattice_configurations_2d() {
 
 #[test]
 fn nxn_bounds_hold_in_1d_and_8d() {
-    let mut rng = Rng(0x5EED_0002);
+    let mut rng = Rng::new(0x5EED_0002);
     for _ in 0..300 {
         check_one::<1>(&mut rng, 1.0, 0.0);
         check_one::<8>(&mut rng, 1.0, 0.0);
@@ -120,7 +103,7 @@ fn nxn_bounds_hold_in_1d_and_8d() {
 /// the metric ordering downstream pruning relies on.
 #[test]
 fn nxn_stays_above_minmin_at_cancellation_offsets() {
-    let mut rng = Rng(0x5EED_0003);
+    let mut rng = Rng::new(0x5EED_0003);
     for offset in [1.0e8, 1.0e12, 1.0e15] {
         for scale in [1.0, 1024.0, 0.0078125] {
             for _ in 0..150 {

@@ -5,8 +5,7 @@ use ann_core::stats::NeighborPair;
 use ann_geom::Point;
 use ann_gorder::{gorder_join, GorderConfig};
 use ann_store::{BufferPool, MemDisk};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use ann_datagen::Rng;
 use std::sync::Arc;
 
 fn pool(frames: usize) -> Arc<BufferPool> {
@@ -14,12 +13,12 @@ fn pool(frames: usize) -> Arc<BufferPool> {
 }
 
 fn random_points<const D: usize>(n: usize, seed: u64) -> Vec<(u64, Point<D>)> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::new(seed);
     (0..n)
         .map(|i| {
             let mut c = [0.0; D];
             for v in c.iter_mut() {
-                *v = rng.gen_range(0.0..100.0);
+                *v = rng.range_f64(0.0, 100.0);
             }
             (i as u64, Point::new(c))
         })
@@ -144,13 +143,13 @@ fn empty_inputs() {
 fn schedule_prunes_far_blocks() {
     // Two well separated clusters: the join of the left cluster must not
     // scan every block of the right cluster.
-    let mut rng = StdRng::seed_from_u64(7);
+    let mut rng = Rng::new(7);
     let mut pts: Vec<(u64, Point<2>)> = vec![];
     for i in 0..2000u64 {
         let base = if i % 2 == 0 { 0.0 } else { 1000.0 };
         pts.push((
             i,
-            Point::new([base + rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)]),
+            Point::new([base + rng.f64(), rng.f64()]),
         ));
     }
     let p = pool(256);

@@ -105,6 +105,9 @@ struct StepOutcome<const D: usize> {
     split: Option<NodeEntry<D>>,
 }
 
+// One recursive step: where it is (tree, txn, page, level), what it places
+// (entry, target level) and the insertion's two work lists.
+#[allow(clippy::too_many_arguments)]
 fn descend<const D: usize>(
     tree: &RStar<D>,
     txn: &Txn<'_>,

@@ -99,7 +99,7 @@ pub(crate) fn load_via<const D: usize>(
     meta_page: PageId,
     journal: Journal,
 ) -> Result<RStar<D>> {
-    let meta = store.with_page(meta_page, |bytes| parse::<D>(bytes))??;
+    let meta = store.with_page(meta_page, parse::<D>)??;
     Ok(RStar {
         pool,
         meta_page,
@@ -133,7 +133,7 @@ pub(crate) fn snapshot_meta_fields<const D: usize>(
     snap: &Snapshot,
     meta_page: PageId,
 ) -> Result<MetaFields<D>> {
-    let meta = snap.with_page(meta_page, |bytes| parse::<D>(bytes))??;
+    let meta = snap.with_page(meta_page, parse::<D>)??;
     Ok(MetaFields {
         root: meta.root,
         num_points: meta.num_points,

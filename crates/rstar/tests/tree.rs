@@ -6,8 +6,7 @@ use ann_core::node::Entry;
 use ann_geom::Point;
 use ann_rstar::{RStar, RStarConfig};
 use ann_store::{BufferPool, MemDisk};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use ann_datagen::Rng;
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -16,12 +15,12 @@ fn pool(frames: usize) -> Arc<BufferPool> {
 }
 
 fn random_points<const D: usize>(n: usize, seed: u64) -> Vec<(u64, Point<D>)> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::new(seed);
     (0..n)
         .map(|i| {
             let mut c = [0.0; D];
             for v in c.iter_mut() {
-                *v = rng.gen_range(-1000.0..1000.0);
+                *v = rng.range_f64(-1000.0, 1000.0);
             }
             (i as u64, Point::new(c))
         })

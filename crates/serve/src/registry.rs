@@ -37,13 +37,14 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use ann_core::snapshot::{ReadContext, VersionedHandle};
 use ann_core::wire::{CollectionId, ErrorCode, JsonValue};
 use ann_geom::Point;
 use ann_mbrqt::{Mbrqt, MbrqtConfig};
 use ann_rstar::{RStar, RStarConfig};
+use ann_store::sync::Mutex;
 use ann_store::{BufferPool, FileDisk, PageId, StoreError, DEFAULT_KEEP};
 
 /// The fixed dimensionality served over the wire.
@@ -243,7 +244,7 @@ impl Collection {
                 ),
             ));
         };
-        let mut index = lock(writer);
+        let mut index = writer.lock();
         let first = self.num_points.load(Ordering::Acquire);
         for (i, p) in points.iter().enumerate() {
             if let Err(e) = index.insert(first + i as u64, *p) {
@@ -296,7 +297,7 @@ impl Registry {
     /// The slot for `id`, inserting an empty one if absent. The global
     /// map lock is held only for this lookup — never across disk I/O.
     fn slot(&self, id: &CollectionId) -> Arc<Slot> {
-        let mut open = lock(&self.open);
+        let mut open = self.open.lock();
         Arc::clone(open.entry(id.as_str().to_string()).or_insert_with(|| {
             Arc::new(Slot {
                 state: Mutex::new(None),
@@ -308,7 +309,7 @@ impl Registry {
     /// left it behind). `try_lock` keeps the map→slot lock order: a slot
     /// busy with another opener is simply left alone.
     fn gc_empty_slot(&self, id: &CollectionId) {
-        let mut open = lock(&self.open);
+        let mut open = self.open.lock();
         let empty = open.get(id.as_str()).is_some_and(|slot| {
             slot.state
                 .try_lock()
@@ -338,7 +339,7 @@ impl Registry {
             ));
         }
         let slot = self.slot(id);
-        let mut state = lock(&slot.state);
+        let mut state = slot.state.lock();
         if state.is_some() || self.meta_path(id).exists() {
             drop(state);
             self.gc_empty_slot(id);
@@ -437,7 +438,7 @@ impl Registry {
     /// of the same [`Collection`] (one pool per collection, ever).
     pub fn get(&self, id: &CollectionId) -> Result<Arc<Collection>, ApiError> {
         let slot = self.slot(id);
-        let mut state = lock(&slot.state);
+        let mut state = slot.state.lock();
         if let Some(coll) = state.as_ref() {
             return Ok(Arc::clone(coll));
         }
@@ -550,8 +551,8 @@ impl Registry {
     /// files. In-flight queries holding the `Arc` finish normally — on
     /// Unix the unlinked file stays readable until the last handle drops.
     pub fn drop_collection(&self, id: &CollectionId) -> Result<(), ApiError> {
-        let removed = lock(&self.open).remove(id.as_str());
-        let was_open = removed.is_some_and(|slot| lock(&slot.state).take().is_some());
+        let removed = self.open.lock().remove(id.as_str());
+        let was_open = removed.is_some_and(|slot| slot.state.lock().take().is_some());
         let meta = self.meta_path(id);
         let on_disk = meta.exists();
         if !was_open && !on_disk {
@@ -568,7 +569,7 @@ impl Registry {
     /// All collection names, live or on disk, sorted.
     pub fn list(&self) -> Vec<String> {
         let mut names: Vec<String> = {
-            let open = lock(&self.open);
+            let open = self.open.lock();
             open.iter()
                 .filter(|(_, slot)| {
                     // A busy slot is mid-open of a collection that exists
@@ -598,7 +599,7 @@ impl Registry {
 
     /// Number of currently open (live) collections.
     pub fn open_count(&self) -> usize {
-        lock(&self.open)
+        self.open.lock()
             .values()
             .filter(|slot| {
                 slot.state
@@ -609,11 +610,4 @@ impl Registry {
             })
             .count()
     }
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    // A poisoned lock means a panic mid-create; the structures themselves
-    // are still sound (publishes happen after the fallible work), so
-    // serving can continue.
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }

@@ -37,7 +37,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -50,6 +50,7 @@ use ann_core::trace::RecordingSink;
 use ann_core::wire::{CollectionId, ErrorCode, JsonValue, QueryOutcome, QuerySpec};
 use ann_core::QueryResult;
 use ann_geom::Point;
+use ann_store::sync::{unpoisoned, Mutex};
 
 use crate::http::{read_request, write_response, Request};
 use crate::metrics::Metrics;
@@ -202,13 +203,13 @@ impl WorkQueue {
     }
 
     /// Non-blocking admission: `Full` is the 429 path.
-    fn try_submit(&self, job: Job) -> Result<(), (Job, SubmitError)> {
-        let mut st = lock(&self.state);
+    fn try_submit(&self, job: Job) -> Result<(), SubmitError> {
+        let mut st = self.state.lock();
         if st.closed {
-            return Err((job, SubmitError::Closed));
+            return Err(SubmitError::Closed);
         }
         if st.jobs.len() >= self.cap {
-            return Err((job, SubmitError::Full));
+            return Err(SubmitError::Full);
         }
         st.jobs.push_back(job);
         drop(st);
@@ -219,7 +220,7 @@ impl WorkQueue {
     /// Blocks for the next job; `None` means the queue is closed and
     /// drained, i.e. the worker should exit.
     fn pop(&self) -> Option<Job> {
-        let mut st = lock(&self.state);
+        let mut st = self.state.lock();
         loop {
             if let Some(job) = st.jobs.pop_front() {
                 return Some(job);
@@ -227,10 +228,7 @@ impl WorkQueue {
             if st.closed {
                 return None;
             }
-            st = self
-                .cond
-                .wait(st)
-                .unwrap_or_else(|e| e.into_inner());
+            st = unpoisoned(self.cond.wait(st));
         }
     }
 
@@ -238,7 +236,7 @@ impl WorkQueue {
     /// blocked workers wake and exit once drained.
     fn close(&self) {
         let drained: Vec<Job> = {
-            let mut st = lock(&self.state);
+            let mut st = self.state.lock();
             st.closed = true;
             st.jobs.drain(..).collect()
         };
@@ -250,10 +248,6 @@ impl WorkQueue {
             )));
         }
     }
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Shared server context, one `Arc` per thread.
@@ -903,11 +897,11 @@ fn submit_query(q: PreparedQuery, ctx: &Ctx) -> Result<(CancelToken, ReplyRx), A
     };
     match ctx.queue.try_submit(job) {
         Ok(()) => Ok((cancel, rx)),
-        Err((_, SubmitError::Full)) => Err(ApiError::new(
+        Err(SubmitError::Full) => Err(ApiError::new(
             ErrorCode::Overloaded,
             "query queue is full, retry later",
         )),
-        Err((_, SubmitError::Closed)) => Err(ApiError::new(
+        Err(SubmitError::Closed) => Err(ApiError::new(
             ErrorCode::ShuttingDown,
             "server is shutting down",
         )),

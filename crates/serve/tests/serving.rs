@@ -27,7 +27,7 @@ use ann_rstar::{RStar, RStarConfig};
 use ann_serve::client::{Client, Conn};
 use ann_serve::server::{Server, ServerConfig};
 use ann_store::{BufferPool, MemDisk};
-use checker::rng::Rng;
+use ann_datagen::Rng;
 
 static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
 
@@ -162,8 +162,10 @@ fn crud_and_query_roundtrip() {
     assert_eq!(desc.status, 200);
     assert!(desc.body.contains("\"points\":3"), "{}", desc.body);
 
-    let mut spec = QuerySpec::default();
-    spec.exclude_self = true;
+    let spec = QuerySpec {
+        exclude_self: true,
+        ..QuerySpec::default()
+    };
     let q = client.query("demo", &spec).expect("query");
     assert_eq!(q.status, 200, "{}", q.body);
     let outcome = q.outcome().expect("outcome parses");
@@ -291,9 +293,11 @@ fn sustains_32_concurrent_clients_with_identical_results() {
         .expect("create");
     assert_eq!(created.status, 201, "{}", created.body);
 
-    let mut spec = QuerySpec::default();
-    spec.k = 2;
-    spec.exclude_self = true;
+    let spec = QuerySpec {
+        k: 2,
+        exclude_self: true,
+        ..QuerySpec::default()
+    };
     let expected = Arc::new(library_pairs(&points, None, &spec));
     let addr = server.addr().to_string();
     let spec_json = Arc::new(spec.to_json());
@@ -332,10 +336,12 @@ fn sustains_32_concurrent_clients_with_identical_results() {
     server.shutdown();
 }
 
-/// A deliberately tiny server (one worker, queue depth one) under
-/// overlapping slow queries must shed load with 429.
+/// A deliberately tiny server (one worker, queue depth one) holds at most
+/// two unanswered queries — one running, one queued — so of three sent at
+/// the same instant at least one must be shed with 429.
 #[test]
 fn saturated_server_answers_429() {
+    const OFFERED: usize = 3;
     let server = start_server("overload", 1, 1, 16);
     let client = Client::new(server.addr().to_string());
     let points = uniform_points(30_000, 0xBEEF);
@@ -345,80 +351,54 @@ fn saturated_server_answers_429() {
     assert_eq!(created.status, 201, "{}", created.body);
 
     // Slow query, but deadline-bounded so the test always terminates.
-    let mut spec = QuerySpec::default();
-    spec.k = 8;
-    spec.exclude_self = true;
-    spec.deadline_ms = Some(10_000);
-    let spec_json = Arc::new(spec.to_json());
-    let addr = server.addr().to_string();
+    let spec = QuerySpec {
+        k: 8,
+        exclude_self: true,
+        deadline_ms: Some(10_000),
+        ..QuerySpec::default()
+    };
+    let spec_json = spec.to_json();
 
-    // Two closed-loop occupants hammer the 1-worker/1-slot server so the
-    // worker and the queue slot stay contended; they keep resubmitting
-    // (a single query is fast, and any one attempt can itself be bounced
-    // by a probe below) until the main thread has seen its 429.
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let occupants: Vec<_> = (0..2)
-        .map(|_| {
-            let addr = addr.clone();
-            let spec_json = Arc::clone(&spec_json);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut conn = Conn::connect(&addr).expect("connect");
-                loop {
-                    let status = conn
-                        .request("POST", "/collections/big/query", &spec_json)
-                        .expect("slow query")
-                        .status;
-                    if stop.load(Ordering::Relaxed) {
-                        return status;
-                    }
-                }
-            })
-        })
-        .collect();
-    // Worker busy + queue full → admission control rejects.  On a loaded
-    // test machine the occupant threads may take a while to get their
-    // requests onto the wire, so poll rather than sleep a fixed amount.
-    // The probe spec carries a one-node visit budget: if a probe sneaks
-    // in before both occupants hold the server, it is bounced with 422
-    // almost immediately and frees its slot instead of starving them.
-    let mut probe = QuerySpec::default();
-    probe.k = 1;
-    probe.exclude_self = true;
-    probe.visit_budget = Some(1);
-    let probe_json = probe.to_json();
-    let probe_deadline = Instant::now() + Duration::from_secs(15);
+    // Every sender connects first and writes only after the barrier, so
+    // all three requests reach admission control a socket write apart —
+    // against a query that runs for hundreds of milliseconds. A round in
+    // which the first query nevertheless finished before the last one
+    // arrived (the process was descheduled between two writes) saturated
+    // nothing, and is repeated.
+    let barrier = std::sync::Barrier::new(OFFERED);
+    let mut rounds = 0;
     let rejected = loop {
-        let resp = client
-            .request("POST", "/collections/big/query", &probe_json)
-            .expect("probe query");
-        if resp.status == 429 {
-            break resp;
+        rounds += 1;
+        assert!(rounds <= 10, "three simultaneous queries never saturated a 1-worker/1-slot server");
+        let replies: Vec<_> = std::thread::scope(|scope| {
+            let senders: Vec<_> = (0..OFFERED)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut conn = client.conn().expect("connect");
+                        barrier.wait();
+                        conn.request("POST", "/collections/big/query", &spec_json)
+                            .expect("query")
+                    })
+                })
+                .collect();
+            senders
+                .into_iter()
+                .map(|h| h.join().expect("sender thread"))
+                .collect()
+        });
+        for reply in &replies {
+            assert!(
+                matches!(reply.status, 200 | 429 | 504),
+                "a query completes, is shed, or hits its deadline, got {}",
+                reply.status
+            );
         }
-        assert!(
-            resp.status == 200 || resp.status == 422,
-            "probe should be rejected or admitted-and-budget-bounded, got {} {}",
-            resp.status,
-            resp.body
-        );
-        assert!(
-            Instant::now() < probe_deadline,
-            "never observed a 429 while both occupants held the 1-worker/1-slot server"
-        );
-        std::thread::sleep(Duration::from_millis(25));
+        if let Some(shed) = replies.into_iter().find(|r| r.status == 429) {
+            break shed;
+        }
     };
     assert!(rejected.body.contains("\"code\":3000"), "{}", rejected.body);
     assert!(server.metrics().rejected.load(Ordering::Relaxed) >= 1);
-
-    stop.store(true, Ordering::Relaxed);
-    for h in occupants {
-        let status = h.join().expect("occupant thread");
-        assert!(
-            status == 200 || status == 429 || status == 504,
-            "occupant should complete, get bounced by a probe, or hit its \
-             deadline, got {status}"
-        );
-    }
     server.shutdown();
 }
 
@@ -434,9 +414,11 @@ fn disconnect_mid_query_cancels_and_releases_pins() {
         .expect("create");
     assert_eq!(created.status, 201, "{}", created.body);
 
-    let mut spec = QuerySpec::default();
-    spec.k = 8;
-    spec.exclude_self = true;
+    let spec = QuerySpec {
+        k: 8,
+        exclude_self: true,
+        ..QuerySpec::default()
+    };
     let body = spec.to_json();
 
     // Send the query by hand, give the worker time to get deep into the
@@ -487,9 +469,11 @@ fn disconnect_mid_query_cancels_and_releases_pins() {
     }
 
     // The server keeps serving afterwards.
-    let mut quick = QuerySpec::default();
-    quick.k = 1;
-    quick.io_budget = Some(100_000);
+    let quick = QuerySpec {
+        k: 1,
+        io_budget: Some(100_000),
+        ..QuerySpec::default()
+    };
     let resp = client.query("victim", &quick).expect("follow-up query");
     assert_eq!(resp.status, 200, "{}", resp.body);
     server.shutdown();
@@ -537,9 +521,11 @@ fn time_travel_queries_pin_old_versions() {
         .expect("create");
     assert_eq!(created.status, 201, "{}", created.body);
 
-    let mut spec = QuerySpec::default();
-    spec.k = 1;
-    spec.exclude_self = true;
+    let spec = QuerySpec {
+        k: 1,
+        exclude_self: true,
+        ..QuerySpec::default()
+    };
 
     // The version the bulk build committed.
     let before = client.query("tt", &spec).expect("query v1");
@@ -631,9 +617,11 @@ fn parallel_first_touch_and_writer_commits_leave_nothing_pinned() {
 
     let server = Server::start(config(&dir)).expect("second server");
     let addr = server.addr().to_string();
-    let mut spec = QuerySpec::default();
-    spec.k = 1;
-    spec.exclude_self = true;
+    let spec = QuerySpec {
+        k: 1,
+        exclude_self: true,
+        ..QuerySpec::default()
+    };
     let spec_json = Arc::new(spec.to_json());
 
     let readers: Vec<_> = (0..READERS)
@@ -702,9 +690,11 @@ fn collections_reopen_from_disk_across_restarts() {
         compute_tokens: 0,
     };
     let points = uniform_points(500, 0x0DD);
-    let mut spec = QuerySpec::default();
-    spec.k = 3;
-    spec.exclude_self = true;
+    let spec = QuerySpec {
+        k: 3,
+        exclude_self: true,
+        ..QuerySpec::default()
+    };
 
     let first = Server::start(config(&dir)).expect("first server");
     let client = Client::new(first.addr().to_string());
@@ -744,9 +734,11 @@ fn threads_round_trip_matches_serial_without_schema_bump() {
         .expect("create");
     assert_eq!(created.status, 201, "{}", created.body);
 
-    let mut spec = QuerySpec::default();
-    spec.k = 2;
-    spec.exclude_self = true;
+    let spec = QuerySpec {
+        k: 2,
+        exclude_self: true,
+        ..QuerySpec::default()
+    };
 
     let serial = client.query("par", &spec).expect("serial query");
     assert_eq!(serial.status, 200, "{}", serial.body);
@@ -811,9 +803,11 @@ fn mba_variant_threads_cannot_bypass_compute_cap() {
         .expect("create");
     assert_eq!(created.status, 201, "{}", created.body);
 
-    let mut spec = QuerySpec::default();
-    spec.k = 2;
-    spec.exclude_self = true;
+    let spec = QuerySpec {
+        k: 2,
+        exclude_self: true,
+        ..QuerySpec::default()
+    };
     let expected = library_pairs(&points, None, &spec);
 
     // No top-level `threads`; the variant asks for a 64-way fan-out.
@@ -867,9 +861,11 @@ fn compute_token_cap_holds_under_32_concurrent_clients() {
         .expect("create");
     assert_eq!(created.status, 201, "{}", created.body);
 
-    let mut spec = QuerySpec::default();
-    spec.k = 2;
-    spec.exclude_self = true;
+    let spec = QuerySpec {
+        k: 2,
+        exclude_self: true,
+        ..QuerySpec::default()
+    };
     let expected = Arc::new(library_pairs(&points, None, &spec));
     let spec_json = Arc::new(spec.to_json());
     let addr = server.addr().to_string();
@@ -929,9 +925,11 @@ fn disconnect_cancels_parallel_query_and_releases_everything() {
         .expect("create");
     assert_eq!(created.status, 201, "{}", created.body);
 
-    let mut spec = QuerySpec::default();
-    spec.k = 8;
-    spec.exclude_self = true;
+    let spec = QuerySpec {
+        k: 8,
+        exclude_self: true,
+        ..QuerySpec::default()
+    };
     let body = spec.to_json();
 
     {
@@ -982,9 +980,11 @@ fn disconnect_cancels_parallel_query_and_releases_everything() {
     );
 
     // The server keeps serving afterwards — in parallel, even.
-    let mut quick = QuerySpec::default();
-    quick.k = 1;
-    quick.io_budget = Some(100_000);
+    let quick = QuerySpec {
+        k: 1,
+        io_budget: Some(100_000),
+        ..QuerySpec::default()
+    };
     let resp = client
         .query_threads("victim", 2, &quick)
         .expect("follow-up query");

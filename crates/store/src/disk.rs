@@ -18,7 +18,7 @@
 //! boundary, which is what lets [`crate::FaultyDisk`] damage trailers too.
 
 use crate::{PageId, Result, StoreError, FRAME_SIZE};
-use parking_lot::Mutex;
+use crate::sync::Mutex;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;

@@ -14,14 +14,14 @@
 //!   write that persists only a prefix of the frame and then "crashes" the
 //!   device, a silent bit flip, or an outright crash. Schedules are plain
 //!   `(index, fault)` pairs, so sweeps are deterministic and reproducible
-//!   from a seed (see [`splitmix64`]).
+//!   from a seed.
 //!
 //! Injected failures surface as [`StoreError::Injected`] so tests can
 //! assert *which* failure surfaced, distinguishable from real OS errors
 //! and from checksum-detected corruption.
 
 use crate::{DiskBackend, PageId, Result, StoreError, FRAME_SIZE};
-use parking_lot::Mutex;
+use crate::sync::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -234,15 +234,6 @@ impl<B: DiskBackend> DiskBackend for FaultyDisk<B> {
     }
 }
 
-/// SplitMix64: a tiny deterministic mixer for deriving fault positions
-/// from a seed in sweep tests, so this crate needs no RNG dependency.
-pub fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -356,11 +347,5 @@ mod tests {
             disk.read_batch(&[a], &mut dead),
             Err(StoreError::Injected { transient: false })
         ));
-    }
-
-    #[test]
-    fn splitmix_is_deterministic() {
-        assert_eq!(splitmix64(42), splitmix64(42));
-        assert_ne!(splitmix64(1), splitmix64(2));
     }
 }

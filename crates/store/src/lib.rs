@@ -32,6 +32,9 @@
 //! * [`FaultyDisk`] injects deterministic torn writes, bit flips, transient
 //!   errors and crashes for the fault-sweep test suites.
 //!
+//! It also owns the workspace's one lock, [`sync::Mutex`] — `std`'s mutex
+//! without poisoning — which every crate above this one uses too.
+//!
 //! # Example
 //!
 //! ```
@@ -60,11 +63,12 @@ pub mod page;
 pub mod pool;
 pub mod slotted;
 mod stats;
+pub mod sync;
 pub mod txn;
 pub mod versioned;
 
 pub use disk::{DiskBackend, FileDisk, MemDisk};
-pub use faulty::{splitmix64, FaultyDisk, InjectedFault};
+pub use faulty::{FaultyDisk, InjectedFault};
 pub use heap::HeapFile;
 pub use journal::{Journal, Recovery};
 pub use page::{PageId, FRAME_SIZE, INVALID_PAGE, PAGE_SIZE, PAGE_TRAILER};

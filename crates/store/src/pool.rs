@@ -40,10 +40,10 @@
 use crate::checksum::{seal_frame, verify_frame};
 use crate::lru::LruList;
 use crate::{DiskBackend, IoSnapshot, IoStats, PageId, Result, StoreError, FRAME_SIZE, PAGE_SIZE};
-use parking_lot::Mutex;
+use crate::sync::{unpoisoned, Mutex, MutexGuard};
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::{Arc, Condvar};
 use std::time::Duration;
 
 /// Default pool capacity: 64 pages = 512 KiB, the paper's configuration.
@@ -184,10 +184,9 @@ impl PartialOrd for Hint {
 }
 
 /// Handshake between the pool and its pipelined readahead worker (see
-/// [`BufferPool::enable_prefetch_pipelined`]). `std` primitives rather
-/// than `parking_lot` because the worker needs a condvar.
+/// [`BufferPool::enable_prefetch_pipelined`]).
 struct PrefetchSignal {
-    state: StdMutex<PrefetchWorkerState>,
+    state: Mutex<PrefetchWorkerState>,
     cond: Condvar,
 }
 
@@ -207,13 +206,9 @@ struct PrefetchWorkerState {
 impl PrefetchSignal {
     fn new() -> Self {
         PrefetchSignal {
-            state: StdMutex::new(PrefetchWorkerState::default()),
+            state: Mutex::new(PrefetchWorkerState::default()),
             cond: Condvar::new(),
         }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, PrefetchWorkerState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -249,7 +244,7 @@ impl Shard {
 
     /// Locks the shard, counting the acquisition as contended when the
     /// lock was already held.
-    fn lock(&self) -> parking_lot::MutexGuard<'_, ShardInner> {
+    fn lock(&self) -> MutexGuard<'_, ShardInner> {
         match self.inner.try_lock() {
             Some(guard) => guard,
             None => {
@@ -466,12 +461,9 @@ impl BufferPool {
             return;
         }
         let sig = &self.prefetch_signal;
-        let mut st = sig.lock();
+        let mut st = sig.state.lock();
         while !(st.idle && st.acked == st.wakeups) {
-            st = sig
-                .cond
-                .wait(st)
-                .unwrap_or_else(|e| e.into_inner());
+            st = unpoisoned(sig.cond.wait(st));
         }
     }
 
@@ -481,7 +473,7 @@ impl BufferPool {
         if !self.prefetch_bg.load(Ordering::Relaxed) {
             return;
         }
-        let mut st = self.prefetch_signal.lock();
+        let mut st = self.prefetch_signal.state.lock();
         st.wakeups += 1;
         self.prefetch_signal.cond.notify_all();
     }
@@ -504,7 +496,7 @@ impl BufferPool {
                 let mut seen = 0u64;
                 loop {
                     {
-                        let mut st = sig.lock();
+                        let mut st = sig.state.lock();
                         loop {
                             if st.shutdown {
                                 st.idle = true;
@@ -517,10 +509,7 @@ impl BufferPool {
                             }
                             st.idle = true;
                             sig.cond.notify_all();
-                            st = sig
-                                .cond
-                                .wait(st)
-                                .unwrap_or_else(|e| e.into_inner());
+                            st = unpoisoned(sig.cond.wait(st));
                         }
                         st.idle = false;
                     }
@@ -530,7 +519,7 @@ impl BufferPool {
                         pool.pump_prefetch(&cfg);
                     }
                     drop(pool);
-                    let mut st = sig.lock();
+                    let mut st = sig.state.lock();
                     st.acked = st.acked.max(seen);
                     sig.cond.notify_all();
                 }
@@ -1214,7 +1203,7 @@ impl Drop for BufferPool {
     /// last one — joining here would deadlock either way.
     fn drop(&mut self) {
         if self.prefetch_bg.load(Ordering::Relaxed) {
-            let mut st = self.prefetch_signal.lock();
+            let mut st = self.prefetch_signal.state.lock();
             st.shutdown = true;
             self.prefetch_signal.cond.notify_all();
         }

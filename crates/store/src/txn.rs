@@ -19,7 +19,7 @@ use crate::journal::Journal;
 use crate::pool::PageStore;
 use crate::versioned::{VersionInfo, VersionedStore};
 use crate::{BufferPool, PageId, Result, StoreError, PAGE_SIZE};
-use parking_lot::Mutex;
+use crate::sync::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 

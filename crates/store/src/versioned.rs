@@ -40,7 +40,7 @@
 use crate::journal::Journal;
 use crate::pool::PageStore;
 use crate::{BufferPool, PageId, Result, StoreError, INVALID_PAGE, PAGE_SIZE};
-use parking_lot::Mutex;
+use crate::sync::Mutex;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 

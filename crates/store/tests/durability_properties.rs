@@ -2,10 +2,11 @@
 //! generator crates): the checksum codec, the journal record codec, and
 //! the atomic-commit protocol under exhaustive crash points.
 
+use ann_datagen::splitmix64;
 use ann_store::checksum::{crc32, crc32_finish, crc32_update, seal_frame, verify_frame, CRC_INIT};
 use ann_store::journal::{decode_record, encode_record, RECORD_SIZE};
 use ann_store::{
-    splitmix64, BufferPool, DiskBackend, FaultyDisk, InjectedFault, Journal, MemDisk, PageId,
+    BufferPool, DiskBackend, FaultyDisk, InjectedFault, Journal, MemDisk, PageId,
     PageStore, Recovery, StoreError, Txn, FRAME_SIZE, PAGE_SIZE,
 };
 use std::sync::Arc;

@@ -2,8 +2,8 @@
 //! operations it must behave exactly like a transparent cache over the
 //! disk, and its LRU accounting must match a reference model.
 
+use ann_datagen::{for_each_case, Rng};
 use ann_store::{BufferPool, MemDisk, PAGE_SIZE};
-use proptest::prelude::*;
 
 /// Operations the model driver performs.
 #[derive(Clone, Debug)]
@@ -22,48 +22,58 @@ enum Op {
     SetCapacity(u8),
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        2 => Just(Op::Allocate),
-        4 => (any::<u8>(), any::<u8>()).prop_map(|(page_choice, value)| Op::Write {
-            page_choice,
-            value
-        }),
-        4 => any::<u8>().prop_map(|page_choice| Op::Read { page_choice }),
-        1 => Just(Op::FlushAll),
-        1 => Just(Op::Clear),
-        1 => (1u8..32).prop_map(Op::SetCapacity),
-    ]
+/// One op, weighted 2 : 4 : 4 : 1 : 1 : 1 in declaration order.
+fn op(rng: &mut Rng) -> Op {
+    match rng.range(0, 13) {
+        0..=1 => Op::Allocate,
+        2..=5 => Op::Write {
+            page_choice: rng.next_u64() as u8,
+            value: rng.next_u64() as u8,
+        },
+        6..=9 => Op::Read {
+            page_choice: rng.next_u64() as u8,
+        },
+        10 => Op::FlushAll,
+        11 => Op::Clear,
+        _ => Op::SetCapacity(rng.range(1, 32) as u8),
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// Cases per property.
+const CASES: usize = 64;
 
-    /// The pool is a transparent cache: reads always see the latest write
-    /// to each page, across evictions, flushes, clears and capacity
-    /// changes. A plain `Vec<u8>` (one byte per page) is the model.
-    #[test]
-    fn pool_is_a_transparent_cache(ops in proptest::collection::vec(op_strategy(), 1..120)) {
+/// The pool is a transparent cache: reads always see the latest write
+/// to each page, across evictions, flushes, clears and capacity
+/// changes. A plain `Vec<u8>` (one byte per page) is the model.
+#[test]
+fn pool_is_a_transparent_cache() {
+    for_each_case(0x5701, CASES, |rng| {
+        let ops: Vec<Op> = (0..rng.range(1, 120)).map(|_| op(rng)).collect();
         let pool = BufferPool::new(MemDisk::new(), 4);
         let mut model: Vec<u8> = vec![];
         for op in ops {
             match op {
                 Op::Allocate => {
                     let id = pool.allocate().unwrap();
-                    prop_assert_eq!(id as usize, model.len());
+                    assert_eq!(id as usize, model.len());
                     model.push(0);
                 }
                 Op::Write { page_choice, value } => {
-                    if model.is_empty() { continue; }
+                    if model.is_empty() {
+                        continue;
+                    }
                     let page = page_choice as usize % model.len();
-                    pool.with_page_mut(page as u32, |bytes| bytes[7] = value).unwrap();
+                    pool.with_page_mut(page as u32, |bytes| bytes[7] = value)
+                        .unwrap();
                     model[page] = value;
                 }
                 Op::Read { page_choice } => {
-                    if model.is_empty() { continue; }
+                    if model.is_empty() {
+                        continue;
+                    }
                     let page = page_choice as usize % model.len();
                     let got = pool.with_page(page as u32, |bytes| bytes[7]).unwrap();
-                    prop_assert_eq!(got, model[page]);
+                    assert_eq!(got, model[page]);
                 }
                 Op::FlushAll => pool.flush_all().unwrap(),
                 Op::Clear => pool.clear().unwrap(),
@@ -73,17 +83,20 @@ proptest! {
         // Final sweep: every page readable with its last written value.
         for (page, &want) in model.iter().enumerate() {
             let got = pool.with_page(page as u32, |bytes| bytes[7]).unwrap();
-            prop_assert_eq!(got, want);
+            assert_eq!(got, want);
         }
-    }
+    });
+}
 
-    /// Physical reads only happen on misses: with a pool at least as large
-    /// as the page count, each page faults at most once however often it
-    /// is read.
-    #[test]
-    fn large_pool_faults_each_page_once(
-        accesses in proptest::collection::vec(0u8..16, 1..200)
-    ) {
+/// Physical reads only happen on misses: with a pool at least as large
+/// as the page count, each page faults at most once however often it
+/// is read.
+#[test]
+fn large_pool_faults_each_page_once() {
+    for_each_case(0x5702, CASES, |rng| {
+        let accesses: Vec<u8> = (0..rng.range(1, 200))
+            .map(|_| rng.range(0, 16) as u8)
+            .collect();
         let pool = BufferPool::new(MemDisk::new(), 16);
         for _ in 0..16 {
             pool.allocate().unwrap();
@@ -95,19 +108,23 @@ proptest! {
             pool.with_page(a as u32, |_| ()).unwrap();
             touched.insert(a);
         }
-        prop_assert_eq!(pool.stats().physical_reads, touched.len() as u64);
-    }
+        assert_eq!(pool.stats().physical_reads, touched.len() as u64);
+    });
+}
 
-    /// Page contents are preserved byte-for-byte through eviction cycles.
-    #[test]
-    fn full_page_roundtrip_through_eviction(payload in proptest::collection::vec(any::<u8>(), PAGE_SIZE)) {
+/// Page contents are preserved byte-for-byte through eviction cycles.
+#[test]
+fn full_page_roundtrip_through_eviction() {
+    for_each_case(0x5703, CASES, |rng| {
+        let payload: Vec<u8> = (0..PAGE_SIZE).map(|_| rng.next_u64() as u8).collect();
         let pool = BufferPool::new(MemDisk::new(), 1);
         let a = pool.allocate().unwrap();
         let b = pool.allocate().unwrap();
-        pool.with_page_mut(a, |bytes| bytes.copy_from_slice(&payload)).unwrap();
+        pool.with_page_mut(a, |bytes| bytes.copy_from_slice(&payload))
+            .unwrap();
         // Touching b evicts a (capacity 1).
         pool.with_page_mut(b, |bytes| bytes[0] = 1).unwrap();
         let back = pool.with_page(a, |bytes| bytes.to_vec()).unwrap();
-        prop_assert_eq!(back, payload);
-    }
+        assert_eq!(back, payload);
+    });
 }
