@@ -546,7 +546,10 @@ pub fn parallel_join(fraction: f64) -> crate::report::ParallelJoinReport {
 
     let datasets: Vec<(&str, Vec<(u64, ann_geom::Point<2>)>)> = vec![
         ("uniform", ann_datagen::uniform::<2>(n, SEED)),
-        ("clustered", ann_datagen::gaussian_clusters::<2>(n, 24, 0.02, SEED)),
+        (
+            "clustered",
+            ann_datagen::gaussian_clusters::<2>(n, 24, 0.02, SEED),
+        ),
     ];
     let variants: Vec<(&str, Algorithm)> = vec![
         ("mba", Algorithm::mba()),
@@ -1124,7 +1127,8 @@ impl<D: ann_store::DiskBackend> SeekDisk<D> {
     }
 
     fn set_charging(&self, on: bool) {
-        self.charging.store(on, std::sync::atomic::Ordering::Relaxed);
+        self.charging
+            .store(on, std::sync::atomic::Ordering::Relaxed);
     }
 
     fn charge(&self, seeks: u32, pages: u32) {
@@ -1153,11 +1157,8 @@ impl<D: ann_store::DiskBackend> ann_store::DiskBackend for SeekDisk<D> {
     }
 
     fn read_batch(&self, ids: &[ann_store::PageId], out: &mut [u8]) -> ann_store::Result<()> {
-        let runs = ids
-            .windows(2)
-            .filter(|w| w[1] != w[0] + 1)
-            .count() as u32
-            + u32::from(!ids.is_empty());
+        let runs =
+            ids.windows(2).filter(|w| w[1] != w[0] + 1).count() as u32 + u32::from(!ids.is_empty());
         self.charge(runs, ids.len() as u32);
         self.inner.read_batch(ids, out)
     }
@@ -1207,7 +1208,9 @@ pub fn outofcore(fraction: f64, opts: &OutofcoreOpts) -> crate::report::Outofcor
     let n_max = opts.points.unwrap_or_else(|| scaled(400_000, fraction));
     let mut sweep_points = vec![(n_max / 4).max(2_000), n_max];
     sweep_points.dedup();
-    let pool_sizes = opts.pool_pages.map_or_else(|| vec![64usize, 256], |p| vec![p]);
+    let pool_sizes = opts
+        .pool_pages
+        .map_or_else(|| vec![64usize, 256], |p| vec![p]);
 
     let tmp = std::env::temp_dir();
     let file = |tag: &str| tmp.join(format!("ann-outofcore-{}-{tag}.pages", std::process::id()));
@@ -1317,9 +1320,7 @@ pub fn outofcore(fraction: f64, opts: &OutofcoreOpts) -> crate::report::Outofcor
                         baseline = Some((out.results.clone(), io.logical_reads));
                         true
                     }
-                    Some((pairs, logical)) => {
-                        *pairs == out.results && *logical == io.logical_reads
-                    }
+                    Some((pairs, logical)) => *pairs == out.results && *logical == io.logical_reads,
                 };
                 report.rows.push(crate::report::OutofcoreRow {
                     points: n,

@@ -231,7 +231,10 @@ pub fn run<const D: usize>(
         .collect();
     let path = dir.join(format!("{seq:04}_{slug}.json"));
     if let Err(e) = std::fs::write(&path, report.to_json()) {
-        eprintln!("warning: could not write trace report {}: {e}", path.display());
+        eprintln!(
+            "warning: could not write trace report {}: {e}",
+            path.display()
+        );
     }
     m
 }
@@ -316,8 +319,9 @@ pub fn run_with_sink<const D: usize>(
         }
         Method::Bnn => {
             let t0 = Instant::now();
-            let is = RStar::bulk_build_traced(pool.clone(), s, &RStarConfig::default(), Side::S, tracer)
-                .expect("build");
+            let is =
+                RStar::bulk_build_traced(pool.clone(), s, &RStarConfig::default(), Side::S, tracer)
+                    .expect("build");
             let build = t0.elapsed().as_secs_f64();
             prepare_query_phase(&pool, cfg.pool_frames);
             let t0 = Instant::now();
@@ -329,10 +333,11 @@ pub fn run_with_sink<const D: usize>(
         Method::Mnn => {
             let qt_cfg = MbrqtConfig::default();
             let t0 = Instant::now();
-            let ir = Mbrqt::bulk_build_traced(pool.clone(), r, &qt_cfg, Side::R, tracer)
-                .expect("build");
-            let is = RStar::bulk_build_traced(pool.clone(), s, &RStarConfig::default(), Side::S, tracer)
-                .expect("build");
+            let ir =
+                Mbrqt::bulk_build_traced(pool.clone(), r, &qt_cfg, Side::R, tracer).expect("build");
+            let is =
+                RStar::bulk_build_traced(pool.clone(), s, &RStarConfig::default(), Side::S, tracer)
+                    .expect("build");
             let build = t0.elapsed().as_secs_f64();
             prepare_query_phase(&pool, cfg.pool_frames);
             let t0 = Instant::now();
@@ -347,7 +352,10 @@ pub fn run_with_sink<const D: usize>(
             prepare_query_phase(&pool, cfg.pool_frames);
             let t0 = Instant::now();
             let out = request(Algorithm::hnn())
-                .run(Input::<D, NoIndex>::Points(r), Input::<D, NoIndex>::Points(s))
+                .run(
+                    Input::<D, NoIndex>::Points(r),
+                    Input::<D, NoIndex>::Points(s),
+                )
                 .expect("HNN run");
             Measurement::from_output(label, &out, t0.elapsed().as_secs_f64(), 0.0)
         }

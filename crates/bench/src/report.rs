@@ -227,7 +227,12 @@ pub struct ScalingReport {
     pub rows: Vec<ScalingRow>,
 }
 
-json_fields!(ScalingReport { id, workload, host_cores, rows });
+json_fields!(ScalingReport {
+    id,
+    workload,
+    host_cores,
+    rows
+});
 
 impl Report for ScalingReport {
     fn id(&self) -> &str {
@@ -329,7 +334,12 @@ pub struct KernelsReport {
     pub rows: Vec<KernelRow>,
 }
 
-json_fields!(KernelsReport { id, workload, lanes, rows });
+json_fields!(KernelsReport {
+    id,
+    workload,
+    lanes,
+    rows
+});
 
 impl Report for KernelsReport {
     fn id(&self) -> &str {
@@ -419,7 +429,12 @@ pub struct RobustnessReport {
     pub rows: Vec<RobustnessRow>,
 }
 
-json_fields!(RobustnessReport { id, workload, max_overhead_percent, rows });
+json_fields!(RobustnessReport {
+    id,
+    workload,
+    max_overhead_percent,
+    rows
+});
 
 impl Report for RobustnessReport {
     fn id(&self) -> &str {
@@ -558,7 +573,13 @@ pub struct OutofcoreReport {
     pub census: OutofcoreCensus,
 }
 
-json_fields!(OutofcoreReport { id, workload, seed, rows, census });
+json_fields!(OutofcoreReport {
+    id,
+    workload,
+    seed,
+    rows,
+    census
+});
 
 impl Report for OutofcoreReport {
     fn id(&self) -> &str {
@@ -597,7 +618,11 @@ impl Report for OutofcoreReport {
                 r.prefetch_issued,
                 r.prefetch_hits,
                 r.prefetch_hit_rate * 100.0,
-                if r.identical_to_baseline { "ok" } else { "DIFF" },
+                if r.identical_to_baseline {
+                    "ok"
+                } else {
+                    "DIFF"
+                },
             ));
         }
         let c = &self.census;
@@ -610,7 +635,11 @@ impl Report for OutofcoreReport {
             c.validate_seconds,
             c.census_seconds,
             c.objects,
-            if c.census_complete { "ok" } else { "INCOMPLETE" },
+            if c.census_complete {
+                "ok"
+            } else {
+                "INCOMPLETE"
+            },
         ));
         out
     }
@@ -679,7 +708,15 @@ pub struct ServingReport {
     pub rows: Vec<ServingRow>,
 }
 
-json_fields!(ServingReport { id, workload, n, k, workers, queue_depth, rows });
+json_fields!(ServingReport {
+    id,
+    workload,
+    n,
+    k,
+    workers,
+    queue_depth,
+    rows
+});
 
 impl Report for ServingReport {
     fn id(&self) -> &str {
@@ -766,7 +803,13 @@ pub struct ParallelJoinReport {
     pub rows: Vec<ParallelJoinRow>,
 }
 
-json_fields!(ParallelJoinReport { id, workload, host_cores, k, rows });
+json_fields!(ParallelJoinReport {
+    id,
+    workload,
+    host_cores,
+    k,
+    rows
+});
 
 impl Report for ParallelJoinReport {
     fn id(&self) -> &str {
@@ -863,7 +906,15 @@ pub struct MvccReport {
     pub reader_p95_ratio: f64,
 }
 
-json_fields!(MvccReport { id, workload, n, k, keep, rows, reader_p95_ratio });
+json_fields!(MvccReport {
+    id,
+    workload,
+    n,
+    k,
+    keep,
+    rows,
+    reader_p95_ratio
+});
 
 impl Report for MvccReport {
     fn id(&self) -> &str {
@@ -875,7 +926,15 @@ impl Report for MvccReport {
         out.push_str(&format!("== {} — {} ==\n", self.id, self.workload));
         out.push_str(&format!(
             "{:>12} {:>7} {:>8} {:>6} {:>8} {:>10} {:>10} {:>10} {:>10}\n",
-            "mode", "readers", "queries", "failed", "commits", "qps", "p50(us)", "p95(us)", "p99(us)"
+            "mode",
+            "readers",
+            "queries",
+            "failed",
+            "commits",
+            "qps",
+            "p50(us)",
+            "p95(us)",
+            "p99(us)"
         ));
         for r in &self.rows {
             out.push_str(&format!(

@@ -15,9 +15,9 @@
 //! Never a panic, never a silently wrong answer, never poisoned state.
 
 use crate::gen::{self, DiffCase};
-use ann_datagen::Rng;
 use ann_core::mba::{Expansion, Traversal};
 use ann_core::prelude::*;
+use ann_datagen::Rng;
 use ann_mbrqt::{Mbrqt, MbrqtConfig};
 use ann_rstar::{RStar, RStarConfig};
 use ann_store::{
@@ -232,7 +232,10 @@ pub fn check_faults_case(rng: &mut Rng) -> Option<String> {
 
     match (scenario, faulted) {
         (_, Err(e)) => {
-            return Some(format!("{label}: faulted run panicked: {}", panic_text(&*e)));
+            return Some(format!(
+                "{label}: faulted run panicked: {}",
+                panic_text(&*e)
+            ));
         }
 
         (Scenario::TransientRetried, Ok(Ok(out))) => {
@@ -343,10 +346,7 @@ pub fn check_faults_case(rng: &mut Rng) -> Option<String> {
             return Some(format!("{label}: wrong error for bit flip: {e}"));
         }
 
-        (
-            Scenario::Crash,
-            Ok(Err(QueryError::Io(StoreError::Injected { transient: false }))),
-        ) => {
+        (Scenario::Crash, Ok(Err(QueryError::Io(StoreError::Injected { transient: false })))) => {
             // Leg 2, permanent flavor: typed error with pins released
             // (checked above). The device stays dead — no re-run leg.
         }

@@ -147,7 +147,9 @@ fn run_case<T: VersionedTree>(
             match tree.delete(oid, &point) {
                 Ok(true) => {}
                 Ok(false) => {
-                    return Some(format!("delete of live oid {oid} at step {step} reported absent"))
+                    return Some(format!(
+                        "delete of live oid {oid} at step {step} reported absent"
+                    ))
                 }
                 Err(e) => return Some(format!("delete failed at step {step}: {e:?}")),
             }
@@ -170,7 +172,9 @@ fn run_case<T: VersionedTree>(
         if let Some(cache) = tree.node_cache() {
             let stale = cache.stale_len();
             if stale != 0 {
-                return Some(format!("{stale} stale node-cache entries after step {step}"));
+                return Some(format!(
+                    "{stale} stale node-cache entries after step {step}"
+                ));
             }
         }
 
@@ -238,9 +242,7 @@ fn run_case<T: VersionedTree>(
         if !store.retained().contains(&dead) {
             match handle.pin(Some(dead)) {
                 Err(StoreError::VersionNotRetained(v)) if v == dead => {}
-                Err(e) => {
-                    return Some(format!("pin of GC'd version {dead} failed oddly: {e:?}"))
-                }
+                Err(e) => return Some(format!("pin of GC'd version {dead} failed oddly: {e:?}")),
                 Ok(_) => return Some(format!("pinned GC'd version {dead}")),
             }
         }
@@ -332,7 +334,11 @@ fn verify_pinned(rng: &mut Rng, reader: &PinnedReader) -> Option<String> {
         .run(Input::Index(&reader.ctx), Input::Index(&reader.ctx));
     let mut out = match run {
         Ok(out) => out,
-        Err(e) => return Some(format!("query over pinned snapshot (step {step}) failed: {e:?}")),
+        Err(e) => {
+            return Some(format!(
+                "query over pinned snapshot (step {step}) failed: {e:?}"
+            ))
+        }
     };
     out.sort();
     compare_pairs(&out.results, &truth).map(|m| {
@@ -461,7 +467,9 @@ fn threaded_race<T: VersionedTree>(
         }
 
         for h in handles {
-            let fail = h.join().unwrap_or_else(|_| Some("reader panicked".to_string()));
+            let fail = h
+                .join()
+                .unwrap_or_else(|_| Some("reader panicked".to_string()));
             if writer_fail.is_none() {
                 writer_fail = fail;
             }

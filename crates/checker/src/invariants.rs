@@ -602,7 +602,9 @@ pub fn check_wire_case(rng: &mut Rng) -> Option<String> {
     }
     let dup_nested = "{\"a\":{\"x\":1,\"x\":2}}";
     if JsonValue::parse(dup_nested).is_ok() {
-        return Some(format!("JsonValue accepted nested duplicate keys: {dup_nested}"));
+        return Some(format!(
+            "JsonValue accepted nested duplicate keys: {dup_nested}"
+        ));
     }
 
     // -- parser robustness under corruption --------------------------------
@@ -619,7 +621,9 @@ pub fn check_wire_case(rng: &mut Rng) -> Option<String> {
         // Corrupting the body must not smuggle in a *newer* version than
         // the splice could have written (v is a single corrupted digit).
         if v > 9 {
-            return Some(format!("corruption produced absurd version: {e}: {corrupted}"));
+            return Some(format!(
+                "corruption produced absurd version: {e}: {corrupted}"
+            ));
         }
     }
 
@@ -631,7 +635,9 @@ pub fn check_wire_case(rng: &mut Rng) -> Option<String> {
     let text = doc.to_string();
     match JsonValue::parse(&text) {
         Ok(back) if back == expected => None,
-        Ok(back) => Some(format!("writer round-trip changed {doc:?} into {back:?}: {text}")),
+        Ok(back) => Some(format!(
+            "writer round-trip changed {doc:?} into {back:?}: {text}"
+        )),
         Err(e) => Some(format!("writer output failed to parse ({e}): {text}")),
     }
 }
@@ -648,12 +654,18 @@ fn arbitrary_json(rng: &mut Rng, depth: usize) -> (JsonValue, JsonValue) {
         }
         3 => {
             let n = f64::from_bits(rng.next_u64());
-            let back = if n.is_finite() { JsonValue::Num(n) } else { JsonValue::Null };
+            let back = if n.is_finite() {
+                JsonValue::Num(n)
+            } else {
+                JsonValue::Null
+            };
             (JsonValue::Num(n), back)
         }
         4 => same(JsonValue::Str(arbitrary_string(rng))),
         5 => {
-            let (items, back) = (0..rng.range(0, 4)).map(|_| arbitrary_json(rng, depth + 1)).unzip();
+            let (items, back) = (0..rng.range(0, 4))
+                .map(|_| arbitrary_json(rng, depth + 1))
+                .unzip();
             (JsonValue::Arr(items), JsonValue::Arr(back))
         }
         _ => {
@@ -675,7 +687,8 @@ fn arbitrary_json(rng: &mut Rng, depth: usize) -> (JsonValue, JsonValue) {
 /// multi-byte code points.
 fn arbitrary_string(rng: &mut Rng) -> String {
     const ALPHABET: &[char] = &[
-        '"', '\\', '/', '\n', '\r', '\t', '\u{0}', '\u{1f}', '\u{7f}', ' ', 'a', 'Z', '0', 'é', '→', '😀',
+        '"', '\\', '/', '\n', '\r', '\t', '\u{0}', '\u{1f}', '\u{7f}', ' ', 'a', 'Z', '0', 'é',
+        '→', '😀',
     ];
     (0..rng.range(0, 8)).map(|_| *rng.pick(ALPHABET)).collect()
 }

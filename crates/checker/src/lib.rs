@@ -63,8 +63,8 @@ pub mod parallel;
 pub mod report;
 pub mod shrink;
 
-use report::Failure;
 use ann_datagen::Rng;
+use report::Failure;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// The invariant classes the fuzzer can exercise.

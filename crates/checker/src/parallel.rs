@@ -11,8 +11,8 @@
 
 use crate::diff;
 use crate::gen::{self, DiffCase};
-use ann_datagen::Rng;
 use ann_core::prelude::*;
+use ann_datagen::Rng;
 use ann_mbrqt::{Mbrqt, MbrqtConfig};
 use ann_rstar::{RStar, RStarConfig};
 use ann_store::{BufferPool, FaultyDisk, InjectedFault, MemDisk, StoreError};
@@ -138,9 +138,7 @@ pub fn check_parallel_case(rng: &mut Rng) -> Option<String> {
     for alg in &variants {
         let label = format!("{} {:?}", alg.name(), metric);
         let serial = match run_one(&case, &ir, &is, *alg, metric, 1, None, false) {
-            Err(e) => {
-                return Some(format!("{label}: serial run panicked: {}", panic_text(&*e)))
-            }
+            Err(e) => return Some(format!("{label}: serial run panicked: {}", panic_text(&*e))),
             Ok(Err(e)) => return Some(format!("{label}: serial run failed: {e}")),
             Ok(Ok(out)) => out,
         };
@@ -197,7 +195,16 @@ pub fn check_parallel_case(rng: &mut Rng) -> Option<String> {
     // twice; probe that on the serial path first and skip quietly when
     // the case is too tiny to abort.
     if let Constraint::VisitBudget(n) = &constraint {
-        match run_one(&case, &ir, &is, alg, metric, 1, Some(&Constraint::VisitBudget(*n)), false) {
+        match run_one(
+            &case,
+            &ir,
+            &is,
+            alg,
+            metric,
+            1,
+            Some(&Constraint::VisitBudget(*n)),
+            false,
+        ) {
             Err(e) => {
                 return Some(format!(
                     "{label}: serial budget probe panicked: {}",
@@ -319,7 +326,12 @@ fn check_faulted(rng: &mut Rng, case: &DiffCase<2>, metric: MetricChoice) -> Opt
         return Some(format!("{label}: faulted run leaked pins"));
     }
     match faulted {
-        Err(e) => return Some(format!("{label}: faulted run panicked: {}", panic_text(&*e))),
+        Err(e) => {
+            return Some(format!(
+                "{label}: faulted run panicked: {}",
+                panic_text(&*e)
+            ))
+        }
         Ok(Ok(out)) => {
             // The fault missed (cache-served run): the answer must still
             // be byte-identical — never silently wrong.

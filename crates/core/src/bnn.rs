@@ -296,10 +296,7 @@ where
                                 // served without a pool read, so hinting it
                                 // would be pure wasted disk I/O.
                                 if !is.node_is_cached(c.page) {
-                                    hints.push((
-                                        c.page,
-                                        crate::readahead::depth_priority(c.count),
-                                    ));
+                                    hints.push((c.page, crate::readahead::depth_priority(c.count)));
                                 }
                             }
                         }

@@ -339,9 +339,13 @@ mod tests {
         let mut pts = Vec::new();
         let mut s = 0x9E3779B97F4A7C15u64;
         for i in 0..257u64 {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let x = (s >> 40) as f64 / (1u64 << 24) as f64;
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let y = (s >> 40) as f64 / (1u64 << 24) as f64;
             pts.push((i, Point::new([x, y])));
         }
@@ -437,10 +441,7 @@ mod tests {
             .unwrap();
         assert_eq!(replayed, pts);
 
-        let bad = PointSpill::consume(
-            scratch(),
-            vec![(0u64, Point::new([f64::INFINITY, 0.0]))],
-        );
+        let bad = PointSpill::consume(scratch(), vec![(0u64, Point::new([f64::INFINITY, 0.0]))]);
         assert!(bad.is_err());
     }
 }

@@ -82,7 +82,10 @@ impl<const D: usize> Grid<D> {
         // counts of the wide extents. Water-fill instead: find the prefix
         // of the largest extents whose edge swallows every smaller extent
         // in a single cell, so only genuinely wide dimensions are split.
-        let mut ext: Vec<f64> = (0..D).map(|d| bounds.extent(d)).filter(|e| *e > 0.0).collect();
+        let mut ext: Vec<f64> = (0..D)
+            .map(|d| bounds.extent(d))
+            .filter(|e| *e > 0.0)
+            .collect();
         ext.sort_by(|a, b| b.partial_cmp(a).expect("finite extents"));
         let mut cell_edge = 1.0; // all points coincident: one cell
         let mut prod = 1.0f64;

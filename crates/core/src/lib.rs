@@ -71,11 +71,11 @@ pub mod wire;
 pub use extsort::{HilbertSorter, KeyedPoint, PointSpill, SortedStream};
 pub use index::SpatialIndex;
 pub use node::{DecodedNode, Entry, Node, NodeColumns, NodeEntry, ObjectEntry};
-pub use scratch::QueryScratch;
-pub use snapshot::{MetaFields, MetaReader, ReadContext, VersionedHandle};
 pub use node_cache::{NodeCache, NodeCacheStats};
 pub use query::{Algorithm, AnnRequest, MetricChoice};
 pub use resilience::{BudgetKind, CancelToken, QueryError, QueryGuard, QueryResult};
+pub use scratch::QueryScratch;
+pub use snapshot::{MetaFields, MetaReader, ReadContext, VersionedHandle};
 pub use stats::{AnnOutput, AnnStats, NeighborPair};
 pub use trace::{ExecutionReport, RecordingSink, TraceSink, Tracer};
 pub use wire::{

@@ -361,8 +361,8 @@ impl<const D: usize> Lpq<D> {
         // equal-distance objects dequeue in the canonical smaller-oid-first
         // order.
         let key = Self::order_key(&e);
-        let pos = self.entries[self.head..].partition_point(|q| Self::order_key(q) <= key)
-            + self.head;
+        let pos =
+            self.entries[self.head..].partition_point(|q| Self::order_key(q) <= key) + self.head;
         self.entries.insert(pos, e);
         self.enqueued_total += 1;
         let len = (self.entries.len() - self.head) as u32;

@@ -132,9 +132,7 @@ impl<T> MorselPool<T> {
     /// Adds a morsel to `worker`'s own deque (newest end).
     pub fn push(&self, worker: usize, unit: T) {
         self.in_flight.fetch_add(1, Ordering::SeqCst);
-        self.deques[worker]
-            .lock()
-            .push_back(unit);
+        self.deques[worker].lock().push_back(unit);
         self.notify();
     }
 
@@ -154,18 +152,12 @@ impl<T> MorselPool<T> {
             // final-complete / abort racing with the scan bumps it and
             // forbids the park below, so the event cannot be missed.
             let epoch = *self.wake.lock();
-            if let Some(unit) = self.deques[worker]
-                .lock()
-                .pop_back()
-            {
+            if let Some(unit) = self.deques[worker].lock().pop_back() {
                 return Some(unit);
             }
             for i in 1..n {
                 let victim = (worker + i) % n;
-                if let Some(unit) = self.deques[victim]
-                    .lock()
-                    .pop_front()
-                {
+                if let Some(unit) = self.deques[victim].lock().pop_front() {
                     return Some(unit);
                 }
             }

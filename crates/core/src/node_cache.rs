@@ -155,9 +155,7 @@ impl<const D: usize> NodeCache<D> {
             return;
         }
         for shard in self.shards.iter() {
-            shard
-                .lock()
-                .retain(|(key, _), _| *key >= floor);
+            shard.lock().retain(|(key, _), _| *key >= floor);
         }
     }
 
@@ -168,12 +166,7 @@ impl<const D: usize> NodeCache<D> {
         let floor = self.floor.load(Ordering::Acquire);
         self.shards
             .iter()
-            .map(|s| {
-                s.lock()
-                    .keys()
-                    .filter(|(key, _)| *key < floor)
-                    .count()
-            })
+            .map(|s| s.lock().keys().filter(|(key, _)| *key < floor).count())
             .sum()
     }
 
@@ -188,9 +181,7 @@ impl<const D: usize> NodeCache<D> {
     /// buffer pool: a node-cached page is never read again, so hinting it
     /// would be pure wasted I/O.
     pub fn contains(&self, epoch: u64, page: PageId) -> bool {
-        self.shard(page)
-            .lock()
-            .contains_key(&(epoch, page))
+        self.shard(page).lock().contains_key(&(epoch, page))
     }
 
     /// Looks up `page` under `epoch`, refreshing its access stamp.
@@ -242,10 +233,7 @@ impl<const D: usize> NodeCache<D> {
 
     /// Number of cached nodes (any epoch).
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().len())
-            .sum()
+        self.shards.iter().map(|s| s.lock().len()).sum()
     }
 
     /// Whether the cache currently holds nothing.

@@ -49,11 +49,11 @@
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use ann_store::sync::Mutex;
 use crate::morsel::MorselPool;
 use crate::resilience::{QueryError, QueryResult};
 use crate::stats::{AnnOutput, AnnStats, AtomicAnnStats};
 use crate::trace::{TraceEvent, TraceSink, Tracer};
+use ann_store::sync::Mutex;
 
 /// A per-worker buffering sink: every event is tagged with a globally
 /// unique, monotonically assigned sequence number and retained locally;
@@ -69,9 +69,7 @@ struct BufferedSink<'e> {
 impl TraceSink for BufferedSink<'_> {
     fn event(&self, event: &TraceEvent) {
         let tag = self.seq.fetch_add(1, Ordering::Relaxed);
-        self.events
-            .lock()
-            .push((tag, event.clone()));
+        self.events.lock().push((tag, event.clone()));
     }
 }
 
@@ -185,7 +183,10 @@ where
             .collect();
         let mut results = Vec::with_capacity(threads);
         for h in handles {
-            match h.join().expect("parallel worker crashed outside catch_unwind") {
+            match h
+                .join()
+                .expect("parallel worker crashed outside catch_unwind")
+            {
                 Ok(pair) => results.push(pair),
                 Err(payload) => {
                     if panicked.is_none() {

@@ -9,8 +9,8 @@ pub use crate::mba::{Expansion, Traversal};
 pub use crate::query::{run, run_scratch, Algorithm, AnnRequest, Input, MetricChoice, NoIndex};
 pub use crate::resilience::{BudgetKind, CancelToken, QueryError, QueryGuard, QueryResult};
 pub use crate::stats::{AnnOutput, AnnStats, NeighborPair};
-pub use ann_store::RetryPolicy;
 pub use crate::trace::{ExecutionReport, RecordingSink, TraceSink, Tracer};
 pub use crate::wire::{
     CollectionId, ErrorCode, QueryOutcome, QuerySpec, WireError, WIRE_SCHEMA_VERSION,
 };
+pub use ann_store::RetryPolicy;

@@ -89,7 +89,8 @@ impl AtomicAnnStats {
     pub fn add(&self, s: &AnnStats) {
         self.distance_computations
             .fetch_add(s.distance_computations, Ordering::Relaxed);
-        self.lpqs_created.fetch_add(s.lpqs_created, Ordering::Relaxed);
+        self.lpqs_created
+            .fetch_add(s.lpqs_created, Ordering::Relaxed);
         self.enqueued.fetch_add(s.enqueued, Ordering::Relaxed);
         self.pruned_on_probe
             .fetch_add(s.pruned_on_probe, Ordering::Relaxed);

@@ -441,7 +441,11 @@ impl RecordingSink {
             bnn: BatchReport {
                 batches: st.bnn_batches,
                 total_size: st.bnn_total_size,
-                min_size: if st.bnn_batches == 0 { 0 } else { st.bnn_min_size },
+                min_size: if st.bnn_batches == 0 {
+                    0
+                } else {
+                    st.bnn_min_size
+                },
                 max_size: st.bnn_max_size,
                 heap_pops: st.bnn_heap_pops,
             },
@@ -899,7 +903,10 @@ mod tests {
     fn level_inference_from_expansion_order() {
         let sink = RecordingSink::new();
         let t = Tracer::new(&sink);
-        t.event(|| TraceEvent::Root { side: Side::R, page: 1 });
+        t.event(|| TraceEvent::Root {
+            side: Side::R,
+            page: 1,
+        });
         t.event(|| TraceEvent::NodeExpanded {
             side: Side::R,
             page: 1,
@@ -919,7 +926,10 @@ mod tests {
             objects: 5,
         });
         // A different side with the same page numbers stays separate.
-        t.event(|| TraceEvent::Root { side: Side::S, page: 1 });
+        t.event(|| TraceEvent::Root {
+            side: Side::S,
+            page: 1,
+        });
         t.event(|| TraceEvent::NodeExpanded {
             side: Side::S,
             page: 1,
@@ -929,11 +939,20 @@ mod tests {
         let report = sink.report("levels");
         assert_eq!(report.levels.len(), 3);
         let r0 = &report.levels[0];
-        assert_eq!((r0.side, r0.level, r0.expansions, r0.objects), ("r", 0, 1, 0));
+        assert_eq!(
+            (r0.side, r0.level, r0.expansions, r0.objects),
+            ("r", 0, 1, 0)
+        );
         let r1 = &report.levels[1];
-        assert_eq!((r1.side, r1.level, r1.expansions, r1.objects), ("r", 1, 2, 13));
+        assert_eq!(
+            (r1.side, r1.level, r1.expansions, r1.objects),
+            ("r", 1, 2, 13)
+        );
         let s0 = &report.levels[2];
-        assert_eq!((s0.side, s0.level, s0.expansions, s0.objects), ("s", 0, 1, 2));
+        assert_eq!(
+            (s0.side, s0.level, s0.expansions, s0.objects),
+            ("s", 0, 1, 2)
+        );
     }
 
     #[test]
@@ -1004,7 +1023,10 @@ mod tests {
         let sink = RecordingSink::new();
         let t = Tracer::new(&sink);
         let tok = t.span_enter(Phase::Query, IoSnapshot::default);
-        t.event(|| TraceEvent::Root { side: Side::R, page: 9 });
+        t.event(|| TraceEvent::Root {
+            side: Side::R,
+            page: 9,
+        });
         t.event(|| TraceEvent::NodeExpanded {
             side: Side::R,
             page: 9,

@@ -186,9 +186,7 @@ impl JsonValue {
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             JsonValue::Int(i) => Some(*i),
-            JsonValue::Num(n)
-                if *n >= 0.0 && n.fract() == 0.0 && *n <= (1u64 << 53) as f64 =>
-            {
+            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= (1u64 << 53) as f64 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -471,8 +469,8 @@ impl<'a> Parser<'a> {
                 self.at += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.at])
-            .map_err(|_| self.err("bad number"))?;
+        let text =
+            std::str::from_utf8(&self.bytes[start..self.at]).map_err(|_| self.err("bad number"))?;
         // Plain non-negative integer literals stay lossless as u64 (oids
         // use the full 64-bit range); anything signed, fractional,
         // exponential, or > u64::MAX falls back to f64.
@@ -824,10 +822,9 @@ impl QuerySpec {
                     "{{\"name\":\"hnn\",\"avg_cell_occupancy\":{}}}",
                     json_num(avg_cell_occupancy)
                 ));
-            }
-            // `Algorithm` is non_exhaustive for downstream crates only;
-            // in-crate this match is exhaustive today and must be updated
-            // together with any new variant.
+            } // `Algorithm` is non_exhaustive for downstream crates only;
+              // in-crate this match is exhaustive today and must be updated
+              // together with any new variant.
         }
         out.push_str(&format!(
             ",\"metric\":\"{}\",\"k\":{},\"exclude_self\":{}",
@@ -890,16 +887,14 @@ impl QuerySpec {
                 let mut traversal = crate::mba::Traversal::default();
                 let mut expansion = crate::mba::Expansion::default();
                 if let Some(t) = alg.get("traversal") {
-                    traversal = traversal_from_name(
-                        t.as_str()
-                            .ok_or_else(|| WireError::Schema("\"traversal\" must be a string".into()))?,
-                    )?;
+                    traversal = traversal_from_name(t.as_str().ok_or_else(|| {
+                        WireError::Schema("\"traversal\" must be a string".into())
+                    })?)?;
                 }
                 if let Some(e) = alg.get("expansion") {
-                    expansion = expansion_from_name(
-                        e.as_str()
-                            .ok_or_else(|| WireError::Schema("\"expansion\" must be a string".into()))?,
-                    )?;
+                    expansion = expansion_from_name(e.as_str().ok_or_else(|| {
+                        WireError::Schema("\"expansion\" must be a string".into())
+                    })?)?;
                 }
                 let threads = match alg.get("threads") {
                     None => 1,
@@ -925,7 +920,9 @@ impl QuerySpec {
                             WireError::Schema("\"group_size\" must be an integer".into())
                         })?;
                         if g == 0 {
-                            return Err(WireError::Schema("\"group_size\" must be positive".into()));
+                            return Err(WireError::Schema(
+                                "\"group_size\" must be positive".into(),
+                            ));
                         }
                         g
                     }
@@ -1021,9 +1018,10 @@ impl QuerySpec {
                     "\"version\" must be a positive integer".into(),
                 ))
             }
-            Some(v) => Some(u32::try_from(v).map_err(|_| {
-                WireError::Schema("\"version\" must fit in 32 bits".into())
-            })?),
+            Some(v) => Some(
+                u32::try_from(v)
+                    .map_err(|_| WireError::Schema("\"version\" must fit in 32 bits".into()))?,
+            ),
         };
         let threads = match doc.get("threads") {
             None | Some(JsonValue::Null) => 1,
@@ -1237,16 +1235,13 @@ impl QueryOutcome {
             Some(st) => stats_from_value(st)?,
             None => AnnStats::default(),
         };
-        let version = match doc.get("version") {
-            None | Some(JsonValue::Null) => None,
-            Some(v) => Some(
-                v.as_u64()
-                    .and_then(|v| u32::try_from(v).ok())
-                    .ok_or_else(|| {
-                        WireError::Schema("\"version\" must be a 32-bit integer".into())
-                    })?,
-            ),
-        };
+        let version =
+            match doc.get("version") {
+                None | Some(JsonValue::Null) => None,
+                Some(v) => Some(v.as_u64().and_then(|v| u32::try_from(v).ok()).ok_or_else(
+                    || WireError::Schema("\"version\" must be a 32-bit integer".into()),
+                )?),
+            };
         Ok(QueryOutcome {
             results,
             stats,
@@ -1336,7 +1331,10 @@ mod tests {
             ("n".into(), JsonValue::Int(u64::MAX)),
             ("x".into(), JsonValue::Num(2.0)),
             ("nan".into(), JsonValue::Num(f64::NAN)),
-            ("rows".into(), JsonValue::Arr(vec![JsonValue::Bool(true), JsonValue::Arr(vec![])])),
+            (
+                "rows".into(),
+                JsonValue::Arr(vec![JsonValue::Bool(true), JsonValue::Arr(vec![])]),
+            ),
             ("none".into(), JsonValue::Obj(vec![])),
         ]);
         let text = v.to_string();
@@ -1354,8 +1352,18 @@ mod tests {
     #[test]
     fn json_value_rejects_malformed_input() {
         for bad in [
-            "", "{", "[1,", "{\"a\":}", "{\"a\" 1}", "tru", "1 2", "\"\\q\"", "\"\\ud800\"",
-            "nan", "+1", "01x",
+            "",
+            "{",
+            "[1,",
+            "{\"a\":}",
+            "{\"a\" 1}",
+            "tru",
+            "1 2",
+            "\"\\q\"",
+            "\"\\ud800\"",
+            "nan",
+            "+1",
+            "01x",
         ] {
             assert!(JsonValue::parse(bad).is_err(), "accepted {bad:?}");
         }
@@ -1398,9 +1406,8 @@ mod tests {
 
     #[test]
     fn spec_version_field_parses_and_validates() {
-        let spec =
-            QuerySpec::from_json(r#"{"v":1,"algorithm":{"name":"mnn"},"k":1,"version":7}"#)
-                .unwrap();
+        let spec = QuerySpec::from_json(r#"{"v":1,"algorithm":{"name":"mnn"},"k":1,"version":7}"#)
+            .unwrap();
         assert_eq!(spec.version, Some(7));
         // Absent means latest; zero and out-of-range are schema errors.
         let spec = QuerySpec::from_json(r#"{"v":1,"algorithm":{"name":"mnn"},"k":1}"#).unwrap();
@@ -1438,20 +1445,21 @@ mod tests {
         assert_eq!(spec.threads, 1);
         assert!(!spec.to_json().contains("threads"));
 
-        let spec =
-            QuerySpec::from_json(r#"{"v":1,"algorithm":{"name":"mnn"},"k":1,"threads":4}"#)
-                .unwrap();
+        let spec = QuerySpec::from_json(r#"{"v":1,"algorithm":{"name":"mnn"},"k":1,"threads":4}"#)
+            .unwrap();
         assert_eq!(spec.threads, 4);
         let json = spec.to_json();
         assert!(json.contains("\"threads\":4"));
-        assert!(json.contains("\"v\":1"), "threads must not bump the schema version");
+        assert!(
+            json.contains("\"v\":1"),
+            "threads must not bump the schema version"
+        );
         let back = QuerySpec::from_json(&json).unwrap();
         assert_eq!(back.threads, 4);
 
         // 0 is valid on the wire: "one worker per core".
-        let spec =
-            QuerySpec::from_json(r#"{"v":1,"algorithm":{"name":"mnn"},"k":1,"threads":0}"#)
-                .unwrap();
+        let spec = QuerySpec::from_json(r#"{"v":1,"algorithm":{"name":"mnn"},"k":1,"threads":0}"#)
+            .unwrap();
         assert_eq!(spec.threads, 0);
         assert!(spec.to_json().contains("\"threads\":0"));
 
@@ -1460,18 +1468,17 @@ mod tests {
             QuerySpec::from_json(r#"{"v":1,"algorithm":{"name":"mnn"},"k":1,"threads":null}"#)
                 .unwrap();
         assert_eq!(spec.threads, 1);
-        assert!(QuerySpec::from_json(
-            r#"{"v":1,"algorithm":{"name":"mnn"},"k":1,"threads":2.5}"#
-        )
-        .is_err());
+        assert!(
+            QuerySpec::from_json(r#"{"v":1,"algorithm":{"name":"mnn"},"k":1,"threads":2.5}"#)
+                .is_err()
+        );
     }
 
     #[test]
     fn wire_threads_are_bounded_at_both_sites() {
         // Request-level field: the cap is inclusive.
-        let at_cap = format!(
-            r#"{{"v":1,"algorithm":{{"name":"mnn"}},"k":1,"threads":{MAX_WIRE_THREADS}}}"#
-        );
+        let at_cap =
+            format!(r#"{{"v":1,"algorithm":{{"name":"mnn"}},"k":1,"threads":{MAX_WIRE_THREADS}}}"#);
         assert_eq!(
             QuerySpec::from_json(&at_cap).unwrap().threads,
             MAX_WIRE_THREADS
@@ -1489,9 +1496,8 @@ mod tests {
             MAX_WIRE_THREADS + 1
         );
         assert!(QuerySpec::from_json(&over_mba).is_err());
-        let ok_mba = format!(
-            r#"{{"v":1,"algorithm":{{"name":"mba","threads":{MAX_WIRE_THREADS}}},"k":1}}"#
-        );
+        let ok_mba =
+            format!(r#"{{"v":1,"algorithm":{{"name":"mba","threads":{MAX_WIRE_THREADS}}},"k":1}}"#);
         let spec = QuerySpec::from_json(&ok_mba).unwrap();
         assert!(matches!(
             spec.algorithm,
@@ -1504,9 +1510,10 @@ mod tests {
 
     #[test]
     fn spec_threads_survives_request_conversion() {
-        let spec =
-            QuerySpec::from_json(r#"{"v":1,"algorithm":{"name":"bnn","group_size":64},"k":2,"threads":3}"#)
-                .unwrap();
+        let spec = QuerySpec::from_json(
+            r#"{"v":1,"algorithm":{"name":"bnn","group_size":64},"k":2,"threads":3}"#,
+        )
+        .unwrap();
         let req = spec.to_request();
         assert_eq!(req.threads, 3);
         let back = QuerySpec::from_request(&req);
@@ -1586,7 +1593,10 @@ mod tests {
         let e = QuerySpec::from_json(r#"{"v":2,"algorithm":{"name":"mnn"},"k":1}"#).unwrap_err();
         assert_eq!(e, WireError::UnsupportedVersion(2));
         assert!(QuerySpec::from_json(r#"{"v":1,"algorithm":{"name":"quantum"},"k":1}"#).is_err());
-        assert!(QuerySpec::from_json(r#"{"v":1,"algorithm":{"name":"mba","traversal":"sideways"},"k":1}"#).is_err());
+        assert!(QuerySpec::from_json(
+            r#"{"v":1,"algorithm":{"name":"mba","traversal":"sideways"},"k":1}"#
+        )
+        .is_err());
         assert!(QuerySpec::from_json(r#"{"v":1,"algorithm":{"name":"mnn"}}"#).is_err());
     }
 

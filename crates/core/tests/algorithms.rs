@@ -4,11 +4,11 @@
 
 use ann_core::brute::brute_force_aknn;
 use ann_core::prelude::*;
+use ann_datagen::Rng;
 use ann_geom::Point;
 use ann_mbrqt::{Mbrqt, MbrqtConfig};
 use ann_rstar::{RStar, RStarConfig};
 use ann_store::{BufferPool, MemDisk};
-use ann_datagen::Rng;
 use std::sync::Arc;
 
 fn pool(frames: usize) -> Arc<BufferPool> {

@@ -1,11 +1,11 @@
 //! Tests for the k-closest-pairs distance join against brute force.
 
 use ann_core::closest_pairs::{closest_pairs, ClosestPairsConfig};
+use ann_datagen::Rng;
 use ann_geom::Point;
 use ann_mbrqt::{Mbrqt, MbrqtConfig};
 use ann_rstar::{RStar, RStarConfig};
 use ann_store::{BufferPool, MemDisk};
-use ann_datagen::Rng;
 use std::sync::Arc;
 
 fn pool() -> Arc<BufferPool> {

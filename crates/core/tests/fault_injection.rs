@@ -5,11 +5,11 @@
 use ann_core::index::validate;
 use ann_core::query::{Algorithm, AnnRequest, Input};
 use ann_core::{AnnOutput, QueryResult, SpatialIndex};
+use ann_datagen::Rng;
 use ann_geom::Point;
 use ann_mbrqt::{Mbrqt, MbrqtConfig};
 use ann_rstar::{RStar, RStarConfig};
 use ann_store::{BufferPool, FaultyDisk, MemDisk};
-use ann_datagen::Rng;
 use std::sync::Arc;
 
 fn random_points(n: usize, seed: u64) -> Vec<(u64, Point<2>)> {

@@ -1,11 +1,11 @@
 //! Tests for the standalone kNN / range query primitives.
 
 use ann_core::knn::{knn, within_radius};
+use ann_datagen::Rng;
 use ann_geom::{MaxMaxDist, NxnDist, Point};
 use ann_mbrqt::{Mbrqt, MbrqtConfig};
 use ann_rstar::{RStar, RStarConfig};
 use ann_store::{BufferPool, MemDisk};
-use ann_datagen::Rng;
 use std::sync::Arc;
 
 fn pool() -> Arc<BufferPool> {

@@ -4,11 +4,11 @@
 //! a state where a clean re-run is byte-identical to a fresh one.
 
 use ann_core::prelude::*;
+use ann_datagen::Rng;
 use ann_geom::Point;
 use ann_mbrqt::{Mbrqt, MbrqtConfig};
 use ann_rstar::{RStar, RStarConfig};
 use ann_store::{BufferPool, FaultyDisk, InjectedFault, MemDisk};
-use ann_datagen::Rng;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -109,7 +109,8 @@ fn cancel_before_start_aborts_without_reading() {
         );
         let after = f.pool.stats();
         assert_eq!(
-            after.logical_reads, before.logical_reads,
+            after.logical_reads,
+            before.logical_reads,
             "{}: a pre-cancelled query must not touch the pool",
             alg.name()
         );
@@ -186,7 +187,10 @@ fn visit_budget_aborts_with_accurate_partial_stats() {
             .run(Input::Index(&f.ir), Input::Index(&f.is))
             .expect_err("half the expansions cannot finish the join");
         match err {
-            QueryError::BudgetExhausted { budget: kind, partial } => {
+            QueryError::BudgetExhausted {
+                budget: kind,
+                partial,
+            } => {
                 assert_eq!(kind, BudgetKind::Visits, "{}", alg.name());
                 // The guard charges a tick per expansion (plus a handful of
                 // entry/boundary ticks), so the partial expansion count is
@@ -239,7 +243,10 @@ fn io_budget_aborts_once_physical_reads_cross_the_limit() {
         .run(Input::Index(&f.ir), Input::Index(&f.is))
         .expect_err("half the physical reads cannot finish the join");
     match err {
-        QueryError::BudgetExhausted { budget: kind, partial } => {
+        QueryError::BudgetExhausted {
+            budget: kind,
+            partial,
+        } => {
             assert_eq!(kind, BudgetKind::Io);
             assert!(
                 partial.io.physical_reads > budget,

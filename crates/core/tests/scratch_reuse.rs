@@ -12,10 +12,10 @@
 use ann_core::knn::{knn, knn_scratch};
 use ann_core::prelude::*;
 use ann_core::QueryScratch;
+use ann_datagen::Rng;
 use ann_geom::{NxnDist, Point};
 use ann_mbrqt::{Mbrqt, MbrqtConfig};
 use ann_store::{BufferPool, MemDisk};
-use ann_datagen::Rng;
 use std::sync::Arc;
 
 fn random_points<const D: usize>(n: usize, seed: u64) -> Vec<(u64, Point<D>)> {
@@ -94,7 +94,10 @@ fn mba_steady_state_reallocates_nothing() {
             .run_scratch(Input::Index(&ir), Input::Index(&is), scratch)
             .unwrap();
         assert_eq!(got.results, want.results);
-        assert_eq!(got.stats.distance_computations, want.stats.distance_computations);
+        assert_eq!(
+            got.stats.distance_computations,
+            want.stats.distance_computations
+        );
         assert_eq!(got.stats.enqueued, want.stats.enqueued);
     });
 }
@@ -112,7 +115,10 @@ fn mnn_steady_state_reallocates_nothing() {
             .run_scratch(Input::Index(&ir), Input::Index(&is), scratch)
             .unwrap();
         assert_eq!(got.results, want.results);
-        assert_eq!(got.stats.distance_computations, want.stats.distance_computations);
+        assert_eq!(
+            got.stats.distance_computations,
+            want.stats.distance_computations
+        );
     });
 }
 
@@ -129,7 +135,10 @@ fn bnn_steady_state_reallocates_nothing() {
             .run_scratch(r_side(), Input::Index(&is), scratch)
             .unwrap();
         assert_eq!(got.results, want.results);
-        assert_eq!(got.stats.distance_computations, want.stats.distance_computations);
+        assert_eq!(
+            got.stats.distance_computations,
+            want.stats.distance_computations
+        );
     });
 }
 
@@ -150,7 +159,10 @@ fn hnn_steady_state_reallocates_nothing() {
         let (r_side, s_side) = sides();
         let got = req.run_scratch(r_side, s_side, scratch).unwrap();
         assert_eq!(got.results, want.results);
-        assert_eq!(got.stats.distance_computations, want.stats.distance_computations);
+        assert_eq!(
+            got.stats.distance_computations,
+            want.stats.distance_computations
+        );
     });
 }
 

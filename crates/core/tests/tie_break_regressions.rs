@@ -104,7 +104,10 @@ fn check<const D: usize>(
     })
     .k(k)
     .exclude_self(exclude_self)
-    .run(Input::<D, NoIndex>::Points(r), Input::<D, NoIndex>::Points(s))
+    .run(
+        Input::<D, NoIndex>::Points(r),
+        Input::<D, NoIndex>::Points(s),
+    )
     .unwrap();
     got.sort();
     assert_eq!(got.results.len(), want.len(), "{label}: hnn points count");
@@ -163,13 +166,7 @@ fn duplicate_grid_points_stay_canonical() {
 /// different oid) — dropping the self match must not consume the k-slot.
 #[test]
 fn exclude_self_with_coincident_duplicates() {
-    let coords: Vec<[f64; 2]> = vec![
-        [3.0, 3.0],
-        [3.0, 3.0],
-        [3.0, 3.0],
-        [5.0, 3.0],
-        [5.0, 3.0],
-    ];
+    let coords: Vec<[f64; 2]> = vec![[3.0, 3.0], [3.0, 3.0], [3.0, 3.0], [5.0, 3.0], [5.0, 3.0]];
     let p = pts::<2>(&coords, 1);
     for k in [1, 2, 4] {
         check(&p, &p, k, true, "exclude_self duplicates");

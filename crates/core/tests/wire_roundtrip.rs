@@ -151,7 +151,9 @@ fn golden_fixture_with_all_optional_fields() {
 
 #[test]
 fn newer_schema_versions_are_rejected() {
-    let json = QuerySpec::default().to_json().replacen("\"v\":1", "\"v\":2", 1);
+    let json = QuerySpec::default()
+        .to_json()
+        .replacen("\"v\":1", "\"v\":2", 1);
     match QuerySpec::from_json(&json) {
         Err(WireError::UnsupportedVersion(2)) => {}
         other => panic!("expected UnsupportedVersion(2), got {other:?}"),
@@ -203,12 +205,32 @@ fn error_codes_and_http_statuses_are_stable() {
         (ErrorCode::BadRequest, 1000, 400, "bad-request"),
         (ErrorCode::Cancelled, 1001, 499, "cancelled"),
         (ErrorCode::DeadlineExceeded, 1002, 504, "deadline-exceeded"),
-        (ErrorCode::VisitBudgetExhausted, 1003, 422, "visit-budget-exhausted"),
-        (ErrorCode::IoBudgetExhausted, 1004, 422, "io-budget-exhausted"),
+        (
+            ErrorCode::VisitBudgetExhausted,
+            1003,
+            422,
+            "visit-budget-exhausted",
+        ),
+        (
+            ErrorCode::IoBudgetExhausted,
+            1004,
+            422,
+            "io-budget-exhausted",
+        ),
         (ErrorCode::StorageFailed, 1005, 500, "storage-failed"),
-        (ErrorCode::CollectionNotFound, 2000, 404, "collection-not-found"),
+        (
+            ErrorCode::CollectionNotFound,
+            2000,
+            404,
+            "collection-not-found",
+        ),
         (ErrorCode::CollectionExists, 2001, 409, "collection-exists"),
-        (ErrorCode::InvalidCollection, 2002, 400, "invalid-collection"),
+        (
+            ErrorCode::InvalidCollection,
+            2002,
+            400,
+            "invalid-collection",
+        ),
         (ErrorCode::Overloaded, 3000, 429, "overloaded"),
         (ErrorCode::ShuttingDown, 3001, 503, "shutting-down"),
         (ErrorCode::Internal, 5000, 500, "internal"),
@@ -246,7 +268,10 @@ fn ann_request_debug_includes_resilience_fields() {
         "max_attempts: 3",
         "traced: false",
     ] {
-        assert!(dbg.contains(needle), "Debug output missing {needle:?}: {dbg}");
+        assert!(
+            dbg.contains(needle),
+            "Debug output missing {needle:?}: {dbg}"
+        );
     }
 }
 

@@ -48,7 +48,11 @@ pub fn min_min_dist<const D: usize>(m: &Mbr<D>, n: &Mbr<D>) -> f64 {
 /// `D`, which is where LPQ filtering spends its time on high-dimensional
 /// workloads.
 #[inline]
-pub fn min_min_dist_sq_within<const D: usize>(m: &Mbr<D>, n: &Mbr<D>, bound_sq: f64) -> Option<f64> {
+pub fn min_min_dist_sq_within<const D: usize>(
+    m: &Mbr<D>,
+    n: &Mbr<D>,
+    bound_sq: f64,
+) -> Option<f64> {
     let mut acc = 0.0;
     for d in 0..D {
         let gap = (m.lo[d] - n.hi[d]).max(n.lo[d] - m.hi[d]).max(0.0);

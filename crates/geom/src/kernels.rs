@@ -365,11 +365,7 @@ mod tests {
             let degenerate = i % 3 == 0;
             for d in 0..D {
                 let a = offset + rng.f64() * 10.0;
-                let b = if degenerate {
-                    a
-                } else {
-                    a + rng.f64() * 5.0
-                };
+                let b = if degenerate { a } else { a + rng.f64() * 5.0 };
                 lo[d * n + i] = a.min(b);
                 hi[d * n + i] = a.max(b);
             }

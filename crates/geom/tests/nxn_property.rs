@@ -58,8 +58,16 @@ fn check_one<const D: usize>(rng: &mut Rng, scale: f64, offset: f64) {
     let maxmax = max_max_dist_sq(&m, &n);
     let ctx = || format!("M={m:?} N={n:?} S={s:?} scale={scale} offset={offset}");
     assert!(nxn.is_finite() && nxn >= 0.0, "NXN² = {nxn:?}: {}", ctx());
-    assert!(nxn >= minmin, "NXN² {nxn:?} < MINMIN² {minmin:?}: {}", ctx());
-    assert!(nxn <= maxmax, "NXN² {nxn:?} > MAXMAX² {maxmax:?}: {}", ctx());
+    assert!(
+        nxn >= minmin,
+        "NXN² {nxn:?} < MINMIN² {minmin:?}: {}",
+        ctx()
+    );
+    assert!(
+        nxn <= maxmax,
+        "NXN² {nxn:?} > MAXMAX² {maxmax:?}: {}",
+        ctx()
+    );
 
     // The defining property, sampled at corners and interior points.
     let mut queries = vec![Point::new(m.lo), Point::new(m.hi)];
@@ -68,10 +76,7 @@ fn check_one<const D: usize>(rng: &mut Rng, scale: f64, offset: f64) {
         queries.push(Point::new(c));
     }
     for r in &queries {
-        let nn = s
-            .iter()
-            .map(|p| r.dist_sq(p))
-            .fold(f64::INFINITY, f64::min);
+        let nn = s.iter().map(|p| r.dist_sq(p)).fold(f64::INFINITY, f64::min);
         assert!(
             nn <= nxn * (1.0 + 1e-9),
             "true NN² {nn:?} exceeds NXN² {nxn:?} at r={r:?}: {}",

@@ -2,10 +2,10 @@
 
 use ann_core::brute::brute_force_aknn;
 use ann_core::stats::NeighborPair;
+use ann_datagen::Rng;
 use ann_geom::Point;
 use ann_gorder::{gorder_join, GorderConfig};
 use ann_store::{BufferPool, MemDisk};
-use ann_datagen::Rng;
 use std::sync::Arc;
 
 fn pool(frames: usize) -> Arc<BufferPool> {
@@ -147,10 +147,7 @@ fn schedule_prunes_far_blocks() {
     let mut pts: Vec<(u64, Point<2>)> = vec![];
     for i in 0..2000u64 {
         let base = if i % 2 == 0 { 0.0 } else { 1000.0 };
-        pts.push((
-            i,
-            Point::new([base + rng.f64(), rng.f64()]),
-        ));
+        pts.push((i, Point::new([base + rng.f64(), rng.f64()])));
     }
     let p = pool(256);
     // One-page blocks so each cluster spans several blocks (a 2-D record

@@ -54,14 +54,12 @@ mod insert;
 mod meta;
 
 use ann_core::index::SpatialIndex;
-use ann_core::node_cache::NodeCache;
 use ann_core::node::Node;
+use ann_core::node_cache::NodeCache;
 use ann_core::snapshot::VersionedHandle;
 use ann_core::trace::{Side, Tracer};
 use ann_geom::{Mbr, Point};
-use ann_store::{
-    BufferPool, Journal, PageId, PageStore, Result, StoreError, Txn, VersionedStore,
-};
+use ann_store::{BufferPool, Journal, PageId, PageStore, Result, StoreError, Txn, VersionedStore};
 use std::sync::Arc;
 
 /// Tuning knobs for [`Mbrqt`].
@@ -606,8 +604,8 @@ mod tests {
     fn versioned_tree_reopens_from_manifest() {
         let pool = Arc::new(BufferPool::new(ann_store::MemDisk::new(), 256));
         let universe = Mbr::new([0.0, 0.0], [100.0, 100.0]);
-        let mut tree = Mbrqt::<2>::create(Arc::clone(&pool), universe, &MbrqtConfig::default())
-            .unwrap();
+        let mut tree =
+            Mbrqt::<2>::create(Arc::clone(&pool), universe, &MbrqtConfig::default()).unwrap();
         let meta_page = tree.meta_page();
         let head = tree.enable_versioning(4).unwrap();
         for i in 0..40u64 {

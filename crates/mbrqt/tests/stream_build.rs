@@ -15,10 +15,14 @@ fn pool(pages: usize) -> Arc<BufferPool> {
 fn points(n: usize, seed: u64) -> Vec<(u64, Point<2>)> {
     let mut s = seed;
     let mut next = move || {
-        s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        s = s
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         (s >> 40) as f64 / (1u64 << 24) as f64
     };
-    (0..n as u64).map(|i| (i, Point::new([next(), next()]))).collect()
+    (0..n as u64)
+        .map(|i| (i, Point::new([next(), next()])))
+        .collect()
 }
 
 #[test]
@@ -86,16 +90,12 @@ fn streamed_build_handles_empty_and_duplicate_inputs() {
     // Duplicates never make partitioning progress; the max_depth budget
     // must stop the external recursion exactly as it stops the in-memory
     // one.
-    let dupes: Vec<(u64, Point<2>)> =
-        (0..300).map(|i| (i, Point::new([0.5, 0.5]))).collect();
+    let dupes: Vec<(u64, Point<2>)> = (0..300).map(|i| (i, Point::new([0.5, 0.5]))).collect();
     let cfg = MbrqtConfig::default();
     let streamed =
         Mbrqt::bulk_build_stream(pool(64), pool(16), dupes.iter().copied(), 50, &cfg).unwrap();
     let in_memory = Mbrqt::bulk_build(pool(64), &dupes, &cfg).unwrap();
-    assert_eq!(
-        validate(&streamed).unwrap(),
-        validate(&in_memory).unwrap()
-    );
+    assert_eq!(validate(&streamed).unwrap(), validate(&in_memory).unwrap());
 
     let bad = Mbrqt::<2>::bulk_build_stream(
         pool(16),

@@ -4,10 +4,10 @@
 
 use ann_core::index::{collect_objects, validate, SpatialIndex};
 use ann_core::node::Entry;
+use ann_datagen::Rng;
 use ann_geom::{Mbr, Point};
 use ann_mbrqt::{Mbrqt, MbrqtConfig};
 use ann_store::{BufferPool, MemDisk};
-use ann_datagen::Rng;
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -349,5 +349,8 @@ fn decoded_soa_columns_round_trip_every_node() {
             }
         }
     }
-    assert!(leaves > 1 && internals >= 1, "tree too small to be probative");
+    assert!(
+        leaves > 1 && internals >= 1,
+        "tree too small to be probative"
+    );
 }

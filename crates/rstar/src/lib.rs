@@ -45,14 +45,12 @@ mod insert;
 mod meta;
 
 use ann_core::index::SpatialIndex;
-use ann_core::node_cache::NodeCache;
 use ann_core::node::Node;
+use ann_core::node_cache::NodeCache;
 use ann_core::snapshot::VersionedHandle;
 use ann_core::trace::{Side, Tracer};
 use ann_geom::{Mbr, Point};
-use ann_store::{
-    BufferPool, Journal, PageId, PageStore, Result, StoreError, Txn, VersionedStore,
-};
+use ann_store::{BufferPool, Journal, PageId, PageStore, Result, StoreError, Txn, VersionedStore};
 use std::sync::Arc;
 
 /// Tuning knobs for [`RStar`].

@@ -16,10 +16,14 @@ fn pool(pages: usize) -> Arc<BufferPool> {
 fn points(n: usize, seed: u64) -> Vec<(u64, Point<2>)> {
     let mut s = seed;
     let mut next = move || {
-        s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        s = s
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         (s >> 40) as f64 / (1u64 << 24) as f64
     };
-    (0..n as u64).map(|i| (i, Point::new([next(), next()]))).collect()
+    (0..n as u64)
+        .map(|i| (i, Point::new([next(), next()])))
+        .collect()
 }
 
 #[test]
@@ -101,8 +105,7 @@ fn streamed_build_handles_empty_and_degenerate_inputs() {
 
     // All-duplicate points: every Hilbert key collides; the oid tie-break
     // still yields a total order and a valid tree.
-    let dupes: Vec<(u64, Point<2>)> =
-        (0..500).map(|i| (i, Point::new([0.25, 0.75]))).collect();
+    let dupes: Vec<(u64, Point<2>)> = (0..500).map(|i| (i, Point::new([0.25, 0.75]))).collect();
     let tree = RStar::bulk_build_stream(
         pool(64),
         pool(16),

@@ -160,7 +160,10 @@ mod tests {
         // 100µs lands in the [64, 128) bucket; upper edge 128.
         assert_eq!(p50, 128);
         let p995 = m.latency_quantile_us(0.995);
-        assert!(p995 > 100_000, "p99.5 {p995} should catch the 100ms outlier");
+        assert!(
+            p995 > 100_000,
+            "p99.5 {p995} should catch the 100ms outlier"
+        );
     }
 
     #[test]

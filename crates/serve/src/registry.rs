@@ -231,10 +231,7 @@ impl Collection {
     /// Each point commits its own snapshot version, so a mid-batch
     /// failure (e.g. an MBRQT point outside the fixed universe) leaves
     /// the successfully inserted prefix committed and the count accurate.
-    pub fn insert_points(
-        &self,
-        points: &[Point<SERVE_DIMS>],
-    ) -> Result<(u64, u32), ApiError> {
+    pub fn insert_points(&self, points: &[Point<SERVE_DIMS>]) -> Result<(u64, u32), ApiError> {
         let Backing::Versioned { writer, handle, .. } = &self.backing else {
             return Err(ApiError::new(
                 ErrorCode::BadRequest,
@@ -599,7 +596,8 @@ impl Registry {
 
     /// Number of currently open (live) collections.
     pub fn open_count(&self) -> usize {
-        self.open.lock()
+        self.open
+            .lock()
             .values()
             .filter(|slot| {
                 slot.state

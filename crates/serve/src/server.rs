@@ -478,7 +478,10 @@ fn execute(
     };
     let granted = 1 + extra;
     req = req.threads(granted);
-    if let Algorithm::Mba { ref mut threads, .. } = req.algorithm {
+    if let Algorithm::Mba {
+        ref mut threads, ..
+    } = req.algorithm
+    {
         *threads = granted;
     }
     // A panic inside the traversal must not kill this worker thread
@@ -518,7 +521,10 @@ fn execute(
             if job.cancel.is_cancelled() {
                 metrics.cancelled.fetch_add(1, Ordering::Relaxed);
             }
-            Err(ApiError::new(ErrorCode::from_query_error(&e), e.to_string()))
+            Err(ApiError::new(
+                ErrorCode::from_query_error(&e),
+                e.to_string(),
+            ))
         }
     }
 }
@@ -532,10 +538,7 @@ enum SideRef<'a> {
     Snap(&'a ReadContext<SERVE_DIMS>),
 }
 
-fn side_of<'a>(
-    coll: &'a Collection,
-    pin: Option<&'a ReadContext<SERVE_DIMS>>,
-) -> SideRef<'a> {
+fn side_of<'a>(coll: &'a Collection, pin: Option<&'a ReadContext<SERVE_DIMS>>) -> SideRef<'a> {
     match (pin, &coll.backing) {
         (Some(ctx), _) => SideRef::Snap(ctx),
         (None, Backing::Plain(AnyIndex::Mbrqt(t))) => SideRef::Mbrqt(t),
@@ -842,10 +845,7 @@ fn prepare_query(raw_id: &str, req: &Request, ctx: &Ctx) -> Result<PreparedQuery
     // time-travel reads work without re-serializing the body.
     if let Some(raw) = req.query_param("version") {
         let v = raw.parse::<u32>().ok().filter(|v| *v > 0).ok_or_else(|| {
-            ApiError::new(
-                ErrorCode::BadRequest,
-                "version must be a positive integer",
-            )
+            ApiError::new(ErrorCode::BadRequest, "version must be a positive integer")
         })?;
         spec.version = Some(v);
     }

@@ -21,13 +21,13 @@ use std::time::{Duration, Instant};
 use ann_core::query::{run, Algorithm, Input};
 use ann_core::stats::AnnStats;
 use ann_core::wire::{QueryOutcome, QuerySpec};
+use ann_datagen::Rng;
 use ann_geom::Point;
 use ann_mbrqt::{Mbrqt, MbrqtConfig};
 use ann_rstar::{RStar, RStarConfig};
 use ann_serve::client::{Client, Conn};
 use ann_serve::server::{Server, ServerConfig};
 use ann_store::{BufferPool, MemDisk};
-use ann_datagen::Rng;
 
 static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
 
@@ -101,7 +101,10 @@ fn library_pairs(
     spec: &QuerySpec,
 ) -> String {
     let keyed = |pts: &[Point<2>]| -> Vec<(u64, Point<2>)> {
-        pts.iter().enumerate().map(|(i, p)| (i as u64, *p)).collect()
+        pts.iter()
+            .enumerate()
+            .map(|(i, p)| (i as u64, *p))
+            .collect()
     };
     let pool_r = Arc::new(BufferPool::new(MemDisk::new(), 256));
     let ir = Mbrqt::bulk_build(pool_r, &keyed(r_pts), &MbrqtConfig::default()).expect("build R");
@@ -158,7 +161,9 @@ fn crud_and_query_roundtrip() {
     let listed = client.request("GET", "/collections", "").expect("list");
     assert!(listed.body.contains("\"demo\""), "{}", listed.body);
 
-    let desc = client.request("GET", "/collections/demo", "").expect("describe");
+    let desc = client
+        .request("GET", "/collections/demo", "")
+        .expect("describe");
     assert_eq!(desc.status, 200);
     assert!(desc.body.contains("\"points\":3"), "{}", desc.body);
 
@@ -369,7 +374,10 @@ fn saturated_server_answers_429() {
     let mut rounds = 0;
     let rejected = loop {
         rounds += 1;
-        assert!(rounds <= 10, "three simultaneous queries never saturated a 1-worker/1-slot server");
+        assert!(
+            rounds <= 10,
+            "three simultaneous queries never saturated a 1-worker/1-slot server"
+        );
         let replies: Vec<_> = std::thread::scope(|scope| {
             let senders: Vec<_> = (0..OFFERED)
                 .map(|_| {
@@ -513,11 +521,7 @@ fn time_travel_queries_pin_old_versions() {
     // Corners first: MBRQT's universe is the bulk-build bounding box, so
     // later inserts must land inside it.
     let created = client
-        .create_collection(
-            "tt",
-            "mbrqt",
-            &[[0.0, 0.0], [1000.0, 1000.0], [10.0, 10.0]],
-        )
+        .create_collection("tt", "mbrqt", &[[0.0, 0.0], [1000.0, 1000.0], [10.0, 10.0]])
         .expect("create");
     assert_eq!(created.status, 201, "{}", created.body);
 
@@ -566,9 +570,13 @@ fn time_travel_queries_pin_old_versions() {
 
     // Describe surfaces versioning; a never-committed future version and
     // (after enough commits) an aged-out one are client errors.
-    let desc = client.request("GET", "/collections/tt", "").expect("describe");
+    let desc = client
+        .request("GET", "/collections/tt", "")
+        .expect("describe");
     assert!(desc.body.contains("\"versioned\":true"), "{}", desc.body);
-    let future = client.query_at("tt", 10_000, &spec).expect("future version");
+    let future = client
+        .query_at("tt", 10_000, &spec)
+        .expect("future version");
     assert_eq!(future.status, 400, "{}", future.body);
     for _ in 0..12 {
         // Push v1 out of the bounded history window (keep = 8).
@@ -665,12 +673,22 @@ fn parallel_first_touch_and_writer_commits_leave_nothing_pinned() {
 
     // All those racing first touches opened the collection exactly once.
     assert_eq!(server.registry().open_count(), 1);
-    let a = server.registry().get(&"race".parse().expect("id")).expect("get");
-    let b = server.registry().get(&"race".parse().expect("id")).expect("get");
+    let a = server
+        .registry()
+        .get(&"race".parse().expect("id"))
+        .expect("get");
+    let b = server
+        .registry()
+        .get(&"race".parse().expect("id"))
+        .expect("get");
     assert!(Arc::ptr_eq(&a, &b), "registry handed out distinct handles");
 
     // Every request completed, so no reader pin (or writer txn) survives.
-    assert_eq!(a.pool.pinned_frames(), 0, "frames left pinned after the race");
+    assert_eq!(
+        a.pool.pinned_frames(),
+        0,
+        "frames left pinned after the race"
+    );
     let final_count = 1502 + (WRITER_BATCHES as u64) * 3;
     assert_eq!(a.num_points(), final_count);
     server.shutdown();
@@ -772,7 +790,11 @@ fn threads_round_trip_matches_serial_without_schema_bump() {
 
     // Garbage is a 400, not a crash.
     let bad = client
-        .request("POST", "/collections/par/query?threads=lots", &spec.to_json())
+        .request(
+            "POST",
+            "/collections/par/query?threads=lots",
+            &spec.to_json(),
+        )
         .expect("bad threads");
     assert_eq!(bad.status, 400, "{}", bad.body);
 
@@ -820,7 +842,10 @@ fn mba_variant_threads_cannot_bypass_compute_cap() {
 
     let tokens = server.compute_token_stats();
     assert_eq!(tokens.total, TOKENS);
-    assert_eq!(tokens.available, TOKENS, "leaked compute tokens: {tokens:?}");
+    assert_eq!(
+        tokens.available, TOKENS,
+        "leaked compute tokens: {tokens:?}"
+    );
     assert!(
         tokens.high_water <= TOKENS,
         "variant knob pierced the compute cap: {tokens:?}"

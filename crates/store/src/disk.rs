@@ -17,8 +17,8 @@
 //! frame as opaque bytes — corruption detection lives entirely at the pool
 //! boundary, which is what lets [`crate::FaultyDisk`] damage trailers too.
 
-use crate::{PageId, Result, StoreError, FRAME_SIZE};
 use crate::sync::Mutex;
+use crate::{PageId, Result, StoreError, FRAME_SIZE};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;

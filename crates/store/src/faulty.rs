@@ -20,8 +20,8 @@
 //! assert *which* failure surfaced, distinguishable from real OS errors
 //! and from checksum-detected corruption.
 
-use crate::{DiskBackend, PageId, Result, StoreError, FRAME_SIZE};
 use crate::sync::Mutex;
+use crate::{DiskBackend, PageId, Result, StoreError, FRAME_SIZE};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 

@@ -158,7 +158,8 @@ impl HeapFile {
             let page = self.pages[idx as usize / self.per_page];
             let first_slot = idx as usize % self.per_page;
             let here = (self.per_page - first_slot).min((end - idx) as usize);
-            self.pool.with_page(page, |bytes| copy.copy_from_slice(bytes))?;
+            self.pool
+                .with_page(page, |bytes| copy.copy_from_slice(bytes))?;
             for s in 0..here {
                 let at = HEADER + (first_slot + s) * rec_size;
                 f(idx + s as u64, &copy[at..at + rec_size]);
@@ -179,7 +180,8 @@ impl HeapFile {
         let rec_size = self.record_size;
         let mut copy = vec![0u8; PAGE_SIZE];
         while page != INVALID_PAGE {
-            self.pool.with_page(page, |bytes| copy.copy_from_slice(bytes))?;
+            self.pool
+                .with_page(page, |bytes| copy.copy_from_slice(bytes))?;
             let count = read_u32(&copy, 4) as usize;
             for slot in 0..count {
                 let at = HEADER + slot * rec_size;

@@ -39,8 +39,8 @@
 
 use crate::checksum::{seal_frame, verify_frame};
 use crate::lru::LruList;
-use crate::{DiskBackend, IoSnapshot, IoStats, PageId, Result, StoreError, FRAME_SIZE, PAGE_SIZE};
 use crate::sync::{unpoisoned, Mutex, MutexGuard};
+use crate::{DiskBackend, IoSnapshot, IoStats, PageId, Result, StoreError, FRAME_SIZE, PAGE_SIZE};
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar};
@@ -1859,7 +1859,10 @@ mod tests {
         let sweep: Vec<_> = ids[2..].iter().map(|&id| (id, 1)).collect();
         p.prefetch(&sweep);
         let s = p.stats();
-        assert_eq!(s.prefetch_issued, 2, "pump fills the spare frames, then stalls");
+        assert_eq!(
+            s.prefetch_issued, 2,
+            "pump fills the spare frames, then stalls"
+        );
         assert_eq!(s.prefetch_wasted, 0, "the pump never evicts its own window");
         // A demand miss reclaims a cold speculative frame, not a hot page.
         p.with_page(ids[7], |_| ()).unwrap();

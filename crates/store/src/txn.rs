@@ -17,9 +17,9 @@
 
 use crate::journal::Journal;
 use crate::pool::PageStore;
+use crate::sync::Mutex;
 use crate::versioned::{VersionInfo, VersionedStore};
 use crate::{BufferPool, PageId, Result, StoreError, PAGE_SIZE};
-use crate::sync::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 

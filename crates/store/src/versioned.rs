@@ -39,8 +39,8 @@
 
 use crate::journal::Journal;
 use crate::pool::PageStore;
-use crate::{BufferPool, PageId, Result, StoreError, INVALID_PAGE, PAGE_SIZE};
 use crate::sync::Mutex;
+use crate::{BufferPool, PageId, Result, StoreError, INVALID_PAGE, PAGE_SIZE};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
@@ -123,7 +123,11 @@ impl VersionedStore {
     ///
     /// The returned store's [`manifest_head`](Self::manifest_head) must
     /// be persisted by the caller to reopen later.
-    pub fn create(pool: Arc<BufferPool>, journal: Journal, keep: u32) -> Result<Arc<VersionedStore>> {
+    pub fn create(
+        pool: Arc<BufferPool>,
+        journal: Journal,
+        keep: u32,
+    ) -> Result<Arc<VersionedStore>> {
         let manifest_head = pool.allocate()?;
         let mut versions = BTreeMap::new();
         versions.insert(

@@ -2,7 +2,9 @@
 //! stay a transparent, integrity-checking cache under concurrent readers
 //! and writers, eviction pressure, and in-flight (pinned) loads.
 
-use ann_store::{BufferPool, DiskBackend, MemDisk, PrefetchConfig, StoreError, FRAME_SIZE, PAGE_SIZE};
+use ann_store::{
+    BufferPool, DiskBackend, MemDisk, PrefetchConfig, StoreError, FRAME_SIZE, PAGE_SIZE,
+};
 use std::sync::Arc;
 
 /// Concurrent readers over every page plus one writer per shard mutating
@@ -13,7 +15,9 @@ use std::sync::Arc;
 fn concurrent_readers_and_per_shard_writers() {
     let pool = Arc::new(BufferPool::new(MemDisk::new(), 16));
     let shards = pool.num_shards();
-    let pages: Vec<u32> = (0..(shards as u32 * 2)).map(|_| pool.allocate().unwrap()).collect();
+    let pages: Vec<u32> = (0..(shards as u32 * 2))
+        .map(|_| pool.allocate().unwrap())
+        .collect();
     for &p in &pages {
         pool.with_page_mut(p, |b| b.fill(0xAB)).unwrap();
     }
@@ -40,10 +44,7 @@ fn concurrent_readers_and_per_shard_writers() {
                     for &p in &pages {
                         pool.with_page(p, |b| {
                             let first = b[0];
-                            assert!(
-                                b.iter().all(|&x| x == first),
-                                "torn read on page {p}"
-                            );
+                            assert!(b.iter().all(|&x| x == first), "torn read on page {p}");
                             if p >= pool.num_shards() as u32 {
                                 assert_eq!(first, 0xAB, "non-writer page changed");
                             }
@@ -216,7 +217,8 @@ fn resize_and_clear_race_with_readers() {
         let pool = Arc::clone(&pool);
         s.spawn(move || {
             for round in 0..20 {
-                pool.set_capacity(if round % 2 == 0 { 8 } else { 32 }).unwrap();
+                pool.set_capacity(if round % 2 == 0 { 8 } else { 32 })
+                    .unwrap();
                 pool.clear().unwrap();
             }
         });

@@ -6,8 +6,8 @@ use ann_datagen::splitmix64;
 use ann_store::checksum::{crc32, crc32_finish, crc32_update, seal_frame, verify_frame, CRC_INIT};
 use ann_store::journal::{decode_record, encode_record, RECORD_SIZE};
 use ann_store::{
-    BufferPool, DiskBackend, FaultyDisk, InjectedFault, Journal, MemDisk, PageId,
-    PageStore, Recovery, StoreError, Txn, FRAME_SIZE, PAGE_SIZE,
+    BufferPool, DiskBackend, FaultyDisk, InjectedFault, Journal, MemDisk, PageId, PageStore,
+    Recovery, StoreError, Txn, FRAME_SIZE, PAGE_SIZE,
 };
 use std::sync::Arc;
 

@@ -56,7 +56,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let is = Mbrqt::bulk_build(pool, &s, &MbrqtConfig::default())?;
     eprintln!("indices built in {:.2?}", t0.elapsed());
 
-    let req = AnnRequest::new(Algorithm::mba()).k(k).exclude_self(self_join);
+    let req = AnnRequest::new(Algorithm::mba())
+        .k(k)
+        .exclude_self(self_join);
     let t0 = Instant::now();
     let mut out = run::<DIMS, _, _>(&req, Input::Index(&ir), Input::Index(&is))?;
     out.sort();

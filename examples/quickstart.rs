@@ -68,6 +68,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The execution report: phase wall times with I/O deltas, per-level
     // expansion histograms, pruning breakdown — serializable to JSON.
-    println!("\nexecution report:\n{}", sink.report("quickstart").to_json());
+    println!(
+        "\nexecution report:\n{}",
+        sink.report("quickstart").to_json()
+    );
     Ok(())
 }
