@@ -28,6 +28,7 @@
 use ann_store::sync::Mutex;
 use ann_store::{IoSnapshot, PageId};
 use std::collections::BTreeMap;
+use std::fmt;
 use std::time::Instant;
 
 /// Which of the two joined sets an index-side observation belongs to.
@@ -702,21 +703,26 @@ pub(crate) fn json_escape(s: &str) -> String {
     out
 }
 
-/// Formats a float as a JSON number (`null` for non-finite values).
-/// `Display` for a finite f64 is the shortest string that parses back to
-/// the same bits, so a JSON round-trip through this is lossless.
-pub(crate) fn json_num(f: f64) -> String {
-    if f.is_finite() {
-        // `Display` for finite f64 is always a valid JSON number.
-        let s = format!("{f}");
-        if s.contains('.') || s.contains('e') || s.contains('E') {
-            s
-        } else {
-            format!("{s}.0")
-        }
+/// Writes a float as a JSON number (`null` for non-finite values).
+/// `Display` for a finite f64 is the shortest decimal string that parses
+/// back to the same bits (never an exponent), so a JSON round-trip
+/// through this is lossless; a whole value prints without a fraction and
+/// gets `.0` appended so it stays a float on the wire.
+pub(crate) fn write_json_num(out: &mut impl fmt::Write, f: f64) -> fmt::Result {
+    if !f.is_finite() {
+        out.write_str("null")
+    } else if f.fract() == 0.0 {
+        write!(out, "{f}.0")
     } else {
-        "null".to_string()
+        write!(out, "{f}")
     }
+}
+
+/// [`write_json_num`] into a fresh `String`.
+pub(crate) fn json_num(f: f64) -> String {
+    let mut s = String::new();
+    write_json_num(&mut s, f).expect("writing to a String cannot fail");
+    s
 }
 
 pub(crate) fn json_io(io: &IoSnapshot) -> String {
@@ -1071,5 +1077,13 @@ mod tests {
         assert_eq!(json_num(1.5), "1.5");
         assert_eq!(json_num(f64::NAN), "null");
         assert_eq!(json_num(f64::INFINITY), "null");
+        assert_eq!(json_num(-0.0), "-0.0");
+        assert_eq!(json_num(9007199254740992.0), "9007199254740992.0");
+        // Every rendering is a JSON float that reads back bit for bit.
+        for f in [0.1, -2.5e-7, 1e300, f64::MAX, f64::MIN_POSITIVE, 5e-324] {
+            let s = json_num(f);
+            assert!(s.contains('.') && !s.contains(['e', 'E']), "{s}");
+            assert_eq!(s.parse::<f64>().map(f64::to_bits), Ok(f.to_bits()));
+        }
     }
 }

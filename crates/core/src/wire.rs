@@ -25,9 +25,9 @@
 use crate::query::{Algorithm, AnnRequest, MetricChoice};
 use crate::resilience::{BudgetKind, QueryError};
 use crate::stats::{AnnOutput, AnnStats, NeighborPair};
-use crate::trace::{json_escape, json_io, json_num, ExecutionReport};
+use crate::trace::{json_escape, json_io, json_num, write_json_num, ExecutionReport};
 use ann_store::{RetryPolicy, StoreError};
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::time::{Duration, Instant};
 
 /// Current version of the JSON wire schema, emitted as the `"v"` field of
@@ -212,7 +212,7 @@ impl JsonValue {
             JsonValue::Null => f.write_str("null"),
             JsonValue::Bool(b) => write!(f, "{b}"),
             JsonValue::Int(i) => write!(f, "{i}"),
-            JsonValue::Num(n) => f.write_str(&json_num(*n)),
+            JsonValue::Num(n) => write_json_num(f, *n),
             JsonValue::Str(s) => write!(f, "\"{}\"", json_escape(s)),
             JsonValue::Arr(items) if items.is_empty() => f.write_str("[]"),
             JsonValue::Obj(fields) if fields.is_empty() => f.write_str("{}"),
@@ -430,17 +430,26 @@ impl<'a> Parser<'a> {
                     }
                     self.at += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // bytes are valid UTF-8 by construction).
-                    let rest = &self.bytes[self.at..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("empty"))?;
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("raw control character in string"));
-                    }
-                    out.push(c);
-                    self.at += c.len_utf8();
+                Some(b) if b < 0x20 => {
+                    return Err(self.err("raw control character in string"));
+                }
+                Some(b) => {
+                    // Consume one UTF-8 scalar, validated from its own
+                    // 1-4 bytes: looking any further ahead per character
+                    // makes parsing quadratic in the document's length.
+                    let len = match b {
+                        0x00..=0x7F => 1,
+                        0xC0..=0xDF => 2,
+                        0xE0..=0xEF => 3,
+                        _ => 4,
+                    };
+                    let scalar = self
+                        .bytes
+                        .get(self.at..self.at + len)
+                        .and_then(|s| std::str::from_utf8(s).ok())
+                        .ok_or_else(|| self.err("invalid UTF-8"))?;
+                    out.push_str(scalar);
+                    self.at += len;
                 }
             }
         }
@@ -1170,21 +1179,21 @@ impl QueryOutcome {
     /// recovers bit-identical values — the serving differential gates
     /// compare result bytes across the wire.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(64 + self.results.len() * 32);
-        out.push_str(&format!(
+        let mut out = String::with_capacity(512 + self.results.len() * 48);
+        // Pairs are written in place: a `String` sink cannot fail, and a
+        // temporary per pair would be three allocations on the hot path.
+        let _ = write!(
+            out,
             "{{\"v\":{WIRE_SCHEMA_VERSION},\"count\":{},\"pairs\":[",
             self.results.len()
-        ));
+        );
         for (i, p) in self.results.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!(
-                "{{\"r\":{},\"s\":{},\"dist\":{}}}",
-                p.r_oid,
-                p.s_oid,
-                json_num(p.dist)
-            ));
+            let _ = write!(out, "{{\"r\":{},\"s\":{},\"dist\":", p.r_oid, p.s_oid);
+            let _ = write_json_num(&mut out, p.dist);
+            out.push('}');
         }
         out.push_str("],\"stats\":");
         out.push_str(&stats_json(&self.stats));
@@ -1370,6 +1379,37 @@ mod tests {
         // Depth bomb: must error, not overflow the stack.
         let deep = "[".repeat(100_000) + &"]".repeat(100_000);
         assert!(JsonValue::parse(&deep).is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time_one_scalar_at_a_time() {
+        // 1 MiB of 1-, 2-, 3- and 4-byte scalars: minutes if each
+        // character re-validates the rest of the document.
+        let unit = "a\u{e9}\u{20ac}\u{1f600}";
+        let text = unit.repeat((1 << 20) / unit.len());
+        let doc = format!("[\"{text}\",\"tail\"]");
+        let parsed = JsonValue::parse(&doc).expect("valid document");
+        let items = parsed.as_arr().expect("array");
+        assert_eq!(items[0].as_str(), Some(text.as_str()));
+        assert_eq!(items[1].as_str(), Some("tail"));
+
+        // The parser is only ever handed a `&str`, but its string scanner
+        // must not trust that: a scalar cut short, a stray continuation
+        // byte and an overlong lead are all rejected from their own bytes.
+        for raw in [
+            b"\"ab\xe2\x82".as_slice(),
+            b"\"ab\xe2\x82\"",
+            b"\"\x82\"",
+            b"\"\xf0\x9f\x98",
+            b"\"\xc0\xaf\"",
+        ] {
+            let mut p = Parser { bytes: raw, at: 0 };
+            let err = p.string().expect_err("invalid UTF-8 must not parse");
+            assert!(
+                matches!(&err, WireError::Parse { what, .. } if what == "invalid UTF-8"),
+                "{raw:?}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -6,11 +6,13 @@
 //! drives one per simulated client); [`Client`] wraps an address with
 //! request helpers that open a fresh connection per call.
 
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use ann_core::wire::{QueryOutcome, QuerySpec, WireError};
+
+use crate::http::{write_request, MessageReader};
 
 /// One HTTP response: status code and body bytes (always read fully).
 #[derive(Debug, Clone)]
@@ -31,6 +33,7 @@ impl HttpResponse {
 /// A single keep-alive connection to the server.
 pub struct Conn {
     stream: TcpStream,
+    reader: MessageReader,
 }
 
 impl Conn {
@@ -38,7 +41,11 @@ impl Conn {
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Conn> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(Conn { stream })
+        Ok(Conn {
+            stream,
+            // No cap on a response: it carries a whole result set.
+            reader: MessageReader::new(usize::MAX),
+        })
     }
 
     /// Sets the response-read timeout (`None` blocks indefinitely).
@@ -48,28 +55,27 @@ impl Conn {
 
     /// Sends one request and reads the full response.
     pub fn request(&mut self, method: &str, target: &str, body: &str) -> io::Result<HttpResponse> {
-        let head = format!(
-            "{method} {target} HTTP/1.1\r\nHost: ann-serve\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n",
-            body.len()
-        );
-        self.stream.write_all(head.as_bytes())?;
-        self.stream.write_all(body.as_bytes())?;
-        self.stream.flush()?;
-        read_response(&mut self.stream)
+        write_request(&mut self.stream, method, target, body)?;
+        let msg = self
+            .reader
+            .read_message(&mut self.stream)?
+            .ok_or_else(|| io::Error::from(io::ErrorKind::UnexpectedEof))?;
+        let invalid = |what| io::Error::new(io::ErrorKind::InvalidData, what);
+        let status = msg
+            .start_line
+            .split(' ')
+            .nth(1)
+            .and_then(|s| s.parse().ok())
+            .ok_or_else(|| invalid("bad status line"))?;
+        let body = String::from_utf8(msg.body).map_err(|_| invalid("non-UTF-8 body"))?;
+        Ok(HttpResponse { status, body })
     }
 
     /// Sends a request and then *immediately drops the connection*
     /// without reading the response — the disconnect-mid-query tests use
     /// this to trigger server-side cancellation.
     pub fn fire_and_hang_up(mut self, method: &str, target: &str, body: &str) -> io::Result<()> {
-        let head = format!(
-            "{method} {target} HTTP/1.1\r\nHost: ann-serve\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n",
-            body.len()
-        );
-        self.stream.write_all(head.as_bytes())?;
-        self.stream.write_all(body.as_bytes())?;
-        self.stream.flush()?;
-        Ok(())
+        write_request(&mut self.stream, method, target, body)
         // Dropping `self.stream` here sends FIN; the server's poll sees
         // a zero-byte peek and fires the query's CancelToken.
     }
@@ -175,72 +181,4 @@ impl Client {
     pub fn shutdown_server(&self) -> io::Result<HttpResponse> {
         self.request("POST", "/admin/shutdown", "")
     }
-}
-
-/// Reads one `HTTP/1.1` response (status line, headers,
-/// `Content-Length` body).
-fn read_response(stream: &mut TcpStream) -> io::Result<HttpResponse> {
-    let mut head = Vec::with_capacity(256);
-    let mut buf = [0u8; 1024];
-    let split;
-    let spill;
-    loop {
-        let n = stream.read(&mut buf)?;
-        if n == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "connection closed before response head",
-            ));
-        }
-        head.extend_from_slice(&buf[..n]);
-        if let Some(pos) = head.windows(4).position(|w| w == b"\r\n\r\n") {
-            split = pos + 4;
-            spill = head.split_off(split);
-            break;
-        }
-        if head.len() > 64 * 1024 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "response head too large",
-            ));
-        }
-    }
-    let head_str = std::str::from_utf8(&head)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 response head"))?;
-    let mut lines = head_str.split("\r\n");
-    let status_line = lines
-        .next()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "empty response"))?;
-    let status: u16 = status_line
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad status line"))?;
-    let mut content_length = 0usize;
-    for line in lines {
-        if let Some((name, value)) = line.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value
-                    .trim()
-                    .parse()
-                    .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad length"))?;
-            }
-        }
-    }
-    let mut body = spill;
-    while body.len() < content_length {
-        let want = (content_length - body.len()).min(buf.len());
-        let n = stream.read(&mut buf[..want])?;
-        if n == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "connection closed mid-body",
-            ));
-        }
-        body.extend_from_slice(&buf[..n]);
-    }
-    body.truncate(content_length);
-    let body = String::from_utf8(body)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 body"))?;
-    Ok(HttpResponse { status, body })
 }

@@ -37,7 +37,9 @@ pub struct Metrics {
     /// Sum over queries of physical page reads.
     pub physical_reads: AtomicU64,
     /// Latency histogram: bucket `i` counts queries with
-    /// `latency_us in [2^i, 2^(i+1))` (bucket 0 also holds sub-µs).
+    /// `latency_us in [2^i, 2^(i+1))` (bucket 0 also holds sub-µs), where
+    /// latency runs from request fully read to response written — queue
+    /// wait, traversal, encode and the socket write.
     buckets: [AtomicU64; 64],
 }
 
@@ -76,12 +78,16 @@ impl Metrics {
         };
     }
 
-    /// Records one executed query: its wall latency and work counters.
-    pub fn record_query(&self, latency: Duration, stats: &AnnStats) {
-        self.queries.fetch_add(1, Ordering::Relaxed);
+    /// Records what one answered query took, as its connection saw it.
+    pub fn record_latency(&self, latency: Duration) {
         let us = latency.as_micros().min(u128::from(u64::MAX)) as u64;
         let bucket = (64 - us.leading_zeros() as usize).min(63);
         self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records one executed query's work counters.
+    pub fn record_query(&self, stats: &AnnStats) {
+        self.queries.fetch_add(1, Ordering::Relaxed);
         self.distance_computations
             .fetch_add(stats.distance_computations, Ordering::Relaxed);
         self.nodes_expanded.fetch_add(
@@ -153,9 +159,9 @@ mod tests {
         let m = Metrics::new();
         assert_eq!(m.latency_quantile_us(0.5), 0);
         for _ in 0..99 {
-            m.record_query(Duration::from_micros(100), &AnnStats::default());
+            m.record_latency(Duration::from_micros(100));
         }
-        m.record_query(Duration::from_millis(100), &AnnStats::default());
+        m.record_latency(Duration::from_millis(100));
         let p50 = m.latency_quantile_us(0.50);
         // 100µs lands in the [64, 128) bucket; upper edge 128.
         assert_eq!(p50, 128);

@@ -22,14 +22,24 @@
 //! ([`ErrorCode::Overloaded`]) instead of building an unbounded backlog —
 //! the client owns the retry decision.
 //!
+//! A second, per-connection limit paces the requests of one connection
+//! (`Pacer`): a token bucket of `REQUEST_BURST` requests refilled one
+//! per `REQUEST_INTERVAL`. A request that finds the bucket empty waits
+//! on the connection thread for its token — before it is routed, so it
+//! holds no worker, queue slot or snapshot pin while it waits. A
+//! connection that sends back-to-back small queries is therefore served
+//! on the clock, at the same rate whatever the host's cores are doing,
+//! and cannot take the workers from the others.
+//!
 //! # Cancellation on disconnect
 //!
 //! Every query gets a fresh [`CancelToken`] shared between the worker
 //! and the connection thread. While the worker runs, the connection
-//! thread `peek`s its socket every few milliseconds; a clean EOF there
-//! means the client is gone, so it fires the token and the traversal
-//! aborts at its next node expansion with all buffer-pool pins released
-//! (the PR 7 clean-abort contract, asserted by the disconnect test).
+//! thread `peek`s its socket every few milliseconds without blocking; a
+//! clean EOF there means the client is gone, so it fires the token and
+//! the traversal aborts at its next node expansion with all buffer-pool
+//! pins released (the PR 7 clean-abort contract, asserted by the
+//! disconnect test).
 
 use std::collections::VecDeque;
 use std::io::ErrorKind;
@@ -45,20 +55,26 @@ use ann_core::query::{run_scratch, Algorithm, AnnRequest, Input};
 use ann_core::resilience::CancelToken;
 use ann_core::scratch::QueryScratch;
 use ann_core::snapshot::ReadContext;
-use ann_core::stats::AnnOutput;
 use ann_core::trace::RecordingSink;
 use ann_core::wire::{CollectionId, ErrorCode, JsonValue, QueryOutcome, QuerySpec};
-use ann_core::QueryResult;
-use ann_geom::Point;
+use ann_core::{DecodedNode, Node, NodeCache, SpatialIndex};
+use ann_geom::{Mbr, Point};
 use ann_store::sync::{unpoisoned, Mutex};
+use ann_store::{BufferPool, PageId};
 
-use crate::http::{read_request, write_response, Request};
+use crate::http::{read_request, write_response, MessageReader, Request, MAX_BODY};
 use crate::metrics::Metrics;
 use crate::registry::{AnyIndex, ApiError, Backing, Collection, IndexKind, Registry, SERVE_DIMS};
 
 /// How often a waiting connection thread polls its socket for client
 /// disconnect (and re-checks the reply channel).
 const DISCONNECT_POLL: Duration = Duration::from_millis(10);
+
+/// One request per connection is due every `REQUEST_INTERVAL`; a
+/// connection that has been slower than that may run up to
+/// `REQUEST_BURST` requests ahead of the schedule.
+const REQUEST_INTERVAL: Duration = Duration::from_millis(2);
+const REQUEST_BURST: u32 = 256;
 
 /// Server construction knobs.
 #[derive(Debug, Clone)]
@@ -428,7 +444,6 @@ fn execute(
     ctx: &Ctx,
 ) -> Result<String, ApiError> {
     let metrics = &ctx.metrics;
-    let started = Instant::now();
     let sink = RecordingSink::new();
     let mut req: AnnRequest<'_> = job.spec.to_request();
     req = req.cancel_token(job.cancel.clone());
@@ -488,7 +503,7 @@ fn execute(
     // (workers are never respawned) or strand the granted tokens; the
     // unwind surfaces to the client as a typed internal error instead.
     let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_sides(r_side, s_side, &req, scratch)
+        run_scratch(&req, Input::Index(&r_side), Input::Index(&s_side), scratch)
     }));
     ctx.compute.put(extra);
     let ran = match ran {
@@ -502,7 +517,7 @@ fn execute(
     };
     match ran {
         Ok(out) => {
-            metrics.record_query(started.elapsed(), &out.stats);
+            metrics.record_query(&out.stats);
             // The unified entrypoint returns canonical (r_oid, dist,
             // s_oid) order at every thread count, so the response bytes
             // are already independent of the granted fan-out.
@@ -550,25 +565,38 @@ fn side_of<'a>(coll: &'a Collection, pin: Option<&'a ReadContext<SERVE_DIMS>>) -
     }
 }
 
-/// Dispatches over the side-type combinations (each arm monomorphizes
-/// `run_scratch` for its pair of [`SpatialIndex`] impls).
-fn run_sides(
-    r: SideRef<'_>,
-    s: SideRef<'_>,
-    req: &AnnRequest<'_>,
-    scratch: &mut QueryScratch<SERVE_DIMS>,
-) -> QueryResult<AnnOutput> {
-    use SideRef::{Mbrqt, RStar, Snap};
-    match (r, s) {
-        (Mbrqt(ir), Mbrqt(is)) => run_scratch(req, Input::Index(ir), Input::Index(is), scratch),
-        (Mbrqt(ir), RStar(is)) => run_scratch(req, Input::Index(ir), Input::Index(is), scratch),
-        (Mbrqt(ir), Snap(is)) => run_scratch(req, Input::Index(ir), Input::Index(is), scratch),
-        (RStar(ir), Mbrqt(is)) => run_scratch(req, Input::Index(ir), Input::Index(is), scratch),
-        (RStar(ir), RStar(is)) => run_scratch(req, Input::Index(ir), Input::Index(is), scratch),
-        (RStar(ir), Snap(is)) => run_scratch(req, Input::Index(ir), Input::Index(is), scratch),
-        (Snap(ir), Mbrqt(is)) => run_scratch(req, Input::Index(ir), Input::Index(is), scratch),
-        (Snap(ir), RStar(is)) => run_scratch(req, Input::Index(ir), Input::Index(is), scratch),
-        (Snap(ir), Snap(is)) => run_scratch(req, Input::Index(ir), Input::Index(is), scratch),
+/// Defines each listed `SpatialIndex` method as a forward to whichever
+/// backing the side has.
+macro_rules! forward_to_backing {
+    ($(fn $name:ident(&self $(, $arg:ident: $ty:ty)?) -> $ret:ty;)*) => {$(
+        fn $name(&self $(, $arg: $ty)?) -> $ret {
+            match *self {
+                SideRef::Mbrqt(i) => i.$name($($arg)?),
+                SideRef::RStar(i) => i.$name($($arg)?),
+                SideRef::Snap(i) => i.$name($($arg)?),
+            }
+        }
+    )*};
+}
+
+/// A side is itself the index the join runs over, so the join code is
+/// compiled once for the server. One `run_scratch::<IR, IS>` instance per
+/// pair of backings is nine copies — 1.3 MB of machine code, 30 % of the
+/// benchmark binary and resident with it, eight of them for pairs most
+/// deployments never serve. Every method forwards — the provided ones
+/// too, so a backing's own override is what runs.
+impl SpatialIndex<SERVE_DIMS> for SideRef<'_> {
+    forward_to_backing! {
+        fn pool(&self) -> &BufferPool;
+        fn root_page(&self) -> PageId;
+        fn num_points(&self) -> u64;
+        fn bounds(&self) -> Mbr<SERVE_DIMS>;
+        fn read_node(&self, page: PageId) -> ann_store::Result<Node<SERVE_DIMS>>;
+        fn read_root(&self) -> ann_store::Result<Node<SERVE_DIMS>>;
+        fn node_cache(&self) -> Option<&NodeCache<SERVE_DIMS>>;
+        fn cache_key(&self) -> u64;
+        fn node_is_cached(&self, page: PageId) -> bool;
+        fn read_node_cached(&self, page: PageId) -> ann_store::Result<Arc<DecodedNode<SERVE_DIMS>>>;
     }
 }
 
@@ -582,15 +610,14 @@ struct Reply {
     status: u16,
     body: String,
     close: bool,
+    /// A query a worker ran to a result: its request-read to
+    /// response-written time goes into the latency histogram.
+    executed: bool,
 }
 
 impl Reply {
     fn ok(body: impl Into<String>) -> Self {
-        Reply {
-            status: 200,
-            body: body.into(),
-            close: false,
-        }
+        Reply::status(200, body)
     }
 
     fn status(status: u16, body: impl Into<String>) -> Self {
@@ -598,21 +625,55 @@ impl Reply {
             status,
             body: body.into(),
             close: false,
+            executed: false,
         }
     }
 
     fn err(e: &ApiError) -> Self {
-        Reply {
-            status: e.code.http_status(),
-            body: e.code.error_json(&e.message),
-            close: false,
+        Reply::status(e.code.http_status(), e.code.error_json(&e.message))
+    }
+}
+
+/// The token bucket of one connection, kept as the time its next request
+/// is due: the schedule is absolute, so a late wake-up or a slow query is
+/// made up by the requests after it instead of shifting every later one.
+struct Pacer {
+    due: Instant,
+}
+
+impl Pacer {
+    /// A full bucket.
+    fn new(now: Instant) -> Self {
+        Pacer {
+            due: Pacer::full_at(now),
         }
+    }
+
+    /// The `due` of a bucket that is full at `now`.
+    fn full_at(now: Instant) -> Instant {
+        now.checked_sub(REQUEST_INTERVAL * (REQUEST_BURST - 1))
+            .unwrap_or(now)
+    }
+
+    /// Books the request that arrived at `now` and returns how long it
+    /// has to wait for its token.
+    fn admit(&mut self, now: Instant) -> Duration {
+        // An idle connection saves up at most a full bucket.
+        self.due = self.due.max(Pacer::full_at(now));
+        let wait = self.due.saturating_duration_since(now);
+        self.due += REQUEST_INTERVAL;
+        wait
     }
 }
 
 fn connection_loop(mut stream: TcpStream, ctx: &Ctx) {
+    // Responses are written whole, so there is nothing for Nagle to
+    // coalesce; leaving it on only delays a reply behind an unacked one.
+    let _ = stream.set_nodelay(true);
+    let mut reader = MessageReader::new(MAX_BODY);
+    let mut pacer = Pacer::new(Instant::now());
     loop {
-        let req = match read_request(&mut stream) {
+        let req = match read_request(&mut reader, &mut stream) {
             Ok(Some(req)) => req,
             Ok(None) => return, // clean close between requests
             Err(e) if e.kind() == ErrorKind::InvalidData => {
@@ -622,6 +683,11 @@ fn connection_loop(mut stream: TcpStream, ctx: &Ctx) {
             }
             Err(_) => return, // socket error mid-request
         };
+        let read_at = Instant::now();
+        let wait = pacer.admit(read_at);
+        if !wait.is_zero() {
+            std::thread::sleep(wait);
+        }
         ctx.metrics.requests.fetch_add(1, Ordering::Relaxed);
         let keep_alive = req.keep_alive && !ctx.shutdown.load(Ordering::Acquire);
         let reply = match route(&req, &mut stream, ctx) {
@@ -634,7 +700,11 @@ fn connection_loop(mut stream: TcpStream, ctx: &Ctx) {
         };
         ctx.metrics.count_status(reply.status);
         let keep = keep_alive && !reply.close;
-        if write_response(&mut stream, reply.status, &reply.body, keep).is_err() || !keep {
+        let written = write_response(&mut stream, reply.status, &reply.body, keep);
+        if reply.executed {
+            ctx.metrics.record_latency(read_at.elapsed());
+        }
+        if written.is_err() || !keep {
             return;
         }
     }
@@ -935,27 +1005,54 @@ fn await_reply(stream: &mut TcpStream, cancel: &CancelToken, rx: &ReplyRx) -> Op
         return None;
     }
     Some(match result {
-        Ok(body) => Reply::ok(body),
+        Ok(body) => Reply {
+            executed: true,
+            ..Reply::ok(body)
+        },
         Err(e) => Reply::err(&e),
     })
 }
 
-/// True when the peer has closed its end: a zero-byte `peek`. Transient
-/// would-block/timeout states mean "still connected, nothing sent".
+/// True when the peer has closed its end: a zero-byte `peek`. The probe
+/// never waits — the socket is non-blocking for its duration, so "nothing
+/// sent, still connected" comes back as `WouldBlock` at once.
 fn socket_disconnected(stream: &TcpStream) -> bool {
-    let prev = stream.read_timeout().ok().flatten();
-    if stream
-        .set_read_timeout(Some(Duration::from_millis(1)))
-        .is_err()
-    {
+    if stream.set_nonblocking(true).is_err() {
         return true;
     }
     let mut probe = [0u8; 1];
     let gone = match stream.peek(&mut probe) {
         Ok(0) => true,
         Ok(_) => false,
-        Err(e) => !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+        Err(e) => e.kind() != ErrorKind::WouldBlock,
     };
-    let _ = stream.set_read_timeout(prev);
-    gone
+    // A socket stuck non-blocking could not carry the reply either.
+    stream.set_nonblocking(false).is_err() || gone
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn pacer_spends_a_bucket_then_keeps_the_schedule() {
+        let t0 = Instant::now() + Duration::from_secs(1);
+        let mut p = Pacer::new(t0);
+        for _ in 0..REQUEST_BURST {
+            assert_eq!(p.admit(t0), Duration::ZERO);
+        }
+        // Empty: one request per interval, measured from the schedule and
+        // not from when the previous request happened to be admitted.
+        assert_eq!(p.admit(t0), REQUEST_INTERVAL);
+        let late = t0 + REQUEST_INTERVAL * 3;
+        assert_eq!(p.admit(late), Duration::ZERO);
+        assert_eq!(p.admit(late), Duration::ZERO);
+        assert_eq!(p.admit(late), REQUEST_INTERVAL);
+        // Idle for a long time: a full bucket again, and no more.
+        let idle = late + Duration::from_secs(60);
+        for _ in 0..REQUEST_BURST {
+            assert_eq!(p.admit(idle), Duration::ZERO);
+        }
+        assert_eq!(p.admit(idle), REQUEST_INTERVAL);
+    }
 }

@@ -11,7 +11,7 @@
 //!   `pinned_frames() == 0` behind;
 //! * graceful shutdown and reopen-from-disk.
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -509,6 +509,62 @@ fn shutdown_endpoint_stops_the_server() {
         TcpStream::connect_timeout(&addr, Duration::from_millis(500)).is_err(),
         "listener still accepting after shutdown"
     );
+}
+
+/// A response leaves in one write. When head and body left as two small
+/// segments, the body waited out the client's delayed ACK: ~44 ms per
+/// response, 8.8 s for this loop. Two seconds is a 100x margin over what
+/// it takes now, not a timing race.
+#[test]
+fn keep_alive_small_responses_do_not_stall() {
+    let server = start_server("nostall", 1, 4, 16);
+    let mut conn = Conn::connect(server.addr()).expect("connect");
+    let started = Instant::now();
+    for _ in 0..200 {
+        let resp = conn.request("GET", "/health", "").expect("health");
+        assert_eq!(resp.status, 200, "{}", resp.body);
+    }
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(2),
+        "200 keep-alive round trips took {took:?}: a response is stalling"
+    );
+    server.shutdown();
+}
+
+/// A client may send its next request before reading the previous
+/// response; bytes past `Content-Length` open the next request.
+#[test]
+fn pipelined_requests_each_get_their_response() {
+    let server = start_server("pipeline", 1, 4, 16);
+    let client = Client::new(server.addr().to_string());
+    let created = client
+        .create_collection("p", "mbrqt", &[[0.0, 0.0], [1.0, 1.0], [3.0, 1.0]])
+        .expect("create");
+    assert_eq!(created.status, 201, "{}", created.body);
+
+    let spec = QuerySpec {
+        exclude_self: true,
+        ..QuerySpec::default()
+    }
+    .to_json();
+    let wire = format!(
+        "POST /collections/p/query HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{spec}\
+         GET /health HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+        spec.len()
+    );
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream.write_all(wire.as_bytes()).expect("write both");
+    let mut answers = String::new();
+    stream.read_to_string(&mut answers).expect("read both");
+    assert_eq!(
+        answers.matches("HTTP/1.1 200 OK\r\n").count(),
+        2,
+        "{answers}"
+    );
+    assert!(answers.contains("\"count\":3"), "{answers}");
+    assert!(answers.ends_with("{\"ok\":true}"), "{answers}");
+    server.shutdown();
 }
 
 /// Time travel over the wire: every committed snapshot version stays

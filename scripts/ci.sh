@@ -7,18 +7,28 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Benchmark leg: the generators must still produce the pinned inputs, and
-# a short traced pass of both join workloads must pass every check the
-# benchmark makes (brute-force sample bit-exact, serial = parallel = BNN
-# byte for byte). Seed 2: a seed nobody tunes against. (perf/ still
+# a short traced pass of both join workloads and of the small serving
+# workload must pass every check the benchmark makes (brute-force sample
+# bit-exact, serial = parallel = BNN byte for byte, every response the
+# library's pairs). Seed 2: a seed nobody tunes against. (perf/ still
 # patches in stand-ins for registry crates nothing declares any more, so
 # its build rewrites perf/Cargo.lock with `[[patch.unused]]` entries; do
 # not commit that.)
 perf/run.sh --self-test
-for workload in join2d_hot join10d_cold; do
-  perf/run.sh --workload "$workload" --seed 2 --seconds 2 --trace 1 | tail -n 1 |
-    grep -Eq '^\{"correct": true, "attempted": [0-9]+, "failed": 0,' ||
+for workload in join2d_hot join10d_cold serve_small; do
+  last=$(perf/run.sh --workload "$workload" --seed 2 --seconds 2 --trace 1 | tail -n 1)
+  grep -Eq '^\{"correct": true, "attempted": [0-9]+, "failed": 0,' <<<"$last" ||
     { echo "ci: perf $workload did not end in correct: true, failed: 0" >&2; exit 1; }
 done
+# Tripwire, not a performance gate: a keep-alive `GET /health` round trip
+# is ~50 us on loopback, and was 44 000 us while a response left as two
+# TCP segments (DESIGN.md §14). 100x headroom; `last` is serve_small's.
+python3 -c '
+import json, sys
+rtt = json.loads(sys.argv[1])["metrics"]["serve.http.health_rtt_us"]["value"]
+assert rtt < 5000, f"GET /health takes {rtt:.0f} us: a response is stalling on the socket"
+print(f"serve.http.health_rtt_us = {rtt:.0f}")
+' "$last"
 # The per-algorithm entrypoint fan is gone (DESIGN.md §16: one `run` per
 # algorithm behind `query::run_scratch`); nothing may bring a deprecated
 # shim, or a test that needs one, back.
