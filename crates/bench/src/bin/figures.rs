@@ -5,18 +5,11 @@
 //!
 //! commands:
 //!   fig3a | fig3a-synthetic | fig3b | fig4 | fig5 | fig6
-//!   ablation-traversal | ablation-mbr | extra-mnn
-//!   parallel-scaling    thread-scaling study (BENCH_parallel_scaling.json)
-//!   parallel-join       morsel-engine sweep: every algorithm x threads
-//!                       {1,2,4,8} x uniform/clustered, byte-diffed vs
-//!                       serial (BENCH_parallel_join.json)
-//!   kernels             batched-kernel throughput study (BENCH_kernels.json)
+//!   ablation-traversal | ablation-mbr | ablation-packing
+//!   extra-mnn | extra-hnn
 //!   robustness          resilience fault-free-overhead study (BENCH_robustness.json)
 //!   outofcore           streaming-build + prefetch sweep (BENCH_outofcore.json);
 //!                       honors --points N --pool-pages P --seed S overrides
-//!   serving             closed-loop HTTP front-end load sweep (BENCH_serving.json)
-//!   mvcc                snapshot-reader latency with/without an active
-//!                       writer (BENCH_mvcc.json)
 //!   all                 run every figure
 //!   list-datasets       print Table 2 (with the scaled cardinalities)
 //! ```
@@ -31,8 +24,10 @@
 //! pruning-effectiveness breakdown). Measured counters are unaffected.
 
 use ann_bench::{figures, report::Report};
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 struct Args {
     command: String,
@@ -52,50 +47,21 @@ fn parse_args() -> Result<Args, String> {
     while let Some(flag) = args.next() {
         match flag.as_str() {
             "--points" => {
-                let v = args.next().ok_or("--points needs a value")?;
-                let n = v
-                    .parse::<usize>()
-                    .map_err(|e| format!("bad --points value {v:?}: {e}"))?;
-                if n == 0 {
-                    return Err("--points must be positive".to_string());
-                }
-                outofcore.points = Some(n);
+                outofcore.points = Some(value::<NonZeroUsize>(&mut args, &flag)?.get());
             }
             "--pool-pages" => {
-                let v = args.next().ok_or("--pool-pages needs a value")?;
-                let p = v
-                    .parse::<usize>()
-                    .map_err(|e| format!("bad --pool-pages value {v:?}: {e}"))?;
-                if p == 0 {
-                    return Err("--pool-pages must be positive".to_string());
-                }
-                outofcore.pool_pages = Some(p);
+                outofcore.pool_pages = Some(value::<NonZeroUsize>(&mut args, &flag)?.get());
             }
-            "--seed" => {
-                let v = args.next().ok_or("--seed needs a value")?;
-                outofcore.seed = Some(
-                    v.parse::<u64>()
-                        .map_err(|e| format!("bad --seed value {v:?}: {e}"))?,
-                );
-            }
+            "--seed" => outofcore.seed = Some(value(&mut args, &flag)?),
             "--full" => fraction = 1.0,
             "--scale" => {
-                let v = args.next().ok_or("--scale needs a value")?;
-                fraction = v
-                    .parse::<f64>()
-                    .map_err(|e| format!("bad --scale value {v:?}: {e}"))?;
+                fraction = value(&mut args, &flag)?;
                 if !(fraction > 0.0 && fraction <= 1.0) {
                     return Err(format!("--scale must be in (0, 1], got {fraction}"));
                 }
             }
-            "--json" => {
-                let v = args.next().ok_or("--json needs a directory")?;
-                json_dir = Some(PathBuf::from(v));
-            }
-            "--trace" => {
-                let v = args.next().ok_or("--trace needs a directory")?;
-                trace_dir = Some(PathBuf::from(v));
-            }
+            "--json" => json_dir = Some(value(&mut args, &flag)?),
+            "--trace" => trace_dir = Some(value(&mut args, &flag)?),
             other => return Err(format!("unknown flag {other:?}\n{}", usage())),
         }
     }
@@ -108,10 +74,20 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
+/// The value that follows `flag`, parsed as a `T`.
+fn value<T: FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    let v = args.next().ok_or(format!("{flag} needs a value"))?;
+    v.parse()
+        .map_err(|e| format!("bad {flag} value {v:?}: {e}"))
+}
+
 fn usage() -> String {
     "usage: figures <fig3a|fig3a-synthetic|fig3b|fig4|fig5|fig6|\
-     ablation-traversal|ablation-mbr|ablation-packing|extra-mnn|extra-hnn|extra-parallel|\
-     parallel-scaling|parallel-join|kernels|robustness|outofcore|serving|mvcc|all|list-datasets> \
+     ablation-traversal|ablation-mbr|ablation-packing|extra-mnn|extra-hnn|\
+     robustness|outofcore|all|list-datasets> \
      [--scale F] [--full] [--json DIR] [--trace DIR] \
      [--points N] [--pool-pages P] [--seed S]"
         .to_string()
@@ -159,24 +135,12 @@ fn main() -> ExitCode {
         "extra-mnn" => emit(figures::extra_mnn(f), &args.json_dir),
         "extra-hnn" => emit(figures::extra_hnn(f), &args.json_dir),
         "ablation-packing" => emit(figures::ablation_packing(f), &args.json_dir),
-        "extra-parallel" => emit(figures::extra_parallel(f), &args.json_dir),
-        "parallel-scaling" => emit(figures::parallel_scaling(f), &args.json_dir),
-        "parallel-join" => emit(figures::parallel_join(f), &args.json_dir),
-        "kernels" => emit(figures::kernels_bench(f), &args.json_dir),
         "robustness" => emit(figures::robustness_bench(f), &args.json_dir),
         "outofcore" => emit(figures::outofcore(f, &args.outofcore), &args.json_dir),
-        "serving" => emit(figures::serving(f), &args.json_dir),
-        "mvcc" => emit(figures::mvcc(f), &args.json_dir),
         "all" => {
             for fig in figures::all(f) {
                 emit(fig, &args.json_dir);
             }
-            emit(figures::parallel_scaling(f), &args.json_dir);
-            emit(figures::parallel_join(f), &args.json_dir);
-            emit(figures::kernels_bench(f), &args.json_dir);
-            emit(figures::robustness_bench(f), &args.json_dir);
-            emit(figures::serving(f), &args.json_dir);
-            emit(figures::mvcc(f), &args.json_dir);
         }
         "list-datasets" => print!("{}", figures::table2(f)),
         other => {

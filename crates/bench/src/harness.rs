@@ -176,11 +176,6 @@ impl Measurement {
     pub fn total_seconds(&self) -> f64 {
         self.cpu_seconds + self.io_seconds
     }
-
-    /// The per-run work counters (distance computations, enqueued).
-    pub fn counters(&self) -> (u64, u64) {
-        (self.distance_computations, self.enqueued)
-    }
 }
 
 /// Directory for per-run `ExecutionReport` JSON files, once tracing is

@@ -37,13 +37,7 @@ macro_rules! int_to_json {
         }
     )+};
 }
-int_to_json!(u32, u64, usize);
-
-impl<T: ToJson> ToJson for Option<T> {
-    fn to_json(&self) -> JsonValue {
-        self.as_ref().map_or(JsonValue::Null, T::to_json)
-    }
-}
+int_to_json!(u64, usize);
 
 impl<T: ToJson> ToJson for Vec<T> {
     fn to_json(&self) -> JsonValue {
@@ -164,217 +158,6 @@ impl Report for Figure {
                 m.physical_pages,
                 m.distance_computations,
                 m.enqueued,
-            ));
-        }
-        out
-    }
-}
-
-/// One row of the thread-scaling study (`BENCH_parallel_scaling`).
-#[derive(Clone, Debug)]
-pub struct ScalingRow {
-    /// Pool variant the row ran against: `"sharded"` or `"single-mutex"`.
-    pub pool: String,
-    /// Worker threads requested (`AnnRequest::threads`).
-    pub threads: usize,
-    /// Wall-clock seconds for the join.
-    pub wall_seconds: f64,
-    /// Wall(1 thread, same pool) / wall(this row).
-    pub speedup_vs_one_thread: f64,
-    /// Wall(single-mutex, same threads) / wall(this row); `None` on the
-    /// single-mutex rows themselves.
-    pub speedup_vs_single_mutex: Option<f64>,
-    /// Buffer-pool accesses served by a resident frame.
-    pub pool_hits: u64,
-    /// Buffer-pool accesses that faulted the page in.
-    pub pool_misses: u64,
-    /// Shard-lock acquisitions that found the lock held.
-    pub lock_contention: u64,
-    /// Decoded-node cache hits across both trees.
-    pub node_cache_hits: u64,
-    /// Decoded-node cache misses across both trees.
-    pub node_cache_misses: u64,
-    /// Result pairs produced (sanity: identical on every row).
-    pub result_pairs: usize,
-}
-
-json_fields!(ScalingRow {
-    pool,
-    threads,
-    wall_seconds,
-    speedup_vs_one_thread,
-    speedup_vs_single_mutex,
-    pool_hits,
-    pool_misses,
-    lock_contention,
-    node_cache_hits,
-    node_cache_misses,
-    result_pairs,
-});
-
-/// The thread-scaling figure: sharded pool vs a single-mutex pool across
-/// worker-thread counts, with the concurrency counters that explain the
-/// difference.
-#[derive(Clone, Debug)]
-pub struct ScalingReport {
-    /// Output id (`BENCH_parallel_scaling` — also the JSON file stem).
-    pub id: String,
-    /// Human description of the workload.
-    pub workload: String,
-    /// Cores the host reported; speedup flattens beyond this.
-    pub host_cores: usize,
-    /// One row per (pool variant, thread count).
-    pub rows: Vec<ScalingRow>,
-}
-
-json_fields!(ScalingReport {
-    id,
-    workload,
-    host_cores,
-    rows
-});
-
-impl Report for ScalingReport {
-    fn id(&self) -> &str {
-        &self.id
-    }
-
-    fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("== {} — {} ==\n", self.id, self.workload));
-        out.push_str(&format!(
-            "{:<14} {:>7} {:>9} {:>8} {:>9} {:>10} {:>9} {:>10} {:>9} {:>9}\n",
-            "pool",
-            "threads",
-            "wall(s)",
-            "x1T",
-            "x1mutex",
-            "hits",
-            "misses",
-            "contention",
-            "nc-hits",
-            "nc-miss"
-        ));
-        for r in &self.rows {
-            out.push_str(&format!(
-                "{:<14} {:>7} {:>9.3} {:>8.2} {:>9} {:>10} {:>9} {:>10} {:>9} {:>9}\n",
-                r.pool,
-                r.threads,
-                r.wall_seconds,
-                r.speedup_vs_one_thread,
-                r.speedup_vs_single_mutex
-                    .map_or("-".to_string(), |s| format!("{s:.2}")),
-                r.pool_hits,
-                r.pool_misses,
-                r.lock_contention,
-                r.node_cache_hits,
-                r.node_cache_misses,
-            ));
-        }
-        out
-    }
-}
-
-/// One row of the batched-kernel throughput study (`BENCH_kernels`).
-#[derive(Clone, Debug)]
-pub struct KernelRow {
-    /// Pipeline measured: `"point-leaf-scan"` (point→candidate-points
-    /// distances, the HNN/BNN/brute inner loop) or `"mbr-probe"`
-    /// (MINMINDIST + NXNDIST per candidate MBR, the tree-probe inner
-    /// loop).
-    pub kernel: String,
-    /// Dimensionality of the candidate set.
-    pub dims: usize,
-    /// `"cold"` (candidate columns evicted from cache before the timed
-    /// pass) or `"warm"` (averaged over repeat passes on resident data).
-    pub cache: String,
-    /// Candidate entries scanned per pass.
-    pub candidates: usize,
-    /// Seconds per pass over the AoS scalar loop.
-    pub scalar_seconds: f64,
-    /// Seconds per pass over the SoA batched kernels.
-    pub batched_seconds: f64,
-    /// Scalar throughput in million candidate entries per second.
-    pub scalar_melems_per_sec: f64,
-    /// Batched throughput in million candidate entries per second.
-    pub batched_melems_per_sec: f64,
-    /// `scalar_seconds / batched_seconds`.
-    pub speedup: f64,
-    /// Whether the batched outputs matched the scalar outputs
-    /// bit-for-bit on this row's data (must always be `true`).
-    pub bit_identical: bool,
-}
-
-json_fields!(KernelRow {
-    kernel,
-    dims,
-    cache,
-    candidates,
-    scalar_seconds,
-    batched_seconds,
-    scalar_melems_per_sec,
-    batched_melems_per_sec,
-    speedup,
-    bit_identical,
-});
-
-/// The batched-kernel throughput figure: the scalar per-entry loops the
-/// algorithms used before the SoA kernels landed, against the batched
-/// kernels, on the same candidate sets — cold and warm cache, across
-/// dimensionalities. Emitted as `BENCH_kernels.json`.
-#[derive(Clone, Debug)]
-pub struct KernelsReport {
-    /// Output id (`BENCH_kernels` — also the JSON file stem).
-    pub id: String,
-    /// Human description of the workload.
-    pub workload: String,
-    /// Unroll width of the batched kernels ([`ann_geom::kernels::LANES`]).
-    pub lanes: usize,
-    /// One row per (kernel, dims, cache state).
-    pub rows: Vec<KernelRow>,
-}
-
-json_fields!(KernelsReport {
-    id,
-    workload,
-    lanes,
-    rows
-});
-
-impl Report for KernelsReport {
-    fn id(&self) -> &str {
-        &self.id
-    }
-
-    fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("== {} — {} ==\n", self.id, self.workload));
-        out.push_str(&format!(
-            "{:<16} {:>4} {:>5} {:>10} {:>12} {:>12} {:>10} {:>10} {:>8} {:>6}\n",
-            "kernel",
-            "dims",
-            "cache",
-            "candidates",
-            "scalar(s)",
-            "batched(s)",
-            "scalar-Me/s",
-            "batch-Me/s",
-            "speedup",
-            "bits"
-        ));
-        for r in &self.rows {
-            out.push_str(&format!(
-                "{:<16} {:>4} {:>5} {:>10} {:>12.6} {:>12.6} {:>10.1} {:>10.1} {:>7.2}x {:>6}\n",
-                r.kernel,
-                r.dims,
-                r.cache,
-                r.candidates,
-                r.scalar_seconds,
-                r.batched_seconds,
-                r.scalar_melems_per_sec,
-                r.batched_melems_per_sec,
-                r.speedup,
-                if r.bit_identical { "ok" } else { "DIFF" },
             ));
         }
         out
@@ -645,319 +428,6 @@ impl Report for OutofcoreReport {
     }
 }
 
-/// One closed-loop serving load level (`BENCH_serving`): a fixed number
-/// of concurrent keep-alive clients, each issuing queries back-to-back
-/// against the in-process HTTP front-end.
-#[derive(Clone, Debug)]
-pub struct ServingRow {
-    /// Concurrent closed-loop clients at this level.
-    pub clients: usize,
-    /// Requests each client issued.
-    pub requests_per_client: usize,
-    /// Total queries completed (`clients * requests_per_client`).
-    pub total_requests: usize,
-    /// Requests that did not come back `200 OK` (gated to zero).
-    pub failed_requests: usize,
-    /// Whether every response's result set was byte-identical to the
-    /// in-process `query::run` path (gated to `true`).
-    pub results_identical: bool,
-    /// Wall-clock seconds for the whole level.
-    pub wall_seconds: f64,
-    /// Completed queries per second of wall clock.
-    pub throughput_qps: f64,
-    /// Median request latency, microseconds.
-    pub p50_us: f64,
-    /// 95th-percentile request latency, microseconds.
-    pub p95_us: f64,
-    /// 99th-percentile request latency, microseconds.
-    pub p99_us: f64,
-}
-
-json_fields!(ServingRow {
-    clients,
-    requests_per_client,
-    total_requests,
-    failed_requests,
-    results_identical,
-    wall_seconds,
-    throughput_qps,
-    p50_us,
-    p95_us,
-    p99_us,
-});
-
-/// The serving benchmark: the zero-dep HTTP front-end under a
-/// closed-loop load sweep, one row per concurrency level. Emitted as
-/// `BENCH_serving.json`; CI gates on zero failures and result identity
-/// at every level.
-#[derive(Clone, Debug)]
-pub struct ServingReport {
-    /// Output id (`BENCH_serving` — also the JSON file stem).
-    pub id: String,
-    /// Human description of the workload.
-    pub workload: String,
-    /// Points in the served collection.
-    pub n: usize,
-    /// Neighbors per point requested.
-    pub k: usize,
-    /// Server worker threads.
-    pub workers: usize,
-    /// Admission-control queue depth.
-    pub queue_depth: usize,
-    /// One row per concurrency level.
-    pub rows: Vec<ServingRow>,
-}
-
-json_fields!(ServingReport {
-    id,
-    workload,
-    n,
-    k,
-    workers,
-    queue_depth,
-    rows
-});
-
-impl Report for ServingReport {
-    fn id(&self) -> &str {
-        &self.id
-    }
-
-    fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("== {} — {} ==\n", self.id, self.workload));
-        out.push_str(&format!(
-            "{:>7} {:>7} {:>6} {:>9} {:>10} {:>10} {:>10} {:>10}\n",
-            "clients", "reqs", "failed", "identical", "qps", "p50(us)", "p95(us)", "p99(us)"
-        ));
-        for r in &self.rows {
-            out.push_str(&format!(
-                "{:>7} {:>7} {:>6} {:>9} {:>10.1} {:>10.0} {:>10.0} {:>10.0}\n",
-                r.clients,
-                r.total_requests,
-                r.failed_requests,
-                if r.results_identical { "ok" } else { "DIFF" },
-                r.throughput_qps,
-                r.p50_us,
-                r.p95_us,
-                r.p99_us,
-            ));
-        }
-        out
-    }
-}
-
-/// One cell of the morsel-engine scaling study (`BENCH_parallel_join`):
-/// one algorithm variant on one dataset at one thread count, always
-/// diffed against its own single-thread run.
-#[derive(Clone, Debug)]
-pub struct ParallelJoinRow {
-    /// Algorithm variant (`"mba"`, `"bnn"`, `"mnn"`, `"hnn"`, ...).
-    pub algorithm: String,
-    /// Dataset family: `"uniform"` or `"clustered"`.
-    pub dataset: String,
-    /// Points per side of the self-join.
-    pub n: usize,
-    /// Worker threads requested via `AnnRequest::threads`.
-    pub threads: usize,
-    /// Wall-clock seconds for the join (best of the timed repeats).
-    pub wall_seconds: f64,
-    /// Wall(1 thread, same variant+dataset) / wall(this row).
-    pub speedup_vs_serial: f64,
-    /// Result pairs produced (sanity: identical on every row of a
-    /// variant+dataset group).
-    pub result_pairs: usize,
-    /// Whether this row's sorted `(r_oid, s_oid, dist-bits)` output
-    /// matched the single-thread run exactly (must always be `true`;
-    /// trivially so on the 1-thread rows).
-    pub byte_identical: bool,
-}
-
-json_fields!(ParallelJoinRow {
-    algorithm,
-    dataset,
-    n,
-    threads,
-    wall_seconds,
-    speedup_vs_serial,
-    result_pairs,
-    byte_identical,
-});
-
-/// The morsel-driven parallel-join figure: every algorithm variant
-/// through the unified entrypoint at 1/2/4/8 worker threads on uniform
-/// and clustered data, each row byte-diffed against its serial twin.
-/// Emitted as `BENCH_parallel_join.json`; CI gates on the identity bit
-/// on every row and (opt-in) on the 4-thread speedup.
-#[derive(Clone, Debug)]
-pub struct ParallelJoinReport {
-    /// Output id (`BENCH_parallel_join` — also the JSON file stem).
-    pub id: String,
-    /// Human description of the workload.
-    pub workload: String,
-    /// Cores the host reported; speedup flattens beyond this.
-    pub host_cores: usize,
-    /// Neighbors per point requested.
-    pub k: usize,
-    /// One row per (algorithm, dataset, thread count).
-    pub rows: Vec<ParallelJoinRow>,
-}
-
-json_fields!(ParallelJoinReport {
-    id,
-    workload,
-    host_cores,
-    k,
-    rows
-});
-
-impl Report for ParallelJoinReport {
-    fn id(&self) -> &str {
-        &self.id
-    }
-
-    fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("== {} — {} ==\n", self.id, self.workload));
-        out.push_str(&format!(
-            "{:<8} {:<10} {:>8} {:>7} {:>9} {:>8} {:>8} {:>9}\n",
-            "variant", "dataset", "n", "threads", "wall(s)", "speedup", "pairs", "identical"
-        ));
-        for r in &self.rows {
-            out.push_str(&format!(
-                "{:<8} {:<10} {:>8} {:>7} {:>9.3} {:>7.2}x {:>8} {:>9}\n",
-                r.algorithm,
-                r.dataset,
-                r.n,
-                r.threads,
-                r.wall_seconds,
-                r.speedup_vs_serial,
-                r.result_pairs,
-                if r.byte_identical { "ok" } else { "DIFF" },
-            ));
-        }
-        out
-    }
-}
-
-/// One MVCC reader-latency phase (`BENCH_mvcc`): a fixed pool of reader
-/// threads, each pinning a snapshot per query and running a full AkNN
-/// self-join against it, either on a quiescent store (`read_only`) or
-/// while a writer thread commits versioned transactions back-to-back
-/// (`with_writer`).
-#[derive(Clone, Debug)]
-pub struct MvccRow {
-    /// Phase name: `"read_only"` or `"with_writer"`.
-    pub mode: String,
-    /// Concurrent reader threads.
-    pub readers: usize,
-    /// Total queries completed across all readers.
-    pub queries: usize,
-    /// Queries that failed to pin or run (gated to zero).
-    pub failed: usize,
-    /// Versioned transactions the writer committed during the phase
-    /// (zero in the `read_only` phase).
-    pub writer_commits: usize,
-    /// Wall-clock seconds for the phase.
-    pub wall_seconds: f64,
-    /// Completed queries per second of wall clock.
-    pub throughput_qps: f64,
-    /// Median per-query latency (pin + run), microseconds.
-    pub p50_us: f64,
-    /// 95th-percentile per-query latency, microseconds.
-    pub p95_us: f64,
-    /// 99th-percentile per-query latency, microseconds.
-    pub p99_us: f64,
-}
-
-json_fields!(MvccRow {
-    mode,
-    readers,
-    queries,
-    failed,
-    writer_commits,
-    wall_seconds,
-    throughput_qps,
-    p50_us,
-    p95_us,
-    p99_us,
-});
-
-/// The MVCC snapshot-isolation benchmark: reader latency with an active
-/// writer vs. read-only, over the versioned page store. Emitted as
-/// `BENCH_mvcc.json`; CI gates on zero failed queries and on
-/// `reader_p95_ratio` staying within the readers-not-blocked bound.
-#[derive(Clone, Debug)]
-pub struct MvccReport {
-    /// Output id (`BENCH_mvcc` — also the JSON file stem).
-    pub id: String,
-    /// Human description of the workload.
-    pub workload: String,
-    /// Points in the versioned collection at phase start.
-    pub n: usize,
-    /// Neighbors per point requested.
-    pub k: usize,
-    /// Snapshot history window (versions retained past the newest).
-    pub keep: u32,
-    /// One row per phase.
-    pub rows: Vec<MvccRow>,
-    /// `with_writer` p95 divided by `read_only` p95 — the
-    /// readers-not-blocked headline (CI gates this ≤ 1.25).
-    pub reader_p95_ratio: f64,
-}
-
-json_fields!(MvccReport {
-    id,
-    workload,
-    n,
-    k,
-    keep,
-    rows,
-    reader_p95_ratio
-});
-
-impl Report for MvccReport {
-    fn id(&self) -> &str {
-        &self.id
-    }
-
-    fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("== {} — {} ==\n", self.id, self.workload));
-        out.push_str(&format!(
-            "{:>12} {:>7} {:>8} {:>6} {:>8} {:>10} {:>10} {:>10} {:>10}\n",
-            "mode",
-            "readers",
-            "queries",
-            "failed",
-            "commits",
-            "qps",
-            "p50(us)",
-            "p95(us)",
-            "p99(us)"
-        ));
-        for r in &self.rows {
-            out.push_str(&format!(
-                "{:>12} {:>7} {:>8} {:>6} {:>8} {:>10.1} {:>10.0} {:>10.0} {:>10.0}\n",
-                r.mode,
-                r.readers,
-                r.queries,
-                r.failed,
-                r.writer_commits,
-                r.throughput_qps,
-                r.p50_us,
-                r.p95_us,
-                r.p99_us,
-            ));
-        }
-        out.push_str(&format!(
-            "reader p95 with writer / read-only: {:.3}\n",
-            self.reader_p95_ratio
-        ));
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -987,64 +457,6 @@ mod tests {
         assert!(text.contains("GORDER"));
         assert!(text.contains("2.250")); // total = cpu + io
         assert_eq!(text.lines().count(), 2 + 2); // header x2 + 2 rows
-    }
-
-    #[test]
-    fn kernels_report_renders_and_serializes() {
-        let rep = KernelsReport {
-            id: "BENCH_kernels".into(),
-            workload: "test".into(),
-            lanes: 4,
-            rows: vec![KernelRow {
-                kernel: "point-leaf-scan".into(),
-                dims: 2,
-                cache: "warm".into(),
-                candidates: 100_000,
-                scalar_seconds: 2e-4,
-                batched_seconds: 1e-4,
-                scalar_melems_per_sec: 500.0,
-                batched_melems_per_sec: 1000.0,
-                speedup: 2.0,
-                bit_identical: true,
-            }],
-        };
-        let text = rep.render();
-        assert!(text.contains("BENCH_kernels"));
-        assert!(text.contains("point-leaf-scan"));
-        assert!(text.contains("2.00x"));
-        let parsed = JsonValue::parse(&rep.to_json().to_string()).unwrap();
-        let row = &parsed.get("rows").and_then(JsonValue::as_arr).unwrap()[0];
-        assert_eq!(row.get("speedup"), Some(&JsonValue::Num(2.0)));
-        assert_eq!(row.get("bit_identical"), Some(&JsonValue::Bool(true)));
-    }
-
-    #[test]
-    fn parallel_join_report_renders_and_serializes() {
-        let rep = ParallelJoinReport {
-            id: "BENCH_parallel_join".into(),
-            workload: "test".into(),
-            host_cores: 4,
-            k: 2,
-            rows: vec![ParallelJoinRow {
-                algorithm: "mba".into(),
-                dataset: "clustered".into(),
-                n: 10_000,
-                threads: 4,
-                wall_seconds: 0.25,
-                speedup_vs_serial: 3.1,
-                result_pairs: 20_000,
-                byte_identical: true,
-            }],
-        };
-        let text = rep.render();
-        assert!(text.contains("BENCH_parallel_join"));
-        assert!(text.contains("clustered"));
-        assert!(text.contains("3.10x"));
-        let parsed = JsonValue::parse(&rep.to_json().to_string()).unwrap();
-        let row = &parsed.get("rows").and_then(JsonValue::as_arr).unwrap()[0];
-        assert_eq!(row.get("threads"), Some(&JsonValue::Int(4)));
-        assert_eq!(row.get("byte_identical"), Some(&JsonValue::Bool(true)));
-        assert_eq!(row.get("speedup_vs_serial"), Some(&JsonValue::Num(3.1)));
     }
 
     #[test]

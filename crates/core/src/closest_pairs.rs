@@ -19,7 +19,7 @@
 use crate::index::SpatialIndex;
 use crate::lpq::BoundTracker;
 use crate::node::Entry;
-use crate::resilience::{attach_partial_stats, QueryGuard, QueryResult};
+use crate::resilience::QueryResult;
 use crate::stats::{AnnOutput, NeighborPair};
 use ann_geom::{max_max_dist_sq, min_min_dist_sq};
 use std::cmp::Ordering;
@@ -107,25 +107,7 @@ where
     IR: SpatialIndex<D>,
     IS: SpatialIndex<D>,
 {
-    closest_pairs_guarded(ir, is, cfg, &QueryGuard::disabled())
-}
-
-/// [`closest_pairs`] under a [`QueryGuard`], consulted before every node
-/// read on either side. On abort the partially accumulated counters are
-/// carried in the error; partially found pairs are discarded (the k-best
-/// set is only meaningful once the heap cutoff fires).
-pub fn closest_pairs_guarded<const D: usize, IR, IS>(
-    ir: &IR,
-    is: &IS,
-    cfg: &ClosestPairsConfig,
-    guard: &QueryGuard<'_>,
-) -> QueryResult<AnnOutput>
-where
-    IR: SpatialIndex<D>,
-    IS: SpatialIndex<D>,
-{
     if cfg.k == 0 {
-        guard.tick()?;
         return Ok(AnnOutput::default());
     }
     let mut out = AnnOutput::default();
@@ -137,7 +119,6 @@ where
     let io_s0 = is.pool().stats();
 
     let walk = (|out: &mut AnnOutput| -> QueryResult<()> {
-        guard.tick()?;
         if ir.num_points() == 0 || is.num_points() == 0 {
             return Ok(());
         }
@@ -224,7 +205,6 @@ where
                         let Entry::Node(sn) = s else { unreachable!() };
                         (sn.page, r, true)
                     };
-                    guard.tick()?;
                     let node = if expand_r {
                         ir.read_node_cached(node_page)?
                     } else {
@@ -286,11 +266,5 @@ where
         io = io.merge(&is.pool().stats().since(&io_s0));
     }
     out.stats.io = io;
-    match walk {
-        Ok(()) => Ok(out),
-        Err(e) => {
-            out.results.clear();
-            Err(attach_partial_stats(e, &out.stats))
-        }
-    }
+    walk.map(|()| out)
 }

@@ -8,7 +8,7 @@
 
 use crate::index::SpatialIndex;
 use crate::node::{Entry, ObjectEntry};
-use crate::resilience::{QueryGuard, QueryResult};
+use crate::resilience::QueryResult;
 use crate::scan::{BestFirst, NodeScan};
 use crate::scratch::QueryScratch;
 use crate::stats::AnnStats;
@@ -55,24 +55,7 @@ where
     M: PruneMetric,
     I: SpatialIndex<D>,
 {
-    knn_guarded::<D, M, I>(index, query, k, scratch, &QueryGuard::disabled())
-}
-
-/// [`knn_scratch`] under a [`QueryGuard`], consulted before every node
-/// read.
-pub fn knn_guarded<const D: usize, M, I>(
-    index: &I,
-    query: &Point<D>,
-    k: usize,
-    scratch: &mut QueryScratch<D>,
-    guard: &QueryGuard<'_>,
-) -> QueryResult<Vec<(u64, f64)>>
-where
-    M: PruneMetric,
-    I: SpatialIndex<D>,
-{
     let mut out = Vec::with_capacity(k);
-    guard.tick()?;
     if k == 0 || index.num_points() == 0 {
         return Ok(out);
     }
@@ -101,7 +84,6 @@ where
                     }
                 }
                 Entry::Node(n) => {
-                    guard.tick()?;
                     let node = index.read_node_cached(n.page)?;
                     scan.scan::<D, M, _, _>(index, &owner, &node, &mut front, &mut stats);
                 }
@@ -126,23 +108,8 @@ pub fn within_radius<const D: usize, I>(
 where
     I: SpatialIndex<D>,
 {
-    within_radius_guarded(index, query, radius, &QueryGuard::disabled())
-}
-
-/// [`within_radius`] under a [`QueryGuard`], consulted before every node
-/// read.
-pub fn within_radius_guarded<const D: usize, I>(
-    index: &I,
-    query: &Point<D>,
-    radius: f64,
-    guard: &QueryGuard<'_>,
-) -> QueryResult<Vec<(u64, f64)>>
-where
-    I: SpatialIndex<D>,
-{
     assert!(radius >= 0.0, "radius must be non-negative");
     let mut out = Vec::new();
-    guard.tick()?;
     if index.num_points() == 0 {
         return Ok(out);
     }
@@ -150,7 +117,6 @@ where
     let radius_sq = radius * radius;
     let mut stack = vec![index.root_page()];
     while let Some(page) = stack.pop() {
-        guard.tick()?;
         let node = index.read_node_cached(page)?;
         for e in &node.entries {
             match e {

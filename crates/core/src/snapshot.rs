@@ -121,12 +121,6 @@ impl<const D: usize> VersionedHandle<D> {
             meta,
         })
     }
-
-    /// Drops node-cache entries for versions no snapshot can pin anymore
-    /// (below the store's GC floor). Writers call this after commits.
-    pub fn sync_cache_floor(&self) {
-        self.cache.retire_below(self.store.version_floor() as u64);
-    }
 }
 
 /// A read view of one pinned version of a tree.

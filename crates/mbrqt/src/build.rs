@@ -115,11 +115,7 @@ pub(crate) fn bulk_build_stream<const D: usize>(
     points: impl IntoIterator<Item = (u64, Point<D>)>,
     memory_budget: usize,
     config: &MbrqtConfig,
-    side: Side,
-    tracer: Tracer<'_>,
 ) -> Result<Mbrqt<D>> {
-    let io_now = || pool.stats();
-    let span_b = tracer.span_enter(Phase::Build, io_now);
     // Pass 1: spill the stream, computing bounds (and the finite check).
     let spill = PointSpill::consume(Arc::clone(&scratch), points)?;
     let bounds = spill.bounds;
@@ -149,22 +145,11 @@ pub(crate) fn bulk_build_stream<const D: usize>(
         levels_per_node,
         max_depth: config.max_depth,
         use_subtree_mbrs: config.use_subtree_mbrs,
-        level_tally: tracer.enabled().then(Vec::new),
+        level_tally: None,
     };
     // A budget below one bucket would materialize less than a leaf holds.
     let budget = memory_budget.max(bucket_capacity).max(1);
     let root_entry = build_external(&mut builder, &scratch, &spill, universe, 0, 0, budget)?;
-    if let Some(tally) = builder.level_tally.take() {
-        for (level, &nodes) in tally.iter().enumerate() {
-            if nodes > 0 {
-                tracer.event(|| TraceEvent::IndexLevelBuilt {
-                    side,
-                    level: level as u32,
-                    nodes,
-                });
-            }
-        }
-    }
 
     let tree = Mbrqt {
         pool: Arc::clone(&pool),
@@ -185,7 +170,6 @@ pub(crate) fn bulk_build_stream<const D: usize>(
     let txn = Txn::begin(&pool, journal);
     tree.save_meta_to(&txn)?;
     txn.commit()?;
-    tracer.span_exit(Phase::Build, span_b, io_now);
     Ok(tree)
 }
 

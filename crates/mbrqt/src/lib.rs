@@ -222,29 +222,7 @@ impl<const D: usize> Mbrqt<D> {
         memory_budget: usize,
         config: &MbrqtConfig,
     ) -> Result<Self> {
-        build::bulk_build_stream(
-            pool,
-            scratch,
-            points,
-            memory_budget,
-            config,
-            Side::R,
-            Tracer::disabled(),
-        )
-    }
-
-    /// [`bulk_build_stream`](Self::bulk_build_stream) with an attached
-    /// [`Tracer`] (build span + per-level node tallies).
-    pub fn bulk_build_stream_traced(
-        pool: Arc<BufferPool>,
-        scratch: Arc<BufferPool>,
-        points: impl IntoIterator<Item = (u64, Point<D>)>,
-        memory_budget: usize,
-        config: &MbrqtConfig,
-        side: Side,
-        tracer: Tracer<'_>,
-    ) -> Result<Self> {
-        build::bulk_build_stream(pool, scratch, points, memory_budget, config, side, tracer)
+        build::bulk_build_stream(pool, scratch, points, memory_budget, config)
     }
 
     /// Opens a previously built tree from its metadata page.

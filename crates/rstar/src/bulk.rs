@@ -180,11 +180,7 @@ pub(crate) fn bulk_build_stream<const D: usize>(
     points: impl IntoIterator<Item = (u64, Point<D>)>,
     run_budget: usize,
     config: &RStarConfig,
-    side: Side,
-    tracer: Tracer<'_>,
 ) -> Result<RStar<D>> {
-    let io_now = || pool.stats();
-    let span_b = tracer.span_enter(Phase::Build, io_now);
     let max_leaf = config.resolved_max::<D>(true);
     let max_internal = config.resolved_max::<D>(false);
 
@@ -203,7 +199,6 @@ pub(crate) fn bulk_build_stream<const D: usize>(
     // Pack leaves sequentially in merge order.
     let mut current: Vec<Entry<D>> = Vec::new();
     let mut height = 1u32;
-    let mut round_nodes: Vec<u64> = Vec::new();
     let mut pending: Vec<Entry<D>> = Vec::with_capacity(leaf_fill);
     loop {
         let rec = stream.next_point()?;
@@ -257,15 +252,8 @@ pub(crate) fn bulk_build_stream<const D: usize>(
             versions: None,
         };
         commit_meta(&pool, &tree)?;
-        tracer.event(|| TraceEvent::IndexLevelBuilt {
-            side,
-            level: 0,
-            nodes: 1,
-        });
-        tracer.span_exit(Phase::Build, span_b, io_now);
         return Ok(tree);
     }
-    round_nodes.push(current.len() as u64);
 
     // Internal levels: consecutive chunks of the previous level, which is
     // already in Hilbert order — sequential chunking preserves locality.
@@ -287,7 +275,6 @@ pub(crate) fn bulk_build_stream<const D: usize>(
                 mbr: node.mbr,
             }));
         }
-        round_nodes.push(next.len() as u64);
         current = next;
         height += 1;
     }
@@ -311,13 +298,6 @@ pub(crate) fn bulk_build_stream<const D: usize>(
         versions: None,
     };
     commit_meta(&pool, &tree)?;
-    if tracer.enabled() {
-        for (round, &nodes) in round_nodes.iter().enumerate() {
-            let level = round_nodes.len() as u32 - 1 - round as u32;
-            tracer.event(|| TraceEvent::IndexLevelBuilt { side, level, nodes });
-        }
-    }
-    tracer.span_exit(Phase::Build, span_b, io_now);
     Ok(tree)
 }
 

@@ -172,29 +172,7 @@ impl<const D: usize> RStar<D> {
         run_budget: usize,
         config: &RStarConfig,
     ) -> Result<Self> {
-        bulk::bulk_build_stream(
-            pool,
-            scratch,
-            points,
-            run_budget,
-            config,
-            Side::R,
-            Tracer::disabled(),
-        )
-    }
-
-    /// [`bulk_build_stream`](Self::bulk_build_stream) with an attached
-    /// [`Tracer`] (build span + per-level node tallies).
-    pub fn bulk_build_stream_traced(
-        pool: Arc<BufferPool>,
-        scratch: Arc<BufferPool>,
-        points: impl IntoIterator<Item = (u64, Point<D>)>,
-        run_budget: usize,
-        config: &RStarConfig,
-        side: Side,
-        tracer: Tracer<'_>,
-    ) -> Result<Self> {
-        bulk::bulk_build_stream(pool, scratch, points, run_budget, config, side, tracer)
+        bulk::bulk_build_stream(pool, scratch, points, run_budget, config)
     }
 
     /// [`bulk_build`](Self::bulk_build) with an attached [`Tracer`]:

@@ -8,7 +8,6 @@
 
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
-use std::time::Duration;
 
 use ann_core::wire::{QueryOutcome, QuerySpec, WireError};
 
@@ -48,11 +47,6 @@ impl Conn {
         })
     }
 
-    /// Sets the response-read timeout (`None` blocks indefinitely).
-    pub fn set_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        self.stream.set_read_timeout(timeout)
-    }
-
     /// Sends one request and reads the full response.
     pub fn request(&mut self, method: &str, target: &str, body: &str) -> io::Result<HttpResponse> {
         write_request(&mut self.stream, method, target, body)?;
@@ -69,15 +63,6 @@ impl Conn {
             .ok_or_else(|| invalid("bad status line"))?;
         let body = String::from_utf8(msg.body).map_err(|_| invalid("non-UTF-8 body"))?;
         Ok(HttpResponse { status, body })
-    }
-
-    /// Sends a request and then *immediately drops the connection*
-    /// without reading the response — the disconnect-mid-query tests use
-    /// this to trigger server-side cancellation.
-    pub fn fire_and_hang_up(mut self, method: &str, target: &str, body: &str) -> io::Result<()> {
-        write_request(&mut self.stream, method, target, body)
-        // Dropping `self.stream` here sends FIN; the server's poll sees
-        // a zero-byte peek and fires the query's CancelToken.
     }
 }
 

@@ -63,7 +63,7 @@ pub mod server;
 
 pub use client::{Client, Conn, HttpResponse};
 pub use metrics::Metrics;
-pub use registry::{AnyIndex, ApiError, Backing, Collection, IndexKind, Registry, SERVE_DIMS};
+pub use registry::{ApiError, Collection, IndexKind, Registry, SERVE_DIMS};
 pub use server::{ComputeTokenStats, Server, ServerConfig};
 
 // The wire types the service speaks, re-exported so client code can

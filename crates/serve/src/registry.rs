@@ -3,8 +3,7 @@
 //! A *collection* is one bulk-built spatial index (MBRQT or R*-tree) over
 //! a point set, persisted in its own [`FileDisk`] file with a JSON
 //! sidecar recording how to reopen it (index kind, metadata page, point
-//! count, pool size, and — for versioned collections — the MVCC manifest
-//! head). The registry maps [`CollectionId`]s to live [`Collection`]
+//! count, pool size, and the MVCC manifest head). The registry maps [`CollectionId`]s to live [`Collection`]
 //! handles, opening lazily on first use so a restarted server picks up
 //! everything a previous run created.
 //!
@@ -27,8 +26,10 @@
 //! ([`ann_mbrqt::Mbrqt::enable_versioning`]), so queries pin immutable
 //! snapshot versions through a [`VersionedHandle`] and never block on (or
 //! observe a torn state from) concurrent [`Collection::insert_points`]
-//! writers. Collections written by older builds (sidecars without
-//! `versions_head`) still open, as read-only [`Backing::Plain`] handles.
+//! writers. A collection written by an older build (a sidecar without
+//! `versions_head`) is switched to snapshot mode the first time it is
+//! opened and its sidecar rewritten, so every open collection is
+//! versioned.
 //!
 //! Serving is fixed at `D = 2` ([`SERVE_DIMS`]) — the paper's primary
 //! dimensionality. Higher-D serving would need either monomorphized
@@ -53,7 +54,7 @@ pub const SERVE_DIMS: usize = 2;
 /// Sidecar schema version (bumped independently of the query wire
 /// schema; same rule — removals or meaning changes bump, additions of
 /// optional fields do not). The `versions_head` field rides under this
-/// rule: v1 sidecars without it open as plain (non-versioned) handles.
+/// rule: a v1 sidecar without it gains one on first open.
 const SIDECAR_VERSION: u64 = 1;
 
 /// A service-level error: the stable [`ErrorCode`] plus a human message.
@@ -113,18 +114,16 @@ impl IndexKind {
     }
 }
 
-/// A live index handle, either structure behind one enum so collection
-/// storage stays homogeneous. Query dispatch matches on the variant.
-pub enum AnyIndex {
-    /// An open MBR-quadtree.
+/// A collection's writer handle, either structure behind one enum so
+/// collection storage stays homogeneous. Queries never touch it: they
+/// read pinned snapshots.
+enum AnyIndex {
     Mbrqt(Mbrqt<SERVE_DIMS>),
-    /// An open R*-tree.
     RStar(RStar<SERVE_DIMS>),
 }
 
 impl AnyIndex {
-    /// The tree's metadata page.
-    pub fn meta_page(&self) -> PageId {
+    fn meta_page(&self) -> PageId {
         match self {
             AnyIndex::Mbrqt(t) => t.meta_page(),
             AnyIndex::RStar(t) => t.meta_page(),
@@ -153,32 +152,18 @@ impl AnyIndex {
     }
 }
 
-/// How a collection's index is held, which decides how queries reach it.
-pub enum Backing {
-    /// A pre-versioning collection: immutable after open, queried by
-    /// direct shared reference (mutation requests are rejected).
-    Plain(AnyIndex),
-    /// A versioned collection: the writer handle lives behind a mutex
-    /// (mutations are serialized), while readers pin MVCC snapshots
-    /// through the handle and never take the writer lock.
-    Versioned {
-        /// The mutable tree, locked only by writers.
-        writer: Mutex<AnyIndex>,
-        /// Lock-free snapshot factory shared with every reader.
-        handle: VersionedHandle<SERVE_DIMS>,
-        /// Manifest head page recorded in the sidecar.
-        versions_head: PageId,
-    },
-}
-
 /// One open collection: the index, its buffer pool, and its identity.
 pub struct Collection {
     /// The registry name.
     pub id: CollectionId,
     /// Which structure backs it.
     pub kind: IndexKind,
-    /// How the index is held (see [`Backing`]).
-    pub backing: Backing,
+    /// The mutable tree, locked only by writers (mutations are
+    /// serialized).
+    writer: Mutex<AnyIndex>,
+    /// Lock-free snapshot factory: readers pin MVCC snapshots through it
+    /// and never take the writer lock.
+    pub(crate) handle: VersionedHandle<SERVE_DIMS>,
     /// The collection's private buffer pool (one pool per collection, so
     /// hot collections cannot evict each other's pages).
     pub pool: Arc<BufferPool>,
@@ -187,41 +172,51 @@ pub struct Collection {
 }
 
 impl Collection {
+    fn new(
+        id: &CollectionId,
+        kind: IndexKind,
+        index: AnyIndex,
+        pool: Arc<BufferPool>,
+        num_points: u64,
+    ) -> Result<Arc<Collection>, ApiError> {
+        let handle = index
+            .versioned_handle()
+            .ok_or_else(|| ApiError::new(ErrorCode::Internal, "versioning did not take"))?;
+        Ok(Arc::new(Collection {
+            id: id.clone(),
+            kind,
+            writer: Mutex::new(index),
+            handle,
+            pool,
+            num_points: AtomicU64::new(num_points),
+        }))
+    }
+
     /// Number of indexed points.
     pub fn num_points(&self) -> u64 {
         self.num_points.load(Ordering::Acquire)
     }
 
-    /// The latest committed snapshot version, or `None` for plain
-    /// (non-versioned) collections.
+    /// The latest committed snapshot version. Always `Some`: every open
+    /// collection is versioned (the `Option` is what the benchmark
+    /// compiles against).
     pub fn latest_version(&self) -> Option<u32> {
-        match &self.backing {
-            Backing::Plain(_) => None,
-            Backing::Versioned { handle, .. } => Some(handle.latest()),
-        }
+        Some(self.handle.latest())
     }
 
-    /// The MVCC snapshot factory, when this collection is versioned.
+    /// The MVCC snapshot factory. Always `Some`, for the same reason as
+    /// [`latest_version`](Self::latest_version).
     pub fn versioned_handle(&self) -> Option<&VersionedHandle<SERVE_DIMS>> {
-        match &self.backing {
-            Backing::Plain(_) => None,
-            Backing::Versioned { handle, .. } => Some(handle),
-        }
+        Some(&self.handle)
     }
 
     /// Pins a query-ready snapshot of `version` (latest when `None`).
-    /// Fails with `BadRequest` when a version is requested on a plain
-    /// collection or has aged out of the history window.
+    /// Fails with `BadRequest` when the version has aged out of the
+    /// history window.
     pub fn pin(&self, version: Option<u32>) -> Result<ReadContext<SERVE_DIMS>, ApiError> {
-        match &self.backing {
-            Backing::Plain(_) => Err(ApiError::new(
-                ErrorCode::BadRequest,
-                format!("collection {:?} is not versioned", self.id.as_str()),
-            )),
-            Backing::Versioned { handle, .. } => {
-                handle.pin(version).map_err(|e| ApiError::from_store(&e))
-            }
-        }
+        self.handle
+            .pin(version)
+            .map_err(|e| ApiError::from_store(&e))
     }
 
     /// Appends `points` (oids continue from the current count) under the
@@ -232,16 +227,7 @@ impl Collection {
     /// failure (e.g. an MBRQT point outside the fixed universe) leaves
     /// the successfully inserted prefix committed and the count accurate.
     pub fn insert_points(&self, points: &[Point<SERVE_DIMS>]) -> Result<(u64, u32), ApiError> {
-        let Backing::Versioned { writer, handle, .. } = &self.backing else {
-            return Err(ApiError::new(
-                ErrorCode::BadRequest,
-                format!(
-                    "collection {:?} predates versioning and is read-only",
-                    self.id.as_str()
-                ),
-            ));
-        };
-        let mut index = writer.lock();
+        let mut index = self.writer.lock();
         let first = self.num_points.load(Ordering::Acquire);
         for (i, p) in points.iter().enumerate() {
             if let Err(e) = index.insert(first + i as u64, *p) {
@@ -251,7 +237,7 @@ impl Collection {
         }
         self.num_points
             .store(first + points.len() as u64, Ordering::Release);
-        Ok((first, handle.latest()))
+        Ok((first, self.handle.latest()))
     }
 }
 
@@ -289,6 +275,34 @@ impl Registry {
 
     fn meta_path(&self, id: &CollectionId) -> PathBuf {
         self.root.join(format!("{id}.meta.json"))
+    }
+
+    /// Writes `id`'s sidecar so that a crash leaves the previous sidecar
+    /// (or none) or the complete new one, never a torn file: the bytes go
+    /// to a temporary file beside it, are synced, and are renamed over
+    /// the sidecar. A temporary left by an interrupted write does not end
+    /// in `.meta.json`, so nothing reads it, and the next write truncates
+    /// it.
+    fn write_sidecar(
+        &self,
+        id: &CollectionId,
+        kind: IndexKind,
+        meta_page: PageId,
+        points: u64,
+        pool_frames: usize,
+        versions_head: PageId,
+    ) -> Result<(), ApiError> {
+        use std::io::Write;
+        let kind = kind.as_str();
+        let sidecar = format!("{{\"v\":{SIDECAR_VERSION},\"kind\":\"{kind}\",\"meta_page\":{meta_page},\"points\":{points},\"pool_frames\":{pool_frames},\"versions_head\":{versions_head}}}\n");
+        let tmp = self.root.join(format!("{id}.meta.json.tmp"));
+        (|| {
+            let mut file = std::fs::File::create(&tmp)?;
+            file.write_all(sidecar.as_bytes())?;
+            file.sync_all()?;
+            std::fs::rename(&tmp, self.meta_path(id))
+        })()
+        .map_err(|e| ApiError::new(ErrorCode::StorageFailed, format!("writing sidecar: {e}")))
     }
 
     /// The slot for `id`, inserting an empty one if absent. The global
@@ -352,6 +366,8 @@ impl Registry {
                 Ok(coll)
             }
             Err(e) => {
+                // Remove the partial file so the name is reusable.
+                let _ = std::fs::remove_file(self.disk_path(id));
                 drop(state);
                 self.gc_empty_slot(id);
                 Err(e)
@@ -359,8 +375,8 @@ impl Registry {
         }
     }
 
-    /// The fallible middle of [`Registry::create`]: bulk build, switch to
-    /// versioned mode, persist the sidecar.
+    /// The fallible middle of [`Registry::create`]: bulk build, then
+    /// [`adopt`](Self::adopt).
     fn build(
         &self,
         id: &CollectionId,
@@ -372,59 +388,43 @@ impl Registry {
             .enumerate()
             .map(|(i, p)| (i as u64, *p))
             .collect();
-        let disk_path = self.disk_path(id);
-        let disk = FileDisk::create(&disk_path).map_err(|e| ApiError::from_store(&e))?;
+        let disk = FileDisk::create(self.disk_path(id)).map_err(|e| ApiError::from_store(&e))?;
         let pool = Arc::new(BufferPool::new(disk, self.pool_frames));
-        let built = (|| -> ann_store::Result<(AnyIndex, PageId)> {
-            let mut index = match kind {
-                IndexKind::Mbrqt => {
-                    Mbrqt::bulk_build(Arc::clone(&pool), &keyed, &MbrqtConfig::default())
-                        .map(AnyIndex::Mbrqt)?
-                }
-                IndexKind::RStar => {
-                    RStar::bulk_build(Arc::clone(&pool), &keyed, &RStarConfig::default())
-                        .map(AnyIndex::RStar)?
-                }
-            };
-            let versions_head = index.enable_versioning(DEFAULT_KEEP)?;
-            pool.flush_all()?;
-            Ok((index, versions_head))
-        })();
-        let (index, versions_head) = match built {
-            Ok(pair) => pair,
-            Err(e) => {
-                // Failed build: drop the pool and remove the partial file
-                // so the name is reusable.
-                drop(pool);
-                let _ = std::fs::remove_file(&disk_path);
-                return Err(ApiError::from_store(&e));
+        let built = match kind {
+            IndexKind::Mbrqt => {
+                Mbrqt::bulk_build(Arc::clone(&pool), &keyed, &MbrqtConfig::default())
+                    .map(AnyIndex::Mbrqt)
+            }
+            IndexKind::RStar => {
+                RStar::bulk_build(Arc::clone(&pool), &keyed, &RStarConfig::default())
+                    .map(AnyIndex::RStar)
             }
         };
-        let sidecar = format!(
-            "{{\"v\":{SIDECAR_VERSION},\"kind\":\"{}\",\"meta_page\":{},\"points\":{},\"pool_frames\":{},\"versions_head\":{}}}\n",
-            kind.as_str(),
-            index.meta_page(),
-            keyed.len(),
-            self.pool_frames,
-            versions_head,
-        );
-        std::fs::write(self.meta_path(id), sidecar).map_err(|e| {
-            ApiError::new(ErrorCode::StorageFailed, format!("writing sidecar: {e}"))
-        })?;
-        let handle = index
-            .versioned_handle()
-            .ok_or_else(|| ApiError::new(ErrorCode::Internal, "versioning did not take"))?;
-        Ok(Arc::new(Collection {
-            id: id.clone(),
-            kind,
-            backing: Backing::Versioned {
-                writer: Mutex::new(index),
-                handle,
-                versions_head,
-            },
-            pool,
-            num_points: AtomicU64::new(keyed.len() as u64),
-        }))
+        let n = keyed.len() as u64;
+        built
+            .map_err(|e| ApiError::from_store(&e))
+            .and_then(|index| self.adopt(id, kind, index, pool, n, self.pool_frames))
+    }
+
+    /// Makes a plain tree a served collection: switches it to snapshot
+    /// mode, flushes, and records the manifest head in its sidecar. The
+    /// last step of a create, and of opening a collection written before
+    /// collections were versioned.
+    fn adopt(
+        &self,
+        id: &CollectionId,
+        kind: IndexKind,
+        mut index: AnyIndex,
+        pool: Arc<BufferPool>,
+        points: u64,
+        frames: usize,
+    ) -> Result<Arc<Collection>, ApiError> {
+        let head = index
+            .enable_versioning(DEFAULT_KEEP)
+            .and_then(|head| pool.flush_all().map(|()| head))
+            .map_err(|e| ApiError::from_store(&e))?;
+        self.write_sidecar(id, kind, index.meta_page(), points, frames, head)?;
+        Collection::new(id, kind, index, pool, points)
     }
 
     /// Returns the live handle for `id`, opening it from disk on first
@@ -505,43 +505,22 @@ impl Registry {
         };
         let disk = FileDisk::open(self.disk_path(id)).map_err(|e| ApiError::from_store(&e))?;
         let pool = Arc::new(BufferPool::new(disk, frames.max(16)));
-        let open_index = |head: Option<PageId>| -> ann_store::Result<AnyIndex> {
-            match (kind, head) {
-                (IndexKind::Mbrqt, None) => {
-                    Mbrqt::open(Arc::clone(&pool), meta_page).map(AnyIndex::Mbrqt)
-                }
-                (IndexKind::Mbrqt, Some(h)) => {
-                    Mbrqt::open_versioned(Arc::clone(&pool), meta_page, h).map(AnyIndex::Mbrqt)
-                }
-                (IndexKind::RStar, None) => {
-                    RStar::open(Arc::clone(&pool), meta_page).map(AnyIndex::RStar)
-                }
-                (IndexKind::RStar, Some(h)) => {
-                    RStar::open_versioned(Arc::clone(&pool), meta_page, h).map(AnyIndex::RStar)
-                }
+        let p = Arc::clone(&pool);
+        let opened = match (kind, versions_head) {
+            (IndexKind::Mbrqt, None) => Mbrqt::open(p, meta_page).map(AnyIndex::Mbrqt),
+            (IndexKind::Mbrqt, Some(h)) => {
+                Mbrqt::open_versioned(p, meta_page, h).map(AnyIndex::Mbrqt)
+            }
+            (IndexKind::RStar, None) => RStar::open(p, meta_page).map(AnyIndex::RStar),
+            (IndexKind::RStar, Some(h)) => {
+                RStar::open_versioned(p, meta_page, h).map(AnyIndex::RStar)
             }
         };
-        let index = open_index(versions_head).map_err(|e| ApiError::from_store(&e))?;
-        let backing = match versions_head {
-            None => Backing::Plain(index),
-            Some(versions_head) => {
-                let handle = index
-                    .versioned_handle()
-                    .ok_or_else(|| invalid("versioned open produced a plain tree"))?;
-                Backing::Versioned {
-                    writer: Mutex::new(index),
-                    handle,
-                    versions_head,
-                }
-            }
-        };
-        Ok(Arc::new(Collection {
-            id: id.clone(),
-            kind,
-            backing,
-            pool,
-            num_points: AtomicU64::new(num_points),
-        }))
+        let index = opened.map_err(|e| ApiError::from_store(&e))?;
+        match versions_head {
+            Some(_) => Collection::new(id, kind, index, pool, num_points),
+            None => self.adopt(id, kind, index, pool, num_points, frames),
+        }
     }
 
     /// Drops a collection: unregisters the live handle and deletes its
@@ -607,5 +586,32 @@ impl Registry {
                     .unwrap_or(true)
             })
             .count()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A sidecar write interrupted before its rename leaves only the
+    /// temporary file: the collection does not exist, and the next write
+    /// of that sidecar replaces the leftover.
+    #[test]
+    fn leftover_sidecar_temp_is_ignored_and_overwritten() {
+        let root = std::env::temp_dir().join(format!("ann-registry-tmp-{}", std::process::id()));
+        let registry = Registry::open(&root, 16).unwrap();
+        let id = CollectionId::new("c").unwrap();
+        let tmp = root.join("c.meta.json.tmp");
+        std::fs::write(&tmp, "{\"v\":1,\"kind\":\"mb").unwrap();
+
+        assert!(registry.list().is_empty());
+        let missing = registry.get(&id).err().map(|e| e.code);
+        assert_eq!(missing, Some(ErrorCode::CollectionNotFound));
+
+        let points = [Point([0.0, 0.0]), Point([1.0, 1.0])];
+        registry.create(&id, IndexKind::Mbrqt, &points).unwrap();
+        assert!(!tmp.exists());
+        assert_eq!(registry.list(), ["c"]);
+        std::fs::remove_dir_all(&root).ok();
     }
 }

@@ -54,17 +54,14 @@ use std::time::{Duration, Instant};
 use ann_core::query::{run_scratch, Algorithm, AnnRequest, Input};
 use ann_core::resilience::CancelToken;
 use ann_core::scratch::QueryScratch;
-use ann_core::snapshot::ReadContext;
 use ann_core::trace::RecordingSink;
 use ann_core::wire::{CollectionId, ErrorCode, JsonValue, QueryOutcome, QuerySpec};
-use ann_core::{DecodedNode, Node, NodeCache, SpatialIndex};
-use ann_geom::{Mbr, Point};
+use ann_geom::Point;
 use ann_store::sync::{unpoisoned, Mutex};
-use ann_store::{BufferPool, PageId};
 
 use crate::http::{read_request, write_response, MessageReader, Request, MAX_BODY};
 use crate::metrics::Metrics;
-use crate::registry::{AnyIndex, ApiError, Backing, Collection, IndexKind, Registry, SERVE_DIMS};
+use crate::registry::{ApiError, Collection, IndexKind, Registry, SERVE_DIMS};
 
 /// How often a waiting connection thread polls its socket for client
 /// disconnect (and re-checks the reply channel).
@@ -432,12 +429,12 @@ fn worker_loop(ctx: &Ctx) {
 
 /// Runs one query on a worker thread and serializes the outcome.
 ///
-/// Versioned collections are queried through pinned [`ReadContext`]s:
-/// the R side pins `spec.version` (latest when unset), the S side pins
-/// latest — except for a self-join, which *shares* R's pin so both sides
-/// observe the same version even while a writer commits mid-query. Plain
-/// (pre-versioning) collections are queried directly and reject explicit
-/// version requests.
+/// Both sides are pinned `ReadContext`s: the R side pins
+/// `spec.version` (latest when unset), the S side pins latest — except
+/// for a self-join, which *shares* R's pin so both sides observe the same
+/// version even while a writer commits mid-query. Every query therefore
+/// runs the one `run_scratch` instance over a pair of snapshots, whatever
+/// structures back the two collections.
 fn execute(
     job: &Job,
     scratch: &mut QueryScratch<SERVE_DIMS>,
@@ -450,27 +447,13 @@ fn execute(
     if job.trace {
         req = req.trace(&sink);
     }
-    let r_pin = match &job.r.backing {
-        Backing::Versioned { .. } => Some(job.r.pin(job.spec.version)?),
-        // `pin` on a plain collection produces the "not versioned"
-        // BadRequest; only reach it when a version was actually asked.
-        Backing::Plain(_) if job.spec.version.is_some() => {
-            return Err(job.r.pin(job.spec.version).expect_err("plain pin fails"))
-        }
-        Backing::Plain(_) => None,
-    };
-    let self_join = Arc::ptr_eq(&job.r, &job.s);
-    let s_pin = match &job.s.backing {
-        Backing::Versioned { .. } if !self_join => Some(job.s.pin(None)?),
-        _ => None,
-    };
-    let served_version = r_pin.as_ref().map(ReadContext::version);
-    let r_side = side_of(&job.r, r_pin.as_ref());
-    let s_side = if self_join {
-        r_side
+    let r_pin = job.r.pin(job.spec.version)?;
+    let s_pin = if Arc::ptr_eq(&job.r, &job.s) {
+        None
     } else {
-        side_of(&job.s, s_pin.as_ref())
+        Some(job.s.pin(None)?)
     };
+    let s_side = s_pin.as_ref().unwrap_or(&r_pin);
     // Intra-query parallelism rides on compute tokens: this worker is
     // one implicit token, and the spec's `threads` asks for extras from
     // the global pool. Whatever the pool grants bounds the fan-out —
@@ -503,7 +486,7 @@ fn execute(
     // (workers are never respawned) or strand the granted tokens; the
     // unwind surfaces to the client as a typed internal error instead.
     let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_scratch(&req, Input::Index(&r_side), Input::Index(&s_side), scratch)
+        run_scratch(&req, Input::Index(&r_pin), Input::Index(s_side), scratch)
     }));
     ctx.compute.put(extra);
     let ran = match ran {
@@ -522,7 +505,7 @@ fn execute(
             // s_oid) order at every thread count, so the response bytes
             // are already independent of the granted fan-out.
             let mut outcome = QueryOutcome::from(out);
-            outcome.version = served_version;
+            outcome.version = Some(r_pin.version());
             if job.trace {
                 outcome = outcome.with_report(sink.report(&format!(
                     "serve:{}:{}",
@@ -541,62 +524,6 @@ fn execute(
                 e.to_string(),
             ))
         }
-    }
-}
-
-/// One side of a query as the worker sees it: a direct index reference
-/// (plain collections) or a pinned snapshot view (versioned ones).
-#[derive(Clone, Copy)]
-enum SideRef<'a> {
-    Mbrqt(&'a ann_mbrqt::Mbrqt<SERVE_DIMS>),
-    RStar(&'a ann_rstar::RStar<SERVE_DIMS>),
-    Snap(&'a ReadContext<SERVE_DIMS>),
-}
-
-fn side_of<'a>(coll: &'a Collection, pin: Option<&'a ReadContext<SERVE_DIMS>>) -> SideRef<'a> {
-    match (pin, &coll.backing) {
-        (Some(ctx), _) => SideRef::Snap(ctx),
-        (None, Backing::Plain(AnyIndex::Mbrqt(t))) => SideRef::Mbrqt(t),
-        (None, Backing::Plain(AnyIndex::RStar(t))) => SideRef::RStar(t),
-        // execute() pins every versioned side before building SideRefs.
-        (None, Backing::Versioned { .. }) => {
-            unreachable!("versioned side reached dispatch without a pin")
-        }
-    }
-}
-
-/// Defines each listed `SpatialIndex` method as a forward to whichever
-/// backing the side has.
-macro_rules! forward_to_backing {
-    ($(fn $name:ident(&self $(, $arg:ident: $ty:ty)?) -> $ret:ty;)*) => {$(
-        fn $name(&self $(, $arg: $ty)?) -> $ret {
-            match *self {
-                SideRef::Mbrqt(i) => i.$name($($arg)?),
-                SideRef::RStar(i) => i.$name($($arg)?),
-                SideRef::Snap(i) => i.$name($($arg)?),
-            }
-        }
-    )*};
-}
-
-/// A side is itself the index the join runs over, so the join code is
-/// compiled once for the server. One `run_scratch::<IR, IS>` instance per
-/// pair of backings is nine copies — 1.3 MB of machine code, 30 % of the
-/// benchmark binary and resident with it, eight of them for pairs most
-/// deployments never serve. Every method forwards — the provided ones
-/// too, so a backing's own override is what runs.
-impl SpatialIndex<SERVE_DIMS> for SideRef<'_> {
-    forward_to_backing! {
-        fn pool(&self) -> &BufferPool;
-        fn root_page(&self) -> PageId;
-        fn num_points(&self) -> u64;
-        fn bounds(&self) -> Mbr<SERVE_DIMS>;
-        fn read_node(&self, page: PageId) -> ann_store::Result<Node<SERVE_DIMS>>;
-        fn read_root(&self) -> ann_store::Result<Node<SERVE_DIMS>>;
-        fn node_cache(&self) -> Option<&NodeCache<SERVE_DIMS>>;
-        fn cache_key(&self) -> u64;
-        fn node_is_cached(&self, page: PageId) -> bool;
-        fn read_node_cached(&self, page: PageId) -> ann_store::Result<Arc<DecodedNode<SERVE_DIMS>>>;
     }
 }
 
@@ -774,15 +701,12 @@ fn parse_id(raw: &str) -> Result<CollectionId, ApiError> {
 fn describe_collection(raw_id: &str, ctx: &Ctx) -> Result<Reply, ApiError> {
     let id = parse_id(raw_id)?;
     let coll = ctx.registry.get(&id)?;
-    let version = match coll.latest_version() {
-        Some(v) => format!(",\"versioned\":true,\"latest_version\":{v}"),
-        None => ",\"versioned\":false".to_string(),
-    };
     Ok(Reply::ok(format!(
-        "{{\"id\":\"{}\",\"kind\":\"{}\",\"points\":{}{version}}}",
+        "{{\"id\":\"{}\",\"kind\":\"{}\",\"points\":{},\"versioned\":true,\"latest_version\":{}}}",
         coll.id,
         coll.kind.as_str(),
-        coll.num_points()
+        coll.num_points(),
+        coll.handle.latest()
     )))
 }
 

@@ -794,6 +794,80 @@ fn collections_reopen_from_disk_across_restarts() {
     second.shutdown();
 }
 
+/// A collection written before collections were versioned (a sidecar
+/// without `versions_head`) is switched to snapshot mode when it is first
+/// opened: it reports a version, takes inserts, answers through a pinned
+/// snapshot exactly as brute force does, and reopens versioned.
+#[test]
+fn pre_versioning_collection_is_upgraded_on_open() {
+    use ann_core::brute::brute_force_aknn;
+    use ann_core::query::run_scratch;
+    use ann_core::scratch::QueryScratch;
+    use ann_core::wire::CollectionId;
+    use ann_serve::Registry;
+    use ann_store::FileDisk;
+
+    let dir = temp_dir("upgrade");
+    let id = CollectionId::new("old").expect("id");
+    let mut keyed: Vec<(u64, Point<2>)> = uniform_points(300, 0x01D)
+        .into_iter()
+        .enumerate()
+        .map(|(i, p)| (i as u64, p))
+        .collect();
+    let sidecar = dir.join("old.meta.json");
+    {
+        let disk = FileDisk::create(dir.join("old.pages")).expect("create pages");
+        let pool = Arc::new(BufferPool::new(disk, 64));
+        let tree = Mbrqt::bulk_build(Arc::clone(&pool), &keyed, &MbrqtConfig::default())
+            .expect("bulk build");
+        pool.flush_all().expect("flush");
+        std::fs::write(
+            &sidecar,
+            format!(
+                "{{\"v\":1,\"kind\":\"mbrqt\",\"meta_page\":{},\"points\":{},\"pool_frames\":64}}",
+                tree.meta_page(),
+                keyed.len()
+            ),
+        )
+        .expect("write sidecar");
+    }
+
+    let spec = QuerySpec {
+        k: 2,
+        exclude_self: true,
+        ..QuerySpec::default()
+    };
+    let self_join = |registry: &Registry| {
+        let coll = registry.get(&id).expect("open");
+        let ctx = coll.pin(None).expect("pin");
+        let out = run_scratch(
+            &spec.to_request(),
+            Input::Index(&ctx),
+            Input::Index(&ctx),
+            &mut QueryScratch::new(),
+        )
+        .expect("self-join");
+        pairs_json(out.results)
+    };
+
+    let registry = Registry::open(&dir, 64).expect("registry");
+    let coll = registry.get(&id).expect("open upgrades");
+    assert_eq!(coll.latest_version(), Some(1));
+    // An existing coordinate, so the insert lands inside the MBRQT universe.
+    let grown = keyed[7].1;
+    let (first_oid, version) = coll.insert_points(&[grown]).expect("insert after upgrade");
+    assert_eq!((first_oid, version), (300, 2));
+    keyed.push((300, grown));
+    let truth = pairs_json(brute_force_aknn(&keyed, &keyed, spec.k, true));
+    assert_eq!(self_join(&registry), truth);
+    let rewritten = std::fs::read_to_string(&sidecar).expect("sidecar");
+    assert!(rewritten.contains("\"versions_head\":"), "{rewritten}");
+    drop((coll, registry));
+
+    let reopened = Registry::open(&dir, 64).expect("second registry");
+    assert_eq!(self_join(&reopened), truth, "inserted point lost on reopen");
+}
+
 /// Intra-query parallelism over the wire: `?threads=` and the spec's
 /// additive `threads` field both reach the engine, results stay
 /// byte-identical to the serial path, the schema version is unchanged,

@@ -46,9 +46,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar};
 use std::time::Duration;
 
-/// Default pool capacity: 64 pages = 512 KiB, the paper's configuration.
-pub const DEFAULT_CAPACITY: usize = 64;
-
 /// Default number of lock stripes.
 ///
 /// A fixed constant (clamped to the frame budget) rather than a
@@ -359,11 +356,6 @@ impl BufferPool {
             prefetch_signal: Arc::new(PrefetchSignal::new()),
             prefetch_bg: AtomicBool::new(false),
         }
-    }
-
-    /// Creates a pool with the paper's default 64-frame (512 KiB) capacity.
-    pub fn with_default_capacity(disk: impl DiskBackend) -> Self {
-        Self::new(disk, DEFAULT_CAPACITY)
     }
 
     /// Current requested capacity in frames.

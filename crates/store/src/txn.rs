@@ -80,14 +80,6 @@ impl<'p> Txn<'p> {
         self.writes.lock().len()
     }
 
-    /// The version this transaction reads through, when versioned.
-    pub fn base_version(&self) -> Option<u32> {
-        match &self.mode {
-            Mode::Plain(_) => None,
-            Mode::Versioned { base, .. } => Some(base.version()),
-        }
-    }
-
     /// Atomically applies every buffered write. Plain transactions go
     /// through the journal's all-or-nothing protocol onto their home
     /// pages; versioned transactions publish a new version (see

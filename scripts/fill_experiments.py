@@ -5,7 +5,7 @@ import json, pathlib
 
 ORDER = ["fig3a", "fig3a-synthetic", "fig3b", "fig4", "fig5", "fig6",
          "ablation-traversal", "ablation-mbr", "ablation-packing",
-         "extra-mnn", "extra-hnn", "extra-parallel"]
+         "extra-mnn", "extra-hnn"]
 
 PAPER = {
     "fig3a": "Paper: bars 0–1500 s on a 1.2 GHz Pentium M; BNN-MAXMAX slowest (~1300 s), switching to NXNDIST ≈ 6× for BNN/RBA and ~10× for MBA; MBA-NXNDIST fastest, ≥ 2× over GORDER.",
@@ -18,7 +18,6 @@ PAPER = {
     "ablation-mbr": "Paper (§3.2): the MBR enhancement is what makes the quadtree usable for ANN (plain quadrants ⇒ MINMINDIST 0 between neighbors).",
     "ablation-packing": "Our own design decision (DESIGN.md §6): adaptive multi-level node packing vs the naive one-decomposition-level-per-page quadtree layout.",
     "extra-mnn": "Paper (§2): MNN's \"CPU cost is still high because of the large number of distance calculations for each NN search\" — our extra measurement.",
-    "extra-parallel": "Our own extension: thread scaling of MBA through `AnnRequest::threads(n)` (correctness is thread-count-invariant; the recording host had a single core, so no speedup is visible there). The serial row is the one-worker run; the `1T` row dates from when a one-worker request still went through the engine and is no longer measured separately.",
     "extra-hnn": "Paper (§2): HNN loses to index-building + BNN and \"is susceptible to poor performance on skewed data\" — our extra measurement.",
 }
 
