@@ -25,61 +25,15 @@ use ann_core::index::{collect_objects, validate, SpatialIndex};
 use ann_core::prelude::*;
 use ann_core::snapshot::{ReadContext, VersionedHandle};
 use ann_core::stats::NeighborPair;
+use ann_core::tree_file::WritableIndex;
 use ann_geom::{Mbr, Point};
 use ann_mbrqt::{Mbrqt, MbrqtConfig};
 use ann_rstar::{RStar, RStarConfig};
-use ann_store::{BufferPool, MemDisk, StoreError, VersionedStore};
+use ann_store::{BufferPool, MemDisk, StoreError};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use ann_datagen::Rng;
-
-/// The tree operations the interleaving driver needs, implemented by
-/// both index kinds so one driver checks both.
-trait VersionedTree: SpatialIndex<2> + Send + Sized {
-    /// Whether inserts outside the build-time universe must fail (MBRQT:
-    /// yes, fixed halving domain; R*-tree: no, bounds grow).
-    const REJECTS_OUT_OF_UNIVERSE: bool;
-
-    fn insert(&mut self, oid: u64, p: Point<2>) -> ann_store::Result<()>;
-    fn delete(&mut self, oid: u64, p: &Point<2>) -> ann_store::Result<bool>;
-    fn store(&self) -> &Arc<VersionedStore>;
-    fn handle(&self) -> VersionedHandle<2>;
-}
-
-impl VersionedTree for Mbrqt<2> {
-    const REJECTS_OUT_OF_UNIVERSE: bool = true;
-
-    fn insert(&mut self, oid: u64, p: Point<2>) -> ann_store::Result<()> {
-        Mbrqt::insert(self, oid, p)
-    }
-    fn delete(&mut self, oid: u64, p: &Point<2>) -> ann_store::Result<bool> {
-        Mbrqt::delete(self, oid, p)
-    }
-    fn store(&self) -> &Arc<VersionedStore> {
-        self.versioned_store().expect("versioning enabled")
-    }
-    fn handle(&self) -> VersionedHandle<2> {
-        self.versioned_handle().expect("versioning enabled")
-    }
-}
-
-impl VersionedTree for RStar<2> {
-    const REJECTS_OUT_OF_UNIVERSE: bool = false;
-
-    fn insert(&mut self, oid: u64, p: Point<2>) -> ann_store::Result<()> {
-        RStar::insert(self, oid, p)
-    }
-    fn delete(&mut self, oid: u64, p: &Point<2>) -> ann_store::Result<bool> {
-        RStar::delete(self, oid, p)
-    }
-    fn store(&self) -> &Arc<VersionedStore> {
-        self.versioned_store().expect("versioning enabled")
-    }
-    fn handle(&self) -> VersionedHandle<2> {
-        self.versioned_handle().expect("versioning enabled")
-    }
-}
 
 /// A reader pinned at some past commit, with the model of what it saw.
 struct PinnedReader {
@@ -101,38 +55,41 @@ pub fn check_interleave_case(rng: &mut Rng) -> Option<String> {
             bucket_capacity: 8,
             ..Default::default()
         };
-        let mut tree = match Mbrqt::<2>::create(Arc::clone(&pool), universe, &cfg) {
-            Ok(t) => t,
-            Err(e) => return Some(format!("mbrqt create failed: {e:?}")),
-        };
-        if let Err(e) = tree.enable_versioning(keep) {
-            return Some(format!("mbrqt enable_versioning failed: {e:?}"));
-        }
-        run_case(rng, tree, &pool, scale).map(|m| format!("mbrqt keep={keep}: {m}"))
+        // A fixed halving domain: inserts outside the universe must fail.
+        let tree = Mbrqt::<2>::create(Arc::clone(&pool), universe, &cfg);
+        run_case(rng, tree, keep, true, &pool, scale).map(|m| format!("mbrqt keep={keep}: {m}"))
     } else {
         let cfg = RStarConfig {
             max_leaf_entries: 8,
             max_internal_entries: 4,
             ..Default::default()
         };
-        let mut tree = match RStar::<2>::create(Arc::clone(&pool), &cfg) {
-            Ok(t) => t,
-            Err(e) => return Some(format!("rstar create failed: {e:?}")),
-        };
-        if let Err(e) = tree.enable_versioning(keep) {
-            return Some(format!("rstar enable_versioning failed: {e:?}"));
-        }
-        run_case(rng, tree, &pool, scale).map(|m| format!("rstar keep={keep}: {m}"))
+        // Bounds grow: there is no out-of-universe insert to reject.
+        let tree = RStar::<2>::create(Arc::clone(&pool), &cfg);
+        run_case(rng, tree, keep, false, &pool, scale).map(|m| format!("rstar keep={keep}: {m}"))
     }
 }
 
-fn run_case<T: VersionedTree>(
+/// One driver for both index kinds: all it needs of the tree is the write
+/// side ([`WritableIndex`]) and whether the kind `rejects_out_of_universe`
+/// inserts.
+fn run_case<T: WritableIndex<2>>(
     rng: &mut Rng,
-    mut tree: T,
+    created: ann_store::Result<T>,
+    keep: u32,
+    rejects_out_of_universe: bool,
     pool: &Arc<BufferPool>,
     scale: f64,
 ) -> Option<String> {
-    let handle = tree.handle();
+    let mut tree = match created {
+        Ok(t) => t,
+        Err(e) => return Some(format!("create failed: {e:?}")),
+    };
+    if let Err(e) = tree.enable_versioning(keep) {
+        return Some(format!("enable_versioning failed: {e:?}"));
+    }
+    let handle = tree.versioned_handle().expect("versioning enabled");
+    let store = Arc::clone(tree.versioned_store().expect("versioning enabled"));
     let mut live: BTreeMap<u64, Point<2>> = BTreeMap::new();
     let mut next_oid = 0u64;
     let mut pinned: Vec<PinnedReader> = Vec::new();
@@ -201,17 +158,17 @@ fn run_case<T: VersionedTree>(
     }
 
     // -- abort path: a failed txn changes nothing --------------------------
-    if T::REJECTS_OUT_OF_UNIVERSE {
-        let latest_before = tree.store().latest();
+    if rejects_out_of_universe {
+        let latest_before = store.latest();
         let outside = Point::new([20.0 * scale, 20.0 * scale]);
         if tree.insert(next_oid, outside).is_ok() {
             return Some("out-of-universe insert was accepted".to_string());
         }
-        if tree.store().latest() != latest_before {
+        if store.latest() != latest_before {
             return Some(format!(
                 "aborted insert advanced the version: {} -> {}",
                 latest_before,
-                tree.store().latest()
+                store.latest()
             ));
         }
         if pool.pinned_frames() != 0 {
@@ -235,7 +192,6 @@ fn run_case<T: VersionedTree>(
     }
 
     // -- GC floor: unpinned history rejects, stragglers survive ------------
-    let store = Arc::clone(tree.store());
     let floor = store.version_floor();
     if floor > 1 {
         let dead = floor - 1;
@@ -374,7 +330,7 @@ fn compare_pairs(got: &[NeighborPair], want: &[NeighborPair]) -> Option<String> 
 /// the torn-read oracle is *internal* consistency: each snapshot's
 /// census must match its own pinned meta count exactly, and every point
 /// must be one the writer could have written.
-fn threaded_race<T: VersionedTree>(
+fn threaded_race<T: WritableIndex<2>>(
     rng: &mut Rng,
     tree: &mut T,
     handle: &VersionedHandle<2>,
@@ -480,7 +436,7 @@ fn threaded_race<T: VersionedTree>(
         return reader_fail;
     }
 
-    let store = tree.store();
+    let store = handle.store();
     if store.pinned_readers() != 0 {
         return Some(format!(
             "{} reader pins leaked after the threaded race",

@@ -4,6 +4,7 @@
 
 use ann_core::index::validate;
 use ann_core::prelude::*;
+use ann_core::tree_file::WritableIndex;
 use ann_core::wire::JsonValue;
 use ann_datagen::{splitmix64, Rng};
 use ann_geom::{
@@ -12,7 +13,7 @@ use ann_geom::{
 };
 use ann_mbrqt::{Mbrqt, MbrqtConfig};
 use ann_rstar::{RStar, RStarConfig};
-use ann_store::{BufferPool, FaultyDisk, InjectedFault, MemDisk, FRAME_SIZE};
+use ann_store::{BufferPool, FaultyDisk, InjectedFault, MemDisk, PageId, DEFAULT_KEEP, FRAME_SIZE};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -371,8 +372,28 @@ pub fn check_tree_case<const D: usize>(rng: &mut Rng) -> Option<String> {
 /// Crashes a create+insert sequence at a random disk operation (torn
 /// write), then checks that reopening recovers a valid tree holding the
 /// committed prefix — and that recovery is **idempotent**: a second
-/// reopen of the same surviving media yields the identical tree.
+/// reopen of the same surviving media yields the identical tree. Each
+/// case draws one of {MBRQT, R*-tree} × {plain, versioned}: all four
+/// reach disk through the one [`ann_core::tree_file::TreeFile`].
 pub fn check_recovery_case(rng: &mut Rng) -> Option<String> {
+    let (rstar, versioned) = (rng.chance(0.5), rng.chance(0.5));
+    let leg = if rstar {
+        recovery_leg(rng, versioned, |pool| RStar::create(pool, &rs_cfg()))
+    } else {
+        let universe = Mbr::new([0.0, 0.0], [9.0, 9.0]);
+        recovery_leg(rng, versioned, |pool| {
+            Mbrqt::create(pool, universe, &qt_cfg())
+        })
+    };
+    let kind = if rstar { "rstar" } else { "mbrqt" };
+    leg.map(|m| format!("{kind} versioned={versioned}: {m}"))
+}
+
+fn recovery_leg<T: WritableIndex<2>>(
+    rng: &mut Rng,
+    versioned: bool,
+    create: impl Fn(Arc<BufferPool>) -> ann_store::Result<T>,
+) -> Option<String> {
     let n = rng.range(5, 60);
     let mut pts: Vec<(u64, Point<2>)> = Vec::with_capacity(n);
     for i in 0..n {
@@ -381,19 +402,31 @@ pub fn check_recovery_case(rng: &mut Rng) -> Option<String> {
             Point::new([rng.range(0, 9) as f64, rng.range(0, 9) as f64]),
         ));
     }
-    let universe = Mbr::new([0.0, 0.0], [9.0, 9.0]);
+    // The workload, over a disk that may crash under it: counts the
+    // inserts that committed, and records the manifest head once a caller
+    // could have persisted it (versioning enabled *and* flushed).
+    let workload = |fd: &Arc<FaultyDisk<Arc<MemDisk>>>,
+                    inserted: &mut u64,
+                    head: &mut Option<PageId>|
+     -> ann_store::Result<()> {
+        let pool = Arc::new(BufferPool::new(Arc::clone(fd), 8));
+        let mut tree = create(Arc::clone(&pool))?;
+        if versioned {
+            let manifest = tree.enable_versioning(DEFAULT_KEEP)?;
+            pool.flush_all()?;
+            *head = Some(manifest);
+        }
+        for &(oid, p) in &pts {
+            tree.insert(oid, p)?;
+            *inserted += 1;
+        }
+        Ok(())
+    };
 
     // Ops a healthy run consumes, to place the crash inside the sequence.
-    let total = {
-        let fd = Arc::new(FaultyDisk::unlimited(MemDisk::new()));
-        let pool = Arc::new(BufferPool::new(Arc::clone(&fd), 8));
-        let mut tree = Mbrqt::create(pool, universe, &qt_cfg()).expect("healthy create");
-        for &(oid, p) in &pts {
-            tree.insert(oid, p).expect("healthy insert");
-        }
-        fd.op_count()
-    };
-    let crash_op = 1 + rng.next_u64() % total.max(1);
+    let healthy = Arc::new(FaultyDisk::unlimited(Arc::new(MemDisk::new())));
+    workload(&healthy, &mut 0, &mut None).expect("healthy run");
+    let crash_op = 1 + rng.next_u64() % healthy.op_count().max(1);
 
     let mem = Arc::new(MemDisk::new());
     let fd = Arc::new(FaultyDisk::unlimited(Arc::clone(&mem)));
@@ -403,32 +436,15 @@ pub fn check_recovery_case(rng: &mut Rng) -> Option<String> {
             persist: (splitmix64(crash_op) as usize) % FRAME_SIZE,
         },
     );
-    let pool = Arc::new(BufferPool::new(Arc::clone(&fd), 8));
-    let mut inserted = 0u64;
-    let crashed = match Mbrqt::create(pool, universe, &qt_cfg()) {
-        Err(_) => true,
-        Ok(mut tree) => {
-            let mut hit = false;
-            for &(oid, p) in &pts {
-                match tree.insert(oid, p) {
-                    Ok(()) => inserted += 1,
-                    Err(_) => {
-                        hit = true;
-                        break;
-                    }
-                }
-            }
-            hit
-        }
-    };
-    if !crashed {
+    let (mut inserted, mut head) = (0u64, None);
+    if workload(&fd, &mut inserted, &mut head).is_ok() {
         // The injected op landed after the workload finished; vacuous.
         return None;
     }
 
     let reopen = |mem: &Arc<MemDisk>| -> Result<u64, String> {
         let pool = Arc::new(BufferPool::new(Arc::clone(mem), 64));
-        match Mbrqt::<2>::open(pool, 0) {
+        match T::open_at(pool, 0, head) {
             Ok(tree) => match validate(&tree) {
                 Ok(shape) => Ok(shape.objects),
                 Err(e) => Err(format!("recovered tree fails validation: {e:?}")),

@@ -1,5 +1,7 @@
 //! The [`SpatialIndex`] trait: what an index must expose for the ANN
-//! algorithms to traverse it.
+//! algorithms to traverse it. This is the read side; the write side of
+//! the two trees (create, open and recovery, transactions, versioning)
+//! is [`crate::tree_file`].
 
 use crate::node::{read_node, DecodedNode, Entry, Node};
 use crate::node_cache::NodeCache;

@@ -66,6 +66,7 @@ pub mod scratch;
 pub mod snapshot;
 pub mod stats;
 pub mod trace;
+pub mod tree_file;
 pub mod wire;
 
 pub use extsort::{HilbertSorter, KeyedPoint, PointSpill, SortedStream};
@@ -78,6 +79,7 @@ pub use scratch::QueryScratch;
 pub use snapshot::{MetaFields, MetaReader, ReadContext, VersionedHandle};
 pub use stats::{AnnOutput, AnnStats, NeighborPair};
 pub use trace::{ExecutionReport, RecordingSink, TraceSink, Tracer};
+pub use tree_file::{TreeFile, WritableIndex};
 pub use wire::{
     CollectionId, ErrorCode, JsonValue, QueryOutcome, QuerySpec, WireError, WIRE_SCHEMA_VERSION,
 };

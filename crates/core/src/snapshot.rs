@@ -1,11 +1,13 @@
 //! Pinned, versioned read views over a spatial index.
 //!
 //! A tree backed by an [`ann_store::VersionedStore`] separates its write
-//! handle (the tree struct itself, `&mut self` mutations) from read
-//! views: a [`VersionedHandle`] is a cheap, cloneable, thread-safe
-//! factory of [`ReadContext`]s, and each `ReadContext` pins one version
-//! for its whole lifetime. Queries run against the `ReadContext` exactly
-//! as against the tree (it implements [`SpatialIndex`]), but:
+//! handle (the tree struct itself, `&mut self` mutations; its
+//! [`crate::tree_file::TreeFile`] enables versioning and hands out the
+//! handles below) from read views: a [`VersionedHandle`] is a cheap,
+//! cloneable, thread-safe factory of [`ReadContext`]s, and each
+//! `ReadContext` pins one version for its whole lifetime. Queries run
+//! against the `ReadContext` exactly as against the tree (it implements
+//! [`SpatialIndex`]), but:
 //!
 //! * every page read translates through the pinned version's table, so
 //!   a writer committing mid-query can never tear the traversal;
@@ -47,8 +49,9 @@ pub struct MetaFields<const D: usize> {
 pub type MetaReader<const D: usize> = fn(&Snapshot, PageId) -> Result<MetaFields<D>>;
 
 /// A cloneable, thread-safe factory of pinned read views over one
-/// versioned tree. Obtained from the tree (`versioned_handle()`) after
-/// versioning is enabled.
+/// versioned tree. Obtained from the tree
+/// ([`crate::tree_file::TreeFile::versioned_handle`]) after versioning is
+/// enabled.
 pub struct VersionedHandle<const D: usize> {
     store: Arc<VersionedStore>,
     cache: Arc<NodeCache<D>>,

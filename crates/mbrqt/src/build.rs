@@ -6,7 +6,7 @@ use ann_core::node::{write_node, Entry, Node, NodeEntry, ObjectEntry};
 use ann_core::trace::{Phase, Side, TraceEvent, Tracer};
 use ann_geom::{Mbr, Point};
 use ann_store::BufferPool;
-use ann_store::{PageStore, Result, StoreError, Txn};
+use ann_store::{PageStore, Result, StoreError};
 use std::sync::Arc;
 
 /// Builds the tree for `points`; see [`Mbrqt::bulk_build`].
@@ -41,19 +41,14 @@ pub(crate) fn bulk_build<const D: usize>(
         u
     };
 
-    let meta_page = pool.allocate()?;
-    let journal = crate::create_journal_after_meta(&pool, meta_page)?;
-    let bucket_capacity = config.resolved_bucket_capacity::<D>();
-    let levels_per_node = config.resolved_levels_per_node::<D>();
+    let tree = Mbrqt::new(Arc::clone(&pool), universe, config)?;
     // Node pages are written straight through the pool (journaling the
-    // whole build would double its I/O for no benefit): until the meta
-    // page is committed below, nothing references them, so a crash
-    // mid-build leaves an unopenable meta page — `open` then fails with
-    // `Corrupt` instead of exposing a partial tree.
+    // whole build would double its I/O for no benefit); see
+    // `TreeFile::commit_bulk` for why that is crash-safe.
     let mut builder = Builder {
         store: pool.as_ref(),
-        bucket_capacity,
-        levels_per_node,
+        bucket_capacity: config.resolved_bucket_capacity::<D>(),
+        levels_per_node: config.resolved_levels_per_node::<D>(),
         max_depth: config.max_depth,
         use_subtree_mbrs: config.use_subtree_mbrs,
         level_tally: tracer.enabled().then(Vec::new),
@@ -72,27 +67,7 @@ pub(crate) fn bulk_build<const D: usize>(
         }
     }
 
-    let tree = Mbrqt {
-        pool: Arc::clone(&pool),
-        meta_page,
-        journal,
-        root: root_entry.page,
-        universe,
-        bounds,
-        num_points: points.len() as u64,
-        bucket_capacity,
-        levels_per_node,
-        max_depth: config.max_depth,
-        use_subtree_mbrs: config.use_subtree_mbrs,
-        cache: Arc::new(ann_core::node_cache::NodeCache::default()),
-        versions: None,
-    };
-    // Make every node page durable before the meta page can point at
-    // them, then commit the meta page through the journal.
-    pool.flush_all()?;
-    let txn = Txn::begin(&pool, journal);
-    tree.save_meta_to(&txn)?;
-    txn.commit()?;
+    let tree = tree.built(root_entry.page, bounds, points.len() as u64)?;
     tracer.span_exit(Phase::Build, span_b, io_now);
     Ok(tree)
 }
@@ -135,14 +110,12 @@ pub(crate) fn bulk_build_stream<const D: usize>(
         u
     };
 
-    let meta_page = pool.allocate()?;
-    let journal = crate::create_journal_after_meta(&pool, meta_page)?;
+    let tree = Mbrqt::new(Arc::clone(&pool), universe, config)?;
     let bucket_capacity = config.resolved_bucket_capacity::<D>();
-    let levels_per_node = config.resolved_levels_per_node::<D>();
     let mut builder = Builder {
         store: pool.as_ref(),
         bucket_capacity,
-        levels_per_node,
+        levels_per_node: config.resolved_levels_per_node::<D>(),
         max_depth: config.max_depth,
         use_subtree_mbrs: config.use_subtree_mbrs,
         level_tally: None,
@@ -151,26 +124,7 @@ pub(crate) fn bulk_build_stream<const D: usize>(
     let budget = memory_budget.max(bucket_capacity).max(1);
     let root_entry = build_external(&mut builder, &scratch, &spill, universe, 0, 0, budget)?;
 
-    let tree = Mbrqt {
-        pool: Arc::clone(&pool),
-        meta_page,
-        journal,
-        root: root_entry.page,
-        universe,
-        bounds,
-        num_points: spill.len,
-        bucket_capacity,
-        levels_per_node,
-        max_depth: config.max_depth,
-        use_subtree_mbrs: config.use_subtree_mbrs,
-        cache: Arc::new(ann_core::node_cache::NodeCache::default()),
-        versions: None,
-    };
-    pool.flush_all()?;
-    let txn = Txn::begin(&pool, journal);
-    tree.save_meta_to(&txn)?;
-    txn.commit()?;
-    Ok(tree)
+    tree.built(root_entry.page, bounds, spill.len)
 }
 
 /// One step of the external distribution partitioning: materialize when

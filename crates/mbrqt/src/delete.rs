@@ -12,7 +12,6 @@ use crate::{cell_of_mbr, cell_of_point, Mbrqt};
 use ann_core::node::{read_node, write_node, Entry, Node, NodeEntry, ObjectEntry};
 use ann_geom::{Mbr, Point};
 use ann_store::{PageId, Result, StoreError, Txn};
-use std::sync::Arc;
 
 /// Removes the object `(oid, point)`; see [`Mbrqt::delete`].
 pub(crate) fn delete<const D: usize>(
@@ -26,37 +25,24 @@ pub(crate) fn delete<const D: usize>(
     // Like insertion, the whole removal runs inside one [`Txn`] so node
     // rewrites, collapses and the meta update land atomically or not at
     // all.
-    let pool = Arc::clone(&tree.pool);
-    let vstore = tree.versions.clone();
-    let txn = match vstore.as_ref() {
-        // Versioned mode: see `insert` — reads translate through the
-        // latest snapshot, the commit publishes a new version.
-        Some(store) => Txn::begin_versioned(store)?,
-        None => Txn::begin(&pool, tree.journal),
-    };
-    let root = tree.root;
-    let universe = tree.universe;
-    let (saved_points, saved_bounds) = (tree.num_points, tree.bounds);
-    let result = (|| -> Result<bool> {
-        let Some((_, _)) = remove_rec(tree, &txn, root, universe, oid, point)? else {
+    let file = tree.file.clone();
+    let saved = (tree.num_points, tree.bounds);
+    let result = file.transact(|txn| {
+        let Some((_, _)) = remove_rec(tree, txn, tree.root, tree.universe, oid, point)? else {
             return Ok(false);
         };
         tree.num_points -= 1;
         // Rebuild cached dataset bounds from the root node (deletion can
         // shrink them).
-        let root_node = read_node::<D>(&txn, tree.root)?;
+        let root_node = read_node::<D>(txn, tree.root)?;
         tree.bounds = root_node.mbr;
-        tree.save_meta_to(&txn)?;
+        tree.save_meta_to(txn)?;
         Ok(true)
-    })();
-    match result.and_then(|removed| txn.commit().map(|()| removed)) {
-        Ok(removed) => Ok(removed),
-        Err(e) => {
-            tree.num_points = saved_points;
-            tree.bounds = saved_bounds;
-            Err(e)
-        }
+    });
+    if result.is_err() {
+        (tree.num_points, tree.bounds) = saved;
     }
+    result
 }
 
 /// Recursive removal below `page` (whose region is `quadrant`).

@@ -4,14 +4,13 @@ use crate::{build::Builder, cell_of_mbr, cell_of_point, cell_quadrant, Mbrqt};
 use ann_core::node::{read_node, write_node, Entry, Node, NodeEntry, ObjectEntry};
 use ann_geom::{Mbr, Point};
 use ann_store::{PageStore, Result, StoreError, Txn};
-use std::sync::Arc;
 
 /// Inserts one point; see [`Mbrqt::insert`].
 ///
 /// The whole update — every rewritten node page plus the meta page — runs
-/// inside one [`Txn`], so it reaches disk atomically: a crash (or an
-/// injected fault) anywhere before the commit point leaves the on-disk
-/// tree exactly as it was.
+/// inside one [`Txn`] (`TreeFile::transact`), so it reaches disk
+/// atomically: a crash (or an injected fault) anywhere before the commit
+/// point leaves the on-disk tree exactly as it was.
 pub(crate) fn insert<const D: usize>(tree: &mut Mbrqt<D>, oid: u64, point: Point<D>) -> Result<()> {
     if !point.is_finite() {
         return Err(StoreError::corrupt("points must have finite coordinates"));
@@ -19,32 +18,20 @@ pub(crate) fn insert<const D: usize>(tree: &mut Mbrqt<D>, oid: u64, point: Point
     if !tree.universe.contains_point(&point) {
         return Err(StoreError::corrupt("point lies outside the universe"));
     }
-    let pool = Arc::clone(&tree.pool);
-    let vstore = tree.versions.clone();
-    let txn = match vstore.as_ref() {
-        // Versioned mode: reads translate through the latest snapshot and
-        // the commit produces a new immutable version (copy-on-write).
-        Some(store) => Txn::begin_versioned(store)?,
-        None => Txn::begin(&pool, tree.journal),
-    };
-    let root = tree.root;
-    let universe = tree.universe;
-    let (saved_points, saved_bounds) = (tree.num_points, tree.bounds);
-    let result = descend(tree, &txn, root, universe, 0, oid, point).and_then(|_| {
+    let file = tree.file.clone();
+    let saved = (tree.num_points, tree.bounds);
+    let result = file.transact(|txn| {
+        descend(tree, txn, tree.root, tree.universe, 0, oid, point)?;
         tree.num_points += 1;
         tree.bounds.expand_point(&point);
-        tree.save_meta_to(&txn)
+        tree.save_meta_to(txn)
     });
-    match result.and_then(|()| txn.commit()) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            // The on-disk tree is untouched (the txn never committed);
-            // roll the in-memory mirrors back to match it.
-            tree.num_points = saved_points;
-            tree.bounds = saved_bounds;
-            Err(e)
-        }
+    if result.is_err() {
+        // The on-disk tree is untouched (the txn never committed);
+        // roll the in-memory mirrors back to match it.
+        (tree.num_points, tree.bounds) = saved;
     }
+    result
 }
 
 /// Recursively routes the point down to its bucket, splitting overflowing

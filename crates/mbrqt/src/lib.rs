@@ -56,10 +56,10 @@ mod meta;
 use ann_core::index::SpatialIndex;
 use ann_core::node::Node;
 use ann_core::node_cache::NodeCache;
-use ann_core::snapshot::VersionedHandle;
 use ann_core::trace::{Side, Tracer};
+use ann_core::tree_file::{TreeFile, WritableIndex};
 use ann_geom::{Mbr, Point};
-use ann_store::{BufferPool, Journal, PageId, PageStore, Result, StoreError, Txn, VersionedStore};
+use ann_store::{BufferPool, PageId, PageStore, Result, StoreError, INVALID_PAGE};
 use std::sync::Arc;
 
 /// Tuning knobs for [`Mbrqt`].
@@ -121,10 +121,12 @@ impl MbrqtConfig {
 }
 
 /// A disk-resident MBR-enhanced PR bucket quadtree.
+///
+/// Derefs to its [`TreeFile`], which carries everything about durability
+/// and versioning (`meta_page`, `enable_versioning`, `versioned_handle`,
+/// `flush`, …).
 pub struct Mbrqt<const D: usize> {
-    pub(crate) pool: Arc<BufferPool>,
-    pub(crate) meta_page: PageId,
-    pub(crate) journal: Journal,
+    pub(crate) file: TreeFile<D>,
     pub(crate) root: PageId,
     /// The fixed universe this tree decomposes.
     pub(crate) universe: Mbr<D>,
@@ -135,13 +137,6 @@ pub struct Mbrqt<const D: usize> {
     pub(crate) levels_per_node: usize,
     pub(crate) max_depth: usize,
     pub(crate) use_subtree_mbrs: bool,
-    /// Decoded-node cache for query traversals. Epoch-keyed (bumped on
-    /// every structural mutation) until versioning is enabled; keyed by
-    /// snapshot version afterwards (shared with [`VersionedHandle`]s).
-    pub(crate) cache: Arc<NodeCache<D>>,
-    /// MVCC mode: when set, every mutation commits a new immutable
-    /// snapshot version instead of updating pages in place.
-    pub(crate) versions: Option<Arc<VersionedStore>>,
 }
 
 impl<const D: usize> Mbrqt<D> {
@@ -153,28 +148,13 @@ impl<const D: usize> Mbrqt<D> {
         if universe.is_empty() {
             return Err(StoreError::corrupt("quadtree universe must be non-empty"));
         }
-        let meta_page = pool.allocate()?;
-        let journal = crate::create_journal_after_meta(&pool, meta_page)?;
-        let txn = Txn::begin(&pool, journal);
-        let root = txn.allocate()?;
-        ann_core::node::write_node::<D>(&txn, root, &Node::empty_leaf())?;
-        let tree = Mbrqt {
-            pool: Arc::clone(&pool),
-            meta_page,
-            journal,
-            root,
-            universe,
-            bounds: Mbr::empty(),
-            num_points: 0,
-            bucket_capacity: config.resolved_bucket_capacity::<D>(),
-            levels_per_node: config.resolved_levels_per_node::<D>(),
-            max_depth: config.max_depth,
-            use_subtree_mbrs: config.use_subtree_mbrs,
-            cache: Arc::new(NodeCache::default()),
-            versions: None,
-        };
-        tree.save_meta_to(&txn)?;
-        txn.commit()?;
+        let mut tree = Mbrqt::new(pool, universe, config)?;
+        let file = tree.file.clone();
+        file.transact(|txn| {
+            tree.root = txn.allocate()?;
+            ann_core::node::write_node::<D>(txn, tree.root, &Node::empty_leaf())?;
+            tree.save_meta_to(txn)
+        })?;
         Ok(tree)
     }
 
@@ -225,24 +205,22 @@ impl<const D: usize> Mbrqt<D> {
         build::bulk_build_stream(pool, scratch, points, memory_budget, config)
     }
 
-    /// Opens a previously built tree from its metadata page.
-    ///
-    /// Opening runs crash recovery first — a committed-but-unapplied
-    /// journal batch is replayed, a partial one is discarded — and then
-    /// verifies every structural invariant with
-    /// [`ann_core::index::validate`], so an `Ok` tree is never silently
-    /// partial: after any mid-update crash this either restores a
-    /// consistent tree or reports [`StoreError::Corrupt`].
+    /// Opens a previously built (unversioned) tree from its metadata
+    /// page; [`WritableIndex::open_at`] says what opening recovers and
+    /// checks.
     pub fn open(pool: Arc<BufferPool>, meta_page: PageId) -> Result<Self> {
-        let (journal, _recovery) = Journal::open(&pool, meta_page + 1)?;
-        let tree = meta::load(pool, meta_page, journal)?;
-        ann_core::index::validate(&tree)?;
-        Ok(tree)
+        meta::load(pool, meta_page, None)
     }
 
-    /// The metadata page identifying this tree on disk.
-    pub fn meta_page(&self) -> PageId {
-        self.meta_page
+    /// Opens a versioned tree from its meta page and the manifest head
+    /// returned by [`TreeFile::enable_versioning`]: as [`open`](Self::open),
+    /// but the meta fields are read *through* the latest snapshot.
+    pub fn open_versioned(
+        pool: Arc<BufferPool>,
+        meta_page: PageId,
+        manifest_head: PageId,
+    ) -> Result<Self> {
+        meta::load(pool, meta_page, Some(manifest_head))
     }
 
     /// The fixed universe the tree decomposes.
@@ -269,9 +247,7 @@ impl<const D: usize> Mbrqt<D> {
     /// Inserts one point. Fails if the point is non-finite or outside the
     /// universe.
     pub fn insert(&mut self, oid: u64, point: Point<D>) -> Result<()> {
-        insert::insert(self, oid, point)?;
-        self.note_mutation();
-        Ok(())
+        insert::insert(self, oid, point)
     }
 
     /// Deletes the object `(oid, point)` (both must match an indexed
@@ -279,95 +255,35 @@ impl<const D: usize> Mbrqt<D> {
     /// size collapse back into single leaf buckets. Returns whether the
     /// object existed.
     pub fn delete(&mut self, oid: u64, point: &Point<D>) -> Result<bool> {
-        let existed = delete::delete(self, oid, point)?;
-        if existed {
-            self.note_mutation();
-        }
-        Ok(existed)
+        delete::delete(self, oid, point)
     }
 
-    /// Switches the tree into MVCC snapshot mode: from here on every
-    /// insert/delete commits an immutable new version (copy-on-write
-    /// pages) instead of updating pages in place, and concurrent readers
-    /// pin versions through [`versioned_handle`](Self::versioned_handle)
-    /// without ever blocking on the writer.
-    ///
-    /// `keep` bounds the history window (see [`ann_store::DEFAULT_KEEP`]).
-    /// Returns the manifest head page the caller must persist to reopen
-    /// the tree with [`open_versioned`](Self::open_versioned) — after the
-    /// first versioned commit the meta page is copy-on-write and its
-    /// original physical page goes stale, so the manifest (not the meta
-    /// page alone) is the durable root of a versioned tree.
-    pub fn enable_versioning(&mut self, keep: u32) -> Result<PageId> {
-        if self.versions.is_some() {
-            return Err(StoreError::corrupt("versioning is already enabled"));
-        }
-        let store = VersionedStore::create(Arc::clone(&self.pool), self.journal, keep)?;
-        let head = store.manifest_head();
-        // Fresh cache: version numbers live in their own key space, which
-        // must not collide with the retired epoch counter's.
-        self.cache = Arc::new(NodeCache::default());
-        self.versions = Some(store);
-        Ok(head)
-    }
-
-    /// Opens a versioned tree from its meta page and the manifest head
-    /// returned by [`enable_versioning`](Self::enable_versioning). Runs
-    /// journal crash recovery, loads the version manifest, and reads the
-    /// meta fields *through* the latest snapshot (the on-disk meta page
-    /// itself is stale once copy-on-write commits exist).
-    pub fn open_versioned(
+    /// Starts a tree over `universe` on `pool` — its file exists, its root
+    /// does not yet: what `create` and the bulk builds begin with.
+    pub(crate) fn new(
         pool: Arc<BufferPool>,
-        meta_page: PageId,
-        manifest_head: PageId,
+        universe: Mbr<D>,
+        config: &MbrqtConfig,
     ) -> Result<Self> {
-        let (journal, _recovery) = Journal::open(&pool, meta_page + 1)?;
-        let store = VersionedStore::open(Arc::clone(&pool), journal, manifest_head)?;
-        let snap = store.pin(None)?;
-        let mut tree = meta::load_via(&snap, Arc::clone(&pool), meta_page, journal)?;
-        drop(snap);
-        tree.versions = Some(store);
-        ann_core::index::validate(&tree)?;
-        Ok(tree)
+        Ok(Mbrqt {
+            file: TreeFile::create(pool, meta::snapshot_meta_fields::<D>)?,
+            root: INVALID_PAGE,
+            universe,
+            bounds: Mbr::empty(),
+            num_points: 0,
+            bucket_capacity: config.resolved_bucket_capacity::<D>(),
+            levels_per_node: config.resolved_levels_per_node::<D>(),
+            max_depth: config.max_depth,
+            use_subtree_mbrs: config.use_subtree_mbrs,
+        })
     }
 
-    /// The tree's versioned store, when versioning is enabled.
-    pub fn versioned_store(&self) -> Option<&Arc<VersionedStore>> {
-        self.versions.as_ref()
-    }
-
-    /// A cloneable, thread-safe factory of pinned read views ([`None`]
-    /// until [`enable_versioning`](Self::enable_versioning)). The handle
-    /// shares this tree's node cache, so snapshot readers and the writer
-    /// populate one cache keyed by `(version, page)`.
-    pub fn versioned_handle(&self) -> Option<VersionedHandle<D>> {
-        let store = self.versions.as_ref()?;
-        Some(VersionedHandle::new(
-            Arc::clone(store),
-            Arc::clone(&self.cache),
-            self.meta_page,
-            meta::snapshot_meta_fields::<D>,
-        ))
-    }
-
-    /// Writes all dirty pages through to the backing disk.
-    pub fn flush(&self) -> Result<()> {
-        self.pool.flush_all()
-    }
-
-    /// Post-mutation cache upkeep. Non-versioned trees invalidate the
-    /// whole cache (epoch bump); versioned trees keep old-version entries
-    /// live for pinned readers and only purge keys below the GC floor.
-    fn note_mutation(&self) {
-        match &self.versions {
-            Some(store) => self.cache.retire_below(u64::from(store.version_floor())),
-            None => self.cache.bump_epoch(),
-        }
-        debug_assert_eq!(
-            self.cache.stale_len(),
-            0,
-            "node cache holds stale entries after a mutation"
-        );
+    /// Finishes a bulk build: records what was built below `root` and
+    /// makes it durable ([`TreeFile::commit_bulk`]).
+    pub(crate) fn built(mut self, root: PageId, bounds: Mbr<D>, num_points: u64) -> Result<Self> {
+        (self.root, self.bounds, self.num_points) = (root, bounds, num_points);
+        self.file.commit_bulk(|txn| self.save_meta_to(txn))?;
+        Ok(self)
     }
 
     pub(crate) fn save_meta_to(&self, store: &impl PageStore) -> Result<()> {
@@ -375,9 +291,37 @@ impl<const D: usize> Mbrqt<D> {
     }
 }
 
+impl<const D: usize> std::ops::Deref for Mbrqt<D> {
+    type Target = TreeFile<D>;
+
+    fn deref(&self) -> &TreeFile<D> {
+        &self.file
+    }
+}
+
+impl<const D: usize> std::ops::DerefMut for Mbrqt<D> {
+    fn deref_mut(&mut self) -> &mut TreeFile<D> {
+        &mut self.file
+    }
+}
+
+impl<const D: usize> WritableIndex<D> for Mbrqt<D> {
+    fn open_at(pool: Arc<BufferPool>, meta_page: PageId, head: Option<PageId>) -> Result<Self> {
+        meta::load(pool, meta_page, head)
+    }
+
+    fn insert(&mut self, oid: u64, point: Point<D>) -> Result<()> {
+        Mbrqt::insert(self, oid, point)
+    }
+
+    fn delete(&mut self, oid: u64, point: &Point<D>) -> Result<bool> {
+        Mbrqt::delete(self, oid, point)
+    }
+}
+
 impl<const D: usize> SpatialIndex<D> for Mbrqt<D> {
     fn pool(&self) -> &BufferPool {
-        &self.pool
+        self.file.pool()
     }
 
     fn root_page(&self) -> PageId {
@@ -393,40 +337,16 @@ impl<const D: usize> SpatialIndex<D> for Mbrqt<D> {
     }
 
     fn read_node(&self, page: PageId) -> Result<Node<D>> {
-        match &self.versions {
-            // A versioned tree's logical pages are remapped by COW
-            // commits; direct tree reads go through the latest snapshot.
-            Some(store) => ann_core::node::read_node(&store.pin(None)?, page),
-            None => ann_core::node::read_node(self.pool.as_ref(), page),
-        }
+        self.file.read_node(page)
     }
 
     fn node_cache(&self) -> Option<&NodeCache<D>> {
-        Some(self.cache.as_ref())
+        self.file.node_cache()
     }
 
     fn cache_key(&self) -> u64 {
-        match &self.versions {
-            // Share entries with ReadContexts pinned at the same version.
-            Some(store) => u64::from(store.latest()),
-            None => self.cache.epoch(),
-        }
+        self.file.cache_key()
     }
-}
-
-/// Creates the tree's journal right after its freshly allocated meta page,
-/// enforcing the `meta_page + 1` adjacency convention that lets
-/// [`Mbrqt::open`] find the journal without persisting its id anywhere.
-/// Interleaved allocations from another thread would break the convention,
-/// so that is reported as an error rather than silently accepted.
-pub(crate) fn create_journal_after_meta(pool: &BufferPool, meta_page: PageId) -> Result<Journal> {
-    let journal = Journal::create(pool)?;
-    if journal.header_page() != meta_page + 1 {
-        return Err(StoreError::corrupt(
-            "journal header page must immediately follow the meta page",
-        ));
-    }
-    Ok(journal)
 }
 
 /// The orthant (child index in `0..2^D`) of `point` within a quadrant

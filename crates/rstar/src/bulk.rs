@@ -10,7 +10,7 @@ use ann_core::extsort::{HilbertSorter, PointSpill};
 use ann_core::node::{write_node, Entry, Node, NodeEntry, ObjectEntry};
 use ann_core::trace::{Phase, Side, TraceEvent, Tracer};
 use ann_geom::{Mbr, Point};
-use ann_store::{BufferPool, Result, StoreError, Txn};
+use ann_store::{BufferPool, Result, StoreError};
 use std::sync::Arc;
 
 /// Builds a packed tree over `points`; see [`RStar::bulk_build`].
@@ -28,8 +28,7 @@ pub(crate) fn bulk_build<const D: usize>(
     let span_b = tracer.span_enter(Phase::Build, io_now);
     let max_leaf = config.resolved_max::<D>(true);
     let max_internal = config.resolved_max::<D>(false);
-    let meta_page = pool.allocate()?;
-    let journal = crate::create_journal_after_meta(&pool, meta_page)?;
+    let tree = RStar::new(Arc::clone(&pool), config)?;
 
     // Pack leaves: tile the points, one leaf per tile.
     let mut leaf_fill = (max_leaf * 9) / 10; // leave headroom for inserts
@@ -69,22 +68,7 @@ pub(crate) fn bulk_build<const D: usize>(
     if current.is_empty() {
         let page = pool.allocate()?;
         write_node::<D>(&pool, page, &Node::empty_leaf())?;
-        let tree = RStar {
-            pool: Arc::clone(&pool),
-            meta_page,
-            journal,
-            root: page,
-            height: 1,
-            num_points: 0,
-            bounds: Mbr::empty(),
-            max_leaf,
-            max_internal,
-            min_fill_percent: config.min_fill_percent.clamp(10, 50),
-            reinsert_percent: config.reinsert_percent.min(45),
-            cache: Arc::new(ann_core::node_cache::NodeCache::default()),
-            versions: None,
-        };
-        commit_meta(&pool, &tree)?;
+        let tree = tree.built(page, 1, 0, Mbr::empty())?;
         tracer.event(|| TraceEvent::IndexLevelBuilt {
             side,
             level: 0,
@@ -126,22 +110,8 @@ pub(crate) fn bulk_build<const D: usize>(
         unreachable!("packing produces node entries")
     };
     // A single leaf needs no extra root; `current[0]` is already it.
-    let tree = RStar {
-        pool: Arc::clone(&pool),
-        meta_page,
-        journal,
-        root: root_entry.page,
-        height,
-        num_points: points.len() as u64,
-        bounds: Mbr::from_points(points.iter().map(|(_, p)| p)),
-        max_leaf,
-        max_internal,
-        min_fill_percent: config.min_fill_percent.clamp(10, 50),
-        reinsert_percent: config.reinsert_percent.min(45),
-        cache: Arc::new(ann_core::node_cache::NodeCache::default()),
-        versions: None,
-    };
-    commit_meta(&pool, &tree)?;
+    let bounds = Mbr::from_points(points.iter().map(|(_, p)| p));
+    let tree = tree.built(root_entry.page, height, points.len() as u64, bounds)?;
     if tracer.enabled() {
         // round 0 = leaves; report levels with 0 = root to match the
         // query-side per-level accounting.
@@ -191,8 +161,7 @@ pub(crate) fn bulk_build_stream<const D: usize>(
     spill.replay(|oid, p| sorter.push(oid, p))?;
     let mut stream = sorter.finish()?;
 
-    let meta_page = pool.allocate()?;
-    let journal = crate::create_journal_after_meta(&pool, meta_page)?;
+    let tree = RStar::new(Arc::clone(&pool), config)?;
     let leaf_fill = ((max_leaf * 9) / 10).max(1);
     let internal_fill = ((max_internal * 9) / 10).max(2);
 
@@ -236,23 +205,7 @@ pub(crate) fn bulk_build_stream<const D: usize>(
     if current.is_empty() {
         let page = pool.allocate()?;
         write_node::<D>(&pool, page, &Node::empty_leaf())?;
-        let tree = RStar {
-            pool: Arc::clone(&pool),
-            meta_page,
-            journal,
-            root: page,
-            height: 1,
-            num_points: 0,
-            bounds: Mbr::empty(),
-            max_leaf,
-            max_internal,
-            min_fill_percent: config.min_fill_percent.clamp(10, 50),
-            reinsert_percent: config.reinsert_percent.min(45),
-            cache: Arc::new(ann_core::node_cache::NodeCache::default()),
-            versions: None,
-        };
-        commit_meta(&pool, &tree)?;
-        return Ok(tree);
+        return tree.built(page, 1, 0, Mbr::empty());
     }
 
     // Internal levels: consecutive chunks of the previous level, which is
@@ -282,34 +235,7 @@ pub(crate) fn bulk_build_stream<const D: usize>(
     let Entry::Node(root_entry) = current[0] else {
         unreachable!("packing produces node entries")
     };
-    let tree = RStar {
-        pool: Arc::clone(&pool),
-        meta_page,
-        journal,
-        root: root_entry.page,
-        height,
-        num_points: spill.len,
-        bounds: spill.bounds,
-        max_leaf,
-        max_internal,
-        min_fill_percent: config.min_fill_percent.clamp(10, 50),
-        reinsert_percent: config.reinsert_percent.min(45),
-        cache: Arc::new(ann_core::node_cache::NodeCache::default()),
-        versions: None,
-    };
-    commit_meta(&pool, &tree)?;
-    Ok(tree)
-}
-
-/// Finishes a bulk build durably: node pages (written straight through
-/// the pool — until the meta page exists nothing references them, so a
-/// crash mid-build just leaves an unopenable meta page) are flushed
-/// first, then the meta page commits through the journal.
-fn commit_meta<const D: usize>(pool: &Arc<BufferPool>, tree: &RStar<D>) -> Result<()> {
-    pool.flush_all()?;
-    let txn = Txn::begin(pool, tree.journal);
-    tree.save_meta_to(&txn)?;
-    txn.commit()
+    tree.built(root_entry.page, height, spill.len, spill.bounds)
 }
 
 /// Recursively tiles `pts` into chunks of `cap`, sorting by dimension

@@ -8,7 +8,6 @@ use crate::RStar;
 use ann_core::node::{read_node, write_node, Entry, NodeEntry};
 use ann_geom::{Mbr, Point};
 use ann_store::{PageId, Result, StoreError, Txn};
-use std::sync::Arc;
 
 /// Removes the object `(oid, point)`; see [`RStar::delete`].
 ///
@@ -24,20 +23,13 @@ pub(crate) fn delete<const D: usize>(
     // Like insertion, the whole removal — entry removal, CondenseTree
     // re-insertions, root shrinking and the meta update — runs inside one
     // [`Txn`] so it lands atomically or not at all.
-    let pool = Arc::clone(&tree.pool);
-    let vstore = tree.versions.clone();
-    let txn = match vstore.as_ref() {
-        // Versioned mode: see `insert` — reads translate through the
-        // latest snapshot, the commit publishes a new version.
-        Some(store) => Txn::begin_versioned(store)?,
-        None => Txn::begin(&pool, tree.journal),
-    };
+    let file = tree.file.clone();
     let saved = (tree.root, tree.height, tree.num_points, tree.bounds);
-    let result = (|| -> Result<bool> {
+    let result = file.transact(|txn| {
         // Orphaned entries to re-insert, each with its target level.
         let mut orphans: Vec<(Entry<D>, u32)> = Vec::new();
         let root_level = tree.height - 1;
-        let outcome = remove_rec(tree, &txn, tree.root, root_level, oid, point, &mut orphans)?;
+        let outcome = remove_rec(tree, txn, tree.root, root_level, oid, point, &mut orphans)?;
         if outcome.is_none() {
             return Ok(false);
         }
@@ -46,13 +38,13 @@ pub(crate) fn delete<const D: usize>(
         // Re-insert orphans (entries of dissolved nodes keep their level).
         let mut reinsert_done = vec![true; tree.height as usize + 2]; // no forced reinsert here
         while let Some((entry, level)) = orphans.pop() {
-            insert_entry_at_level(tree, &txn, entry, level, &mut reinsert_done, &mut orphans)?;
+            insert_entry_at_level(tree, txn, entry, level, &mut reinsert_done, &mut orphans)?;
         }
 
         // Shrink a degenerate root: an internal root with one child makes
         // the child the new root.
         loop {
-            let root = read_node::<D>(&txn, tree.root)?;
+            let root = read_node::<D>(txn, tree.root)?;
             if !root.is_leaf && root.entries.len() == 1 {
                 let Entry::Node(only) = root.entries[0] else {
                     return Err(StoreError::corrupt("internal node holds an object"));
@@ -65,18 +57,15 @@ pub(crate) fn delete<const D: usize>(
         }
 
         // Rebuild the cached dataset bounds (deletion can shrink them).
-        let root = read_node::<D>(&txn, tree.root)?;
+        let root = read_node::<D>(txn, tree.root)?;
         tree.bounds = root.mbr;
-        tree.save_meta_to(&txn)?;
+        tree.save_meta_to(txn)?;
         Ok(true)
-    })();
-    match result.and_then(|removed| txn.commit().map(|()| removed)) {
-        Ok(removed) => Ok(removed),
-        Err(e) => {
-            (tree.root, tree.height, tree.num_points, tree.bounds) = saved;
-            Err(e)
-        }
+    });
+    if result.is_err() {
+        (tree.root, tree.height, tree.num_points, tree.bounds) = saved;
     }
+    result
 }
 
 /// Recursive removal. Returns `None` when the object was not found below

@@ -5,49 +5,39 @@ use crate::RStar;
 use ann_core::node::{read_node, write_node, Entry, Node, NodeEntry};
 use ann_geom::{Mbr, Point};
 use ann_store::{PageId, PageStore, Result, StoreError, Txn};
-use std::sync::Arc;
 
 /// Inserts one point; see [`RStar::insert`].
 ///
 /// The whole update — every rewritten node page, any split or reinsertion
-/// fallout, and the meta page — runs inside one [`Txn`], so it reaches
-/// disk atomically: a crash (or an injected fault) anywhere before the
-/// commit point leaves the on-disk tree exactly as it was.
+/// fallout, and the meta page — runs inside one [`Txn`]
+/// (`TreeFile::transact`), so it reaches disk atomically: a crash (or an
+/// injected fault) anywhere before the commit point leaves the on-disk
+/// tree exactly as it was.
 pub(crate) fn insert<const D: usize>(tree: &mut RStar<D>, oid: u64, point: Point<D>) -> Result<()> {
     if !point.is_finite() {
         return Err(StoreError::corrupt("points must have finite coordinates"));
     }
-    let pool = Arc::clone(&tree.pool);
-    let vstore = tree.versions.clone();
-    let txn = match vstore.as_ref() {
-        // Versioned mode: reads translate through the latest snapshot and
-        // the commit produces a new immutable version (copy-on-write).
-        Some(store) => Txn::begin_versioned(store)?,
-        None => Txn::begin(&pool, tree.journal),
-    };
+    let file = tree.file.clone();
     let saved = (tree.root, tree.height, tree.num_points, tree.bounds);
-    let result = (|| -> Result<()> {
+    let result = file.transact(|txn| {
         let entry = Entry::Object(ann_core::node::ObjectEntry { oid, point });
         // Forced reinsertion fires at most once per level per logical insert.
         let mut reinsert_done = vec![false; tree.height as usize + 2];
         // Pending (entry, target level) work items; reinserted orphans append.
         let mut pending: Vec<(Entry<D>, u32)> = vec![(entry, 0)];
         while let Some((e, level)) = pending.pop() {
-            insert_entry_at_level(tree, &txn, e, level, &mut reinsert_done, &mut pending)?;
+            insert_entry_at_level(tree, txn, e, level, &mut reinsert_done, &mut pending)?;
         }
         tree.num_points += 1;
         tree.bounds.expand_point(&point);
-        tree.save_meta_to(&txn)
-    })();
-    match result.and_then(|()| txn.commit()) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            // The on-disk tree is untouched (the txn never committed);
-            // roll the in-memory mirrors back to match it.
-            (tree.root, tree.height, tree.num_points, tree.bounds) = saved;
-            Err(e)
-        }
+        tree.save_meta_to(txn)
+    });
+    if result.is_err() {
+        // The on-disk tree is untouched (the txn never committed);
+        // roll the in-memory mirrors back to match it.
+        (tree.root, tree.height, tree.num_points, tree.bounds) = saved;
     }
+    result
 }
 
 /// Places `entry` into some node at `target_level`, handling splits up to

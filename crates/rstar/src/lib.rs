@@ -47,10 +47,10 @@ mod meta;
 use ann_core::index::SpatialIndex;
 use ann_core::node::Node;
 use ann_core::node_cache::NodeCache;
-use ann_core::snapshot::VersionedHandle;
 use ann_core::trace::{Side, Tracer};
+use ann_core::tree_file::{TreeFile, WritableIndex};
 use ann_geom::{Mbr, Point};
-use ann_store::{BufferPool, Journal, PageId, PageStore, Result, StoreError, Txn, VersionedStore};
+use ann_store::{BufferPool, PageId, PageStore, Result, INVALID_PAGE};
 use std::sync::Arc;
 
 /// Tuning knobs for [`RStar`].
@@ -96,10 +96,12 @@ impl RStarConfig {
 }
 
 /// A disk-resident R\*-tree over `D`-dimensional points.
+///
+/// Derefs to its [`TreeFile`], which carries everything about durability
+/// and versioning (`meta_page`, `enable_versioning`, `versioned_handle`,
+/// `flush`, …).
 pub struct RStar<const D: usize> {
-    pub(crate) pool: Arc<BufferPool>,
-    pub(crate) meta_page: PageId,
-    pub(crate) journal: Journal,
+    pub(crate) file: TreeFile<D>,
     pub(crate) root: PageId,
     /// Number of levels; leaves are level 0, the root is `height - 1`.
     pub(crate) height: u32,
@@ -109,40 +111,18 @@ pub struct RStar<const D: usize> {
     pub(crate) max_internal: usize,
     pub(crate) min_fill_percent: usize,
     pub(crate) reinsert_percent: usize,
-    /// Decoded-node cache for query traversals. Epoch-keyed (bumped on
-    /// every structural mutation) until versioning is enabled; keyed by
-    /// snapshot version afterwards (shared with [`VersionedHandle`]s).
-    pub(crate) cache: Arc<NodeCache<D>>,
-    /// MVCC mode: when set, every mutation commits a new immutable
-    /// snapshot version instead of updating pages in place.
-    pub(crate) versions: Option<Arc<VersionedStore>>,
 }
 
 impl<const D: usize> RStar<D> {
     /// Creates an empty tree.
     pub fn create(pool: Arc<BufferPool>, config: &RStarConfig) -> Result<Self> {
-        let meta_page = pool.allocate()?;
-        let journal = crate::create_journal_after_meta(&pool, meta_page)?;
-        let txn = Txn::begin(&pool, journal);
-        let root = txn.allocate()?;
-        ann_core::node::write_node::<D>(&txn, root, &Node::empty_leaf())?;
-        let tree = RStar {
-            pool: Arc::clone(&pool),
-            meta_page,
-            journal,
-            root,
-            height: 1,
-            num_points: 0,
-            bounds: Mbr::empty(),
-            max_leaf: config.resolved_max::<D>(true),
-            max_internal: config.resolved_max::<D>(false),
-            min_fill_percent: config.min_fill_percent.clamp(10, 50),
-            reinsert_percent: config.reinsert_percent.min(45),
-            cache: Arc::new(NodeCache::default()),
-            versions: None,
-        };
-        tree.save_meta_to(&txn)?;
-        txn.commit()?;
+        let mut tree = RStar::new(pool, config)?;
+        let file = tree.file.clone();
+        file.transact(|txn| {
+            tree.root = txn.allocate()?;
+            ann_core::node::write_node::<D>(txn, tree.root, &Node::empty_leaf())?;
+            tree.save_meta_to(txn)
+        })?;
         Ok(tree)
     }
 
@@ -191,24 +171,22 @@ impl<const D: usize> RStar<D> {
         bulk::bulk_build(pool, points, config, side, tracer)
     }
 
-    /// Opens a previously built tree from its metadata page.
-    ///
-    /// Opening runs crash recovery first — a committed-but-unapplied
-    /// journal batch is replayed, a partial one is discarded — and then
-    /// verifies every structural invariant with
-    /// [`ann_core::index::validate`], so an `Ok` tree is never silently
-    /// partial: after any mid-update crash this either restores a
-    /// consistent tree or reports [`ann_store::StoreError::Corrupt`].
+    /// Opens a previously built (unversioned) tree from its metadata
+    /// page; [`WritableIndex::open_at`] says what opening recovers and
+    /// checks.
     pub fn open(pool: Arc<BufferPool>, meta_page: PageId) -> Result<Self> {
-        let (journal, _recovery) = Journal::open(&pool, meta_page + 1)?;
-        let tree = meta::load(pool, meta_page, journal)?;
-        ann_core::index::validate(&tree)?;
-        Ok(tree)
+        meta::load(pool, meta_page, None)
     }
 
-    /// The metadata page identifying this tree on disk.
-    pub fn meta_page(&self) -> PageId {
-        self.meta_page
+    /// Opens a versioned tree from its meta page and the manifest head
+    /// returned by [`TreeFile::enable_versioning`]: as [`open`](Self::open),
+    /// but the meta fields are read *through* the latest snapshot.
+    pub fn open_versioned(
+        pool: Arc<BufferPool>,
+        meta_page: PageId,
+        manifest_head: PageId,
+    ) -> Result<Self> {
+        meta::load(pool, meta_page, Some(manifest_head))
     }
 
     /// Tree height (1 = a single leaf).
@@ -233,9 +211,7 @@ impl<const D: usize> RStar<D> {
 
     /// Inserts one point (R\* insertion with forced reinsertion).
     pub fn insert(&mut self, oid: u64, point: Point<D>) -> Result<()> {
-        insert::insert(self, oid, point)?;
-        self.note_mutation();
-        Ok(())
+        insert::insert(self, oid, point)
     }
 
     /// Deletes the object `(oid, point)` (both must match an indexed
@@ -243,95 +219,37 @@ impl<const D: usize> RStar<D> {
     /// re-insert, per the classic CondenseTree treatment. Returns whether
     /// the object existed.
     pub fn delete(&mut self, oid: u64, point: &Point<D>) -> Result<bool> {
-        let existed = delete::delete(self, oid, point)?;
-        if existed {
-            self.note_mutation();
-        }
-        Ok(existed)
+        delete::delete(self, oid, point)
     }
 
-    /// Switches the tree into MVCC snapshot mode: from here on every
-    /// insert/delete commits an immutable new version (copy-on-write
-    /// pages) instead of updating pages in place, and concurrent readers
-    /// pin versions through [`versioned_handle`](Self::versioned_handle)
-    /// without ever blocking on the writer.
-    ///
-    /// `keep` bounds the history window (see [`ann_store::DEFAULT_KEEP`]).
-    /// Returns the manifest head page the caller must persist to reopen
-    /// the tree with [`open_versioned`](Self::open_versioned) — after the
-    /// first versioned commit the meta page is copy-on-write and its
-    /// original physical page goes stale, so the manifest (not the meta
-    /// page alone) is the durable root of a versioned tree.
-    pub fn enable_versioning(&mut self, keep: u32) -> Result<PageId> {
-        if self.versions.is_some() {
-            return Err(StoreError::corrupt("versioning is already enabled"));
-        }
-        let store = VersionedStore::create(Arc::clone(&self.pool), self.journal, keep)?;
-        let head = store.manifest_head();
-        // Fresh cache: version numbers live in their own key space, which
-        // must not collide with the retired epoch counter's.
-        self.cache = Arc::new(NodeCache::default());
-        self.versions = Some(store);
-        Ok(head)
+    /// Starts a tree on `pool` — its file exists, its root does not yet:
+    /// what `create` and the bulk builds begin with.
+    pub(crate) fn new(pool: Arc<BufferPool>, config: &RStarConfig) -> Result<Self> {
+        Ok(RStar {
+            file: TreeFile::create(pool, meta::snapshot_meta_fields::<D>)?,
+            root: INVALID_PAGE,
+            height: 1,
+            num_points: 0,
+            bounds: Mbr::empty(),
+            max_leaf: config.resolved_max::<D>(true),
+            max_internal: config.resolved_max::<D>(false),
+            min_fill_percent: config.min_fill_percent.clamp(10, 50),
+            reinsert_percent: config.reinsert_percent.min(45),
+        })
     }
 
-    /// Opens a versioned tree from its meta page and the manifest head
-    /// returned by [`enable_versioning`](Self::enable_versioning). Runs
-    /// journal crash recovery, loads the version manifest, and reads the
-    /// meta fields *through* the latest snapshot (the on-disk meta page
-    /// itself is stale once copy-on-write commits exist).
-    pub fn open_versioned(
-        pool: Arc<BufferPool>,
-        meta_page: PageId,
-        manifest_head: PageId,
+    /// Finishes a bulk build: records what was built below `root` and
+    /// makes it durable ([`TreeFile::commit_bulk`]).
+    pub(crate) fn built(
+        mut self,
+        root: PageId,
+        height: u32,
+        num_points: u64,
+        bounds: Mbr<D>,
     ) -> Result<Self> {
-        let (journal, _recovery) = Journal::open(&pool, meta_page + 1)?;
-        let store = VersionedStore::open(Arc::clone(&pool), journal, manifest_head)?;
-        let snap = store.pin(None)?;
-        let mut tree = meta::load_via(&snap, Arc::clone(&pool), meta_page, journal)?;
-        drop(snap);
-        tree.versions = Some(store);
-        ann_core::index::validate(&tree)?;
-        Ok(tree)
-    }
-
-    /// The tree's versioned store, when versioning is enabled.
-    pub fn versioned_store(&self) -> Option<&Arc<VersionedStore>> {
-        self.versions.as_ref()
-    }
-
-    /// A cloneable, thread-safe factory of pinned read views ([`None`]
-    /// until [`enable_versioning`](Self::enable_versioning)). The handle
-    /// shares this tree's node cache, so snapshot readers and the writer
-    /// populate one cache keyed by `(version, page)`.
-    pub fn versioned_handle(&self) -> Option<VersionedHandle<D>> {
-        let store = self.versions.as_ref()?;
-        Some(VersionedHandle::new(
-            Arc::clone(store),
-            Arc::clone(&self.cache),
-            self.meta_page,
-            meta::snapshot_meta_fields::<D>,
-        ))
-    }
-
-    /// Writes all dirty pages through to the backing disk.
-    pub fn flush(&self) -> Result<()> {
-        self.pool.flush_all()
-    }
-
-    /// Post-mutation cache upkeep. Non-versioned trees invalidate the
-    /// whole cache (epoch bump); versioned trees keep old-version entries
-    /// live for pinned readers and only purge keys below the GC floor.
-    fn note_mutation(&self) {
-        match &self.versions {
-            Some(store) => self.cache.retire_below(u64::from(store.version_floor())),
-            None => self.cache.bump_epoch(),
-        }
-        debug_assert_eq!(
-            self.cache.stale_len(),
-            0,
-            "node cache holds stale entries after a mutation"
-        );
+        (self.root, self.height, self.num_points, self.bounds) = (root, height, num_points, bounds);
+        self.file.commit_bulk(|txn| self.save_meta_to(txn))?;
+        Ok(self)
     }
 
     pub(crate) fn save_meta_to(&self, store: &impl PageStore) -> Result<()> {
@@ -347,24 +265,37 @@ impl<const D: usize> RStar<D> {
     }
 }
 
-/// Creates the tree's journal right after its freshly allocated meta page,
-/// enforcing the `meta_page + 1` adjacency convention that lets
-/// [`RStar::open`] find the journal without persisting its id anywhere.
-/// Interleaved allocations from another thread would break the convention,
-/// so that is reported as an error rather than silently accepted.
-pub(crate) fn create_journal_after_meta(pool: &BufferPool, meta_page: PageId) -> Result<Journal> {
-    let journal = Journal::create(pool)?;
-    if journal.header_page() != meta_page + 1 {
-        return Err(StoreError::corrupt(
-            "journal header page must immediately follow the meta page",
-        ));
+impl<const D: usize> std::ops::Deref for RStar<D> {
+    type Target = TreeFile<D>;
+
+    fn deref(&self) -> &TreeFile<D> {
+        &self.file
     }
-    Ok(journal)
+}
+
+impl<const D: usize> std::ops::DerefMut for RStar<D> {
+    fn deref_mut(&mut self) -> &mut TreeFile<D> {
+        &mut self.file
+    }
+}
+
+impl<const D: usize> WritableIndex<D> for RStar<D> {
+    fn open_at(pool: Arc<BufferPool>, meta_page: PageId, head: Option<PageId>) -> Result<Self> {
+        meta::load(pool, meta_page, head)
+    }
+
+    fn insert(&mut self, oid: u64, point: Point<D>) -> Result<()> {
+        RStar::insert(self, oid, point)
+    }
+
+    fn delete(&mut self, oid: u64, point: &Point<D>) -> Result<bool> {
+        RStar::delete(self, oid, point)
+    }
 }
 
 impl<const D: usize> SpatialIndex<D> for RStar<D> {
     fn pool(&self) -> &BufferPool {
-        &self.pool
+        self.file.pool()
     }
 
     fn root_page(&self) -> PageId {
@@ -380,24 +311,15 @@ impl<const D: usize> SpatialIndex<D> for RStar<D> {
     }
 
     fn read_node(&self, page: PageId) -> Result<Node<D>> {
-        match &self.versions {
-            // A versioned tree's logical pages are remapped by COW
-            // commits; direct tree reads go through the latest snapshot.
-            Some(store) => ann_core::node::read_node(&store.pin(None)?, page),
-            None => ann_core::node::read_node(self.pool.as_ref(), page),
-        }
+        self.file.read_node(page)
     }
 
     fn node_cache(&self) -> Option<&NodeCache<D>> {
-        Some(self.cache.as_ref())
+        self.file.node_cache()
     }
 
     fn cache_key(&self) -> u64 {
-        match &self.versions {
-            // Share entries with ReadContexts pinned at the same version.
-            Some(store) => u64::from(store.latest()),
-            None => self.cache.epoch(),
-        }
+        self.file.cache_key()
     }
 }
 

@@ -2,8 +2,9 @@
 
 use crate::RStar;
 use ann_core::snapshot::MetaFields;
+use ann_core::tree_file::TreeFile;
 use ann_geom::Mbr;
-use ann_store::{BufferPool, Journal, PageId, PageStore, Result, Snapshot, StoreError};
+use ann_store::{BufferPool, PageId, PageStore, Result, Snapshot, StoreError};
 use std::sync::Arc;
 
 const MAGIC: &[u8; 8] = b"RSTARv1\0";
@@ -12,7 +13,7 @@ const MAGIC: &[u8; 8] = b"RSTARv1\0";
 /// normally a [`ann_store::Txn`], so the meta update commits atomically
 /// with the structural changes it describes.
 pub(crate) fn save_to<const D: usize>(tree: &RStar<D>, store: &impl PageStore) -> Result<()> {
-    store.with_page_mut(tree.meta_page, |bytes| {
+    store.with_page_mut(tree.meta_page(), |bytes| {
         let mut at = 0usize;
         let mut put = |src: &[u8]| {
             bytes[at..at + src.len()].copy_from_slice(src);
@@ -90,20 +91,18 @@ fn parse<const D: usize>(bytes: &[u8]) -> Result<ParsedMeta<D>> {
     })
 }
 
-/// Loads a tree, reading the meta page through `store` — the raw pool for
-/// plain trees, a pinned [`Snapshot`] for versioned ones (where the
-/// on-disk copy at `meta_page` itself is stale after COW commits).
-pub(crate) fn load_via<const D: usize>(
-    store: &impl PageStore,
+/// Opens the tree's file (journal recovery, and the version manifest when
+/// `versions_head` is given), parses the committed meta page and
+/// validates the result; see [`ann_core::tree_file::WritableIndex::open_at`].
+pub(crate) fn load<const D: usize>(
     pool: Arc<BufferPool>,
     meta_page: PageId,
-    journal: Journal,
+    versions_head: Option<PageId>,
 ) -> Result<RStar<D>> {
-    let meta = store.with_page(meta_page, parse::<D>)??;
-    Ok(RStar {
-        pool,
-        meta_page,
-        journal,
+    let file = TreeFile::open(pool, meta_page, versions_head, snapshot_meta_fields::<D>)?;
+    let meta = file.read_meta(parse::<D>)?;
+    let tree = RStar {
+        file,
         root: meta.root,
         height: meta.height,
         num_points: meta.num_points,
@@ -112,19 +111,9 @@ pub(crate) fn load_via<const D: usize>(
         max_internal: meta.max_internal,
         min_fill_percent: meta.min_fill_percent,
         reinsert_percent: meta.reinsert_percent,
-        cache: Arc::new(ann_core::node_cache::NodeCache::default()),
-        versions: None,
-    })
-}
-
-/// Loads a tree from its meta page; see [`RStar::open`].
-pub(crate) fn load<const D: usize>(
-    pool: Arc<BufferPool>,
-    meta_page: PageId,
-    journal: Journal,
-) -> Result<RStar<D>> {
-    let direct = Arc::clone(&pool);
-    load_via(direct.as_ref(), pool, meta_page, journal)
+    };
+    ann_core::index::validate(&tree)?;
+    Ok(tree)
 }
 
 /// [`ann_core::snapshot::MetaReader`] for the R*-tree: parses the

@@ -2,10 +2,12 @@
 //!
 //! A *collection* is one bulk-built spatial index (MBRQT or R*-tree) over
 //! a point set, persisted in its own [`FileDisk`] file with a JSON
-//! sidecar recording how to reopen it (index kind, metadata page, point
-//! count, pool size, and the MVCC manifest head). The registry maps [`CollectionId`]s to live [`Collection`]
-//! handles, opening lazily on first use so a restarted server picks up
-//! everything a previous run created.
+//! sidecar recording how to reopen it (index kind, metadata page, pool
+//! size, and the MVCC manifest head; its `points` is the bulk-build count,
+//! written for people and never read back — the live count is in the
+//! tree's own meta page). The registry maps [`CollectionId`]s to live
+//! [`Collection`] handles, opening lazily on first use so a restarted
+//! server picks up everything a previous run created.
 //!
 //! # Open serialization
 //!
@@ -23,13 +25,13 @@
 //!
 //! Collections created by this registry are *versioned*: after the bulk
 //! build the tree switches to MVCC snapshot mode
-//! ([`ann_mbrqt::Mbrqt::enable_versioning`]), so queries pin immutable
-//! snapshot versions through a [`VersionedHandle`] and never block on (or
-//! observe a torn state from) concurrent [`Collection::insert_points`]
-//! writers. A collection written by an older build (a sidecar without
-//! `versions_head`) is switched to snapshot mode the first time it is
-//! opened and its sidecar rewritten, so every open collection is
-//! versioned.
+//! ([`ann_core::tree_file::TreeFile::enable_versioning`]), so queries pin
+//! immutable snapshot versions through a [`VersionedHandle`] and never
+//! block on (or observe a torn state from) concurrent
+//! [`Collection::insert_points`] writers. A collection written by an older
+//! build (a sidecar without `versions_head`) is switched to snapshot mode
+//! the first time it is opened and its sidecar rewritten, so every open
+//! collection is versioned.
 //!
 //! Serving is fixed at `D = 2` ([`SERVE_DIMS`]) — the paper's primary
 //! dimensionality. Higher-D serving would need either monomorphized
@@ -40,7 +42,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use ann_core::index::SpatialIndex;
 use ann_core::snapshot::{ReadContext, VersionedHandle};
+use ann_core::tree_file::WritableIndex;
 use ann_core::wire::{CollectionId, ErrorCode, JsonValue};
 use ann_geom::Point;
 use ann_mbrqt::{Mbrqt, MbrqtConfig};
@@ -114,42 +118,13 @@ impl IndexKind {
     }
 }
 
-/// A collection's writer handle, either structure behind one enum so
-/// collection storage stays homogeneous. Queries never touch it: they
-/// read pinned snapshots.
-enum AnyIndex {
-    Mbrqt(Mbrqt<SERVE_DIMS>),
-    RStar(RStar<SERVE_DIMS>),
-}
+/// A collection's writer handle, either structure behind the write-side
+/// trait so collection storage stays homogeneous. Queries never touch it:
+/// they read pinned snapshots.
+type AnyIndex = Box<dyn WritableIndex<SERVE_DIMS> + Send>;
 
-impl AnyIndex {
-    fn meta_page(&self) -> PageId {
-        match self {
-            AnyIndex::Mbrqt(t) => t.meta_page(),
-            AnyIndex::RStar(t) => t.meta_page(),
-        }
-    }
-
-    fn enable_versioning(&mut self, keep: u32) -> ann_store::Result<PageId> {
-        match self {
-            AnyIndex::Mbrqt(t) => t.enable_versioning(keep),
-            AnyIndex::RStar(t) => t.enable_versioning(keep),
-        }
-    }
-
-    fn versioned_handle(&self) -> Option<VersionedHandle<SERVE_DIMS>> {
-        match self {
-            AnyIndex::Mbrqt(t) => t.versioned_handle(),
-            AnyIndex::RStar(t) => t.versioned_handle(),
-        }
-    }
-
-    fn insert(&mut self, oid: u64, point: Point<SERVE_DIMS>) -> ann_store::Result<()> {
-        match self {
-            AnyIndex::Mbrqt(t) => t.insert(oid, point),
-            AnyIndex::RStar(t) => t.insert(oid, point),
-        }
-    }
+fn boxed(tree: impl WritableIndex<SERVE_DIMS> + Send + 'static) -> AnyIndex {
+    Box::new(tree)
 }
 
 /// One open collection: the index, its buffer pool, and its identity.
@@ -167,7 +142,8 @@ pub struct Collection {
     /// The collection's private buffer pool (one pool per collection, so
     /// hot collections cannot evict each other's pages).
     pub pool: Arc<BufferPool>,
-    /// Number of indexed points (grows under [`Collection::insert_points`]).
+    /// The writer tree's point count, republished after every
+    /// [`Collection::insert_points`] so reading it takes no lock.
     num_points: AtomicU64,
 }
 
@@ -177,11 +153,16 @@ impl Collection {
         kind: IndexKind,
         index: AnyIndex,
         pool: Arc<BufferPool>,
-        num_points: u64,
     ) -> Result<Arc<Collection>, ApiError> {
         let handle = index
             .versioned_handle()
             .ok_or_else(|| ApiError::new(ErrorCode::Internal, "versioning did not take"))?;
+        // From the latest snapshot's meta page, which every insert commits
+        // together with its point — not from a copy kept beside the tree.
+        let num_points = handle
+            .pin(None)
+            .map_err(|e| ApiError::from_store(&e))?
+            .num_points();
         Ok(Arc::new(Collection {
             id: id.clone(),
             kind,
@@ -228,15 +209,12 @@ impl Collection {
     /// the successfully inserted prefix committed and the count accurate.
     pub fn insert_points(&self, points: &[Point<SERVE_DIMS>]) -> Result<(u64, u32), ApiError> {
         let mut index = self.writer.lock();
-        let first = self.num_points.load(Ordering::Acquire);
-        for (i, p) in points.iter().enumerate() {
-            if let Err(e) = index.insert(first + i as u64, *p) {
-                self.num_points.store(first + i as u64, Ordering::Release);
-                return Err(ApiError::from_store(&e));
-            }
-        }
-        self.num_points
-            .store(first + points.len() as u64, Ordering::Release);
+        let first = index.num_points();
+        let inserted = (first..)
+            .zip(points)
+            .try_for_each(|(oid, p)| index.insert(oid, *p));
+        self.num_points.store(index.num_points(), Ordering::Release);
+        inserted.map_err(|e| ApiError::from_store(&e))?;
         Ok((first, self.handle.latest()))
     }
 }
@@ -390,20 +368,14 @@ impl Registry {
             .collect();
         let disk = FileDisk::create(self.disk_path(id)).map_err(|e| ApiError::from_store(&e))?;
         let pool = Arc::new(BufferPool::new(disk, self.pool_frames));
+        let p = Arc::clone(&pool);
         let built = match kind {
-            IndexKind::Mbrqt => {
-                Mbrqt::bulk_build(Arc::clone(&pool), &keyed, &MbrqtConfig::default())
-                    .map(AnyIndex::Mbrqt)
-            }
-            IndexKind::RStar => {
-                RStar::bulk_build(Arc::clone(&pool), &keyed, &RStarConfig::default())
-                    .map(AnyIndex::RStar)
-            }
+            IndexKind::Mbrqt => Mbrqt::bulk_build(p, &keyed, &MbrqtConfig::default()).map(boxed),
+            IndexKind::RStar => RStar::bulk_build(p, &keyed, &RStarConfig::default()).map(boxed),
         };
-        let n = keyed.len() as u64;
         built
             .map_err(|e| ApiError::from_store(&e))
-            .and_then(|index| self.adopt(id, kind, index, pool, n, self.pool_frames))
+            .and_then(|index| self.adopt(id, kind, index, pool, self.pool_frames))
     }
 
     /// Makes a plain tree a served collection: switches it to snapshot
@@ -416,15 +388,15 @@ impl Registry {
         kind: IndexKind,
         mut index: AnyIndex,
         pool: Arc<BufferPool>,
-        points: u64,
         frames: usize,
     ) -> Result<Arc<Collection>, ApiError> {
         let head = index
             .enable_versioning(DEFAULT_KEEP)
             .and_then(|head| pool.flush_all().map(|()| head))
             .map_err(|e| ApiError::from_store(&e))?;
+        let points = index.num_points();
         self.write_sidecar(id, kind, index.meta_page(), points, frames, head)?;
-        Collection::new(id, kind, index, pool, points)
+        Collection::new(id, kind, index, pool)
     }
 
     /// Returns the live handle for `id`, opening it from disk on first
@@ -486,10 +458,6 @@ impl Registry {
             .and_then(JsonValue::as_u64)
             .and_then(|p| u32::try_from(p).ok())
             .ok_or_else(|| invalid("missing or out-of-range meta_page"))?;
-        let num_points = doc
-            .get("points")
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| invalid("missing points"))?;
         let frames = doc
             .get("pool_frames")
             .and_then(JsonValue::as_usize)
@@ -506,20 +474,14 @@ impl Registry {
         let disk = FileDisk::open(self.disk_path(id)).map_err(|e| ApiError::from_store(&e))?;
         let pool = Arc::new(BufferPool::new(disk, frames.max(16)));
         let p = Arc::clone(&pool);
-        let opened = match (kind, versions_head) {
-            (IndexKind::Mbrqt, None) => Mbrqt::open(p, meta_page).map(AnyIndex::Mbrqt),
-            (IndexKind::Mbrqt, Some(h)) => {
-                Mbrqt::open_versioned(p, meta_page, h).map(AnyIndex::Mbrqt)
-            }
-            (IndexKind::RStar, None) => RStar::open(p, meta_page).map(AnyIndex::RStar),
-            (IndexKind::RStar, Some(h)) => {
-                RStar::open_versioned(p, meta_page, h).map(AnyIndex::RStar)
-            }
+        let opened = match kind {
+            IndexKind::Mbrqt => Mbrqt::open_at(p, meta_page, versions_head).map(boxed),
+            IndexKind::RStar => RStar::open_at(p, meta_page, versions_head).map(boxed),
         };
         let index = opened.map_err(|e| ApiError::from_store(&e))?;
         match versions_head {
-            Some(_) => Collection::new(id, kind, index, pool, num_points),
-            None => self.adopt(id, kind, index, pool, num_points, frames),
+            Some(_) => Collection::new(id, kind, index, pool),
+            None => self.adopt(id, kind, index, pool, frames),
         }
     }
 

@@ -868,6 +868,82 @@ fn pre_versioning_collection_is_upgraded_on_open() {
     assert_eq!(self_join(&reopened), truth, "inserted point lost on reopen");
 }
 
+/// The point count — and with it the next oid — is tree state: after a
+/// restart it comes back from the tree's own meta page, which every insert
+/// commits, for either index kind. (The sidecar's `points` is the
+/// bulk-build count; reading it back handed out oid 10 a second time.)
+#[test]
+fn point_count_and_oids_survive_restart() {
+    use ann_core::brute::brute_force_aknn;
+    use ann_core::query::run_scratch;
+    use ann_core::scratch::QueryScratch;
+    use ann_core::wire::CollectionId;
+    use ann_serve::{IndexKind, Registry};
+
+    for kind in [IndexKind::Mbrqt, IndexKind::RStar] {
+        let name = kind.as_str();
+        let dir = temp_dir("count");
+        let id = CollectionId::new(name).expect("id");
+        // Corners first, so every later point is inside the MBRQT universe.
+        let mut points = vec![Point([0.0, 0.0]), Point([1000.0, 1000.0])];
+        points.extend(uniform_points(11, 0xC0));
+        {
+            let registry = Registry::open(&dir, 64).expect("registry");
+            let coll = registry.create(&id, kind, &points[..10]).expect("create");
+            let (first_oid, _) = coll.insert_points(&points[10..12]).expect("insert");
+            assert_eq!(first_oid, 10);
+        }
+
+        let server = Server::start(ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 1,
+            queue_depth: 4,
+            data_dir: dir,
+            pool_frames: 64,
+            compute_tokens: 0,
+        })
+        .expect("server over the same directory");
+        let coll = server.registry().get(&id).expect("reopen");
+        assert_eq!(coll.num_points(), 12, "{name}");
+        let client = Client::new(server.addr().to_string());
+        let described = client
+            .request("GET", &format!("/collections/{name}"), "")
+            .expect("describe");
+        assert!(
+            described.body.contains("\"points\":12"),
+            "{}",
+            described.body
+        );
+        let inserted = client
+            .insert_points(name, &to_rows(&points[12..]))
+            .expect("insert after restart");
+        assert!(
+            inserted.body.contains("\"first_oid\":12"),
+            "{}",
+            inserted.body
+        );
+
+        let keyed: Vec<(u64, Point<2>)> = (0..).zip(points).collect();
+        let spec = QuerySpec {
+            k: 2,
+            exclude_self: true,
+            ..QuerySpec::default()
+        };
+        let ctx = coll.pin(None).expect("pin");
+        let out = run_scratch(
+            &spec.to_request(),
+            Input::Index(&ctx),
+            Input::Index(&ctx),
+            &mut QueryScratch::new(),
+        )
+        .expect("self-join");
+        let truth = brute_force_aknn(&keyed, &keyed, spec.k, true);
+        assert_eq!(pairs_json(out.results), pairs_json(truth), "{name}");
+        drop((ctx, coll));
+        server.shutdown();
+    }
+}
+
 /// Intra-query parallelism over the wire: `?threads=` and the spec's
 /// additive `threads` field both reach the engine, results stay
 /// byte-identical to the serial path, the schema version is unchanged,

@@ -14,9 +14,8 @@
 //! * I/O accounting ([`IoStats`]): logical reads, physical reads and writes
 //!   are counted at the pool boundary, so every figure can report an "I/O"
 //!   component that is measured rather than estimated;
-//! * a slotted-page layout ([`slotted`]) and a [`HeapFile`] of fixed-size
-//!   records ([`heap`]), used by the GORDER baseline's sorted block file
-//!   and by dataset scans.
+//! * a [`HeapFile`] of fixed-size records ([`heap`]), used by the GORDER
+//!   baseline's sorted block file and the external sorter's runs.
 //!
 //! SHORE also gave the paper's indices durability and corruption detection
 //! for free; this crate reproduces that too:
@@ -61,7 +60,6 @@ pub mod journal;
 mod lru;
 pub mod page;
 pub mod pool;
-pub mod slotted;
 mod stats;
 pub mod sync;
 pub mod txn;

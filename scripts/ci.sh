@@ -37,6 +37,17 @@ if git grep -nE '#!?\[(allow\()?deprecated' -- crates src tests examples; then
   exit 1
 fi
 
+# How a tree reaches disk is written once (DESIGN.md §7): outside the
+# store itself, only `ann_core::TreeFile` may open a journal, choose the
+# plain or the versioned `Txn`, or retire node-cache keys after a commit.
+writers="$(git grep -lE 'Txn::begin(_versioned)?\(|VersionedStore::(create|open)\(|Journal::(create|open)\(|\.retire_below\(|\.bump_epoch\(' \
+  -- 'crates/*/src/*.rs' ':!crates/store/src' ':!crates/core/src/node_cache.rs' || true)"
+if [ "$writers" != "crates/core/src/tree_file.rs" ]; then
+  echo "ci: the writable-tree lifecycle has a second copy; it belongs in TreeFile" \
+       "(crates/core/src/tree_file.rs), found in:" $writers >&2
+  exit 1
+fi
+
 # Registry crates stay gone: every package cargo resolves, for every
 # target of every workspace member, is a path inside this repository.
 cargo metadata --offline --locked --format-version 1 | python3 -c '
