@@ -76,7 +76,7 @@ pub use node_cache::{NodeCache, NodeCacheStats};
 pub use query::{Algorithm, AnnRequest, MetricChoice};
 pub use resilience::{BudgetKind, CancelToken, QueryError, QueryGuard, QueryResult};
 pub use scratch::QueryScratch;
-pub use snapshot::{MetaFields, MetaReader, ReadContext, VersionedHandle};
+pub use snapshot::{ReadContext, VersionedHandle};
 pub use stats::{AnnOutput, AnnStats, NeighborPair};
 pub use trace::{ExecutionReport, RecordingSink, TraceSink, Tracer};
 pub use tree_file::{TreeFile, WritableIndex};

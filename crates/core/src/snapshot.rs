@@ -14,9 +14,10 @@
 //! * the decoded-node cache is keyed by `(version, page)` — entries
 //!   cached by readers of older versions stay valid and shareable, and
 //!   commits don't clear the cache;
-//! * the meta fields (root, point count, bounds) are read through the
-//!   snapshot at pin time, so they are mutually consistent with every
-//!   node the traversal will see.
+//! * the tree's header (root, point count, bounds) is decoded from the
+//!   meta page through the snapshot at pin time — the one decoder in
+//!   [`crate::tree_file`], for either kind — so it is consistent with
+//!   every node the traversal will see.
 //!
 //! The pinned version is reclaim-exempt until the `ReadContext` drops;
 //! see `ann_store::versioned` for the GC rules.
@@ -24,50 +25,20 @@
 use crate::index::SpatialIndex;
 use crate::node::{read_node, Node};
 use crate::node_cache::NodeCache;
+use crate::tree_file::{read_meta, Header};
 use ann_geom::Mbr;
 use ann_store::{BufferPool, PageId, Result, Snapshot, VersionedStore};
 use std::sync::Arc;
-
-/// The per-version meta fields a snapshot read needs: parsed from the
-/// tree's meta page *through* the snapshot's translation table.
-#[derive(Clone, Copy, Debug)]
-pub struct MetaFields<const D: usize> {
-    /// First page of the root node in this version.
-    pub root: PageId,
-    /// Number of indexed points in this version.
-    pub num_points: u64,
-    /// Tight bounds of all points in this version.
-    pub bounds: Mbr<D>,
-}
-
-/// Parses a tree's meta page through an arbitrary snapshot.
-///
-/// Each tree crate supplies one (a plain `fn`, so the handle stays
-/// `Copy`-cheap, `Send` and `Sync` without trait objects): it must read
-/// the meta page via the snapshot's `PageStore` impl and return the
-/// version-consistent fields.
-pub type MetaReader<const D: usize> = fn(&Snapshot, PageId) -> Result<MetaFields<D>>;
 
 /// A cloneable, thread-safe factory of pinned read views over one
 /// versioned tree. Obtained from the tree
 /// ([`crate::tree_file::TreeFile::versioned_handle`]) after versioning is
 /// enabled.
+#[derive(Clone)]
 pub struct VersionedHandle<const D: usize> {
     store: Arc<VersionedStore>,
     cache: Arc<NodeCache<D>>,
     meta_page: PageId,
-    meta_reader: MetaReader<D>,
-}
-
-impl<const D: usize> Clone for VersionedHandle<D> {
-    fn clone(&self) -> Self {
-        VersionedHandle {
-            store: Arc::clone(&self.store),
-            cache: Arc::clone(&self.cache),
-            meta_page: self.meta_page,
-            meta_reader: self.meta_reader,
-        }
-    }
 }
 
 impl<const D: usize> std::fmt::Debug for VersionedHandle<D> {
@@ -80,19 +51,13 @@ impl<const D: usize> std::fmt::Debug for VersionedHandle<D> {
 }
 
 impl<const D: usize> VersionedHandle<D> {
-    /// Builds a handle from a tree's versioned store, shared node cache,
-    /// meta page and meta parser.
-    pub fn new(
-        store: Arc<VersionedStore>,
-        cache: Arc<NodeCache<D>>,
-        meta_page: PageId,
-        meta_reader: MetaReader<D>,
-    ) -> Self {
+    /// Builds a handle from a tree's versioned store, shared node cache
+    /// and meta page.
+    pub fn new(store: Arc<VersionedStore>, cache: Arc<NodeCache<D>>, meta_page: PageId) -> Self {
         VersionedHandle {
             store,
             cache,
             meta_page,
-            meta_reader,
         }
     }
 
@@ -111,17 +76,17 @@ impl<const D: usize> VersionedHandle<D> {
         self.store.latest()
     }
 
-    /// Pins `version` (latest when `None`) and reads its meta fields,
+    /// Pins `version` (latest when `None`) and reads its header,
     /// returning a query-ready [`ReadContext`]. Fails with
     /// [`ann_store::StoreError::VersionNotRetained`] when the version has
     /// aged out of the history window.
     pub fn pin(&self, version: Option<u32>) -> Result<ReadContext<D>> {
         let snap = self.store.pin(version)?;
-        let meta = (self.meta_reader)(&snap, self.meta_page)?;
+        let (header, _) = read_meta(&snap, self.meta_page)?;
         Ok(ReadContext {
             snap,
             cache: Arc::clone(&self.cache),
-            meta,
+            header,
         })
     }
 }
@@ -134,7 +99,7 @@ impl<const D: usize> VersionedHandle<D> {
 pub struct ReadContext<const D: usize> {
     snap: Snapshot,
     cache: Arc<NodeCache<D>>,
-    meta: MetaFields<D>,
+    header: Header<D>,
 }
 
 impl<const D: usize> ReadContext<D> {
@@ -147,19 +112,14 @@ impl<const D: usize> ReadContext<D> {
     pub fn snapshot(&self) -> &Snapshot {
         &self.snap
     }
-
-    /// The meta fields read at pin time.
-    pub fn meta(&self) -> &MetaFields<D> {
-        &self.meta
-    }
 }
 
 impl<const D: usize> std::fmt::Debug for ReadContext<D> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ReadContext")
             .field("version", &self.snap.version())
-            .field("root", &self.meta.root)
-            .field("num_points", &self.meta.num_points)
+            .field("root", &self.header.root)
+            .field("num_points", &self.header.num_points)
             .finish()
     }
 }
@@ -170,15 +130,15 @@ impl<const D: usize> SpatialIndex<D> for ReadContext<D> {
     }
 
     fn root_page(&self) -> PageId {
-        self.meta.root
+        self.header.root
     }
 
     fn num_points(&self) -> u64 {
-        self.meta.num_points
+        self.header.num_points
     }
 
     fn bounds(&self) -> Mbr<D> {
-        self.meta.bounds
+        self.header.bounds
     }
 
     fn read_node(&self, page: PageId) -> Result<Node<D>> {

@@ -383,3 +383,241 @@ fn exhausted_budget_is_a_permanent_injected_fault() {
     };
     assert!(matches!(err, StoreError::Injected { transient: false }));
 }
+
+// ---------------------------------------------------------------------------
+// In-memory rollback: `WritableIndex::update` puts the tree back when the
+// commit fails, so the handle keeps matching the disk and stays usable.
+// ---------------------------------------------------------------------------
+
+use ann_core::index::collect_objects;
+use ann_core::tree_file::WritableIndex;
+
+/// Two clusters: an R*-tree with four entries per leaf splits them into
+/// a 2-point and a 3-point leaf under an internal root, so deleting
+/// `(1, 1)` dissolves a leaf and shrinks the root back to height 1.
+const CLUSTERS: [[f64; 2]; 5] = [
+    [1.0, 1.0],
+    [2.0, 2.0],
+    [90.0, 90.0],
+    [91.0, 91.0],
+    [92.0, 92.0],
+];
+
+fn small_mbrqt(pool: Arc<BufferPool>) -> Mbrqt<2> {
+    let universe = ann_geom::Mbr::new([0.0, 0.0], [100.0, 100.0]);
+    Mbrqt::create(pool, universe, &MbrqtConfig::default()).unwrap()
+}
+
+fn small_rstar(pool: Arc<BufferPool>) -> RStar<2> {
+    let cfg = RStarConfig {
+        max_leaf_entries: 4,
+        max_internal_entries: 4,
+        ..Default::default()
+    };
+    RStar::create(pool, &cfg).unwrap()
+}
+
+/// One leg: build `CLUSTERS` through `create` + inserts, optionally turn
+/// versioning on, then fail the next insert or delete at its commit with
+/// an un-retried transient fault. The update's body runs entirely in the
+/// warm pool, so the fault lands after it moved the in-memory header.
+fn rollback_leg<T: WritableIndex<2>>(
+    build: fn(Arc<BufferPool>) -> T,
+    height: fn(&T) -> u32,
+    versioned: bool,
+    delete: bool,
+) {
+    let mem = Arc::new(MemDisk::new());
+    let fd = Arc::new(FaultyDisk::unlimited(Arc::clone(&mem)));
+    let pool = Arc::new(BufferPool::new(Arc::clone(&fd), 256));
+    pool.set_retry_policy(RetryPolicy {
+        max_attempts: 1,
+        ..Default::default()
+    });
+    let mut tree = build(pool);
+    for (oid, xy) in CLUSTERS.iter().enumerate() {
+        tree.insert(oid as u64, Point::new(*xy)).unwrap();
+    }
+    let head = versioned.then(|| tree.enable_versioning(8).unwrap());
+    validate(&tree).unwrap();
+    let state = |t: &T| (t.root_page(), t.num_points(), t.bounds(), height(t));
+    let update = |t: &mut T| {
+        if delete {
+            t.delete(0, &Point::new(CLUSTERS[0])).map(drop)
+        } else {
+            t.insert(5, Point::new([95.0, 95.0]))
+        }
+    };
+    let leg = format!("versioned={versioned} delete={delete}");
+    let before = state(&tree);
+
+    fd.inject_at(fd.op_count(), InjectedFault::Transient);
+    let err = update(&mut tree).err();
+    assert!(
+        matches!(err, Some(StoreError::Injected { transient: true })),
+        "{leg}: the scheduled fault must fail the update, got {err:?}"
+    );
+    assert!(
+        state(&tree) == before,
+        "{leg}: the failed update moved the tree"
+    );
+    validate(&tree).unwrap();
+
+    // The same update, unfaulted, does move it: there was something to
+    // roll back (for the R*-tree delete, the root and the height too).
+    update(&mut tree).unwrap();
+    let moved = state(&tree);
+    assert!(moved != before, "{leg}");
+    if delete && before.3 > 0 {
+        assert_eq!(
+            (before.3, moved.3),
+            (2, 1),
+            "{leg}: the delete must shrink the root"
+        );
+    }
+
+    tree.insert(6, Point::new([50.0, 50.0])).unwrap();
+    let meta_page = tree.meta_page();
+    tree.flush().unwrap();
+    drop(tree);
+    let reopened = T::open_at(Arc::new(BufferPool::new(mem, 64)), meta_page, head).unwrap();
+    assert_eq!(reopened.num_points(), moved.1 + 1, "{leg}");
+    let objects = collect_objects(&reopened).unwrap();
+    assert!(
+        objects.iter().any(|o| o.0 == 6),
+        "{leg}: the reopen lacks the last insert"
+    );
+}
+
+#[test]
+fn failed_update_rolls_the_tree_back() {
+    let mbrqt_height = |_: &Mbrqt<2>| 0;
+    for versioned in [false, true] {
+        for delete in [false, true] {
+            rollback_leg(small_mbrqt, mbrqt_height, versioned, delete);
+            rollback_leg(small_rstar, RStar::height, versioned, delete);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Typed rejection: a meta page of another kind, another `D` or the v1
+// layout opens as `Corrupt` (never a misparse, never a panic), both plain
+// and through a manifest head.
+// ---------------------------------------------------------------------------
+
+use ann_core::tree_file::Params;
+use ann_store::{PageId, PageStore};
+
+/// Where a tree lives once its handle is gone: disk, meta page, head.
+type OnDisk = (Arc<MemDisk>, PageId, Option<PageId>);
+
+/// `CLUSTERS` in a tree built by `build`, flushed and dropped; versioned
+/// or not, and with its meta page rewritten in the v1 layout if `v1`.
+fn tree_on_disk<T: WritableIndex<2>>(
+    build: fn(Arc<BufferPool>) -> T,
+    versioned: bool,
+    v1: bool,
+) -> OnDisk {
+    let mem = Arc::new(MemDisk::new());
+    let mut tree = build(Arc::new(BufferPool::new(Arc::clone(&mem), 64)));
+    for (oid, xy) in CLUSTERS.iter().enumerate() {
+        tree.insert(oid as u64, Point::new(*xy)).unwrap();
+    }
+    let head = versioned.then(|| tree.enable_versioning(8).unwrap());
+    if v1 {
+        let bytes = v1_meta_page(&tree);
+        tree.transact(|txn| {
+            txn.with_page_mut(tree.meta_page(), |page| {
+                page.fill(0);
+                page[..bytes.len()].copy_from_slice(&bytes);
+            })
+        })
+        .unwrap();
+    }
+    tree.flush().unwrap();
+    (mem, tree.meta_page(), head)
+}
+
+/// The meta page as the per-kind v1 codecs wrote it, same values.
+fn v1_meta_page<T: WritableIndex<2>>(tree: &T) -> Vec<u8> {
+    fn words(out: &mut Vec<u8>, words: &[usize]) {
+        words
+            .iter()
+            .for_each(|&w| out.extend((w as u32).to_le_bytes()));
+    }
+    fn mbr(out: &mut Vec<u8>, m: ann_geom::Mbr<2>) {
+        m.lo.iter()
+            .chain(&m.hi)
+            .for_each(|v| out.extend(v.to_le_bytes()));
+    }
+    let (mut out, root) = (Vec::new(), tree.root_page() as usize);
+    match tree.params() {
+        Params::Mbrqt(p) => {
+            out.extend(b"MBRQTv1\0");
+            words(&mut out, &[2, root]);
+            out.extend(tree.num_points().to_le_bytes());
+            let flag = usize::from(p.use_subtree_mbrs);
+            words(
+                &mut out,
+                &[p.bucket_capacity, p.levels_per_node, p.max_depth, flag],
+            );
+            mbr(&mut out, p.universe);
+        }
+        Params::RStar(p) => {
+            out.extend(b"RSTARv1\0");
+            words(&mut out, &[2, root, p.height as usize]);
+            out.extend(tree.num_points().to_le_bytes());
+            let fill = [
+                p.max_leaf,
+                p.max_internal,
+                p.min_fill_percent,
+                p.reinsert_percent,
+            ];
+            words(&mut out, &fill);
+        }
+    }
+    mbr(&mut out, tree.bounds());
+    out
+}
+
+fn assert_corrupt<T: WritableIndex<D>, const D: usize>(what: &str, (mem, meta, head): &OnDisk) {
+    let pool = Arc::new(BufferPool::new(Arc::clone(mem), 64));
+    match T::open_at(pool, *meta, *head) {
+        Err(StoreError::Corrupt { .. }) => {}
+        Err(e) => panic!("{what}: expected Corrupt, got {e:?}"),
+        Ok(_) => panic!("{what}: expected Corrupt, but it opened"),
+    }
+}
+
+#[test]
+fn meta_page_of_another_kind_dimension_or_version_is_corrupt() {
+    for versioned in [false, true] {
+        let qt = tree_on_disk(small_mbrqt, versioned, false);
+        let rs = tree_on_disk(small_rstar, versioned, false);
+        let leg = |what: &str| format!("{what} (versioned={versioned})");
+        assert_corrupt::<RStar<2>, 2>(&leg("MBRQT opened as R*-tree"), &qt);
+        assert_corrupt::<Mbrqt<2>, 2>(&leg("R*-tree opened as MBRQT"), &rs);
+        assert_corrupt::<Mbrqt<3>, 3>(&leg("D = 2 MBRQT opened at D = 3"), &qt);
+        assert_corrupt::<RStar<3>, 3>(&leg("D = 2 R*-tree opened at D = 3"), &rs);
+        let v1 = tree_on_disk(small_mbrqt, versioned, true);
+        assert_corrupt::<Mbrqt<2>, 2>(&leg("v1 MBRQT meta page"), &v1);
+        let v1 = tree_on_disk(small_rstar, versioned, true);
+        assert_corrupt::<RStar<2>, 2>(&leg("v1 R*-tree meta page"), &v1);
+
+        // The same files open as their own kind.
+        let open = |(mem, meta, head): &OnDisk| {
+            (Arc::new(BufferPool::new(Arc::clone(mem), 64)), *meta, *head)
+        };
+        let (pool, meta, head) = open(&qt);
+        assert_eq!(
+            Mbrqt::<2>::open_at(pool, meta, head).unwrap().num_points(),
+            5
+        );
+        let (pool, meta, head) = open(&rs);
+        assert_eq!(
+            RStar::<2>::open_at(pool, meta, head).unwrap().num_points(),
+            5
+        );
+    }
+}

@@ -4,6 +4,7 @@ use crate::{cell_of_point, cell_quadrant, Mbrqt, MbrqtConfig};
 use ann_core::extsort::PointSpill;
 use ann_core::node::{write_node, Entry, Node, NodeEntry, ObjectEntry};
 use ann_core::trace::{Phase, Side, TraceEvent, Tracer};
+use ann_core::tree_file::WritableIndex;
 use ann_geom::{Mbr, Point};
 use ann_store::BufferPool;
 use ann_store::{PageStore, Result, StoreError};
@@ -44,7 +45,7 @@ pub(crate) fn bulk_build<const D: usize>(
     let tree = Mbrqt::new(Arc::clone(&pool), universe, config)?;
     // Node pages are written straight through the pool (journaling the
     // whole build would double its I/O for no benefit); see
-    // `TreeFile::commit_bulk` for why that is crash-safe.
+    // `WritableIndex::built` for why that is crash-safe.
     let mut builder = Builder {
         store: pool.as_ref(),
         bucket_capacity: config.resolved_bucket_capacity::<D>(),
@@ -67,7 +68,7 @@ pub(crate) fn bulk_build<const D: usize>(
         }
     }
 
-    let tree = tree.built(root_entry.page, bounds, points.len() as u64)?;
+    let tree = tree.built(root_entry.page, points.len() as u64, bounds)?;
     tracer.span_exit(Phase::Build, span_b, io_now);
     Ok(tree)
 }
@@ -124,7 +125,7 @@ pub(crate) fn bulk_build_stream<const D: usize>(
     let budget = memory_budget.max(bucket_capacity).max(1);
     let root_entry = build_external(&mut builder, &scratch, &spill, universe, 0, 0, budget)?;
 
-    tree.built(root_entry.page, bounds, spill.len)
+    tree.built(root_entry.page, spill.len, bounds)
 }
 
 /// One step of the external distribution partitioning: materialize when

@@ -10,6 +10,7 @@
 
 use crate::{cell_of_mbr, cell_of_point, Mbrqt};
 use ann_core::node::{read_node, write_node, Entry, Node, NodeEntry, ObjectEntry};
+use ann_core::tree_file::WritableIndex;
 use ann_geom::{Mbr, Point};
 use ann_store::{PageId, Result, StoreError, Txn};
 
@@ -19,30 +20,23 @@ pub(crate) fn delete<const D: usize>(
     oid: u64,
     point: &Point<D>,
 ) -> Result<bool> {
-    if tree.num_points == 0 || !tree.universe.contains_point(point) {
+    if tree.header.num_points == 0 || !tree.params.universe.contains_point(point) {
         return Ok(false);
     }
     // Like insertion, the whole removal runs inside one [`Txn`] so node
     // rewrites, collapses and the meta update land atomically or not at
     // all.
-    let file = tree.file.clone();
-    let saved = (tree.num_points, tree.bounds);
-    let result = file.transact(|txn| {
-        let Some((_, _)) = remove_rec(tree, txn, tree.root, tree.universe, oid, point)? else {
+    tree.update(|tree, txn| {
+        let (root, universe) = (tree.header.root, tree.params.universe);
+        if remove_rec(tree, txn, root, universe, oid, point)?.is_none() {
             return Ok(false);
-        };
-        tree.num_points -= 1;
+        }
+        tree.header.num_points -= 1;
         // Rebuild cached dataset bounds from the root node (deletion can
         // shrink them).
-        let root_node = read_node::<D>(txn, tree.root)?;
-        tree.bounds = root_node.mbr;
-        tree.save_meta_to(txn)?;
+        tree.header.bounds = read_node::<D>(txn, tree.header.root)?.mbr;
         Ok(true)
-    });
-    if result.is_err() {
-        (tree.num_points, tree.bounds) = saved;
-    }
-    result
+    })
 }
 
 /// Recursive removal below `page` (whose region is `quadrant`).
@@ -98,12 +92,16 @@ fn remove_rec<const D: usize>(
         node.entries[at] = Entry::Node(NodeEntry {
             page: child.page,
             count,
-            mbr: if tree.use_subtree_mbrs { mbr } else { child_q },
+            mbr: if tree.params.use_subtree_mbrs {
+                mbr
+            } else {
+                child_q
+            },
         });
     }
 
     let total = node.count();
-    if total <= tree.bucket_capacity as u64 {
+    if total <= tree.params.bucket_capacity as u64 {
         // Collapse the whole subtree back into one leaf bucket.
         let mut objects: Vec<ObjectEntry<D>> = Vec::with_capacity(total as usize);
         collect_objects(txn, &node, &mut objects)?;

@@ -2,36 +2,30 @@
 
 use crate::{build::Builder, cell_of_mbr, cell_of_point, cell_quadrant, Mbrqt};
 use ann_core::node::{read_node, write_node, Entry, Node, NodeEntry, ObjectEntry};
+use ann_core::tree_file::WritableIndex;
 use ann_geom::{Mbr, Point};
 use ann_store::{PageStore, Result, StoreError, Txn};
 
 /// Inserts one point; see [`Mbrqt::insert`].
 ///
 /// The whole update — every rewritten node page plus the meta page — runs
-/// inside one [`Txn`] (`TreeFile::transact`), so it reaches disk
+/// inside one [`Txn`] (`WritableIndex::update`), so it reaches disk
 /// atomically: a crash (or an injected fault) anywhere before the commit
 /// point leaves the on-disk tree exactly as it was.
 pub(crate) fn insert<const D: usize>(tree: &mut Mbrqt<D>, oid: u64, point: Point<D>) -> Result<()> {
     if !point.is_finite() {
         return Err(StoreError::corrupt("points must have finite coordinates"));
     }
-    if !tree.universe.contains_point(&point) {
+    if !tree.params.universe.contains_point(&point) {
         return Err(StoreError::corrupt("point lies outside the universe"));
     }
-    let file = tree.file.clone();
-    let saved = (tree.num_points, tree.bounds);
-    let result = file.transact(|txn| {
-        descend(tree, txn, tree.root, tree.universe, 0, oid, point)?;
-        tree.num_points += 1;
-        tree.bounds.expand_point(&point);
-        tree.save_meta_to(txn)
-    });
-    if result.is_err() {
-        // The on-disk tree is untouched (the txn never committed);
-        // roll the in-memory mirrors back to match it.
-        (tree.num_points, tree.bounds) = saved;
-    }
-    result
+    tree.update(|tree, txn| {
+        let (root, universe) = (tree.header.root, tree.params.universe);
+        descend(tree, txn, root, universe, 0, oid, point)?;
+        tree.header.num_points += 1;
+        tree.header.bounds.expand_point(&point);
+        Ok(())
+    })
 }
 
 /// Recursively routes the point down to its bucket, splitting overflowing
@@ -50,7 +44,7 @@ fn descend<const D: usize>(
 
     if node.is_leaf {
         node.entries.push(Entry::Object(ObjectEntry { oid, point }));
-        if node.entries.len() > tree.bucket_capacity && depth < tree.max_depth {
+        if node.entries.len() > tree.params.bucket_capacity && depth < tree.params.max_depth {
             // Split: rebuild this bucket as an internal node whose children
             // come from the same top-down builder the bulk path uses.
             let mut points: Vec<(u64, Point<D>)> = node
@@ -63,10 +57,10 @@ fn descend<const D: usize>(
                 .collect();
             let mut builder = Builder {
                 store: txn,
-                bucket_capacity: tree.bucket_capacity,
-                levels_per_node: tree.levels_per_node,
-                max_depth: tree.max_depth,
-                use_subtree_mbrs: tree.use_subtree_mbrs,
+                bucket_capacity: tree.params.bucket_capacity,
+                levels_per_node: tree.params.levels_per_node,
+                max_depth: tree.params.max_depth,
+                use_subtree_mbrs: tree.params.use_subtree_mbrs,
                 level_tally: None,
             };
             let levels = builder.pick_levels::<D>(points.len(), depth);
@@ -129,7 +123,7 @@ fn descend<const D: usize>(
             node.entries[at] = Entry::Node(NodeEntry {
                 page: child.page,
                 count,
-                mbr: if tree.use_subtree_mbrs {
+                mbr: if tree.params.use_subtree_mbrs {
                     tight
                 } else {
                     child_q
@@ -148,7 +142,7 @@ fn descend<const D: usize>(
             node.entries.push(Entry::Node(NodeEntry {
                 page: leaf_page,
                 count: 1,
-                mbr: if tree.use_subtree_mbrs {
+                mbr: if tree.params.use_subtree_mbrs {
                     tight
                 } else {
                     child_q

@@ -51,15 +51,12 @@
 mod build;
 mod delete;
 mod insert;
-mod meta;
 
-use ann_core::index::SpatialIndex;
 use ann_core::node::Node;
-use ann_core::node_cache::NodeCache;
 use ann_core::trace::{Side, Tracer};
-use ann_core::tree_file::{TreeFile, WritableIndex};
+use ann_core::tree_file::{MbrqtParams, Params, TreeFile, WritableIndex};
 use ann_geom::{Mbr, Point};
-use ann_store::{BufferPool, PageId, PageStore, Result, StoreError, INVALID_PAGE};
+use ann_store::{BufferPool, PageId, Result, StoreError};
 use std::sync::Arc;
 
 /// Tuning knobs for [`Mbrqt`].
@@ -124,19 +121,11 @@ impl MbrqtConfig {
 ///
 /// Derefs to its [`TreeFile`], which carries everything about durability
 /// and versioning (`meta_page`, `enable_versioning`, `versioned_handle`,
-/// `flush`, …).
+/// `flush`, …) and whose header holds the root, point count and bounds.
+#[derive(Clone)]
 pub struct Mbrqt<const D: usize> {
     pub(crate) file: TreeFile<D>,
-    pub(crate) root: PageId,
-    /// The fixed universe this tree decomposes.
-    pub(crate) universe: Mbr<D>,
-    /// Tight bounds over the indexed points.
-    pub(crate) bounds: Mbr<D>,
-    pub(crate) num_points: u64,
-    pub(crate) bucket_capacity: usize,
-    pub(crate) levels_per_node: usize,
-    pub(crate) max_depth: usize,
-    pub(crate) use_subtree_mbrs: bool,
+    pub(crate) params: MbrqtParams<D>,
 }
 
 impl<const D: usize> Mbrqt<D> {
@@ -148,14 +137,7 @@ impl<const D: usize> Mbrqt<D> {
         if universe.is_empty() {
             return Err(StoreError::corrupt("quadtree universe must be non-empty"));
         }
-        let mut tree = Mbrqt::new(pool, universe, config)?;
-        let file = tree.file.clone();
-        file.transact(|txn| {
-            tree.root = txn.allocate()?;
-            ann_core::node::write_node::<D>(txn, tree.root, &Node::empty_leaf())?;
-            tree.save_meta_to(txn)
-        })?;
-        Ok(tree)
+        Mbrqt::new(pool, universe, config)?.with_empty_root()
     }
 
     /// Builds a tree over `points` in one top-down pass. The universe is
@@ -209,39 +191,35 @@ impl<const D: usize> Mbrqt<D> {
     /// page; [`WritableIndex::open_at`] says what opening recovers and
     /// checks.
     pub fn open(pool: Arc<BufferPool>, meta_page: PageId) -> Result<Self> {
-        meta::load(pool, meta_page, None)
+        Self::open_at(pool, meta_page, None)
     }
 
-    /// Opens a versioned tree from its meta page and the manifest head
+    /// Opens a versioned tree from its meta page and the manifest `head`
     /// returned by [`TreeFile::enable_versioning`]: as [`open`](Self::open),
-    /// but the meta fields are read *through* the latest snapshot.
-    pub fn open_versioned(
-        pool: Arc<BufferPool>,
-        meta_page: PageId,
-        manifest_head: PageId,
-    ) -> Result<Self> {
-        meta::load(pool, meta_page, Some(manifest_head))
+    /// but the header is read *through* the latest snapshot.
+    pub fn open_versioned(pool: Arc<BufferPool>, meta_page: PageId, head: PageId) -> Result<Self> {
+        Self::open_at(pool, meta_page, Some(head))
     }
 
     /// The fixed universe the tree decomposes.
     pub fn universe(&self) -> Mbr<D> {
-        self.universe
+        self.params.universe
     }
 
     /// Leaf bucket capacity in use.
     pub fn bucket_capacity(&self) -> usize {
-        self.bucket_capacity
+        self.params.bucket_capacity
     }
 
     /// Decomposition levels packed per disk node (node fanout is up to
     /// `2^(D * levels_per_node)`).
     pub fn levels_per_node(&self) -> usize {
-        self.levels_per_node
+        self.params.levels_per_node
     }
 
     /// Whether entries carry tight subtree MBRs (`true` for real MBRQT).
     pub fn uses_subtree_mbrs(&self) -> bool {
-        self.use_subtree_mbrs
+        self.params.use_subtree_mbrs
     }
 
     /// Inserts one point. Fails if the point is non-finite or outside the
@@ -266,28 +244,15 @@ impl<const D: usize> Mbrqt<D> {
         config: &MbrqtConfig,
     ) -> Result<Self> {
         Ok(Mbrqt {
-            file: TreeFile::create(pool, meta::snapshot_meta_fields::<D>)?,
-            root: INVALID_PAGE,
-            universe,
-            bounds: Mbr::empty(),
-            num_points: 0,
-            bucket_capacity: config.resolved_bucket_capacity::<D>(),
-            levels_per_node: config.resolved_levels_per_node::<D>(),
-            max_depth: config.max_depth,
-            use_subtree_mbrs: config.use_subtree_mbrs,
+            file: TreeFile::create(pool)?,
+            params: MbrqtParams {
+                universe,
+                bucket_capacity: config.resolved_bucket_capacity::<D>(),
+                levels_per_node: config.resolved_levels_per_node::<D>(),
+                max_depth: config.max_depth,
+                use_subtree_mbrs: config.use_subtree_mbrs,
+            },
         })
-    }
-
-    /// Finishes a bulk build: records what was built below `root` and
-    /// makes it durable ([`TreeFile::commit_bulk`]).
-    pub(crate) fn built(mut self, root: PageId, bounds: Mbr<D>, num_points: u64) -> Result<Self> {
-        (self.root, self.bounds, self.num_points) = (root, bounds, num_points);
-        self.file.commit_bulk(|txn| self.save_meta_to(txn))?;
-        Ok(self)
-    }
-
-    pub(crate) fn save_meta_to(&self, store: &impl PageStore) -> Result<()> {
-        meta::save_to(self, store)
     }
 }
 
@@ -307,7 +272,12 @@ impl<const D: usize> std::ops::DerefMut for Mbrqt<D> {
 
 impl<const D: usize> WritableIndex<D> for Mbrqt<D> {
     fn open_at(pool: Arc<BufferPool>, meta_page: PageId, head: Option<PageId>) -> Result<Self> {
-        meta::load(pool, meta_page, head)
+        let (file, Params::Mbrqt(params)) = TreeFile::open(pool, meta_page, head)? else {
+            return Err(StoreError::corrupt("not an MBRQT meta page"));
+        };
+        let tree = Mbrqt { file, params };
+        ann_core::index::validate(&tree)?;
+        Ok(tree)
     }
 
     fn insert(&mut self, oid: u64, point: Point<D>) -> Result<()> {
@@ -317,35 +287,9 @@ impl<const D: usize> WritableIndex<D> for Mbrqt<D> {
     fn delete(&mut self, oid: u64, point: &Point<D>) -> Result<bool> {
         Mbrqt::delete(self, oid, point)
     }
-}
 
-impl<const D: usize> SpatialIndex<D> for Mbrqt<D> {
-    fn pool(&self) -> &BufferPool {
-        self.file.pool()
-    }
-
-    fn root_page(&self) -> PageId {
-        self.root
-    }
-
-    fn num_points(&self) -> u64 {
-        self.num_points
-    }
-
-    fn bounds(&self) -> Mbr<D> {
-        self.bounds
-    }
-
-    fn read_node(&self, page: PageId) -> Result<Node<D>> {
-        self.file.read_node(page)
-    }
-
-    fn node_cache(&self) -> Option<&NodeCache<D>> {
-        self.file.node_cache()
-    }
-
-    fn cache_key(&self) -> u64 {
-        self.file.cache_key()
+    fn params(&self) -> Params<D> {
+        Params::Mbrqt(self.params)
     }
 }
 
@@ -426,6 +370,7 @@ pub(crate) fn child_quadrant<const D: usize>(quadrant: &Mbr<D>, idx: usize) -> M
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ann_core::index::SpatialIndex;
 
     #[test]
     fn orthant_round_trips_through_child_quadrant() {

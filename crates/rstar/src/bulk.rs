@@ -9,6 +9,7 @@ use crate::{RStar, RStarConfig};
 use ann_core::extsort::{HilbertSorter, PointSpill};
 use ann_core::node::{write_node, Entry, Node, NodeEntry, ObjectEntry};
 use ann_core::trace::{Phase, Side, TraceEvent, Tracer};
+use ann_core::tree_file::WritableIndex;
 use ann_geom::{Mbr, Point};
 use ann_store::{BufferPool, Result, StoreError};
 use std::sync::Arc;
@@ -28,7 +29,7 @@ pub(crate) fn bulk_build<const D: usize>(
     let span_b = tracer.span_enter(Phase::Build, io_now);
     let max_leaf = config.resolved_max::<D>(true);
     let max_internal = config.resolved_max::<D>(false);
-    let tree = RStar::new(Arc::clone(&pool), config)?;
+    let mut tree = RStar::new(Arc::clone(&pool), config)?;
 
     // Pack leaves: tile the points, one leaf per tile.
     let mut leaf_fill = (max_leaf * 9) / 10; // leave headroom for inserts
@@ -68,7 +69,7 @@ pub(crate) fn bulk_build<const D: usize>(
     if current.is_empty() {
         let page = pool.allocate()?;
         write_node::<D>(&pool, page, &Node::empty_leaf())?;
-        let tree = tree.built(page, 1, 0, Mbr::empty())?;
+        let tree = tree.built(page, 0, Mbr::empty())?;
         tracer.event(|| TraceEvent::IndexLevelBuilt {
             side,
             level: 0,
@@ -111,7 +112,8 @@ pub(crate) fn bulk_build<const D: usize>(
     };
     // A single leaf needs no extra root; `current[0]` is already it.
     let bounds = Mbr::from_points(points.iter().map(|(_, p)| p));
-    let tree = tree.built(root_entry.page, height, points.len() as u64, bounds)?;
+    tree.params.height = height;
+    let tree = tree.built(root_entry.page, points.len() as u64, bounds)?;
     if tracer.enabled() {
         // round 0 = leaves; report levels with 0 = root to match the
         // query-side per-level accounting.
@@ -161,7 +163,7 @@ pub(crate) fn bulk_build_stream<const D: usize>(
     spill.replay(|oid, p| sorter.push(oid, p))?;
     let mut stream = sorter.finish()?;
 
-    let tree = RStar::new(Arc::clone(&pool), config)?;
+    let mut tree = RStar::new(Arc::clone(&pool), config)?;
     let leaf_fill = ((max_leaf * 9) / 10).max(1);
     let internal_fill = ((max_internal * 9) / 10).max(2);
 
@@ -205,7 +207,7 @@ pub(crate) fn bulk_build_stream<const D: usize>(
     if current.is_empty() {
         let page = pool.allocate()?;
         write_node::<D>(&pool, page, &Node::empty_leaf())?;
-        return tree.built(page, 1, 0, Mbr::empty());
+        return tree.built(page, 0, Mbr::empty());
     }
 
     // Internal levels: consecutive chunks of the previous level, which is
@@ -235,7 +237,8 @@ pub(crate) fn bulk_build_stream<const D: usize>(
     let Entry::Node(root_entry) = current[0] else {
         unreachable!("packing produces node entries")
     };
-    tree.built(root_entry.page, height, spill.len, spill.bounds)
+    tree.params.height = height;
+    tree.built(root_entry.page, spill.len, spill.bounds)
 }
 
 /// Recursively tiles `pts` into chunks of `cap`, sorting by dimension

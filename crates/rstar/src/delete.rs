@@ -6,6 +6,7 @@
 use crate::insert::insert_entry_at_level;
 use crate::RStar;
 use ann_core::node::{read_node, write_node, Entry, NodeEntry};
+use ann_core::tree_file::WritableIndex;
 use ann_geom::{Mbr, Point};
 use ann_store::{PageId, Result, StoreError, Txn};
 
@@ -17,26 +18,23 @@ pub(crate) fn delete<const D: usize>(
     oid: u64,
     point: &Point<D>,
 ) -> Result<bool> {
-    if tree.num_points == 0 {
+    if tree.header.num_points == 0 {
         return Ok(false);
     }
     // Like insertion, the whole removal — entry removal, CondenseTree
     // re-insertions, root shrinking and the meta update — runs inside one
     // [`Txn`] so it lands atomically or not at all.
-    let file = tree.file.clone();
-    let saved = (tree.root, tree.height, tree.num_points, tree.bounds);
-    let result = file.transact(|txn| {
+    tree.update(|tree, txn| {
         // Orphaned entries to re-insert, each with its target level.
         let mut orphans: Vec<(Entry<D>, u32)> = Vec::new();
-        let root_level = tree.height - 1;
-        let outcome = remove_rec(tree, txn, tree.root, root_level, oid, point, &mut orphans)?;
-        if outcome.is_none() {
+        let (root, root_level) = (tree.header.root, tree.params.height - 1);
+        if remove_rec(tree, txn, root, root_level, oid, point, &mut orphans)?.is_none() {
             return Ok(false);
         }
-        tree.num_points -= 1;
+        tree.header.num_points -= 1;
 
         // Re-insert orphans (entries of dissolved nodes keep their level).
-        let mut reinsert_done = vec![true; tree.height as usize + 2]; // no forced reinsert here
+        let mut reinsert_done = vec![true; tree.params.height as usize + 2]; // no forced reinsert here
         while let Some((entry, level)) = orphans.pop() {
             insert_entry_at_level(tree, txn, entry, level, &mut reinsert_done, &mut orphans)?;
         }
@@ -44,28 +42,22 @@ pub(crate) fn delete<const D: usize>(
         // Shrink a degenerate root: an internal root with one child makes
         // the child the new root.
         loop {
-            let root = read_node::<D>(txn, tree.root)?;
+            let root = read_node::<D>(txn, tree.header.root)?;
             if !root.is_leaf && root.entries.len() == 1 {
                 let Entry::Node(only) = root.entries[0] else {
                     return Err(StoreError::corrupt("internal node holds an object"));
                 };
-                tree.root = only.page;
-                tree.height -= 1;
+                tree.header.root = only.page;
+                tree.params.height -= 1;
             } else {
                 break;
             }
         }
 
         // Rebuild the cached dataset bounds (deletion can shrink them).
-        let root = read_node::<D>(txn, tree.root)?;
-        tree.bounds = root.mbr;
-        tree.save_meta_to(txn)?;
+        tree.header.bounds = read_node::<D>(txn, tree.header.root)?.mbr;
         Ok(true)
-    });
-    if result.is_err() {
-        (tree.root, tree.height, tree.num_points, tree.bounds) = saved;
-    }
-    result
+    })
 }
 
 /// Recursive removal. Returns `None` when the object was not found below
@@ -83,7 +75,7 @@ fn remove_rec<const D: usize>(
     orphans: &mut Vec<(Entry<D>, u32)>,
 ) -> Result<Option<(u64, Mbr<D>, bool)>> {
     let mut node = read_node::<D>(txn, page)?;
-    let is_root = level == tree.height - 1;
+    let is_root = level == tree.params.height - 1;
 
     if node.is_leaf {
         let before = node.entries.len();

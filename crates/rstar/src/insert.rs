@@ -3,6 +3,7 @@
 
 use crate::RStar;
 use ann_core::node::{read_node, write_node, Entry, Node, NodeEntry};
+use ann_core::tree_file::WritableIndex;
 use ann_geom::{Mbr, Point};
 use ann_store::{PageId, PageStore, Result, StoreError, Txn};
 
@@ -10,34 +11,26 @@ use ann_store::{PageId, PageStore, Result, StoreError, Txn};
 ///
 /// The whole update — every rewritten node page, any split or reinsertion
 /// fallout, and the meta page — runs inside one [`Txn`]
-/// (`TreeFile::transact`), so it reaches disk atomically: a crash (or an
+/// (`WritableIndex::update`), so it reaches disk atomically: a crash (or an
 /// injected fault) anywhere before the commit point leaves the on-disk
 /// tree exactly as it was.
 pub(crate) fn insert<const D: usize>(tree: &mut RStar<D>, oid: u64, point: Point<D>) -> Result<()> {
     if !point.is_finite() {
         return Err(StoreError::corrupt("points must have finite coordinates"));
     }
-    let file = tree.file.clone();
-    let saved = (tree.root, tree.height, tree.num_points, tree.bounds);
-    let result = file.transact(|txn| {
+    tree.update(|tree, txn| {
         let entry = Entry::Object(ann_core::node::ObjectEntry { oid, point });
         // Forced reinsertion fires at most once per level per logical insert.
-        let mut reinsert_done = vec![false; tree.height as usize + 2];
+        let mut reinsert_done = vec![false; tree.params.height as usize + 2];
         // Pending (entry, target level) work items; reinserted orphans append.
         let mut pending: Vec<(Entry<D>, u32)> = vec![(entry, 0)];
         while let Some((e, level)) = pending.pop() {
             insert_entry_at_level(tree, txn, e, level, &mut reinsert_done, &mut pending)?;
         }
-        tree.num_points += 1;
-        tree.bounds.expand_point(&point);
-        tree.save_meta_to(txn)
-    });
-    if result.is_err() {
-        // The on-disk tree is untouched (the txn never committed);
-        // roll the in-memory mirrors back to match it.
-        (tree.root, tree.height, tree.num_points, tree.bounds) = saved;
-    }
-    result
+        tree.header.num_points += 1;
+        tree.header.bounds.expand_point(&point);
+        Ok(())
+    })
 }
 
 /// Places `entry` into some node at `target_level`, handling splits up to
@@ -51,11 +44,11 @@ pub(crate) fn insert_entry_at_level<const D: usize>(
     reinsert_done: &mut Vec<bool>,
     pending: &mut Vec<(Entry<D>, u32)>,
 ) -> Result<()> {
-    let root_level = tree.height - 1;
+    let root_level = tree.params.height - 1;
     let outcome = descend(
         tree,
         txn,
-        tree.root,
+        tree.header.root,
         root_level,
         entry,
         target_level,
@@ -65,7 +58,7 @@ pub(crate) fn insert_entry_at_level<const D: usize>(
     if let Some(sibling) = outcome.split {
         // Root split: grow the tree by one level.
         let old_root_entry = NodeEntry {
-            page: tree.root,
+            page: tree.header.root,
             count: outcome.count,
             mbr: outcome.mbr,
         };
@@ -78,8 +71,8 @@ pub(crate) fn insert_entry_at_level<const D: usize>(
         new_root.recompute_mbr();
         let page = txn.allocate()?;
         write_node(txn, page, &new_root)?;
-        tree.root = page;
-        tree.height += 1;
+        tree.header.root = page;
+        tree.params.height += 1;
         reinsert_done.push(false);
     }
     Ok(())
@@ -153,11 +146,11 @@ fn descend<const D: usize>(
     // Overflow treatment (R* §4.3): the first overflow on each non-root
     // level triggers forced reinsertion; later overflows (and the root)
     // split.
-    let is_root = level == tree.height - 1;
+    let is_root = level == tree.params.height - 1;
     let lvl = level as usize;
-    if !is_root && tree.reinsert_percent > 0 && !reinsert_done.get(lvl).copied().unwrap_or(true) {
+    if !is_root && tree.params.reinsert_percent > 0 && reinsert_done.get(lvl) == Some(&false) {
         reinsert_done[lvl] = true;
-        let evicted = forced_reinsert_victims(&mut node, max * tree.reinsert_percent / 100);
+        let evicted = forced_reinsert_victims(&mut node, max * tree.params.reinsert_percent / 100);
         node.recompute_mbr();
         let count = node.count();
         let mbr = node.mbr;

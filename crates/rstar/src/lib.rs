@@ -42,15 +42,12 @@
 mod bulk;
 mod delete;
 mod insert;
-mod meta;
 
-use ann_core::index::SpatialIndex;
 use ann_core::node::Node;
-use ann_core::node_cache::NodeCache;
 use ann_core::trace::{Side, Tracer};
-use ann_core::tree_file::{TreeFile, WritableIndex};
-use ann_geom::{Mbr, Point};
-use ann_store::{BufferPool, PageId, PageStore, Result, INVALID_PAGE};
+use ann_core::tree_file::{Params, RStarParams, TreeFile, WritableIndex};
+use ann_geom::Point;
+use ann_store::{BufferPool, PageId, Result, StoreError};
 use std::sync::Arc;
 
 /// Tuning knobs for [`RStar`].
@@ -99,31 +96,17 @@ impl RStarConfig {
 ///
 /// Derefs to its [`TreeFile`], which carries everything about durability
 /// and versioning (`meta_page`, `enable_versioning`, `versioned_handle`,
-/// `flush`, …).
+/// `flush`, …) and whose header holds the root, point count and bounds.
+#[derive(Clone)]
 pub struct RStar<const D: usize> {
     pub(crate) file: TreeFile<D>,
-    pub(crate) root: PageId,
-    /// Number of levels; leaves are level 0, the root is `height - 1`.
-    pub(crate) height: u32,
-    pub(crate) num_points: u64,
-    pub(crate) bounds: Mbr<D>,
-    pub(crate) max_leaf: usize,
-    pub(crate) max_internal: usize,
-    pub(crate) min_fill_percent: usize,
-    pub(crate) reinsert_percent: usize,
+    pub(crate) params: RStarParams,
 }
 
 impl<const D: usize> RStar<D> {
     /// Creates an empty tree.
     pub fn create(pool: Arc<BufferPool>, config: &RStarConfig) -> Result<Self> {
-        let mut tree = RStar::new(pool, config)?;
-        let file = tree.file.clone();
-        file.transact(|txn| {
-            tree.root = txn.allocate()?;
-            ann_core::node::write_node::<D>(txn, tree.root, &Node::empty_leaf())?;
-            tree.save_meta_to(txn)
-        })?;
-        Ok(tree)
+        RStar::new(pool, config)?.with_empty_root()
     }
 
     /// Bulk-builds a well-packed tree over `points` with STR.
@@ -175,38 +158,34 @@ impl<const D: usize> RStar<D> {
     /// page; [`WritableIndex::open_at`] says what opening recovers and
     /// checks.
     pub fn open(pool: Arc<BufferPool>, meta_page: PageId) -> Result<Self> {
-        meta::load(pool, meta_page, None)
+        Self::open_at(pool, meta_page, None)
     }
 
-    /// Opens a versioned tree from its meta page and the manifest head
+    /// Opens a versioned tree from its meta page and the manifest `head`
     /// returned by [`TreeFile::enable_versioning`]: as [`open`](Self::open),
-    /// but the meta fields are read *through* the latest snapshot.
-    pub fn open_versioned(
-        pool: Arc<BufferPool>,
-        meta_page: PageId,
-        manifest_head: PageId,
-    ) -> Result<Self> {
-        meta::load(pool, meta_page, Some(manifest_head))
+    /// but the header is read *through* the latest snapshot.
+    pub fn open_versioned(pool: Arc<BufferPool>, meta_page: PageId, head: PageId) -> Result<Self> {
+        Self::open_at(pool, meta_page, Some(head))
     }
 
     /// Tree height (1 = a single leaf).
     pub fn height(&self) -> u32 {
-        self.height
+        self.params.height
     }
 
     /// Maximum entries per node (leaf, internal).
     pub fn capacities(&self) -> (usize, usize) {
-        (self.max_leaf, self.max_internal)
+        (self.params.max_leaf, self.params.max_internal)
     }
 
     /// Minimum entries per node of each kind (root excepted).
     pub fn min_entries(&self, is_leaf: bool) -> usize {
         let max = if is_leaf {
-            self.max_leaf
+            self.params.max_leaf
         } else {
-            self.max_internal
+            self.params.max_internal
         };
-        (max * self.min_fill_percent / 100).max(2)
+        (max * self.params.min_fill_percent / 100).max(2)
     }
 
     /// Inserts one point (R\* insertion with forced reinsertion).
@@ -226,41 +205,22 @@ impl<const D: usize> RStar<D> {
     /// what `create` and the bulk builds begin with.
     pub(crate) fn new(pool: Arc<BufferPool>, config: &RStarConfig) -> Result<Self> {
         Ok(RStar {
-            file: TreeFile::create(pool, meta::snapshot_meta_fields::<D>)?,
-            root: INVALID_PAGE,
-            height: 1,
-            num_points: 0,
-            bounds: Mbr::empty(),
-            max_leaf: config.resolved_max::<D>(true),
-            max_internal: config.resolved_max::<D>(false),
-            min_fill_percent: config.min_fill_percent.clamp(10, 50),
-            reinsert_percent: config.reinsert_percent.min(45),
+            file: TreeFile::create(pool)?,
+            params: RStarParams {
+                height: 1,
+                max_leaf: config.resolved_max::<D>(true),
+                max_internal: config.resolved_max::<D>(false),
+                min_fill_percent: config.min_fill_percent.clamp(10, 50),
+                reinsert_percent: config.reinsert_percent.min(45),
+            },
         })
-    }
-
-    /// Finishes a bulk build: records what was built below `root` and
-    /// makes it durable ([`TreeFile::commit_bulk`]).
-    pub(crate) fn built(
-        mut self,
-        root: PageId,
-        height: u32,
-        num_points: u64,
-        bounds: Mbr<D>,
-    ) -> Result<Self> {
-        (self.root, self.height, self.num_points, self.bounds) = (root, height, num_points, bounds);
-        self.file.commit_bulk(|txn| self.save_meta_to(txn))?;
-        Ok(self)
-    }
-
-    pub(crate) fn save_meta_to(&self, store: &impl PageStore) -> Result<()> {
-        meta::save_to(self, store)
     }
 
     pub(crate) fn max_entries(&self, is_leaf: bool) -> usize {
         if is_leaf {
-            self.max_leaf
+            self.params.max_leaf
         } else {
-            self.max_internal
+            self.params.max_internal
         }
     }
 }
@@ -281,7 +241,12 @@ impl<const D: usize> std::ops::DerefMut for RStar<D> {
 
 impl<const D: usize> WritableIndex<D> for RStar<D> {
     fn open_at(pool: Arc<BufferPool>, meta_page: PageId, head: Option<PageId>) -> Result<Self> {
-        meta::load(pool, meta_page, head)
+        let (file, Params::RStar(params)) = TreeFile::open(pool, meta_page, head)? else {
+            return Err(StoreError::corrupt("not an R*-tree meta page"));
+        };
+        let tree = RStar { file, params };
+        ann_core::index::validate(&tree)?;
+        Ok(tree)
     }
 
     fn insert(&mut self, oid: u64, point: Point<D>) -> Result<()> {
@@ -291,41 +256,16 @@ impl<const D: usize> WritableIndex<D> for RStar<D> {
     fn delete(&mut self, oid: u64, point: &Point<D>) -> Result<bool> {
         RStar::delete(self, oid, point)
     }
-}
 
-impl<const D: usize> SpatialIndex<D> for RStar<D> {
-    fn pool(&self) -> &BufferPool {
-        self.file.pool()
-    }
-
-    fn root_page(&self) -> PageId {
-        self.root
-    }
-
-    fn num_points(&self) -> u64 {
-        self.num_points
-    }
-
-    fn bounds(&self) -> Mbr<D> {
-        self.bounds
-    }
-
-    fn read_node(&self, page: PageId) -> Result<Node<D>> {
-        self.file.read_node(page)
-    }
-
-    fn node_cache(&self) -> Option<&NodeCache<D>> {
-        self.file.node_cache()
-    }
-
-    fn cache_key(&self) -> u64 {
-        self.file.cache_key()
+    fn params(&self) -> Params<D> {
+        Params::RStar(self.params)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ann_core::index::SpatialIndex;
 
     #[test]
     fn versioned_mutations_preserve_pinned_snapshots() {

@@ -504,7 +504,9 @@ impl Registry {
         Ok(())
     }
 
-    /// All collection names, live or on disk, sorted.
+    /// All collection names, live or on disk, sorted. A sidecar whose stem
+    /// is not a valid [`CollectionId`] names nothing [`get`](Self::get)
+    /// can reach, so it is left out.
     pub fn list(&self) -> Vec<String> {
         let mut names: Vec<String> = {
             let open = self.open.lock();
@@ -524,7 +526,8 @@ impl Registry {
             for entry in entries.flatten() {
                 let name = entry.file_name();
                 let name = name.to_string_lossy();
-                if let Some(stem) = name.strip_suffix(".meta.json") {
+                let stem = name.strip_suffix(".meta.json");
+                if let Some(stem) = stem.filter(|s| CollectionId::new(s).is_ok()) {
                     if !names.iter().any(|n| n == stem) {
                         names.push(stem.to_string());
                     }

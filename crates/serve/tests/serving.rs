@@ -794,6 +794,45 @@ fn collections_reopen_from_disk_across_restarts() {
     second.shutdown();
 }
 
+/// `GET /collections` names only collections a client can fetch: a stray
+/// sidecar whose stem is no valid collection id is left out, including
+/// one whose quote would otherwise break the response's JSON.
+#[test]
+fn listing_names_only_reachable_collections() {
+    let dir = temp_dir("list");
+    let server = Server::start(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 2,
+        queue_depth: 8,
+        data_dir: dir.clone(),
+        pool_frames: 64,
+        compute_tokens: 0,
+    })
+    .expect("server starts");
+    let client = Client::new(server.addr().to_string());
+    let created = client
+        .create_collection("kept", "mbrqt", &[[0.0, 0.0], [1.0, 1.0]])
+        .expect("create");
+    assert_eq!(created.status, 201, "{}", created.body);
+    for stray in ["bad name", "q\""] {
+        std::fs::write(dir.join(format!("{stray}.meta.json")), "{}").expect("stray sidecar");
+    }
+
+    let listed = client.request("GET", "/collections", "").expect("list");
+    assert_eq!(listed.status, 200, "{}", listed.body);
+    let doc = ann_core::wire::JsonValue::parse(&listed.body)
+        .unwrap_or_else(|e| panic!("the listing must be JSON ({e}): {}", listed.body));
+    let names: Vec<&str> = doc
+        .get("collections")
+        .and_then(|c| c.as_arr())
+        .expect("a collections array")
+        .iter()
+        .map(|n| n.as_str().expect("names are strings"))
+        .collect();
+    assert_eq!(names, ["kept"]);
+    server.shutdown();
+}
+
 /// A collection written before collections were versioned (a sidecar
 /// without `versions_head`) is switched to snapshot mode when it is first
 /// opened: it reports a version, takes inserts, answers through a pinned

@@ -47,6 +47,16 @@ if [ "$writers" != "crates/core/src/tree_file.rs" ]; then
        "(crates/core/src/tree_file.rs), found in:" $writers >&2
   exit 1
 fi
+# So is its meta page (DESIGN.md §7): one codec for every kind. Nothing
+# else reads or writes a tree's meta page or declares a kind's magic
+# (`<KIND>v<N>\0`).
+meta="$(git grep -lE 'with_page(_mut)?\([^)]*meta_page|b"[A-Z]+v[0-9]+\\0"' \
+  -- 'crates/*/src/*.rs' || true)"
+if [ "$meta" != "crates/core/src/tree_file.rs" ]; then
+  echo "ci: a tree meta page is read, written or named outside TreeFile" \
+       "(crates/core/src/tree_file.rs), found in:" $meta >&2
+  exit 1
+fi
 
 # Registry crates stay gone: every package cargo resolves, for every
 # target of every workspace member, is a path inside this repository.
