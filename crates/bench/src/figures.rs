@@ -330,7 +330,7 @@ pub fn extra_hnn(fraction: f64) -> Figure {
 /// ungoverned (no limits — the guard is one branch per expansion), then
 /// with every resilience feature armed but never firing: a live cancel
 /// token, a one-hour deadline, effectively-unbounded visit and I/O
-/// budgets, and a per-request retry override. The armed run must be
+/// budgets, and a per-request retry policy. The armed run must be
 /// decision-identical — same pairs, same work counters — and its wall
 /// time is the measured cost of resilience on the fault-free path.
 /// Emitted as `BENCH_robustness.json`.
@@ -371,23 +371,21 @@ pub fn robustness_bench(fraction: f64) -> crate::report::RobustnessReport {
         (o.results, stats)
     };
 
-    let variants: Vec<(&str, Algorithm)> = vec![
-        ("mba", Algorithm::mba()),
-        (
-            "mba-2t",
-            Algorithm::Mba {
-                traversal: Traversal::default(),
-                expansion: Expansion::default(),
-                threads: 2,
-            },
-        ),
-        ("bnn", Algorithm::Bnn { group_size: 256 }),
-        ("mnn", Algorithm::Mnn),
-        ("hnn", Algorithm::hnn()),
+    let variants: Vec<(&str, Algorithm, usize)> = vec![
+        ("mba", Algorithm::mba(), 1),
+        ("mba-2t", Algorithm::mba(), 2),
+        ("bnn", Algorithm::Bnn { group_size: 256 }, 1),
+        ("mnn", Algorithm::Mnn, 1),
+        ("hnn", Algorithm::hnn(), 1),
     ];
     const RUNS: usize = 9;
-    for (name, alg) in variants {
-        let baseline_req = || AnnRequest::new(alg).k(k).exclude_self(true);
+    for (name, alg, threads) in variants {
+        let baseline_req = || {
+            AnnRequest::new(alg)
+                .threads(threads)
+                .k(k)
+                .exclude_self(true)
+        };
         let armed_req = || {
             baseline_req()
                 .cancel_token(CancelToken::new())

@@ -274,7 +274,6 @@ pub fn run_with_sink<const D: usize>(
     let mba_alg = Algorithm::Mba {
         traversal: cfg.traversal,
         expansion: cfg.expansion,
-        threads: 1,
     };
 
     match cfg.method {

@@ -178,7 +178,7 @@ pub struct RobustnessRow {
     pub baseline_seconds: f64,
     /// Seconds per run with every resilience feature armed but
     /// non-firing: a live cancel token, a far deadline, generous visit
-    /// and I/O budgets, and a per-request retry override.
+    /// and I/O budgets, and a per-request retry policy.
     pub armed_seconds: f64,
     /// `(armed_seconds / baseline_seconds - 1) * 100`.
     pub overhead_percent: f64,

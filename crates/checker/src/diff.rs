@@ -3,54 +3,43 @@
 //! **byte for byte** — same neighbor ids, bit-identical distances — under
 //! the canonical tie-break (per query, ascending `(distance, s_oid)`).
 
+use crate::common::{panic_text, qt_cfg, rs_cfg};
 use crate::gen::DiffCase;
 use ann_core::brute::brute_force_aknn;
 use ann_core::mba::{Expansion, Traversal};
 use ann_core::prelude::*;
 use ann_core::stats::NeighborPair;
-use ann_mbrqt::{Mbrqt, MbrqtConfig};
-use ann_rstar::{RStar, RStarConfig};
+use ann_mbrqt::Mbrqt;
+use ann_rstar::RStar;
 use ann_store::{BufferPool, MemDisk, PrefetchConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-/// Small-node index configs so even tens of points span several pages.
-fn qt_cfg() -> MbrqtConfig {
-    MbrqtConfig {
-        bucket_capacity: 8,
-        ..Default::default()
-    }
-}
-
-fn rs_cfg() -> RStarConfig {
-    RStarConfig {
-        max_leaf_entries: 8,
-        max_internal_entries: 4,
-        ..Default::default()
-    }
-}
-
-/// The algorithm variants a case is checked against.
-pub fn variants<const D: usize>(case: &DiffCase<D>) -> Vec<Algorithm> {
+/// The `(algorithm, worker count)` variants a case is checked against.
+pub fn variants<const D: usize>(case: &DiffCase<D>) -> Vec<(Algorithm, usize)> {
     vec![
-        Algorithm::mba(),
-        Algorithm::Mba {
-            traversal: Traversal::BreadthFirst,
-            expansion: Expansion::Unidirectional,
-            threads: 1,
-        },
-        Algorithm::Mba {
-            traversal: Traversal::default(),
-            expansion: Expansion::default(),
-            threads: 2,
-        },
-        Algorithm::Bnn {
-            group_size: case.group_size,
-        },
-        Algorithm::Mnn,
-        Algorithm::Hnn {
-            avg_cell_occupancy: case.avg_cell_occupancy,
-        },
+        (Algorithm::mba(), 1),
+        (
+            Algorithm::Mba {
+                traversal: Traversal::BreadthFirst,
+                expansion: Expansion::Unidirectional,
+            },
+            1,
+        ),
+        (Algorithm::mba(), 2),
+        (
+            Algorithm::Bnn {
+                group_size: case.group_size,
+            },
+            1,
+        ),
+        (Algorithm::Mnn, 1),
+        (
+            Algorithm::Hnn {
+                avg_cell_occupancy: case.avg_cell_occupancy,
+            },
+            1,
+        ),
     ]
 }
 
@@ -101,26 +90,17 @@ fn run_variant<const D: usize>(
     case: &DiffCase<D>,
     ir: &Mbrqt<D>,
     is: &RStar<D>,
-    alg: Algorithm,
+    (alg, threads): (Algorithm, usize),
     metric: MetricChoice,
 ) -> std::thread::Result<QueryResult<AnnOutput>> {
     catch_unwind(AssertUnwindSafe(|| {
         AnnRequest::new(alg)
+            .threads(threads)
             .k(case.k)
             .exclude_self(case.exclude_self)
             .metric(metric)
             .run(Input::Index(ir), Input::Index(is))
     }))
-}
-
-fn panic_text(e: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = e.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = e.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 /// Builds the indexes for a case (MBRQT on `R`, R*-tree on `S` — mixed on
@@ -140,17 +120,17 @@ pub fn build_indexes<const D: usize>(case: &DiffCase<D>) -> (Mbrqt<D>, RStar<D>)
 pub fn check_case<const D: usize>(case: &DiffCase<D>) -> Option<Divergence> {
     let want = truth(case);
     let (ir, is) = build_indexes(case);
-    for (vi, alg) in variants(case).into_iter().enumerate() {
+    for (vi, variant) in variants(case).into_iter().enumerate() {
         for metric in [MetricChoice::Nxn, MetricChoice::MaxMax] {
-            let label = format!("{} {:?}", alg.name(), metric);
+            let label = format!("{} {:?}", variant.0.name(), metric);
             let fail = |detail: String| Divergence {
                 label: label.clone(),
                 detail,
                 variant: vi,
                 metric,
             };
-            match run_variant(case, &ir, &is, alg, metric) {
-                Err(e) => return Some(fail(format!("panicked: {}", panic_text(e)))),
+            match run_variant(case, &ir, &is, variant, metric) {
+                Err(e) => return Some(fail(format!("panicked: {}", panic_text(&*e)))),
                 Ok(Err(e)) => return Some(fail(format!("returned Err: {e:?}"))),
                 Ok(Ok(mut got)) => {
                     if let Some(d) = compare(&mut got, &want, &label) {
@@ -181,7 +161,7 @@ pub fn check_case<const D: usize>(case: &DiffCase<D>) -> Option<Divergence> {
         metric: MetricChoice::Nxn,
     };
     match res {
-        Err(e) => return Some(hnn_div(format!("panicked: {}", panic_text(e)))),
+        Err(e) => return Some(hnn_div(format!("panicked: {}", panic_text(&*e)))),
         Ok(Err(e)) => return Some(hnn_div(format!("returned Err: {e:?}"))),
         Ok(Ok(mut got)) => {
             if let Some(d) = compare(&mut got, &want, "hnn points-input") {
@@ -205,7 +185,7 @@ pub fn check_case<const D: usize>(case: &DiffCase<D>) -> Option<Divergence> {
         metric: MetricChoice::Nxn,
     };
     match res {
-        Err(e) => Some(bnn_div(format!("panicked: {}", panic_text(e)))),
+        Err(e) => Some(bnn_div(format!("panicked: {}", panic_text(&*e)))),
         Ok(Err(e)) => Some(bnn_div(format!("returned Err: {e:?}"))),
         Ok(Ok(mut got)) => compare(&mut got, &want, "bnn points-input").map(bnn_div),
     }
@@ -215,10 +195,11 @@ pub fn check_case<const D: usize>(case: &DiffCase<D>) -> Option<Divergence> {
 /// `ExecutionReport` JSON — the forensic artifact for a bug report.
 pub fn trace_divergence<const D: usize>(case: &DiffCase<D>, div: &Divergence) -> String {
     let (ir, is) = build_indexes(case);
-    let alg = variants(case)[div.variant.min(variants(case).len() - 1)];
+    let (alg, threads) = variants(case)[div.variant.min(variants(case).len() - 1)];
     let sink = RecordingSink::new();
     let res = catch_unwind(AssertUnwindSafe(|| {
         AnnRequest::new(alg)
+            .threads(threads)
             .k(case.k)
             .exclude_self(case.exclude_self)
             .metric(div.metric)

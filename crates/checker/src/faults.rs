@@ -14,12 +14,13 @@
 //!
 //! Never a panic, never a silently wrong answer, never poisoned state.
 
+use crate::common::{chill, decisions, panic_text, qt_cfg, rs_cfg};
 use crate::gen::{self, DiffCase};
 use ann_core::mba::{Expansion, Traversal};
 use ann_core::prelude::*;
 use ann_datagen::Rng;
-use ann_mbrqt::{Mbrqt, MbrqtConfig};
-use ann_rstar::{RStar, RStarConfig};
+use ann_mbrqt::Mbrqt;
+use ann_rstar::RStar;
 use ann_store::{
     BufferPool, FaultyDisk, InjectedFault, MemDisk, PrefetchConfig, RetryPolicy, StoreError,
     FRAME_SIZE, QUARANTINED,
@@ -27,24 +28,6 @@ use ann_store::{
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Small-node configs (same as the diff class) so tiny datasets still
-/// span several pages — otherwise queries never touch the disk and no
-/// fault can fire.
-fn qt_cfg() -> MbrqtConfig {
-    MbrqtConfig {
-        bucket_capacity: 8,
-        ..Default::default()
-    }
-}
-
-fn rs_cfg() -> RStarConfig {
-    RStarConfig {
-        max_leaf_entries: 8,
-        max_internal_entries: 4,
-        ..Default::default()
-    }
-}
 
 /// The fault scenarios a case draws from.
 #[derive(Clone, Copy, Debug)]
@@ -59,71 +42,36 @@ enum Scenario {
     Crash,
 }
 
-/// Pool-backed algorithm variants (HNN is poolless — no I/O fault can
-/// reach it). `serial_only` drops the threaded variant: scenarios that
-/// schedule a fault at an exact operation index rely on cold runs
-/// replaying the baseline's operation sequence, which only serial
-/// traversals guarantee.
-fn variants(case: &DiffCase<2>, serial_only: bool) -> Vec<Algorithm> {
+/// Pool-backed `(algorithm, worker count)` variants (HNN is poolless —
+/// no I/O fault can reach it). `serial_only` drops the threaded variant:
+/// scenarios that schedule a fault at an exact operation index rely on
+/// cold runs replaying the baseline's operation sequence, which only
+/// serial traversals guarantee.
+fn variants(case: &DiffCase<2>, serial_only: bool) -> Vec<(Algorithm, usize)> {
     let mut v = vec![
-        Algorithm::mba(),
-        Algorithm::Mba {
-            traversal: Traversal::BreadthFirst,
-            expansion: Expansion::Unidirectional,
-            threads: 1,
-        },
-        Algorithm::Bnn {
-            group_size: case.group_size,
-        },
-        Algorithm::Mnn,
+        (Algorithm::mba(), 1),
+        (
+            Algorithm::Mba {
+                traversal: Traversal::BreadthFirst,
+                expansion: Expansion::Unidirectional,
+            },
+            1,
+        ),
+        (
+            Algorithm::Bnn {
+                group_size: case.group_size,
+            },
+            1,
+        ),
+        (Algorithm::Mnn, 1),
     ];
     if !serial_only {
-        v.push(Algorithm::Mba {
-            traversal: Traversal::default(),
-            expansion: Expansion::default(),
-            threads: 2,
-        });
+        v.push((Algorithm::mba(), 2));
     }
     v
 }
 
-/// The decision content of an output: results in canonical order plus the
-/// work counters with the I/O block zeroed. Retries and cache state
-/// legitimately differ between a faulted and a clean run; the *decisions*
-/// (expansions, distance computations, neighbors) must not.
-fn canon(out: &AnnOutput) -> (Vec<NeighborPair>, AnnStats) {
-    let mut o = out.clone();
-    o.sort();
-    let mut stats = o.stats;
-    stats.io = Default::default();
-    (o.results, stats)
-}
-
 type RunResult = std::thread::Result<QueryResult<AnnOutput>>;
-
-/// Makes the next run genuinely cold: drops the decoded-node caches both
-/// indexes keep (which otherwise serve repeat traversals without any
-/// pool traffic) and evicts every pool frame, so a scheduled fault has a
-/// real disk-operation sequence to land in.
-fn chill(pool: &BufferPool, ir: &Mbrqt<2>, is: &RStar<2>) -> ann_store::Result<()> {
-    if let Some(c) = ir.node_cache() {
-        c.clear();
-    }
-    if let Some(c) = is.node_cache() {
-        c.clear();
-    }
-    pool.clear()
-}
-
-fn panic_text(e: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = e.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = e.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
 
 /// One fault-trichotomy case; `None` means every assertion held.
 pub fn check_faults_case(rng: &mut Rng) -> Option<String> {
@@ -135,7 +83,7 @@ pub fn check_faults_case(rng: &mut Rng) -> Option<String> {
         Scenario::Crash,
     ]);
     let serial_only = !matches!(scenario, Scenario::TransientRetried);
-    let alg = *rng.pick(&variants(&case, serial_only));
+    let (alg, threads) = *rng.pick(&variants(&case, serial_only));
     let metric = *rng.pick(&[MetricChoice::Nxn, MetricChoice::MaxMax]);
     let label = format!("{} {:?} {:?}", alg.name(), metric, scenario);
 
@@ -163,6 +111,7 @@ pub fn check_faults_case(rng: &mut Rng) -> Option<String> {
     let run = |retry: Option<RetryPolicy>| -> RunResult {
         catch_unwind(AssertUnwindSafe(|| {
             let mut req = AnnRequest::new(alg)
+                .threads(threads)
                 .k(case.k)
                 .exclude_self(case.exclude_self)
                 .metric(metric);
@@ -196,7 +145,7 @@ pub fn check_faults_case(rng: &mut Rng) -> Option<String> {
     if span == 0 {
         return None; // the query never reaches the disk (tiny inputs)
     }
-    let base = canon(&baseline);
+    let base = decisions(&baseline);
 
     let no_retry = RetryPolicy {
         max_attempts: 1,
@@ -240,11 +189,10 @@ pub fn check_faults_case(rng: &mut Rng) -> Option<String> {
 
         (Scenario::TransientRetried, Ok(Ok(out))) => {
             // Leg 1 of the trichotomy: absorbed by retry, byte-identical.
-            if canon(&out) != base {
+            if decisions(&out) != base {
                 return Some(format!("{label}: retried run diverged from baseline"));
             }
-            let threaded = matches!(alg, Algorithm::Mba { threads, .. } if threads > 1);
-            if pool.stats().retries == retries0 && !threaded {
+            if pool.stats().retries == retries0 && threads == 1 {
                 return Some(format!("{label}: transient fault fired but retries=0"));
             }
         }
@@ -267,7 +215,7 @@ pub fn check_faults_case(rng: &mut Rng) -> Option<String> {
                 }
                 Ok(Err(e)) => return Some(format!("{label}: re-run failed: {e}")),
                 Ok(Ok(out)) => {
-                    if canon(&out) != base {
+                    if decisions(&out) != base {
                         return Some(format!("{label}: re-run diverged after typed error"));
                     }
                 }
@@ -333,7 +281,7 @@ pub fn check_faults_case(rng: &mut Rng) -> Option<String> {
                 }
                 Ok(Err(e)) => return Some(format!("{label}: healed run failed: {e}")),
                 Ok(Ok(out)) => {
-                    if canon(&out) != base {
+                    if decisions(&out) != base {
                         return Some(format!("{label}: healed run diverged from baseline"));
                     }
                 }

@@ -20,6 +20,7 @@
 //! * when every pin is released: `pinned_readers() == 0` and
 //!   `pinned_frames() == 0`.
 
+use crate::common::{qt_cfg, rs_cfg};
 use ann_core::brute::brute_force_aknn;
 use ann_core::index::{collect_objects, validate, SpatialIndex};
 use ann_core::prelude::*;
@@ -27,8 +28,8 @@ use ann_core::snapshot::{ReadContext, VersionedHandle};
 use ann_core::stats::NeighborPair;
 use ann_core::tree_file::WritableIndex;
 use ann_geom::{Mbr, Point};
-use ann_mbrqt::{Mbrqt, MbrqtConfig};
-use ann_rstar::{RStar, RStarConfig};
+use ann_mbrqt::Mbrqt;
+use ann_rstar::RStar;
 use ann_store::{BufferPool, MemDisk, StoreError};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -51,21 +52,12 @@ pub fn check_interleave_case(rng: &mut Rng) -> Option<String> {
     let pool = Arc::new(BufferPool::new(MemDisk::new(), 192));
 
     if rng.chance(0.5) {
-        let cfg = MbrqtConfig {
-            bucket_capacity: 8,
-            ..Default::default()
-        };
         // A fixed halving domain: inserts outside the universe must fail.
-        let tree = Mbrqt::<2>::create(Arc::clone(&pool), universe, &cfg);
+        let tree = Mbrqt::<2>::create(Arc::clone(&pool), universe, &qt_cfg());
         run_case(rng, tree, keep, true, &pool, scale).map(|m| format!("mbrqt keep={keep}: {m}"))
     } else {
-        let cfg = RStarConfig {
-            max_leaf_entries: 8,
-            max_internal_entries: 4,
-            ..Default::default()
-        };
         // Bounds grow: there is no out-of-universe insert to reject.
-        let tree = RStar::<2>::create(Arc::clone(&pool), &cfg);
+        let tree = RStar::<2>::create(Arc::clone(&pool), &rs_cfg());
         run_case(rng, tree, keep, false, &pool, scale).map(|m| format!("rstar keep={keep}: {m}"))
     }
 }

@@ -2,6 +2,7 @@
 //! metric orderings, index-tree well-formedness under random mutation
 //! interleavings, and journal-recovery idempotence under injected crashes.
 
+use crate::common::{qt_cfg, rs_cfg};
 use ann_core::index::validate;
 use ann_core::prelude::*;
 use ann_core::tree_file::WritableIndex;
@@ -11,8 +12,8 @@ use ann_geom::{
     kernels, max_max_dist_sq, min_min_dist_sq, min_min_dist_sq_within, nxn_dist_sq, Mbr, Point,
     SoaMbrs, SoaPoints,
 };
-use ann_mbrqt::{Mbrqt, MbrqtConfig};
-use ann_rstar::{RStar, RStarConfig};
+use ann_mbrqt::Mbrqt;
+use ann_rstar::RStar;
 use ann_store::{BufferPool, FaultyDisk, InjectedFault, MemDisk, PageId, DEFAULT_KEEP, FRAME_SIZE};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -217,52 +218,31 @@ pub fn check_kernels_case<const D: usize>(rng: &mut Rng) -> Option<String> {
             ));
         }
     }
-    // `within`: zero, infinite, and a *realized* MINMINDIST as the bound
-    // — the exact-tie case (`v == bound`) is the adversarial one.
+    // `within` (the scalar early exit the scans run): it accepts exactly
+    // the MINMINDISTs within the bound, bit-equal, at zero, infinite, and
+    // a *realized* MINMINDIST as the bound — the exact tie is the
+    // adversarial one.
     let mut bounds = vec![0.0, f64::INFINITY];
     if n > 0 {
         kernels::min_min_dist_sq_batch(&m, &mbrs, &mut out);
         bounds.push(out[rng.range(0, n)]);
     }
     for bound in bounds {
-        kernels::min_min_dist_sq_within_batch(&m, &mbrs, bound, &mut out);
-        for (i, &got) in out.iter().enumerate() {
+        for i in 0..n {
+            let full = min_min_dist_sq(&m, &mbrs.mbr::<D>(i));
             match min_min_dist_sq_within(&m, &mbrs.mbr::<D>(i), bound) {
-                Some(v) => {
-                    if got > bound || got.to_bits() != v.to_bits() {
-                        return Some(format!(
-                            "within_batch[{i}] = {:?} != accepted scalar {v:?} at bound {bound:?}",
-                            got
-                        ));
-                    }
-                }
-                None => {
-                    if got <= bound {
-                        return Some(format!(
-                            "within_batch[{i}] = {:?} accepted, scalar rejects at bound {bound:?}",
-                            got
-                        ));
-                    }
+                Some(v) if full <= bound && v.to_bits() == full.to_bits() => {}
+                None if full > bound => {}
+                got => {
+                    return Some(format!(
+                        "min_min_dist_sq_within[{i}] = {got:?} disagrees with \
+                         MINMINDIST² {full:?} at bound {bound:?}"
+                    ))
                 }
             }
         }
     }
     None
-}
-
-fn qt_cfg() -> MbrqtConfig {
-    MbrqtConfig {
-        bucket_capacity: 8,
-        ..Default::default()
-    }
-}
-
-fn rs_cfg() -> RStarConfig {
-    RStarConfig {
-        max_leaf_entries: 8,
-        max_internal_entries: 4,
-        ..Default::default()
-    }
 }
 
 /// Replays a random insert/delete interleaving against both index kinds,
@@ -502,13 +482,17 @@ pub fn check_wire_case(rng: &mut Rng) -> Option<String> {
     use ann_core::wire::{QueryOutcome, QuerySpec, WireError};
 
     // -- spec round-trip --------------------------------------------------
+    let mut threads = 1;
     let algorithm = match rng.range(0, 5) {
         0 => Algorithm::mba(),
-        1 => Algorithm::Mba {
-            traversal: *rng.pick(&[Traversal::DepthFirst, Traversal::BreadthFirst]),
-            expansion: *rng.pick(&[Expansion::Bidirectional, Expansion::Unidirectional]),
-            threads: rng.range(0, 9),
-        },
+        1 => {
+            let mba = Algorithm::Mba {
+                traversal: *rng.pick(&[Traversal::DepthFirst, Traversal::BreadthFirst]),
+                expansion: *rng.pick(&[Expansion::Bidirectional, Expansion::Unidirectional]),
+            };
+            threads = rng.range(0, 9);
+            mba
+        }
         2 => Algorithm::Bnn {
             group_size: rng.range(1, 5000),
         },
@@ -518,11 +502,12 @@ pub fn check_wire_case(rng: &mut Rng) -> Option<String> {
         },
     };
     let mut spec = QuerySpec::new(algorithm);
+    spec.threads = threads;
     spec.k = rng.range(0, 1 << 20);
     spec.exclude_self = rng.chance(0.5);
     spec.metric = *rng.pick(&[MetricChoice::Nxn, MetricChoice::MaxMax]);
     if rng.chance(0.4) {
-        spec.deadline_ms = Some(rng.next_u64() % 1_000_000);
+        spec.deadline_in = Some(std::time::Duration::from_millis(rng.next_u64() % 1_000_000));
     }
     if rng.chance(0.4) {
         spec.io_budget = Some(rng.next_u64() % 1_000_000);

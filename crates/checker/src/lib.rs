@@ -19,8 +19,9 @@
 //! * [`Class::Kernels`] — every batched SoA kernel in
 //!   [`ann_geom::kernels`] reproduces its scalar counterpart bit-for-bit
 //!   on adversarial candidate sets (coincident/duplicate points, `1e8`
-//!   offsets, degenerate boxes, `D ∈ {1, 2, 8}`), including the shared
-//!   accept/reject decision of the `_within` variant.
+//!   offsets, degenerate boxes, `D ∈ {1, 2, 8}`), and the scalar
+//!   `min_min_dist_sq_within` early exit accepts exactly the
+//!   `MINMINDIST²`s within its bound, bit-equal.
 //! * [`Class::Tree`] — MBRQT and R*-tree structural invariants and the
 //!   exact object census survive random insert/delete interleavings.
 //! * [`Class::Recovery`] — journal recovery after an injected torn-write
@@ -54,6 +55,7 @@
 //!
 //! Run via `cargo run -p checker --bin fuzz -- --seed 1 --cases 200`.
 
+pub mod common;
 pub mod diff;
 pub mod faults;
 pub mod gen;
@@ -231,7 +233,7 @@ fn invariant_one<const D: usize>(class: Class, case_seed: u64, index: usize) -> 
     let message = match outcome {
         Ok(None) => return None,
         Ok(Some(m)) => m,
-        Err(e) => format!("panicked: {}", panic_text(&e)),
+        Err(e) => format!("panicked: {}", common::panic_text(&*e)),
     };
     Some(Failure {
         class: class.name(),
@@ -242,14 +244,4 @@ fn invariant_one<const D: usize>(class: Class, case_seed: u64, index: usize) -> 
         repro: format!("rerun with Rng::new({case_seed:#x}) in {}", class.name()),
         trace_json: None,
     })
-}
-
-fn panic_text(e: &Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = e.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = e.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }

@@ -9,12 +9,13 @@
 //! success) with **zero** leaked pool pins, and a cold fault-free re-run
 //! at the same thread count must be byte-identical to the baseline.
 
+use crate::common::{canonical_pairs, chill, panic_text, qt_cfg, rs_cfg};
 use crate::diff;
 use crate::gen::{self, DiffCase};
 use ann_core::prelude::*;
 use ann_datagen::Rng;
-use ann_mbrqt::{Mbrqt, MbrqtConfig};
-use ann_rstar::{RStar, RStarConfig};
+use ann_mbrqt::Mbrqt;
+use ann_rstar::RStar;
 use ann_store::{BufferPool, FaultyDisk, InjectedFault, MemDisk, StoreError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -22,43 +23,6 @@ use std::time::Instant;
 
 /// Thread counts every variant is diffed at (serial is the reference).
 pub const THREADS: [usize; 3] = [2, 3, 8];
-
-/// Small-node configs (same as the diff class) so tiny datasets still
-/// span several pages and several morsels.
-fn qt_cfg() -> MbrqtConfig {
-    MbrqtConfig {
-        bucket_capacity: 8,
-        ..Default::default()
-    }
-}
-
-fn rs_cfg() -> RStarConfig {
-    RStarConfig {
-        max_leaf_entries: 8,
-        max_internal_entries: 4,
-        ..Default::default()
-    }
-}
-
-/// Result bytes in canonical order: `(r_oid, s_oid, dist bits)`.
-fn canon(out: &AnnOutput) -> Vec<(u64, u64, u64)> {
-    let mut o = out.clone();
-    o.sort();
-    o.results
-        .iter()
-        .map(|p| (p.r_oid, p.s_oid, p.dist.to_bits()))
-        .collect()
-}
-
-fn panic_text(e: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = e.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = e.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
 
 type RunResult = std::thread::Result<QueryResult<AnnOutput>>;
 
@@ -134,7 +98,11 @@ pub fn check_parallel_case(rng: &mut Rng) -> Option<String> {
 
     // Leg 1: every variant × every thread count is byte-identical to the
     // serial run of the same variant.
-    let variants = diff::variants(&case);
+    // The diff class's variants, each re-run here at every worker count.
+    let variants: Vec<Algorithm> = diff::variants(&case)
+        .into_iter()
+        .map(|(alg, _)| alg)
+        .collect();
     for alg in &variants {
         let label = format!("{} {:?}", alg.name(), metric);
         let serial = match run_one(&case, &ir, &is, *alg, metric, 1, None, false) {
@@ -142,7 +110,7 @@ pub fn check_parallel_case(rng: &mut Rng) -> Option<String> {
             Ok(Err(e)) => return Some(format!("{label}: serial run failed: {e}")),
             Ok(Ok(out)) => out,
         };
-        let base = canon(&serial);
+        let base = canonical_pairs(&serial);
         for t in THREADS {
             match run_one(&case, &ir, &is, *alg, metric, t, None, false) {
                 Err(e) => {
@@ -153,7 +121,7 @@ pub fn check_parallel_case(rng: &mut Rng) -> Option<String> {
                 }
                 Ok(Err(e)) => return Some(format!("{label} threads={t}: failed: {e}")),
                 Ok(Ok(out)) => {
-                    if canon(&out) != base {
+                    if canonical_pairs(&out) != base {
                         return Some(format!(
                             "{label} threads={t}: parallel output diverged from serial \
                              ({} vs {} pairs)",
@@ -180,7 +148,7 @@ pub fn check_parallel_case(rng: &mut Rng) -> Option<String> {
         Ok(Err(e)) => return Some(format!("{label}: baseline failed: {e}")),
         Ok(Ok(out)) => out,
     };
-    let base = canon(&baseline);
+    let base = canonical_pairs(&baseline);
 
     let constraint = match rng.range(0, 3) {
         0 => {
@@ -248,7 +216,7 @@ pub fn check_parallel_case(rng: &mut Rng) -> Option<String> {
         Err(e) => return Some(format!("{label}: re-run panicked: {}", panic_text(&*e))),
         Ok(Err(e)) => return Some(format!("{label}: re-run after abort failed: {e}")),
         Ok(Ok(out)) => {
-            if canon(&out) != base {
+            if canonical_pairs(&out) != base {
                 return Some(format!("{label}: re-run after abort diverged"));
             }
         }
@@ -286,16 +254,6 @@ fn check_faulted(rng: &mut Rng, case: &DiffCase<2>, metric: MetricChoice) -> Opt
         Err(e) => return Some(format!("{label}: S build failed: {e}")),
     };
 
-    let chill = |pool: &BufferPool, ir: &Mbrqt<2>, is: &RStar<2>| -> ann_store::Result<()> {
-        if let Some(c) = ir.node_cache() {
-            c.clear();
-        }
-        if let Some(c) = is.node_cache() {
-            c.clear();
-        }
-        pool.clear()
-    };
-
     if let Err(e) = chill(&pool, &ir, &is) {
         return Some(format!("{label}: pool clear failed: {e}"));
     }
@@ -309,7 +267,7 @@ fn check_faulted(rng: &mut Rng, case: &DiffCase<2>, metric: MetricChoice) -> Opt
     if span == 0 {
         return None; // never reaches the disk: nothing to fault
     }
-    let base = canon(&baseline);
+    let base = canonical_pairs(&baseline);
 
     // A transient fault somewhere inside the parallel run's I/O window,
     // with retries disabled so it must surface. Workers race, so the
@@ -335,7 +293,7 @@ fn check_faulted(rng: &mut Rng, case: &DiffCase<2>, metric: MetricChoice) -> Opt
         Ok(Ok(out)) => {
             // The fault missed (cache-served run): the answer must still
             // be byte-identical — never silently wrong.
-            if canon(&out) != base {
+            if canonical_pairs(&out) != base {
                 return Some(format!("{label}: fault-missed run diverged"));
             }
         }
@@ -352,7 +310,7 @@ fn check_faulted(rng: &mut Rng, case: &DiffCase<2>, metric: MetricChoice) -> Opt
         Err(e) => return Some(format!("{label}: re-run panicked: {}", panic_text(&*e))),
         Ok(Err(e)) => return Some(format!("{label}: re-run failed: {e}")),
         Ok(Ok(out)) => {
-            if canon(&out) != base {
+            if canonical_pairs(&out) != base {
                 return Some(format!("{label}: cold re-run diverged after fault"));
             }
         }

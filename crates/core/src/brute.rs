@@ -59,14 +59,6 @@ pub fn brute_force_aknn<const D: usize>(
     out
 }
 
-/// Convenience wrapper for plain ANN (`k = 1`, no exclusion).
-pub fn brute_force_ann<const D: usize>(
-    r: &[(u64, Point<D>)],
-    s: &[(u64, Point<D>)],
-) -> Vec<NeighborPair> {
-    brute_force_aknn(r, s, 1, false)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,7 +75,7 @@ mod tests {
     fn nearest_neighbor_by_hand() {
         let r = pts(&[[0.0, 0.0], [10.0, 10.0]]);
         let s = pts(&[[1.0, 0.0], [9.0, 10.0], [5.0, 5.0]]);
-        let out = brute_force_ann(&r, &s);
+        let out = brute_force_aknn(&r, &s, 1, false);
         assert_eq!(out.len(), 2);
         assert_eq!((out[0].r_oid, out[0].s_oid, out[0].dist), (0, 0, 1.0));
         assert_eq!((out[1].r_oid, out[1].s_oid, out[1].dist), (1, 1, 1.0));

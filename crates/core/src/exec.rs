@@ -229,6 +229,9 @@ impl<const D: usize> Frame<'_, D> {
         } else {
             self.out = join.retire(lead);
             let (pout, err) = par::run_workers(self.workers, seeds, tracer, |h| {
+                // A worker reads pages under the query's own retry policy,
+                // as the calling thread does.
+                let _retry = guard.retry_scope();
                 let mut scratch = QueryScratch::new();
                 let mut w = Worker {
                     tracer: h.tracer(),

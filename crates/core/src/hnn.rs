@@ -412,7 +412,7 @@ mod tests {
 
     fn check(r: &[(u64, Point<2>)], s: &[(u64, Point<2>)], req: &AnnRequest<'_>) {
         let got = hnn(r, s, req);
-        let mut want = brute_force_aknn(r, s, req.k, req.exclude_self);
+        let mut want = brute_force_aknn(r, s, req.spec.k, req.spec.exclude_self);
         want.sort_by(|a, b| {
             (a.r_oid, a.dist, a.s_oid)
                 .partial_cmp(&(b.r_oid, b.dist, b.s_oid))

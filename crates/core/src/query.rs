@@ -1,13 +1,16 @@
-//! The unified ANN query entrypoint: one request builder, one `run`.
+//! The unified ANN query entrypoint: one query description, one `run`.
 //!
-//! [`AnnRequest`] carries the fields every join algorithm shares (`k`,
-//! `exclude_self`, the pruning-metric choice, the worker count, the
-//! resilience limits and the [`Tracer`] hookup), while [`Algorithm`]
-//! carries each method's extras as variant payload. [`run_scratch`] is the
-//! only way in: it builds the guard and hands each algorithm's single
-//! `run` one execution context (tracer, guard, scratch, worker count),
-//! and the crate-private join driver (`exec.rs`) executes it — serially
-//! when the count resolves to one worker, over the morsel engine
+//! [`QuerySpec`] is the one description of a query: `k`, `exclude_self`,
+//! the pruning-metric choice, the [`Algorithm`] (each method's extras as
+//! variant payload), the worker count, the resilience limits and the
+//! snapshot version — owned data, which is also what crosses the wire
+//! ([`crate::wire`] serializes it). [`AnnRequest`] is a `QuerySpec` plus
+//! the two things only a running process holds: a [`CancelToken`] and a
+//! [`Tracer`]; its builder setters write into the spec. [`run_scratch`]
+//! is the only way in: it builds the guard and hands each algorithm's
+//! single `run` one execution context (tracer, guard, scratch, worker
+//! count), and the crate-private join driver (`exec.rs`) executes it —
+//! serially when the count resolves to one worker, over the morsel engine
 //! otherwise.
 //!
 //! GORDER lives downstream of this crate (`ann-gorder` depends on
@@ -26,11 +29,12 @@
 //!
 //! # Resilience
 //!
-//! A request also carries the query-resilience knobs: a deadline, a
-//! shareable [`CancelToken`], I/O and node-visit budgets, and a
-//! per-request transient-fault [`RetryPolicy`]. All of them default to
-//! off, in which case the traversals run their original fault-free fast
-//! path. See [`crate::resilience`] for the abort taxonomy and guarantees.
+//! A request also carries the query-resilience knobs: a deadline (a time
+//! budget counted from the start of the run), a shareable
+//! [`CancelToken`], I/O and node-visit budgets, and a per-request
+//! transient-fault [`RetryPolicy`]. All of them default to off, in which
+//! case the traversals run their original fault-free fast path. See
+//! [`crate::resilience`] for the abort taxonomy and guarantees.
 //!
 //! ```no_run
 //! use ann_core::prelude::*;
@@ -54,7 +58,7 @@ use crate::exec::ExecCtx;
 use crate::index::{collect_objects, SpatialIndex};
 use crate::mba::{Expansion, Traversal};
 use crate::node_cache::NodeCache;
-use crate::resilience::{CancelToken, QueryGuard, QueryResult, RetryOverride};
+use crate::resilience::{CancelToken, QueryGuard, QueryResult};
 use crate::scratch::QueryScratch;
 use crate::stats::AnnOutput;
 use crate::trace::{TraceSink, Tracer};
@@ -106,9 +110,6 @@ pub enum Algorithm {
         traversal: Traversal,
         /// Node-expansion strategy (§3.3.2).
         expansion: Expansion,
-        /// Worker threads: `1` = the serial algorithm, `0` = one per
-        /// core, otherwise that many workers.
-        threads: usize,
     },
     /// Batched NN baseline (Zhang et al. SSDBM'04): Hilbert-grouped
     /// best-first searches over the `S` index. `R` may be plain points.
@@ -135,13 +136,11 @@ const DEFAULT_BNN_GROUP_SIZE: usize = 256;
 const DEFAULT_HNN_CELL_OCCUPANCY: f64 = 8.0;
 
 impl Algorithm {
-    /// MBA/RBA with the paper's defaults: depth-first, bi-directional,
-    /// serial.
+    /// MBA/RBA with the paper's defaults: depth-first, bi-directional.
     pub fn mba() -> Self {
         Algorithm::Mba {
             traversal: Traversal::default(),
             expansion: Expansion::default(),
-            threads: 1,
         }
     }
 
@@ -211,13 +210,13 @@ impl<const D: usize> SpatialIndex<D> for NoIndex {
     }
 }
 
-/// A unified ANN/AkNN query: the shared knobs every algorithm honors,
-/// plus the [`Algorithm`] selection and an optional [`TraceSink`].
-///
-/// Build with [`AnnRequest::new`] and the chained setters, then call
-/// [`run`](AnnRequest::run) (or the free function [`run`]).
-#[derive(Clone)]
-pub struct AnnRequest<'a> {
+/// The one description of an ANN/AkNN query: every knob, owned, nothing
+/// borrowed. It is what a remote client sends (see [`crate::wire`] for
+/// the JSON form) and what an [`AnnRequest`] runs. Build it with
+/// [`QuerySpec::new`] and field updates, or through the [`AnnRequest`]
+/// setters.
+#[derive(Clone, Debug, PartialEq)]
+pub struct QuerySpec {
     /// Neighbors per query object (`1` = plain ANN).
     pub k: usize,
     /// Self-join mode: skip same-oid pairs (bounds are computed for one
@@ -227,24 +226,26 @@ pub struct AnnRequest<'a> {
     pub metric: MetricChoice,
     /// Algorithm and its method-specific knobs.
     pub algorithm: Algorithm,
-    /// Abort with [`crate::QueryError::DeadlineExceeded`] once this
-    /// instant passes (checked at node-expansion granularity).
-    pub deadline: Option<Instant>,
+    /// Time budget: abort with [`crate::QueryError::DeadlineExceeded`]
+    /// once this much time has passed since the run built its guard
+    /// (checked at node-expansion granularity). `"deadline_ms"` on the
+    /// wire.
+    pub deadline_in: Option<Duration>,
     /// Abort with [`crate::QueryError::BudgetExhausted`] after this many
     /// physical page reads attributable to the query.
     pub io_budget: Option<u64>,
     /// Abort with [`crate::QueryError::BudgetExhausted`] after this many
     /// node expansions.
     pub visit_budget: Option<u64>,
-    /// Transient-fault retry policy applied to the touched pools for the
-    /// duration of the query (restored afterwards, error or not).
+    /// Transient-fault retry policy for the page reads the query's own
+    /// threads issue, in place of the pools' policy (which it leaves
+    /// untouched, so concurrent queries on the same pools keep theirs).
     pub retry: Option<RetryPolicy>,
     /// Snapshot version to evaluate against, for time-travel queries over
-    /// versioned indexes. The core algorithms don't interpret this — the
-    /// layer that owns the index (e.g. the serving registry) pins the
-    /// version and hands the resulting [`crate::ReadContext`] in as the
-    /// [`Input`]; the field rides along so one request value carries the
-    /// full query description across the wire and into logs.
+    /// versioned indexes; `None` is the latest. The core algorithms don't
+    /// interpret this — the layer that owns the index (e.g. the serving
+    /// registry) pins the version and hands the resulting
+    /// [`crate::ReadContext`] in as the [`Input`].
     pub version: Option<u32>,
     /// Intra-query worker threads: `1` (the default) asks for the serial
     /// algorithm, `0` for one worker per available core, and any other
@@ -253,78 +254,102 @@ pub struct AnnRequest<'a> {
     /// thread with the caller's scratch; more fan the join out through
     /// the morsel engine ([`crate::par`]). Output is in canonical
     /// `(r_oid, dist, s_oid)` order at *every* count, so results are
-    /// byte-identical regardless of this knob. For [`Algorithm::Mba`]
-    /// this overrides the variant's own `threads` knob unless left at
-    /// `1` (see [`effective_threads`](AnnRequest::effective_threads)).
+    /// byte-identical regardless of this knob.
     pub threads: usize,
-    cancel: Option<CancelToken>,
-    tracer: Tracer<'a>,
 }
 
-impl<'a> AnnRequest<'a> {
-    /// A request for `algorithm` with `k = 1`, no self-exclusion,
-    /// NXNDIST, tracing disabled, and no resilience limits.
+impl Default for QuerySpec {
+    /// MBA with [`QuerySpec::new`]'s defaults.
+    fn default() -> Self {
+        QuerySpec::new(Algorithm::mba())
+    }
+}
+
+impl QuerySpec {
+    /// A spec for `algorithm` with `k = 1`, no self-exclusion, NXNDIST,
+    /// one worker, the latest version and no resilience limits.
     pub fn new(algorithm: Algorithm) -> Self {
-        AnnRequest {
+        QuerySpec {
             k: 1,
             exclude_self: false,
             metric: MetricChoice::default(),
             algorithm,
-            deadline: None,
+            deadline_in: None,
             io_budget: None,
             visit_budget: None,
             retry: None,
             version: None,
             threads: 1,
+        }
+    }
+
+    /// A request for this spec with nothing attached.
+    pub fn to_request(&self) -> AnnRequest<'static> {
+        self.clone().into()
+    }
+}
+
+/// A runnable ANN/AkNN query: the [`QuerySpec`] knobs plus the two things
+/// only a running process holds — a [`CancelToken`] and a [`TraceSink`].
+///
+/// Build with [`AnnRequest::new`] (or from a spec) and the chained
+/// setters, then call [`run`](AnnRequest::run) (or the free function
+/// [`run`]).
+#[derive(Clone)]
+pub struct AnnRequest<'a> {
+    /// Every knob of the query; the setters write here.
+    pub spec: QuerySpec,
+    cancel: Option<CancelToken>,
+    tracer: Tracer<'a>,
+}
+
+impl From<QuerySpec> for AnnRequest<'_> {
+    /// The spec with nothing attached.
+    fn from(spec: QuerySpec) -> Self {
+        AnnRequest {
+            spec,
             cancel: None,
             tracer: Tracer::disabled(),
         }
     }
+}
 
-    /// Sets the intra-query worker-thread count (see the
-    /// [`threads`](AnnRequest::threads) field docs; `1` = serial, `0` =
-    /// one per core).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
+impl<'a> AnnRequest<'a> {
+    /// [`QuerySpec::new`]`(algorithm)` with nothing attached.
+    pub fn new(algorithm: Algorithm) -> Self {
+        QuerySpec::new(algorithm).into()
     }
 
-    /// The worker count the request asks for, before `0` is resolved to
-    /// the host's cores: the request-level [`threads`](AnnRequest::threads)
-    /// wins unless left at its serial default, in which case
-    /// [`Algorithm::Mba`]'s own wire-level `threads` knob applies. The
-    /// one statement of that precedence — the join driver resolves this
-    /// value, and a server sizing a compute grant must ask for the same.
-    pub fn effective_threads(&self) -> usize {
-        match (self.threads, self.algorithm) {
-            (1, Algorithm::Mba { threads, .. }) => threads,
-            (n, _) => n,
-        }
+    /// Sets the intra-query worker-thread count (see
+    /// [`QuerySpec::threads`]; `1` = serial, `0` = one per core).
+    pub fn threads(mut self, threads: usize) -> Self {
+        self.spec.threads = threads;
+        self
     }
 
     /// Pins the query to snapshot `version` of a versioned index
     /// (time-travel). Resolution happens in the index-owning layer; see
-    /// the [`version`](AnnRequest::version) field docs.
+    /// [`QuerySpec::version`].
     pub fn at_version(mut self, version: u32) -> Self {
-        self.version = Some(version);
+        self.spec.version = Some(version);
         self
     }
 
     /// Sets the neighbors-per-object count.
     pub fn k(mut self, k: usize) -> Self {
-        self.k = k;
+        self.spec.k = k;
         self
     }
 
     /// Sets self-join mode.
     pub fn exclude_self(mut self, exclude: bool) -> Self {
-        self.exclude_self = exclude;
+        self.spec.exclude_self = exclude;
         self
     }
 
     /// Sets the pruning metric.
     pub fn metric(mut self, metric: MetricChoice) -> Self {
-        self.metric = metric;
+        self.spec.metric = metric;
         self
     }
 
@@ -335,16 +360,17 @@ impl<'a> AnnRequest<'a> {
         self
     }
 
-    /// Aborts the query once `deadline` passes.
-    pub fn deadline(mut self, deadline: Instant) -> Self {
-        self.deadline = Some(deadline);
+    /// Aborts the query once `budget` has passed since the run started.
+    pub fn deadline_in(mut self, budget: Duration) -> Self {
+        self.spec.deadline_in = Some(budget);
         self
     }
 
-    /// Aborts the query `timeout` from now — sugar for
-    /// [`deadline`](AnnRequest::deadline).
-    pub fn deadline_in(self, timeout: Duration) -> Self {
-        self.deadline(Instant::now() + timeout)
+    /// Sugar for [`deadline_in`](AnnRequest::deadline_in) with the time
+    /// left until `deadline` now; a past instant is a zero budget, which
+    /// aborts before the first page is read.
+    pub fn deadline(self, deadline: Instant) -> Self {
+        self.deadline_in(deadline.saturating_duration_since(Instant::now()))
     }
 
     /// Attaches a cancellation token; keep a clone to cancel the running
@@ -356,20 +382,20 @@ impl<'a> AnnRequest<'a> {
 
     /// Caps the query's physical page reads.
     pub fn io_budget(mut self, pages: u64) -> Self {
-        self.io_budget = Some(pages);
+        self.spec.io_budget = Some(pages);
         self
     }
 
     /// Caps the query's node expansions.
     pub fn visit_budget(mut self, nodes: u64) -> Self {
-        self.visit_budget = Some(nodes);
+        self.spec.visit_budget = Some(nodes);
         self
     }
 
-    /// Overrides the transient-fault retry policy on the pools this query
-    /// touches, for the duration of the query.
+    /// Sets the transient-fault retry policy for the page reads this
+    /// query's threads issue (see [`QuerySpec::retry`]).
     pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = Some(policy);
+        self.spec.retry = Some(policy);
         self
     }
 
@@ -407,35 +433,17 @@ impl<'a> AnnRequest<'a> {
     }
 }
 
-/// The `Debug` rendering is the server's request-log line, so it must
-/// cover *every* knob — the resilience fields included (a log that hides
-/// the deadline or budgets is useless for debugging shed requests). The
-/// deadline renders as the duration remaining (`deadline_in`), which is
-/// what a log reader actually wants; `None` means no deadline, and
-/// `Some(0ns)` means already expired.
+/// The `Debug` rendering is the server's request-log line: the whole
+/// spec (the deadline as its `deadline_in` budget) and what is attached.
 impl std::fmt::Debug for AnnRequest<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AnnRequest")
-            .field("k", &self.k)
-            .field("exclude_self", &self.exclude_self)
-            .field("metric", &self.metric)
-            .field("algorithm", &self.algorithm)
-            .field(
-                "deadline_in",
-                &self
-                    .deadline
-                    .map(|d| d.saturating_duration_since(Instant::now())),
-            )
+            .field("spec", &self.spec)
             .field("cancellable", &self.cancel.is_some())
             .field(
                 "cancelled",
                 &self.cancel.as_ref().is_some_and(|c| c.is_cancelled()),
             )
-            .field("io_budget", &self.io_budget)
-            .field("visit_budget", &self.visit_budget)
-            .field("retry", &self.retry)
-            .field("version", &self.version)
-            .field("threads", &self.threads)
             .field("traced", &self.tracer.enabled())
             .finish()
     }
@@ -490,7 +498,7 @@ where
     IR: SpatialIndex<D> + Sync,
     IS: SpatialIndex<D> + Sync,
 {
-    match req.metric {
+    match req.spec.metric {
         MetricChoice::Nxn => run_with_metric::<D, NxnDist, IR, IS>(req, r, s, scratch),
         MetricChoice::MaxMax => run_with_metric::<D, MaxMaxDist, IR, IS>(req, r, s, scratch),
     }
@@ -508,7 +516,7 @@ where
     IS: SpatialIndex<D> + Sync,
 {
     // The pools the query will touch: the guard charges their physical
-    // reads against the I/O budget and the retry override applies there.
+    // reads against the I/O budget.
     let mut pools: Vec<&BufferPool> = Vec::with_capacity(2);
     if let Input::Index(ir) = &r {
         pools.push(ir.pool());
@@ -516,27 +524,28 @@ where
     if let Input::Index(is) = &s {
         pools.push(is.pool());
     }
+    let spec = &req.spec;
     let guard = QueryGuard::new(
         req.cancel.clone(),
-        req.deadline,
-        req.visit_budget,
-        req.io_budget,
+        spec.deadline_in,
+        spec.visit_budget,
+        spec.io_budget,
+        spec.retry,
         &pools,
     );
     guard.preflight()?;
-    let _retry = req.retry.map(|policy| RetryOverride::apply(&pools, policy));
+    let _retry = guard.retry_scope();
     let ctx = ExecCtx {
         tracer: req.tracer,
         guard: &guard,
         scratch,
-        threads: req.effective_threads(),
+        threads: spec.threads,
     };
-    let (k, exclude_self) = (req.k, req.exclude_self);
-    match req.algorithm {
+    let (k, exclude_self) = (spec.k, spec.exclude_self);
+    match spec.algorithm {
         Algorithm::Mba {
             traversal,
             expansion,
-            ..
         } => {
             let Input::Index(ir) = r else {
                 panic!("Algorithm::Mba requires Input::Index on the r side")

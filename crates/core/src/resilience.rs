@@ -13,7 +13,10 @@
 //!   [`QueryGuard::tick`] once per node expansion (HNN, which has no
 //!   nodes, ticks per query point), so an abort takes effect within one
 //!   expansion. With no limits configured the guard is a single branch,
-//!   keeping the fault-free path decision- and counter-identical.
+//!   keeping the fault-free path decision- and counter-identical. It also
+//!   carries the request's [`RetryPolicy`], which the join driver scopes
+//!   to the query's own threads ([`ann_store::RetryScope`]) —
+//!   never written to a pool.
 //! * [`QueryError`] — the typed abort/failure taxonomy. Store-layer
 //!   failures (after the pool's retries are exhausted) arrive as
 //!   [`QueryError::Io`]; budget aborts carry the partial [`AnnStats`]
@@ -26,10 +29,10 @@
 //! use), and a subsequent fault-free run returns byte-identical results.
 
 use crate::stats::AnnStats;
-use ann_store::{BufferPool, IoSnapshot, RetryPolicy, StoreError};
+use ann_store::{BufferPool, IoSnapshot, RetryPolicy, RetryScope, StoreError};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// A shareable cancellation flag. Clone it, hand a copy to another
 /// thread (or a timeout reaper), and [`cancel`](CancelToken::cancel) —
@@ -161,6 +164,7 @@ pub struct QueryGuard<'p> {
     visits: AtomicU64,
     io_budget: u64,
     io_base: u64,
+    retry: Option<RetryPolicy>,
     /// The distinct pools the query touches: their physical reads count
     /// against `io_budget`, and their counters are the query's I/O.
     pools: Vec<&'p BufferPool>,
@@ -169,28 +173,22 @@ pub struct QueryGuard<'p> {
 impl QueryGuard<'static> {
     /// A guard with no limits: every tick is a single branch.
     pub fn disabled() -> Self {
-        QueryGuard {
-            active: false,
-            cancel: None,
-            deadline: None,
-            visit_budget: u64::MAX,
-            visits: AtomicU64::new(0),
-            io_budget: u64::MAX,
-            io_base: 0,
-            pools: Vec::new(),
-        }
+        QueryGuard::new(None, None, None, None, None, &[])
     }
 }
 
 impl<'p> QueryGuard<'p> {
-    /// Builds a guard for one query. `pools` are the buffer pools whose
-    /// physical reads the `io_budget` charges (duplicates are folded, so
-    /// a shared pool is not double-counted).
+    /// Builds a guard for one query; the `deadline` time budget starts
+    /// now. `pools` are the buffer pools whose physical reads the
+    /// `io_budget` charges (duplicates are folded, so a shared pool is
+    /// not double-counted); `retry` is the policy the query's own threads
+    /// read pages under, in place of the pools' own.
     pub fn new(
         cancel: Option<CancelToken>,
-        deadline: Option<Instant>,
+        deadline: Option<Duration>,
         visit_budget: Option<u64>,
         io_budget: Option<u64>,
+        retry: Option<RetryPolicy>,
         pools: &[&'p BufferPool],
     ) -> Self {
         let mut deduped: Vec<&'p BufferPool> = Vec::with_capacity(pools.len());
@@ -199,6 +197,8 @@ impl<'p> QueryGuard<'p> {
                 deduped.push(p);
             }
         }
+        // A budget too large for the clock is no deadline at all.
+        let deadline = deadline.and_then(|budget| Instant::now().checked_add(budget));
         let active =
             cancel.is_some() || deadline.is_some() || visit_budget.is_some() || io_budget.is_some();
         let mut guard = QueryGuard {
@@ -209,10 +209,19 @@ impl<'p> QueryGuard<'p> {
             visits: AtomicU64::new(0),
             io_budget: io_budget.unwrap_or(u64::MAX),
             io_base: 0,
+            retry,
             pools: deduped,
         };
         guard.io_base = guard.physical_reads();
         guard
+    }
+
+    /// Puts the query's retry policy (if it has one) in place of the
+    /// pools' own for the I/O the calling thread issues while the scope
+    /// lives. The join driver enters it on the query's thread and on every
+    /// morsel worker, so the policy reaches no other query on the pools.
+    pub(crate) fn retry_scope(&self) -> RetryScope {
+        RetryScope::enter(self.retry)
     }
 
     /// Physical reads so far across the charged pools.
@@ -311,42 +320,10 @@ pub fn attach_partial_stats(err: QueryError, stats: &AnnStats) -> QueryError {
     }
 }
 
-/// RAII override of the transient-fault [`RetryPolicy`] on the pools a
-/// request touches: applied on entry, restored (in reverse) on drop, so
-/// a per-request policy cannot leak into unrelated queries even when the
-/// query errors out mid-flight.
-pub struct RetryOverride<'p> {
-    saved: Vec<(&'p BufferPool, RetryPolicy)>,
-}
-
-impl<'p> RetryOverride<'p> {
-    /// Applies `policy` to every distinct pool in `pools`.
-    pub fn apply(pools: &[&'p BufferPool], policy: RetryPolicy) -> Self {
-        let mut saved: Vec<(&'p BufferPool, RetryPolicy)> = Vec::with_capacity(pools.len());
-        for &p in pools {
-            if saved.iter().any(|&(q, _)| std::ptr::eq(q, p)) {
-                continue;
-            }
-            saved.push((p, p.retry_policy()));
-            p.set_retry_policy(policy);
-        }
-        RetryOverride { saved }
-    }
-}
-
-impl Drop for RetryOverride<'_> {
-    fn drop(&mut self) {
-        for (pool, policy) in self.saved.drain(..).rev() {
-            pool.set_retry_policy(policy);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ann_store::MemDisk;
-    use std::time::Duration;
 
     #[test]
     fn disabled_guard_never_aborts() {
@@ -360,7 +337,7 @@ mod tests {
     #[test]
     fn cancel_token_aborts_immediately() {
         let token = CancelToken::new();
-        let g = QueryGuard::new(Some(token.clone()), None, None, None, &[]);
+        let g = QueryGuard::new(Some(token.clone()), None, None, None, None, &[]);
         assert!(g.tick().is_ok());
         token.cancel();
         assert!(matches!(g.tick(), Err(QueryError::Cancelled)));
@@ -371,37 +348,25 @@ mod tests {
     #[test]
     fn preflight_checks_limits_without_charging_the_budget() {
         let token = CancelToken::new();
-        let g = QueryGuard::new(Some(token.clone()), None, Some(1), None, &[]);
+        let g = QueryGuard::new(Some(token.clone()), None, Some(1), None, None, &[]);
         assert!(g.preflight().is_ok());
         assert_eq!(g.visits(), 0, "preflight must not charge a visit");
         token.cancel();
         assert!(matches!(g.preflight(), Err(QueryError::Cancelled)));
 
-        let g = QueryGuard::new(
-            None,
-            Some(Instant::now() - Duration::from_millis(1)),
-            None,
-            None,
-            &[],
-        );
+        let g = QueryGuard::new(None, Some(Duration::ZERO), None, None, None, &[]);
         assert!(matches!(g.preflight(), Err(QueryError::DeadlineExceeded)));
     }
 
     #[test]
     fn expired_deadline_aborts() {
-        let g = QueryGuard::new(
-            None,
-            Some(Instant::now() - Duration::from_millis(1)),
-            None,
-            None,
-            &[],
-        );
+        let g = QueryGuard::new(None, Some(Duration::ZERO), None, None, None, &[]);
         assert!(matches!(g.tick(), Err(QueryError::DeadlineExceeded)));
     }
 
     #[test]
     fn visit_budget_allows_exactly_budget_ticks() {
-        let g = QueryGuard::new(None, None, Some(3), None, &[]);
+        let g = QueryGuard::new(None, None, Some(3), None, None, &[]);
         assert!(g.tick().is_ok());
         assert!(g.tick().is_ok());
         assert!(g.tick().is_ok());
@@ -421,7 +386,7 @@ mod tests {
         }
         pool.flush_all().unwrap();
         pool.clear().unwrap();
-        let g = QueryGuard::new(None, None, None, Some(1), &[&pool, &pool]);
+        let g = QueryGuard::new(None, None, None, Some(1), None, &[&pool, &pool]);
         assert!(g.tick().is_ok(), "no reads yet");
         pool.with_page(0, |_| ()).unwrap(); // 1 physical read: at budget
         assert!(g.tick().is_ok());
@@ -452,20 +417,5 @@ mod tests {
             attach_partial_stats(QueryError::Cancelled, &stats),
             QueryError::Cancelled
         ));
-    }
-
-    #[test]
-    fn retry_override_restores_on_drop() {
-        let pool = BufferPool::new(MemDisk::new(), 4);
-        let before = pool.retry_policy();
-        let custom = RetryPolicy {
-            max_attempts: 7,
-            backoff: Duration::from_millis(2),
-        };
-        {
-            let _ovr = RetryOverride::apply(&[&pool, &pool], custom);
-            assert_eq!(pool.retry_policy(), custom);
-        }
-        assert_eq!(pool.retry_policy(), before);
     }
 }

@@ -2,16 +2,14 @@
 //! with a versioned JSON wire schema, plus the stable error-code space the
 //! serving layer maps onto HTTP statuses.
 //!
-//! [`AnnRequest`](crate::query::AnnRequest) is the in-process API: it
-//! borrows a [`TraceSink`](crate::trace::TraceSink) and carries an
-//! absolute [`Instant`] deadline, so it can neither cross a process
-//! boundary nor outlive its caller. [`QuerySpec`] is its owned dual —
-//! every knob a remote client may set, nothing borrowed, with lossless
-//! conversions in both directions ([`QuerySpec::from_request`],
-//! [`QuerySpec::to_request`]). The serving crate (`ann-serve`) parses a
-//! `QuerySpec` off the wire, attaches the runtime-only pieces (cancel
-//! token, tracer) server-side, and runs it through the same canonical
-//! [`query::run`](crate::query::run) path every in-process caller uses.
+//! [`QuerySpec`] is the one description of a query ([`crate::query`]
+//! defines it); this module gives it its JSON form. It borrows nothing and
+//! holds its deadline as a time budget, so it crosses a process boundary
+//! as is. The serving crate (`ann-serve`) parses a `QuerySpec` off the
+//! wire, attaches the runtime-only pieces (cancel token, tracer) to make
+//! an [`AnnRequest`](crate::query::AnnRequest) server-side, and runs it
+//! through the same canonical [`query::run`](crate::query::run) path
+//! every in-process caller uses.
 //!
 //! Everything here is hand-rolled over `std` (no serde), in the same
 //! style as [`ExecutionReport::to_json`](crate::trace::ExecutionReport):
@@ -22,13 +20,15 @@
 //!
 //! See [`WIRE_SCHEMA_VERSION`] for the bump rule.
 
-use crate::query::{Algorithm, AnnRequest, MetricChoice};
+pub use crate::query::QuerySpec;
+
+use crate::query::{Algorithm, MetricChoice};
 use crate::resilience::{BudgetKind, QueryError};
 use crate::stats::{AnnOutput, AnnStats, NeighborPair};
 use crate::trace::{json_escape, json_io, json_num, write_json_num, ExecutionReport};
 use ann_store::{RetryPolicy, StoreError};
 use std::fmt::{self, Write as _};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Current version of the JSON wire schema, emitted as the `"v"` field of
 /// every [`QuerySpec`] and [`QueryOutcome`] document.
@@ -50,16 +50,19 @@ use std::time::{Duration, Instant};
 /// * `"version"` on [`QueryOutcome`] — the snapshot version the query
 ///   actually ran against (absent ⇒ the collection is unversioned);
 /// * `"threads"` on [`QuerySpec`] — intra-query worker threads (absent ⇒
-///   `1`, the serial path; emitted only when not `1`; bounded by
-///   [`MAX_WIRE_THREADS`], as is the MBA variant's own knob).
+///   `1`, the serial path). For MBA it is written inside the algorithm
+///   object, where v1 always wrote it; for every other algorithm at top
+///   level, and only when not `1`. A v1 document may set both: the top
+///   level wins unless it is `1` (v1's precedence, applied by the parser
+///   alone). Both sites are bounded by [`MAX_WIRE_THREADS`].
 pub const WIRE_SCHEMA_VERSION: u64 = 1;
 
-/// Largest thread count accepted from the wire, for both the
-/// request-level `"threads"` field and the MBA variant's own knob. `0`
-/// ("one worker per core") and `1..=MAX_WIRE_THREADS` are valid; larger
-/// values are a schema error. No real box has more cores than this, and
-/// an unbounded value would otherwise reach `resolve_threads` verbatim
-/// and translate into an attempt to spawn that many OS threads.
+/// Largest thread count accepted from the wire, at either `"threads"`
+/// site. `0` ("one worker per core") and `1..=MAX_WIRE_THREADS` are
+/// valid; larger values are a schema error. No real box has more cores
+/// than this, and an unbounded value would otherwise reach
+/// `resolve_threads` verbatim and translate into an attempt to spawn that
+/// many OS threads.
 pub const MAX_WIRE_THREADS: usize = 1024;
 
 // ---------------------------------------------------------------------------
@@ -684,124 +687,10 @@ impl ErrorCode {
 // QuerySpec
 // ---------------------------------------------------------------------------
 
-/// An owned, serializable ANN query: the wire-level dual of
-/// [`AnnRequest`].
-///
-/// Carries everything a remote client may choose — algorithm, metric,
-/// `k`, self-exclusion, deadline, budgets, retry policy. The two
-/// runtime-only attachments ([`CancelToken`](crate::CancelToken) and the
-/// tracer) are deliberately absent: they are capabilities of the process
-/// running the query, not properties of the query, and the server wires
-/// them in per connection.
-///
-/// The absolute [`Instant`] deadline of `AnnRequest` becomes a *relative*
-/// `deadline_ms` here (an absolute instant is meaningless on another
-/// machine); [`to_request`](Self::to_request) re-bases it against
-/// `Instant::now()` at conversion time.
-#[derive(Clone, Debug, PartialEq)]
-pub struct QuerySpec {
-    /// Neighbors per query object (`1` = plain ANN).
-    pub k: usize,
-    /// Self-join mode: skip same-oid pairs.
-    pub exclude_self: bool,
-    /// Pruning metric.
-    pub metric: MetricChoice,
-    /// Algorithm and its method-specific knobs.
-    pub algorithm: Algorithm,
-    /// Relative deadline in milliseconds from query start.
-    pub deadline_ms: Option<u64>,
-    /// Physical page-read budget.
-    pub io_budget: Option<u64>,
-    /// Node-expansion budget.
-    pub visit_budget: Option<u64>,
-    /// Transient-fault retry policy.
-    pub retry: Option<RetryPolicy>,
-    /// Snapshot version to query (time-travel over a versioned
-    /// collection); absent means the latest version.
-    pub version: Option<u32>,
-    /// Intra-query worker threads (`1` = serial, `0` = one per core).
-    /// Additive optional field: omitted on the wire when `1`, so older
-    /// peers and documents are unaffected (no schema bump — same rule as
-    /// `"version"`). The server clamps the effective value to its
-    /// compute-token capacity.
-    pub threads: usize,
-}
-
-impl Default for QuerySpec {
-    /// MBA with the same defaults as `AnnRequest::new(Algorithm::mba())`.
-    fn default() -> Self {
-        QuerySpec::new(Algorithm::mba())
-    }
-}
-
+/// The wire form of a [`QuerySpec`]: the one description of a query,
+/// defined beside [`AnnRequest`](crate::query::AnnRequest) in
+/// [`crate::query`].
 impl QuerySpec {
-    /// A spec for `algorithm` with `k = 1`, no self-exclusion, NXNDIST,
-    /// and no resilience limits — the same defaults as
-    /// [`AnnRequest::new`].
-    pub fn new(algorithm: Algorithm) -> Self {
-        QuerySpec {
-            k: 1,
-            exclude_self: false,
-            metric: MetricChoice::default(),
-            algorithm,
-            deadline_ms: None,
-            io_budget: None,
-            visit_budget: None,
-            retry: None,
-            version: None,
-            threads: 1,
-        }
-    }
-
-    /// Captures an [`AnnRequest`]'s wire-visible state. Lossless except
-    /// for the deliberate re-basing: an absolute deadline becomes the
-    /// milliseconds *remaining* from now (saturating at zero), and the
-    /// runtime-only cancel token / tracer are dropped (see the type
-    /// docs).
-    pub fn from_request(req: &AnnRequest<'_>) -> Self {
-        QuerySpec {
-            k: req.k,
-            exclude_self: req.exclude_self,
-            metric: req.metric,
-            algorithm: req.algorithm,
-            deadline_ms: req.deadline.map(|d| {
-                let now = Instant::now();
-                d.saturating_duration_since(now).as_millis() as u64
-            }),
-            io_budget: req.io_budget,
-            visit_budget: req.visit_budget,
-            retry: req.retry,
-            version: req.version,
-            threads: req.threads,
-        }
-    }
-
-    /// Builds the equivalent [`AnnRequest`], re-basing `deadline_ms`
-    /// against `Instant::now()`. Attach a cancel token / tracer on the
-    /// returned request as needed.
-    pub fn to_request(&self) -> AnnRequest<'static> {
-        let mut req = AnnRequest::new(self.algorithm)
-            .k(self.k)
-            .exclude_self(self.exclude_self)
-            .metric(self.metric);
-        if let Some(ms) = self.deadline_ms {
-            req = req.deadline(Instant::now() + Duration::from_millis(ms));
-        }
-        if let Some(pages) = self.io_budget {
-            req = req.io_budget(pages);
-        }
-        if let Some(nodes) = self.visit_budget {
-            req = req.visit_budget(nodes);
-        }
-        if let Some(policy) = self.retry {
-            req = req.retry(policy);
-        }
-        if let Some(version) = self.version {
-            req = req.at_version(version);
-        }
-        req.threads(self.threads)
-    }
-
     /// Serializes to the versioned JSON wire form. Deterministic: equal
     /// specs produce byte-identical documents (the round-trip property
     /// tests pin this).
@@ -810,16 +699,16 @@ impl QuerySpec {
         out.push_str(&format!("{{\"v\":{WIRE_SCHEMA_VERSION},"));
         out.push_str("\"algorithm\":");
         match self.algorithm {
+            // v1 writes MBA's worker count inside its object, always.
             Algorithm::Mba {
                 traversal,
                 expansion,
-                threads,
             } => {
                 out.push_str(&format!(
                     "{{\"name\":\"mba\",\"traversal\":\"{}\",\"expansion\":\"{}\",\"threads\":{}}}",
                     traversal_name(traversal),
                     expansion_name(expansion),
-                    threads
+                    self.threads
                 ));
             }
             Algorithm::Bnn { group_size } => {
@@ -841,8 +730,8 @@ impl QuerySpec {
             self.k,
             self.exclude_self
         ));
-        if let Some(ms) = self.deadline_ms {
-            out.push_str(&format!(",\"deadline_ms\":{ms}"));
+        if let Some(budget) = self.deadline_in {
+            out.push_str(&format!(",\"deadline_ms\":{}", budget.as_millis()));
         }
         if let Some(pages) = self.io_budget {
             out.push_str(&format!(",\"io_budget\":{pages}"));
@@ -860,7 +749,7 @@ impl QuerySpec {
         if let Some(version) = self.version {
             out.push_str(&format!(",\"version\":{version}"));
         }
-        if self.threads != 1 {
+        if self.threads != 1 && !matches!(self.algorithm, Algorithm::Mba { .. }) {
             out.push_str(&format!(",\"threads\":{}", self.threads));
         }
         out.push('}');
@@ -891,6 +780,7 @@ impl QuerySpec {
             .get("name")
             .and_then(JsonValue::as_str)
             .ok_or_else(|| WireError::Schema("algorithm needs a string \"name\"".into()))?;
+        let mut mba_threads = None;
         let algorithm = match name {
             "mba" => {
                 let mut traversal = crate::mba::Traversal::default();
@@ -905,14 +795,10 @@ impl QuerySpec {
                         WireError::Schema("\"expansion\" must be a string".into())
                     })?)?;
                 }
-                let threads = match alg.get("threads") {
-                    None => 1,
-                    Some(t) => wire_threads(t)?,
-                };
+                mba_threads = alg.get("threads").map(wire_threads).transpose()?;
                 Algorithm::Mba {
                     traversal,
                     expansion,
-                    threads,
                 }
             }
             "bnn" => {
@@ -1036,12 +922,18 @@ impl QuerySpec {
             None | Some(JsonValue::Null) => 1,
             Some(t) => wire_threads(t)?,
         };
+        // v1's precedence between the two sites: the top-level count
+        // wins unless it is (or defaults to) 1.
+        let threads = match (threads, mba_threads) {
+            (1, Some(inner)) => inner,
+            (top, _) => top,
+        };
         Ok(QuerySpec {
             k,
             exclude_self,
             metric,
             algorithm,
-            deadline_ms: opt_u64("deadline_ms")?,
+            deadline_in: opt_u64("deadline_ms")?.map(Duration::from_millis),
             io_budget: opt_u64("io_budget")?,
             visit_budget: opt_u64("visit_budget")?,
             retry,
@@ -1051,22 +943,9 @@ impl QuerySpec {
     }
 }
 
-impl From<&AnnRequest<'_>> for QuerySpec {
-    fn from(req: &AnnRequest<'_>) -> Self {
-        QuerySpec::from_request(req)
-    }
-}
-
-impl From<&QuerySpec> for AnnRequest<'static> {
-    fn from(spec: &QuerySpec) -> Self {
-        spec.to_request()
-    }
-}
-
 /// Parses and bounds a wire-level thread count (see
-/// [`MAX_WIRE_THREADS`]). Shared by the request-level `"threads"` field
-/// and the MBA variant's knob so neither can smuggle an unbounded value
-/// past validation.
+/// [`MAX_WIRE_THREADS`]). Shared by both `"threads"` sites so neither can
+/// smuggle an unbounded value past validation.
 fn wire_threads(t: &JsonValue) -> Result<usize, WireError> {
     let threads = t
         .as_usize()
@@ -1538,14 +1417,30 @@ mod tests {
         assert!(QuerySpec::from_json(&over_mba).is_err());
         let ok_mba =
             format!(r#"{{"v":1,"algorithm":{{"name":"mba","threads":{MAX_WIRE_THREADS}}},"k":1}}"#);
-        let spec = QuerySpec::from_json(&ok_mba).unwrap();
-        assert!(matches!(
-            spec.algorithm,
-            Algorithm::Mba {
-                threads: MAX_WIRE_THREADS,
-                ..
-            }
-        ));
+        assert_eq!(
+            QuerySpec::from_json(&ok_mba).unwrap().threads,
+            MAX_WIRE_THREADS
+        );
+    }
+
+    #[test]
+    fn both_threads_sites_resolve_by_v1_precedence() {
+        let parse = |alg: &str, top: &str| {
+            let doc = format!(r#"{{"v":1,"algorithm":{{"name":"mba"{alg}}},"k":1{top}}}"#);
+            QuerySpec::from_json(&doc).unwrap().threads
+        };
+        assert_eq!(parse(r#","threads":4"#, ""), 4);
+        assert_eq!(parse(r#","threads":4"#, r#","threads":1"#), 4);
+        assert_eq!(parse(r#","threads":4"#, r#","threads":2"#), 2);
+        assert_eq!(parse("", r#","threads":3"#), 3);
+        // MBA writes its count where v1 did: inside the algorithm object.
+        let spec = QuerySpec {
+            threads: 3,
+            ..QuerySpec::default()
+        };
+        let json = spec.to_json();
+        assert!(json.contains(r#""bidirectional","threads":3}"#), "{json}");
+        assert_eq!(json.matches("threads").count(), 1, "{json}");
     }
 
     #[test]
@@ -1555,9 +1450,8 @@ mod tests {
         )
         .unwrap();
         let req = spec.to_request();
-        assert_eq!(req.threads, 3);
-        let back = QuerySpec::from_request(&req);
-        assert_eq!(back.threads, 3);
+        assert_eq!(req.spec.threads, 3);
+        assert_eq!(req.spec, spec);
     }
 
     #[test]
@@ -1603,7 +1497,7 @@ mod tests {
             exclude_self: true,
             metric: MetricChoice::MaxMax,
             algorithm: Algorithm::Bnn { group_size: 64 },
-            deadline_ms: Some(1500),
+            deadline_in: Some(Duration::from_millis(1500)),
             io_budget: Some(10_000),
             visit_budget: None,
             retry: Some(RetryPolicy {
@@ -1624,8 +1518,7 @@ mod tests {
     fn spec_defaults_match_request_defaults() {
         let spec = QuerySpec::from_json(r#"{"v":1,"algorithm":{"name":"mnn"},"k":1}"#).unwrap();
         assert_eq!(spec, QuerySpec::new(Algorithm::Mnn));
-        let req = AnnRequest::new(Algorithm::Mnn);
-        assert_eq!(QuerySpec::from_request(&req), spec);
+        assert_eq!(crate::query::AnnRequest::new(Algorithm::Mnn).spec, spec);
     }
 
     #[test]
@@ -1647,7 +1540,7 @@ mod tests {
             exclude_self: true,
             metric: MetricChoice::Nxn,
             algorithm: Algorithm::mba(),
-            deadline_ms: Some(60_000),
+            deadline_in: Some(Duration::from_secs(60)),
             io_budget: Some(5),
             visit_budget: Some(6),
             retry: Some(RetryPolicy {
@@ -1657,28 +1550,9 @@ mod tests {
             version: Some(4),
             threads: 1,
         };
-        let req = spec.to_request();
-        assert_eq!(req.k, 3);
-        assert!(req.exclude_self);
-        assert_eq!(req.io_budget, Some(5));
-        assert_eq!(req.visit_budget, Some(6));
-        assert_eq!(req.retry, spec.retry);
-        assert_eq!(req.version, Some(4));
-        assert!(req.deadline.is_some());
-        let back = QuerySpec::from_request(&req);
-        // The deadline re-bases through "remaining ms", which only ever
-        // shrinks; everything else is exactly preserved.
-        assert!(back.deadline_ms.unwrap() <= 60_000);
-        assert_eq!(
-            QuerySpec {
-                deadline_ms: None,
-                ..back
-            },
-            QuerySpec {
-                deadline_ms: None,
-                ..spec
-            }
-        );
+        // The request holds the spec itself: nothing is copied or
+        // re-based, the deadline budget included.
+        assert_eq!(spec.to_request().spec, spec);
     }
 
     #[test]

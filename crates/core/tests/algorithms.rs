@@ -104,7 +104,6 @@ fn mba_on_mbrqt_matches_brute_force_2d() {
             let req = AnnRequest::new(Algorithm::Mba {
                 traversal,
                 expansion,
-                threads: 1,
             });
             let label = format!("{traversal:?} {expansion:?}");
             let out = join(req.clone(), &ir, &is);

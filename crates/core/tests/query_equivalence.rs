@@ -48,17 +48,13 @@ fn rstar_cfg() -> RStarConfig {
 
 /// The variants the suite drives; BNN's group size is shrunk so the test
 /// trees still produce multiple batches.
-fn algorithms() -> Vec<Algorithm> {
+fn algorithms() -> Vec<AnnRequest<'static>> {
     vec![
-        Algorithm::mba(),
-        Algorithm::Mba {
-            traversal: Traversal::default(),
-            expansion: Expansion::default(),
-            threads: 2,
-        },
-        Algorithm::Bnn { group_size: 64 },
-        Algorithm::Mnn,
-        Algorithm::hnn(),
+        AnnRequest::new(Algorithm::mba()),
+        AnnRequest::new(Algorithm::mba()).threads(2),
+        AnnRequest::new(Algorithm::Bnn { group_size: 64 }),
+        AnnRequest::new(Algorithm::Mnn),
+        AnnRequest::new(Algorithm::hnn()),
     ]
 }
 
@@ -110,14 +106,15 @@ fn check_all_variants<const D: usize>(
     // Mixed index kinds on purpose: the entrypoint is generic per side.
     let ir = Mbrqt::bulk_build(p.clone(), r, &mbrqt_cfg()).unwrap();
     let is = RStar::bulk_build(p, s, &rstar_cfg()).unwrap();
-    for alg in algorithms() {
+    for req in algorithms() {
         for metric in [MetricChoice::Nxn, MetricChoice::MaxMax] {
             let label = format!(
                 "{} {:?} D={D} k={k} exclude_self={exclude_self}",
-                alg.name(),
+                req.spec.algorithm.name(),
                 metric
             );
-            let out = AnnRequest::new(alg)
+            let out = req
+                .clone()
                 .k(k)
                 .exclude_self(exclude_self)
                 .metric(metric)
@@ -230,14 +227,14 @@ fn recording_sink_does_not_perturb_counters() {
 fn recording_sink_sees_balanced_spans() {
     let r = random_points::<2>(300, 99);
     let s = random_points::<2>(310, 110);
-    for alg in algorithms() {
+    for req in algorithms() {
+        let alg = req.spec.algorithm;
         let sink = RecordingSink::new();
         let tracer = Tracer::new(&sink);
         let p = pool(64);
         let ir = Mbrqt::bulk_build_traced(p.clone(), &r, &mbrqt_cfg(), Side::R, tracer).unwrap();
         let is = RStar::bulk_build_traced(p, &s, &rstar_cfg(), Side::S, tracer).unwrap();
-        AnnRequest::new(alg)
-            .k(2)
+        req.k(2)
             .trace(&sink)
             .run(Input::Index(&ir), Input::Index(&is))
             .unwrap();
@@ -267,10 +264,11 @@ fn every_variant_matches_brute_force_with_request_threads() {
     let p = pool(256);
     let ir = Mbrqt::bulk_build(p.clone(), &r, &mbrqt_cfg()).unwrap();
     let is = RStar::bulk_build(p, &s, &rstar_cfg()).unwrap();
-    for alg in algorithms() {
+    for req in algorithms() {
         for threads in [0usize, 2, 3, 8] {
-            let label = format!("{} threads={threads}", alg.name());
-            let out = AnnRequest::new(alg)
+            let label = format!("{} threads={threads}", req.spec.algorithm.name());
+            let out = req
+                .clone()
                 .k(k)
                 .threads(threads)
                 .run(Input::Index(&ir), Input::Index(&is))
@@ -278,7 +276,8 @@ fn every_variant_matches_brute_force_with_request_threads() {
             assert_matches_truth(out, &truth, &label);
             // Tracing a parallel run observes, never steers.
             let sink = RecordingSink::new();
-            let traced = AnnRequest::new(alg)
+            let traced = req
+                .clone()
                 .k(k)
                 .threads(threads)
                 .trace(&sink)

@@ -38,25 +38,20 @@ fn rs_cfg() -> RStarConfig {
     }
 }
 
-fn variants() -> Vec<Algorithm> {
+fn variants() -> Vec<AnnRequest<'static>> {
     vec![
-        Algorithm::mba(),
-        Algorithm::Mba {
+        AnnRequest::new(Algorithm::mba()),
+        AnnRequest::new(Algorithm::Mba {
             traversal: Traversal::BreadthFirst,
             expansion: Expansion::Unidirectional,
-            threads: 1,
-        },
-        Algorithm::Mba {
-            traversal: Traversal::default(),
-            expansion: Expansion::default(),
-            threads: 2,
-        },
-        Algorithm::Bnn { group_size: 1 },
-        Algorithm::Bnn { group_size: 64 },
-        Algorithm::Mnn,
-        Algorithm::Hnn {
+        }),
+        AnnRequest::new(Algorithm::mba()).threads(2),
+        AnnRequest::new(Algorithm::Bnn { group_size: 1 }),
+        AnnRequest::new(Algorithm::Bnn { group_size: 64 }),
+        AnnRequest::new(Algorithm::Mnn),
+        AnnRequest::new(Algorithm::Hnn {
             avg_cell_occupancy: 1.0,
-        },
+        }),
     ]
 }
 
@@ -78,10 +73,11 @@ fn check<const D: usize>(
     let pool = Arc::new(BufferPool::new(MemDisk::new(), 128));
     let ir = Mbrqt::bulk_build(pool.clone(), r, &qt_cfg()).unwrap();
     let is = RStar::bulk_build(pool, s, &rs_cfg()).unwrap();
-    for alg in variants() {
+    for req in variants() {
         for metric in [MetricChoice::Nxn, MetricChoice::MaxMax] {
-            let tag = format!("{label}: {} {:?}", alg.name(), metric);
-            let mut got = AnnRequest::new(alg)
+            let tag = format!("{label}: {} {:?}", req.spec.algorithm.name(), metric);
+            let mut got = req
+                .clone()
                 .k(k)
                 .exclude_self(exclude_self)
                 .metric(metric)

@@ -22,13 +22,17 @@ use ann_core::stats::NeighborPair;
 use ann_datagen::Rng;
 
 fn arbitrary_spec(rng: &mut Rng) -> QuerySpec {
+    let mut threads = 1;
     let algorithm = match rng.next_u64() % 5 {
         0 => Algorithm::mba(),
-        1 => Algorithm::Mba {
-            traversal: *rng.pick(&[Traversal::DepthFirst, Traversal::BreadthFirst]),
-            expansion: *rng.pick(&[Expansion::Bidirectional, Expansion::Unidirectional]),
-            threads: *rng.pick(&[0, 1, 2, 8]),
-        },
+        1 => {
+            let mba = Algorithm::Mba {
+                traversal: *rng.pick(&[Traversal::DepthFirst, Traversal::BreadthFirst]),
+                expansion: *rng.pick(&[Expansion::Bidirectional, Expansion::Unidirectional]),
+            };
+            threads = *rng.pick(&[0, 1, 2, 8]);
+            mba
+        }
         2 => Algorithm::Bnn {
             group_size: *rng.pick(&[1, 4, 4096]),
         },
@@ -38,11 +42,12 @@ fn arbitrary_spec(rng: &mut Rng) -> QuerySpec {
         },
     };
     let mut spec = QuerySpec::new(algorithm);
+    spec.threads = threads;
     spec.k = *rng.pick(&[0, 1, 2, 17, usize::MAX >> 11]);
     spec.exclude_self = rng.chance(0.5);
     spec.metric = *rng.pick(&[MetricChoice::Nxn, MetricChoice::MaxMax]);
     if rng.chance(0.4) {
-        spec.deadline_ms = Some(rng.next_u64() % 1_000_000);
+        spec.deadline_in = Some(Duration::from_millis(rng.next_u64() % 1_000_000));
     }
     if rng.chance(0.4) {
         spec.io_budget = Some(rng.next_u64() % 100_000);
@@ -84,35 +89,39 @@ fn property_round_trip_is_identity_and_byte_stable() {
 /// `WIRE_SCHEMA_VERSION` bump.
 #[test]
 fn golden_fixtures_per_algorithm_and_metric() {
-    let algorithms: Vec<(Algorithm, &str)> = vec![
+    let algorithms: Vec<(QuerySpec, &str)> = vec![
         (
-            Algorithm::mba(),
+            QuerySpec::new(Algorithm::mba()),
             r#""algorithm":{"name":"mba","traversal":"depth-first","expansion":"bidirectional","threads":1}"#,
         ),
         (
-            Algorithm::Mba {
+            AnnRequest::new(Algorithm::Mba {
                 traversal: Traversal::BreadthFirst,
                 expansion: Expansion::Unidirectional,
-                threads: 8,
-            },
+            })
+            .threads(8)
+            .spec,
             r#""algorithm":{"name":"mba","traversal":"breadth-first","expansion":"unidirectional","threads":8}"#,
         ),
         (
-            Algorithm::Bnn { group_size: 4096 },
+            QuerySpec::new(Algorithm::Bnn { group_size: 4096 }),
             r#""algorithm":{"name":"bnn","group_size":4096}"#,
         ),
-        (Algorithm::Mnn, r#""algorithm":{"name":"mnn"}"#),
         (
-            Algorithm::Hnn {
+            QuerySpec::new(Algorithm::Mnn),
+            r#""algorithm":{"name":"mnn"}"#,
+        ),
+        (
+            QuerySpec::new(Algorithm::Hnn {
                 avg_cell_occupancy: 8.0,
-            },
+            }),
             r#""algorithm":{"name":"hnn","avg_cell_occupancy":8.0}"#,
         ),
     ];
-    for (algorithm, alg_json) in algorithms {
+    for (base, alg_json) in algorithms {
         for (metric, metric_name) in [(MetricChoice::Nxn, "nxn"), (MetricChoice::MaxMax, "maxmax")]
         {
-            let mut spec = QuerySpec::new(algorithm);
+            let mut spec = base.clone();
             spec.metric = metric;
             spec.k = 2;
             spec.exclude_self = true;
@@ -130,7 +139,7 @@ fn golden_fixtures_per_algorithm_and_metric() {
 fn golden_fixture_with_all_optional_fields() {
     let mut spec = QuerySpec::new(Algorithm::mba());
     spec.k = 3;
-    spec.deadline_ms = Some(1500);
+    spec.deadline_in = Some(Duration::from_millis(1500));
     spec.io_budget = Some(10_000);
     spec.visit_budget = Some(50_000);
     spec.retry = Some(RetryPolicy {
@@ -288,13 +297,6 @@ fn request_spec_conversions_are_lossless() {
             max_attempts: 2,
             backoff: Duration::from_millis(1),
         });
-    let spec = QuerySpec::from(&req);
-    let back: AnnRequest<'static> = AnnRequest::from(&spec);
-    assert_eq!(back.k, req.k);
-    assert_eq!(back.exclude_self, req.exclude_self);
-    assert_eq!(back.metric, req.metric);
-    assert_eq!(back.algorithm, req.algorithm);
-    assert_eq!(back.io_budget, req.io_budget);
-    assert_eq!(back.visit_budget, req.visit_budget);
-    assert_eq!(back.retry, req.retry);
+    let back: AnnRequest<'static> = req.spec.to_request();
+    assert_eq!(back.spec, req.spec);
 }

@@ -1,19 +1,13 @@
 //! Dataset file I/O: load real datasets (e.g. the actual TAC or Forest
-//! Cover files) and persist generated ones.
-//!
-//! Two formats, no external crates:
-//!
-//! * **CSV** — one point per line, `D` numeric columns (plus optionally an
-//!   id in the first column); delimiter `,`, `;`, whitespace or tab;
-//!   `#`-prefixed lines and blank lines are skipped. This reads the UCI
-//!   covtype file (after cutting the 10 numeric columns) and typical
-//!   astrometric catalog exports.
-//! * **binary** — a tiny self-describing little-endian format
-//!   (`magic, dims, count, then count × (u64 oid, D × f64)`), exact and
-//!   fast for round-tripping generated datasets.
+//! Cover files) and persist generated ones, as CSV — one point per line,
+//! `D` numeric columns (plus optionally an id in the first column);
+//! delimiter `,`, `;`, whitespace or tab; `#`-prefixed lines and blank
+//! lines are skipped. This reads the UCI covtype file (after cutting the
+//! 10 numeric columns) and typical astrometric catalog exports. No
+//! external crates.
 
 use ann_geom::Point;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
 /// Errors from dataset parsing.
@@ -28,8 +22,6 @@ pub enum IoError {
         /// Explanation.
         message: String,
     },
-    /// Binary header corrupt or dimensionality mismatch.
-    Format(String),
 }
 
 impl std::fmt::Display for IoError {
@@ -37,7 +29,6 @@ impl std::fmt::Display for IoError {
         match self {
             IoError::Io(e) => write!(f, "I/O error: {e}"),
             IoError::Parse { line, message } => write!(f, "line {line}: {message}"),
-            IoError::Format(m) => write!(f, "bad dataset file: {m}"),
         }
     }
 }
@@ -49,8 +40,6 @@ impl From<std::io::Error> for IoError {
         IoError::Io(e)
     }
 }
-
-const MAGIC: &[u8; 8] = b"ANNPTS1\0";
 
 /// Splits a CSV/whitespace line into numeric fields.
 fn fields(line: &str) -> impl Iterator<Item = &str> {
@@ -126,56 +115,6 @@ pub fn write_csv<const D: usize, P: AsRef<Path>>(
     Ok(())
 }
 
-/// Writes points in the exact binary format.
-pub fn write_binary<const D: usize, P: AsRef<Path>>(
-    path: P,
-    points: &[(u64, Point<D>)],
-) -> Result<(), IoError> {
-    let mut w = BufWriter::new(std::fs::File::create(path)?);
-    w.write_all(MAGIC)?;
-    w.write_all(&(D as u32).to_le_bytes())?;
-    w.write_all(&(points.len() as u64).to_le_bytes())?;
-    for (oid, p) in points {
-        w.write_all(&oid.to_le_bytes())?;
-        for d in 0..D {
-            w.write_all(&p[d].to_le_bytes())?;
-        }
-    }
-    w.flush()?;
-    Ok(())
-}
-
-/// Reads points from the exact binary format.
-pub fn read_binary<const D: usize, P: AsRef<Path>>(
-    path: P,
-) -> Result<Vec<(u64, Point<D>)>, IoError> {
-    let mut r = BufReader::new(std::fs::File::open(path)?);
-    let mut header = [0u8; 8 + 4 + 8];
-    r.read_exact(&mut header)?;
-    if &header[..8] != MAGIC {
-        return Err(IoError::Format("wrong magic".into()));
-    }
-    let dims = u32::from_le_bytes(header[8..12].try_into().unwrap()) as usize;
-    if dims != D {
-        return Err(IoError::Format(format!(
-            "file holds {dims}-dimensional points, expected {D}"
-        )));
-    }
-    let count = u64::from_le_bytes(header[12..20].try_into().unwrap());
-    let mut out = Vec::with_capacity(count as usize);
-    let mut rec = vec![0u8; 8 + 8 * D];
-    for _ in 0..count {
-        r.read_exact(&mut rec)?;
-        let oid = u64::from_le_bytes(rec[..8].try_into().unwrap());
-        let mut c = [0.0; D];
-        for (d, v) in c.iter_mut().enumerate() {
-            *v = f64::from_le_bytes(rec[8 + d * 8..16 + d * 8].try_into().unwrap());
-        }
-        out.push((oid, Point::new(c)));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,30 +167,6 @@ mod tests {
         ));
         std::fs::write(&path, "1,inf\n").unwrap();
         assert!(read_csv::<2, _>(&path).is_err());
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn binary_round_trip_is_exact() {
-        let pts = crate::fc_like(500, 11);
-        let path = tmp("roundtrip.bin");
-        write_binary(&path, &pts).unwrap();
-        let back = read_binary::<10, _>(&path).unwrap();
-        assert_eq!(pts, back);
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn binary_rejects_wrong_dimension_and_magic() {
-        let pts = crate::uniform::<2>(10, 1);
-        let path = tmp("dims.bin");
-        write_binary(&path, &pts).unwrap();
-        assert!(matches!(
-            read_binary::<3, _>(&path),
-            Err(IoError::Format(_))
-        ));
-        std::fs::write(&path, b"garbage-file-contents").unwrap();
-        assert!(read_binary::<2, _>(&path).is_err());
         std::fs::remove_file(path).ok();
     }
 }

@@ -27,16 +27,6 @@
 //!   on a gathered [`Mbr`], which is trivially identical; [`dist_sq_batch`]
 //!   — the kernel every point×leaf scan runs — keeps its remainder in the
 //!   lane loop.
-//!
-//! The `_within` variants replace the scalar early-exit
-//! ([`crate::min_min_dist_sq_within`]) with a *compute-full, decide-after*
-//! scheme: per-dimension contributions are non-negative, so the scalar
-//! early exit returns `None` **iff** the full sum exceeds the bound, and
-//! when it returns `Some(v)`, `v` *is* the full sum. Comparing the batch
-//! kernel's full value against the same bound therefore reproduces both the
-//! decision and the surviving value bit-for-bit. (A block may stop early
-//! once every lane's running sum exceeds the bound; such lanes are already
-//! classified as pruned and their partial value is never consumed.)
 
 use crate::{Mbr, Point};
 
@@ -211,48 +201,6 @@ pub fn min_min_dist_sq_batch<const D: usize>(m: &Mbr<D>, mbrs: &SoaMbrs<'_>, out
     }
 }
 
-/// Batched counterpart of [`crate::min_min_dist_sq_within`], shared bound.
-///
-/// Where the scalar early exit returns `None`, this kernel leaves a value
-/// `> bound_sq` in `out[i]` (the full sum, or a partial sum that already
-/// exceeds the bound); where the scalar returns `Some(v)`, `out[i]` is
-/// bit-equal to `v`. Callers therefore recover the scalar decision exactly
-/// as `out[i] <= bound_sq`.
-pub fn min_min_dist_sq_within_batch<const D: usize>(
-    m: &Mbr<D>,
-    mbrs: &SoaMbrs<'_>,
-    bound_sq: f64,
-    out: &mut Vec<f64>,
-) {
-    let n = mbrs.len;
-    debug_assert_eq!(mbrs.lo.len(), D * n);
-    prepare(out, n);
-    let mut i = 0;
-    while i + LANES <= n {
-        let mut acc = [0.0f64; LANES];
-        for d in 0..D {
-            let lo = lanes(mbrs.lo, d * n + i);
-            let hi = lanes(mbrs.hi, d * n + i);
-            for l in 0..LANES {
-                let gap = (m.lo[d] - hi[l]).max(lo[l] - m.hi[d]).max(0.0);
-                acc[l] += gap * gap;
-            }
-            // Contributions are non-negative, so once every lane exceeds
-            // the bound the block's classification is settled.
-            if acc.iter().all(|&a| a > bound_sq) {
-                break;
-            }
-        }
-        out[i..i + LANES].copy_from_slice(&acc);
-        i += LANES;
-    }
-    while i < n {
-        let v = crate::min_min_dist_sq_within(m, &mbrs.mbr::<D>(i), bound_sq);
-        out[i] = v.unwrap_or(f64::INFINITY);
-        i += 1;
-    }
-}
-
 /// Batched [`crate::max_max_dist_sq`]: `out[i] = MAXMAXDIST²(m, mbrs[i])`,
 /// bit-exact.
 pub fn max_max_dist_sq_batch<const D: usize>(m: &Mbr<D>, mbrs: &SoaMbrs<'_>, out: &mut Vec<f64>) {
@@ -412,15 +360,17 @@ mod tests {
                 assert_eq!(out[i].to_bits(), want.to_bits(), "nxn D={D} n={n} i={i}");
             }
 
+            // The scalar early exit the scans run accepts exactly the
+            // MINMINDISTs within the bound, bit-equal.
             for bound in [0.0, 1.0, 1e4, f64::INFINITY] {
-                min_min_dist_sq_within_batch(&m, &mbrs, bound, &mut out);
                 for i in 0..n {
+                    let full = min_min_dist_sq(&m, &mbrs.mbr::<D>(i));
                     match min_min_dist_sq_within(&m, &mbrs.mbr::<D>(i), bound) {
                         Some(v) => {
-                            assert!(out[i] <= bound, "within D={D} n={n} i={i}");
-                            assert_eq!(out[i].to_bits(), v.to_bits());
+                            assert!(full <= bound, "within D={D} n={n} i={i}");
+                            assert_eq!(v.to_bits(), full.to_bits());
                         }
-                        None => assert!(out[i] > bound, "within D={D} n={n} i={i}"),
+                        None => assert!(full > bound, "within D={D} n={n} i={i}"),
                     }
                 }
             }

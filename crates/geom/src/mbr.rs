@@ -108,12 +108,6 @@ impl<const D: usize> Mbr<D> {
         (0..D).all(|d| self.lo[d] <= other.lo[d] && other.hi[d] <= self.hi[d])
     }
 
-    /// Returns `true` if the two MBRs share at least one point.
-    #[inline]
-    pub fn intersects(&self, other: &Self) -> bool {
-        (0..D).all(|d| self.lo[d] <= other.hi[d] && other.lo[d] <= self.hi[d])
-    }
-
     /// Extent (`hi - lo`) in dimension `d`.
     #[inline]
     pub fn extent(&self, d: usize) -> f64 {
@@ -169,12 +163,6 @@ impl<const D: usize> Mbr<D> {
     pub fn diagonal_sq(&self) -> f64 {
         (0..D).map(|d| self.extent(d) * self.extent(d)).sum()
     }
-
-    /// Returns `true` if `lo == hi`, i.e. the MBR is a single point.
-    #[inline]
-    pub fn is_point(&self) -> bool {
-        (0..D).all(|d| self.lo[d] == self.hi[d])
-    }
 }
 
 impl<const D: usize> fmt::Debug for Mbr<D> {
@@ -226,8 +214,9 @@ mod tests {
         let outside = Mbr::new([11.0, 0.0], [12.0, 1.0]);
         assert!(big.contains(&small));
         assert!(!small.contains(&big));
-        assert!(big.intersects(&small));
-        assert!(!big.intersects(&outside));
+        // Sharing a point is MINMINDIST = 0.
+        assert_eq!(crate::min_min_dist_sq(&big, &small), 0.0);
+        assert!(crate::min_min_dist_sq(&big, &outside) > 0.0);
         assert!(big.contains_point(&Point::new([10.0, 10.0])));
         assert!(!big.contains_point(&Point::new([10.0, 10.1])));
     }
@@ -236,7 +225,7 @@ mod tests {
     fn touching_mbrs_intersect() {
         let a = Mbr::new([0.0, 0.0], [1.0, 1.0]);
         let b = Mbr::new([1.0, 0.0], [2.0, 1.0]);
-        assert!(a.intersects(&b));
+        assert_eq!(crate::min_min_dist_sq(&a, &b), 0.0);
         assert_eq!(a.intersection_volume(&b), 0.0);
     }
 
@@ -263,7 +252,7 @@ mod tests {
     fn degenerate_point_mbr() {
         let p = Point::new([3.0, 7.0]);
         let m = Mbr::from_point(&p);
-        assert!(m.is_point());
+        assert_eq!(m.lo, m.hi);
         assert!(m.contains_point(&p));
         assert_eq!(m.volume(), 0.0);
         assert_eq!(m.center(), p);

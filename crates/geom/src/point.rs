@@ -65,26 +65,6 @@ impl<const D: usize> Point<D> {
     pub fn is_finite(&self) -> bool {
         self.0.iter().all(|c| c.is_finite())
     }
-
-    /// Component-wise minimum with `other`.
-    #[inline]
-    pub fn component_min(&self, other: &Self) -> Self {
-        let mut out = self.0;
-        for d in 0..D {
-            out[d] = out[d].min(other.0[d]);
-        }
-        Point(out)
-    }
-
-    /// Component-wise maximum with `other`.
-    #[inline]
-    pub fn component_max(&self, other: &Self) -> Self {
-        let mut out = self.0;
-        for d in 0..D {
-            out[d] = out[d].max(other.0[d]);
-        }
-        Point(out)
-    }
 }
 
 impl<const D: usize> Default for Point<D> {
@@ -152,14 +132,6 @@ mod tests {
         let q = Point::new([4.0, 2.0]);
         assert_eq!(p.dist_d(&q, 0), 3.0);
         assert_eq!(p.dist_d(&q, 1), 8.0);
-    }
-
-    #[test]
-    fn component_min_max() {
-        let p = Point::new([1.0, 5.0]);
-        let q = Point::new([3.0, 2.0]);
-        assert_eq!(p.component_min(&q), Point::new([1.0, 2.0]));
-        assert_eq!(p.component_max(&q), Point::new([3.0, 5.0]));
     }
 
     #[test]

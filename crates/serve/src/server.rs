@@ -51,7 +51,7 @@ use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use ann_core::query::{run_scratch, Algorithm, AnnRequest, Input};
+use ann_core::query::{run_scratch, AnnRequest, Input};
 use ann_core::resilience::CancelToken;
 use ann_core::scratch::QueryScratch;
 use ann_core::trace::RecordingSink;
@@ -442,11 +442,6 @@ fn execute(
 ) -> Result<String, ApiError> {
     let metrics = &ctx.metrics;
     let sink = RecordingSink::new();
-    let mut req: AnnRequest<'_> = job.spec.to_request();
-    req = req.cancel_token(job.cancel.clone());
-    if job.trace {
-        req = req.trace(&sink);
-    }
     let r_pin = job.r.pin(job.spec.version)?;
     let s_pin = if Arc::ptr_eq(&job.r, &job.s) {
         None
@@ -460,27 +455,17 @@ fn execute(
     // under contention a query silently degrades toward serial rather
     // than oversubscribing the box. Grabbed after the pin fallible
     // section so every early return above cannot strand a grant.
-    //
-    // `effective_threads` is the core's own precedence rule (the MBA
-    // variant's wire-level `threads` knob applies whenever the
-    // request-level value is 1), so the ask covers exactly what the join
-    // driver would resolve; the variant knob is overwritten with the
-    // grant below — otherwise a body like
-    // {"algorithm":{"name":"mba",...,"threads":N}} with no top-level
-    // field would bypass the compute-token clamp entirely.
-    let wanted = ann_core::morsel::resolve_threads(req.effective_threads());
+    let wanted = ann_core::morsel::resolve_threads(job.spec.threads);
     let extra = if wanted > 1 {
         ctx.compute.try_take(wanted - 1)
     } else {
         0
     };
-    let granted = 1 + extra;
-    req = req.threads(granted);
-    if let Algorithm::Mba {
-        ref mut threads, ..
-    } = req.algorithm
-    {
-        *threads = granted;
+    let mut req = AnnRequest::from(job.spec.clone())
+        .threads(1 + extra)
+        .cancel_token(job.cancel.clone());
+    if job.trace {
+        req = req.trace(&sink);
     }
     // A panic inside the traversal must not kill this worker thread
     // (workers are never respawned) or strand the granted tokens; the

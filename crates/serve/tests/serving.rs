@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ann_core::query::{run, Algorithm, Input};
+use ann_core::query::{run, Algorithm, AnnRequest, Input};
 use ann_core::stats::AnnStats;
 use ann_core::wire::{QueryOutcome, QuerySpec};
 use ann_datagen::Rng;
@@ -356,12 +356,11 @@ fn saturated_server_answers_429() {
     assert_eq!(created.status, 201, "{}", created.body);
 
     // Slow query, but deadline-bounded so the test always terminates.
-    let spec = QuerySpec {
-        k: 8,
-        exclude_self: true,
-        deadline_ms: Some(10_000),
-        ..QuerySpec::default()
-    };
+    let spec = AnnRequest::new(Algorithm::mba())
+        .k(8)
+        .exclude_self(true)
+        .deadline_in(Duration::from_secs(10))
+        .spec;
     let spec_json = spec.to_json();
 
     // Every sender connects first and writes only after the barrier, so

@@ -70,7 +70,7 @@ pub use faulty::{FaultyDisk, InjectedFault};
 pub use heap::HeapFile;
 pub use journal::{Journal, Recovery};
 pub use page::{PageId, FRAME_SIZE, INVALID_PAGE, PAGE_SIZE, PAGE_TRAILER};
-pub use pool::{BufferPool, PageStore, PrefetchConfig, RetryPolicy, QUARANTINED};
+pub use pool::{BufferPool, PageStore, PrefetchConfig, RetryPolicy, RetryScope, QUARANTINED};
 pub use stats::{IoSnapshot, IoStats};
 pub use txn::Txn;
 pub use versioned::{Snapshot, VersionInfo, VersionedStore, DEFAULT_KEEP};

@@ -41,7 +41,9 @@ use crate::checksum::{seal_frame, verify_frame};
 use crate::lru::LruList;
 use crate::sync::{unpoisoned, Mutex, MutexGuard};
 use crate::{DiskBackend, IoSnapshot, IoStats, PageId, Result, StoreError, FRAME_SIZE, PAGE_SIZE};
+use std::cell::Cell;
 use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar};
 use std::time::Duration;
@@ -82,6 +84,41 @@ impl Default for RetryPolicy {
             max_attempts: 3,
             backoff: Duration::ZERO,
         }
+    }
+}
+
+thread_local! {
+    /// The policy the innermost live [`RetryScope`] put in place on this
+    /// thread.
+    static SCOPED_RETRY: Cell<Option<RetryPolicy>> = const { Cell::new(None) };
+}
+
+/// While alive, `policy` (when given) replaces every pool's own
+/// [`RetryPolicy`] for the physical I/O issued **on the thread that
+/// entered it**; `None` leaves that I/O under the pools' own. Dropping it
+/// — on return or unwind — restores the scope it replaced. Scoping to a
+/// thread, not to a pool, is what lets one query ask for its own policy
+/// while another query runs on the same pool under the pool's. Not
+/// `Send`: it belongs to its thread.
+#[must_use = "the policy applies only while the scope is alive"]
+pub struct RetryScope {
+    replaced: Option<RetryPolicy>,
+    _thread: PhantomData<*const ()>,
+}
+
+impl RetryScope {
+    /// Puts `policy` in place on the calling thread.
+    pub fn enter(policy: Option<RetryPolicy>) -> Self {
+        RetryScope {
+            replaced: SCOPED_RETRY.replace(policy),
+            _thread: PhantomData,
+        }
+    }
+}
+
+impl Drop for RetryScope {
+    fn drop(&mut self) {
+        SCOPED_RETRY.set(self.replaced);
     }
 }
 
@@ -1085,11 +1122,12 @@ impl BufferPool {
         }
     }
 
-    /// Runs a physical operation under the retry policy: transient
-    /// failures are re-attempted (counting each re-attempt in `stats`)
-    /// with linear backoff; anything else returns immediately.
+    /// Runs a physical operation under the retry policy — the calling
+    /// thread's scoped one ([`RetryScope`]), else the pool's:
+    /// transient failures are re-attempted (counting each re-attempt in
+    /// `stats`) with linear backoff; anything else returns immediately.
     fn retrying<T>(&self, stats: &IoStats, mut op: impl FnMut() -> Result<T>) -> Result<T> {
-        let policy = *self.retry.lock();
+        let policy = SCOPED_RETRY.get().unwrap_or_else(|| *self.retry.lock());
         let max_attempts = policy.max_attempts.max(1);
         let mut attempt = 1;
         loop {
@@ -1573,6 +1611,36 @@ mod tests {
             Err(StoreError::Injected { transient: true })
         ));
         assert_eq!(p.stats().retries, 0);
+    }
+
+    #[test]
+    fn scoped_retry_policy_is_per_thread_and_restored() {
+        let disk = FaultyDisk::unlimited(MemDisk::new());
+        disk.inject_at(3, InjectedFault::Transient);
+        let p = BufferPool::new(disk, 1);
+        let a = p.allocate().unwrap();
+        p.with_page_mut(a, |b| b[0] = 9).unwrap();
+        let _b = p.allocate().unwrap();
+        let once = RetryPolicy {
+            max_attempts: 1,
+            backoff: Duration::ZERO,
+        };
+        // The scope surfaces a transient the pool's own policy retries,
+        // and leaves that policy alone.
+        let scope = RetryScope::enter(Some(once));
+        assert!(matches!(
+            p.with_page(a, |_| ()),
+            Err(StoreError::Injected { transient: true })
+        ));
+        assert_eq!(p.retry_policy(), RetryPolicy::default());
+        drop(scope);
+        assert_eq!(SCOPED_RETRY.get(), None, "scope ends on drop");
+        let unwound = std::panic::catch_unwind(|| {
+            let _scope = RetryScope::enter(Some(once));
+            panic!()
+        });
+        assert!(unwound.is_err());
+        assert_eq!(SCOPED_RETRY.get(), None, "scope ends on unwind");
     }
 
     #[test]

@@ -57,6 +57,18 @@ if [ "$meta" != "crates/core/src/tree_file.rs" ]; then
        "(crates/core/src/tree_file.rs), found in:" $meta >&2
   exit 1
 fi
+# A query is described once (DESIGN.md §14): `QuerySpec` holds every
+# knob, `AnnRequest` is a spec plus its attachments, and the worker count
+# is the spec's `threads` alone — no second copy to convert to, no second
+# count to resolve precedence against, no retry policy written to a pool.
+mba_threads="$(git grep -lE 'Algorithm::Mba \{' -- crates src tests examples \
+  | xargs -r grep -Plz 'Algorithm::Mba \{[^}]*\bthreads\b' || true)"
+if git grep -nE 'effective_threads|RetryOverride|fn from_request' -- crates src tests examples \
+   || [ -n "$mba_threads" ]; then
+  echo "ci: QuerySpec is the one description of a query: a second copy, a second" \
+       "worker-count knob or a pool-wide retry override is back" $mba_threads >&2
+  exit 1
+fi
 
 # Registry crates stay gone: every package cargo resolves, for every
 # target of every workspace member, is a path inside this repository.
