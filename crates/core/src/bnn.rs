@@ -11,56 +11,55 @@
 //! *metric* bound (MAXMAXDIST in the original; NXNDIST here when
 //! instantiated with [`ann_geom::NxnDist`], which is the "BNN NXNDIST"
 //! bar of Figure 3a).
+//!
+//! Each expanded `I_S` node is probed by the node scan MBA uses
+//! (`scan.rs`), with the group's MBR as the owner, so both baselines
+//! of Figure 3a prune under the very code the paper's method runs. Each
+//! group point keeps its candidates in a [`KBestSet`], which holds the
+//! canonical `(distance, s_oid)` tie-break.
 
 use crate::exec::{self, ExecCtx, Join, Spill};
 use crate::index::SpatialIndex;
-use crate::lpq::{BoundTracker, PRUNE_EPS};
+use crate::lpq::{BoundTracker, QueuedEntry, PRUNE_EPS};
 use crate::morsel::chunk_ranges;
-use crate::node::Entry;
+use crate::node::{Entry, NodeEntry};
 use crate::resilience::QueryResult;
-use crate::scratch::{GroupHeapItem, KBest, QueryScratch};
-use crate::stats::{AnnOutput, NeighborPair};
+use crate::scan::{CandidateQueue, NodeScan};
+use crate::scratch::{GroupHeapItem, KBestSet, QueryScratch};
+use crate::stats::AnnOutput;
 use crate::trace::{Phase, PruneReason, Side, TraceEvent};
 use ann_geom::{curve::GridMapper, kernels, min_min_dist_sq, Mbr, Point, PruneMetric, SoaPoints};
 use std::collections::BinaryHeap;
 use std::marker::PhantomData;
 use std::ops::Range;
 
-/// Per-query-point state within a group.
-struct PointState<const D: usize> {
-    oid: u64,
-    point: Point<D>,
-    /// Max-heap of the k best candidates so far.
-    best: BinaryHeap<KBest>,
-    want: usize,
+/// One group's frontier: the `MIND`-ordered heap of `I_S` entries, the
+/// metric bound their offers back, and the realized bound of the group's
+/// points. It is the queue the node scan offers into.
+struct GroupFrontier<const D: usize> {
+    heap: BinaryHeap<GroupHeapItem<D>>,
+    /// Each probed `I_S` entry guarantees `k_eff` candidates for *every*
+    /// group point once `k_eff` entries are seen.
+    metric: BoundTracker,
+    /// The max over the group points' k-best bounds.
+    point_bound: f64,
 }
 
-impl<const D: usize> PointState<D> {
-    /// Current per-point bound: distance of the k-th best candidate
-    /// (infinite until `want` candidates have been seen).
-    fn bound_sq(&self) -> f64 {
-        if self.best.len() < self.want {
-            f64::INFINITY
-        } else {
-            self.best.peek().expect("non-empty").dist_sq
-        }
+impl<const D: usize> CandidateQueue<D> for GroupFrontier<D> {
+    #[inline]
+    fn prune_threshold_sq(&self) -> f64 {
+        self.metric.bound_sq().min(self.point_bound) * (1.0 + PRUNE_EPS)
     }
 
-    fn offer(&mut self, dist_sq: f64, s_oid: u64) -> bool {
-        let cand = KBest { dist_sq, s_oid };
-        if self.best.len() < self.want {
-            self.best.push(cand);
-            true
-        } else if cand < *self.best.peek().expect("non-empty") {
-            // Lexicographic (dist_sq, s_oid): a tied candidate with a
-            // smaller oid must displace the current worst, or results
-            // diverge from the canonical brute-force tie-break.
-            self.best.pop();
-            self.best.push(cand);
-            true
-        } else {
-            false
-        }
+    #[inline]
+    fn offer(&mut self, e: QueuedEntry<D>) -> (bool, u64) {
+        self.metric.offer(e.maxd_sq);
+        self.heap.push(GroupHeapItem {
+            mind_sq: e.mind_sq,
+            maxd_sq: e.maxd_sq,
+            entry: e.entry,
+        });
+        (true, 0)
     }
 }
 
@@ -185,48 +184,38 @@ where
     let mut heap_pops = 0u64;
     let k_eff = join.k + usize::from(join.exclude_self);
     let gmbr = Mbr::from_points(group.iter().map(|(_, p)| p));
-    let mut states: Vec<PointState<D>> = group
+    // Each group point's oid beside its candidates.
+    let mut sets: Vec<(u64, KBestSet)> = group
         .iter()
-        .map(|&&(oid, point)| PointState {
-            oid,
-            point,
-            best: scratch.take_kbest(),
-            want: k_eff,
-        })
+        .map(|&&(oid, _)| (oid, KBestSet::new(k_eff, scratch.take_kbest())))
         .collect();
     // Column-major mirror of the group's query points, so each popped
     // object batches its distances to the whole group in one kernel call.
     let mut gcols = scratch.take_f64();
     for d in 0..D {
-        gcols.extend(states.iter().map(|st| st.point[d]));
+        gcols.extend(group.iter().map(|(_, p)| p[d]));
     }
     let mut dist_buf = scratch.take_f64();
-    let mut mind_buf = scratch.take_f64();
-    let mut maxd_buf = scratch.take_f64();
+    let mut scan = NodeScan::checkout(scratch);
+    // The scan's owner: the group as a node. Only its MBR is read, and a
+    // node owner never takes the exact point×leaf path.
+    let owner = Entry::Node(NodeEntry {
+        page: is.root_page(),
+        count: group.len() as u64,
+        mbr: gmbr,
+    });
 
-    // The group bound combines the metric guarantee (each probed I_S entry
-    // guarantees k_eff candidates for *every* group point once k_eff
-    // entries are seen) with the realized per-point bounds.
-    let mut metric_bound = BoundTracker::new(k_eff, f64::INFINITY);
-    let mut point_bound = f64::INFINITY; // max over per-point bounds
-    let recompute = |states: &[PointState<D>]| -> f64 {
-        states
-            .iter()
-            .map(PointState::bound_sq)
-            .fold(0.0f64, f64::max)
+    let mut front = GroupFrontier {
+        heap: scratch.take_group_heap(),
+        metric: BoundTracker::new(k_eff, f64::INFINITY),
+        point_bound: f64::INFINITY,
     };
-
-    let mut heap = scratch.take_group_heap();
-    let mut hints = scratch.take_hints();
-    let hinting = is.pool().prefetch_enabled();
     let root_mbr = is.bounds();
     out.stats.distance_computations += 1;
-    let root_maxd = M::upper_sq(&gmbr, &root_mbr);
-    metric_bound.offer(root_maxd);
-    heap.push(GroupHeapItem {
+    front.offer(QueuedEntry {
         mind_sq: min_min_dist_sq(&gmbr, &root_mbr),
-        maxd_sq: root_maxd,
-        entry: Entry::Node(crate::node::NodeEntry {
+        maxd_sq: M::upper_sq(&gmbr, &root_mbr),
+        entry: Entry::Node(NodeEntry {
             page: is.root_page(),
             count: is.num_points(),
             mbr: root_mbr,
@@ -234,38 +223,40 @@ where
     });
     out.stats.enqueued += 1;
 
-    while let Some(item) = heap.pop() {
+    while let Some(item) = front.heap.pop() {
         heap_pops += 1;
-        let bound = metric_bound.bound_sq().min(point_bound);
-        if item.mind_sq > bound * (1.0 + PRUNE_EPS) {
+        if item.mind_sq > front.prune_threshold_sq() {
             if tracer.enabled() {
                 // The popped item and everything still queued are cut off.
-                *cutoff_total += heap.len() as u64 + 1;
+                *cutoff_total += front.heap.len() as u64 + 1;
             }
             break; // min-heap: everything remaining is at least this far
         }
-        metric_bound.remove(item.maxd_sq);
+        front.metric.remove(item.maxd_sq);
         match item.entry {
             Entry::Object(s) => {
                 // One kernel call for the whole group: (s - p)^2 sums the
                 // same squares as the scalar (p - s)^2, bit for bit. The
                 // self-pair's distance is computed but never offered or
                 // counted, exactly like the scalar skip.
-                let gpoints = SoaPoints::new(states.len(), &gcols);
+                let gpoints = SoaPoints::new(group.len(), &gcols);
                 kernels::dist_sq_batch(&s.point, &gpoints, &mut dist_buf);
                 let mut improved_max = false;
-                for (i, st) in states.iter_mut().enumerate() {
-                    if join.exclude_self && st.oid == s.oid {
+                for (i, (oid, set)) in sets.iter_mut().enumerate() {
+                    if join.exclude_self && *oid == s.oid {
                         continue;
                     }
                     out.stats.distance_computations += 1;
-                    let old = st.bound_sq();
-                    if st.offer(dist_buf[i], s.oid) && old >= point_bound {
+                    let old = set.bound_sq();
+                    if set.offer(dist_buf[i], s.oid) && old >= front.point_bound {
                         improved_max = true;
                     }
                 }
                 if improved_max {
-                    point_bound = recompute(&states);
+                    front.point_bound = sets
+                        .iter()
+                        .map(|(_, set)| set.bound_sq())
+                        .fold(0.0f64, f64::max);
                 }
             }
             Entry::Node(n) => {
@@ -273,40 +264,7 @@ where
                 let node = is.read_node_cached(n.page)?;
                 out.stats.s_nodes_expanded += 1;
                 tracer.node_expanded(Side::S, n.page, &node.entries);
-                // Batch both bounds over the node's SoA columns, then
-                // replay the accept/prune decisions sequentially under the
-                // evolving bound — bit-identical to the scalar loop.
-                let cols = node.soa_mbrs();
-                kernels::min_min_dist_sq_batch(&gmbr, &cols, &mut mind_buf);
-                M::upper_sq_batch(&gmbr, &cols, &mut maxd_buf);
-                for (i, e) in node.entries.iter().enumerate() {
-                    out.stats.distance_computations += 1;
-                    let bound = metric_bound.bound_sq().min(point_bound);
-                    if mind_buf[i] <= bound * (1.0 + PRUNE_EPS) {
-                        metric_bound.offer(maxd_buf[i]);
-                        heap.push(GroupHeapItem {
-                            mind_sq: mind_buf[i],
-                            maxd_sq: maxd_buf[i],
-                            entry: *e,
-                        });
-                        out.stats.enqueued += 1;
-                        if hinting {
-                            if let Entry::Node(c) = e {
-                                // First touch only: a node-cached page is
-                                // served without a pool read, so hinting it
-                                // would be pure wasted disk I/O.
-                                if !is.node_is_cached(c.page) {
-                                    hints.push((c.page, crate::readahead::depth_priority(c.count)));
-                                }
-                            }
-                        }
-                    } else {
-                        out.stats.pruned_on_probe += 1;
-                    }
-                }
-                // Readahead for the pages just pushed: changes only when
-                // their physical reads happen, never the group decisions.
-                crate::readahead::submit(is.pool(), &mut hints);
+                scan.scan::<D, M, _, _>(is, &owner, &node, &mut front, &mut out.stats);
             }
         }
     }
@@ -316,30 +274,14 @@ where
         heap_pops,
     });
 
-    // Emit: per point, best candidates in ascending distance, at most k
-    // (the k_eff-th candidate only existed to keep the bound sound in
-    // self-join mode).
-    for st in states {
-        let mut best: Vec<KBest> = st.best.into_vec();
-        best.sort_by(|a, b| {
-            (a.dist_sq, a.s_oid)
-                .partial_cmp(&(b.dist_sq, b.s_oid))
-                .expect("finite")
-        });
-        for b in best.iter().take(join.k) {
-            out.results.push(NeighborPair {
-                r_oid: st.oid,
-                s_oid: b.s_oid,
-                dist: b.dist_sq.sqrt(),
-            });
-        }
-        scratch.put_kbest(BinaryHeap::from(best));
+    // Emit: per point, at most k (the k_eff-th candidate only existed to
+    // keep the bound sound in self-join mode).
+    for (oid, set) in sets {
+        scratch.put_kbest(set.emit(oid, join.k, &mut out.results));
     }
-    scratch.put_group_heap(heap);
-    scratch.put_hints(hints);
+    scratch.put_group_heap(front.heap);
+    scan.release(scratch);
     scratch.put_f64(gcols);
     scratch.put_f64(dist_buf);
-    scratch.put_f64(mind_buf);
-    scratch.put_f64(maxd_buf);
     Ok(())
 }

@@ -27,11 +27,11 @@
 use crate::exec::{self, ExecCtx, Join, Spill};
 use crate::morsel::{chunk_ranges, POINT_MORSEL};
 use crate::resilience::QueryResult;
-use crate::scratch::{KBest, QueryScratch};
-use crate::stats::{AnnOutput, NeighborPair};
+use crate::scratch::{KBestSet, QueryScratch};
+use crate::stats::AnnOutput;
 use crate::trace::{Phase, PruneReason};
 use ann_geom::{kernels, Mbr, Point, SoaPoints};
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::ops::Range;
 
 /// One grid cell's points, structure-of-arrays.
@@ -307,79 +307,46 @@ fn run_point<const D: usize>(join: &Hnn<'_, D>, w: &mut Worker<'_, D>, r_oid: u6
         },
         ..
     } = w;
-    {
-        let home = grid.cell_of(&r_pt);
-        let max_ring = grid.max_ring_from(&home);
-        let mut best = scratch.take_kbest();
-        let mut ring = grid.min_ring_from(&home);
-        let mut seen = 0usize;
-        loop {
-            // The nearest any point of ring ρ can be is (ρ-1) cell edges
-            // (the query may sit on its own cell's boundary).
-            let ring_min = (ring - 1).max(0) as f64 * grid.cell_edge;
-            let bound_sq = if best.len() < k_eff {
-                f64::INFINITY
-            } else {
-                best.peek().expect("non-empty").dist_sq
-            };
-            if ring_min * ring_min > bound_sq {
-                if tracer.enabled() && ring <= max_ring {
-                    // Rings `ring..=max_ring` are never visited.
-                    *rings_cut_total += (max_ring - ring + 1) as u64;
-                }
-                break;
+    let home = grid.cell_of(&r_pt);
+    let max_ring = grid.max_ring_from(&home);
+    let mut best = KBestSet::new(k_eff, scratch.take_kbest());
+    let mut ring = grid.min_ring_from(&home);
+    let mut seen = 0usize;
+    loop {
+        // The nearest any point of ring ρ can be is (ρ-1) cell edges (the
+        // query may sit on its own cell's boundary).
+        let ring_min = (ring - 1).max(0) as f64 * grid.cell_edge;
+        if ring_min * ring_min > best.bound_sq() {
+            if tracer.enabled() && ring <= max_ring {
+                // Rings `ring..=max_ring` are never visited.
+                *rings_cut_total += (max_ring - ring + 1) as u64;
             }
-            grid.for_ring(&home, ring, |cell| {
-                seen += cell.len();
-                // One kernel call per cell; an excluded self-pair's
-                // distance lands in the buffer but is never offered or
-                // counted, exactly like the scalar skip.
-                kernels::dist_sq_batch(&r_pt, &cell.points(), dist_buf);
-                for (i, &s_oid) in cell.oids.iter().enumerate() {
-                    if join.exclude_self && s_oid == r_oid {
-                        continue;
-                    }
-                    out.stats.distance_computations += 1;
-                    let cand = KBest {
-                        dist_sq: dist_buf[i],
-                        s_oid,
-                    };
-                    if best.len() < k_eff {
-                        best.push(cand);
-                    } else if cand < *best.peek().expect("non-empty") {
-                        // Lexicographic (dist_sq, s_oid): equal-distance
-                        // candidates with smaller oids must win, matching
-                        // the canonical brute-force tie-break.
-                        best.pop();
-                        best.push(cand);
-                    }
-                }
-            });
-            ring += 1;
-            // Beyond the farthest occupied cell every further ring is
-            // empty — and once every point of S has been seen, no ring
-            // can add candidates (`k_eff ≥ |S|` never yields a finite
-            // bound, so this is the only cutoff that fires there).
-            if ring > max_ring || seen >= s.len() {
-                break;
-            }
+            break;
         }
-
-        let mut hits: Vec<KBest> = best.into_vec();
-        hits.sort_by(|a, b| {
-            (a.dist_sq, a.s_oid)
-                .partial_cmp(&(b.dist_sq, b.s_oid))
-                .expect("finite")
+        grid.for_ring(&home, ring, |cell| {
+            seen += cell.len();
+            // One kernel call per cell; an excluded self-pair's distance
+            // lands in the buffer but is never offered or counted, exactly
+            // like the scalar skip.
+            kernels::dist_sq_batch(&r_pt, &cell.points(), dist_buf);
+            for (i, &s_oid) in cell.oids.iter().enumerate() {
+                if join.exclude_self && s_oid == r_oid {
+                    continue;
+                }
+                out.stats.distance_computations += 1;
+                best.offer(dist_buf[i], s_oid);
+            }
         });
-        for h in hits.iter().take(join.k) {
-            out.results.push(NeighborPair {
-                r_oid,
-                s_oid: h.s_oid,
-                dist: h.dist_sq.sqrt(),
-            });
+        ring += 1;
+        // Beyond the farthest occupied cell every further ring is empty —
+        // and once every point of S has been seen, no ring can add
+        // candidates (`k_eff ≥ |S|` never yields a finite bound, so this
+        // is the only cutoff that fires there).
+        if ring > max_ring || seen >= s.len() {
+            break;
         }
-        scratch.put_kbest(BinaryHeap::from(hits));
     }
+    scratch.put_kbest(best.emit(r_oid, join.k, &mut out.results));
 }
 
 #[cfg(test)]

@@ -2,16 +2,18 @@
 //! of the ANN join, exposed as a standalone primitive.
 //!
 //! This is the classic best-first (Hjaltason–Samet) search augmented with
-//! the paper's pruning-metric upper bound, shared with the MNN baseline.
+//! the paper's pruning-metric upper bound: the MNN baseline's per-object
+//! search ([`crate::mnn`]), run for one query point.
 //! Use it when you need neighbors of a handful of query points; use
 //! [`crate::mba`] when you need neighbors of *every* indexed point.
 
 use crate::index::SpatialIndex;
+use crate::mnn::{knn_search, Worker};
 use crate::node::{Entry, ObjectEntry};
-use crate::resilience::QueryResult;
-use crate::scan::{BestFirst, NodeScan};
+use crate::resilience::{QueryGuard, QueryResult};
 use crate::scratch::QueryScratch;
-use crate::stats::AnnStats;
+use crate::stats::AnnOutput;
+use crate::trace::Tracer;
 use ann_geom::{min_min_dist_sq, Mbr, Point, PruneMetric};
 
 /// Finds the `k` nearest indexed points to `query`, closest first.
@@ -55,45 +57,25 @@ where
     M: PruneMetric,
     I: SpatialIndex<D>,
 {
-    let mut out = Vec::with_capacity(k);
     if k == 0 || index.num_points() == 0 {
-        return Ok(out);
+        return Ok(Vec::new());
     }
-    // The scan's owner: the query as a data object (its oid is never read).
-    let owner = Entry::Object(ObjectEntry {
+    // MNN's search for one object, with no limits, no trace, and its
+    // counters dropped. The query's oid is never read without a self-skip.
+    let guard = QueryGuard::disabled();
+    let mut w = Worker {
+        tracer: Tracer::disabled(),
+        guard: &guard,
+        scratch,
+        out: AnnOutput::default(),
+        local: 0,
+    };
+    let query = ObjectEntry {
         oid: u64::MAX,
         point: *query,
-    });
-    let mut front = BestFirst::seeded::<M, I>(index, query, k, scratch.take_best_first());
-    let mut scan = NodeScan::checkout(scratch);
-    // kNN reports no work counters.
-    let mut stats = AnnStats::default();
-
-    let walk = (|| -> QueryResult<()> {
-        while let Some(item) = front.heap.pop() {
-            if front.bound.prunes(item.mind_sq) {
-                break;
-            }
-            front.bound.remove(item.maxd_sq);
-            match item.entry {
-                Entry::Object(o) => {
-                    out.push((o.oid, item.mind_sq.sqrt()));
-                    front.bound.satisfy_one();
-                    if out.len() == k {
-                        break;
-                    }
-                }
-                Entry::Node(n) => {
-                    let node = index.read_node_cached(n.page)?;
-                    scan.scan::<D, M, _, _>(index, &owner, &node, &mut front, &mut stats);
-                }
-            }
-        }
-        Ok(())
-    })();
-    scratch.put_best_first(front.heap);
-    scan.release(scratch);
-    walk.map(|()| out)
+    };
+    knn_search::<D, M, I>(index, &mut w, &query, k, false)?;
+    Ok(w.out.results.iter().map(|p| (p.s_oid, p.dist)).collect())
 }
 
 /// Finds every indexed point within `radius` of `query`, closest first.

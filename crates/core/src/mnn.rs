@@ -8,6 +8,11 @@
 //! order (a depth-first walk of `I_R`), which visits spatially adjacent
 //! points consecutively — consecutive searches then hit the same upper
 //! `I_S` pages in the buffer pool.
+//!
+//! The per-object search, `knn_search`, is the crate's one best-first
+//! search: the standalone [`crate::knn`] primitive runs it for a single
+//! query point. It probes nodes through the shared node scan
+//! (`scan.rs`).
 
 use crate::exec::{self, ExecCtx, Join, Spill};
 use crate::index::SpatialIndex;
@@ -34,7 +39,7 @@ struct Mnn<'a, const D: usize, M, IR, IS> {
 
 /// A worker's only MNN state beside its scratch and output: heap entries
 /// cut off unpopped, tallied while tracing.
-type Worker<'w, const D: usize> = exec::Worker<'w, D, u64>;
+pub(crate) type Worker<'w, const D: usize> = exec::Worker<'w, D, u64>;
 
 impl<const D: usize, M, IR, IS> Join<D> for Mnn<'_, D, M, IR, IS>
 where
@@ -76,7 +81,9 @@ where
         for e in &node.entries {
             match e {
                 Entry::Node(n) => spill.push((n.page, n.count)),
-                Entry::Object(o) => knn_search(self, w, o)?,
+                Entry::Object(o) => {
+                    knn_search::<D, M, IS>(self.is, w, o, self.k, self.exclude_self)?
+                }
             }
         }
         Ok(())
@@ -115,7 +122,9 @@ where
                 for e in &node.entries {
                     match e {
                         Entry::Node(n) => stack.push(n.page),
-                        Entry::Object(o) => knn_search(self, w, o)?,
+                        Entry::Object(o) => {
+                            knn_search::<D, M, IS>(self.is, w, o, self.k, self.exclude_self)?
+                        }
                     }
                 }
             }
@@ -157,17 +166,21 @@ where
     })
 }
 
-/// One best-first (Hjaltason-Samet) kNN search from the `I_R` object `r`
-/// over `is`, with the pruning-metric upper bound tightening the search
-/// exactly as the LPQ bound does in MBA.
-fn knn_search<const D: usize, M, IR, IS>(
-    join: &Mnn<'_, D, M, IR, IS>,
+/// One best-first (Hjaltason–Samet) search of `is` for the `k` nearest
+/// neighbors of `r`, with the pruning-metric upper bound tightening it
+/// exactly as the LPQ bound does in MBA. Pushes them, nearest first, to
+/// `w.out.results`, skipping `r`'s own oid under `exclude_self`. MNN runs
+/// one per `I_R` object; [`crate::knn`] runs one for its query point.
+pub(crate) fn knn_search<const D: usize, M, I>(
+    is: &I,
     w: &mut Worker<'_, D>,
     r: &ObjectEntry<D>,
+    k: usize,
+    exclude_self: bool,
 ) -> QueryResult<()>
 where
     M: PruneMetric,
-    IS: SpatialIndex<D>,
+    I: SpatialIndex<D>,
 {
     let exec::Worker {
         tracer,
@@ -176,10 +189,9 @@ where
         out,
         local: cutoff_total,
     } = w;
-    let is = join.is;
-    let k_eff = join.k + usize::from(join.exclude_self);
+    let k_eff = k + usize::from(exclude_self);
     let owner = Entry::Object(*r);
-    let mut front = BestFirst::seeded::<M, IS>(is, &r.point, k_eff, scratch.take_best_first());
+    let mut front = BestFirst::seeded::<M, I>(is, &r.point, k_eff, scratch.take_best_first());
     let mut scan = NodeScan::checkout(scratch);
     // The root's probe, tallied like every other.
     out.stats.distance_computations += 1;
@@ -200,7 +212,7 @@ where
             front.bound.remove(item.maxd_sq);
             match item.entry {
                 Entry::Object(s) => {
-                    if join.exclude_self && s.oid == r.oid {
+                    if exclude_self && s.oid == r.oid {
                         continue;
                     }
                     out.results.push(NeighborPair {
@@ -210,7 +222,7 @@ where
                     });
                     front.bound.satisfy_one();
                     found += 1;
-                    if found == join.k {
+                    if found == k {
                         break;
                     }
                 }

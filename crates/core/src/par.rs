@@ -16,9 +16,9 @@
 //!   `(r_oid, dist, s_oid)` tie-break — the same order every comparison
 //!   path in the repo uses, and the same sort the one-worker path gets —
 //!   so scheduling nondeterminism cannot reach the caller.
-//! - **Commutative counters.** [`AnnStats`] fields are sums; workers fold
-//!   into one relaxed [`AtomicAnnStats`] and the engine cross-checks the
-//!   fold against a sequential merge in debug builds.
+//! - **Commutative counters.** [`AnnStats`](crate::stats::AnnStats)
+//!   fields are sums; the engine merges the workers' counters in
+//!   worker-index order.
 //! - **Ordered trace replay.** A shared `&dyn TraceSink` is `Sync`, but
 //!   interleaved emission would corrupt [`RecordingSink`]'s level
 //!   inference (it infers a page's level from its parent's earlier
@@ -51,7 +51,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::morsel::MorselPool;
 use crate::resilience::{QueryError, QueryResult};
-use crate::stats::{AnnOutput, AnnStats, AtomicAnnStats};
+use crate::stats::AnnOutput;
 use crate::trace::{TraceEvent, TraceSink, Tracer};
 use ann_store::sync::Mutex;
 
@@ -140,7 +140,6 @@ where
             events: Mutex::new(Vec::new()),
         })
         .collect();
-    let shared_stats = AtomicAnnStats::new();
 
     let mut panicked: Option<Box<dyn std::any::Any + Send>> = None;
     let results: Vec<(AnnOutput, QueryResult<()>)> = std::thread::scope(|scope| {
@@ -148,7 +147,6 @@ where
             .map(|index| {
                 let pool = &pool;
                 let sink = &sinks[index];
-                let shared_stats = &shared_stats;
                 let worker = &worker;
                 let traced = tracer.enabled();
                 scope.spawn(move || {
@@ -164,18 +162,12 @@ where
                             tracer: wtracer,
                         })
                     }));
-                    match &ran {
-                        Ok((out, status)) => {
-                            if status.is_err() {
-                                pool.abort();
-                            }
-                            shared_stats.add(&out.stats);
-                        }
-                        // The panicking worker popped a morsel it will
-                        // never complete; abort so siblings drain
-                        // instead of waiting on the in-flight counter
-                        // forever (which would also wedge the join).
-                        Err(_) => pool.abort(),
+                    // A failed worker aborts the pool. A panicking one
+                    // popped a morsel it will never complete; aborting lets
+                    // siblings drain instead of waiting on the in-flight
+                    // counter forever (which would also wedge the join).
+                    if !matches!(ran, Ok((_, Ok(())))) {
+                        pool.abort();
                     }
                     ran
                 })
@@ -204,26 +196,14 @@ where
     }
 
     let mut out = AnnOutput::default();
-    let mut sequential_fold = AnnStats::default();
     let mut failure: Option<QueryError> = None;
-    let mut complete = true;
     for (wout, status) in results {
-        sequential_fold.merge(&wout.stats);
+        out.stats.merge(&wout.stats);
         out.results.extend(wout.results);
         if let Err(e) = status {
-            complete = false;
-            if failure.is_none() {
-                failure = Some(e);
-            }
+            failure.get_or_insert(e);
         }
     }
-    out.stats = shared_stats.load();
-    debug_assert!(
-        !complete || out.stats == sequential_fold,
-        "atomic fold diverged from sequential merge: {:?} vs {:?}",
-        out.stats,
-        sequential_fold
-    );
 
     if tracer.enabled() {
         let mut events: Vec<(u64, TraceEvent)> = Vec::new();

@@ -30,6 +30,7 @@
 
 use crate::lpq::{Lpq, QueuedEntry};
 use crate::node::Entry;
+use crate::stats::NeighborPair;
 use ann_store::PageId;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -115,9 +116,9 @@ impl<const D: usize> Ord for GroupHeapItem<D> {
     }
 }
 
-/// Max-heap entry of a per-point k-best candidate list (BNN and HNN):
-/// for equal distances the larger oid is "greater" (evicted first),
-/// matching the brute-force tie-break of keeping the smaller oid.
+/// Max-heap entry of a [`KBestSet`]: for equal distances the larger oid
+/// is "greater" (evicted first), matching the brute-force tie-break of
+/// keeping the smaller oid.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct KBest {
     /// Squared distance of the candidate.
@@ -137,6 +138,66 @@ impl Ord for KBest {
             .partial_cmp(&other.dist_sq)
             .expect("finite")
             .then(self.s_oid.cmp(&other.s_oid))
+    }
+}
+
+/// The `want` best candidates of one query point, ranked by ascending
+/// `(dist_sq, s_oid)` — the canonical tie-break brute force applies. BNN,
+/// HNN and GORDER keep one per query point.
+#[derive(Debug)]
+pub struct KBestSet {
+    want: usize,
+    heap: BinaryHeap<KBest>,
+}
+
+impl KBestSet {
+    /// An empty set keeping the `want ≥ 1` best, over the empty `heap`'s
+    /// storage.
+    pub fn new(want: usize, heap: BinaryHeap<KBest>) -> Self {
+        debug_assert!(want >= 1 && heap.is_empty());
+        KBestSet { want, heap }
+    }
+
+    /// The squared distance a candidate has to beat: the worst one kept,
+    /// or infinity until `want` are kept.
+    #[inline]
+    pub fn bound_sq(&self) -> f64 {
+        if self.heap.len() < self.want {
+            f64::INFINITY
+        } else {
+            self.heap.peek().expect("a full set is non-empty").dist_sq
+        }
+    }
+
+    /// Keeps the candidate if it ranks among the `want` best so far;
+    /// returns whether it did.
+    #[inline]
+    pub fn offer(&mut self, dist_sq: f64, s_oid: u64) -> bool {
+        if self.heap.len() < self.want {
+            self.heap.push(KBest { dist_sq, s_oid });
+            return true;
+        }
+        let mut worst = self.heap.peek_mut().expect("a full set is non-empty");
+        // One compare rejects all but exact ties; only those read oids.
+        if dist_sq < worst.dist_sq || (dist_sq == worst.dist_sq && s_oid < worst.s_oid) {
+            *worst = KBest { dist_sq, s_oid };
+            true
+        } else {
+            false
+        }
+    }
+
+    /// Appends the best `k` kept candidates to `out` as pairs of `r_oid`,
+    /// nearest first, and returns the emptied heap for reuse.
+    pub fn emit(self, r_oid: u64, k: usize, out: &mut Vec<NeighborPair>) -> BinaryHeap<KBest> {
+        let mut best = self.heap.into_sorted_vec();
+        out.extend(best.iter().take(k).map(|b| NeighborPair {
+            r_oid,
+            s_oid: b.s_oid,
+            dist: b.dist_sq.sqrt(),
+        }));
+        best.clear();
+        BinaryHeap::from(best)
     }
 }
 

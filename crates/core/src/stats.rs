@@ -1,7 +1,6 @@
 //! Result and statistics types shared by every ANN algorithm.
 
 use ann_store::IoSnapshot;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One `(r, s)` neighbor pair in an ANN / AkNN result.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -56,65 +55,6 @@ impl AnnStats {
         self.r_nodes_expanded += other.r_nodes_expanded;
         self.s_nodes_expanded += other.s_nodes_expanded;
         self.io = self.io.merge(&other.io);
-    }
-}
-
-/// Shared, thread-safe work counters for parallel runs.
-///
-/// Workers keep their hot-loop counters in a plain local [`AnnStats`]
-/// (no synchronization in the traversal itself) and fold the totals in
-/// with one relaxed [`add`](Self::add) when they finish a unit of work or
-/// exit. Relaxed ordering suffices: the counters are statistics, and the
-/// thread join that ends the parallel phase provides the happens-before
-/// edge that makes the final [`load`](Self::load) complete.
-#[derive(Debug, Default)]
-pub struct AtomicAnnStats {
-    distance_computations: AtomicU64,
-    lpqs_created: AtomicU64,
-    enqueued: AtomicU64,
-    pruned_on_probe: AtomicU64,
-    pruned_in_queue: AtomicU64,
-    r_nodes_expanded: AtomicU64,
-    s_nodes_expanded: AtomicU64,
-}
-
-impl AtomicAnnStats {
-    /// Fresh zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Folds a worker's local counters in (relaxed; I/O is measured
-    /// globally at the pool and is not part of the merge).
-    pub fn add(&self, s: &AnnStats) {
-        self.distance_computations
-            .fetch_add(s.distance_computations, Ordering::Relaxed);
-        self.lpqs_created
-            .fetch_add(s.lpqs_created, Ordering::Relaxed);
-        self.enqueued.fetch_add(s.enqueued, Ordering::Relaxed);
-        self.pruned_on_probe
-            .fetch_add(s.pruned_on_probe, Ordering::Relaxed);
-        self.pruned_in_queue
-            .fetch_add(s.pruned_in_queue, Ordering::Relaxed);
-        self.r_nodes_expanded
-            .fetch_add(s.r_nodes_expanded, Ordering::Relaxed);
-        self.s_nodes_expanded
-            .fetch_add(s.s_nodes_expanded, Ordering::Relaxed);
-    }
-
-    /// Reads the totals out into a plain [`AnnStats`] (with zeroed I/O —
-    /// the caller attributes pool I/O separately).
-    pub fn load(&self) -> AnnStats {
-        AnnStats {
-            distance_computations: self.distance_computations.load(Ordering::Relaxed),
-            lpqs_created: self.lpqs_created.load(Ordering::Relaxed),
-            enqueued: self.enqueued.load(Ordering::Relaxed),
-            pruned_on_probe: self.pruned_on_probe.load(Ordering::Relaxed),
-            pruned_in_queue: self.pruned_in_queue.load(Ordering::Relaxed),
-            r_nodes_expanded: self.r_nodes_expanded.load(Ordering::Relaxed),
-            s_nodes_expanded: self.s_nodes_expanded.load(Ordering::Relaxed),
-            io: IoSnapshot::default(),
-        }
     }
 }
 

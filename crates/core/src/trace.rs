@@ -220,13 +220,6 @@ pub trait TraceSink: Send + Sync {
     fn event(&self, _event: &TraceEvent) {}
 }
 
-/// A sink that ignores everything. Useful for overhead measurements where
-/// the *enabled* path must run but nothing should be retained.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {}
-
 /// A `Copy` handle threading an optional [`TraceSink`] through a query.
 ///
 /// Every helper takes closures for anything that costs work (building a

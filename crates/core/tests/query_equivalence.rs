@@ -466,12 +466,83 @@ fn frozen_rows<const D: usize, I, B>(
     }
 }
 
+/// BNN (`R` as points, `S` indexed, serial and 3 threads) and HNN over one
+/// seeded input for k ∈ {1, 10} × ±`exclude_self`, BNN under both metrics;
+/// inputs and indexes as in [`frozen_rows`].
+fn frozen_baseline_rows<const D: usize, I, B>(
+    tag: &str,
+    a: &[(u64, Point<D>)],
+    b: &[(u64, Point<D>)],
+    build: B,
+    rows: &mut Vec<(String, Row)>,
+) where
+    I: SpatialIndex<D> + Sync,
+    B: Fn(Arc<BufferPool>, &[(u64, Point<D>)]) -> I,
+{
+    for k in [1usize, 10] {
+        for exclude_self in [false, true] {
+            let s_pts = if exclude_self { a } else { b };
+            let truth = truth_sorted(a, s_pts, k, exclude_self);
+            let req = |alg| AnnRequest::new(alg).k(k).exclude_self(exclude_self);
+            for metric in [MetricChoice::Nxn, MetricChoice::MaxMax] {
+                let label = format!("{tag} bnn {metric:?} k={k} exclude_self={exclude_self}");
+                let run = |threads: usize| {
+                    let is = build(pool(4096), s_pts);
+                    req(Algorithm::Bnn { group_size: 64 })
+                        .metric(metric)
+                        .threads(threads)
+                        .run(Input::<D, NoIndex>::Points(a), Input::Index(&is))
+                        .unwrap()
+                };
+                let serial = run(1);
+                let par = run(3);
+                assert_eq!(
+                    row(&par.stats)[..7],
+                    row(&serial.stats)[..7],
+                    "{label}: 3 threads"
+                );
+                assert_matches_truth(par, &truth, &label);
+                rows.push((label.clone(), row(&serial.stats)));
+                assert_matches_truth(serial, &truth, &label);
+            }
+            let label = format!("{tag} hnn k={k} exclude_self={exclude_self}");
+            let out = req(Algorithm::hnn())
+                .run(
+                    Input::<D, NoIndex>::Points(a),
+                    Input::<D, NoIndex>::Points(s_pts),
+                )
+                .unwrap();
+            rows.push((label.clone(), row(&out.stats)));
+            assert_matches_truth(out, &truth, &label);
+        }
+    }
+}
+
+fn mbrqt<const D: usize>(p: Arc<BufferPool>, pts: &[(u64, Point<D>)]) -> Mbrqt<D> {
+    Mbrqt::bulk_build(p, pts, &mbrqt_cfg()).unwrap()
+}
+
+fn rstar<const D: usize>(p: Arc<BufferPool>, pts: &[(u64, Point<D>)]) -> RStar<D> {
+    RStar::bulk_build(p, pts, &rstar_cfg()).unwrap()
+}
+
+/// Compares `rows` with `frozen`. On a mismatch it prints the actual
+/// table in source form: a deliberate change to a traversal re-freezes by
+/// pasting it over the table.
+fn assert_frozen(rows: &[(String, Row)], frozen: &[(&str, Row)]) {
+    let expected = frozen.iter().map(|(l, r)| (l.to_string(), *r));
+    if !rows.iter().cloned().eq(expected) {
+        let mut dump = String::new();
+        for (l, r) in rows {
+            dump.push_str(&format!("    ({l:?}, {r:?}),\n"));
+        }
+        panic!("counters moved; actual table:\n{dump}");
+    }
+}
+
 #[test]
 fn counters_are_frozen_on_three_seeded_inputs() {
     let mut rows = Vec::new();
-    let mbrqt = |p: Arc<BufferPool>, pts: &[(u64, Point<2>)]| {
-        Mbrqt::bulk_build(p, pts, &mbrqt_cfg()).unwrap()
-    };
     frozen_rows(
         "2d-clustered/mbrqt",
         &clustered_2d(600, 1),
@@ -479,19 +550,13 @@ fn counters_are_frozen_on_three_seeded_inputs() {
         mbrqt,
         &mut rows,
     );
-    let mbrqt10 = |p: Arc<BufferPool>, pts: &[(u64, Point<10>)]| {
-        Mbrqt::bulk_build(p, pts, &mbrqt_cfg()).unwrap()
-    };
     frozen_rows(
         "10d-correlated/mbrqt",
         &correlated_10d(300, 3),
         &correlated_10d(320, 4),
-        mbrqt10,
+        mbrqt,
         &mut rows,
     );
-    let rstar = |p: Arc<BufferPool>, pts: &[(u64, Point<2>)]| {
-        RStar::bulk_build(p, pts, &rstar_cfg()).unwrap()
-    };
     frozen_rows(
         "2d-clustered/rstar",
         &clustered_2d(500, 5),
@@ -499,18 +564,77 @@ fn counters_are_frozen_on_three_seeded_inputs() {
         rstar,
         &mut rows,
     );
-
-    let frozen = FROZEN.iter().map(|(l, r)| (l.to_string(), *r));
-    if !rows.iter().cloned().eq(frozen) {
-        // Print the table in source form: a deliberate change to the
-        // traversal re-freezes by pasting this over `FROZEN`.
-        let mut dump = String::new();
-        for (l, r) in &rows {
-            dump.push_str(&format!("    ({l:?}, {r:?}),\n"));
-        }
-        panic!("counters moved; actual table:\n{dump}");
-    }
+    assert_frozen(&rows, FROZEN);
 }
+
+/// The same three inputs through BNN and HNN.
+#[test]
+fn baseline_counters_are_frozen_on_three_seeded_inputs() {
+    let mut rows = Vec::new();
+    frozen_baseline_rows(
+        "2d-clustered/mbrqt",
+        &clustered_2d(600, 1),
+        &clustered_2d(640, 2),
+        mbrqt,
+        &mut rows,
+    );
+    frozen_baseline_rows(
+        "10d-correlated/mbrqt",
+        &correlated_10d(300, 3),
+        &correlated_10d(320, 4),
+        mbrqt,
+        &mut rows,
+    );
+    frozen_baseline_rows(
+        "2d-clustered/rstar",
+        &clustered_2d(500, 5),
+        &clustered_2d(480, 6),
+        rstar,
+        &mut rows,
+    );
+    assert_frozen(&rows, FROZEN_BASELINES);
+}
+
+/// Taken on the commit before BNN's probe moved onto the shared node scan.
+#[rustfmt::skip]
+const FROZEN_BASELINES: &[(&str, Row)] = &[
+    ("2d-clustered/mbrqt bnn Nxn k=1 exclude_self=false", [132425, 0, 2694, 451, 0, 0, 465, 111, 0, 111, 0, 0]),
+    ("2d-clustered/mbrqt bnn MaxMax k=1 exclude_self=false", [132425, 0, 2724, 421, 0, 0, 465, 111, 0, 111, 0, 0]),
+    ("2d-clustered/mbrqt hnn k=1 exclude_self=false", [66792, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+    ("2d-clustered/mbrqt bnn Nxn k=1 exclude_self=true", [96246, 0, 2047, 431, 0, 0, 353, 115, 0, 115, 0, 0]),
+    ("2d-clustered/mbrqt bnn MaxMax k=1 exclude_self=true", [96246, 0, 2061, 417, 0, 0, 353, 115, 0, 115, 0, 0]),
+    ("2d-clustered/mbrqt hnn k=1 exclude_self=true", [88848, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+    ("2d-clustered/mbrqt bnn Nxn k=10 exclude_self=false", [169954, 0, 3457, 433, 0, 0, 572, 114, 0, 114, 0, 0]),
+    ("2d-clustered/mbrqt bnn MaxMax k=10 exclude_self=false", [169954, 0, 3463, 427, 0, 0, 572, 114, 0, 114, 0, 0]),
+    ("2d-clustered/mbrqt hnn k=10 exclude_self=false", [104444, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+    ("2d-clustered/mbrqt bnn Nxn k=10 exclude_self=true", [121636, 0, 2595, 361, 0, 0, 432, 115, 0, 115, 0, 0]),
+    ("2d-clustered/mbrqt bnn MaxMax k=10 exclude_self=true", [121636, 0, 2600, 356, 0, 0, 432, 115, 0, 115, 0, 0]),
+    ("2d-clustered/mbrqt hnn k=10 exclude_self=true", [88920, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+    ("10d-correlated/mbrqt bnn Nxn k=1 exclude_self=false", [40144, 0, 1298, 78, 0, 0, 546, 258, 0, 258, 0, 0]),
+    ("10d-correlated/mbrqt bnn MaxMax k=1 exclude_self=false", [40144, 0, 1298, 78, 0, 0, 546, 258, 0, 258, 0, 0]),
+    ("10d-correlated/mbrqt hnn k=1 exclude_self=false", [95514, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+    ("10d-correlated/mbrqt bnn Nxn k=1 exclude_self=true", [37669, 0, 1196, 133, 0, 0, 492, 226, 0, 226, 0, 0]),
+    ("10d-correlated/mbrqt bnn MaxMax k=1 exclude_self=true", [37669, 0, 1196, 133, 0, 0, 492, 226, 0, 226, 0, 0]),
+    ("10d-correlated/mbrqt hnn k=1 exclude_self=true", [89700, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+    ("10d-correlated/mbrqt bnn Nxn k=10 exclude_self=false", [42824, 0, 1374, 202, 0, 0, 586, 258, 0, 258, 0, 0]),
+    ("10d-correlated/mbrqt bnn MaxMax k=10 exclude_self=false", [42824, 0, 1374, 202, 0, 0, 586, 258, 0, 258, 0, 0]),
+    ("10d-correlated/mbrqt hnn k=10 exclude_self=false", [95514, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+    ("10d-correlated/mbrqt bnn Nxn k=10 exclude_self=true", [40809, 0, 1278, 171, 0, 0, 527, 226, 0, 226, 0, 0]),
+    ("10d-correlated/mbrqt bnn MaxMax k=10 exclude_self=true", [40809, 0, 1278, 171, 0, 0, 527, 226, 0, 226, 0, 0]),
+    ("10d-correlated/mbrqt hnn k=10 exclude_self=true", [89700, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+    ("2d-clustered/rstar bnn Nxn k=1 exclude_self=false", [81111, 0, 1464, 335, 0, 0, 152, 43, 0, 43, 0, 0]),
+    ("2d-clustered/rstar bnn MaxMax k=1 exclude_self=false", [81111, 0, 1470, 329, 0, 0, 152, 43, 0, 43, 0, 0]),
+    ("2d-clustered/rstar hnn k=1 exclude_self=false", [51510, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+    ("2d-clustered/rstar bnn Nxn k=1 exclude_self=true", [79704, 0, 1463, 325, 0, 0, 149, 43, 0, 43, 0, 0]),
+    ("2d-clustered/rstar bnn MaxMax k=1 exclude_self=true", [79704, 0, 1468, 320, 0, 0, 149, 43, 0, 43, 0, 0]),
+    ("2d-clustered/rstar hnn k=1 exclude_self=true", [56074, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+    ("2d-clustered/rstar bnn Nxn k=10 exclude_self=false", [102073, 0, 1819, 502, 0, 0, 194, 43, 0, 43, 0, 0]),
+    ("2d-clustered/rstar bnn MaxMax k=10 exclude_self=false", [102073, 0, 1819, 502, 0, 0, 194, 43, 0, 43, 0, 0]),
+    ("2d-clustered/rstar hnn k=10 exclude_self=false", [68984, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+    ("2d-clustered/rstar bnn Nxn k=10 exclude_self=true", [83758, 0, 1585, 297, 0, 0, 157, 43, 0, 43, 0, 0]),
+    ("2d-clustered/rstar bnn MaxMax k=10 exclude_self=true", [83758, 0, 1586, 296, 0, 0, 157, 43, 0, 43, 0, 0]),
+    ("2d-clustered/rstar hnn k=10 exclude_self=true", [56126, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+];
 
 /// Taken on the commit before the exact point×leaf scan landed.
 #[rustfmt::skip]

@@ -2,7 +2,8 @@
 
 use crate::grid::GridOrder;
 use crate::pca::Pca;
-use ann_core::stats::{AnnOutput, NeighborPair};
+use ann_core::scratch::KBestSet;
+use ann_core::stats::AnnOutput;
 use ann_core::trace::{Phase, PruneReason, TraceEvent, Tracer};
 use ann_geom::{min_min_dist_sq, Mbr, Point};
 use ann_store::{BufferPool, HeapFile, Result};
@@ -18,13 +19,6 @@ pub struct GorderConfig {
     /// recommended operating range is tens-to-hundreds depending on
     /// dimensionality.
     pub segments_per_dim: u32,
-    /// Weight grid resolution by each principal component's variance
-    /// share (the GORDER paper's recommendation): the leading components
-    /// get proportionally more segments, trailing near-constant ones as
-    /// few as one. Defaults to `false` (uniform grid) — the configuration
-    /// used for all recorded EXPERIMENTS.md runs; flip it on to match the
-    /// original paper's tuning.
-    pub variance_weighted_grid: bool,
     /// Pages per outer (`R`) block held in memory at a time.
     pub r_block_pages: usize,
     /// Pages per inner (`S`) block.
@@ -38,7 +32,6 @@ impl Default for GorderConfig {
         GorderConfig {
             k: 1,
             segments_per_dim: 64,
-            variance_weighted_grid: false,
             r_block_pages: 8,
             s_block_pages: 2,
             exclude_self: false,
@@ -105,52 +98,6 @@ impl<const D: usize> BlockFile<D> {
     }
 }
 
-#[derive(Clone, Copy, PartialEq)]
-struct Best {
-    dist_sq: f64,
-    s_oid: u64,
-}
-impl Eq for Best {}
-impl PartialOrd for Best {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Best {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.dist_sq
-            .partial_cmp(&other.dist_sq)
-            .expect("finite")
-            .then(self.s_oid.cmp(&other.s_oid))
-    }
-}
-
-struct PointState<const D: usize> {
-    oid: u64,
-    point: Point<D>,
-    best: BinaryHeap<Best>,
-    want: usize,
-}
-
-impl<const D: usize> PointState<D> {
-    fn bound_sq(&self) -> f64 {
-        if self.best.len() < self.want {
-            f64::INFINITY
-        } else {
-            self.best.peek().expect("non-empty").dist_sq
-        }
-    }
-
-    fn offer(&mut self, dist_sq: f64, s_oid: u64) {
-        if self.best.len() < self.want {
-            self.best.push(Best { dist_sq, s_oid });
-        } else if dist_sq < self.best.peek().expect("non-empty").dist_sq {
-            self.best.pop();
-            self.best.push(Best { dist_sq, s_oid });
-        }
-    }
-}
-
 /// Evaluates the kNN join of `r` against `s` with the GORDER method.
 ///
 /// `pool` hosts the sorted block files; pass the same pool the competing
@@ -176,10 +123,9 @@ pub fn gorder_join_traced<const D: usize>(
     cfg: &GorderConfig,
     tracer: Tracer<'_>,
 ) -> Result<AnnOutput> {
-    assert!(cfg.k >= 1, "k must be at least 1");
     let mut out = AnnOutput::default();
     let io0 = pool.stats();
-    if r.is_empty() || s.is_empty() {
+    if cfg.k == 0 || r.is_empty() || s.is_empty() {
         return Ok(out);
     }
     let io_now = || pool.stats();
@@ -196,23 +142,7 @@ pub fn gorder_join_traced<const D: usize>(
     // Phase 2: grid-order sort and write back in sorted blocks.
     let span_sort = tracer.span_enter(Phase::Sort, io_now);
     let bounds = Mbr::from_points(tr.iter().chain(ts.iter()).map(|(_, p)| p));
-    let grid = if cfg.variance_weighted_grid {
-        // Distribute the total cell budget (segments_per_dim^D) over the
-        // principal axes in proportion to their standard deviation, so
-        // near-constant trailing components stop fragmenting the order.
-        let mut segments = [1u32; D];
-        let total_sigma: f64 = pca.variances.iter().map(|v| v.max(0.0).sqrt()).sum();
-        if total_sigma > 0.0 {
-            let log_budget = (cfg.segments_per_dim.max(1) as f64).ln() * D as f64;
-            for d in 0..D {
-                let share = pca.variances[d].max(0.0).sqrt() / total_sigma;
-                segments[d] = (share * log_budget).exp().round().clamp(1.0, 4096.0) as u32;
-            }
-        }
-        GridOrder::new(bounds, segments)
-    } else {
-        GridOrder::with_uniform_segments(bounds, cfg.segments_per_dim)
-    };
+    let grid = GridOrder::with_uniform_segments(bounds, cfg.segments_per_dim);
     grid.sort(&mut tr);
     grid.sort(&mut ts);
     let rf = BlockFile::write(pool.clone(), &tr, cfg.r_block_pages)?;
@@ -229,14 +159,9 @@ pub fn gorder_join_traced<const D: usize>(
     for rb in 0..rf.num_blocks() {
         let r_bbox = rf.blocks[rb].2;
         let r_pts = rf.read_block(rb)?;
-        let mut states: Vec<PointState<D>> = r_pts
-            .into_iter()
-            .map(|(oid, point)| PointState {
-                oid,
-                point,
-                best: BinaryHeap::with_capacity(k_eff + 1),
-                want: k_eff,
-            })
+        let mut sets: Vec<KBestSet> = r_pts
+            .iter()
+            .map(|_| KBestSet::new(k_eff, BinaryHeap::with_capacity(k_eff)))
             .collect();
 
         // Schedule: inner blocks in ascending MINMINDIST to the outer block.
@@ -254,25 +179,22 @@ pub fn gorder_join_traced<const D: usize>(
             scanned += 1;
             let s_bbox = sf.blocks[sb].2;
             let s_pts = sf.read_block(sb)?;
-            for st in states.iter_mut() {
+            for (set, (r_oid, r_pt)) in sets.iter_mut().zip(&r_pts) {
                 // Per-point block filter.
-                let pm = Mbr::from_point(&st.point);
+                let pm = Mbr::from_point(r_pt);
                 out.stats.distance_computations += 1;
-                if min_min_dist_sq(&pm, &s_bbox) > st.bound_sq() {
+                if min_min_dist_sq(&pm, &s_bbox) > set.bound_sq() {
                     continue;
                 }
                 for &(s_oid, s_pt) in &s_pts {
-                    if cfg.exclude_self && s_oid == st.oid {
+                    if cfg.exclude_self && s_oid == *r_oid {
                         continue;
                     }
                     out.stats.distance_computations += 1;
-                    st.offer(st.point.dist_sq(&s_pt), s_oid);
+                    set.offer(r_pt.dist_sq(&s_pt), s_oid);
                 }
             }
-            block_bound = states
-                .iter()
-                .map(PointState::bound_sq)
-                .fold(0.0f64, f64::max);
+            block_bound = sets.iter().map(KBestSet::bound_sq).fold(0.0f64, f64::max);
         }
         if tracer.enabled() {
             let skipped = schedule.len() as u32 - scanned;
@@ -284,20 +206,8 @@ pub fn gorder_join_traced<const D: usize>(
             });
         }
 
-        for st in states {
-            let mut best: Vec<Best> = st.best.into_vec();
-            best.sort_by(|a, b| {
-                (a.dist_sq, a.s_oid)
-                    .partial_cmp(&(b.dist_sq, b.s_oid))
-                    .expect("finite")
-            });
-            for b in best.into_iter().take(cfg.k) {
-                out.results.push(NeighborPair {
-                    r_oid: st.oid,
-                    s_oid: b.s_oid,
-                    dist: b.dist_sq.sqrt(),
-                });
-            }
+        for (set, (r_oid, _)) in sets.into_iter().zip(&r_pts) {
+            set.emit(*r_oid, cfg.k, &mut out.results);
         }
     }
 

@@ -14,7 +14,11 @@
 //!    `R` join against inner blocks of `S`, visiting inner blocks in
 //!    ascending `MINMINDIST`-to-outer-block order and stopping as soon as
 //!    that distance exceeds the block's pruning bound; within surviving
-//!    block pairs, per-point bounds prune object tests.
+//!    block pairs, per-point bounds prune object tests. Each outer point
+//!    keeps its candidates in an [`ann_core::scratch::KBestSet`], so equal
+//!    distances resolve to the smaller `s_oid` exactly as brute force and
+//!    the index-based algorithms resolve them. Distances are computed in
+//!    the PCA space and can differ from brute force's in the last ulp.
 //!
 //! All block I/O goes through the shared [`ann_store::BufferPool`], so
 //! GORDER runs are charged I/O on exactly the same terms as the

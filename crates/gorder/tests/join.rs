@@ -45,6 +45,9 @@ fn check<const D: usize>(
     assert_eq!(out.results.len(), truth.len(), "{label}: count");
     for (g, t) in out.results.iter().zip(&truth) {
         assert_eq!(g.r_oid, t.r_oid, "{label}: query order");
+        assert_eq!(g.s_oid, t.s_oid, "{label}: r#{} neighbor id", g.r_oid);
+        // Distances are computed in PCA space, so they may differ from
+        // brute force in the last ulp.
         assert!(
             (g.dist - t.dist).abs() <= 1e-9 * (1.0 + t.dist),
             "{label}: r#{} got {} want {}",
@@ -169,29 +172,52 @@ fn schedule_prunes_far_blocks() {
     );
 }
 
+/// Two coincident `S` points given in descending oid order: the smaller
+/// oid wins the tie, as in brute force, whichever is scanned first.
 #[test]
-fn variance_weighted_grid_is_exact_and_no_worse_on_correlated_data() {
-    // FC-like data concentrates variance in the leading components; the
-    // weighted grid must stay exact and should not do more work than the
-    // uniform one.
-    let r = ann_datagen::fc_like(1500, 21);
-    let s = ann_datagen::fc_like(1500, 22);
-    let weighted = GorderConfig {
-        variance_weighted_grid: true,
+fn coincident_candidates_resolve_to_smallest_oid() {
+    let r = [(0, Point::new([0.0, 0.0]))];
+    let s = [(9, Point::new([1.0, 1.0])), (3, Point::new([1.0, 1.0]))];
+    for k in [1, 2] {
+        for exclude_self in [false, true] {
+            let cfg = GorderConfig {
+                k,
+                exclude_self,
+                ..Default::default()
+            };
+            check(&r, &s, &cfg, &format!("k={k} exclude_self={exclude_self}"));
+        }
+    }
+}
+
+#[test]
+fn k_zero_returns_empty() {
+    let pts = random_points::<2>(50, 2);
+    for exclude_self in [false, true] {
+        let cfg = GorderConfig {
+            k: 0,
+            exclude_self,
+            ..Default::default()
+        };
+        let out = gorder_join(&pts, &pts, pool(16), &cfg).unwrap();
+        assert!(out.results.is_empty());
+    }
+}
+
+/// The join's work and I/O on one seeded self-join, pinned: changing how
+/// a point keeps its k best must not move a distance test or a page read.
+#[test]
+fn counters_are_pinned_on_one_seeded_input() {
+    let pts = ann_datagen::fc_like(1200, 31);
+    let cfg = GorderConfig {
+        k: 5,
+        exclude_self: true,
         ..Default::default()
     };
-    check(&r, &s, &weighted, "weighted grid");
-    let uniform = GorderConfig {
-        variance_weighted_grid: false,
-        ..Default::default()
-    };
-    let w = gorder_join(&r, &s, pool(128), &weighted).unwrap();
-    let u = gorder_join(&r, &s, pool(128), &uniform).unwrap();
-    assert!(
-        w.stats.distance_computations <= u.stats.distance_computations * 11 / 10,
-        "weighted {} vs uniform {}",
-        w.stats.distance_computations,
-        u.stats.distance_computations
+    let out = gorder_join(&pts, &pts, pool(16), &cfg).unwrap();
+    assert_eq!(
+        (out.stats.distance_computations, out.stats.io.physical_reads),
+        (655_542, 24)
     );
 }
 

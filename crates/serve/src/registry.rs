@@ -28,9 +28,8 @@
 //! ([`ann_core::tree_file::TreeFile::enable_versioning`]), so queries pin
 //! immutable snapshot versions through a [`VersionedHandle`] and never
 //! block on (or observe a torn state from) concurrent
-//! [`Collection::insert_points`] writers. A collection written by an older
-//! build (a sidecar without `versions_head`) is switched to snapshot mode
-//! the first time it is opened and its sidecar rewritten, so every open
+//! [`Collection::insert_points`] writers. A sidecar without
+//! `versions_head` is rejected as an invalid collection, so every open
 //! collection is versioned.
 //!
 //! Serving is fixed at `D = 2` ([`SERVE_DIMS`]) — the paper's primary
@@ -57,8 +56,8 @@ pub const SERVE_DIMS: usize = 2;
 
 /// Sidecar schema version (bumped independently of the query wire
 /// schema; same rule — removals or meaning changes bump, additions of
-/// optional fields do not). The `versions_head` field rides under this
-/// rule: a v1 sidecar without it gains one on first open.
+/// optional fields do not). Every v1 sidecar this registry reads carries
+/// `versions_head`.
 const SIDECAR_VERSION: u64 = 1;
 
 /// A service-level error: the stable [`ErrorCode`] plus a human message.
@@ -265,13 +264,13 @@ impl Registry {
         &self,
         id: &CollectionId,
         kind: IndexKind,
-        meta_page: PageId,
-        points: u64,
-        pool_frames: usize,
+        index: &AnyIndex,
         versions_head: PageId,
     ) -> Result<(), ApiError> {
         use std::io::Write;
         let kind = kind.as_str();
+        let (meta_page, points, pool_frames) =
+            (index.meta_page(), index.num_points(), self.pool_frames);
         let sidecar = format!("{{\"v\":{SIDECAR_VERSION},\"kind\":\"{kind}\",\"meta_page\":{meta_page},\"points\":{points},\"pool_frames\":{pool_frames},\"versions_head\":{versions_head}}}\n");
         let tmp = self.root.join(format!("{id}.meta.json.tmp"));
         (|| {
@@ -353,8 +352,9 @@ impl Registry {
         }
     }
 
-    /// The fallible middle of [`Registry::create`]: bulk build, then
-    /// [`adopt`](Self::adopt).
+    /// The fallible middle of [`Registry::create`]: bulk build, switch the
+    /// tree to snapshot mode, flush, and record the manifest head in the
+    /// sidecar.
     fn build(
         &self,
         id: &CollectionId,
@@ -373,29 +373,12 @@ impl Registry {
             IndexKind::Mbrqt => Mbrqt::bulk_build(p, &keyed, &MbrqtConfig::default()).map(boxed),
             IndexKind::RStar => RStar::bulk_build(p, &keyed, &RStarConfig::default()).map(boxed),
         };
-        built
-            .map_err(|e| ApiError::from_store(&e))
-            .and_then(|index| self.adopt(id, kind, index, pool, self.pool_frames))
-    }
-
-    /// Makes a plain tree a served collection: switches it to snapshot
-    /// mode, flushes, and records the manifest head in its sidecar. The
-    /// last step of a create, and of opening a collection written before
-    /// collections were versioned.
-    fn adopt(
-        &self,
-        id: &CollectionId,
-        kind: IndexKind,
-        mut index: AnyIndex,
-        pool: Arc<BufferPool>,
-        frames: usize,
-    ) -> Result<Arc<Collection>, ApiError> {
+        let mut index = built.map_err(|e| ApiError::from_store(&e))?;
         let head = index
             .enable_versioning(DEFAULT_KEEP)
             .and_then(|head| pool.flush_all().map(|()| head))
             .map_err(|e| ApiError::from_store(&e))?;
-        let points = index.num_points();
-        self.write_sidecar(id, kind, index.meta_page(), points, frames, head)?;
+        self.write_sidecar(id, kind, &index, head)?;
         Collection::new(id, kind, index, pool)
     }
 
@@ -462,27 +445,20 @@ impl Registry {
             .get("pool_frames")
             .and_then(JsonValue::as_usize)
             .unwrap_or(self.pool_frames);
-        // Optional (additive, no sidecar version bump): MVCC manifest head.
-        let versions_head = match doc.get("versions_head") {
-            None => None,
-            Some(h) => Some(
-                h.as_u64()
-                    .and_then(|p| u32::try_from(p).ok())
-                    .ok_or_else(|| invalid("out-of-range versions_head"))?,
-            ),
-        };
+        let versions_head = doc
+            .get("versions_head")
+            .and_then(JsonValue::as_u64)
+            .and_then(|p| u32::try_from(p).ok())
+            .ok_or_else(|| invalid("missing or out-of-range versions_head"))?;
         let disk = FileDisk::open(self.disk_path(id)).map_err(|e| ApiError::from_store(&e))?;
         let pool = Arc::new(BufferPool::new(disk, frames.max(16)));
         let p = Arc::clone(&pool);
         let opened = match kind {
-            IndexKind::Mbrqt => Mbrqt::open_at(p, meta_page, versions_head).map(boxed),
-            IndexKind::RStar => RStar::open_at(p, meta_page, versions_head).map(boxed),
+            IndexKind::Mbrqt => Mbrqt::open_at(p, meta_page, Some(versions_head)).map(boxed),
+            IndexKind::RStar => RStar::open_at(p, meta_page, Some(versions_head)).map(boxed),
         };
         let index = opened.map_err(|e| ApiError::from_store(&e))?;
-        match versions_head {
-            Some(_) => Collection::new(id, kind, index, pool),
-            None => self.adopt(id, kind, index, pool, frames),
-        }
+        Collection::new(id, kind, index, pool)
     }
 
     /// Drops a collection: unregisters the live handle and deletes its

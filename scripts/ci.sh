@@ -69,6 +69,24 @@ if git grep -nE 'effective_threads|RetryOverride|fn from_request' -- crates src 
        "worker-count knob or a pool-wide retry override is back" $mba_threads >&2
   exit 1
 fi
+# The kNN machinery is written once (DESIGN.md §11): every algorithm that
+# probes an index's nodes does it through the node scan in `scan.rs`, one
+# best-first search seeds a `BestFirst` (MNN's, which kNN calls), and one
+# k-best set (`scratch.rs`) holds the canonical tie-break for BNN, HNN and
+# GORDER.
+probes="$(git grep -l 'upper_sq_batch(' -- crates/core/src crates/gorder/src \
+  ':!crates/core/src/scan.rs' || true)"
+seeds="$(git grep -c 'BestFirst::seeded' -- crates src tests examples \
+  | awk -F: '{ n += $2 } END { print n + 0 }')"
+offers="$(git grep -c 'fn offer(&mut self, dist_sq' -- crates \
+  | awk -F: '{ n += $2 } END { print n + 0 }')"
+if [ -n "$probes" ] || [ "$seeds" -gt 1 ] || [ "$offers" -gt 1 ]; then
+  echo "ci: a second node probe or best-first search (it belongs in the node scan," \
+       "crates/core/src/scan.rs) or a second k-best set (it belongs in" \
+       "crates/core/src/scratch.rs): probes in [$probes], $seeds BestFirst::seeded" \
+       "call sites, $offers k-best offers" >&2
+  exit 1
+fi
 
 # Registry crates stay gone: every package cargo resolves, for every
 # target of every workspace member, is a path inside this repository.
