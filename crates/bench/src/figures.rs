@@ -533,6 +533,7 @@ pub struct OutofcoreOpts {
 pub fn outofcore(fraction: f64, opts: &OutofcoreOpts) -> crate::report::OutofcoreReport {
     use ann_core::index::{collect_objects, validate};
     use ann_core::query::{Algorithm, AnnRequest, Input, MetricChoice, NoIndex};
+    use ann_core::tree_file::WritableIndex;
     use ann_rstar::{RStar, RStarConfig};
     use ann_store::{BufferPool, FileDisk, PrefetchConfig};
     use std::sync::Arc;
@@ -627,7 +628,7 @@ pub fn outofcore(fraction: f64, opts: &OutofcoreOpts) -> crate::report::Outofcor
                 // on the tree handle, and a warm cache would let the
                 // second run skip the pool entirely. `open` validates the
                 // tree, which is why charging only starts afterwards.
-                let is = RStar::<2>::open(pool.clone(), is_meta).expect("reopen I_S");
+                let is = RStar::<2>::open_at(pool.clone(), is_meta, None).expect("reopen I_S");
                 pool.clear().expect("clear pool");
                 pool.set_capacity(pool_pages.max(8)).expect("set capacity");
                 pool.reset_stats();

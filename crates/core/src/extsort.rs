@@ -25,15 +25,17 @@
 //! order, run budget, and therefore of how the input happened to be
 //! chunked.
 
+use crate::node::ObjectEntry;
 use ann_geom::curve::GridMapper;
 use ann_geom::{Mbr, Point};
-use ann_store::{BufferPool, HeapFile, Result, StoreError};
+use ann_store::{BufferPool, HeapFile, Reader, Result, StoreError, Writer};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// One keyed record: the sort key, the tie-breaking object id, and the
-/// point itself. `D * 8 + 24` bytes on disk, little-endian.
+/// point itself. On disk `key: u128` then the [`ObjectEntry`] record,
+/// `D * 8 + 24` bytes.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct KeyedPoint<const D: usize> {
     /// Hilbert curve position of the point's grid cell.
@@ -47,29 +49,23 @@ pub struct KeyedPoint<const D: usize> {
 impl<const D: usize> KeyedPoint<D> {
     /// On-disk record size.
     pub const fn record_size() -> usize {
-        16 + 8 + 8 * D
+        16 + ObjectEntry::<D>::SIZE
     }
 
-    fn encode(&self, out: &mut [u8]) {
-        out[0..16].copy_from_slice(&self.key.to_le_bytes());
-        out[16..24].copy_from_slice(&self.oid.to_le_bytes());
-        for (d, c) in self.point.coords().iter().enumerate() {
-            out[24 + d * 8..32 + d * 8].copy_from_slice(&c.to_le_bytes());
+    fn put(&self, w: &mut Writer) {
+        w.u128(self.key);
+        ObjectEntry {
+            oid: self.oid,
+            point: self.point,
         }
+        .put(w);
     }
 
-    fn decode(buf: &[u8]) -> Self {
-        let key = u128::from_le_bytes(buf[0..16].try_into().expect("record layout"));
-        let oid = u64::from_le_bytes(buf[16..24].try_into().expect("record layout"));
-        let mut c = [0.0f64; D];
-        for (d, v) in c.iter_mut().enumerate() {
-            *v = f64::from_le_bytes(buf[24 + d * 8..32 + d * 8].try_into().expect("layout"));
-        }
-        KeyedPoint {
-            key,
-            oid,
-            point: Point::new(c),
-        }
+    fn get(record: &[u8]) -> Result<Self> {
+        let mut r = Reader::new(record);
+        let key = r.u128()?;
+        let ObjectEntry { oid, point } = ObjectEntry::get(&mut r)?;
+        Ok(KeyedPoint { key, oid, point })
     }
 }
 
@@ -137,10 +133,11 @@ impl<const D: usize> HilbertSorter<D> {
         }
         self.buf.sort_unstable_by_key(|r| (r.key, r.oid));
         let mut heap = HeapFile::create(Arc::clone(&self.scratch), KeyedPoint::<D>::record_size())?;
-        let mut rec = vec![0u8; KeyedPoint::<D>::record_size()];
+        let mut rec = Writer::with_capacity(KeyedPoint::<D>::record_size());
         for r in self.buf.drain(..) {
-            r.encode(&mut rec);
-            heap.append(&rec)?;
+            rec.clear();
+            r.put(&mut rec);
+            heap.append(rec.as_bytes())?;
         }
         self.runs.push(heap);
         Ok(())
@@ -153,11 +150,8 @@ impl<const D: usize> HilbertSorter<D> {
         let mut heads = BinaryHeap::with_capacity(self.runs.len());
         for (run, heap) in self.runs.iter().enumerate() {
             if !heap.is_empty() {
-                let first = KeyedPoint::<D>::decode(&heap.get(0)?);
                 heads.push(Reverse(MergeHead {
-                    key: first.key,
-                    oid: first.oid,
-                    point: first.point,
+                    rec: KeyedPoint::get(&heap.get(0)?)?,
                     run,
                     next: 1,
                 }));
@@ -177,16 +171,20 @@ impl<const D: usize> HilbertSorter<D> {
 /// minimum yields the global order.
 #[derive(Clone, Copy)]
 struct MergeHead<const D: usize> {
-    key: u128,
-    oid: u64,
-    point: Point<D>,
+    rec: KeyedPoint<D>,
     run: usize,
     next: u64,
 }
 
+impl<const D: usize> MergeHead<D> {
+    fn sort_key(&self) -> (u128, u64, usize) {
+        (self.rec.key, self.rec.oid, self.run)
+    }
+}
+
 impl<const D: usize> PartialEq for MergeHead<D> {
     fn eq(&self, other: &Self) -> bool {
-        (self.key, self.oid, self.run) == (other.key, other.oid, other.run)
+        self.sort_key() == other.sort_key()
     }
 }
 impl<const D: usize> Eq for MergeHead<D> {}
@@ -199,7 +197,7 @@ impl<const D: usize> Ord for MergeHead<D> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // The run index resolves exact `(key, oid)` collisions (possible
         // only if one oid is pushed twice) deterministically.
-        (self.key, self.oid, self.run).cmp(&(other.key, other.oid, other.run))
+        self.sort_key().cmp(&other.sort_key())
     }
 }
 
@@ -226,24 +224,16 @@ impl<const D: usize> SortedStream<D> {
         let Some(Reverse(head)) = self.heads.pop() else {
             return Ok(None);
         };
-        let out = KeyedPoint {
-            key: head.key,
-            oid: head.oid,
-            point: head.point,
-        };
         let run = &self.runs[head.run];
         if head.next < run.len() {
-            let next = KeyedPoint::<D>::decode(&run.get(head.next)?);
             self.heads.push(Reverse(MergeHead {
-                key: next.key,
-                oid: next.oid,
-                point: next.point,
+                rec: KeyedPoint::get(&run.get(head.next)?)?,
                 run: head.run,
                 next: head.next + 1,
             }));
         }
         self.remaining -= 1;
-        Ok(Some(out))
+        Ok(Some(head.rec))
     }
 }
 
@@ -253,8 +243,8 @@ impl<const D: usize> SortedStream<D> {
 /// a [`HilbertSorter`] (whose grid needs those bounds up front).
 pub struct PointSpill<const D: usize> {
     heap: HeapFile,
-    /// Reusable record-encoding buffer (`8 + 8 * D` bytes).
-    rec: Vec<u8>,
+    /// Reusable record-encoding buffer.
+    rec: Writer,
     /// Tight bounds over every spilled point.
     pub bounds: Mbr<D>,
     /// Number of spilled points.
@@ -265,8 +255,8 @@ impl<const D: usize> PointSpill<D> {
     /// An empty spill on `scratch`; fill it with [`push`](Self::push).
     pub fn create(scratch: Arc<BufferPool>) -> Result<Self> {
         Ok(PointSpill {
-            heap: HeapFile::create(scratch, 8 + 8 * D)?,
-            rec: vec![0u8; 8 + 8 * D],
+            heap: HeapFile::create(scratch, ObjectEntry::<D>::SIZE)?,
+            rec: Writer::with_capacity(ObjectEntry::<D>::SIZE),
             bounds: Mbr::empty(),
             len: 0,
         })
@@ -278,11 +268,9 @@ impl<const D: usize> PointSpill<D> {
         if !point.is_finite() {
             return Err(StoreError::corrupt("points must have finite coordinates"));
         }
-        self.rec[0..8].copy_from_slice(&oid.to_le_bytes());
-        for (d, c) in point.coords().iter().enumerate() {
-            self.rec[8 + d * 8..16 + d * 8].copy_from_slice(&c.to_le_bytes());
-        }
-        self.heap.append(&self.rec)?;
+        self.rec.clear();
+        ObjectEntry { oid, point }.put(&mut self.rec);
+        self.heap.append(self.rec.as_bytes())?;
         self.bounds.expand(&Mbr::from_point(&point));
         self.len += 1;
         Ok(())
@@ -303,19 +291,10 @@ impl<const D: usize> PointSpill<D> {
 
     /// Replays every spilled record, in spill order, into `f`.
     pub fn replay(&self, mut f: impl FnMut(u64, Point<D>) -> Result<()>) -> Result<()> {
-        let mut pending = Ok(());
-        self.heap.scan(|_, buf| {
-            if pending.is_err() {
-                return;
-            }
-            let oid = u64::from_le_bytes(buf[0..8].try_into().expect("record layout"));
-            let mut c = [0.0f64; D];
-            for (d, v) in c.iter_mut().enumerate() {
-                *v = f64::from_le_bytes(buf[8 + d * 8..16 + d * 8].try_into().expect("layout"));
-            }
-            pending = f(oid, Point::new(c));
-        })?;
-        pending
+        self.heap.scan(|_, record| {
+            let o = ObjectEntry::get(&mut Reader::new(record))?;
+            f(o.oid, o.point)
+        })
     }
 }
 
@@ -417,9 +396,10 @@ mod tests {
             oid: u64::MAX - 5,
             point: Point::new([1.5, -2.25, 1e300]),
         };
-        let mut buf = vec![0u8; KeyedPoint::<3>::record_size()];
-        r.encode(&mut buf);
-        assert_eq!(KeyedPoint::<3>::decode(&buf), r);
+        let mut w = Writer::default();
+        r.put(&mut w);
+        assert_eq!(w.as_bytes().len(), KeyedPoint::<3>::record_size());
+        assert_eq!(KeyedPoint::<3>::get(w.as_bytes()).unwrap(), r);
     }
 
     #[test]

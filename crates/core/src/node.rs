@@ -18,25 +18,31 @@
 //! entry stream ...
 //! ```
 //!
-//! Continuation page: `next_page: u32 | reserved: u32 | entry stream ...`.
-//! The entry stream is treated as one contiguous byte string split across
-//! the chain, so entries may straddle page boundaries.
+//! The entry stream is one byte string: what does not fit on the first
+//! page continues on an [`ann_store::Chain`] of pages headed by
+//! `next_page`, each `next: u32 | magic: u32 | entry stream ...`, so
+//! entries may straddle page boundaries. Every field is read and written
+//! through [`ann_store::Reader`] / [`ann_store::Writer`]; this module is
+//! the node format's one codec.
 //!
 //! Entry encodings:
 //!
 //! * child entry: `page: u32 | count: u64 | mbr: 2 * D * f64`
-//! * object entry: `oid: u64 | point: D * f64`
+//! * object entry: `oid: u64 | point: D * f64` ([`ObjectEntry::put`], the
+//!   record every stored `(oid, point)` uses)
 
 use ann_geom::{Mbr, Point, SoaMbrs, SoaPoints};
-use ann_store::{PageId, PageStore, Result, StoreError, INVALID_PAGE, PAGE_SIZE};
+use ann_store::{
+    Chain, PageId, PageStore, Reader, Result, StoreError, Writer, INVALID_PAGE, PAGE_SIZE,
+};
 use std::ops::Deref;
 
 const VERSION: u8 = 1;
-/// Marks a continuation page as written-by-us, so that a stale or zeroed
-/// `next` pointer is never mistaken for a real page id.
-const CONT_MAGIC: u32 = 0xC047_1AB5;
+/// The continuation pages of a node too wide for one page. The magic
+/// tells a page of this chain from a stale, zeroed or foreign one, so a
+/// bad link reads as `Corrupt` rather than as another page's entries.
+const CONT: Chain = Chain::new(0xC047_1AB5);
 const FIRST_HEADER: usize = 12;
-const CONT_HEADER: usize = 8;
 
 /// A reference to a child node, as stored inside its parent.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -135,7 +141,7 @@ impl<const D: usize> Node<D> {
     /// Serialized size of one entry for this dimensionality.
     pub const fn entry_size(is_leaf: bool) -> usize {
         if is_leaf {
-            8 + 8 * D
+            ObjectEntry::<D>::SIZE
         } else {
             4 + 8 + 16 * D
         }
@@ -306,75 +312,48 @@ impl<const D: usize> From<Node<D>> for DecodedNode<D> {
     }
 }
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
+impl<const D: usize> ObjectEntry<D> {
+    /// Bytes of one stored object: `oid: u64 | point: D * f64`.
+    pub const SIZE: usize = 8 + 8 * D;
 
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let s = self
-            .bytes
-            .get(self.at..self.at + n)
-            .ok_or(StoreError::corrupt("node entry stream truncated"))?;
-        self.at += n;
-        Ok(s)
+    /// Appends the object in its stored form. Leaf entries, the external
+    /// sort's spill records and GORDER's block files all hold objects so.
+    pub fn put(&self, w: &mut Writer) {
+        w.u64(self.oid);
+        for &c in self.point.coords() {
+            w.f64(c);
+        }
     }
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(array4(self.take(4)?)))
-    }
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(array8(self.take(8)?)))
-    }
-    fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_le_bytes(array8(self.take(8)?)))
+
+    /// Reads one object written by [`put`](Self::put).
+    pub fn get(r: &mut Reader) -> Result<Self> {
+        let oid = r.u64()?;
+        let mut coords = [0.0; D];
+        for v in &mut coords {
+            *v = r.f64()?;
+        }
+        Ok(ObjectEntry {
+            oid,
+            point: Point::new(coords),
+        })
     }
 }
 
-/// First four bytes of `s` as an array (`s` is always at least that long
-/// at the call sites — the cursor checked).
-#[inline]
-fn array4(s: &[u8]) -> [u8; 4] {
-    [s[0], s[1], s[2], s[3]]
-}
-
-/// First eight bytes of `s` as an array.
-#[inline]
-fn array8(s: &[u8]) -> [u8; 8] {
-    [s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]]
-}
-
-fn encode_mbr<const D: usize>(buf: &mut Vec<u8>, mbr: &Mbr<D>) {
-    for d in 0..D {
-        put_f64(buf, mbr.lo[d]);
-    }
-    for d in 0..D {
-        put_f64(buf, mbr.hi[d]);
+/// Appends `mbr` as `lo: D * f64 | hi: D * f64`, the form node headers,
+/// child entries and the tree meta page share.
+pub(crate) fn put_mbr<const D: usize>(w: &mut Writer, mbr: &Mbr<D>) {
+    for &v in mbr.lo.iter().chain(&mbr.hi) {
+        w.f64(v);
     }
 }
 
-fn decode_mbr<const D: usize>(c: &mut Cursor) -> Result<Mbr<D>> {
-    let mut lo = [0.0; D];
-    let mut hi = [0.0; D];
-    for v in lo.iter_mut() {
-        *v = c.f64()?;
+/// Reads an MBR written by [`put_mbr`].
+pub(crate) fn get_mbr<const D: usize>(r: &mut Reader) -> Result<Mbr<D>> {
+    let mut mbr = Mbr::empty();
+    for v in mbr.lo.iter_mut().chain(mbr.hi.iter_mut()) {
+        *v = r.f64()?;
     }
-    for v in hi.iter_mut() {
-        *v = c.f64()?;
-    }
-    Ok(Mbr { lo, hi })
+    Ok(mbr)
 }
 
 /// Writes `node` starting at `first_page`, reusing the existing
@@ -389,168 +368,97 @@ pub fn write_node<const D: usize>(
     first_page: PageId,
     node: &Node<D>,
 ) -> Result<()> {
-    // Serialize the entry stream.
-    let mut stream = Vec::with_capacity(node.entries.len() * Node::<D>::entry_size(node.is_leaf));
+    if node
+        .entries
+        .iter()
+        .any(|e| matches!(e, Entry::Object(_)) != node.is_leaf)
+    {
+        return Err(StoreError::corrupt(
+            "node entries do not match its leaf flag",
+        ));
+    }
+    let size = FIRST_HEADER + 16 * D + node.entries.len() * Node::<D>::entry_size(node.is_leaf);
+    // The continuation chain this page links now, if it holds a node: a
+    // longer chain left by an earlier write is reused, never re-allocated.
+    let linked = store.with_page(first_page, |bytes| match bytes[0] {
+        VERSION => Reader::new(&bytes[8..]).u32(),
+        _ => Ok(INVALID_PAGE),
+    })??;
+    let next = match linked {
+        INVALID_PAGE if size > PAGE_SIZE => store.allocate()?,
+        linked => linked,
+    };
+
+    let mut w = Writer::with_capacity(size);
+    w.bytes(&[VERSION, u8::from(node.is_leaf), node.aux, 0]);
+    w.u32(node.entries.len() as u32);
+    w.u32(next);
+    put_mbr(&mut w, &node.mbr);
     for e in &node.entries {
-        match (node.is_leaf, e) {
-            (false, Entry::Node(n)) => {
-                put_u32(&mut stream, n.page);
-                put_u64(&mut stream, n.count);
-                encode_mbr(&mut stream, &n.mbr);
+        match e {
+            Entry::Node(n) => {
+                w.u32(n.page);
+                w.u64(n.count);
+                put_mbr(&mut w, &n.mbr);
             }
-            (true, Entry::Object(o)) => {
-                put_u64(&mut stream, o.oid);
-                for d in 0..D {
-                    put_f64(&mut stream, o.point[d]);
-                }
-            }
-            _ => {
-                return Err(StoreError::corrupt(
-                    "node entries do not match its leaf flag",
-                ))
-            }
+            Entry::Object(o) => o.put(&mut w),
         }
     }
-
-    // Header of the first page.
-    let mut header = Vec::with_capacity(FIRST_HEADER + 16 * D);
-    header.push(VERSION);
-    header.push(u8::from(node.is_leaf));
-    header.push(node.aux);
-    header.push(0);
-    put_u32(&mut header, node.entries.len() as u32);
-    put_u32(&mut header, INVALID_PAGE); // patched below if chained
-    encode_mbr(&mut header, &node.mbr);
-
-    let first_payload = PAGE_SIZE - header.len();
-    let cont_payload = PAGE_SIZE - CONT_HEADER;
-
-    let mut remaining: &[u8] = &stream;
-    let mut page = first_page;
-    let mut is_first = true;
-    loop {
-        let payload = if is_first {
-            first_payload
-        } else {
-            cont_payload
-        };
-        let (chunk, rest) = remaining.split_at(remaining.len().min(payload));
-        remaining = rest;
-        let need_next = !remaining.is_empty();
-
-        // Determine the continuation page: reuse the one already linked
-        // from this page, else allocate. A fresh (zeroed) or foreign page
-        // has no valid link — detect that via the version / magic marker.
-        let existing_next = store.with_page(page, |bytes| {
-            if is_first {
-                if bytes[0] == VERSION {
-                    u32::from_le_bytes(array4(&bytes[8..12]))
-                } else {
-                    INVALID_PAGE
-                }
-            } else if u32::from_le_bytes(array4(&bytes[4..8])) == CONT_MAGIC {
-                u32::from_le_bytes(array4(&bytes[0..4]))
-            } else {
-                INVALID_PAGE
-            }
-        })?;
-        let next = if need_next && existing_next == INVALID_PAGE {
-            store.allocate()?
-        } else {
-            // Keep the existing link even when this write does not use it:
-            // `entry_count` bounds how much of the chain is read, and a
-            // later, larger rewrite can then reuse the orphaned tail.
-            existing_next
-        };
-
-        store.with_page_mut(page, |bytes| {
-            if is_first {
-                bytes[..header.len()].copy_from_slice(&header);
-                bytes[8..12].copy_from_slice(&next.to_le_bytes());
-                bytes[header.len()..header.len() + chunk.len()].copy_from_slice(chunk);
-            } else {
-                bytes[0..4].copy_from_slice(&next.to_le_bytes());
-                bytes[4..8].copy_from_slice(&CONT_MAGIC.to_le_bytes());
-                bytes[CONT_HEADER..CONT_HEADER + chunk.len()].copy_from_slice(chunk);
-            }
-        })?;
-
-        if !need_next {
-            return Ok(());
-        }
-        page = next;
-        is_first = false;
+    let (first, rest) = w.as_bytes().split_at(size.min(PAGE_SIZE));
+    store.with_page_mut(first_page, |page| {
+        page[..first.len()].copy_from_slice(first)
+    })?;
+    if !rest.is_empty() {
+        CONT.write(
+            next,
+            rest,
+            |page| store.with_page(page, |bytes| CONT.link(bytes)),
+            || store.allocate(),
+            |page, laid| store.with_page_mut(page, |bytes| laid.write_over(bytes)),
+        )?;
     }
+    Ok(())
 }
 
 /// Reads and decodes the node starting at `first_page`.
 pub fn read_node<const D: usize>(store: &impl PageStore, first_page: PageId) -> Result<Node<D>> {
-    // Read the first page: header + initial chunk of the entry stream.
-    let (is_leaf, aux, entry_count, mut next, mbr, mut stream) =
+    // The first page: the header and the entry stream's first chunk.
+    let mut stream = Vec::new();
+    let (is_leaf, aux, count, next, mbr) =
         store.with_page(first_page, |bytes| -> Result<_> {
-            if bytes[0] != VERSION {
+            let mut r = Reader::new(bytes);
+            if r.u8()? != VERSION {
                 return Err(StoreError::corrupt_page(first_page, "unknown node version"));
             }
-            let is_leaf = match bytes[1] {
+            let is_leaf = match r.u8()? {
                 0 => false,
                 1 => true,
                 _ => return Err(StoreError::corrupt_page(first_page, "bad leaf flag")),
             };
-            let aux = bytes[2];
-            let entry_count = u32::from_le_bytes(array4(&bytes[4..8])) as usize;
-            let next = u32::from_le_bytes(array4(&bytes[8..12]));
-            let mut c = Cursor {
-                bytes,
-                at: FIRST_HEADER,
-            };
-            let mbr = decode_mbr::<D>(&mut c)?;
-            let entry_size = Node::<D>::entry_size(is_leaf);
-            let total = entry_count * entry_size;
-            let here = total.min(PAGE_SIZE - c.at);
-            let mut stream = Vec::with_capacity(total);
-            stream.extend_from_slice(c.take(here)?);
-            Ok((is_leaf, aux, entry_count, next, mbr, stream))
+            let aux = r.u8()?;
+            r.u8()?; // reserved
+            let count = r.u32()? as usize;
+            let next = r.u32()?;
+            let mbr = get_mbr::<D>(&mut r)?;
+            let total = count * Node::<D>::entry_size(is_leaf);
+            stream.extend_from_slice(r.take(total.min(r.rest().len()))?);
+            Ok((is_leaf, aux, count, next, mbr))
         })??;
+    let rest = count * Node::<D>::entry_size(is_leaf) - stream.len();
+    CONT.read(store, next, Some(rest), &mut stream)?;
 
-    let entry_size = Node::<D>::entry_size(is_leaf);
-    let total = entry_count * entry_size;
-    while stream.len() < total {
-        if next == INVALID_PAGE {
-            return Err(StoreError::corrupt_page(
-                first_page,
-                "node chain ended early",
-            ));
-        }
-        next = store.with_page(next, |bytes| {
-            let n = u32::from_le_bytes(array4(&bytes[0..4]));
-            let here = (total - stream.len()).min(PAGE_SIZE - CONT_HEADER);
-            stream.extend_from_slice(&bytes[CONT_HEADER..CONT_HEADER + here]);
-            n
-        })?;
-    }
-
-    let mut c = Cursor {
-        bytes: &stream,
-        at: 0,
-    };
-    let mut entries = Vec::with_capacity(entry_count);
-    for _ in 0..entry_count {
-        if is_leaf {
-            let oid = c.u64()?;
-            let mut coords = [0.0; D];
-            for v in coords.iter_mut() {
-                *v = c.f64()?;
-            }
-            entries.push(Entry::Object(ObjectEntry {
-                oid,
-                point: Point::new(coords),
-            }));
+    let mut r = Reader::new(&stream);
+    let mut entries = Vec::with_capacity(count);
+    for _ in 0..count {
+        entries.push(if is_leaf {
+            Entry::Object(ObjectEntry::get(&mut r)?)
         } else {
-            let page = c.u32()?;
-            let count = c.u64()?;
-            let mbr = decode_mbr::<D>(&mut c)?;
-            entries.push(Entry::Node(NodeEntry { page, count, mbr }));
-        }
+            Entry::Node(NodeEntry {
+                page: r.u32()?,
+                count: r.u64()?,
+                mbr: get_mbr(&mut r)?,
+            })
+        });
     }
     Ok(Node {
         is_leaf,

@@ -16,12 +16,13 @@
 //! kind or `D` opens as [`StoreError::Corrupt`], never as a misparse.
 
 use crate::index::SpatialIndex;
-use crate::node::{read_node, write_node, Node};
+use crate::node::{get_mbr, put_mbr, read_node, write_node, Node};
 use crate::node_cache::NodeCache;
 use crate::snapshot::VersionedHandle;
 use ann_geom::{Mbr, Point};
-use ann_store::{BufferPool, Journal, PageId, PageStore, Result, StoreError, Txn, VersionedStore};
-use std::io::{Read, Write};
+use ann_store::{
+    BufferPool, Journal, PageId, PageStore, Reader, Result, StoreError, Txn, VersionedStore, Writer,
+};
 use std::ops::DerefMut;
 use std::sync::Arc;
 
@@ -81,46 +82,6 @@ pub struct RStarParams {
     pub reinsert_percent: usize,
 }
 
-/// A little-endian cursor over a meta page: `u32` words, `f64` MBRs. Past
-/// the page's end it fails (`StoreError::Io`) instead of panicking.
-struct Cursor<B>(B);
-
-impl Cursor<&mut [u8]> {
-    fn put(&mut self, bytes: &[u8]) -> Result<()> {
-        Ok(self.0.write_all(bytes)?)
-    }
-
-    fn word(&mut self, word: usize) -> Result<()> {
-        self.put(&(word as u32).to_le_bytes())
-    }
-
-    fn mbr<const D: usize>(&mut self, m: &Mbr<D>) -> Result<()> {
-        m.lo.iter()
-            .chain(&m.hi)
-            .try_for_each(|v| self.put(&v.to_le_bytes()))
-    }
-}
-
-impl Cursor<&[u8]> {
-    fn take<const N: usize>(&mut self) -> Result<[u8; N]> {
-        let mut out = [0; N];
-        self.0.read_exact(&mut out)?;
-        Ok(out)
-    }
-
-    fn word(&mut self) -> Result<usize> {
-        Ok(u32::from_le_bytes(self.take()?) as usize)
-    }
-
-    fn mbr<const D: usize>(&mut self) -> Result<Mbr<D>> {
-        let mut m = Mbr::empty();
-        for v in m.lo.iter_mut().chain(m.hi.iter_mut()) {
-            *v = f64::from_le_bytes(self.take()?);
-        }
-        Ok(m)
-    }
-}
-
 /// Decodes the meta page as `store` sees it: the pool, or a snapshot,
 /// whose translation table maps it to the pinned version's copy.
 pub(crate) fn read_meta<const D: usize>(
@@ -128,34 +89,34 @@ pub(crate) fn read_meta<const D: usize>(
     meta_page: PageId,
 ) -> Result<(Header<D>, Params<D>)> {
     store.with_page(meta_page, |page| {
-        let mut r = Cursor(page);
-        let magic: [u8; 8] = r.take()?;
-        if &magic != MBRQT_MAGIC && &magic != RSTAR_MAGIC {
+        let mut r = Reader::new(page);
+        let magic = r.take(8)?;
+        if magic != MBRQT_MAGIC && magic != RSTAR_MAGIC {
             return Err(StoreError::corrupt("not a v2 tree meta page"));
         }
-        if r.word()? != D {
+        if r.u32()? as usize != D {
             return Err(StoreError::corrupt("dimensionality mismatch"));
         }
         let header = Header {
-            root: u32::from_le_bytes(r.take()?),
-            num_points: u64::from_le_bytes(r.take()?),
-            bounds: r.mbr()?,
+            root: r.u32()?,
+            num_points: r.u64()?,
+            bounds: get_mbr(&mut r)?,
         };
-        let params = if &magic == MBRQT_MAGIC {
+        let params = if magic == MBRQT_MAGIC {
             Params::Mbrqt(MbrqtParams {
-                universe: r.mbr()?,
-                bucket_capacity: r.word()?,
-                levels_per_node: r.word()?,
-                max_depth: r.word()?,
-                use_subtree_mbrs: r.word()? != 0,
+                universe: get_mbr(&mut r)?,
+                bucket_capacity: r.u32()? as usize,
+                levels_per_node: r.u32()? as usize,
+                max_depth: r.u32()? as usize,
+                use_subtree_mbrs: r.u32()? != 0,
             })
         } else {
             Params::RStar(RStarParams {
-                height: u32::from_le_bytes(r.take()?),
-                max_leaf: r.word()?,
-                max_internal: r.word()?,
-                min_fill_percent: r.word()?,
-                reinsert_percent: r.word()?,
+                height: r.u32()?,
+                max_leaf: r.u32()? as usize,
+                max_internal: r.u32()? as usize,
+                min_fill_percent: r.u32()? as usize,
+                reinsert_percent: r.u32()? as usize,
             })
         };
         Ok((header, params))
@@ -270,33 +231,32 @@ impl<const D: usize> TreeFile<D> {
 
     /// Writes the meta page: this file's header, then `params`.
     fn write_meta(&self, txn: &Txn<'_>, params: &Params<D>) -> Result<()> {
-        txn.with_page_mut(self.meta_page, |page| {
-            let mut w = Cursor(page);
-            w.put(match params {
-                Params::Mbrqt(_) => MBRQT_MAGIC,
-                Params::RStar(_) => RSTAR_MAGIC,
-            })?;
-            w.word(D)?;
-            w.put(&self.header.root.to_le_bytes())?;
-            w.put(&self.header.num_points.to_le_bytes())?;
-            w.mbr(&self.header.bounds)?;
-            match params {
-                Params::Mbrqt(p) => {
-                    w.mbr(&p.universe)?;
-                    w.word(p.bucket_capacity)?;
-                    w.word(p.levels_per_node)?;
-                    w.word(p.max_depth)?;
-                    w.word(usize::from(p.use_subtree_mbrs))
-                }
-                Params::RStar(p) => {
-                    w.put(&p.height.to_le_bytes())?;
-                    w.word(p.max_leaf)?;
-                    w.word(p.max_internal)?;
-                    w.word(p.min_fill_percent)?;
-                    w.word(p.reinsert_percent)
-                }
+        let mut w = Writer::default();
+        w.bytes(match params {
+            Params::Mbrqt(_) => MBRQT_MAGIC,
+            Params::RStar(_) => RSTAR_MAGIC,
+        });
+        w.u32(D as u32);
+        w.u32(self.header.root);
+        w.u64(self.header.num_points);
+        put_mbr(&mut w, &self.header.bounds);
+        match params {
+            Params::Mbrqt(p) => {
+                put_mbr(&mut w, &p.universe);
+                w.u32(p.bucket_capacity as u32);
+                w.u32(p.levels_per_node as u32);
+                w.u32(p.max_depth as u32);
+                w.u32(u32::from(p.use_subtree_mbrs));
             }
-        })?
+            Params::RStar(p) => {
+                w.u32(p.height);
+                w.u32(p.max_leaf as u32);
+                w.u32(p.max_internal as u32);
+                w.u32(p.min_fill_percent as u32);
+                w.u32(p.reinsert_percent as u32);
+            }
+        }
+        txn.with_page_mut(self.meta_page, |page| w.write_into(page))?
     }
 
     /// Switches the tree into MVCC snapshot mode: from here on every

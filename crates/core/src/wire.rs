@@ -26,7 +26,7 @@ use crate::query::{Algorithm, MetricChoice};
 use crate::resilience::{BudgetKind, QueryError};
 use crate::stats::{AnnOutput, AnnStats, NeighborPair};
 use crate::trace::{json_escape, json_io, json_num, write_json_num, ExecutionReport};
-use ann_store::{RetryPolicy, StoreError};
+use ann_store::{IoSnapshot, RetryPolicy, StoreError};
 use std::fmt::{self, Write as _};
 use std::time::Duration;
 
@@ -1183,11 +1183,22 @@ fn stats_from_value(st: &JsonValue) -> Result<AnnStats, WireError> {
                     .ok_or_else(|| WireError::Schema(format!("io {key:?} must be an integer"))),
             }
         };
-        stats.io.logical_reads = io_field("logical_reads")?;
-        stats.io.physical_reads = io_field("physical_reads")?;
-        stats.io.physical_writes = io_field("physical_writes")?;
-        stats.io.pool_hits = io_field("pool_hits")?;
-        stats.io.pool_misses = io_field("pool_misses")?;
+        // Every counter `json_io` writes; the prefetch counters stay off
+        // the wire.
+        stats.io = IoSnapshot {
+            logical_reads: io_field("logical_reads")?,
+            physical_reads: io_field("physical_reads")?,
+            physical_writes: io_field("physical_writes")?,
+            pool_hits: io_field("pool_hits")?,
+            pool_misses: io_field("pool_misses")?,
+            evictions: io_field("evictions")?,
+            retries: io_field("retries")?,
+            checksum_failures: io_field("checksum_failures")?,
+            lock_contention: io_field("lock_contention")?,
+            quarantined_pages: io_field("quarantined_pages")?,
+            quarantine_hits: io_field("quarantine_hits")?,
+            ..IoSnapshot::default()
+        };
     }
     Ok(stats)
 }
@@ -1570,10 +1581,30 @@ mod tests {
                     dist: 1.0e8 + 1.0 / 3.0,
                 },
             ],
+            // Every counter the wire carries, each distinct and non-zero.
+            // The prefetch counters are not on the wire.
             stats: AnnStats {
                 distance_computations: 12,
+                lpqs_created: 13,
+                enqueued: 14,
+                pruned_on_probe: 15,
+                pruned_in_queue: 16,
                 r_nodes_expanded: 3,
-                ..Default::default()
+                s_nodes_expanded: 4,
+                io: IoSnapshot {
+                    logical_reads: 21,
+                    physical_reads: 22,
+                    physical_writes: 23,
+                    retries: 24,
+                    checksum_failures: 25,
+                    pool_hits: 26,
+                    pool_misses: 27,
+                    lock_contention: 28,
+                    evictions: 29,
+                    quarantined_pages: 30,
+                    quarantine_hits: 31,
+                    ..IoSnapshot::default()
+                },
             },
             report: None,
             version: None,
@@ -1585,8 +1616,7 @@ mod tests {
             assert_eq!(a.s_oid, b.s_oid);
             assert_eq!(a.dist.to_bits(), b.dist.to_bits(), "distance not bit-exact");
         }
-        assert_eq!(back.stats.distance_computations, 12);
-        assert_eq!(back.stats.r_nodes_expanded, 3);
+        assert_eq!(back.stats, outcome.stats);
     }
 
     #[test]

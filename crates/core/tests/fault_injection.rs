@@ -188,7 +188,7 @@ fn torn_write_crash_during_build_never_exposes_partial_tree() {
 
         // "Restart": a fresh pool over the surviving media.
         let pool = Arc::new(BufferPool::new(Arc::clone(&mem), 64));
-        match Mbrqt::<2>::open(pool, 0) {
+        match Mbrqt::<2>::open_at(pool, 0, None) {
             Ok(tree) => {
                 // An openable tree must be the *complete* one: the meta
                 // page only ever commits after every node page is durable.
@@ -262,7 +262,7 @@ fn torn_write_crash_during_inserts_recovers_to_a_point_consistent_state() {
             // after the commit point (insert reported Err, but the batch
             // was durable and replay completes it).
             let pool = Arc::new(BufferPool::new(Arc::clone(&mem), 64));
-            match Mbrqt::<2>::open(pool, 0) {
+            match Mbrqt::<2>::open_at(pool, 0, None) {
                 Ok(tree) => {
                     let objects = validate(&tree).unwrap().objects;
                     assert!(
@@ -320,7 +320,7 @@ fn bit_rot_is_detected_or_harmless_never_silent() {
 
         // Restart and interrogate the media.
         let pool = Arc::new(BufferPool::new(Arc::clone(&mem), 64));
-        match Mbrqt::<2>::open(pool.clone(), 0) {
+        match Mbrqt::<2>::open_at(pool.clone(), 0, None) {
             Ok(tree) => {
                 // `open` validated the whole tree, so every reachable page
                 // passed its checksum: queries must see the full dataset.

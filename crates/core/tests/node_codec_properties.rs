@@ -4,7 +4,7 @@
 use ann_core::node::{read_node, write_node, Entry, Node, NodeEntry, ObjectEntry};
 use ann_datagen::{for_each_case, Rng};
 use ann_geom::{Mbr, Point};
-use ann_store::{BufferPool, MemDisk};
+use ann_store::{BufferPool, MemDisk, StoreError};
 use std::sync::Arc;
 
 /// Cases per property.
@@ -80,6 +80,44 @@ fn internal_round_trips() {
         let back = read_node::<3>(&pool, page).unwrap();
         assert_eq!(back, node);
     });
+}
+
+/// A continuation link into a page of another node reads as `Corrupt`
+/// naming that page: the chain reader checks every page's magic, so the
+/// other node's header and entries are never decoded as this node's.
+#[test]
+fn link_into_another_node_is_corrupt() {
+    fn leaf(n: u64, base: u64) -> Node<2> {
+        let mut node = Node::empty_leaf();
+        node.entries = (0..n)
+            .map(|i| {
+                Entry::Object(ObjectEntry {
+                    oid: base + i,
+                    point: Point::new([i as f64, -(i as f64)]),
+                })
+            })
+            .collect();
+        node.recompute_mbr();
+        node
+    }
+    let pool = Arc::new(BufferPool::new(MemDisk::new(), 32));
+    for _ in 0..302 {
+        pool.allocate().unwrap();
+    }
+    let (a, b) = (300, 301);
+    write_node(&pool, a, &leaf(800, 0)).unwrap();
+    write_node(&pool, b, &leaf(10, 1_000_000)).unwrap();
+    assert_eq!(read_node::<2>(&pool, a).unwrap(), leaf(800, 0));
+    // Point A's continuation link (header bytes 8..12) at B.
+    pool.with_page_mut(a, |bytes| bytes[8..12].copy_from_slice(&b.to_le_bytes()))
+        .unwrap();
+    match read_node::<2>(&pool, a) {
+        Err(StoreError::Corrupt { page: Some(p), .. }) => assert_eq!(p, b),
+        other => panic!(
+            "a link into node {b} read as {:?} entries",
+            other.map(|n| n.entries.len())
+        ),
+    }
 }
 
 /// Rewriting a page with a sequence of different nodes always reads

@@ -2,11 +2,12 @@
 
 use crate::grid::GridOrder;
 use crate::pca::Pca;
+use ann_core::node::ObjectEntry;
 use ann_core::scratch::KBestSet;
 use ann_core::stats::AnnOutput;
 use ann_core::trace::{Phase, PruneReason, TraceEvent, Tracer};
 use ann_geom::{min_min_dist_sq, Mbr, Point};
-use ann_store::{BufferPool, HeapFile, Result};
+use ann_store::{BufferPool, HeapFile, Reader, Result, Writer};
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
@@ -48,31 +49,25 @@ struct BlockFile<const D: usize> {
 }
 
 impl<const D: usize> BlockFile<D> {
-    fn record_size() -> usize {
-        8 + 8 * D
-    }
-
     fn write(
         pool: Arc<BufferPool>,
         sorted: &[(u64, Point<D>)],
         block_pages: usize,
     ) -> Result<Self> {
-        let mut heap = HeapFile::create(pool, Self::record_size())?;
+        let mut heap = HeapFile::create(pool, ObjectEntry::<D>::SIZE)?;
         let records_per_block = (heap.records_per_page() * block_pages).max(1);
         let mut blocks = Vec::new();
-        let mut buf = vec![0u8; Self::record_size()];
-        for (i, (oid, p)) in sorted.iter().enumerate() {
-            buf[..8].copy_from_slice(&oid.to_le_bytes());
-            for d in 0..D {
-                buf[8 + d * 8..16 + d * 8].copy_from_slice(&p[d].to_le_bytes());
-            }
-            heap.append(&buf)?;
+        let mut rec = Writer::with_capacity(ObjectEntry::<D>::SIZE);
+        for (i, &(oid, point)) in sorted.iter().enumerate() {
+            rec.clear();
+            ObjectEntry { oid, point }.put(&mut rec);
+            heap.append(rec.as_bytes())?;
             if i % records_per_block == 0 {
                 blocks.push((i as u64, 0, Mbr::empty()));
             }
             let last = blocks.last_mut().expect("block started");
             last.1 += 1;
-            last.2.expand_point(p);
+            last.2.expand_point(&point);
         }
         Ok(BlockFile { heap, blocks })
     }
@@ -86,13 +81,10 @@ impl<const D: usize> BlockFile<D> {
     fn read_block(&self, b: usize) -> Result<Vec<(u64, Point<D>)>> {
         let (first, count, _) = self.blocks[b];
         let mut out = Vec::with_capacity(count);
-        self.heap.scan_range(first, count as u64, |_, bytes| {
-            let oid = u64::from_le_bytes(bytes[..8].try_into().unwrap());
-            let mut c = [0.0; D];
-            for (d, v) in c.iter_mut().enumerate() {
-                *v = f64::from_le_bytes(bytes[8 + d * 8..16 + d * 8].try_into().unwrap());
-            }
-            out.push((oid, Point::new(c)));
+        self.heap.scan_range(first, count as u64, |_, record| {
+            let o = ObjectEntry::get(&mut Reader::new(record))?;
+            out.push((o.oid, o.point));
+            Ok(())
         })?;
         Ok(out)
     }

@@ -187,20 +187,6 @@ impl<const D: usize> Mbrqt<D> {
         build::bulk_build_stream(pool, scratch, points, memory_budget, config)
     }
 
-    /// Opens a previously built (unversioned) tree from its metadata
-    /// page; [`WritableIndex::open_at`] says what opening recovers and
-    /// checks.
-    pub fn open(pool: Arc<BufferPool>, meta_page: PageId) -> Result<Self> {
-        Self::open_at(pool, meta_page, None)
-    }
-
-    /// Opens a versioned tree from its meta page and the manifest `head`
-    /// returned by [`TreeFile::enable_versioning`]: as [`open`](Self::open),
-    /// but the header is read *through* the latest snapshot.
-    pub fn open_versioned(pool: Arc<BufferPool>, meta_page: PageId, head: PageId) -> Result<Self> {
-        Self::open_at(pool, meta_page, Some(head))
-    }
-
     /// The fixed universe the tree decomposes.
     pub fn universe(&self) -> Mbr<D> {
         self.params.universe
@@ -458,7 +444,7 @@ mod tests {
         tree.flush().unwrap();
         drop(tree);
 
-        let tree = Mbrqt::<2>::open_versioned(pool, meta_page, head).unwrap();
+        let tree = Mbrqt::<2>::open_at(pool, meta_page, Some(head)).unwrap();
         assert_eq!(SpatialIndex::num_points(&tree), 40);
         let handle = tree.versioned_handle().unwrap();
         let ctx = handle.pin(None).unwrap();

@@ -4,6 +4,7 @@
 
 use ann_core::index::{collect_objects, validate, SpatialIndex};
 use ann_core::node::Entry;
+use ann_core::tree_file::WritableIndex;
 use ann_datagen::Rng;
 use ann_geom::{Mbr, Point};
 use ann_mbrqt::{Mbrqt, MbrqtConfig};
@@ -142,7 +143,7 @@ fn open_round_trips_through_meta_page() {
     let meta = tree.meta_page();
     let bounds = tree.bounds();
     drop(tree);
-    let reopened: Mbrqt<3> = Mbrqt::open(pool, meta).unwrap();
+    let reopened: Mbrqt<3> = Mbrqt::open_at(pool, meta, None).unwrap();
     assert_eq!(reopened.num_points(), 1000);
     assert_eq!(reopened.bounds(), bounds);
     assert_eq!(validate(&reopened).unwrap().objects, 1000);

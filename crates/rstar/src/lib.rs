@@ -154,20 +154,6 @@ impl<const D: usize> RStar<D> {
         bulk::bulk_build(pool, points, config, side, tracer)
     }
 
-    /// Opens a previously built (unversioned) tree from its metadata
-    /// page; [`WritableIndex::open_at`] says what opening recovers and
-    /// checks.
-    pub fn open(pool: Arc<BufferPool>, meta_page: PageId) -> Result<Self> {
-        Self::open_at(pool, meta_page, None)
-    }
-
-    /// Opens a versioned tree from its meta page and the manifest `head`
-    /// returned by [`TreeFile::enable_versioning`]: as [`open`](Self::open),
-    /// but the header is read *through* the latest snapshot.
-    pub fn open_versioned(pool: Arc<BufferPool>, meta_page: PageId, head: PageId) -> Result<Self> {
-        Self::open_at(pool, meta_page, Some(head))
-    }
-
     /// Tree height (1 = a single leaf).
     pub fn height(&self) -> u32 {
         self.params.height
@@ -310,7 +296,7 @@ mod tests {
         tree.flush().unwrap();
         drop(tree);
 
-        let tree = RStar::<2>::open_versioned(pool, meta_page, head).unwrap();
+        let tree = RStar::<2>::open_at(pool, meta_page, Some(head)).unwrap();
         assert_eq!(SpatialIndex::num_points(&tree), 40);
         let handle = tree.versioned_handle().unwrap();
         let ctx = handle.pin(None).unwrap();

@@ -3,6 +3,7 @@
 
 use ann_core::index::{collect_objects, validate, SpatialIndex};
 use ann_core::knn::knn;
+use ann_core::tree_file::WritableIndex;
 use ann_geom::{NxnDist, Point};
 use ann_rstar::{RStar, RStarConfig};
 use ann_store::{BufferPool, MemDisk};
@@ -85,7 +86,7 @@ fn streamed_build_reopens_from_meta() {
     let meta = tree.meta_page();
     let bounds = tree.bounds();
     drop(tree);
-    let reopened = RStar::<2>::open(p, meta).unwrap();
+    let reopened = RStar::<2>::open_at(p, meta, None).unwrap();
     assert_eq!(reopened.num_points(), 800);
     assert_eq!(reopened.bounds(), bounds);
 }

@@ -3,6 +3,7 @@
 
 use ann_core::index::{collect_objects, validate, SpatialIndex};
 use ann_core::node::Entry;
+use ann_core::tree_file::WritableIndex;
 use ann_datagen::Rng;
 use ann_geom::Point;
 use ann_rstar::{RStar, RStarConfig};
@@ -150,7 +151,7 @@ fn open_round_trips_through_meta_page() {
     let meta = tree.meta_page();
     let (height, bounds) = (tree.height(), tree.bounds());
     drop(tree);
-    let reopened: RStar<4> = RStar::open(pool, meta).unwrap();
+    let reopened: RStar<4> = RStar::open_at(pool, meta, None).unwrap();
     assert_eq!(reopened.height(), height);
     assert_eq!(reopened.bounds(), bounds);
     assert_eq!(validate(&reopened).unwrap().objects, 1500);
@@ -162,7 +163,7 @@ fn wrong_dimension_open_fails() {
     let pool = pool(64);
     let tree = RStar::bulk_build(pool.clone(), &pts, &RStarConfig::default()).unwrap();
     let meta = tree.meta_page();
-    assert!(RStar::<3>::open(pool, meta).is_err());
+    assert!(RStar::<3>::open_at(pool, meta, None).is_err());
 }
 
 #[test]

@@ -7,17 +7,24 @@
 //! through [`HeapFile::scan`], so they are charged buffer-pool I/O exactly
 //! like index traversals are.
 
+use crate::page::{Reader, Writer};
 use crate::{BufferPool, PageId, Result, StoreError, INVALID_PAGE, PAGE_SIZE};
 use std::sync::Arc;
 
 const HEADER: usize = 8;
 
-fn read_u32(bytes: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]])
+/// A page's `(next, count)` header.
+fn header(bytes: &[u8]) -> Result<(PageId, usize)> {
+    let mut r = Reader::new(bytes);
+    Ok((r.u32()?, r.u32()? as usize))
 }
 
-fn write_u32(bytes: &mut [u8], at: usize, v: u32) {
-    bytes[at..at + 4].copy_from_slice(&v.to_le_bytes());
+/// Writes a page's `(next, count)` header.
+fn set_header(bytes: &mut [u8], next: PageId, count: usize) -> Result<()> {
+    let mut w = Writer::with_capacity(HEADER);
+    w.u32(next);
+    w.u32(count as u32);
+    w.write_into(bytes)
 }
 
 /// A chained file of fixed-size records stored through a [`BufferPool`].
@@ -25,10 +32,9 @@ pub struct HeapFile {
     pool: Arc<BufferPool>,
     record_size: usize,
     per_page: usize,
-    first: PageId,
-    last: PageId,
     /// In-memory extent directory: page id of every page in the chain, in
-    /// order. Keeps record addressing O(1) instead of walking the chain.
+    /// order, never empty. Keeps record addressing O(1) instead of walking
+    /// the chain.
     pages: Vec<PageId>,
     len: u64,
 }
@@ -47,16 +53,11 @@ impl HeapFile {
             "record of {record_size} bytes does not fit in a page"
         );
         let first = pool.allocate()?;
-        pool.with_page_mut(first, |bytes| {
-            write_u32(bytes, 0, INVALID_PAGE);
-            write_u32(bytes, 4, 0);
-        })?;
+        pool.with_page_mut(first, |bytes| set_header(bytes, INVALID_PAGE, 0))??;
         Ok(HeapFile {
             pool,
             record_size,
             per_page: (PAGE_SIZE - HEADER) / record_size,
-            first,
-            last: first,
             pages: vec![first],
             len: 0,
         })
@@ -79,7 +80,7 @@ impl HeapFile {
 
     /// Page id of the first page in the chain.
     pub fn first_page(&self) -> PageId {
-        self.first
+        self.pages[0]
     }
 
     /// Number of pages in the chain.
@@ -98,30 +99,26 @@ impl HeapFile {
     /// Panics if `record.len() != record_size`.
     pub fn append(&mut self, record: &[u8]) -> Result<()> {
         assert_eq!(record.len(), self.record_size, "record size mismatch");
-        let count = self
-            .pool
-            .with_page(self.last, |bytes| read_u32(bytes, 4) as usize)?;
+        let last = self.pages[self.pages.len() - 1];
+        let (_, count) = self.pool.with_page(last, header)??;
         let target = if count < self.per_page {
-            self.last
+            last
         } else {
             let new_page = self.pool.allocate()?;
-            self.pool.with_page_mut(new_page, |bytes| {
-                write_u32(bytes, 0, INVALID_PAGE);
-                write_u32(bytes, 4, 0);
-            })?;
             self.pool
-                .with_page_mut(self.last, |bytes| write_u32(bytes, 0, new_page))?;
-            self.last = new_page;
+                .with_page_mut(new_page, |bytes| set_header(bytes, INVALID_PAGE, 0))??;
+            self.pool
+                .with_page_mut(last, |bytes| set_header(bytes, new_page, count))??;
             self.pages.push(new_page);
             new_page
         };
         let rec_size = self.record_size;
         self.pool.with_page_mut(target, |bytes| {
-            let count = read_u32(bytes, 4) as usize;
+            let (next, count) = header(bytes)?;
             let at = HEADER + count * rec_size;
             bytes[at..at + rec_size].copy_from_slice(record);
-            write_u32(bytes, 4, (count + 1) as u32);
-        })?;
+            set_header(bytes, next, count + 1)
+        })??;
         self.len += 1;
         Ok(())
     }
@@ -141,12 +138,18 @@ impl HeapFile {
     }
 
     /// Visits the records `start .. start + count` in order, calling
-    /// `f(index, bytes)`. Reads each touched page once.
+    /// `f(index, bytes)` and stopping at its first error. Reads each
+    /// touched page once.
     ///
     /// Each page is copied out of the pool before `f` runs, so the
     /// callback may itself go through the same pool (e.g. appending to
     /// another heap file) without deadlocking on a page latch.
-    pub fn scan_range(&self, start: u64, count: u64, mut f: impl FnMut(u64, &[u8])) -> Result<()> {
+    pub fn scan_range(
+        &self,
+        start: u64,
+        count: u64,
+        mut f: impl FnMut(u64, &[u8]) -> Result<()>,
+    ) -> Result<()> {
         if start + count > self.len {
             return Err(StoreError::corrupt("heap scan range out of bounds"));
         }
@@ -162,33 +165,34 @@ impl HeapFile {
                 .with_page(page, |bytes| copy.copy_from_slice(bytes))?;
             for s in 0..here {
                 let at = HEADER + (first_slot + s) * rec_size;
-                f(idx + s as u64, &copy[at..at + rec_size]);
+                f(idx + s as u64, &copy[at..at + rec_size])?;
             }
             idx += here as u64;
         }
         Ok(())
     }
 
-    /// Visits every record in order, calling `f(index, bytes)`.
+    /// Visits every record in order, calling `f(index, bytes)` and
+    /// stopping at its first error.
     ///
     /// Each page is copied out of the pool before `f` runs, so the
     /// callback may itself go through the same pool (e.g. appending to
     /// another heap file) without deadlocking on a page latch.
-    pub fn scan(&self, mut f: impl FnMut(u64, &[u8])) -> Result<()> {
-        let mut page = self.first;
+    pub fn scan(&self, mut f: impl FnMut(u64, &[u8]) -> Result<()>) -> Result<()> {
+        let mut page = self.pages[0];
         let mut idx = 0u64;
         let rec_size = self.record_size;
         let mut copy = vec![0u8; PAGE_SIZE];
         while page != INVALID_PAGE {
             self.pool
                 .with_page(page, |bytes| copy.copy_from_slice(bytes))?;
-            let count = read_u32(&copy, 4) as usize;
+            let (next, count) = header(&copy)?;
             for slot in 0..count {
                 let at = HEADER + slot * rec_size;
-                f(idx, &copy[at..at + rec_size]);
+                f(idx, &copy[at..at + rec_size])?;
                 idx += 1;
             }
-            page = read_u32(&copy, 0);
+            page = next;
         }
         Ok(())
     }
@@ -232,6 +236,7 @@ mod tests {
         hf.scan(|idx, bytes| {
             assert_eq!(idx, u64::from_le_bytes(bytes[..8].try_into().unwrap()));
             seen.push(idx);
+            Ok(())
         })
         .unwrap();
         assert_eq!(seen, (0..n).collect::<Vec<_>>());
@@ -243,7 +248,11 @@ mod tests {
         assert!(hf.is_empty());
         assert_eq!(hf.num_pages(), 1);
         let mut called = false;
-        hf.scan(|_, _| called = true).unwrap();
+        hf.scan(|_, _| {
+            called = true;
+            Ok(())
+        })
+        .unwrap();
         assert!(!called);
     }
 
@@ -263,6 +272,7 @@ mod tests {
         hf.scan(|idx, bytes| {
             assert_eq!(idx, u64::from_le_bytes(bytes[..8].try_into().unwrap()));
             count += 1;
+            Ok(())
         })
         .unwrap();
         assert_eq!(count, 40);

@@ -21,54 +21,51 @@
 //!
 //! Each index owns one journal whose header page is allocated immediately
 //! after the index's meta page, so `open` can find it without any
-//! discoverable state of its own. Data-chain pages are reused across
-//! commits and the chain only grows.
+//! discoverable state of its own.
+//!
+//! The header page is `magic: [u8; 8] | state: u32 | num_records: u32 |
+//! first_data: u32`. The data pages are a [`Chain`] of their own magic
+//! whose payload is the records back to back, each `page: u32 | crc: u32
+//! | image` and split wherever a page ends. The chain is reused across
+//! commits and only grows.
 
 use crate::checksum::{crc32_finish, crc32_update, CRC_INIT};
+use crate::page::{Chain, Reader, Writer};
 use crate::{BufferPool, PageId, Result, StoreError, INVALID_PAGE, PAGE_SIZE};
 
 const JOURNAL_MAGIC: &[u8; 8] = b"ANNJRNL1";
-const JDATA_MAGIC: u32 = 0x1A2B_3C4D;
+/// The data stream's chain: records back to back, each split wherever a
+/// page ends.
+const DATA: Chain = Chain::new(0x1A2B_3C4D);
 const STATE_EMPTY: u32 = 0;
 const STATE_COMMITTED: u32 = 0xC033_117E;
-
-/// Bytes of payload each data-chain page carries after its
-/// `next`-pointer + magic header.
-const DATA_CAPACITY: usize = PAGE_SIZE - 8;
 
 /// Encoded size of one journal record: page id, CRC32, full page image.
 pub const RECORD_SIZE: usize = 8 + PAGE_SIZE;
 
-/// Encodes one `(page, after-image)` record for the journal stream.
-///
-/// The CRC covers the page id and the image, so replay can tell a record
-/// that was fully persisted from one that was torn mid-write.
+/// Encodes one `(page, after-image)` record for the journal stream:
+/// `page: u32 | crc: u32 | image`. The CRC covers the page id and the
+/// image, so replay can tell a record that was fully persisted from one
+/// that was torn mid-write.
 ///
 /// # Panics
 ///
 /// Panics if `image` is not exactly [`PAGE_SIZE`] bytes.
 pub fn encode_record(page: PageId, image: &[u8]) -> Vec<u8> {
     assert_eq!(image.len(), PAGE_SIZE, "journal records hold full pages");
-    let mut out = Vec::with_capacity(RECORD_SIZE);
-    out.extend_from_slice(&page.to_le_bytes());
-    let crc = crc32_finish(crc32_update(
-        crc32_update(CRC_INIT, &page.to_le_bytes()),
-        image,
-    ));
-    out.extend_from_slice(&crc.to_le_bytes());
-    out.extend_from_slice(image);
-    out
+    let mut w = Writer::with_capacity(RECORD_SIZE);
+    w.u32(page);
+    let crc = crc32_finish(crc32_update(crc32_update(CRC_INIT, w.as_bytes()), image));
+    w.u32(crc);
+    w.bytes(image);
+    w.into_bytes()
 }
 
 /// Decodes (and CRC-checks) one record from the front of `bytes`,
 /// returning the target page and its after-image.
 pub fn decode_record(bytes: &[u8]) -> Result<(PageId, &[u8])> {
-    if bytes.len() < RECORD_SIZE {
-        return Err(StoreError::corrupt("journal record truncated"));
-    }
-    let page = PageId::from_le_bytes(bytes[0..4].try_into().unwrap());
-    let stored = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    let image = &bytes[8..RECORD_SIZE];
+    let mut r = Reader::new(bytes);
+    let (page, stored, image) = (r.u32()?, r.u32()?, r.take(PAGE_SIZE)?);
     let crc = crc32_finish(crc32_update(crc32_update(CRC_INIT, &bytes[0..4]), image));
     if crc != stored {
         return Err(StoreError::corrupt("journal record checksum mismatch"));
@@ -129,7 +126,9 @@ impl Journal {
             // unlikely): nothing to do.
             return Ok((journal, Recovery::Clean));
         }
-        let stream = journal.read_stream(pool, first_data, num_records as usize * RECORD_SIZE)?;
+        let len = num_records as usize * RECORD_SIZE;
+        let mut stream = Vec::with_capacity(len);
+        DATA.read(pool, first_data, Some(len), &mut stream)?;
         let mut homes = Vec::with_capacity(num_records as usize);
         for i in 0..num_records as usize {
             let (page, image) = decode_record(&stream[i * RECORD_SIZE..])?;
@@ -161,56 +160,41 @@ impl Journal {
         if writes.is_empty() {
             return Ok(());
         }
-        // 1. Serialize the batch into the data-page chain.
-        let mut stream = Vec::with_capacity(writes.len() * RECORD_SIZE);
+        // 1. Lay the batch over the data chain: the pages linked from the
+        // header first, new ones once they run out. Pages past the disk's
+        // end when the commit began are this commit's own and link nowhere.
+        let mut stream = Writer::with_capacity(writes.len() * RECORD_SIZE);
         for (page, image) in writes {
-            stream.extend_from_slice(&encode_record(*page, image));
+            stream.bytes(&encode_record(*page, image));
         }
-        let pages_needed = stream.len().div_ceil(DATA_CAPACITY);
         let first_data = match self.read_header(pool)? {
             Some((_, _, first)) => first,
             None => INVALID_PAGE,
         };
-        // Reuse the existing chain, extending it if this batch is larger
-        // than any before.
-        let mut chain: Vec<PageId> = Vec::with_capacity(pages_needed);
-        let mut tails: Vec<PageId> = Vec::with_capacity(pages_needed);
-        let mut cursor = first_data;
-        while cursor != INVALID_PAGE && chain.len() < pages_needed {
-            chain.push(cursor);
-            let next = match pool.with_page(cursor, |b| {
-                if u32::from_le_bytes(b[4..8].try_into().unwrap()) == JDATA_MAGIC {
-                    PageId::from_le_bytes(b[0..4].try_into().unwrap())
-                } else {
-                    INVALID_PAGE
+        let fresh = pool.num_pages();
+        let mut images = Vec::new();
+        let chain = DATA.write(
+            first_data,
+            stream.as_bytes(),
+            |page| {
+                if page >= fresh {
+                    return Ok(INVALID_PAGE);
                 }
-            }) {
-                Ok(next) => next,
-                // A rotted old chain page is fine to recycle: its
-                // contents are about to be overwritten.
-                Err(StoreError::Corrupt { .. }) => INVALID_PAGE,
-                Err(e) => return Err(e),
-            };
-            tails.push(next);
-            cursor = next;
-        }
-        while chain.len() < pages_needed {
-            chain.push(pool.allocate()?);
-            tails.push(INVALID_PAGE);
-        }
-        for (i, chunk) in stream.chunks(DATA_CAPACITY).enumerate() {
-            let next = if i + 1 < pages_needed {
-                chain[i + 1]
-            } else {
-                // Preserve the link to any longer tail from an earlier,
-                // larger batch so those pages stay reusable.
-                tails[i]
-            };
-            let mut buf = vec![0u8; PAGE_SIZE];
-            buf[0..4].copy_from_slice(&next.to_le_bytes());
-            buf[4..8].copy_from_slice(&JDATA_MAGIC.to_le_bytes());
-            buf[8..8 + chunk.len()].copy_from_slice(chunk);
-            pool.overwrite_page(chain[i], &buf)?;
+                match pool.with_page(page, |b| DATA.link(b)) {
+                    // A rotted old chain page is fine to recycle: its
+                    // contents are about to be overwritten.
+                    Err(StoreError::Corrupt { .. }) => Ok(INVALID_PAGE),
+                    linked => linked,
+                }
+            },
+            || pool.allocate(),
+            |page, laid| {
+                images.push((page, laid.image()));
+                Ok(())
+            },
+        )?;
+        for (page, image) in &images {
+            pool.overwrite_page(*page, image)?;
         }
         pool.flush_pages(&chain)?;
         // 2. Commit point: one flushed header write.
@@ -228,6 +212,8 @@ impl Journal {
         Ok(())
     }
 
+    /// Writes the header page: `magic: [u8; 8] | state: u32 |
+    /// num_records: u32 | first_data: u32`, then zeros.
     fn write_header(
         &self,
         pool: &BufferPool,
@@ -235,59 +221,32 @@ impl Journal {
         num_records: u32,
         first_data: PageId,
     ) -> Result<()> {
-        let mut buf = vec![0u8; PAGE_SIZE];
-        buf[0..8].copy_from_slice(JOURNAL_MAGIC);
-        buf[8..12].copy_from_slice(&state.to_le_bytes());
-        buf[12..16].copy_from_slice(&num_records.to_le_bytes());
-        buf[16..20].copy_from_slice(&first_data.to_le_bytes());
-        pool.overwrite_page(self.header, &buf)
+        let mut w = Writer::with_capacity(20);
+        w.bytes(JOURNAL_MAGIC);
+        w.u32(state);
+        w.u32(num_records);
+        w.u32(first_data);
+        let mut page = vec![0u8; PAGE_SIZE];
+        w.write_into(&mut page)?;
+        pool.overwrite_page(self.header, &page)
     }
 
     /// Reads the header, returning `Ok(None)` when it is torn, foreign or
     /// checksum-invalid (recovery treats that as "before the commit
     /// point") and propagating genuine I/O failures.
     fn read_header(&self, pool: &BufferPool) -> Result<Option<(u32, u32, PageId)>> {
-        match pool.with_page(self.header, |b| {
-            if &b[0..8] != JOURNAL_MAGIC {
-                return None;
+        let parsed = pool.with_page(self.header, |b| {
+            let mut r = Reader::new(b);
+            if r.take(JOURNAL_MAGIC.len())? != JOURNAL_MAGIC {
+                return Ok(None);
             }
-            let state = u32::from_le_bytes(b[8..12].try_into().unwrap());
-            let num_records = u32::from_le_bytes(b[12..16].try_into().unwrap());
-            let first_data = PageId::from_le_bytes(b[16..20].try_into().unwrap());
-            Some((state, num_records, first_data))
-        }) {
-            Ok(parsed) => Ok(parsed),
+            Ok(Some((r.u32()?, r.u32()?, r.u32()?)))
+        });
+        match parsed.and_then(|header| header) {
+            Ok(header) => Ok(header),
             Err(StoreError::Corrupt { .. }) | Err(StoreError::PageOutOfBounds(_)) => Ok(None),
             Err(e) => Err(e),
         }
-    }
-
-    /// Reads `len` stream bytes by walking the data chain from `first`.
-    fn read_stream(&self, pool: &BufferPool, first: PageId, len: usize) -> Result<Vec<u8>> {
-        let mut stream = Vec::with_capacity(len);
-        let mut cursor = first;
-        while stream.len() < len {
-            if cursor == INVALID_PAGE {
-                return Err(StoreError::corrupt("journal data chain ends early"));
-            }
-            let take = (len - stream.len()).min(DATA_CAPACITY);
-            cursor = pool
-                .with_page(cursor, |b| {
-                    if u32::from_le_bytes(b[4..8].try_into().unwrap()) != JDATA_MAGIC {
-                        return Err(StoreError::corrupt("journal data chain broken"));
-                    }
-                    stream.extend_from_slice(&b[8..8 + take]);
-                    Ok(PageId::from_le_bytes(b[0..4].try_into().unwrap()))
-                })
-                .map_err(|e| match e {
-                    StoreError::Corrupt { page, .. } => StoreError::Corrupt {
-                        page,
-                        what: "journal data chain unreadable",
-                    },
-                    other => other,
-                })??;
-        }
-        Ok(stream)
     }
 }
 

@@ -5,7 +5,9 @@
 //! (§4.1). This crate is the equivalent substrate, providing exactly the
 //! pieces those experiments depend on:
 //!
-//! * [`PAGE_SIZE`]-byte pages addressed by [`PageId`] ([`page`]);
+//! * [`PAGE_SIZE`]-byte pages addressed by [`PageId`], and the one page
+//!   codec every on-disk layout uses: a little-endian [`Reader`] /
+//!   [`Writer`] and the continuation [`Chain`] ([`page`]);
 //! * a [`DiskBackend`] abstraction with an in-memory ([`MemDisk`]) and a
 //!   real-file ([`FileDisk`]) implementation ([`disk`]);
 //! * an exact-LRU [`BufferPool`] with pluggable capacity ([`pool`]) — the
@@ -69,7 +71,9 @@ pub use disk::{DiskBackend, FileDisk, MemDisk};
 pub use faulty::{FaultyDisk, InjectedFault};
 pub use heap::HeapFile;
 pub use journal::{Journal, Recovery};
-pub use page::{PageId, FRAME_SIZE, INVALID_PAGE, PAGE_SIZE, PAGE_TRAILER};
+pub use page::{
+    Chain, ChainPage, PageId, Reader, Writer, FRAME_SIZE, INVALID_PAGE, PAGE_SIZE, PAGE_TRAILER,
+};
 pub use pool::{BufferPool, PageStore, PrefetchConfig, RetryPolicy, RetryScope, QUARANTINED};
 pub use stats::{IoSnapshot, IoStats};
 pub use txn::Txn;
@@ -82,13 +86,6 @@ pub enum StoreError {
     PageOutOfBounds(PageId),
     /// An operating-system I/O error from the file backend.
     Io(std::io::Error),
-    /// A record or node does not fit in one page.
-    RecordTooLarge {
-        /// Bytes requested.
-        requested: usize,
-        /// Bytes available.
-        available: usize,
-    },
     /// Stored bytes failed validation while being decoded or checked.
     Corrupt {
         /// The offending page, when the failure is attributable to one
@@ -152,13 +149,6 @@ impl std::fmt::Display for StoreError {
         match self {
             StoreError::PageOutOfBounds(id) => write!(f, "page {id} out of bounds"),
             StoreError::Io(e) => write!(f, "I/O error: {e}"),
-            StoreError::RecordTooLarge {
-                requested,
-                available,
-            } => write!(
-                f,
-                "record of {requested} bytes does not fit in {available} available bytes"
-            ),
             StoreError::Corrupt {
                 page: Some(id),
                 what,

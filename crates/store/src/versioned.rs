@@ -17,9 +17,10 @@
 //!   held while a commit writes pages, so readers are never blocked by
 //!   the writer;
 //! * a **manifest** (the full version table set, free list and pending
-//!   retirements) is serialized into a page chain and journal-committed
-//!   atomically *with* the copy-on-write pages, so a crash lands on a
-//!   complete version or the previous one — never in between;
+//!   retirements) is serialized as `VMANIF01 | body_len: u32 | body`
+//!   onto a [`Chain`] of its own magic and journal-committed atomically
+//!   *with* the copy-on-write pages, so a crash lands on a complete
+//!   version or the previous one — never in between;
 //! * bounded-history GC retains the `keep` most recent versions plus
 //!   any older version still pinned by a reader. Physical pages retired
 //!   at version `r` are reclaimed to a free list once every retained
@@ -38,18 +39,17 @@
 //! manifest with zero pins, so the lag is invisible after a crash.
 
 use crate::journal::Journal;
+use crate::page::{Chain, Reader, Writer};
 use crate::pool::PageStore;
 use crate::sync::Mutex;
-use crate::{BufferPool, PageId, Result, StoreError, INVALID_PAGE, PAGE_SIZE};
+use crate::{BufferPool, PageId, Result, StoreError, INVALID_PAGE};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
-/// Magic tag on every manifest chain page.
-const VMAN_MAGIC: u32 = 0x5653_4E31; // "VSN1"
+/// The manifest's chain of pages.
+const MANIFEST: Chain = Chain::new(0x5653_4E31); // "VSN1"
 /// Magic prefix of the manifest payload itself.
 const VMAN_HEADER: &[u8; 8] = b"VMANIF01";
-/// Payload bytes per manifest chain page after the next-pointer + magic.
-const CHAIN_CAPACITY: usize = PAGE_SIZE - 8;
 
 /// Default number of recent versions retained for time-travel reads.
 pub const DEFAULT_KEEP: u32 = 8;
@@ -156,8 +156,14 @@ impl VersionedStore {
         };
         // The initial manifest is written directly (no journal): nothing
         // references the head page until the caller persists it.
-        let st = store.state.lock();
-        let images = store.manifest_images(&st, &st.manifest_pages)?;
+        let mut st = store.state.lock();
+        let versions: Vec<Arc<VersionInfo>> =
+            st.versions.values().map(|s| Arc::clone(&s.info)).collect();
+        let payload = Self::encode_manifest(st.latest, st.keep, &versions, &st.free, &st.pending);
+        let mut images = Vec::new();
+        st.manifest_pages = Self::lay_manifest(&payload, &st.manifest_pages, &mut images, || {
+            store.pool.allocate()
+        })?;
         drop(st);
         for (page, image) in &images {
             store.pool.overwrite_page(*page, image)?;
@@ -390,39 +396,17 @@ impl VersionedStore {
             &free,
             &new_pending,
         );
-        let pages_needed = payload.len().div_ceil(CHAIN_CAPACITY).max(1);
-        let mut chain = manifest_pages;
-        while chain.len() < pages_needed {
-            let p = match free.pop() {
-                Some(p) => p,
-                None => match self.pool.allocate() {
-                    Ok(p) => p,
-                    Err(e) => {
-                        restore_free(free);
-                        return Err(e);
-                    }
-                },
-            };
-            chain.push(p);
-        }
-        for i in 0..pages_needed {
-            let next = if i + 1 < chain.len() {
-                chain[i + 1]
-            } else {
-                INVALID_PAGE
-            };
-            let mut buf = vec![0u8; PAGE_SIZE].into_boxed_slice();
-            buf[0..4].copy_from_slice(&next.to_le_bytes());
-            buf[4..8].copy_from_slice(&VMAN_MAGIC.to_le_bytes());
-            let lo = i * CHAIN_CAPACITY;
-            let hi = payload.len().min(lo + CHAIN_CAPACITY);
-            if lo < hi {
-                buf[8..8 + (hi - lo)].copy_from_slice(&payload[lo..hi]);
+        let laid = Self::lay_manifest(&payload, &manifest_pages, &mut batch, || match free.pop() {
+            Some(p) => Ok(p),
+            None => self.pool.allocate(),
+        });
+        let chain = match laid {
+            Ok(chain) => chain,
+            Err(e) => {
+                restore_free(free);
+                return Err(e);
             }
-            batch.push((chain[i], buf));
-        }
-        // Spare tail pages from an earlier, larger manifest keep their
-        // on-disk link; `load_manifest` rediscovers them for reuse.
+        };
 
         batch.sort_by_key(|(page, _)| *page);
         if let Err(e) = self.journal.commit(&self.pool, &batch) {
@@ -481,152 +465,110 @@ impl VersionedStore {
         free: &[PageId],
         pending: &[(u32, Vec<PageId>)],
     ) -> Vec<u8> {
-        let mut body = Vec::new();
-        body.extend_from_slice(&latest.to_le_bytes());
-        body.extend_from_slice(&keep.to_le_bytes());
-        body.extend_from_slice(&(versions.len() as u32).to_le_bytes());
+        let mut body = Writer::default();
+        body.u32(latest);
+        body.u32(keep);
+        body.u32(versions.len() as u32);
         let mut prev: Option<&BTreeMap<PageId, PageId>> = None;
         for info in versions {
-            body.extend_from_slice(&info.version.to_le_bytes());
-            let entries: Vec<(PageId, PageId)> = match prev {
-                None => info.table.iter().map(|(l, p)| (*l, *p)).collect(),
-                Some(prev_table) => info
-                    .table
-                    .iter()
-                    .filter(|(l, p)| prev_table.get(l) != Some(p))
-                    .map(|(l, p)| (*l, *p))
-                    .collect(),
-            };
-            body.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-            for (l, p) in entries {
-                body.extend_from_slice(&l.to_le_bytes());
-                body.extend_from_slice(&p.to_le_bytes());
+            body.u32(info.version);
+            let entries: Vec<(&PageId, &PageId)> = info
+                .table
+                .iter()
+                .filter(|(l, p)| prev.and_then(|prev| prev.get(l)) != Some(p))
+                .collect();
+            body.u32(entries.len() as u32);
+            for (&l, &p) in entries {
+                body.u32(l);
+                body.u32(p);
             }
             prev = Some(&info.table);
         }
-        body.extend_from_slice(&(free.len() as u32).to_le_bytes());
-        for p in free {
-            body.extend_from_slice(&p.to_le_bytes());
+        body.u32(free.len() as u32);
+        for &p in free {
+            body.u32(p);
         }
-        body.extend_from_slice(&(pending.len() as u32).to_le_bytes());
+        body.u32(pending.len() as u32);
         for (retired_at, pages) in pending {
-            body.extend_from_slice(&retired_at.to_le_bytes());
-            body.extend_from_slice(&(pages.len() as u32).to_le_bytes());
-            for p in pages {
-                body.extend_from_slice(&p.to_le_bytes());
+            body.u32(*retired_at);
+            body.u32(pages.len() as u32);
+            for &p in pages {
+                body.u32(p);
             }
         }
-        let mut payload = Vec::with_capacity(8 + 4 + body.len());
-        payload.extend_from_slice(VMAN_HEADER);
-        payload.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        payload.extend_from_slice(&body);
-        payload
+        let body = body.into_bytes();
+        let mut payload = Writer::with_capacity(VMAN_HEADER.len() + 4 + body.len());
+        payload.bytes(VMAN_HEADER);
+        payload.u32(body.len() as u32);
+        payload.bytes(&body);
+        payload.into_bytes()
     }
 
-    /// Chain images for the current state — used only by `create` for
-    /// the initial (journal-free) manifest write.
-    fn manifest_images(
-        &self,
-        st: &VersionedState,
-        chain: &[PageId],
-    ) -> Result<Vec<(PageId, Box<[u8]>)>> {
-        let versions: Vec<Arc<VersionInfo>> =
-            st.versions.values().map(|s| Arc::clone(&s.info)).collect();
-        let payload = Self::encode_manifest(st.latest, st.keep, &versions, &st.free, &st.pending);
-        if payload.len() > chain.len() * CHAIN_CAPACITY {
-            return Err(StoreError::corrupt("manifest chain too short"));
-        }
-        let mut images = Vec::with_capacity(chain.len());
-        for i in 0..chain.len() {
-            let next = if i + 1 < chain.len() {
-                chain[i + 1]
-            } else {
-                INVALID_PAGE
-            };
-            let mut buf = vec![0u8; PAGE_SIZE].into_boxed_slice();
-            buf[0..4].copy_from_slice(&next.to_le_bytes());
-            buf[4..8].copy_from_slice(&VMAN_MAGIC.to_le_bytes());
-            let lo = i * CHAIN_CAPACITY;
-            let hi = payload.len().min(lo + CHAIN_CAPACITY);
-            if lo < hi {
-                buf[8..8 + (hi - lo)].copy_from_slice(&payload[lo..hi]);
-            }
-            images.push((chain[i], buf));
-        }
-        Ok(images)
+    /// Lays `payload` over the manifest chain `pages` (head first, spare
+    /// tail included), pushing the page images onto `images`, and returns
+    /// the chain's pages afterwards. Links are answered from `pages`, so
+    /// nothing is read; a spare tail stays linked behind the last page
+    /// written, and `load_manifest` rediscovers it for reuse.
+    fn lay_manifest(
+        payload: &[u8],
+        pages: &[PageId],
+        images: &mut Vec<(PageId, Box<[u8]>)>,
+        allocate: impl FnMut() -> Result<PageId>,
+    ) -> Result<Vec<PageId>> {
+        let mut spare = pages.iter().skip(1).copied();
+        let written = MANIFEST.write(
+            pages[0],
+            payload,
+            |_| Ok(spare.next().unwrap_or(INVALID_PAGE)),
+            allocate,
+            |page, laid| {
+                images.push((page, laid.image()));
+                Ok(())
+            },
+        )?;
+        Ok(if written.len() < pages.len() {
+            pages.to_vec()
+        } else {
+            written
+        })
     }
 
     /// Walks the chain from `head`, returning the parsed state (pins
     /// zeroed) and the full list of chain pages (including spare tail
     /// pages kept linked for reuse).
     fn load_manifest(pool: &BufferPool, head: PageId) -> Result<(VersionedState, Vec<PageId>)> {
-        // First pass: collect the chain and the raw payload bytes.
-        let mut chain = Vec::new();
         let mut payload = Vec::new();
-        let mut cursor = head;
-        while cursor != INVALID_PAGE {
-            let next = pool.with_page(cursor, |b| {
-                if u32::from_le_bytes(b[4..8].try_into().unwrap()) != VMAN_MAGIC {
-                    return Err(StoreError::corrupt_page(cursor, "manifest chain broken"));
-                }
-                payload.extend_from_slice(&b[8..]);
-                Ok(PageId::from_le_bytes(b[0..4].try_into().unwrap()))
-            })??;
-            chain.push(cursor);
-            cursor = next;
-            if chain.len() > 1_000_000 {
-                return Err(StoreError::corrupt("manifest chain cycle"));
-            }
-        }
-        if payload.len() < 12 || &payload[0..8] != VMAN_HEADER {
+        let chain = MANIFEST.read(pool, head, None, &mut payload)?;
+        let mut r = Reader::new(&payload);
+        if r.take(VMAN_HEADER.len())? != VMAN_HEADER {
             return Err(StoreError::corrupt_page(head, "manifest header missing"));
         }
-        let body_len = u32::from_le_bytes(payload[8..12].try_into().unwrap()) as usize;
-        if payload.len() < 12 + body_len {
-            return Err(StoreError::corrupt_page(head, "manifest truncated"));
-        }
-        let body = &payload[12..12 + body_len];
-        let mut r = ManifestReader { body, at: 0 };
+        let body_len = r.u32()? as usize;
+        let mut r = Reader::new(r.take(body_len)?);
         let latest = r.u32()?;
         let keep = r.u32()?.max(1);
-        let num_versions = r.u32()? as usize;
         let mut versions: BTreeMap<u32, VersionSlot> = BTreeMap::new();
-        let mut prev_table: BTreeMap<PageId, PageId> = BTreeMap::new();
-        for _ in 0..num_versions {
+        // Each version's table is its predecessor's plus the stored diff.
+        let mut table: BTreeMap<PageId, PageId> = BTreeMap::new();
+        for _ in 0..r.u32()? {
             let version = r.u32()?;
-            let entries = r.u32()? as usize;
-            let mut table = prev_table.clone();
-            for _ in 0..entries {
-                let l = r.u32()?;
-                let p = r.u32()?;
-                table.insert(l, p);
+            for _ in 0..r.u32()? {
+                table.insert(r.u32()?, r.u32()?);
             }
-            prev_table = table.clone();
-            versions.insert(
+            let info = Arc::new(VersionInfo {
                 version,
-                VersionSlot {
-                    info: Arc::new(VersionInfo { version, table }),
-                    pins: 0,
-                },
-            );
+                table: table.clone(),
+            });
+            versions.insert(version, VersionSlot { info, pins: 0 });
         }
-        let free_len = r.u32()? as usize;
-        let mut free = Vec::with_capacity(free_len);
-        for _ in 0..free_len {
-            free.push(r.u32()?);
-        }
-        let pending_len = r.u32()? as usize;
-        let mut pending = Vec::with_capacity(pending_len);
-        for _ in 0..pending_len {
+        let free = (0..r.u32()?).map(|_| r.u32()).collect::<Result<_>>()?;
+        let mut pending = Vec::new();
+        for _ in 0..r.u32()? {
             let retired_at = r.u32()?;
-            let n = r.u32()? as usize;
-            let mut pages = Vec::with_capacity(n);
-            for _ in 0..n {
-                pages.push(r.u32()?);
-            }
+            let pages = (0..r.u32()?).map(|_| r.u32()).collect::<Result<_>>()?;
             pending.push((retired_at, pages));
         }
-        if versions.is_empty() || !versions.contains_key(&latest) {
+        if !versions.contains_key(&latest) {
             return Err(StoreError::corrupt_page(head, "manifest missing latest"));
         }
         Ok((
@@ -640,22 +582,6 @@ impl VersionedStore {
             },
             chain,
         ))
-    }
-}
-
-struct ManifestReader<'a> {
-    body: &'a [u8],
-    at: usize,
-}
-
-impl ManifestReader<'_> {
-    fn u32(&mut self) -> Result<u32> {
-        if self.at + 4 > self.body.len() {
-            return Err(StoreError::corrupt("manifest body truncated"));
-        }
-        let v = u32::from_le_bytes(self.body[self.at..self.at + 4].try_into().unwrap());
-        self.at += 4;
-        Ok(v)
     }
 }
 

@@ -87,6 +87,18 @@ if [ -n "$probes" ] || [ "$seeds" -gt 1 ] || [ "$offers" -gt 1 ]; then
        "call sites, $offers k-best offers" >&2
   exit 1
 fi
+# Every page layout is written with one codec (DESIGN.md §7): outside the
+# page module and the frame checksum, no line above a file's first
+# `#[cfg(test)]` converts little-endian bytes by hand.
+le_bytes="$(git grep -lE '(from|to)_le_bytes' -- 'crates/*/src/*.rs' \
+  ':!crates/store/src/page.rs' ':!crates/store/src/checksum.rs' \
+  | xargs -r awk '/#\[cfg\(test\)\]/ { nextfile } /(from|to)_le_bytes/ { print FILENAME ":" FNR; nextfile }' \
+  || true)"
+if [ -n "$le_bytes" ]; then
+  echo "ci: a page layout is encoded by hand; read and write it through" \
+       "ann_store::{Reader, Writer} (crates/store/src/page.rs):" $le_bytes >&2
+  exit 1
+fi
 
 # Registry crates stay gone: every package cargo resolves, for every
 # target of every workspace member, is a path inside this repository.

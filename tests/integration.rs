@@ -6,6 +6,7 @@ use allnn::core::brute::brute_force_aknn;
 use allnn::core::index::validate;
 use allnn::core::query::{Algorithm, AnnRequest, Input, NoIndex};
 use allnn::core::stats::NeighborPair;
+use allnn::core::WritableIndex;
 use allnn::gorder::{gorder_join, GorderConfig};
 use allnn::mbrqt::{Mbrqt, MbrqtConfig};
 use allnn::rstar::{RStar, RStarConfig};
@@ -113,8 +114,8 @@ fn file_backed_end_to_end() {
     } // drop everything: cold restart
 
     let pool = Arc::new(BufferPool::new(FileDisk::open(&path).unwrap(), 64));
-    let qt: Mbrqt<2> = Mbrqt::open(pool.clone(), qt_meta).unwrap();
-    let rs: RStar<2> = RStar::open(pool.clone(), rs_meta).unwrap();
+    let qt: Mbrqt<2> = Mbrqt::open_at(pool.clone(), qt_meta, None).unwrap();
+    let rs: RStar<2> = RStar::open_at(pool.clone(), rs_meta, None).unwrap();
     assert_eq!(validate(&qt).unwrap().objects, 2_000);
     assert_eq!(validate(&rs).unwrap().objects, 2_000);
 
