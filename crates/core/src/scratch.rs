@@ -9,6 +9,16 @@
 //! reached its high-water capacity and subsequent queries perform no
 //! heap allocation from the pooled paths.
 //!
+//! One buffer is deliberately not pooled: the storage of an LPQ owned by
+//! an index *node*. A join creates few of those (about 1 000 in a 20 000-
+//! point 10-D self-join), but each can grow to thousands of entries; a
+//! pool hands its buffers out LIFO, so every parked buffer would keep the
+//! capacity of the largest queue it ever served, and the arena would
+//! ratchet up join after join. A node-owned LPQ starts from an empty
+//! `Vec` and its storage goes back to the allocator when it is retired.
+//! Object-owned LPQs — tens of thousands per join, each at most a few
+//! dozen entries — draw from the pool.
+//!
 //! # Lifecycle
 //!
 //! Buffers are checked out with `take_*` (popping a parked buffer, or
@@ -18,15 +28,16 @@
 //! own one. [`query::run`](crate::query::run) creates a transient arena
 //! internally; [`query::run_scratch`](crate::query::run_scratch) accepts a
 //! caller-owned arena, which a join resolving to one worker uses
-//! directly, for an allocation-free steady state.
+//! directly, so its pooled buffers survive from one join to the next.
 //!
 //! # Observability
 //!
 //! [`footprint_bytes`](QueryScratch::footprint_bytes) reports the total
-//! capacity currently *parked* in the arena. Because capacities only
-//! ever grow, a stable footprint across repeated identical queries
-//! proves the steady state reallocates nothing — that is exactly what
-//! the reuse test in `crates/core/tests/scratch_reuse.rs` asserts.
+//! capacity currently *parked* in the arena. Because pooled capacities
+//! only ever grow, a stable footprint across repeated identical queries
+//! proves the pooled paths reallocate nothing, and a small one proves no
+//! node-sized queue is being hoarded — `crates/core/tests/scratch_reuse.rs`
+//! asserts both.
 
 use crate::lpq::{Lpq, QueuedEntry};
 use crate::node::Entry;
@@ -205,13 +216,12 @@ impl KBestSet {
 #[derive(Debug, Default)]
 pub struct QueryScratch<const D: usize> {
     f64_bufs: Vec<Vec<f64>>,
-    /// LPQ backing storage, pooled by owner kind (`[object-owned,
-    /// node-owned]`). A node-owned LPQ queues hundreds of entries, an
-    /// object-owned one a few dozen; out of one shared LIFO pool every
-    /// buffer eventually serves a node owner and keeps that capacity
-    /// (8.6 MiB parked per serving worker after ~100 queries of a
-    /// 4 000-point join, against 0.75 MiB pooled by kind).
-    entry_bufs: [Vec<Vec<QueuedEntry<D>>>; 2],
+    /// Backing storage of object-owned LPQs only; a node-owned LPQ
+    /// allocates its own and frees it (see the module docs). After a
+    /// 20 000-point uniform 10-D self-join at k = 10 the whole arena
+    /// parks 0.77 MiB; with node-owned storage pooled too it parked
+    /// 201 MiB.
+    entry_bufs: Vec<Vec<QueuedEntry<D>>>,
     lpq_lists: Vec<Vec<Lpq<D>>>,
     lpq_queues: Vec<VecDeque<Lpq<D>>>,
     page_stacks: Vec<Vec<PageId>>,
@@ -242,21 +252,22 @@ impl<const D: usize> QueryScratch<D> {
         self.f64_bufs.push(buf);
     }
 
-    fn entry_pool(&mut self, owner: &Entry<D>) -> &mut Vec<Vec<QueuedEntry<D>>> {
-        &mut self.entry_bufs[usize::from(matches!(owner, Entry::Node(_)))]
-    }
-
-    /// An empty LPQ for `owner` (see [`Lpq::new`]) over pooled storage.
+    /// An empty LPQ for `owner` (see [`Lpq::new`]): over pooled storage
+    /// for an object owner, over a fresh `Vec` for a node owner.
     pub fn take_lpq(&mut self, owner: Entry<D>, k: usize, inherited_bound_sq: f64) -> Lpq<D> {
-        let storage = self.entry_pool(&owner).pop().unwrap_or_default();
+        let storage = match owner {
+            Entry::Object(_) => self.entry_bufs.pop().unwrap_or_default(),
+            Entry::Node(_) => Vec::new(),
+        };
         Lpq::new_in(owner, k, inherited_bound_sq, storage)
     }
 
-    /// Returns a finished (or abandoned) LPQ's storage to its owner kind's
-    /// pool.
+    /// Retires a finished (or abandoned) LPQ: an object owner's storage
+    /// goes back to the pool, a node owner's back to the allocator.
     pub fn put_lpq(&mut self, lpq: Lpq<D>) {
-        let owner = lpq.owner;
-        self.entry_pool(&owner).push(lpq.into_storage());
+        if let Entry::Object(_) = lpq.owner {
+            self.entry_bufs.push(lpq.into_storage());
+        }
     }
 
     /// A child-LPQ list for MBA's Expand stage.
@@ -343,11 +354,12 @@ impl<const D: usize> QueryScratch<D> {
 
     /// Total bytes of capacity currently parked in the arena (checked-out
     /// buffers are not counted — return everything before comparing).
-    /// Capacities never shrink, so a stable footprint across repeated
-    /// identical queries proves the steady state allocates nothing new.
+    /// Pooled capacities never shrink, so a stable footprint across
+    /// repeated identical queries proves the pooled paths allocate
+    /// nothing new.
     pub fn footprint_bytes(&self) -> usize {
         pool_bytes(&self.f64_bufs)
-            + self.entry_bufs.iter().map(|p| pool_bytes(p)).sum::<usize>()
+            + pool_bytes(&self.entry_bufs)
             + self
                 .lpq_lists
                 .iter()
@@ -368,7 +380,7 @@ impl<const D: usize> QueryScratch<D> {
     /// Number of buffers currently parked across all pools.
     pub fn parked(&self) -> usize {
         self.f64_bufs.len()
-            + self.entry_bufs.iter().map(Vec::len).sum::<usize>()
+            + self.entry_bufs.len()
             + self.lpq_lists.len()
             + self.lpq_queues.len()
             + self.page_stacks.len()
@@ -398,7 +410,7 @@ mod tests {
     }
 
     #[test]
-    fn lpq_storage_is_pooled_by_owner_kind() {
+    fn node_owned_lpq_storage_is_not_parked() {
         use crate::node::{NodeEntry, ObjectEntry};
         use ann_geom::{Mbr, Point};
         let node = Entry::Node(NodeEntry {
@@ -410,22 +422,32 @@ mod tests {
             oid: 1,
             point: Point::new([0.0, 0.0]),
         });
+        let fill = |lpq: &mut Lpq<2>, n: u32| {
+            for i in 0..n {
+                lpq.try_enqueue(QueuedEntry {
+                    mind_sq: f64::from(i),
+                    maxd_sq: f64::INFINITY,
+                    entry: object,
+                });
+            }
+        };
         let mut s: QueryScratch<2> = QueryScratch::new();
         let mut big = s.take_lpq(node, 1, f64::INFINITY);
-        for i in 0..300 {
-            big.try_enqueue(QueuedEntry {
-                mind_sq: f64::from(i),
-                maxd_sq: f64::INFINITY,
-                entry: object,
-            });
-        }
+        fill(&mut big, 300);
         s.put_lpq(big);
-        // An object-owned queue does not inherit the node-owned capacity…
-        let small = s.take_lpq(object, 1, f64::INFINITY);
-        assert_eq!(small.into_storage().capacity(), 0);
-        // …which is parked for the next node owner.
+        // A node-owned queue's storage goes back to the allocator…
+        assert_eq!(s.parked(), 0);
+        assert_eq!(s.footprint_bytes(), 0);
+        // …and the next node owner starts from nothing.
         let big = s.take_lpq(node, 1, f64::INFINITY);
-        assert!(big.into_storage().capacity() >= 300);
+        assert_eq!(big.into_storage().capacity(), 0);
+        // An object-owned queue's storage is parked with its capacity.
+        let mut small = s.take_lpq(object, 1, f64::INFINITY);
+        fill(&mut small, 40);
+        s.put_lpq(small);
+        assert_eq!(s.parked(), 1);
+        let small = s.take_lpq(object, 1, f64::INFINITY);
+        assert!(small.into_storage().capacity() >= 40);
     }
 
     #[test]

@@ -6,6 +6,11 @@
 //! byte-stable footprint across 100 queries proves the pooled paths
 //! performed no reallocation after warm-up.
 //!
+//! Node-owned LPQs are not pooled: their storage goes back to the
+//! allocator, so a 10-D join — whose node queues reach thousands of
+//! entries — parks the same few hundred KiB after every join instead of
+//! ratcheting up by megabytes.
+//!
 //! Also asserts that `run_scratch` with a caller-owned arena returns
 //! exactly what `run` with a transient one returns: pooling is invisible.
 
@@ -41,8 +46,8 @@ fn build_tree(pts: &[(u64, Point<2>)]) -> Mbrqt<2> {
 }
 
 /// Warms one scratch until its parked footprint reaches the high-water
-/// mark (the LIFO pools may rotate buffers through differently-sized
-/// roles for a few rounds, growing capacities toward the orbit maximum),
+/// mark (a LIFO pool may hand a buffer to a larger queue of the same kind
+/// than any it served before, growing its capacity for a few rounds),
 /// then asserts 100 further queries are allocation-free: byte-identical
 /// footprint and parked-buffer count on every one.
 fn assert_steady_state<F: FnMut(&mut QueryScratch<2>)>(label: &str, mut query: F) {
@@ -100,6 +105,37 @@ fn mba_steady_state_reallocates_nothing() {
         );
         assert_eq!(got.stats.enqueued, want.stats.enqueued);
     });
+}
+
+/// A 10-D self-join's node-owned LPQs grow to thousands of entries; if
+/// their storage were parked, every join would leave the arena holding
+/// more (8.6 MiB after the first of these joins, 13.3 MiB after the
+/// next). Only object-owned storage is parked: 340 KiB, from the first
+/// join on.
+#[test]
+fn mba_10d_aknn_scratch_stays_small_and_flat() {
+    let pts = random_points::<10>(500, 11);
+    let pool = Arc::new(BufferPool::new(MemDisk::new(), 256));
+    let tree = Mbrqt::bulk_build(pool, &pts, &MbrqtConfig::default()).unwrap();
+    let req = AnnRequest::new(Algorithm::mba()).k(10).exclude_self(true);
+    let mut scratch = QueryScratch::new();
+    let mut footprints = Vec::new();
+    for _ in 0..3 {
+        let out = req
+            .run_scratch(Input::Index(&tree), Input::Index(&tree), &mut scratch)
+            .unwrap();
+        assert_eq!(out.results.len(), 500 * 10);
+        footprints.push(scratch.footprint_bytes());
+    }
+    assert!(
+        footprints.iter().all(|&f| f == footprints[0]),
+        "parked footprint moved between joins: {footprints:?}"
+    );
+    assert!(
+        footprints[0] <= 1 << 20,
+        "a 500-point join parks {} bytes",
+        footprints[0]
+    );
 }
 
 #[test]

@@ -26,6 +26,7 @@ use ann_geom::Point;
 use ann_mbrqt::{Mbrqt, MbrqtConfig};
 use ann_rstar::{RStar, RStarConfig};
 use ann_serve::client::{Client, Conn};
+use ann_serve::registry::Collection;
 use ann_serve::server::{Server, ServerConfig};
 use ann_store::{BufferPool, MemDisk};
 
@@ -409,6 +410,37 @@ fn saturated_server_answers_429() {
     server.shutdown();
 }
 
+/// Sends an all-NN self-join of `coll` (`k = 32`: about a second over the
+/// disconnect tests' 30 000 points in a release build) to `target` by
+/// hand, and hangs up without reading the response as soon as the
+/// traversal has read a page. The pin reads the meta page, the traversal
+/// everything after it; a query cancelled before its first read would be
+/// refused up front, never reaching the traversal under test. Dropping
+/// the stream sends FIN: the connection thread's next 10 ms poll sees
+/// EOF and fires the CancelToken while the join is still running.
+fn hang_up_mid_query(server: &Server, coll: &Collection, target: &str) {
+    let body = QuerySpec {
+        k: 32,
+        exclude_self: true,
+        ..QuerySpec::default()
+    }
+    .to_json();
+    let reads_before = coll.pool.stats().logical_reads;
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    let head = format!(
+        "POST {target} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n",
+        body.len()
+    );
+    stream.write_all(head.as_bytes()).expect("write head");
+    stream.write_all(body.as_bytes()).expect("write body");
+    stream.flush().expect("flush");
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while coll.pool.stats().logical_reads < reads_before + 2 {
+        assert!(Instant::now() < deadline, "the query never started");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 /// Client disconnect mid-query cancels the traversal and releases every
 /// pinned frame (the PR 7 clean-abort contract, over a real socket).
 #[test]
@@ -420,29 +452,12 @@ fn disconnect_mid_query_cancels_and_releases_pins() {
         .create_collection("victim", "mbrqt", &to_rows(&points))
         .expect("create");
     assert_eq!(created.status, 201, "{}", created.body);
+    let coll = server
+        .registry()
+        .get(&"victim".parse().expect("id"))
+        .expect("collection");
 
-    let spec = QuerySpec {
-        k: 8,
-        exclude_self: true,
-        ..QuerySpec::default()
-    };
-    let body = spec.to_json();
-
-    // Send the query by hand, give the worker time to get deep into the
-    // traversal, then hang up without reading the response.
-    {
-        let mut stream = TcpStream::connect(server.addr()).expect("connect");
-        let head = format!(
-            "POST /collections/victim/query HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n",
-            body.len()
-        );
-        stream.write_all(head.as_bytes()).expect("write head");
-        stream.write_all(body.as_bytes()).expect("write body");
-        stream.flush().expect("flush");
-        std::thread::sleep(Duration::from_millis(300));
-        // Dropping the stream sends FIN: the connection thread's poll
-        // sees EOF and fires the CancelToken.
-    }
+    hang_up_mid_query(&server, &coll, "/collections/victim/query");
 
     // The worker must observe the cancellation, abort cleanly, and
     // release every pin.
@@ -458,10 +473,6 @@ fn disconnect_mid_query_cancels_and_releases_pins() {
         );
         std::thread::sleep(Duration::from_millis(20));
     }
-    let coll = server
-        .registry()
-        .get(&"victim".parse().expect("id"))
-        .expect("collection");
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let pinned = coll.pool.pinned_frames();
@@ -1158,27 +1169,14 @@ fn disconnect_cancels_parallel_query_and_releases_everything() {
         .create_collection("victim", "mbrqt", &to_rows(&points))
         .expect("create");
     assert_eq!(created.status, 201, "{}", created.body);
+    let coll = server
+        .registry()
+        .get(&"victim".parse().expect("id"))
+        .expect("collection");
 
-    let spec = QuerySpec {
-        k: 8,
-        exclude_self: true,
-        ..QuerySpec::default()
-    };
-    let body = spec.to_json();
-
-    {
-        let mut stream = TcpStream::connect(server.addr()).expect("connect");
-        let head = format!(
-            "POST /collections/victim/query?threads=4 HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n",
-            body.len()
-        );
-        stream.write_all(head.as_bytes()).expect("write head");
-        stream.write_all(body.as_bytes()).expect("write body");
-        stream.flush().expect("flush");
-        std::thread::sleep(Duration::from_millis(300));
-        // FIN → connection thread fires the CancelToken; the engine's
-        // abort flag stops every worker at its next pop/tick.
-    }
+    // The fired token trips the engine's abort flag, which stops every
+    // worker at its next pop/tick.
+    hang_up_mid_query(&server, &coll, "/collections/victim/query?threads=4");
 
     let deadline = Instant::now() + Duration::from_secs(20);
     loop {
@@ -1191,10 +1189,6 @@ fn disconnect_cancels_parallel_query_and_releases_everything() {
         );
         std::thread::sleep(Duration::from_millis(20));
     }
-    let coll = server
-        .registry()
-        .get(&"victim".parse().expect("id"))
-        .expect("collection");
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let pinned = coll.pool.pinned_frames();

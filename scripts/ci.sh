@@ -258,6 +258,13 @@ rm -rf "$trace_dir"
 # Independent seed for the same budget-isolation reason as above.
 cargo run --release --offline --locked -p checker --bin fuzz -- --class wire --seed 0x3133 --cases 300
 
+# Disconnect gate: a client that hangs up mid-query must cancel the
+# running traversal, serial and parallel. These tests race a join
+# against the server's 10 ms disconnect poll, and a join finishes far
+# sooner in a release build than in the debug build tier-1 tests, so
+# they run here in release too.
+cargo test -q --release --offline --locked -p ann-serve --test serving disconnect
+
 # Serving smoke: boot the real binary on an ephemeral port, drive the
 # full collection lifecycle plus a query through raw HTTP, and shut it
 # down cleanly over the wire.
