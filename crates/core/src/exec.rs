@@ -6,30 +6,37 @@
 //! the `Query` span and the first guard tick, the abort phase, the
 //! `QueryAborted` event with the partial statistics attached, and the
 //! canonical `(r_oid, dist, s_oid)` sort. [`Frame::join`] is the only
-//! place that knows how morsels are executed: the `Join` span, one lead
-//! [`Worker`] on the calling thread that seeds the work, and then either
+//! place that knows how morsels are executed, and the only place in the
+//! crate that starts a thread: the `Join` span, one lead [`Worker`] on
+//! the calling thread with the *caller's* [`QueryScratch`] that seeds the
+//! work, and then either
 //!
 //! * **one worker** — the lead drains the seeds in order from a local
-//!   FIFO with the *caller's* [`QueryScratch`]. No thread, no
-//!   [`MorselPool`](crate::morsel::MorselPool), no lock or atomic per
-//!   morsel; a step is told it may not hand work to siblings
-//!   ([`Spill::shared`] is false), so it finishes each morsel inline —
-//!   which is the serial algorithm, page-op for page-op; or
-//! * **several workers** — the same step runs under
-//!   [`par::run_workers`](crate::par::run_workers), one fresh scratch per
-//!   worker, splitting large morsels into stealable children.
+//!   FIFO. No thread, no [`MorselPool`], no lock or atomic per morsel; a
+//!   step is told it may not hand work to siblings ([`Spill::shared`] is
+//!   false), so it finishes each morsel inline — which is the serial
+//!   algorithm, page-op for page-op; or
+//! * **several workers** — the lead is worker 0 of a [`MorselPool`], and
+//!   `workers − 1` scoped helpers, each with a fresh scratch, join it.
+//!   Every worker runs [`drain`], splitting large morsels into stealable
+//!   children, and traces live into the request's [`Tracer`]: a worker
+//!   emits a node's expansion before it publishes the children, so a
+//!   sink still sees every parent before its children. Outputs fold in
+//!   worker order; the first panic is re-raised, else the first error
+//!   returned.
 //!
 //! An algorithm supplies only what is specific to it: serial preparation
 //! (under [`Frame::phase`]), its seed morsels, its per-worker local
 //! state, one morsel step, and its prune summary.
 
-use crate::morsel::resolve_threads;
-use crate::par::{self, WorkerHandle};
+use crate::morsel::{resolve_threads, MorselPool};
 use crate::resilience::{attach_partial_stats, QueryGuard, QueryResult};
 use crate::scratch::QueryScratch;
 use crate::stats::AnnOutput;
 use crate::trace::{Phase, PruneReason, TraceEvent, Tracer};
 use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
+use std::thread;
 
 /// What every algorithm's `run` executes over: where observations go,
 /// what may stop it, whose buffers it uses, and how many workers the
@@ -55,21 +62,22 @@ pub(crate) struct Worker<'a, const D: usize, L> {
 pub(crate) enum Spill<'a, T> {
     /// One worker: children join the back of the calling thread's FIFO.
     Local(&'a mut VecDeque<T>),
-    /// Several workers: children become stealable.
-    Shared(&'a WorkerHandle<'a, T>),
+    /// Several workers: children join this worker's deque in the shared
+    /// pool, from which siblings steal.
+    Shared(&'a MorselPool<T>, usize),
 }
 
 impl<T> Spill<'_, T> {
     /// Whether siblings exist to take a split morsel's children. A step
     /// splits for load balance only when this holds.
     pub(crate) fn shared(&self) -> bool {
-        matches!(self, Spill::Shared(_))
+        matches!(self, Spill::Shared(..))
     }
 
     pub(crate) fn push(&mut self, unit: T) {
         match self {
             Spill::Local(queue) => queue.push_back(unit),
-            Spill::Shared(handle) => handle.push(unit),
+            Spill::Shared(pool, worker) => pool.push(*worker, unit),
         }
     }
 }
@@ -227,34 +235,253 @@ impl<const D: usize> Frame<'_, D> {
             self.out = join.retire(lead);
             ran
         } else {
-            self.out = join.retire(lead);
-            let (pout, err) = par::run_workers(self.workers, seeds, tracer, |h| {
-                // A worker reads pages under the query's own retry policy,
-                // as the calling thread does.
-                let _retry = guard.retry_scope();
-                let mut scratch = QueryScratch::new();
-                let mut w = Worker {
-                    tracer: h.tracer(),
-                    guard,
-                    local: join.local(&mut scratch),
-                    scratch: &mut scratch,
-                    out: AnnOutput::default(),
-                };
-                let ran = (|| -> QueryResult<()> {
-                    while let Some(morsel) = h.pop() {
-                        let step = join.step(&mut w, morsel, &mut Spill::Shared(&h));
-                        h.complete();
-                        step?;
-                    }
-                    Ok(())
-                })();
-                (join.retire(w), ran)
+            let pool = MorselPool::new(self.workers, seeds);
+            let drained = thread::scope(|scope| {
+                let helpers: Vec<_> = (1..self.workers)
+                    .map(|index| {
+                        let pool = &pool;
+                        scope.spawn(move || {
+                            // A helper reads pages under the query's own
+                            // retry policy, as the calling thread does.
+                            let _retry = guard.retry_scope();
+                            let mut scratch = QueryScratch::new();
+                            let helper = Worker {
+                                tracer,
+                                guard,
+                                local: join.local(&mut scratch),
+                                scratch: &mut scratch,
+                                out: AnnOutput::default(),
+                            };
+                            drain(join, helper, pool, index)
+                        })
+                    })
+                    .collect();
+                let mut drained = vec![drain(join, lead, &pool, 0)];
+                drained.extend(helpers.into_iter().map(|h| h.join().unwrap_or_else(Err)));
+                drained
             });
-            self.out.results.extend(pout.results);
-            self.out.stats.merge(&pout.stats);
-            err.map_or(Ok(()), Err)
+            self.out = AnnOutput::default();
+            let mut ran = Ok(());
+            for worker in drained {
+                let (out, status) = worker.unwrap_or_else(|payload| panic::resume_unwind(payload));
+                self.out.results.extend(out.results);
+                self.out.stats.merge(&out.stats);
+                ran = ran.and(status);
+            }
+            ran
         };
         tracer.span_exit(Phase::Join, span_j, || guard.io());
         ran
+    }
+}
+
+/// One worker's share of a parallel join: pop, step, complete until the
+/// pool runs dry or aborts. A failed or panicking step aborts the pool so
+/// no sibling waits on the morsel it will never complete. Returns the
+/// retired output with the worker's status, or the panic payload — a
+/// panicking worker's state is abandoned unretired, as a serial panic
+/// abandons it.
+fn drain<J: Join<D>, const D: usize>(
+    join: &J,
+    mut w: Worker<'_, D, J::Local>,
+    pool: &MorselPool<J::Morsel>,
+    index: usize,
+) -> thread::Result<(AnnOutput, QueryResult<()>)> {
+    let ran = panic::catch_unwind(AssertUnwindSafe(|| {
+        while let Some(morsel) = pool.pop(index) {
+            let step = join.step(&mut w, morsel, &mut Spill::Shared(pool, index));
+            pool.complete();
+            step?;
+        }
+        Ok(())
+    }));
+    if !matches!(ran, Ok(Ok(()))) {
+        pool.abort();
+    }
+    ran.map(|ran| (join.retire(w), ran))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::resilience::{BudgetKind, QueryError};
+    use crate::stats::NeighborPair;
+    use ann_store::sync::Mutex;
+    use std::collections::HashSet;
+    use std::thread::ThreadId;
+    use std::time::Duration;
+
+    /// How the toy join's step misbehaves.
+    #[derive(Clone, Copy)]
+    enum Fault {
+        None,
+        /// The step for this morsel fails with a budget abort.
+        ErrAt(u64),
+        /// Every step on the calling thread panics.
+        PanicOnCaller,
+        /// Every step off the calling thread panics.
+        PanicOffCaller,
+    }
+
+    /// A toy join over `u64` morsels: each yields one pair and counts one
+    /// `enqueued`, and one below `split_below` also pushes its two
+    /// children `2u` and `2u + 1`. With a fault set, every step that does
+    /// not fault takes a millisecond, so the faulting worker is sure to
+    /// run while its siblings still hold work.
+    struct Toy {
+        seeds: Vec<u64>,
+        split_below: u64,
+        fault: Fault,
+        caller: ThreadId,
+        ran_on: Mutex<HashSet<ThreadId>>,
+    }
+
+    impl Toy {
+        fn new(seeds: Vec<u64>, split_below: u64, fault: Fault) -> Self {
+            Toy {
+                seeds,
+                split_below,
+                fault,
+                caller: thread::current().id(),
+                ran_on: Mutex::new(HashSet::new()),
+            }
+        }
+
+        fn run(&self, workers: usize) -> QueryResult<AnnOutput> {
+            let guard = QueryGuard::disabled();
+            let ctx = ExecCtx {
+                tracer: Tracer::disabled(),
+                guard: &guard,
+                scratch: &mut QueryScratch::new(),
+                threads: workers,
+            };
+            drive(ctx, false, |frame| frame.join(self))
+        }
+    }
+
+    impl Join<2> for Toy {
+        type Morsel = u64;
+        type Local = ();
+
+        fn local(&self, _scratch: &mut QueryScratch<2>) {}
+
+        fn seeds(&self, _lead: &mut Worker<'_, 2, ()>) -> Vec<u64> {
+            self.seeds.clone()
+        }
+
+        fn step(
+            &self,
+            w: &mut Worker<'_, 2, ()>,
+            unit: u64,
+            spill: &mut Spill<'_, u64>,
+        ) -> QueryResult<()> {
+            let me = thread::current().id();
+            self.ran_on.lock().insert(me);
+            match self.fault {
+                Fault::None => {}
+                Fault::ErrAt(at) if unit == at => {
+                    return Err(QueryError::BudgetExhausted {
+                        budget: BudgetKind::Visits,
+                        partial: Box::default(),
+                    })
+                }
+                Fault::PanicOnCaller if me == self.caller => panic!("injected lead panic"),
+                Fault::PanicOffCaller if me != self.caller => panic!("injected helper panic"),
+                _ => thread::sleep(Duration::from_millis(1)),
+            }
+            if unit < self.split_below {
+                spill.push(2 * unit);
+                spill.push(2 * unit + 1);
+            }
+            w.out.stats.enqueued += 1;
+            w.out.results.push(NeighborPair {
+                r_oid: unit,
+                s_oid: unit,
+                dist: 0.0,
+            });
+            Ok(())
+        }
+
+        fn retire(&self, w: Worker<'_, 2, ()>) -> AnnOutput {
+            w.out
+        }
+    }
+
+    /// Runs the toy at 1, 2, 3 and 8 workers and checks every step's pair
+    /// and counter reached the folded output once, and that the calling
+    /// thread was worker 0: at most `workers − 1` other threads ran a step.
+    fn assert_folds(seeds: Vec<u64>, split_below: u64, expect: std::ops::Range<u64>) {
+        for workers in [1usize, 2, 3, 8] {
+            let toy = Toy::new(seeds.clone(), split_below, Fault::None);
+            let out = toy.run(workers).unwrap();
+            let mut oids: Vec<u64> = out.results.iter().map(|p| p.r_oid).collect();
+            oids.sort_unstable();
+            assert_eq!(
+                oids,
+                expect.clone().collect::<Vec<u64>>(),
+                "workers={workers}"
+            );
+            assert_eq!(
+                out.stats.enqueued,
+                expect.end - expect.start,
+                "workers={workers}"
+            );
+            let ran_on = toy.ran_on.into_inner();
+            let helpers = ran_on.iter().filter(|&&t| t != toy.caller).count();
+            assert!(helpers < workers, "workers={workers}: {ran_on:?}");
+        }
+    }
+
+    #[test]
+    fn merges_results_and_folds_stats() {
+        assert_folds((0..37).collect(), 0, 0..37);
+    }
+
+    #[test]
+    fn worker_pushed_children_are_processed() {
+        // One seed below the split threshold fans out to the full binary
+        // tree 1..128.
+        assert_folds(vec![1], 64, 1..128);
+    }
+
+    #[test]
+    fn first_error_aborts_the_pool_and_keeps_partial_stats() {
+        // The lead's deque holds 0, 3, …, 999 and it pops newest first:
+        // its tenth step fails, after nine counted ones.
+        let toy = Toy::new((0..1000).collect(), 0, Fault::ErrAt(999 - 3 * 9));
+        match toy.run(3) {
+            Err(QueryError::BudgetExhausted { partial, .. }) => {
+                assert!(partial.enqueued >= 9, "the lead's steps folded in");
+                assert!(
+                    partial.enqueued < 500,
+                    "abort drained the pool early: {}",
+                    partial.enqueued
+                );
+            }
+            other => panic!("expected the step's budget abort, got {other:?}"),
+        }
+    }
+
+    fn panic_message(fault: Fault) -> String {
+        let caught = panic::catch_unwind(|| Toy::new((0..1000).collect(), 0, fault).run(2));
+        let payload = caught.expect_err("the panic must propagate, not hang");
+        payload
+            .downcast_ref::<&str>()
+            .copied()
+            .unwrap_or("")
+            .to_string()
+    }
+
+    #[test]
+    fn lead_panic_propagates_instead_of_hanging() {
+        assert_eq!(panic_message(Fault::PanicOnCaller), "injected lead panic");
+    }
+
+    #[test]
+    fn helper_panic_propagates_instead_of_hanging() {
+        assert_eq!(
+            panic_message(Fault::PanicOffCaller),
+            "injected helper panic"
+        );
     }
 }

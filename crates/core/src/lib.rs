@@ -56,7 +56,6 @@ pub mod mnn;
 pub mod morsel;
 pub mod node;
 pub mod node_cache;
-pub mod par;
 pub mod prelude;
 pub mod query;
 pub mod readahead;

@@ -1,4 +1,4 @@
-//! Morsel decomposition of R-side work for the parallel engine.
+//! Morsel decomposition of R-side work for a parallel join.
 //!
 //! A *morsel* is a bounded unit of query-side work: an LPQ subtree for
 //! MBA, one Hilbert-contiguous group for BNN, an `I_R` subtree (degrading
@@ -32,8 +32,8 @@
 //! they are fixed by the input (tree structure, group size, point order).
 //! Which worker processes which morsel *does* vary run to run; every
 //! algorithm built on this pool therefore only uses morsels whose results
-//! are independent of processing order, and the engine
-//! ([`crate::par::run_workers`]) canonicalizes the merged output.
+//! are independent of processing order, and the join driver (`exec.rs`)
+//! canonicalizes the merged output.
 
 use ann_store::sync::{unpoisoned, Mutex};
 use std::collections::VecDeque;
@@ -196,11 +196,6 @@ impl<T> MorselPool<T> {
         self.aborted.store(true, Ordering::Release);
         self.notify();
     }
-
-    /// Whether [`abort`](Self::abort) has been called.
-    pub fn is_aborted(&self) -> bool {
-        self.aborted.load(Ordering::Acquire)
-    }
 }
 
 #[cfg(test)]
@@ -253,7 +248,6 @@ mod tests {
     fn abort_unblocks_pop_with_work_queued() {
         let pool = MorselPool::new(1, vec![7]);
         pool.abort();
-        assert!(pool.is_aborted());
         assert_eq!(pool.pop(0), None, "aborted pools hand out no work");
     }
 

@@ -251,8 +251,9 @@ pub struct QuerySpec {
     /// algorithm, `0` for one worker per available core, and any other
     /// value for that many workers. A count that *resolves* to one
     /// worker — `1`, or `0` on a one-core host — runs on the calling
-    /// thread with the caller's scratch; more fan the join out through
-    /// the morsel engine ([`crate::par`]). Output is in canonical
+    /// thread with the caller's scratch; more keep the calling thread as
+    /// worker 0 and start `threads − 1` helpers that steal morsels from
+    /// it ([`crate::morsel::MorselPool`]). Output is in canonical
     /// `(r_oid, dist, s_oid)` order at *every* count, so results are
     /// byte-identical regardless of this knob.
     pub threads: usize,

@@ -182,7 +182,7 @@ impl<'p> QueryGuard<'p> {
     /// now. `pools` are the buffer pools whose physical reads the
     /// `io_budget` charges (duplicates are folded, so a shared pool is
     /// not double-counted); `retry` is the policy the query's own threads
-    /// read pages under, in place of the pools' own.
+    /// read pages under, in place of the default.
     pub fn new(
         cancel: Option<CancelToken>,
         deadline: Option<Duration>,
@@ -217,9 +217,10 @@ impl<'p> QueryGuard<'p> {
     }
 
     /// Puts the query's retry policy (if it has one) in place of the
-    /// pools' own for the I/O the calling thread issues while the scope
-    /// lives. The join driver enters it on the query's thread and on every
-    /// morsel worker, so the policy reaches no other query on the pools.
+    /// default for the I/O the calling thread issues while the scope
+    /// lives. It is entered on the query's thread and on every helper
+    /// thread of a parallel join, so the policy reaches no other query on
+    /// the pools.
     pub(crate) fn retry_scope(&self) -> RetryScope {
         RetryScope::enter(self.retry)
     }

@@ -27,8 +27,9 @@
 //! is deliberately not thread-safe: the workers of a parallel join each
 //! own one. [`query::run`](crate::query::run) creates a transient arena
 //! internally; [`query::run_scratch`](crate::query::run_scratch) accepts a
-//! caller-owned arena, which a join resolving to one worker uses
-//! directly, so its pooled buffers survive from one join to the next.
+//! caller-owned arena, which the join's worker on the calling thread
+//! uses directly at every worker count, so its pooled buffers survive
+//! from one join to the next.
 //!
 //! # Observability
 //!

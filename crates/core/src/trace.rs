@@ -19,11 +19,12 @@
 //!   reason and metric, LPQ lifecycle summaries, BNN batch sizes, GORDER
 //!   block-scheduling decisions, and bulk-build level completions.
 //!
-//! [`RecordingSink`] is the built-in aggregating sink: bounded memory
-//! (tallies, not an event log), thread-safe, and able to render a
-//! structured [`ExecutionReport`] serializable to JSON without any
-//! third-party dependency. The bench `figures --trace DIR` mode writes one
-//! such report per run.
+//! [`RecordingSink`] is the built-in aggregating sink: tallies, not an
+//! event log (its only per-page state is the level map it infers
+//! histograms from, which grows with the pages seen), thread-safe, and
+//! able to render a structured [`ExecutionReport`] serializable to JSON
+//! without any third-party dependency. The bench `figures --trace DIR`
+//! mode writes one such report per run.
 
 use ann_store::sync::Mutex;
 use ann_store::{IoSnapshot, PageId};
@@ -362,9 +363,12 @@ struct RecState {
 /// Keeps tallies — per-phase wall time and I/O deltas, per-level expansion
 /// histograms (levels inferred from [`TraceEvent::Root`] +
 /// [`TraceEvent::NodeExpanded`] parent-before-child ordering), prune
-/// counts by `(metric, reason)`, LPQ / batch / block summaries — in
-/// bounded memory: it never logs raw events. Thread-safe behind one
-/// mutex; tracing is off the measured path, so contention is acceptable.
+/// counts by `(metric, reason)`, LPQ / batch / block summaries. It never
+/// logs raw events; its memory grows only with the pages it has seen
+/// expanded (the level map `page_level`), not with the event count.
+/// Thread-safe behind one mutex: every worker of a parallel join
+/// delivers into it live. Tracing is off the measured path, so
+/// contention is acceptable.
 #[derive(Debug, Default)]
 pub struct RecordingSink {
     state: Mutex<RecState>,

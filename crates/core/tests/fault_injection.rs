@@ -151,7 +151,7 @@ fn incremental_insert_failures_do_not_corrupt_earlier_state() {
 // ---------------------------------------------------------------------------
 
 use ann_datagen::splitmix64;
-use ann_store::{InjectedFault, RetryPolicy, StoreError, FRAME_SIZE};
+use ann_store::{InjectedFault, RetryPolicy, RetryScope, StoreError, FRAME_SIZE};
 
 /// Disk operations a healthy MBRQT bulk build needs (op indexing matches
 /// `FaultyDisk`: every read, write and allocation counts).
@@ -365,10 +365,10 @@ fn transient_faults_surface_when_retry_is_disabled() {
     let fd = Arc::new(FaultyDisk::unlimited(MemDisk::new()));
     fd.inject_at(2, InjectedFault::Transient);
     let pool = Arc::new(BufferPool::new(Arc::clone(&fd), 16));
-    pool.set_retry_policy(RetryPolicy {
+    let _retry = RetryScope::enter(Some(RetryPolicy {
         max_attempts: 1,
         ..Default::default()
-    });
+    }));
     let Err(err) = Mbrqt::bulk_build(pool, &random_points(100, 17), &qt_cfg()) else {
         panic!("the un-retried transient fault must surface");
     };
@@ -430,10 +430,10 @@ fn rollback_leg<T: WritableIndex<2>>(
     let mem = Arc::new(MemDisk::new());
     let fd = Arc::new(FaultyDisk::unlimited(Arc::clone(&mem)));
     let pool = Arc::new(BufferPool::new(Arc::clone(&fd), 256));
-    pool.set_retry_policy(RetryPolicy {
+    let _retry = RetryScope::enter(Some(RetryPolicy {
         max_attempts: 1,
         ..Default::default()
-    });
+    }));
     let mut tree = build(pool);
     for (oid, xy) in CLUSTERS.iter().enumerate() {
         tree.insert(oid as u64, Point::new(*xy)).unwrap();

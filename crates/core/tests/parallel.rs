@@ -3,6 +3,7 @@
 
 use ann_core::brute::brute_force_aknn;
 use ann_core::query::{Algorithm, AnnRequest, Input, NoIndex};
+use ann_core::trace::{TraceEvent, TraceSink};
 use ann_core::{CancelToken, ExecutionReport, QueryError, RecordingSink, SpatialIndex};
 use ann_datagen::Rng;
 use ann_geom::Point;
@@ -328,6 +329,46 @@ fn parallel_cancel_aborts_all_workers_and_leaks_no_pins() {
             algorithm.name()
         );
         assert_eq!(p.pinned_frames(), 0, "algorithm={}", algorithm.name());
+    }
+}
+
+/// Cancels its token on the first node expansion it is told of.
+struct CancelOnFirstExpansion(CancelToken);
+
+impl TraceSink for CancelOnFirstExpansion {
+    fn event(&self, event: &TraceEvent) {
+        if matches!(event, TraceEvent::NodeExpanded { .. }) {
+            self.0.cancel();
+        }
+    }
+}
+
+/// Every worker traces straight into the request's sink, so a sink that
+/// reacts to an event does so while the join runs: cancelling on the
+/// first node expansion stops the join with the typed error at every
+/// thread count, and no pin outlives the abort.
+#[test]
+fn trace_events_reach_the_sink_while_the_join_runs() {
+    let pts = random_points::<2>(4000, 53);
+    let p = pool(1024);
+    let tree = Mbrqt::bulk_build(p.clone(), &pts, &MbrqtConfig::default()).unwrap();
+    for algorithm in [Algorithm::mba(), Algorithm::bnn(), Algorithm::Mnn] {
+        for threads in [1usize, 2, 3] {
+            let token = CancelToken::new();
+            let sink = CancelOnFirstExpansion(token.clone());
+            let ran = AnnRequest::new(algorithm)
+                .threads(threads)
+                .cancel_token(token)
+                .trace(&sink)
+                .run(Input::Index(&tree), Input::Index(&tree))
+                .map(|out| out.results.len());
+            let name = algorithm.name();
+            assert!(
+                matches!(ran, Err(QueryError::Cancelled)),
+                "{name} threads={threads}: {ran:?}"
+            );
+            assert_eq!(p.pinned_frames(), 0, "{name} threads={threads}");
+        }
     }
 }
 

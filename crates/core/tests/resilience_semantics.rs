@@ -4,7 +4,6 @@
 //! a state where a clean re-run is byte-identical to a fresh one.
 
 use ann_core::prelude::*;
-use ann_core::trace::TraceEvent;
 use ann_datagen::Rng;
 use ann_geom::Point;
 use ann_mbrqt::{Mbrqt, MbrqtConfig};
@@ -374,49 +373,4 @@ fn parallel_fold_accounts_retries_exactly_once() {
         "fold must not double-count the shared pool"
     );
     assert_eq!(out.results.len(), 600 * 2, "retried run completes in full");
-}
-
-/// Reads its pool's retry policy when the first trace event arrives —
-/// from inside the running query.
-struct PolicyProbe<'p> {
-    pool: &'p BufferPool,
-    seen: std::sync::Mutex<Option<RetryPolicy>>,
-}
-
-impl TraceSink for PolicyProbe<'_> {
-    fn event(&self, _: &TraceEvent) {
-        let mut seen = self.seen.lock().unwrap();
-        seen.get_or_insert_with(|| self.pool.retry_policy());
-    }
-}
-
-/// A per-request retry policy belongs to the query, not to the pool: a
-/// query running beside it on the same pool — here, whoever reads the
-/// pool mid-query — still sees the pool's configured policy.
-#[test]
-fn request_retry_policy_leaves_the_shared_pool_alone() {
-    let f = fixture(300, 9, 64);
-    let configured = f.pool.retry_policy();
-    let probe = PolicyProbe {
-        pool: &f.pool,
-        seen: std::sync::Mutex::new(None),
-    };
-    for threads in [1, 2] {
-        *probe.seen.lock().unwrap() = None;
-        request(Algorithm::mba())
-            .threads(threads)
-            .retry(RetryPolicy {
-                max_attempts: 1,
-                backoff: Duration::ZERO,
-            })
-            .trace(&probe)
-            .run(Input::Index(&f.ir), Input::Index(&f.is))
-            .unwrap();
-        assert_eq!(
-            *probe.seen.lock().unwrap(),
-            Some(configured),
-            "threads={threads}: the request's policy leaked into the pool"
-        );
-    }
-    assert_eq!(f.pool.retry_policy(), configured);
 }

@@ -36,8 +36,8 @@ pub struct Metrics {
     pub logical_reads: AtomicU64,
     /// Sum over queries of physical page reads.
     pub physical_reads: AtomicU64,
-    /// Latency histogram: bucket `i` counts queries with
-    /// `latency_us in [2^i, 2^(i+1))` (bucket 0 also holds sub-µs), where
+    /// Latency histogram: bucket `i ≥ 1` counts queries with
+    /// `latency_us in [2^(i-1), 2^i)` and bucket 0 the sub-µs ones, where
     /// latency runs from request fully read to response written — queue
     /// wait, traversal, encode and the socket write.
     buckets: [AtomicU64; 64],

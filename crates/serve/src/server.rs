@@ -52,8 +52,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ann_core::query::{run_scratch, AnnRequest, Input};
-use ann_core::resilience::CancelToken;
+use ann_core::resilience::{CancelToken, QueryError};
 use ann_core::scratch::QueryScratch;
+use ann_core::stats::AnnStats;
 use ann_core::trace::RecordingSink;
 use ann_core::wire::{CollectionId, ErrorCode, JsonValue, QueryOutcome, QuerySpec};
 use ann_geom::Point;
@@ -87,7 +88,8 @@ pub struct ServerConfig {
     /// Buffer-pool frames per collection.
     pub pool_frames: usize,
     /// Extra intra-query compute tokens shared by every worker. A worker
-    /// always owns one implicit token for the query it runs; a query
+    /// always owns one implicit token for the query it runs (the join's
+    /// worker 0 runs on the worker's own thread); a query
     /// asking for `threads = n` grabs up to `n - 1` extras from this
     /// global pool (non-blocking — whatever it gets bounds its fan-out),
     /// so `workers × threads` can never oversubscribe the box. `0` means
@@ -110,8 +112,11 @@ impl Default for ServerConfig {
 
 /// Global intra-query compute budget (DESIGN.md §16).
 ///
-/// Counts the *extra* worker threads (beyond the query worker itself)
-/// currently granted to in-flight queries. Admission is non-blocking:
+/// Counts the helper threads currently granted to in-flight queries.
+/// The query worker thread is the implicit token: a parallel join runs
+/// its worker 0 on the thread that calls it, so a grant of `g` tokens is
+/// exactly the `g` helper threads the join starts. Admission is
+/// non-blocking:
 /// a query wanting `n` threads takes `min(n - 1, available)` extras and
 /// runs with what it got — degrading toward serial under load instead
 /// of queueing, so a burst of `threads=8` requests cannot stack up
@@ -449,9 +454,10 @@ fn execute(
         Some(job.s.pin(None)?)
     };
     let s_side = s_pin.as_ref().unwrap_or(&r_pin);
-    // Intra-query parallelism rides on compute tokens: this worker is
-    // one implicit token, and the spec's `threads` asks for extras from
-    // the global pool. Whatever the pool grants bounds the fan-out —
+    // Intra-query parallelism rides on compute tokens: this thread is
+    // the implicit token — the join's worker 0 runs on it — and the
+    // spec's `threads` asks the global pool for one token per helper
+    // thread. Whatever the pool grants bounds the fan-out —
     // under contention a query silently degrades toward serial rather
     // than oversubscribing the box. Grabbed after the pin fallible
     // section so every early return above cannot strand a grant.
@@ -501,6 +507,13 @@ fn execute(
             Ok(outcome.to_json())
         }
         Err(e) => {
+            // A typed error is a verdict too: count it, with the work a
+            // budget abort reports having done.
+            let done = match &e {
+                QueryError::BudgetExhausted { partial, .. } => **partial,
+                _ => AnnStats::default(),
+            };
+            metrics.record_query(&done);
             if job.cancel.is_cancelled() {
                 metrics.cancelled.fetch_add(1, Ordering::Relaxed);
             }

@@ -212,6 +212,31 @@ fn crud_and_query_roundtrip() {
     server.shutdown();
 }
 
+/// `/metrics` `queries` counts every query executed to a verdict: a
+/// typed error — here a visit budget of one — counts like an answer.
+#[test]
+fn typed_query_errors_count_as_queries() {
+    let server = start_server("verdicts", 1, 16, 256);
+    let client = Client::new(server.addr().to_string());
+    let resp = client
+        .create_collection("budget", "mbrqt", &to_rows(&uniform_points(200, 7)))
+        .expect("create");
+    assert_eq!(resp.status, 201, "{}", resp.body);
+    let spec = QuerySpec {
+        visit_budget: Some(1),
+        ..QuerySpec::default()
+    };
+    assert!(
+        spec.to_json().contains("\"visit_budget\":1"),
+        "{}",
+        spec.to_json()
+    );
+    let q = client.query("budget", &spec).expect("query");
+    assert_eq!(q.status, 422, "{}", q.body);
+    assert_eq!(server.metrics().queries.load(Ordering::Relaxed), 1);
+    server.shutdown();
+}
+
 /// The serving differential: fuzz-generated workloads through the full
 /// socket path must return byte-identical results to `query::run`.
 #[test]

@@ -93,12 +93,13 @@ thread_local! {
     static SCOPED_RETRY: Cell<Option<RetryPolicy>> = const { Cell::new(None) };
 }
 
-/// While alive, `policy` (when given) replaces every pool's own
-/// [`RetryPolicy`] for the physical I/O issued **on the thread that
-/// entered it**; `None` leaves that I/O under the pools' own. Dropping it
-/// — on return or unwind — restores the scope it replaced. Scoping to a
-/// thread, not to a pool, is what lets one query ask for its own policy
-/// while another query runs on the same pool under the pool's. Not
+/// While alive, `policy` (when given) replaces the default
+/// [`RetryPolicy`] for the physical I/O every pool issues **on the thread
+/// that entered it**; `None` leaves that I/O under the default. Dropping
+/// it — on return or unwind — restores the scope it replaced. Scoping to
+/// a thread, not to a pool, is what lets one query ask for its own policy
+/// while another query runs on the same pool under the default. The
+/// thread's scope is the only retry source: a pool holds no policy. Not
 /// `Send`: it belongs to its thread.
 #[must_use = "the policy applies only while the scope is alive"]
 pub struct RetryScope {
@@ -321,7 +322,6 @@ pub struct BufferPool {
     /// Pool-level counters not attributable to one shard (allocation
     /// retries); folded into [`stats`](Self::stats) with the shard counters.
     stats: IoStats,
-    retry: Mutex<RetryPolicy>,
     /// Pages whose frames failed CRC verification: further touches fail
     /// fast with [`StoreError::Corrupt`] (`what == `[`QUARANTINED`])
     /// instead of re-reading known-bad media. `overwrite_page` heals —
@@ -382,7 +382,6 @@ impl BufferPool {
             shards: caps.into_iter().map(Shard::new).collect(),
             capacity: AtomicUsize::new(capacity),
             stats: IoStats::new(),
-            retry: Mutex::new(RetryPolicy::default()),
             quarantine: Mutex::new(HashSet::new()),
             quarantine_nonempty: AtomicBool::new(false),
             prefetch_on: AtomicBool::new(false),
@@ -742,16 +741,6 @@ impl BufferPool {
         fr.loaded = false;
         inner.map.remove(&id);
         inner.free.push(fi);
-    }
-
-    /// Current transient-fault retry policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        *self.retry.lock()
-    }
-
-    /// Replaces the transient-fault retry policy.
-    pub fn set_retry_policy(&self, policy: RetryPolicy) {
-        *self.retry.lock() = policy;
     }
 
     /// Adds `id` to the quarantine set: until healed (see
@@ -1123,11 +1112,11 @@ impl BufferPool {
     }
 
     /// Runs a physical operation under the retry policy — the calling
-    /// thread's scoped one ([`RetryScope`]), else the pool's:
+    /// thread's scoped one ([`RetryScope`]), else the default:
     /// transient failures are re-attempted (counting each re-attempt in
     /// `stats`) with linear backoff; anything else returns immediately.
     fn retrying<T>(&self, stats: &IoStats, mut op: impl FnMut() -> Result<T>) -> Result<T> {
-        let policy = SCOPED_RETRY.get().unwrap_or_else(|| *self.retry.lock());
+        let policy = SCOPED_RETRY.get().unwrap_or_default();
         let max_attempts = policy.max_attempts.max(1);
         let mut attempt = 1;
         loop {
@@ -1599,10 +1588,10 @@ mod tests {
         let disk = FaultyDisk::unlimited(MemDisk::new());
         disk.inject_at(3, InjectedFault::Transient);
         let p = BufferPool::new(disk, 1);
-        p.set_retry_policy(RetryPolicy {
+        let _scope = RetryScope::enter(Some(RetryPolicy {
             max_attempts: 1,
             backoff: Duration::ZERO,
-        });
+        }));
         let a = p.allocate().unwrap();
         p.with_page_mut(a, |b| b[0] = 9).unwrap();
         let _b = p.allocate().unwrap();
@@ -1625,14 +1614,12 @@ mod tests {
             max_attempts: 1,
             backoff: Duration::ZERO,
         };
-        // The scope surfaces a transient the pool's own policy retries,
-        // and leaves that policy alone.
+        // The scope surfaces a transient the default policy retries.
         let scope = RetryScope::enter(Some(once));
         assert!(matches!(
             p.with_page(a, |_| ()),
             Err(StoreError::Injected { transient: true })
         ));
-        assert_eq!(p.retry_policy(), RetryPolicy::default());
         drop(scope);
         assert_eq!(SCOPED_RETRY.get(), None, "scope ends on drop");
         let unwound = std::panic::catch_unwind(|| {

@@ -63,7 +63,7 @@ fi
 # count to resolve precedence against, no retry policy written to a pool.
 mba_threads="$(git grep -lE 'Algorithm::Mba \{' -- crates src tests examples \
   | xargs -r grep -Plz 'Algorithm::Mba \{[^}]*\bthreads\b' || true)"
-if git grep -nE 'effective_threads|RetryOverride|fn from_request' -- crates src tests examples \
+if git grep -nE 'effective_threads|RetryOverride|fn from_request|set_retry_policy' -- crates src tests examples \
    || [ -n "$mba_threads" ]; then
   echo "ci: QuerySpec is the one description of a query: a second copy, a second" \
        "worker-count knob or a pool-wide retry override is back" $mba_threads >&2
@@ -97,6 +97,20 @@ le_bytes="$(git grep -lE '(from|to)_le_bytes' -- 'crates/*/src/*.rs' \
 if [ -n "$le_bytes" ]; then
   echo "ci: a page layout is encoded by hand; read and write it through" \
        "ann_store::{Reader, Writer} (crates/store/src/page.rs):" $le_bytes >&2
+  exit 1
+fi
+
+# A join is executed in one place (DESIGN.md §16): `exec.rs` drives
+# every worker, the calling thread included, so no other ann-core module
+# starts a thread above its first `#[cfg(test)]`, and the separate
+# engine module stays gone.
+spawners="$(git grep -lE 'thread::(scope|spawn)' -- 'crates/core/src/*.rs' \
+  ':!crates/core/src/exec.rs' \
+  | xargs -r awk '/#\[cfg\(test\)\]/ { nextfile } /thread::(scope|spawn)/ { print FILENAME ":" FNR; nextfile }' \
+  || true)"
+if [ -e crates/core/src/par.rs ] || [ -n "$spawners" ]; then
+  echo "ci: a second join engine; workers start only in Frame::join" \
+       "(crates/core/src/exec.rs), found par.rs or:" $spawners >&2
   exit 1
 fi
 
