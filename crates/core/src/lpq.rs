@@ -25,25 +25,6 @@
 use crate::node::Entry;
 use ann_geom::{min_min_dist_sq, min_min_dist_sq_within, PruneMetric};
 
-/// Non-NaN `f64` with a total order.
-#[derive(Clone, Copy, Debug, PartialEq)]
-struct OrdF64(f64);
-
-impl Eq for OrdF64 {}
-impl PartialOrd for OrdF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for OrdF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Bounds are never NaN, and the squared distances compared here
-        // are never negative zero, so the total order agrees with the
-        // partial one — without a panic path.
-        self.0.total_cmp(&other.0)
-    }
-}
-
 /// Relative tolerance for pruning comparisons.
 ///
 /// `MIND` and `MAXD` of the *same* geometric configuration are computed
@@ -63,10 +44,13 @@ pub const PRUNE_EPS: f64 = 1e-12;
 /// (a popped node is replaced by its children), so the tracker counts only
 /// *live* entries: [`offer`](Self::offer) on enqueue,
 /// [`remove`](Self::remove) on dequeue/filter. Each emitted result lowers
-/// the requirement by one ([`satisfy_one`](Self::satisfy_one)). Once a
-/// single neighbor remains wanted, the tracker switches to the tighter
-/// min-over-everything-ever-offered bound, which is sound for one point
-/// regardless of entry overlap.
+/// the requirement by one ([`satisfy_one`](Self::satisfy_one)), and the
+/// bound stays the `k_remaining`-th smallest live bound down to the last
+/// wanted neighbor. It never falls back to the minimum over everything
+/// ever offered: once the self match (MAXD 0) of an `exclude_self` join
+/// is emitted, that minimum would be 0 and would prune the true nearest
+/// neighbor. Only a tracker created for `k = 1` uses the min-ever bound,
+/// because its search ends at the first emission.
 #[derive(Clone, Debug)]
 pub struct BoundTracker {
     /// Neighbors originally requested.
@@ -77,30 +61,45 @@ pub struct BoundTracker {
     inherited_sq: f64,
     /// Minimum upper bound ever offered (squared) — sound for `k == 1`.
     min_ever_sq: f64,
-    /// Multiset of live entries' upper bounds (squared), for `k > 1`.
-    /// Never maintained when `k_original == 1` (the dominant ANN case):
-    /// the min-ever bound is strictly tighter there and the map would be
-    /// pure overhead in the hottest loop of the whole system.
-    live: std::collections::BTreeMap<OrdF64, usize>,
-    live_len: usize,
-    /// Cached result of the k-th-smallest scan; `None` after a mutation.
-    cached_kth: std::cell::Cell<Option<f64>>,
+    /// Live entries' upper bounds (squared), sorted ascending by
+    /// `f64::total_cmp` with multiplicity, for `k > 1`: the bound is the
+    /// O(1) read `live[k_remaining - 1]`, and an offer or removal is a
+    /// binary search plus a memmove of the tail. Never maintained when
+    /// `k_original == 1`: the min-ever bound is strictly tighter there.
+    /// An `exclude_self` self-join runs at `k + 1`, so every `k = 1`
+    /// self-join keeps this vector.
+    live: Vec<f64>,
 }
 
 impl BoundTracker {
     /// Creates a tracker for `k` neighbors with an inherited initial bound
     /// (squared). Pass `f64::INFINITY` at the root.
     pub fn new(k: usize, inherited_sq: f64) -> Self {
+        Self::new_in(k, inherited_sq, Vec::new())
+    }
+
+    /// [`new`](Self::new) over caller-provided storage for the live
+    /// bounds, typically recycled through
+    /// [`crate::scratch::QueryScratch`]; the storage is cleared, its
+    /// capacity is kept.
+    pub fn new_in(k: usize, inherited_sq: f64, mut live: Vec<f64>) -> Self {
         assert!(k >= 1, "k must be at least 1");
+        live.clear();
         BoundTracker {
             k_original: k,
             k_remaining: k,
             inherited_sq,
             min_ever_sq: f64::INFINITY,
-            live: std::collections::BTreeMap::new(),
-            live_len: 0,
-            cached_kth: std::cell::Cell::new(None),
+            live,
         }
+    }
+
+    /// Consumes the tracker and hands its live-bound storage back
+    /// (cleared, capacity kept) for recycling.
+    pub fn into_storage(self) -> Vec<f64> {
+        let mut v = self.live;
+        v.clear();
+        v
     }
 
     /// Records the squared upper bound of an entry entering the queue.
@@ -109,9 +108,8 @@ impl BoundTracker {
             self.min_ever_sq = maxd_sq;
         }
         if self.k_original > 1 {
-            *self.live.entry(OrdF64(maxd_sq)).or_insert(0) += 1;
-            self.live_len += 1;
-            self.cached_kth.set(None);
+            let at = self.live.partition_point(|v| v.total_cmp(&maxd_sq).is_lt());
+            self.live.insert(at, maxd_sq);
         }
     }
 
@@ -121,25 +119,21 @@ impl BoundTracker {
         if self.k_original == 1 {
             return; // no live multiset in the min-ever regime
         }
-        if let Some(n) = self.live.get_mut(&OrdF64(maxd_sq)) {
-            *n -= 1;
-            if *n == 0 {
-                self.live.remove(&OrdF64(maxd_sq));
+        match self.live.binary_search_by(|v| v.total_cmp(&maxd_sq)) {
+            Ok(at) => {
+                self.live.remove(at);
             }
-            self.live_len -= 1;
-            self.cached_kth.set(None);
-        } else {
-            debug_assert!(false, "removed a bound that was never offered");
+            Err(_) => debug_assert!(false, "removed a bound that was never offered"),
         }
     }
 
     /// Records one emitted result: one fewer neighbor is wanted.
     pub fn satisfy_one(&mut self) {
         self.k_remaining = self.k_remaining.saturating_sub(1);
-        self.cached_kth.set(None);
     }
 
     /// Current squared pruning bound.
+    #[inline]
     pub fn bound_sq(&self) -> f64 {
         if self.k_remaining == 0 {
             // Nothing more is wanted: prune everything.
@@ -155,24 +149,13 @@ impl BoundTracker {
         }
         // AkNN: only live (still-queued, pairwise-disjoint) entries may
         // back the bound — an emitted or historical offer might alias a
-        // point a live descendant also guarantees.
-        if self.live_len < self.k_remaining {
-            return self.inherited_sq;
+        // point a live descendant also guarantees. The k_remaining-th
+        // smallest counts multiplicity; fewer live entries guarantee
+        // nothing beyond the inherited bound.
+        match self.live.get(self.k_remaining - 1) {
+            Some(&kth) => self.inherited_sq.min(kth),
+            None => self.inherited_sq,
         }
-        if let Some(kth) = self.cached_kth.get() {
-            return self.inherited_sq.min(kth);
-        }
-        // k_remaining-th smallest live upper bound (with multiplicity);
-        // O(k) scan, amortized by the mutation-invalidated cache.
-        let mut need = self.k_remaining;
-        for (v, n) in &self.live {
-            if *n >= need {
-                self.cached_kth.set(Some(v.0));
-                return self.inherited_sq.min(v.0);
-            }
-            need -= n;
-        }
-        unreachable!("live_len >= k_remaining guarantees termination")
     }
 
     /// The epsilon-tolerant rejection threshold: [`prunes`](Self::prunes)
@@ -269,24 +252,25 @@ impl<const D: usize> Lpq<D> {
     /// Creates an LPQ for `owner` seeking `k` neighbors, inheriting the
     /// parent LPQ's squared bound (Expand stage, Algorithm 4 line 12).
     pub fn new(owner: Entry<D>, k: usize, inherited_bound_sq: f64) -> Self {
-        Self::new_in(owner, k, inherited_bound_sq, Vec::new())
+        Self::new_in(owner, k, inherited_bound_sq, (Vec::new(), Vec::new()))
     }
 
-    /// [`new`](Self::new) with caller-provided backing storage, typically
-    /// recycled through [`crate::scratch::QueryScratch`]; the storage is
-    /// cleared, its capacity is kept.
+    /// [`new`](Self::new) with caller-provided backing storage — the
+    /// entry vector and the bound tracker's live-bound vector, typically
+    /// recycled through [`crate::scratch::QueryScratch`]; both are
+    /// cleared, their capacity is kept.
     pub fn new_in(
         owner: Entry<D>,
         k: usize,
         inherited_bound_sq: f64,
-        mut storage: Vec<QueuedEntry<D>>,
+        (mut entries, live): (Vec<QueuedEntry<D>>, Vec<f64>),
     ) -> Self {
-        storage.clear();
+        entries.clear();
         Lpq {
             owner,
-            entries: storage,
+            entries,
             head: 0,
-            bound: BoundTracker::new(k, inherited_bound_sq),
+            bound: BoundTracker::new_in(k, inherited_bound_sq, live),
             filter_pending: false,
             enqueued_total: 0,
             filtered_total: 0,
@@ -294,13 +278,13 @@ impl<const D: usize> Lpq<D> {
         }
     }
 
-    /// Consumes the queue and hands its backing storage back (cleared,
-    /// capacity kept) for recycling via
+    /// Consumes the queue and hands its backing storage — entries and
+    /// live bounds — back (cleared, capacity kept) for recycling via
     /// [`crate::scratch::QueryScratch::put_lpq`].
-    pub fn into_storage(self) -> Vec<QueuedEntry<D>> {
-        let mut v = self.entries;
-        v.clear();
-        v
+    pub fn into_storage(self) -> (Vec<QueuedEntry<D>>, Vec<f64>) {
+        let mut entries = self.entries;
+        entries.clear();
+        (entries, self.bound.into_storage())
     }
 
     /// Dequeue-order key: ascending `(MIND, nodes-before-objects, MAXD,
@@ -503,6 +487,22 @@ mod tests {
         assert_eq!(b.bound_sq(), 6.0);
         b.offer(1.0); // smallest three now 1, 2, 3
         assert_eq!(b.bound_sq(), 3.0);
+    }
+
+    #[test]
+    fn bound_tracker_last_wanted_neighbor_stays_on_live_entries() {
+        // An exclude_self self-join at k = 1 tracks k_eff = 2. The self
+        // match (MAXD 0) is dequeued and emitted; the one neighbor still
+        // wanted is backed by the smallest *live* bound, not by the 0
+        // that min-over-everything-ever-offered would read.
+        let mut b = BoundTracker::new(2, f64::INFINITY);
+        for v in [0.0, 4.0, 9.0] {
+            b.offer(v);
+        }
+        assert_eq!(b.bound_sq(), 4.0);
+        b.remove(0.0);
+        b.satisfy_one();
+        assert_eq!(b.bound_sq(), 4.0);
     }
 
     #[test]

@@ -191,7 +191,7 @@ where
     } = w;
     let k_eff = k + usize::from(exclude_self);
     let owner = Entry::Object(*r);
-    let mut front = BestFirst::seeded::<M, I>(is, &r.point, k_eff, scratch.take_best_first());
+    let mut front = BestFirst::seeded::<M, I>(is, &r.point, k_eff, scratch);
     let mut scan = NodeScan::checkout(scratch);
     // The root's probe, tallied like every other.
     out.stats.distance_computations += 1;
@@ -237,7 +237,7 @@ where
         }
         Ok(())
     })();
-    scratch.put_best_first(front.heap);
+    front.release(scratch);
     scan.release(scratch);
     walk
 }

@@ -73,16 +73,17 @@ pub(crate) struct BestFirst<const D: usize> {
 
 impl<const D: usize> BestFirst<D> {
     /// A frontier seeking the `k` nearest neighbors of `query` in `index`,
-    /// holding `index`'s root entry; `heap` is (recycled) empty storage.
+    /// holding `index`'s root entry, over storage checked out of `scratch`
+    /// (give it back with [`release`](Self::release)).
     pub(crate) fn seeded<M: PruneMetric, I: SpatialIndex<D>>(
         index: &I,
         query: &Point<D>,
         k: usize,
-        heap: BinaryHeap<BestFirstItem<D>>,
+        scratch: &mut QueryScratch<D>,
     ) -> Self {
         let mut front = BestFirst {
-            bound: BoundTracker::new(k, f64::INFINITY),
-            heap,
+            bound: BoundTracker::new_in(k, f64::INFINITY, scratch.take_bounds()),
+            heap: scratch.take_best_first(),
         };
         let (qmbr, root_mbr) = (Mbr::from_point(query), index.bounds());
         front.offer(QueuedEntry {
@@ -95,6 +96,11 @@ impl<const D: usize> BestFirst<D> {
             }),
         });
         front
+    }
+
+    pub(crate) fn release(self, scratch: &mut QueryScratch<D>) {
+        scratch.put_best_first(self.heap);
+        scratch.put_bounds(self.bound.into_storage());
     }
 }
 

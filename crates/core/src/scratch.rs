@@ -2,22 +2,25 @@
 //!
 //! Every algorithm in this crate used to allocate its working memory
 //! per query (LPQ entry vectors in MBA, best-first heaps in kNN/MNN/BNN,
-//! per-point k-best heaps in BNN/HNN, visit stacks, and the distance
-//! buffers the batched kernels of [`ann_geom::kernels`] write into).
-//! `QueryScratch` pools those buffers so a steady stream of queries
-//! re-uses the same allocations: after a warm-up query every pool has
-//! reached its high-water capacity and subsequent queries perform no
-//! heap allocation from the pooled paths.
+//! the live-bound vectors of the LPQs' and frontiers'
+//! [`BoundTracker`](crate::lpq::BoundTracker)s, per-point k-best heaps in
+//! BNN/HNN, visit stacks, and the distance buffers the batched kernels of
+//! [`ann_geom::kernels`] write into). `QueryScratch` pools those buffers
+//! so a steady stream of queries re-uses the same allocations: after a
+//! warm-up query every pool has reached its high-water capacity and
+//! subsequent queries perform no heap allocation from the pooled paths,
+//! at any `k`.
 //!
-//! One buffer is deliberately not pooled: the storage of an LPQ owned by
-//! an index *node*. A join creates few of those (about 1 000 in a 20 000-
-//! point 10-D self-join), but each can grow to thousands of entries; a
-//! pool hands its buffers out LIFO, so every parked buffer would keep the
-//! capacity of the largest queue it ever served, and the arena would
-//! ratchet up join after join. A node-owned LPQ starts from an empty
-//! `Vec` and its storage goes back to the allocator when it is retired.
-//! Object-owned LPQs — tens of thousands per join, each at most a few
-//! dozen entries — draw from the pool.
+//! One buffer pair is deliberately not pooled: the storage of an LPQ
+//! owned by an index *node* (its entries and its live bounds). A join
+//! creates few of those (about 1 000 in a 20 000-point 10-D self-join),
+//! but each can grow to thousands of entries; a pool hands its buffers
+//! out LIFO, so every parked buffer would keep the capacity of the
+//! largest queue it ever served, and the arena would ratchet up join
+//! after join. A node-owned LPQ starts from empty `Vec`s and its storage
+//! goes back to the allocator when it is retired. Object-owned LPQs —
+//! tens of thousands per join, each at most a few dozen entries — draw
+//! from the pool.
 //!
 //! # Lifecycle
 //!
@@ -219,10 +222,15 @@ pub struct QueryScratch<const D: usize> {
     f64_bufs: Vec<Vec<f64>>,
     /// Backing storage of object-owned LPQs only; a node-owned LPQ
     /// allocates its own and frees it (see the module docs). After a
-    /// 20 000-point uniform 10-D self-join at k = 10 the whole arena
-    /// parks 0.77 MiB; with node-owned storage pooled too it parked
+    /// 20 000-point uniform 10-D self-join at k = 10 the whole arena,
+    /// bound buffers included, parks 0.73 MiB in 81 buffers, the same
+    /// after every join; with node-owned storage pooled too it parked
     /// 201 MiB.
     entry_bufs: Vec<Vec<QueuedEntry<D>>>,
+    /// Live-bound storage of [`BoundTracker`](crate::lpq::BoundTracker)s
+    /// that object-owned LPQs and best-first frontiers hold; node-owned
+    /// LPQs allocate and free theirs, like their entries.
+    bound_bufs: Vec<Vec<f64>>,
     lpq_lists: Vec<Vec<Lpq<D>>>,
     lpq_queues: Vec<VecDeque<Lpq<D>>>,
     page_stacks: Vec<Vec<PageId>>,
@@ -253,12 +261,27 @@ impl<const D: usize> QueryScratch<D> {
         self.f64_bufs.push(buf);
     }
 
-    /// An empty LPQ for `owner` (see [`Lpq::new`]): over pooled storage
-    /// for an object owner, over a fresh `Vec` for a node owner.
+    /// Live-bound storage for a [`BoundTracker`](crate::lpq::BoundTracker).
+    pub fn take_bounds(&mut self) -> Vec<f64> {
+        self.bound_bufs.pop().unwrap_or_default()
+    }
+
+    /// Returns a bound tracker's live-bound storage to the pool.
+    pub fn put_bounds(&mut self, mut buf: Vec<f64>) {
+        buf.clear();
+        self.bound_bufs.push(buf);
+    }
+
+    /// An empty LPQ for `owner` (see [`Lpq::new`]): over pooled entry and
+    /// live-bound storage for an object owner, over fresh `Vec`s for a
+    /// node owner.
     pub fn take_lpq(&mut self, owner: Entry<D>, k: usize, inherited_bound_sq: f64) -> Lpq<D> {
         let storage = match owner {
-            Entry::Object(_) => self.entry_bufs.pop().unwrap_or_default(),
-            Entry::Node(_) => Vec::new(),
+            Entry::Object(_) => (
+                self.entry_bufs.pop().unwrap_or_default(),
+                self.take_bounds(),
+            ),
+            Entry::Node(_) => (Vec::new(), Vec::new()),
         };
         Lpq::new_in(owner, k, inherited_bound_sq, storage)
     }
@@ -267,7 +290,9 @@ impl<const D: usize> QueryScratch<D> {
     /// goes back to the pool, a node owner's back to the allocator.
     pub fn put_lpq(&mut self, lpq: Lpq<D>) {
         if let Entry::Object(_) = lpq.owner {
-            self.entry_bufs.push(lpq.into_storage());
+            let (entries, live) = lpq.into_storage();
+            self.entry_bufs.push(entries);
+            self.put_bounds(live);
         }
     }
 
@@ -361,6 +386,7 @@ impl<const D: usize> QueryScratch<D> {
     pub fn footprint_bytes(&self) -> usize {
         pool_bytes(&self.f64_bufs)
             + pool_bytes(&self.entry_bufs)
+            + pool_bytes(&self.bound_bufs)
             + self
                 .lpq_lists
                 .iter()
@@ -382,6 +408,7 @@ impl<const D: usize> QueryScratch<D> {
     pub fn parked(&self) -> usize {
         self.f64_bufs.len()
             + self.entry_bufs.len()
+            + self.bound_bufs.len()
             + self.lpq_lists.len()
             + self.lpq_queues.len()
             + self.page_stacks.len()
@@ -432,23 +459,26 @@ mod tests {
                 });
             }
         };
+        // k = 2 keeps the bound tracker's live multiset as well.
         let mut s: QueryScratch<2> = QueryScratch::new();
-        let mut big = s.take_lpq(node, 1, f64::INFINITY);
+        let mut big = s.take_lpq(node, 2, f64::INFINITY);
         fill(&mut big, 300);
         s.put_lpq(big);
         // A node-owned queue's storage goes back to the allocator…
         assert_eq!(s.parked(), 0);
         assert_eq!(s.footprint_bytes(), 0);
         // …and the next node owner starts from nothing.
-        let big = s.take_lpq(node, 1, f64::INFINITY);
-        assert_eq!(big.into_storage().capacity(), 0);
-        // An object-owned queue's storage is parked with its capacity.
-        let mut small = s.take_lpq(object, 1, f64::INFINITY);
+        let (entries, live) = s.take_lpq(node, 2, f64::INFINITY).into_storage();
+        assert_eq!((entries.capacity(), live.capacity()), (0, 0));
+        // An object-owned queue's storage — entries and live bounds — is
+        // parked with its capacity.
+        let mut small = s.take_lpq(object, 2, f64::INFINITY);
         fill(&mut small, 40);
         s.put_lpq(small);
-        assert_eq!(s.parked(), 1);
-        let small = s.take_lpq(object, 1, f64::INFINITY);
-        assert!(small.into_storage().capacity() >= 40);
+        assert_eq!(s.parked(), 2);
+        assert!(s.footprint_bytes() >= 40 * (size_of::<QueuedEntry<2>>() + size_of::<f64>()));
+        let (entries, live) = s.take_lpq(object, 2, f64::INFINITY).into_storage();
+        assert!(entries.capacity() >= 40 && live.capacity() >= 40);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests of the LPQ / BoundTracker machinery — the pruning
 //! data structures the whole MBA algorithm rests on.
 
-use ann_core::lpq::{BoundTracker, Lpq, QueuedEntry};
+use ann_core::lpq::{BoundTracker, Lpq, QueuedEntry, PRUNE_EPS};
 use ann_core::node::{Entry, NodeEntry, ObjectEntry};
 use ann_datagen::{for_each_case, Rng};
 use ann_geom::{Mbr, Point};
@@ -188,5 +188,57 @@ fn inherited_bound_caps() {
             t.offer(o);
         }
         assert!(t.bound_sq() <= inherited);
+    });
+}
+
+/// Random `offer` / `remove` / `satisfy_one` sequences under a finite
+/// inherited bound: after every step the tracker's bound is, bit for bit,
+/// the `k_remaining`-th smallest live value (with multiplicity) clipped by
+/// the inherited bound — the inherited bound alone while fewer are live,
+/// and 0 once nothing is wanted. Values repeat, include zeros, and come
+/// in clusters closer together than `PRUNE_EPS`, so ties and near-ties
+/// in the live multiset are exercised.
+#[test]
+fn tracker_bound_matches_sorted_live_reference() {
+    for_each_case(0x1b07, CASES, |rng| {
+        let k = rng.range(2, 7);
+        let inherited = rng.range_f64(0.0, 100.0);
+        let base = rng.range_f64(1.0, 100.0);
+        let mut t = BoundTracker::new(k, inherited);
+        let mut live: Vec<f64> = Vec::new();
+        let mut k_remaining = k;
+        for _ in 0..rng.range(1, 120) {
+            let step = rng.range(0, 20);
+            if step < 10 || live.is_empty() {
+                let v = match rng.range(0, 6) {
+                    0 => 0.0,
+                    1 => base,
+                    2 => base * (1.0 + PRUNE_EPS / 2.0),
+                    3 => f64::from_bits(base.to_bits() + 1),
+                    4 if !live.is_empty() => *rng.pick(&live),
+                    _ => rng.range_f64(0.0, 150.0),
+                };
+                t.offer(v);
+                live.push(v);
+            } else if step < 19 {
+                let v = live.swap_remove(rng.range(0, live.len()));
+                t.remove(v);
+            } else {
+                t.satisfy_one();
+                k_remaining = k_remaining.saturating_sub(1);
+            }
+            live.sort_by(f64::total_cmp);
+            let want = if k_remaining == 0 {
+                0.0
+            } else {
+                live.get(k_remaining - 1)
+                    .map_or(inherited, |&kth| inherited.min(kth))
+            };
+            assert_eq!(
+                t.bound_sq().to_bits(),
+                want.to_bits(),
+                "k={k} k_remaining={k_remaining} inherited={inherited} live={live:?}"
+            );
+        }
     });
 }

@@ -279,6 +279,12 @@ cargo run --release --offline --locked -p checker --bin fuzz -- --class wire --s
 # they run here in release too.
 cargo test -q --release --offline --locked -p ann-serve --test serving disconnect
 
+# Allocation gate: a warm MBA self-join makes under 0.1 allocator calls
+# per query point in 2-D (k = 1) and under 8 in 10-D (k = 10). The test
+# counts calls with its own global allocator; release is the build the
+# benchmark and the server run.
+cargo test -q --release --offline --locked -p ann-core --test alloc_per_join
+
 # Serving smoke: boot the real binary on an ephemeral port, drive the
 # full collection lifecycle plus a query through raw HTTP, and shut it
 # down cleanly over the wire.
