@@ -83,10 +83,9 @@ pub trait SpatialIndex<const D: usize> {
     /// columns, and caches the result. Falls back to a plain (uncached)
     /// read-and-decode when the index keeps no cache.
     ///
-    /// The traversal hot paths (MBA/RBA, BNN, MNN, kNN, closest pairs)
-    /// read through this; structural validation and collection deliberately
-    /// use the uncached [`read_node`](Self::read_node) so they observe the
-    /// on-disk bytes.
+    /// The traversal hot paths (MBA/RBA, BNN, MNN) read through this;
+    /// structural validation and collection deliberately use the uncached
+    /// [`read_node`](Self::read_node) so they observe the on-disk bytes.
     fn read_node_cached(&self, page: PageId) -> Result<Arc<DecodedNode<D>>> {
         let Some(cache) = self.node_cache() else {
             return Ok(Arc::new(DecodedNode::new(self.read_node(page)?)));

@@ -17,7 +17,7 @@
 //!   §3.3.2 ([`mba::Traversal`], [`mba::Expansion`]);
 //! * the **BNN** (batched nearest neighbors, Zhang et al. SSDBM'04),
 //!   **MNN** (index nested loops) and **HNN** (spatial-hash, no index)
-//!   baselines ([`bnn`], [`mnn`], [`hnn`]);
+//!   baselines ([`Algorithm::Bnn`], [`Algorithm::Mnn`], [`Algorithm::Hnn`]);
 //! * brute-force ground truth for testing ([`brute`]);
 //! * per-run counters ([`stats::AnnStats`]) covering distance
 //!   computations, queue traffic, node expansions and buffer-pool I/O.
@@ -42,23 +42,21 @@
 // panic: flag any unwrap that sneaks into non-test code.
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
-pub mod bnn;
+mod bnn;
 pub mod brute;
-pub mod closest_pairs;
 mod exec;
 pub mod extsort;
-pub mod hnn;
+mod hnn;
 pub mod index;
-pub mod knn;
 pub mod lpq;
 pub mod mba;
-pub mod mnn;
+mod mnn;
 pub mod morsel;
 pub mod node;
-pub mod node_cache;
+mod node_cache;
 pub mod prelude;
 pub mod query;
-pub mod readahead;
+mod readahead;
 pub mod resilience;
 mod scan;
 pub mod scratch;

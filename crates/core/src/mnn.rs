@@ -10,9 +10,7 @@
 //! `I_S` pages in the buffer pool.
 //!
 //! The per-object search, `knn_search`, is the crate's one best-first
-//! search: the standalone [`crate::knn`] primitive runs it for a single
-//! query point. It probes nodes through the shared node scan
-//! (`scan.rs`).
+//! search. It probes nodes through the shared node scan (`scan.rs`).
 
 use crate::exec::{self, ExecCtx, Join, Spill};
 use crate::index::SpatialIndex;
@@ -39,7 +37,7 @@ struct Mnn<'a, const D: usize, M, IR, IS> {
 
 /// A worker's only MNN state beside its scratch and output: heap entries
 /// cut off unpopped, tallied while tracing.
-pub(crate) type Worker<'w, const D: usize> = exec::Worker<'w, D, u64>;
+type Worker<'w, const D: usize> = exec::Worker<'w, D, u64>;
 
 impl<const D: usize, M, IR, IS> Join<D> for Mnn<'_, D, M, IR, IS>
 where
@@ -170,8 +168,8 @@ where
 /// neighbors of `r`, with the pruning-metric upper bound tightening it
 /// exactly as the LPQ bound does in MBA. Pushes them, nearest first, to
 /// `w.out.results`, skipping `r`'s own oid under `exclude_self`. MNN runs
-/// one per `I_R` object; [`crate::knn`] runs one for its query point.
-pub(crate) fn knn_search<const D: usize, M, I>(
+/// one per `I_R` object.
+fn knn_search<const D: usize, M, I>(
     is: &I,
     w: &mut Worker<'_, D>,
     r: &ObjectEntry<D>,

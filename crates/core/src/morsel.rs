@@ -2,7 +2,7 @@
 //!
 //! A *morsel* is a bounded unit of query-side work: an LPQ subtree for
 //! MBA, one Hilbert-contiguous group for BNN, an `I_R` subtree (degrading
-//! to single leaf runs) for MNN/kNN-style per-object searches, and a
+//! to single leaf runs) for MNN's per-object searches, and a
 //! fixed-size slice of query points for HNN. Morsels live in per-worker
 //! deques inside a [`MorselPool`]; a worker consumes its own deque
 //! depth-first (newest first, for locality with the subtree it just

@@ -184,7 +184,7 @@ pub enum NodeColumns {
 }
 
 /// A decoded node plus its [`NodeColumns`] SoA mirror — the unit the
-/// [`crate::node_cache::NodeCache`] stores and
+/// [`crate::NodeCache`] stores and
 /// [`crate::index::SpatialIndex::read_node_cached`] returns.
 ///
 /// `DerefMut` is deliberately absent and both fields are private: the

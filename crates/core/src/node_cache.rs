@@ -6,7 +6,7 @@
 //! `NodeCache` sits above the pool and memoizes the decoded node — as a
 //! [`DecodedNode`], i.e. together with its column-major SoA mirror for the
 //! batched kernels — behind an `Arc`, so repeat visits — ubiquitous in MBA's bidirectional
-//! expansion, kNN re-descents and the BNN/MNN baselines — are a lock-brief
+//! expansion and the BNN/MNN baselines' re-descents — are a lock-brief
 //! hash probe returning a shared pointer.
 //!
 //! # Invalidation

@@ -328,14 +328,6 @@ impl<'a> AnnRequest<'a> {
         self
     }
 
-    /// Pins the query to snapshot `version` of a versioned index
-    /// (time-travel). Resolution happens in the index-owning layer; see
-    /// [`QuerySpec::version`].
-    pub fn at_version(mut self, version: u32) -> Self {
-        self.spec.version = Some(version);
-        self
-    }
-
     /// Sets the neighbors-per-object count.
     pub fn k(mut self, k: usize) -> Self {
         self.spec.k = k;

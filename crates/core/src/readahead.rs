@@ -1,7 +1,7 @@
 //! Readahead hinting for the traversal hot paths.
 //!
-//! Every traversal in this crate (MBA's LPQ probes, the best-first kNN
-//! and MNN descents, BNN's group heap) makes its visit decisions in a
+//! Every traversal in this crate (MBA's LPQ probes, MNN's best-first
+//! descents, BNN's group heap) makes its visit decisions in a
 //! tight loop over a decoded node's entries, then consumes the accepted
 //! child pages strictly later — after more heap pops or queue drains.
 //! That gap is free overlap: the moment a child is *accepted* its page id

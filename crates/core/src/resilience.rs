@@ -153,9 +153,8 @@ pub type QueryResult<T> = std::result::Result<T, QueryError>;
 /// The per-query limit checker threaded through every traversal.
 ///
 /// Internally atomic, so every worker of a parallel join shares one guard
-/// by reference. [`QueryGuard::disabled`] (what the standalone kNN and
-/// closest-pairs primitives use) reduces [`tick`](QueryGuard::tick) to one
-/// predictable branch.
+/// by reference. [`QueryGuard::disabled`] reduces
+/// [`tick`](QueryGuard::tick) to one predictable branch.
 pub struct QueryGuard<'p> {
     active: bool,
     cancel: Option<CancelToken>,

@@ -1,9 +1,9 @@
 //! The node scan shared by every algorithm that probes `I_S` — MBA's
-//! probe, BNN's group traversal, and MNN's best-first search (which kNN
-//! runs too): score every entry of a decoded `I_S` node against one owner,
-//! then replay the accept/reject decisions sequentially under the evolving
-//! bound. The owner is an `I_R` entry (MBA), a query object (MNN, kNN) or a
-//! BNN group standing in as a node over the group's MBR.
+//! probe, BNN's group traversal, and MNN's best-first search: score every
+//! entry of a decoded `I_S` node against one owner, then replay the
+//! accept/reject decisions sequentially under the evolving bound. The
+//! owner is an `I_R` entry (MBA), a query object (MNN) or a BNN group
+//! standing in as a node over the group's MBR.
 //!
 //! Scores are bit-identical to the scalar `Distances` procedure
 //! ([`ann_geom::kernels`]' contract) and the replay reads the queue's
@@ -63,9 +63,9 @@ impl<const D: usize> CandidateQueue<D> for Lpq<D> {
 }
 
 /// The frontier of one best-first (Hjaltason–Samet) descent — MNN's
-/// per-object search, which kNN runs too: a `MIND`-ordered heap plus the
-/// pruning bound its offers back. Nothing is ever evicted; stale entries
-/// are cut off at pop time.
+/// per-object search: a `MIND`-ordered heap plus the pruning bound its
+/// offers back. Nothing is ever evicted; stale entries are cut off at pop
+/// time.
 pub(crate) struct BestFirst<const D: usize> {
     pub(crate) bound: BoundTracker,
     pub(crate) heap: BinaryHeap<BestFirstItem<D>>,

@@ -1,7 +1,7 @@
 //! [`QueryScratch`] — a per-thread arena of reusable query buffers.
 //!
 //! Every algorithm in this crate used to allocate its working memory
-//! per query (LPQ entry vectors in MBA, best-first heaps in kNN/MNN/BNN,
+//! per query (LPQ entry vectors in MBA, best-first heaps in MNN/BNN,
 //! the live-bound vectors of the LPQs' and frontiers'
 //! [`BoundTracker`](crate::lpq::BoundTracker)s, per-point k-best heaps in
 //! BNN/HNN, visit stacks, and the distance buffers the batched kernels of
@@ -51,7 +51,7 @@ use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 use std::mem::size_of;
 
-/// Min-heap item for best-first index descents (kNN and MNN): popped in
+/// Min-heap item for best-first index descents (MNN): popped in
 /// ascending `(MIND, nodes-before-objects, page/oid)` order. A child's
 /// MIND never undercuts its parent's, so popping tied nodes first
 /// guarantees every object at distance `d` is in the heap before any tied
@@ -330,7 +330,7 @@ impl<const D: usize> QueryScratch<D> {
     }
 
     /// A `(page, priority)` hint buffer for readahead submission
-    /// ([`crate::readahead`]).
+    /// (`readahead.rs`).
     pub fn take_hints(&mut self) -> Vec<(PageId, u32)> {
         self.hint_bufs.pop().unwrap_or_default()
     }
@@ -341,7 +341,7 @@ impl<const D: usize> QueryScratch<D> {
         self.hint_bufs.push(buf);
     }
 
-    /// A best-first heap for kNN/MNN descents. An empty `Vec` heapifies
+    /// A best-first heap for MNN descents. An empty `Vec` heapifies
     /// trivially, so this preserves the parked buffer's capacity.
     pub fn take_best_first(&mut self) -> BinaryHeap<BestFirstItem<D>> {
         BinaryHeap::from(self.best_first_bufs.pop().unwrap_or_default())

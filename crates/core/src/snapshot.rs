@@ -94,7 +94,7 @@ impl<const D: usize> VersionedHandle<D> {
 /// A read view of one pinned version of a tree.
 ///
 /// Implements [`SpatialIndex`], so every algorithm (MBA/RBA, BNN, MNN,
-/// HNN, kNN, closest pairs, validation) runs against it unchanged. The
+/// HNN, validation) runs against it unchanged. The
 /// pinned version cannot be garbage-collected while this value lives.
 pub struct ReadContext<const D: usize> {
     snap: Snapshot,

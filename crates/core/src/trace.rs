@@ -96,7 +96,7 @@ pub enum PruneReason {
     /// expansion's parent-level rejection).
     ParentReject,
     /// A best-first heap terminated because its next candidate's MINDIST
-    /// reached the current kNN bound (BNN / MNN / kNN cutoff).
+    /// reached the current kNN bound (BNN / MNN cutoff).
     HeapCutoff,
     /// A GORDER inner block was skipped because its MINMINDIST to the
     /// outer block exceeded the block's pruning bound.

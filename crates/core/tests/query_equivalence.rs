@@ -4,11 +4,10 @@
 //! observes; it never steers).
 
 use ann_core::brute::brute_force_aknn;
-use ann_core::knn::knn;
 use ann_core::prelude::*;
 use ann_core::trace::Side;
 use ann_datagen::Rng;
-use ann_geom::{NxnDist, Point};
+use ann_geom::Point;
 use ann_mbrqt::{Mbrqt, MbrqtConfig};
 use ann_rstar::{RStar, RStarConfig};
 use ann_store::{BufferPool, MemDisk};
@@ -300,9 +299,9 @@ fn mba_rejects_point_inputs() {
 
 // ---------------------------------------------------------------------
 // Frozen counters: the exact point×leaf scan (DESIGN.md §11) promises that
-// not one decision moves — so every `AnnStats` counter of MBA and MNN, and
-// the kNN answers, are pinned here to the values the pre-exact-path
-// traversal produced on three seeded inputs.
+// not one decision moves — so every `AnnStats` counter of MBA and MNN is
+// pinned here to the values the pre-exact-path traversal produced on three
+// seeded inputs.
 // ---------------------------------------------------------------------
 
 /// SplitMix64 seeded with the raw state. `ann_datagen::Rng::new` mixes its
@@ -385,19 +384,7 @@ fn row(s: &AnnStats) -> Row {
     ]
 }
 
-/// FNV-1a over `(oid, distance bits)` of a kNN answer list.
-fn knn_digest(hits: &[(u64, f64)], mut h: u64) -> u64 {
-    for (oid, dist) in hits {
-        for word in [*oid, dist.to_bits()] {
-            for b in word.to_le_bytes() {
-                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        }
-    }
-    h
-}
-
-/// Runs MBA (serial and 3 threads), MNN and kNN over one seeded input for
+/// Runs MBA (serial and 3 threads) and MNN over one seeded input for
 /// k ∈ {1, 10} × ±`exclude_self` × both metrics, on freshly built indexes
 /// so every run starts cold. `exclude_self` runs are self-joins of `a`;
 /// the others join `a` against `b`.
@@ -446,21 +433,6 @@ fn frozen_rows<const D: usize, I, B>(
                     rows.push((label.clone(), row(&serial.stats)));
                     assert_matches_truth(serial, &truth, &label);
                 }
-                // kNN keeps no counters: pin its answers instead.
-                let is = build(pool(4096), s_pts);
-                let mut h = 0xCBF2_9CE4_8422_2325;
-                for (_, q) in a.iter().step_by(a.len() / 24) {
-                    let hits = match metric {
-                        MetricChoice::MaxMax => knn::<D, ann_geom::MaxMaxDist, _>(&is, q, k),
-                        _ => knn::<D, NxnDist, _>(&is, q, k),
-                    }
-                    .unwrap();
-                    h = knn_digest(&hits, h);
-                }
-                let mut r: Row = [0; 12];
-                r[0] = h;
-                let label = format!("{tag} knn {metric:?} k={k} s_is_a={exclude_self}");
-                rows.push((label, r));
             }
         }
     }
@@ -641,74 +613,50 @@ const FROZEN_BASELINES: &[(&str, Row)] = &[
 const FROZEN: &[(&str, Row)] = &[
     ("2d-clustered/mbrqt mba Nxn k=1 exclude_self=false", [16103, 715, 2742, 13671, 1142, 115, 377, 185, 0, 185, 0, 0]),
     ("2d-clustered/mbrqt mnn Nxn k=1 exclude_self=false", [28730, 0, 8419, 20311, 0, 115, 1701, 170, 0, 170, 0, 0]),
-    ("2d-clustered/mbrqt knn Nxn k=1 s_is_a=false", [3480039840801785800, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
     ("2d-clustered/mbrqt mba MaxMax k=1 exclude_self=false", [16304, 715, 3073, 13675, 1329, 115, 387, 186, 0, 186, 0, 0]),
     ("2d-clustered/mbrqt mnn MaxMax k=1 exclude_self=false", [28730, 0, 13295, 15435, 0, 115, 1701, 170, 0, 170, 0, 0]),
-    ("2d-clustered/mbrqt knn MaxMax k=1 s_is_a=false", [3480039840801785800, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
     ("2d-clustered/mbrqt mba Nxn k=1 exclude_self=true", [25119, 715, 4714, 21189, 2018, 115, 558, 230, 0, 230, 0, 0]),
     ("2d-clustered/mbrqt mnn Nxn k=1 exclude_self=true", [31396, 0, 12542, 18854, 0, 115, 2124, 230, 0, 230, 0, 0]),
-    ("2d-clustered/mbrqt knn Nxn k=1 s_is_a=true", [11370724554453720327, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
     ("2d-clustered/mbrqt mba MaxMax k=1 exclude_self=true", [25674, 715, 5194, 21566, 2165, 115, 586, 230, 0, 230, 0, 0]),
     ("2d-clustered/mbrqt mnn MaxMax k=1 exclude_self=true", [31396, 0, 14821, 16575, 0, 115, 2124, 230, 0, 230, 0, 0]),
-    ("2d-clustered/mbrqt knn MaxMax k=1 s_is_a=true", [11370724554453720327, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
     ("2d-clustered/mbrqt mba Nxn k=10 exclude_self=false", [39252, 715, 13220, 27069, 4062, 115, 1177, 202, 0, 202, 0, 0]),
     ("2d-clustered/mbrqt mnn Nxn k=10 exclude_self=false", [44498, 0, 28218, 16280, 0, 115, 4347, 191, 0, 191, 0, 0]),
-    ("2d-clustered/mbrqt knn Nxn k=10 s_is_a=false", [12885507330772416110, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
     ("2d-clustered/mbrqt mba MaxMax k=10 exclude_self=false", [40489, 715, 13858, 27935, 4398, 115, 1211, 203, 0, 203, 0, 0]),
     ("2d-clustered/mbrqt mnn MaxMax k=10 exclude_self=false", [44498, 0, 30681, 13817, 0, 115, 4347, 191, 0, 191, 0, 0]),
-    ("2d-clustered/mbrqt knn MaxMax k=10 s_is_a=false", [12885507330772416110, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
     ("2d-clustered/mbrqt mba Nxn k=10 exclude_self=true", [37900, 715, 15706, 23851, 5725, 115, 1153, 230, 0, 230, 0, 0]),
     ("2d-clustered/mbrqt mnn Nxn k=10 exclude_self=true", [45155, 0, 30401, 14754, 0, 115, 4198, 230, 0, 230, 0, 0]),
-    ("2d-clustered/mbrqt knn Nxn k=10 s_is_a=true", [18130078450184720838, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
     ("2d-clustered/mbrqt mba MaxMax k=10 exclude_self=true", [38505, 715, 16363, 24199, 5942, 115, 1180, 230, 0, 230, 0, 0]),
     ("2d-clustered/mbrqt mnn MaxMax k=10 exclude_self=true", [45155, 0, 31950, 13205, 0, 115, 4198, 230, 0, 230, 0, 0]),
-    ("2d-clustered/mbrqt knn MaxMax k=10 s_is_a=true", [18130078450184720838, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
     ("10d-correlated/mbrqt mba Nxn k=1 exclude_self=false", [19441, 526, 2649, 17056, 1180, 226, 756, 436, 0, 436, 0, 0]),
     ("10d-correlated/mbrqt mnn Nxn k=1 exclude_self=false", [23786, 0, 5190, 18596, 0, 226, 1520, 383, 0, 383, 0, 0]),
-    ("10d-correlated/mbrqt knn Nxn k=1 s_is_a=false", [2959480134311750811, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
     ("10d-correlated/mbrqt mba MaxMax k=1 exclude_self=false", [19489, 526, 2683, 17075, 1206, 226, 757, 436, 0, 436, 0, 0]),
     ("10d-correlated/mbrqt mnn MaxMax k=1 exclude_self=false", [23786, 0, 5344, 18442, 0, 226, 1520, 383, 0, 383, 0, 0]),
-    ("10d-correlated/mbrqt knn MaxMax k=1 s_is_a=false", [2959480134311750811, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
     ("10d-correlated/mbrqt mba Nxn k=1 exclude_self=true", [18703, 526, 3293, 15710, 1380, 226, 864, 452, 0, 452, 0, 0]),
     ("10d-correlated/mbrqt mnn Nxn k=1 exclude_self=true", [22654, 0, 7669, 14985, 0, 226, 1630, 452, 0, 452, 0, 0]),
-    ("10d-correlated/mbrqt knn Nxn k=1 s_is_a=true", [11161044763092749154, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
     ("10d-correlated/mbrqt mba MaxMax k=1 exclude_self=true", [18703, 526, 3315, 15692, 1397, 226, 864, 452, 0, 452, 0, 0]),
     ("10d-correlated/mbrqt mnn MaxMax k=1 exclude_self=true", [22654, 0, 7794, 14860, 0, 226, 1630, 452, 0, 452, 0, 0]),
-    ("10d-correlated/mbrqt knn MaxMax k=1 s_is_a=true", [11161044763092749154, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
     ("10d-correlated/mbrqt mba Nxn k=10 exclude_self=false", [28653, 526, 9376, 19771, 2532, 226, 2919, 484, 0, 484, 0, 0]),
     ("10d-correlated/mbrqt mnn Nxn k=10 exclude_self=false", [28783, 0, 17431, 11352, 0, 226, 3805, 484, 0, 484, 0, 0]),
-    ("10d-correlated/mbrqt knn Nxn k=10 s_is_a=false", [11103688724509784187, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
     ("10d-correlated/mbrqt mba MaxMax k=10 exclude_self=false", [28680, 526, 9446, 19774, 2551, 226, 2924, 484, 0, 484, 0, 0]),
     ("10d-correlated/mbrqt mnn MaxMax k=10 exclude_self=false", [28783, 0, 17540, 11243, 0, 226, 3805, 484, 0, 484, 0, 0]),
-    ("10d-correlated/mbrqt knn MaxMax k=10 s_is_a=false", [11103688724509784187, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
     ("10d-correlated/mbrqt mba Nxn k=10 exclude_self=true", [28151, 526, 9064, 19569, 2130, 226, 2779, 452, 0, 452, 0, 0]),
     ("10d-correlated/mbrqt mnn Nxn k=10 exclude_self=true", [27684, 0, 17582, 10102, 0, 226, 3748, 452, 0, 452, 0, 0]),
-    ("10d-correlated/mbrqt knn Nxn k=10 s_is_a=true", [11869894427605171349, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
     ("10d-correlated/mbrqt mba MaxMax k=10 exclude_self=true", [28172, 526, 9122, 19578, 2136, 226, 2784, 452, 0, 452, 0, 0]),
     ("10d-correlated/mbrqt mnn MaxMax k=10 exclude_self=true", [27684, 0, 17643, 10041, 0, 226, 3748, 452, 0, 452, 0, 0]),
-    ("10d-correlated/mbrqt knn MaxMax k=10 s_is_a=true", [11869894427605171349, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
     ("2d-clustered/rstar mba Nxn k=1 exclude_self=false", [40622, 543, 2327, 38484, 1266, 43, 241, 86, 0, 86, 0, 0]),
     ("2d-clustered/rstar mnn Nxn k=1 exclude_self=false", [18752, 0, 5462, 13290, 0, 43, 1990, 66, 0, 66, 0, 0]),
-    ("2d-clustered/rstar knn Nxn k=1 s_is_a=false", [15706922874322472774, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
     ("2d-clustered/rstar mba MaxMax k=1 exclude_self=false", [40766, 543, 2987, 38152, 1738, 43, 245, 86, 0, 86, 0, 0]),
     ("2d-clustered/rstar mnn MaxMax k=1 exclude_self=false", [18752, 0, 8114, 10638, 0, 43, 1990, 66, 0, 66, 0, 0]),
-    ("2d-clustered/rstar knn MaxMax k=1 s_is_a=false", [15706922874322472774, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
     ("2d-clustered/rstar mba Nxn k=1 exclude_self=true", [43937, 543, 3653, 40504, 2153, 43, 253, 86, 0, 86, 0, 0]),
     ("2d-clustered/rstar mnn Nxn k=1 exclude_self=true", [17099, 0, 8305, 8794, 0, 43, 1808, 86, 0, 86, 0, 0]),
-    ("2d-clustered/rstar knn Nxn k=1 s_is_a=true", [1832515877289931077, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
     ("2d-clustered/rstar mba MaxMax k=1 exclude_self=true", [44007, 543, 3917, 40378, 2347, 43, 255, 86, 0, 86, 0, 0]),
     ("2d-clustered/rstar mnn MaxMax k=1 exclude_self=true", [17099, 0, 9752, 7347, 0, 43, 1808, 86, 0, 86, 0, 0]),
-    ("2d-clustered/rstar knn MaxMax k=1 s_is_a=true", [1832515877289931077, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
     ("2d-clustered/rstar mba Nxn k=10 exclude_self=false", [65490, 543, 12174, 53705, 6405, 43, 374, 86, 0, 86, 0, 0]),
     ("2d-clustered/rstar mnn Nxn k=10 exclude_self=false", [35336, 0, 16960, 18376, 0, 43, 3370, 80, 0, 80, 0, 0]),
-    ("2d-clustered/rstar knn Nxn k=10 s_is_a=false", [16719162747354622667, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
     ("2d-clustered/rstar mba MaxMax k=10 exclude_self=false", [65525, 543, 12592, 53464, 6680, 43, 375, 86, 0, 86, 0, 0]),
     ("2d-clustered/rstar mnn MaxMax k=10 exclude_self=false", [35336, 0, 18037, 17299, 0, 43, 3370, 80, 0, 80, 0, 0]),
-    ("2d-clustered/rstar knn MaxMax k=10 s_is_a=false", [16719162747354622667, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
     ("2d-clustered/rstar mba Nxn k=10 exclude_self=true", [59442, 543, 11394, 48515, 5068, 43, 336, 86, 0, 86, 0, 0]),
     ("2d-clustered/rstar mnn Nxn k=10 exclude_self=true", [29694, 0, 17486, 12208, 0, 43, 2826, 86, 0, 86, 0, 0]),
-    ("2d-clustered/rstar knn Nxn k=10 s_is_a=true", [1488278424501305701, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
     ("2d-clustered/rstar mba MaxMax k=10 exclude_self=true", [59477, 543, 11550, 48536, 5081, 43, 337, 86, 0, 86, 0, 0]),
     ("2d-clustered/rstar mnn MaxMax k=10 exclude_self=true", [29694, 0, 17918, 11776, 0, 43, 2826, 86, 0, 86, 0, 0]),
-    ("2d-clustered/rstar knn MaxMax k=10 s_is_a=true", [1488278424501305701, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
 ];

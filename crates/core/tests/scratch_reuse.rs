@@ -14,11 +14,10 @@
 //! Also asserts that `run_scratch` with a caller-owned arena returns
 //! exactly what `run` with a transient one returns: pooling is invisible.
 
-use ann_core::knn::{knn, knn_scratch};
 use ann_core::prelude::*;
 use ann_core::QueryScratch;
 use ann_datagen::Rng;
-use ann_geom::{NxnDist, Point};
+use ann_geom::Point;
 use ann_mbrqt::{Mbrqt, MbrqtConfig};
 use ann_store::{BufferPool, MemDisk};
 use std::sync::Arc;
@@ -199,22 +198,5 @@ fn hnn_steady_state_reallocates_nothing() {
             got.stats.distance_computations,
             want.stats.distance_computations
         );
-    });
-}
-
-#[test]
-fn knn_steady_state_reallocates_nothing() {
-    let s = random_points::<2>(800, 9);
-    let is = build_tree(&s);
-    let queries = random_points::<2>(50, 10);
-    let want: Vec<_> = queries
-        .iter()
-        .map(|(_, q)| knn::<2, NxnDist, _>(&is, q, 5).unwrap())
-        .collect();
-    assert_steady_state("knn", |scratch| {
-        for ((_, q), w) in queries.iter().zip(&want) {
-            let got = knn_scratch::<2, NxnDist, _>(&is, q, 5, scratch).unwrap();
-            assert_eq!(&got, w);
-        }
     });
 }

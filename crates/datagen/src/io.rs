@@ -50,12 +50,15 @@ fn fields(line: &str) -> impl Iterator<Item = &str> {
 /// Reads `D`-dimensional points from a delimited text file.
 ///
 /// Lines must have either `D` numeric fields (points are numbered
-/// sequentially from 0) or `D + 1` fields with an integer id first.
-/// Extra columns beyond `D + 1` are an error — slice your file first, so
-/// silent truncation never misreads a dataset.
+/// sequentially from 0) or `D + 1` fields with an integer id first, and
+/// the first data line fixes which: a later line in the other form is an
+/// error, since mixing numbered and id-carrying rows could give two
+/// points one id. Extra columns beyond `D + 1` are an error — slice your
+/// file first, so silent truncation never misreads a dataset.
 pub fn read_csv<const D: usize, P: AsRef<Path>>(path: P) -> Result<Vec<(u64, Point<D>)>, IoError> {
     let reader = BufReader::new(std::fs::File::open(path)?);
     let mut out = Vec::new();
+    let mut with_ids = None;
     for (idx, line) in reader.lines().enumerate() {
         let line = line?;
         let trimmed = line.trim();
@@ -64,21 +67,34 @@ pub fn read_csv<const D: usize, P: AsRef<Path>>(path: P) -> Result<Vec<(u64, Poi
         }
         let cols: Vec<&str> = fields(trimmed).collect();
         let lineno = idx + 1;
-        let (oid, coords) = match cols.len() {
-            n if n == D => (out.len() as u64, &cols[..]),
-            n if n == D + 1 => {
-                let oid = cols[0].parse::<u64>().map_err(|e| IoError::Parse {
-                    line: lineno,
-                    message: format!("bad id {:?}: {e}", cols[0]),
-                })?;
-                (oid, &cols[1..])
-            }
+        let has_id = match cols.len() {
+            n if n == D => false,
+            n if n == D + 1 => true,
             n => {
                 return Err(IoError::Parse {
                     line: lineno,
                     message: format!("expected {D} or {} fields, found {n}", D + 1),
                 })
             }
+        };
+        if *with_ids.get_or_insert(has_id) != has_id {
+            return Err(IoError::Parse {
+                line: lineno,
+                message: format!(
+                    "found {} fields, but the first data line has {}",
+                    cols.len(),
+                    if has_id { D } else { D + 1 }
+                ),
+            });
+        }
+        let (oid, coords) = if has_id {
+            let oid = cols[0].parse::<u64>().map_err(|e| IoError::Parse {
+                line: lineno,
+                message: format!("bad id {:?}: {e}", cols[0]),
+            })?;
+            (oid, &cols[1..])
+        } else {
+            (out.len() as u64, &cols[..])
         };
         let mut c = [0.0; D];
         for (d, field) in coords.iter().enumerate() {
@@ -167,6 +183,12 @@ mod tests {
         ));
         std::fs::write(&path, "1,inf\n").unwrap();
         assert!(read_csv::<2, _>(&path).is_err());
+        // Numbered and id-carrying rows mixed would give oid 1 twice.
+        std::fs::write(&path, "7,0.5,0.5\n# comment\n0.1,0.2\n1,0.3,0.3\n").unwrap();
+        assert!(matches!(
+            read_csv::<2, _>(&path),
+            Err(IoError::Parse { line: 3, .. })
+        ));
         std::fs::remove_file(path).ok();
     }
 }

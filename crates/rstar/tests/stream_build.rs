@@ -2,9 +2,9 @@
 //! query equivalence against the in-memory STR build.
 
 use ann_core::index::{collect_objects, validate, SpatialIndex};
-use ann_core::knn::knn;
+use ann_core::prelude::{Algorithm, AnnRequest, Input};
 use ann_core::tree_file::WritableIndex;
-use ann_geom::{NxnDist, Point};
+use ann_geom::Point;
 use ann_rstar::{RStar, RStarConfig};
 use ann_store::{BufferPool, MemDisk};
 use std::sync::Arc;
@@ -63,11 +63,15 @@ fn streamed_tree_answers_queries_like_the_str_tree() {
     .unwrap();
     let str_tree = RStar::bulk_build(pool(64), &pts, &RStarConfig::default()).unwrap();
 
-    // Different packing, same contents: every kNN answer must agree.
-    for (q, k) in [([0.1, 0.9], 1), ([0.5, 0.5], 5), ([0.99, 0.01], 17)] {
-        let a = knn::<2, NxnDist, _>(&streamed, &Point::new(q), k).unwrap();
-        let b = knn::<2, NxnDist, _>(&str_tree, &Point::new(q), k).unwrap();
-        assert_eq!(a, b, "query {q:?} k={k}");
+    // Different packing, same contents: every query point's k nearest
+    // neighbors must agree.
+    let queries = points(40, 0xBEEF);
+    let query_tree = RStar::bulk_build(pool(16), &queries, &RStarConfig::default()).unwrap();
+    for k in [1, 5, 17] {
+        let req = AnnRequest::new(Algorithm::Mnn).k(k);
+        let a = req.run(Input::Index(&query_tree), Input::Index(&streamed));
+        let b = req.run(Input::Index(&query_tree), Input::Index(&str_tree));
+        assert_eq!(a.unwrap().results, b.unwrap().results, "k={k}");
     }
 }
 

@@ -94,7 +94,7 @@ impl MessageReader {
             std::str::from_utf8(&self.buf[..head_end - 4]).map_err(|_| bad("non-UTF-8 head"))?;
         let mut lines = head.split("\r\n");
         let start_line = lines.next().unwrap_or_default().to_string();
-        let mut content_length = 0usize;
+        let mut content_length = None;
         let mut keep_alive = None;
         for line in lines {
             let Some((name, value)) = line.split_once(':') else {
@@ -102,13 +102,22 @@ impl MessageReader {
             };
             let value = value.trim();
             if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.parse().map_err(|_| bad("bad Content-Length"))?;
+                // RFC 9112 §6.3: a repeated or non-decimal length leaves the
+                // body's end ambiguous to anything in front of us; reject it.
+                if content_length.is_some() {
+                    return Err(bad("repeated Content-Length"));
+                }
+                match value.parse() {
+                    Ok(n) if value.bytes().all(|b| b.is_ascii_digit()) => content_length = Some(n),
+                    _ => return Err(bad("bad Content-Length")),
+                }
             } else if name.eq_ignore_ascii_case("connection") {
                 keep_alive = Some(!value.eq_ignore_ascii_case("close"));
             } else if name.eq_ignore_ascii_case("transfer-encoding") {
                 return Err(bad("chunked bodies not supported"));
             }
         }
+        let content_length = content_length.unwrap_or(0);
         if content_length > self.max_body {
             return Err(bad("message body too large"));
         }
@@ -367,7 +376,7 @@ mod tests {
             "POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
             MAX_BODY + 1
         );
-        let table: [(&str, &[u8]); 9] = [
+        let table: [(&str, &[u8]); 11] = [
             ("EOF inside the head", b"GET / HTTP/1.1\r\nHost"),
             ("EOF inside the body", &POST[..POST.len() - 1]),
             ("head over MAX_HEAD", &long_head),
@@ -381,6 +390,14 @@ mod tests {
             (
                 "Content-Length not a number",
                 b"GET / HTTP/1.1\r\nContent-Length: -1\r\n\r\n",
+            ),
+            (
+                "Content-Length with a sign",
+                b"POST / HTTP/1.1\r\nContent-Length: +1\r\n\r\nx",
+            ),
+            (
+                "two Content-Length headers",
+                b"POST / HTTP/1.1\r\nContent-Length: 1\r\nContent-Length: 1\r\n\r\nx",
             ),
             ("no target", b"GET\r\n\r\n"),
         ];

@@ -71,9 +71,8 @@ if git grep -nE 'effective_threads|RetryOverride|fn from_request|set_retry_polic
 fi
 # The kNN machinery is written once (DESIGN.md §11): every algorithm that
 # probes an index's nodes does it through the node scan in `scan.rs`, one
-# best-first search seeds a `BestFirst` (MNN's, which kNN calls), and one
-# k-best set (`scratch.rs`) holds the canonical tie-break for BNN, HNN and
-# GORDER.
+# best-first search seeds a `BestFirst` (MNN's), and one k-best set
+# (`scratch.rs`) holds the canonical tie-break for BNN, HNN and GORDER.
 probes="$(git grep -l 'upper_sq_batch(' -- crates/core/src crates/gorder/src \
   ':!crates/core/src/scan.rs' || true)"
 seeds="$(git grep -c 'BestFirst::seeded' -- crates src tests examples \
@@ -113,6 +112,42 @@ if [ -e crates/core/src/par.rs ] || [ -n "$spawners" ]; then
        "(crates/core/src/exec.rs), found par.rs or:" $spawners >&2
   exit 1
 fi
+
+# ann-core's public surface is what something runs: every `pub mod` in its
+# lib.rs is named, as `ann_core::<mod>` (or the facade's `allnn::core::<mod>`)
+# or as a path at the top of a `use ann_core::{…}` group, above the first
+# `#[cfg(test)]` of a source file outside crates/core (crates/*/src, src,
+# examples, perf/src). A module only tests reach is private, or listed here
+# with the reason it stays public.
+git ls-files -- 'crates/*/src/*.rs' 'src/*.rs' 'examples/*.rs' 'perf/src/*.rs' \
+  ':!crates/core' | python3 -c '
+import re, sys
+allowed = {
+    "lpq": "core/tests/lpq_properties.rs drives BoundTracker and Lpq directly",
+}
+mods = re.findall(r"^pub mod (\w+);", open("crates/core/src/lib.rs").read(), re.M)
+named = set()
+for path in sys.stdin.read().split():
+    text = open(path).read().split("#[cfg(test)]")[0]
+    named.update(re.findall(r"\b(?:ann_core|allnn::core)::(\w+)", text))
+    for group in re.finditer(r"\b(?:ann_core|allnn::core)::\{", text):
+        depth, head = 1, True
+        for tok in re.finditer(r"\w+|[{},]", text[group.end():]):
+            t = tok.group()
+            if t in "{}":
+                depth += 1 if t == "{" else -1
+                if depth == 0:
+                    break
+            elif t == ",":
+                head = depth == 1
+            elif head:
+                named.add(t)
+                head = False
+unused = [m for m in mods if m not in named and m not in allowed]
+assert not unused, ("ann-core exports modules nothing outside it names; make them"
+                    f" private, or allowlist them in scripts/ci.sh: {unused}")
+print(f"{len(mods)} public ann-core modules, each named outside the crate or allowlisted")
+'
 
 # Registry crates stay gone: every package cargo resolves, for every
 # target of every workspace member, is a path inside this repository.
