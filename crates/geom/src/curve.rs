@@ -1,15 +1,11 @@
-//! Space-filling curves over `D`-dimensional grids.
+//! The Hilbert space-filling curve over `D`-dimensional grids.
 //!
-//! Two curves are provided:
+//! [`hilbert`] is the Hilbert curve via Skilling's transpose algorithm.
+//! The R*-tree's streamed bulk load packs leaves in its order (through the
+//! external sort), and the BNN baseline uses it to form spatially-coherent
+//! groups of query points.
 //!
-//! * [`z_order`] — bit interleaving (Morton order); cheap and good enough
-//!   for grouping nearby points.
-//! * [`hilbert`] — the Hilbert curve via Skilling's transpose algorithm,
-//!   with strictly better locality; used by the R*-tree's STR-adjacent bulk
-//!   loader and by the BNN baseline to form spatially-coherent groups of
-//!   query points.
-//!
-//! Both operate on integer grid coordinates; [`GridMapper`] quantizes
+//! It operates on integer grid coordinates; [`GridMapper`] quantizes
 //! floating-point points into such a grid over a dataset's bounding box.
 
 use crate::{Mbr, Point};
@@ -67,33 +63,11 @@ impl<const D: usize> GridMapper<D> {
         out
     }
 
-    /// The Z-order (Morton) key of `p`.
-    #[inline]
-    pub fn z_key(&self, p: &Point<D>) -> u128 {
-        z_order(&self.cell(p), self.bits)
-    }
-
     /// The Hilbert key of `p`.
     #[inline]
     pub fn hilbert_key(&self, p: &Point<D>) -> u128 {
         hilbert(&self.cell(p), self.bits)
     }
-}
-
-/// Interleaves the low `bits` bits of each coordinate into a Morton key.
-///
-/// Bit `b` of dimension `d` lands at key position `b * D + (D - 1 - d)`, so
-/// dimension 0 provides the most significant bit of each group.
-pub fn z_order<const D: usize>(cell: &[u32; D], bits: u32) -> u128 {
-    debug_assert!(bits as usize * D <= 128);
-    let mut key = 0u128;
-    for b in (0..bits).rev() {
-        for (i, &c) in cell.iter().enumerate() {
-            debug_assert!(i < D);
-            key = (key << 1) | u128::from((c >> b) & 1);
-        }
-    }
-    key
 }
 
 /// The Hilbert-curve index of a grid cell, via Skilling's transpose
@@ -155,24 +129,6 @@ pub fn hilbert<const D: usize>(cell: &[u32; D], bits: u32) -> u128 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn z_order_2d_matches_hand_interleave() {
-        // cell (x=0b10, y=0b01) with 2 bits: key bits are x1 y1 x0 y0 =
-        // 1 0 0 1 = 9.
-        assert_eq!(z_order(&[0b10u32, 0b01u32], 2), 0b1001);
-    }
-
-    #[test]
-    fn z_order_is_injective_on_small_grid() {
-        let mut seen = std::collections::HashSet::new();
-        for x in 0..16u32 {
-            for y in 0..16u32 {
-                assert!(seen.insert(z_order(&[x, y], 4)));
-            }
-        }
-        assert_eq!(seen.len(), 256);
-    }
 
     #[test]
     fn hilbert_is_a_bijection_on_small_grids() {
@@ -251,7 +207,6 @@ mod tests {
         let bits = 21;
         let max = (1u32 << bits) - 1;
         assert_eq!(hilbert(&[0u32, 0u32], bits), 0);
-        assert_eq!(z_order(&[max, max], bits), (1u128 << (2 * bits)) - 1);
         let corners = [[0, 0], [max, 0], [0, max], [max, max]];
         let mut keys: Vec<u128> = corners.iter().map(|c| hilbert(c, bits)).collect();
         for &k in &keys {
@@ -317,20 +272,15 @@ mod tests {
 
     #[test]
     fn keys_sort_nearby_points_together() {
-        // Points in the same quadrant should be contiguous under both curves
+        // Points in the same quadrant should be contiguous on the curve
         // relative to a far-away point.
         let bounds = Mbr::new([0.0, 0.0], [1.0, 1.0]);
         let g = GridMapper::new(bounds);
         let a = Point::new([0.1, 0.1]);
         let b = Point::new([0.12, 0.11]);
         let far = Point::new([0.9, 0.95]);
-        for key in [
-            GridMapper::z_key as fn(&GridMapper<2>, &Point<2>) -> u128,
-            GridMapper::hilbert_key,
-        ] {
-            let (ka, kb, kf) = (key(&g, &a), key(&g, &b), key(&g, &far));
-            assert!(ka.abs_diff(kb) < ka.abs_diff(kf));
-            assert!(kb.abs_diff(kf) > ka.abs_diff(kb));
-        }
+        let (ka, kb, kf) = (g.hilbert_key(&a), g.hilbert_key(&b), g.hilbert_key(&far));
+        assert!(ka.abs_diff(kb) < ka.abs_diff(kf));
+        assert!(kb.abs_diff(kf) > ka.abs_diff(kb));
     }
 }

@@ -219,19 +219,3 @@ fn hilbert_injective_on_random_cells() {
         );
     });
 }
-
-/// Z-order keys of distinct cells are distinct.
-#[test]
-fn z_order_injective_on_random_cells() {
-    for_each_case(0x6e0000a, 64, |rng| {
-        let a = cell::<3>(rng, 20);
-        let b = cell::<3>(rng, 20);
-        if a == b {
-            return;
-        }
-        assert_ne!(
-            ann_geom::curve::z_order(&a, 20),
-            ann_geom::curve::z_order(&b, 20)
-        );
-    });
-}

@@ -6,10 +6,12 @@
 //! has shrunk to bucket size is *collapsed* back into a single leaf
 //! bucket (its descendant pages become garbage, matching the
 //! write-once-page economy of the rest of the crate). Empty child
-//! entries are dropped from their parents.
+//! entries are dropped from their parents. Every rewritten node, the
+//! collapsed bucket included, is written back to its own page by the
+//! crate's one [`Builder`](crate::build::Builder).
 
-use crate::{cell_of_mbr, cell_of_point, Mbrqt};
-use ann_core::node::{read_node, write_node, Entry, Node, NodeEntry, ObjectEntry};
+use crate::{build::Builder, cell_of_mbr, cell_of_point, cell_quadrant, Mbrqt};
+use ann_core::node::{read_node, Entry, Node, NodeEntry};
 use ann_core::tree_file::WritableIndex;
 use ann_geom::{Mbr, Point};
 use ann_store::{PageId, Result, StoreError, Txn};
@@ -27,8 +29,9 @@ pub(crate) fn delete<const D: usize>(
     // rewrites, collapses and the meta update land atomically or not at
     // all.
     tree.update(|tree, txn| {
+        let builder = Builder::new(txn, tree.params);
         let (root, universe) = (tree.header.root, tree.params.universe);
-        if remove_rec(tree, txn, root, universe, oid, point)?.is_none() {
+        if remove_rec(&builder, root, universe, oid, point)?.is_none() {
             return Ok(false);
         }
         tree.header.num_points -= 1;
@@ -41,15 +44,15 @@ pub(crate) fn delete<const D: usize>(
 
 /// Recursive removal below `page` (whose region is `quadrant`).
 /// Returns `None` when the object was not found, otherwise the subtree's
-/// new `(count, tight_mbr)`.
+/// new entry.
 fn remove_rec<const D: usize>(
-    tree: &Mbrqt<D>,
-    txn: &Txn<'_>,
+    builder: &Builder<'_, Txn<'_>, D>,
     page: PageId,
     quadrant: Mbr<D>,
     oid: u64,
     point: &Point<D>,
-) -> Result<Option<(u64, Mbr<D>)>> {
+) -> Result<Option<NodeEntry<D>>> {
+    let txn = builder.store;
     let mut node = read_node::<D>(txn, page)?;
 
     if node.is_leaf {
@@ -61,11 +64,7 @@ fn remove_rec<const D: usize>(
         if node.entries.len() == before {
             return Ok(None);
         }
-        node.recompute_mbr();
-        let count = node.entries.len() as u64;
-        let mbr = node.mbr;
-        write_node(txn, page, &node)?;
-        return Ok(Some((count, mbr)));
+        return builder.write(node, quadrant, Some(page)).map(Some);
     }
 
     // Route to the child cell containing the point.
@@ -81,51 +80,27 @@ fn remove_rec<const D: usize>(
     let Entry::Node(child) = node.entries[at] else {
         return Err(StoreError::corrupt("internal node holds an object"));
     };
-    let child_q = crate::cell_quadrant(&quadrant, idx, levels);
-    let Some((count, mbr)) = remove_rec(tree, txn, child.page, child_q, oid, point)? else {
+    let child_q = cell_quadrant(&quadrant, idx, levels);
+    let Some(entry) = remove_rec(builder, child.page, child_q, oid, point)? else {
         return Ok(None);
     };
-
-    if count == 0 {
+    if entry.count == 0 {
         node.entries.remove(at);
     } else {
-        node.entries[at] = Entry::Node(NodeEntry {
-            page: child.page,
-            count,
-            mbr: if tree.params.use_subtree_mbrs {
-                mbr
-            } else {
-                child_q
-            },
-        });
+        node.entries[at] = Entry::Node(entry);
     }
 
-    let total = node.count();
-    if total <= tree.params.bucket_capacity as u64 {
+    if node.count() <= builder.params.bucket_capacity as u64 {
         // Collapse the whole subtree back into one leaf bucket.
-        let mut objects: Vec<ObjectEntry<D>> = Vec::with_capacity(total as usize);
-        collect_objects(txn, &node, &mut objects)?;
-        let mut leaf = Node::empty_leaf();
-        leaf.entries = objects.into_iter().map(Entry::Object).collect();
-        leaf.recompute_mbr();
-        let count = leaf.entries.len() as u64;
-        let mbr = leaf.mbr;
-        write_node(txn, page, &leaf)?;
-        return Ok(Some((count, mbr)));
+        let objects = collect_objects(txn, &node)?;
+        return builder.write_leaf(objects, quadrant, Some(page)).map(Some);
     }
-
-    node.recompute_mbr();
-    let mbr = node.mbr;
-    write_node(txn, page, &node)?;
-    Ok(Some((total, mbr)))
+    builder.write(node, quadrant, Some(page)).map(Some)
 }
 
 /// Gathers every object below `node`'s child entries.
-fn collect_objects<const D: usize>(
-    txn: &Txn<'_>,
-    node: &Node<D>,
-    out: &mut Vec<ObjectEntry<D>>,
-) -> Result<()> {
+fn collect_objects<const D: usize>(txn: &Txn<'_>, node: &Node<D>) -> Result<Vec<(u64, Point<D>)>> {
+    let mut out = Vec::with_capacity(node.count() as usize);
     let mut stack: Vec<PageId> = node
         .entries
         .iter()
@@ -138,10 +113,10 @@ fn collect_objects<const D: usize>(
         let n = read_node::<D>(txn, page)?;
         for e in &n.entries {
             match e {
-                Entry::Object(o) => out.push(*o),
+                Entry::Object(o) => out.push((o.oid, o.point)),
                 Entry::Node(c) => stack.push(c.page),
             }
         }
     }
-    Ok(())
+    Ok(out)
 }

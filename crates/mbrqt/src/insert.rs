@@ -1,10 +1,16 @@
 //! Incremental point insertion.
+//!
+//! An insert routes the point to its bucket and rewrites every node on
+//! the path in place through the crate's one
+//! [`Builder`](crate::build::Builder); a bucket that overflows becomes,
+//! on the same page, the internal node the bulk build would have made of
+//! its points.
 
 use crate::{build::Builder, cell_of_mbr, cell_of_point, cell_quadrant, Mbrqt};
-use ann_core::node::{read_node, write_node, Entry, Node, NodeEntry, ObjectEntry};
+use ann_core::node::{read_node, Entry, NodeEntry, ObjectEntry};
 use ann_core::tree_file::WritableIndex;
 use ann_geom::{Mbr, Point};
-use ann_store::{PageStore, Result, StoreError, Txn};
+use ann_store::{PageId, Result, StoreError, Txn};
 
 /// Inserts one point; see [`Mbrqt::insert`].
 ///
@@ -20,34 +26,35 @@ pub(crate) fn insert<const D: usize>(tree: &mut Mbrqt<D>, oid: u64, point: Point
         return Err(StoreError::corrupt("point lies outside the universe"));
     }
     tree.update(|tree, txn| {
+        let mut builder = Builder::new(txn, tree.params);
         let (root, universe) = (tree.header.root, tree.params.universe);
-        descend(tree, txn, root, universe, 0, oid, point)?;
+        descend(&mut builder, root, universe, 0, oid, point)?;
         tree.header.num_points += 1;
         tree.header.bounds.expand_point(&point);
         Ok(())
     })
 }
 
-/// Recursively routes the point down to its bucket, splitting overflowing
-/// buckets, and rewrites every node on the path (counts and MBRs change).
-/// Returns the subtree's new `(count, tight_mbr)`.
+/// Recursively routes the point down to its bucket, splitting an
+/// overflowing bucket, and rewrites every node on the path (counts and
+/// MBRs change). Returns the subtree's new entry.
 fn descend<const D: usize>(
-    tree: &Mbrqt<D>,
-    txn: &Txn<'_>,
-    page: ann_store::PageId,
+    builder: &mut Builder<'_, Txn<'_>, D>,
+    page: PageId,
     quadrant: Mbr<D>,
     depth: usize,
     oid: u64,
     point: Point<D>,
-) -> Result<(u64, Mbr<D>)> {
+) -> Result<NodeEntry<D>> {
+    let txn = builder.store;
     let mut node = read_node::<D>(txn, page)?;
 
     if node.is_leaf {
         node.entries.push(Entry::Object(ObjectEntry { oid, point }));
-        if node.entries.len() > tree.params.bucket_capacity && depth < tree.params.max_depth {
-            // Split: rebuild this bucket as an internal node whose children
-            // come from the same top-down builder the bulk path uses.
-            let mut points: Vec<(u64, Point<D>)> = node
+        if node.entries.len() > builder.params.bucket_capacity && depth < builder.params.max_depth {
+            // Split: this bucket's page becomes an internal node whose
+            // children come from the bulk build's rule.
+            let points = node
                 .entries
                 .iter()
                 .map(|e| match e {
@@ -55,46 +62,9 @@ fn descend<const D: usize>(
                     Entry::Node(_) => unreachable!("leaf holds objects only"),
                 })
                 .collect();
-            let mut builder = Builder {
-                store: txn,
-                bucket_capacity: tree.params.bucket_capacity,
-                levels_per_node: tree.params.levels_per_node,
-                max_depth: tree.params.max_depth,
-                use_subtree_mbrs: tree.params.use_subtree_mbrs,
-                level_tally: None,
-            };
-            let levels = builder.pick_levels::<D>(points.len(), depth);
-            let mut parts: Vec<(usize, Vec<(u64, Point<D>)>)> = Vec::new();
-            for (o, p) in points.drain(..) {
-                let idx = cell_of_point(&quadrant, &p, levels);
-                match parts.binary_search_by_key(&idx, |(i, _)| *i) {
-                    Ok(at) => parts[at].1.push((o, p)),
-                    Err(at) => parts.insert(at, (idx, vec![(o, p)])),
-                }
-            }
-            let mut internal = Node {
-                is_leaf: false,
-                aux: 0,
-                mbr: Mbr::empty(),
-                entries: Vec::with_capacity(parts.len()),
-            };
-            for (idx, mut part) in parts {
-                let child_q = cell_quadrant(&quadrant, idx, levels);
-                let entry = builder.build(&mut part, child_q, depth + levels, 0)?;
-                internal.entries.push(Entry::Node(entry));
-            }
-            internal.recompute_mbr();
-            internal.aux = levels as u8;
-            let count = internal.count();
-            let tight = tight_mbr_of(&internal);
-            write_node(txn, page, &internal)?;
-            return Ok((count, tight));
+            return builder.split(points, quadrant, depth, 0, Some(page));
         }
-        node.recompute_mbr();
-        let count = node.entries.len() as u64;
-        let tight = node.mbr;
-        write_node(txn, page, &node)?;
-        return Ok((count, tight));
+        return builder.write(node, quadrant, Some(page));
     }
 
     // Internal node: route to (or create) the child cell, at the packing
@@ -112,55 +82,20 @@ fn descend<const D: usize>(
         }
     }
 
+    let child_q = cell_quadrant(&quadrant, idx, levels);
     match target {
         Some(at) => {
             let Entry::Node(child) = node.entries[at] else {
                 unreachable!()
             };
-            let child_q = cell_quadrant(&quadrant, idx, levels);
-            let (count, tight) =
-                descend(tree, txn, child.page, child_q, depth + levels, oid, point)?;
-            node.entries[at] = Entry::Node(NodeEntry {
-                page: child.page,
-                count,
-                mbr: if tree.params.use_subtree_mbrs {
-                    tight
-                } else {
-                    child_q
-                },
-            });
+            let entry = descend(builder, child.page, child_q, depth + levels, oid, point)?;
+            node.entries[at] = Entry::Node(entry);
         }
+        // Fresh cell: a one-point leaf.
         None => {
-            // Fresh cell: a one-point leaf.
-            let child_q = cell_quadrant(&quadrant, idx, levels);
-            let leaf_page = txn.allocate()?;
-            let mut leaf = Node::empty_leaf();
-            leaf.entries.push(Entry::Object(ObjectEntry { oid, point }));
-            leaf.recompute_mbr();
-            let tight = leaf.mbr;
-            write_node(txn, leaf_page, &leaf)?;
-            node.entries.push(Entry::Node(NodeEntry {
-                page: leaf_page,
-                count: 1,
-                mbr: if tree.params.use_subtree_mbrs {
-                    tight
-                } else {
-                    child_q
-                },
-            }));
+            let entry = builder.write_leaf([(oid, point)], child_q, None)?;
+            node.entries.push(Entry::Node(entry));
         }
     }
-
-    node.recompute_mbr();
-    let count = node.count();
-    let tight = tight_mbr_of(&node);
-    write_node(txn, page, &node)?;
-    Ok((count, tight))
-}
-
-/// The tight MBR of a node: equals `node.mbr` when entries carry tight
-/// MBRs; in the plain-quadrant ablation the caller never uses tight MBRs,
-/// so the loose union is acceptable there.
-fn tight_mbr_of<const D: usize>(node: &Node<D>) -> Mbr<D> {
-    node.mbr
+    builder.write(node, quadrant, Some(page))
 }

@@ -1,15 +1,18 @@
-//! STR (Sort-Tile-Recursive) bulk loading.
+//! Bulk loading: STR (Sort-Tile-Recursive) and the Hilbert stream loader.
 //!
 //! STR packs a static dataset into a near-100%-full R-tree: sort by the
 //! first dimension, cut into vertical slabs, recursively tile each slab by
 //! the remaining dimensions, and emit full leaves; then pack the leaf
-//! entries the same way into internal levels until one node remains.
+//! entries the same way into internal levels until one node remains. The
+//! stream loader packs leaves in Hilbert order instead and chunks each
+//! level in that order. Both write every node through one [`pack`] at one
+//! 90 % fill ([`fills`]) and climb to the root in one [`finish`].
 
 use crate::{RStar, RStarConfig};
 use ann_core::extsort::{HilbertSorter, PointSpill};
 use ann_core::node::{write_node, Entry, Node, NodeEntry, ObjectEntry};
 use ann_core::trace::{Phase, Side, TraceEvent, Tracer};
-use ann_core::tree_file::WritableIndex;
+use ann_core::tree_file::{RStarParams, WritableIndex};
 use ann_geom::{Mbr, Point};
 use ann_store::{BufferPool, Result, StoreError};
 use std::sync::Arc;
@@ -27,100 +30,28 @@ pub(crate) fn bulk_build<const D: usize>(
     }
     let io_now = || pool.stats();
     let span_b = tracer.span_enter(Phase::Build, io_now);
-    let max_leaf = config.resolved_max::<D>(true);
-    let max_internal = config.resolved_max::<D>(false);
-    let mut tree = RStar::new(Arc::clone(&pool), config)?;
+    let tree = RStar::new(Arc::clone(&pool), config)?;
 
-    // Pack leaves: tile the points, one leaf per tile.
-    let mut leaf_fill = (max_leaf * 9) / 10; // leave headroom for inserts
-    leaf_fill = leaf_fill.max(1);
-    let mut internal_fill = ((max_internal * 9) / 10).max(2);
-
-    let mut current: Vec<Entry<D>> = Vec::new();
-    let mut height = 1u32;
-    // Nodes written per packing round; round 0 is the leaf level.
-    let mut round_nodes: Vec<u64> = Vec::new();
-    {
-        let mut pts: Vec<(u64, Point<D>)> = points.to_vec();
-        let mut tiles: Vec<Vec<(u64, Point<D>)>> = Vec::new();
-        tile_points(&mut pts, leaf_fill, 0, &mut tiles);
-        for tile in tiles {
-            let mut node = Node {
-                is_leaf: true,
-                aux: 0,
-                mbr: Mbr::empty(),
-                entries: tile
-                    .into_iter()
-                    .map(|(oid, point)| Entry::Object(ObjectEntry { oid, point }))
-                    .collect(),
-            };
-            node.recompute_mbr();
-            let page = pool.allocate()?;
-            write_node(&pool, page, &node)?;
-            current.push(Entry::Node(NodeEntry {
-                page,
-                count: node.entries.len() as u64,
-                mbr: node.mbr,
-            }));
-        }
-    }
-
-    // Handle the empty dataset: a single empty leaf as the root.
-    if current.is_empty() {
-        let page = pool.allocate()?;
-        write_node::<D>(&pool, page, &Node::empty_leaf())?;
-        let tree = tree.built(page, 0, Mbr::empty())?;
-        tracer.event(|| TraceEvent::IndexLevelBuilt {
-            side,
-            level: 0,
-            nodes: 1,
-        });
-        tracer.span_exit(Phase::Build, span_b, io_now);
-        return Ok(tree);
-    }
-    round_nodes.push(current.len() as u64);
-
-    // Pack internal levels until a single entry remains.
-    internal_fill = internal_fill.max(2);
-    while current.len() > 1 {
-        let mut tiles: Vec<Vec<Entry<D>>> = Vec::new();
-        tile_entries(&mut current, internal_fill, 0, &mut tiles);
-        let mut next: Vec<Entry<D>> = Vec::with_capacity(tiles.len());
-        for tile in tiles {
-            let mut node = Node {
-                is_leaf: false,
-                aux: 0,
-                mbr: Mbr::empty(),
-                entries: tile,
-            };
-            node.recompute_mbr();
-            let page = pool.allocate()?;
-            write_node(&pool, page, &node)?;
-            next.push(Entry::Node(NodeEntry {
-                page,
-                count: node.count(),
-                mbr: node.mbr,
-            }));
-        }
-        round_nodes.push(next.len() as u64);
-        current = next;
-        height += 1;
-    }
-
-    let Entry::Node(root_entry) = current[0] else {
-        unreachable!("packing produces node entries")
-    };
-    // A single leaf needs no extra root; `current[0]` is already it.
+    // One leaf per tile. The points are tiled as tuples, keyed by their
+    // coordinates: half the bytes of an `Entry` to sort, and no
+    // `Mbr::center`, which overflows above `f64::MAX / 2`.
+    let tiles = str_tiles::<D, _>(&mut points.to_vec(), fills(&tree.params).0, |(_, p), d| {
+        p[d]
+    });
+    let leaves = tiles.into_iter().map(|tile| {
+        Ok(tile
+            .into_iter()
+            .map(|(oid, point)| Entry::Object(ObjectEntry { oid, point }))
+            .collect())
+    });
+    let leaves = pack(&pool, leaves, true)?;
     let bounds = Mbr::from_points(points.iter().map(|(_, p)| p));
-    tree.params.height = height;
-    let tree = tree.built(root_entry.page, points.len() as u64, bounds)?;
-    if tracer.enabled() {
-        // round 0 = leaves; report levels with 0 = root to match the
-        // query-side per-level accounting.
-        for (round, &nodes) in round_nodes.iter().enumerate() {
-            let level = round_nodes.len() as u32 - 1 - round as u32;
-            tracer.event(|| TraceEvent::IndexLevelBuilt { side, level, nodes });
-        }
+    let (tree, level_nodes) = finish(tree, &pool, leaves, points.len() as u64, bounds, true)?;
+    // `level_nodes` runs leaves first; report levels with 0 = root to
+    // match the query-side per-level accounting.
+    for (round, &nodes) in level_nodes.iter().enumerate() {
+        let level = (level_nodes.len() - 1 - round) as u32;
+        tracer.event(|| TraceEvent::IndexLevelBuilt { side, level, nodes });
     }
     tracer.span_exit(Phase::Build, span_b, io_now);
     Ok(tree)
@@ -153,9 +84,6 @@ pub(crate) fn bulk_build_stream<const D: usize>(
     run_budget: usize,
     config: &RStarConfig,
 ) -> Result<RStar<D>> {
-    let max_leaf = config.resolved_max::<D>(true);
-    let max_internal = config.resolved_max::<D>(false);
-
     // Pass 1: stream to a raw spill (bounds + finite check).
     let spill = PointSpill::consume(Arc::clone(&scratch), points)?;
     // Pass 2: replay through the external sorter.
@@ -163,150 +91,138 @@ pub(crate) fn bulk_build_stream<const D: usize>(
     spill.replay(|oid, p| sorter.push(oid, p))?;
     let mut stream = sorter.finish()?;
 
-    let mut tree = RStar::new(Arc::clone(&pool), config)?;
-    let leaf_fill = ((max_leaf * 9) / 10).max(1);
-    let internal_fill = ((max_internal * 9) / 10).max(2);
+    let tree = RStar::new(Arc::clone(&pool), config)?;
+    // Leaves are consecutive runs of the merge order, read one at a time.
+    let leaf_fill = fills(&tree.params).0;
+    let leaves = std::iter::from_fn(|| {
+        let mut leaf = Vec::with_capacity(leaf_fill);
+        while leaf.len() < leaf_fill {
+            match stream.next_point() {
+                Ok(Some(r)) => leaf.push(Entry::Object(ObjectEntry {
+                    oid: r.oid,
+                    point: r.point,
+                })),
+                Ok(None) => break,
+                Err(e) => return Some(Err(e)),
+            }
+        }
+        (!leaf.is_empty()).then_some(Ok(leaf))
+    });
+    let leaves = pack(&pool, leaves, true)?;
+    let (tree, _) = finish(tree, &pool, leaves, spill.len, spill.bounds, false)?;
+    Ok(tree)
+}
 
-    // Pack leaves sequentially in merge order.
-    let mut current: Vec<Entry<D>> = Vec::new();
-    let mut height = 1u32;
-    let mut pending: Vec<Entry<D>> = Vec::with_capacity(leaf_fill);
-    loop {
-        let rec = stream.next_point()?;
-        if let Some(r) = &rec {
-            pending.push(Entry::Object(ObjectEntry {
-                oid: r.oid,
-                point: r.point,
-            }));
-        }
-        if pending.len() == leaf_fill || (rec.is_none() && !pending.is_empty()) {
-            let mut node = Node {
-                is_leaf: true,
-                aux: 0,
-                mbr: Mbr::empty(),
-                entries: std::mem::take(&mut pending),
-            };
-            node.recompute_mbr();
-            let page = pool.allocate()?;
-            write_node(&pool, page, &node)?;
-            current.push(Entry::Node(NodeEntry {
-                page,
-                count: node.entries.len() as u64,
-                mbr: node.mbr,
-            }));
-            pending = node.entries; // recycle the (moved-out) capacity
-            pending.clear();
-        }
-        if rec.is_none() {
-            break;
-        }
-    }
+/// Bulk-load fill of a leaf and of an internal node: 90 % of capacity,
+/// leaving headroom for later inserts.
+fn fills(params: &RStarParams) -> (usize, usize) {
+    let fill = |max| max * 9 / 10;
+    (
+        fill(params.max_leaf).max(1),
+        fill(params.max_internal).max(2),
+    )
+}
 
-    // Empty dataset: a single empty leaf as the root, exactly as in the
-    // in-memory build.
-    if current.is_empty() {
+/// Writes one node per group, in order, each on a page allocated as it is
+/// written, and returns their entries for the level above.
+fn pack<const D: usize>(
+    pool: &BufferPool,
+    groups: impl IntoIterator<Item = Result<Vec<Entry<D>>>>,
+    is_leaf: bool,
+) -> Result<Vec<Entry<D>>> {
+    let mut level = Vec::new();
+    for entries in groups {
+        let mut node = Node {
+            is_leaf,
+            aux: 0,
+            mbr: Mbr::empty(),
+            entries: entries?,
+        };
+        node.recompute_mbr();
         let page = pool.allocate()?;
-        write_node::<D>(&pool, page, &Node::empty_leaf())?;
-        return tree.built(page, 0, Mbr::empty());
+        write_node(pool, page, &node)?;
+        level.push(Entry::Node(NodeEntry {
+            page,
+            count: node.count(),
+            mbr: node.mbr,
+        }));
     }
+    Ok(level)
+}
 
-    // Internal levels: consecutive chunks of the previous level, which is
-    // already in Hilbert order — sequential chunking preserves locality.
-    while current.len() > 1 {
-        let mut next: Vec<Entry<D>> = Vec::with_capacity(current.len().div_ceil(internal_fill));
-        for chunk in current.chunks(internal_fill) {
-            let mut node = Node {
-                is_leaf: false,
-                aux: 0,
-                mbr: Mbr::empty(),
-                entries: chunk.to_vec(),
-            };
-            node.recompute_mbr();
-            let page = pool.allocate()?;
-            write_node(&pool, page, &node)?;
-            next.push(Entry::Node(NodeEntry {
-                page,
-                count: node.count(),
-                mbr: node.mbr,
-            }));
-        }
-        current = next;
-        height += 1;
+/// Packs internal levels over `leaves` until one node remains — STR tiles
+/// of each level when `tiled`, consecutive chunks (the curve order)
+/// otherwise — sets the height and commits the tree over `n` points with
+/// `bounds`. An empty dataset gets one empty leaf as its root. Returns the
+/// tree and the nodes written per level, leaves first.
+fn finish<const D: usize>(
+    mut tree: RStar<D>,
+    pool: &BufferPool,
+    leaves: Vec<Entry<D>>,
+    n: u64,
+    bounds: Mbr<D>,
+    tiled: bool,
+) -> Result<(RStar<D>, Vec<u64>)> {
+    let mut level = if leaves.is_empty() {
+        pack(pool, [Ok(Vec::new())], true)?
+    } else {
+        leaves
+    };
+    let fill = fills(&tree.params).1;
+    let mut level_nodes = vec![level.len() as u64];
+    while level.len() > 1 {
+        let groups = if tiled {
+            str_tiles::<D, _>(&mut level, fill, |e, d| e.mbr().center()[d])
+        } else {
+            level.chunks(fill).map(<[_]>::to_vec).collect()
+        };
+        level = pack(pool, groups.into_iter().map(Ok), false)?;
+        level_nodes.push(level.len() as u64);
     }
-
-    let Entry::Node(root_entry) = current[0] else {
+    let Entry::Node(root) = level[0] else {
         unreachable!("packing produces node entries")
     };
-    tree.params.height = height;
-    tree.built(root_entry.page, spill.len, spill.bounds)
+    tree.params.height = level_nodes.len() as u32;
+    Ok((tree.built(root.page, n, bounds)?, level_nodes))
 }
 
-/// Recursively tiles `pts` into chunks of `cap`, sorting by dimension
-/// `dim` and slicing into `ceil((n/cap)^(1/(D-dim)))` slabs.
-fn tile_points<const D: usize>(
-    pts: &mut [(u64, Point<D>)],
+/// Sort-Tile-Recursive: tiles `items` into runs of at most `cap`, sorting
+/// by `key(item, dim)` and slicing dimension `dim` into
+/// `ceil((n/cap)^(1/(D-dim)))` slabs, each tiled by the next dimension.
+fn str_tiles<const D: usize, T: Clone>(
+    items: &mut [T],
     cap: usize,
-    dim: usize,
-    out: &mut Vec<Vec<(u64, Point<D>)>>,
-) {
-    let n = pts.len();
-    if n == 0 {
-        return;
-    }
-    if n <= cap {
-        out.push(pts.to_vec());
-        return;
-    }
-    if dim + 1 >= D {
-        // Last dimension: emit consecutive runs of `cap`.
-        pts.sort_by(|a, b| a.1[dim].partial_cmp(&b.1[dim]).expect("finite"));
-        for chunk in pts.chunks(cap) {
-            out.push(chunk.to_vec());
+    key: impl Fn(&T, usize) -> f64,
+) -> Vec<Vec<T>> {
+    fn tile<const D: usize, T: Clone>(
+        items: &mut [T],
+        cap: usize,
+        dim: usize,
+        key: &impl Fn(&T, usize) -> f64,
+        out: &mut Vec<Vec<T>>,
+    ) {
+        let n = items.len();
+        if n == 0 {
+            return;
         }
-        return;
-    }
-    pts.sort_by(|a, b| a.1[dim].partial_cmp(&b.1[dim]).expect("finite"));
-    let tiles_total = n.div_ceil(cap);
-    let slabs = (tiles_total as f64)
-        .powf(1.0 / (D - dim) as f64)
-        .ceil()
-        .max(1.0) as usize;
-    let per_slab = n.div_ceil(slabs);
-    for slab in pts.chunks_mut(per_slab) {
-        tile_points(slab, cap, dim + 1, out);
-    }
-}
-
-/// Same tiling for already-built node entries, keyed by MBR centers.
-fn tile_entries<const D: usize>(
-    entries: &mut [Entry<D>],
-    cap: usize,
-    dim: usize,
-    out: &mut Vec<Vec<Entry<D>>>,
-) {
-    let n = entries.len();
-    if n == 0 {
-        return;
-    }
-    if n <= cap {
-        out.push(entries.to_vec());
-        return;
-    }
-    let key = |e: &Entry<D>, d: usize| e.mbr().center()[d];
-    entries.sort_by(|a, b| key(a, dim).partial_cmp(&key(b, dim)).expect("finite"));
-    if dim + 1 >= D {
-        for chunk in entries.chunks(cap) {
-            out.push(chunk.to_vec());
+        if n <= cap {
+            out.push(items.to_vec());
+            return;
         }
-        return;
+        items.sort_by(|a, b| key(a, dim).partial_cmp(&key(b, dim)).expect("finite"));
+        if dim + 1 >= D {
+            out.extend(items.chunks(cap).map(<[T]>::to_vec));
+            return;
+        }
+        let slabs = (n.div_ceil(cap) as f64)
+            .powf(1.0 / (D - dim) as f64)
+            .ceil()
+            .max(1.0) as usize;
+        for slab in items.chunks_mut(n.div_ceil(slabs)) {
+            tile::<D, T>(slab, cap, dim + 1, key, out);
+        }
     }
-    let tiles_total = n.div_ceil(cap);
-    let slabs = (tiles_total as f64)
-        .powf(1.0 / (D - dim) as f64)
-        .ceil()
-        .max(1.0) as usize;
-    let per_slab = n.div_ceil(slabs);
-    for slab in entries.chunks_mut(per_slab) {
-        tile_entries(slab, cap, dim + 1, out);
-    }
+    let mut out = Vec::new();
+    tile::<D, T>(items, cap, 0, &key, &mut out);
+    out
 }

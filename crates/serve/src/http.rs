@@ -100,6 +100,11 @@ impl MessageReader {
             let Some((name, value)) = line.split_once(':') else {
                 return Err(bad("malformed header line"));
             };
+            // RFC 9112 §5.1: no whitespace between a field name and its
+            // colon. This also rejects obs-fold continuation lines.
+            if name.is_empty() || name.bytes().any(|b| b.is_ascii_whitespace()) {
+                return Err(bad("malformed header name"));
+            }
             let value = value.trim();
             if name.eq_ignore_ascii_case("content-length") {
                 // RFC 9112 §6.3: a repeated or non-decimal length leaves the
@@ -376,7 +381,7 @@ mod tests {
             "POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
             MAX_BODY + 1
         );
-        let table: [(&str, &[u8]); 11] = [
+        let table: [(&str, &[u8]); 13] = [
             ("EOF inside the head", b"GET / HTTP/1.1\r\nHost"),
             ("EOF inside the body", &POST[..POST.len() - 1]),
             ("head over MAX_HEAD", &long_head),
@@ -400,6 +405,14 @@ mod tests {
                 b"POST / HTTP/1.1\r\nContent-Length: 1\r\nContent-Length: 1\r\n\r\nx",
             ),
             ("no target", b"GET\r\n\r\n"),
+            (
+                "space before the Content-Length colon",
+                b"POST / HTTP/1.1\r\nContent-Length : 5\r\n\r\nhello",
+            ),
+            (
+                "space before the Transfer-Encoding colon",
+                b"POST / HTTP/1.1\r\nTransfer-Encoding : chunked\r\n\r\n",
+            ),
         ];
         for (what, wire) in table {
             let mut reader = MessageReader::new(MAX_BODY);

@@ -112,11 +112,6 @@ impl<B: DiskBackend> FaultyDisk<B> {
         self.budget.load(Ordering::Relaxed)
     }
 
-    /// Whether a [`InjectedFault::Crash`] or torn write has fired.
-    pub fn is_crashed(&self) -> bool {
-        self.crashed.load(Ordering::Relaxed)
-    }
-
     /// Decides the fate of the current operation; `is_write` selects the
     /// write-specific behavior of torn writes and bit flips.
     fn decide(&self, is_write: bool) -> Decision {
@@ -293,7 +288,7 @@ mod tests {
             err,
             Err(StoreError::Injected { transient: false })
         ));
-        assert!(disk.is_crashed());
+        assert!(disk.crashed.load(Ordering::Relaxed));
         // Every later operation fails too.
         assert!(disk.allocate().is_err());
         // The surviving media holds the torn mix.
@@ -341,7 +336,7 @@ mod tests {
         // A crashed device fails batch reads like everything else.
         disk.inject_at(disk.op_count(), InjectedFault::Crash);
         let _ = disk.read_page(a, &mut buf);
-        assert!(disk.is_crashed());
+        assert!(disk.crashed.load(Ordering::Relaxed));
         let mut dead = vec![0u8; FRAME_SIZE];
         assert!(matches!(
             disk.read_batch(&[a], &mut dead),

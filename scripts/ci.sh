@@ -113,6 +113,20 @@ if [ -e crates/core/src/par.rs ] || [ -n "$spawners" ]; then
   exit 1
 fi
 
+# Each tree kind has one build rule (DESIGN.md §7): every MBRQT node is
+# written by `Builder::write` (crates/mbrqt/src/build.rs), and every
+# bulk-loaded R*-tree node by `pack` (crates/rstar/src/bulk.rs).
+node_writes='write_node(::<[^>]*>)?\('
+qt_writes="$(git grep -cE "$node_writes" -- crates/mbrqt/src || true)"
+bulk_writes="$(git grep -cE "$node_writes" -- crates/rstar/src/bulk.rs || true)"
+if [ "$qt_writes" != "crates/mbrqt/src/build.rs:1" ] \
+   || [ "$bulk_writes" != "crates/rstar/src/bulk.rs:1" ]; then
+  echo "ci: a second node writer; MBRQT nodes are written by Builder::write" \
+       "(crates/mbrqt/src/build.rs), bulk-loaded R*-tree nodes by pack" \
+       "(crates/rstar/src/bulk.rs); write_node calls per file:" $qt_writes $bulk_writes >&2
+  exit 1
+fi
+
 # ann-core's public surface is what something runs: every `pub mod` in its
 # lib.rs is named, as `ann_core::<mod>` (or the facade's `allnn::core::<mod>`)
 # or as a path at the top of a `use ann_core::{…}` group, above the first

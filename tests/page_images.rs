@@ -142,6 +142,81 @@ fn bulk_built_trees_and_their_updates() {
     );
 }
 
+/// Bulk-builds an MBRQT with 8-point buckets over `data[..400]`, inserts
+/// 300 later points that lie inside its universe, then deletes the first
+/// 350 points again; `after_step` sees the tree after each of the three
+/// steps.
+fn split_then_collapse(
+    pool: &Arc<BufferPool>,
+    data: &[(u64, Point<2>)],
+    mut after_step: impl FnMut(&Mbrqt<2>),
+) {
+    let config = MbrqtConfig {
+        bucket_capacity: 8,
+        ..MbrqtConfig::default()
+    };
+    let mut qt = Mbrqt::bulk_build(Arc::clone(pool), &data[..400], &config).unwrap();
+    after_step(&qt);
+    let universe = qt.universe();
+    let later = data[400..]
+        .iter()
+        .filter(|(_, p)| universe.contains_point(p))
+        .take(300);
+    for (i, (_, p)) in later.enumerate() {
+        qt.insert(50_000 + i as u64, *p).unwrap();
+    }
+    after_step(&qt);
+    for (oid, p) in &data[..350] {
+        assert!(qt.delete(*oid, p).unwrap());
+    }
+    assert_eq!(qt.header.num_points, 350);
+    after_step(&qt);
+}
+
+#[test]
+fn streamed_builds_bucket_splits_and_collapses() {
+    let data = allnn::datagen::tac_like(3_000, 5);
+    let got = digest(64, |pool| {
+        let scratch = Arc::new(BufferPool::new(MemDisk::new(), 32));
+        let stream = data.iter().copied();
+        Mbrqt::bulk_build_stream(
+            Arc::clone(pool),
+            Arc::clone(&scratch),
+            stream.clone(),
+            500,
+            &MbrqtConfig::default(),
+        )
+        .unwrap();
+        RStar::bulk_build_stream(
+            Arc::clone(pool),
+            scratch,
+            stream,
+            500,
+            &RStarConfig::default(),
+        )
+        .unwrap();
+        split_then_collapse(pool, &data, |_| {});
+    });
+    assert_eq!(
+        got,
+        (318, 13081952133913228965),
+        "streamed builds, bucket splits and collapses"
+    );
+
+    // The same updates off the record: inserts split buckets into
+    // internal nodes, and deletes collapse subtrees back into buckets.
+    let mut internal = Vec::new();
+    let pool = Arc::new(BufferPool::new(MemDisk::new(), 64));
+    split_then_collapse(&pool, &data, |qt| {
+        let shape = allnn::core::index::validate(qt).unwrap();
+        internal.push(shape.nodes - shape.leaves);
+    });
+    assert!(
+        internal[1] > internal[0] && internal[2] < internal[1],
+        "internal nodes after build, inserts, deletes: {internal:?}"
+    );
+}
+
 #[test]
 fn ten_dimensional_quadtree_chains_its_wide_nodes() {
     let data = allnn::datagen::fc_like(1_500, 3);
