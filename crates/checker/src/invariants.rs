@@ -196,17 +196,6 @@ pub fn check_kernels_case<const D: usize>(rng: &mut Rng) -> Option<String> {
             ));
         }
     }
-    kernels::max_max_dist_sq_batch(&m, &mbrs, &mut out);
-    for (i, &got) in out.iter().enumerate() {
-        let want = max_max_dist_sq(&m, &mbrs.mbr::<D>(i));
-        if got.to_bits() != want.to_bits() {
-            return Some(format!(
-                "max_max_dist_sq_batch[{i}] = {:?} != scalar {want:?} (m={m:?} n={:?})",
-                got,
-                mbrs.mbr::<D>(i)
-            ));
-        }
-    }
     kernels::nxn_dist_sq_batch(&m, &mbrs, &mut out);
     for (i, &got) in out.iter().enumerate() {
         let want = nxn_dist_sq(&m, &mbrs.mbr::<D>(i));

@@ -21,9 +21,25 @@
 //! stage** — "entries with a MIND greater than the MAXD of the new entry
 //! are immediately discarded" — a truncation of the sorted tail whenever
 //! the bound tightens.
+//!
+//! # Storage: keys, slab and free list
+//!
+//! The sorted vector holds 32-byte keys — `MIND²`, `MAXD²`, the page or
+//! oid, a slot index and the node-first flag — not the entries, whose
+//! `Entry<D>` payload (up to ~200 bytes at `D = 10`) would make every
+//! sorted insert memmove it. The payloads live in a slab indexed by slot.
+//! A dequeued or filtered entry's slot goes on a free list chained through
+//! the free slots themselves, and the next accepted offer reuses it, so the
+//! slab never holds more slots than the queue's
+//! [`high_water`](Lpq::high_water) length and the list costs no allocation
+//! of its own. The key carries the whole dequeue order, so insert positions
+//! never touch the slab, and the Filter stage truncates keys only. The
+//! three vectors — keys, slab and the bound tracker's live bounds — travel
+//! together as one [`LpqStorage`] for recycling.
 
 use crate::node::Entry;
 use ann_geom::{min_min_dist_sq, min_min_dist_sq_within, PruneMetric};
+use std::mem::size_of;
 
 /// Relative tolerance for pruning comparisons.
 ///
@@ -226,14 +242,74 @@ pub fn distances_within<const D: usize, M: PruneMetric>(
     Some((mind_sq, M::upper_sq(&om, &tm)))
 }
 
+/// One queued entry's sort key: the whole `(MIND, nodes-before-objects,
+/// MAXD, page/oid)` dequeue order, plus the slab slot holding its entry.
+#[derive(Clone, Copy, Debug)]
+struct QueueKey {
+    mind_sq: f64,
+    maxd_sq: f64,
+    /// Page of a node entry, oid of an object.
+    id: u64,
+    slot: u32,
+    /// 0 for a node entry, 1 for an object: tied nodes dequeue first.
+    kind: u8,
+}
+
+impl QueueKey {
+    /// Dequeue-order key: ascending `(MIND, nodes-before-objects, MAXD,
+    /// oid)`. Child MIND never undercuts its parent's, so dequeuing tied
+    /// nodes first guarantees all objects at a tied distance are queued
+    /// before any of them is emitted.
+    #[inline]
+    fn order(&self) -> (f64, u8, f64, u64) {
+        (self.mind_sq, self.kind, self.maxd_sq, self.id)
+    }
+}
+
+/// One slab slot: a queued entry's payload, or a link of the free list.
+#[derive(Clone, Copy, Debug)]
+enum Slot<const D: usize> {
+    Full(Entry<D>),
+    /// The next free slot, or [`NO_SLOT`] at the end of the list.
+    Free(u32),
+}
+
+/// The end of the free list.
+const NO_SLOT: u32 = u32::MAX;
+
+/// The backing storage of one [`Lpq`] — sorted keys, entry slab and the
+/// bound tracker's live bounds — handed between queues by
+/// [`crate::scratch::QueryScratch`]. Always empty outside a queue;
+/// capacity is what it carries.
+#[derive(Debug, Default)]
+pub struct LpqStorage<const D: usize> {
+    keys: Vec<QueueKey>,
+    slab: Vec<Slot<D>>,
+    live: Vec<f64>,
+}
+
+impl<const D: usize> LpqStorage<D> {
+    /// Bytes of capacity held across the three vectors.
+    pub fn capacity_bytes(&self) -> usize {
+        self.keys.capacity() * size_of::<QueueKey>()
+            + self.slab.capacity() * size_of::<Slot<D>>()
+            + self.live.capacity() * size_of::<f64>()
+    }
+}
+
 /// A Local Priority Queue: `MIND`-ordered candidates from `I_S`, owned by
 /// one unique entry of `I_R`.
 #[derive(Clone, Debug)]
 pub struct Lpq<const D: usize> {
     /// The owning `I_R` entry (node or object).
     pub owner: Entry<D>,
-    entries: Vec<QueuedEntry<D>>,
+    /// Sort keys in dequeue order; `keys[head..]` are queued.
+    keys: Vec<QueueKey>,
     head: usize,
+    /// Entry payloads, indexed by [`QueueKey::slot`].
+    slab: Vec<Slot<D>>,
+    /// First slab slot no queued key refers to, or [`NO_SLOT`].
+    free: u32,
     bound: BoundTracker,
     /// `true` while [`satisfy_one`](Self::satisfy_one) has tightened the
     /// bound since the last Filter pass — the one way the bound can drop
@@ -252,24 +328,25 @@ impl<const D: usize> Lpq<D> {
     /// Creates an LPQ for `owner` seeking `k` neighbors, inheriting the
     /// parent LPQ's squared bound (Expand stage, Algorithm 4 line 12).
     pub fn new(owner: Entry<D>, k: usize, inherited_bound_sq: f64) -> Self {
-        Self::new_in(owner, k, inherited_bound_sq, (Vec::new(), Vec::new()))
+        Self::new_in(owner, k, inherited_bound_sq, LpqStorage::default())
     }
 
-    /// [`new`](Self::new) with caller-provided backing storage — the
-    /// entry vector and the bound tracker's live-bound vector, typically
-    /// recycled through [`crate::scratch::QueryScratch`]; both are
-    /// cleared, their capacity is kept.
+    /// [`new`](Self::new) over caller-provided backing storage, typically
+    /// recycled through [`crate::scratch::QueryScratch`]: its capacity is
+    /// kept.
     pub fn new_in(
         owner: Entry<D>,
         k: usize,
         inherited_bound_sq: f64,
-        (mut entries, live): (Vec<QueuedEntry<D>>, Vec<f64>),
+        storage: LpqStorage<D>,
     ) -> Self {
-        entries.clear();
+        let LpqStorage { keys, slab, live } = storage;
         Lpq {
             owner,
-            entries,
+            keys,
             head: 0,
+            slab,
+            free: NO_SLOT,
             bound: BoundTracker::new_in(k, inherited_bound_sq, live),
             filter_pending: false,
             enqueued_total: 0,
@@ -278,24 +355,22 @@ impl<const D: usize> Lpq<D> {
         }
     }
 
-    /// Consumes the queue and hands its backing storage — entries and
-    /// live bounds — back (cleared, capacity kept) for recycling via
+    /// Consumes the queue and hands its backing storage back (cleared,
+    /// capacity kept) for recycling via
     /// [`crate::scratch::QueryScratch::put_lpq`].
-    pub fn into_storage(self) -> (Vec<QueuedEntry<D>>, Vec<f64>) {
-        let mut entries = self.entries;
-        entries.clear();
-        (entries, self.bound.into_storage())
-    }
-
-    /// Dequeue-order key: ascending `(MIND, nodes-before-objects, MAXD,
-    /// oid)`. Child MIND never undercuts its parent's, so dequeuing tied
-    /// nodes first guarantees all objects at a tied distance are queued
-    /// before any of them is emitted.
-    #[inline]
-    fn order_key(q: &QueuedEntry<D>) -> (f64, u8, f64, u64) {
-        match q.entry {
-            Entry::Node(n) => (q.mind_sq, 0, q.maxd_sq, u64::from(n.page)),
-            Entry::Object(o) => (q.mind_sq, 1, q.maxd_sq, o.oid),
+    pub fn into_storage(self) -> LpqStorage<D> {
+        let Lpq {
+            mut keys,
+            mut slab,
+            bound,
+            ..
+        } = self;
+        keys.clear();
+        slab.clear();
+        LpqStorage {
+            keys,
+            slab,
+            live: bound.into_storage(),
         }
     }
 
@@ -317,12 +392,12 @@ impl<const D: usize> Lpq<D> {
 
     /// Entries currently queued (not yet dequeued, not filtered).
     pub fn len(&self) -> usize {
-        self.entries.len() - self.head
+        self.keys.len() - self.head
     }
 
     /// `true` when nothing remains to dequeue.
     pub fn is_empty(&self) -> bool {
-        self.head == self.entries.len()
+        self.head == self.keys.len()
     }
 
     /// Attempts to enqueue `entry` with the given distance fields.
@@ -339,17 +414,42 @@ impl<const D: usize> Lpq<D> {
             return (false, 0);
         }
         self.bound.offer(e.maxd_sq);
+        let slot = if self.free == NO_SLOT {
+            self.slab.push(Slot::Full(e.entry));
+            u32::try_from(self.slab.len() - 1)
+                .ok()
+                .filter(|&slot| slot != NO_SLOT)
+                .expect("an LPQ holds fewer than 2^32 - 1 entries")
+        } else {
+            let slot = self.free;
+            let Slot::Free(next) = self.slab[slot as usize] else {
+                unreachable!("the free list links only free slots")
+            };
+            self.free = next;
+            self.slab[slot as usize] = Slot::Full(e.entry);
+            slot
+        };
+        let (kind, id) = match e.entry {
+            Entry::Node(n) => (0, u64::from(n.page)),
+            Entry::Object(o) => (1, o.oid),
+        };
+        let key = QueueKey {
+            mind_sq: e.mind_sq,
+            maxd_sq: e.maxd_sq,
+            id,
+            slot,
+            kind,
+        };
         // Insertion position: ties on MIND dequeue nodes before objects (a
         // tied node may still hold a smaller-oid object at the same
         // distance), then break on MAXD (paper §3.3.3), then on oid so
         // equal-distance objects dequeue in the canonical smaller-oid-first
         // order.
-        let key = Self::order_key(&e);
-        let pos =
-            self.entries[self.head..].partition_point(|q| Self::order_key(q) <= key) + self.head;
-        self.entries.insert(pos, e);
+        let order = key.order();
+        let pos = self.keys[self.head..].partition_point(|q| q.order() <= order) + self.head;
+        self.keys.insert(pos, key);
         self.enqueued_total += 1;
-        let len = (self.entries.len() - self.head) as u32;
+        let len = (self.keys.len() - self.head) as u32;
         if len > self.high_water {
             self.high_water = len;
         }
@@ -363,14 +463,16 @@ impl<const D: usize> Lpq<D> {
             return (true, 0);
         }
         self.filter_pending = false;
-        // The vector is MIND-sorted, so the victims form a suffix.
+        // The keys are MIND-sorted, so the victims form a suffix.
         let bound = bound_after * (1.0 + PRUNE_EPS);
-        let cut = self.entries[self.head..].partition_point(|q| q.mind_sq <= bound) + self.head;
-        let filtered = (self.entries.len() - cut) as u64;
-        for victim in &self.entries[cut..] {
+        let cut = self.keys[self.head..].partition_point(|q| q.mind_sq <= bound) + self.head;
+        let filtered = (self.keys.len() - cut) as u64;
+        for victim in &self.keys[cut..] {
             self.bound.remove(victim.maxd_sq);
+            self.slab[victim.slot as usize] = Slot::Free(self.free);
+            self.free = victim.slot;
         }
-        self.entries.truncate(cut);
+        self.keys.truncate(cut);
         self.filtered_total += filtered;
         (true, filtered)
     }
@@ -398,14 +500,19 @@ impl<const D: usize> Lpq<D> {
     /// the live-bound multiset; callers expanding a popped node re-offer
     /// its children through [`try_enqueue`](Self::try_enqueue).
     pub fn dequeue(&mut self) -> Option<QueuedEntry<D>> {
-        if self.head < self.entries.len() {
-            let e = self.entries[self.head];
-            self.head += 1;
-            self.bound.remove(e.maxd_sq);
-            Some(e)
-        } else {
-            None
-        }
+        let key = *self.keys.get(self.head)?;
+        self.head += 1;
+        self.bound.remove(key.maxd_sq);
+        let freed = Slot::Free(self.free);
+        let Slot::Full(entry) = std::mem::replace(&mut self.slab[key.slot as usize], freed) else {
+            unreachable!("a queued key's slot holds its entry")
+        };
+        self.free = key.slot;
+        Some(QueuedEntry {
+            mind_sq: key.mind_sq,
+            maxd_sq: key.maxd_sq,
+            entry,
+        })
     }
 
     /// Epsilon-tolerant pruning test against this LPQ's bound.
@@ -563,6 +670,71 @@ mod tests {
         // A second disjoint subtree establishes the k=2 guarantee.
         lpq.try_enqueue(qe(node(2, [0.0, 0.0], [1.0, 1.0]), 2.0, 9.0));
         assert_eq!(lpq.bound_sq(), 9.0);
+    }
+
+    /// The sorted vector's element type at dimension `D`.
+    fn key_bytes<const D: usize>() -> usize {
+        fn element<T>(_: &[T]) -> usize {
+            size_of::<T>()
+        }
+        let owner = Entry::Object(ObjectEntry {
+            oid: 0,
+            point: Point::new([0.0; D]),
+        });
+        element(&Lpq::<D>::new(owner, 1, f64::INFINITY).keys)
+    }
+
+    #[test]
+    fn sorted_key_carries_no_coordinates() {
+        assert!(key_bytes::<2>() <= 32, "{} B at D = 2", key_bytes::<2>());
+        assert!(key_bytes::<10>() <= 32, "{} B at D = 10", key_bytes::<10>());
+    }
+
+    /// Offers, dequeues, Filter-stage evictions and emitted results in
+    /// random order: every dequeued entry carries the distances it was
+    /// offered with (slot reuse never crosses two payloads), and the slab
+    /// never holds more slots than the queue's high-water length.
+    #[test]
+    fn slab_reuses_slots_and_stays_within_high_water() {
+        use std::collections::HashMap;
+        ann_datagen::for_each_case(0x51AB, 128, |rng| {
+            let mut lpq = Lpq::new(node(0, [0.0, 0.0], [1.0, 1.0]), rng.range(1, 4), 1e4);
+            let mut offered = HashMap::new();
+            for id in 0..rng.range(1, 400) as u32 {
+                match rng.range(0, 40) {
+                    0 => lpq.satisfy_one(),
+                    1..=12 => {
+                        if let Some(q) = lpq.dequeue() {
+                            let id = match q.entry {
+                                Entry::Node(n) => u64::from(n.page),
+                                Entry::Object(o) => o.oid,
+                            };
+                            assert_eq!(offered.remove(&id), Some((q.mind_sq, q.maxd_sq)));
+                        }
+                    }
+                    _ => {
+                        let mind = rng.range_f64(0.0, 100.0);
+                        let maxd = mind + rng.range_f64(0.0, 50.0);
+                        let entry = if rng.chance(0.5) {
+                            node(id, [0.0, 0.0], [1.0, 1.0])
+                        } else {
+                            obj(u64::from(id), 0.0, 0.0)
+                        };
+                        if lpq.try_enqueue(qe(entry, mind, maxd)).0 {
+                            offered.insert(u64::from(id), (mind, maxd));
+                        }
+                    }
+                }
+                assert!(lpq.slab.len() <= lpq.high_water() as usize);
+                let mut free = 0;
+                let mut at = lpq.free;
+                while let Some(&Slot::Free(next)) = lpq.slab.get(at as usize) {
+                    (free, at) = (free + 1, next);
+                }
+                assert_eq!(at, NO_SLOT, "the free list ends in NO_SLOT");
+                assert_eq!(lpq.slab.len(), lpq.len() + free);
+            }
+        });
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! [`QueryScratch`] — a per-thread arena of reusable query buffers.
 //!
 //! Every algorithm in this crate used to allocate its working memory
-//! per query (LPQ entry vectors in MBA, best-first heaps in MNN/BNN,
+//! per query (LPQ storage in MBA, best-first heaps in MNN/BNN,
 //! the live-bound vectors of the LPQs' and frontiers'
 //! [`BoundTracker`](crate::lpq::BoundTracker)s, per-point k-best heaps in
 //! BNN/HNN, visit stacks, and the distance buffers the batched kernels of
@@ -11,14 +11,15 @@
 //! subsequent queries perform no heap allocation from the pooled paths,
 //! at any `k`.
 //!
-//! One buffer pair is deliberately not pooled: the storage of an LPQ
-//! owned by an index *node* (its entries and its live bounds). A join
+//! One kind of storage is deliberately not pooled: that of an LPQ owned
+//! by an index *node* (its [`LpqStorage`]: keys, entry slab and live
+//! bounds). A join
 //! creates few of those (about 1 000 in a 20 000-point 10-D self-join),
 //! but each can grow to thousands of entries; a pool hands its buffers
 //! out LIFO, so every parked buffer would keep the capacity of the
 //! largest queue it ever served, and the arena would ratchet up join
-//! after join. A node-owned LPQ starts from empty `Vec`s and its storage
-//! goes back to the allocator when it is retired. Object-owned LPQs —
+//! after join. A node-owned LPQ starts from empty storage, which goes
+//! back to the allocator when the queue is retired. Object-owned LPQs —
 //! tens of thousands per join, each at most a few dozen entries — draw
 //! from the pool.
 //!
@@ -43,7 +44,7 @@
 //! node-sized queue is being hoarded — `crates/core/tests/scratch_reuse.rs`
 //! asserts both.
 
-use crate::lpq::{Lpq, QueuedEntry};
+use crate::lpq::{Lpq, LpqStorage};
 use crate::node::Entry;
 use crate::stats::NeighborPair;
 use ann_store::PageId;
@@ -221,15 +222,12 @@ impl KBestSet {
 pub struct QueryScratch<const D: usize> {
     f64_bufs: Vec<Vec<f64>>,
     /// Backing storage of object-owned LPQs only; a node-owned LPQ
-    /// allocates its own and frees it (see the module docs). After a
-    /// 20 000-point uniform 10-D self-join at k = 10 the whole arena,
-    /// bound buffers included, parks 0.73 MiB in 81 buffers, the same
-    /// after every join; with node-owned storage pooled too it parked
-    /// 201 MiB.
-    entry_bufs: Vec<Vec<QueuedEntry<D>>>,
-    /// Live-bound storage of [`BoundTracker`](crate::lpq::BoundTracker)s
-    /// that object-owned LPQs and best-first frontiers hold; node-owned
-    /// LPQs allocate and free theirs, like their entries.
+    /// allocates its own and frees it (see the module docs). With
+    /// node-owned storage pooled too, a 20 000-point uniform 10-D
+    /// self-join at k = 10 parked 201 MiB.
+    lpq_bufs: Vec<LpqStorage<D>>,
+    /// Live-bound storage of the [`BoundTracker`](crate::lpq::BoundTracker)s
+    /// that best-first frontiers hold.
     bound_bufs: Vec<Vec<f64>>,
     lpq_lists: Vec<Vec<Lpq<D>>>,
     lpq_queues: Vec<VecDeque<Lpq<D>>>,
@@ -272,16 +270,12 @@ impl<const D: usize> QueryScratch<D> {
         self.bound_bufs.push(buf);
     }
 
-    /// An empty LPQ for `owner` (see [`Lpq::new`]): over pooled entry and
-    /// live-bound storage for an object owner, over fresh `Vec`s for a
-    /// node owner.
+    /// An empty LPQ for `owner` (see [`Lpq::new`]): over pooled storage
+    /// for an object owner, over fresh storage for a node owner.
     pub fn take_lpq(&mut self, owner: Entry<D>, k: usize, inherited_bound_sq: f64) -> Lpq<D> {
         let storage = match owner {
-            Entry::Object(_) => (
-                self.entry_bufs.pop().unwrap_or_default(),
-                self.take_bounds(),
-            ),
-            Entry::Node(_) => (Vec::new(), Vec::new()),
+            Entry::Object(_) => self.lpq_bufs.pop().unwrap_or_default(),
+            Entry::Node(_) => LpqStorage::default(),
         };
         Lpq::new_in(owner, k, inherited_bound_sq, storage)
     }
@@ -290,9 +284,7 @@ impl<const D: usize> QueryScratch<D> {
     /// goes back to the pool, a node owner's back to the allocator.
     pub fn put_lpq(&mut self, lpq: Lpq<D>) {
         if let Entry::Object(_) = lpq.owner {
-            let (entries, live) = lpq.into_storage();
-            self.entry_bufs.push(entries);
-            self.put_bounds(live);
+            self.lpq_bufs.push(lpq.into_storage());
         }
     }
 
@@ -385,7 +377,11 @@ impl<const D: usize> QueryScratch<D> {
     /// nothing new.
     pub fn footprint_bytes(&self) -> usize {
         pool_bytes(&self.f64_bufs)
-            + pool_bytes(&self.entry_bufs)
+            + self
+                .lpq_bufs
+                .iter()
+                .map(LpqStorage::capacity_bytes)
+                .sum::<usize>()
             + pool_bytes(&self.bound_bufs)
             + self
                 .lpq_lists
@@ -407,7 +403,7 @@ impl<const D: usize> QueryScratch<D> {
     /// Number of buffers currently parked across all pools.
     pub fn parked(&self) -> usize {
         self.f64_bufs.len()
-            + self.entry_bufs.len()
+            + self.lpq_bufs.len()
             + self.bound_bufs.len()
             + self.lpq_lists.len()
             + self.lpq_queues.len()
@@ -452,7 +448,7 @@ mod tests {
         });
         let fill = |lpq: &mut Lpq<2>, n: u32| {
             for i in 0..n {
-                lpq.try_enqueue(QueuedEntry {
+                lpq.try_enqueue(crate::lpq::QueuedEntry {
                     mind_sq: f64::from(i),
                     maxd_sq: f64::INFINITY,
                     entry: object,
@@ -468,17 +464,18 @@ mod tests {
         assert_eq!(s.parked(), 0);
         assert_eq!(s.footprint_bytes(), 0);
         // …and the next node owner starts from nothing.
-        let (entries, live) = s.take_lpq(node, 2, f64::INFINITY).into_storage();
-        assert_eq!((entries.capacity(), live.capacity()), (0, 0));
-        // An object-owned queue's storage — entries and live bounds — is
-        // parked with its capacity.
+        let storage = s.take_lpq(node, 2, f64::INFINITY).into_storage();
+        assert_eq!(storage.capacity_bytes(), 0);
+        // An object-owned queue's storage — keys, slab and live bounds,
+        // one parked buffer — keeps its capacity.
         let mut small = s.take_lpq(object, 2, f64::INFINITY);
         fill(&mut small, 40);
         s.put_lpq(small);
-        assert_eq!(s.parked(), 2);
-        assert!(s.footprint_bytes() >= 40 * (size_of::<QueuedEntry<2>>() + size_of::<f64>()));
-        let (entries, live) = s.take_lpq(object, 2, f64::INFINITY).into_storage();
-        assert!(entries.capacity() >= 40 && live.capacity() >= 40);
+        assert_eq!(s.parked(), 1);
+        let per_entry = size_of::<Entry<2>>() + size_of::<f64>();
+        assert!(s.footprint_bytes() >= 40 * per_entry);
+        let storage = s.take_lpq(object, 2, f64::INFINITY).into_storage();
+        assert!(storage.capacity_bytes() >= 40 * per_entry);
     }
 
     #[test]

@@ -201,33 +201,6 @@ pub fn min_min_dist_sq_batch<const D: usize>(m: &Mbr<D>, mbrs: &SoaMbrs<'_>, out
     }
 }
 
-/// Batched [`crate::max_max_dist_sq`]: `out[i] = MAXMAXDIST²(m, mbrs[i])`,
-/// bit-exact.
-pub fn max_max_dist_sq_batch<const D: usize>(m: &Mbr<D>, mbrs: &SoaMbrs<'_>, out: &mut Vec<f64>) {
-    let n = mbrs.len;
-    debug_assert_eq!(mbrs.lo.len(), D * n);
-    prepare(out, n);
-    let mut i = 0;
-    while i + LANES <= n {
-        let mut acc = [0.0f64; LANES];
-        for d in 0..D {
-            let lo = lanes(mbrs.lo, d * n + i);
-            let hi = lanes(mbrs.hi, d * n + i);
-            for l in 0..LANES {
-                // `max_dist_d`, inlined against the columns.
-                let md = (m.hi[d] - lo[l]).max(hi[l] - m.lo[d]);
-                acc[l] += md * md;
-            }
-        }
-        out[i..i + LANES].copy_from_slice(&acc);
-        i += LANES;
-    }
-    while i < n {
-        out[i] = crate::max_max_dist_sq(m, &mbrs.mbr::<D>(i));
-        i += 1;
-    }
-}
-
 /// Batched [`crate::nxn_dist_sq`]: `out[i] = NXNDIST²(m, mbrs[i])`,
 /// bit-exact — including the final `MINMINDIST` cancellation clamp.
 pub fn nxn_dist_sq_batch<const D: usize>(m: &Mbr<D>, mbrs: &SoaMbrs<'_>, out: &mut Vec<f64>) {
@@ -295,7 +268,7 @@ pub fn nxn_dist_sq_batch<const D: usize>(m: &Mbr<D>, mbrs: &SoaMbrs<'_>, out: &m
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{max_max_dist_sq, min_min_dist_sq, min_min_dist_sq_within, nxn_dist_sq};
+    use crate::{min_min_dist_sq, min_min_dist_sq_within, nxn_dist_sq};
     use ann_datagen::Rng;
 
     /// Adversarial candidate set: large offsets (cancellation), coincident
@@ -346,12 +319,6 @@ mod tests {
             for i in 0..n {
                 let want = min_min_dist_sq(&m, &mbrs.mbr::<D>(i));
                 assert_eq!(out[i].to_bits(), want.to_bits(), "minmin D={D} n={n} i={i}");
-            }
-
-            max_max_dist_sq_batch(&m, &mbrs, &mut out);
-            for i in 0..n {
-                let want = max_max_dist_sq(&m, &mbrs.mbr::<D>(i));
-                assert_eq!(out[i].to_bits(), want.to_bits(), "maxmax D={D} n={n} i={i}");
             }
 
             nxn_dist_sq_batch(&m, &mbrs, &mut out);

@@ -5,7 +5,6 @@
 //! [`MaxMaxDist`] versus [`NxnDist`] is exactly the experiment of the
 //! paper's Figure 3(a) ("BNN MAXMAXDIST" vs "BNN NXNDIST", etc.).
 
-use crate::kernels::{self, SoaMbrs};
 use crate::{max_max_dist_sq, nxn_dist_sq, Mbr};
 
 /// An upper-bound metric `PM(M, N)` usable for ANN pruning: it must
@@ -23,18 +22,6 @@ pub trait PruneMetric: Copy + Default + Send + Sync + 'static {
     /// Squared upper bound between the query-side MBR `m` and the
     /// target-side MBR `n`.
     fn upper_sq<const D: usize>(m: &Mbr<D>, n: &Mbr<D>) -> f64;
-
-    /// Batched [`PruneMetric::upper_sq`] over a column-major candidate set:
-    /// `out[i]` gets exactly the bits `upper_sq(m, &n.mbr(i))` would
-    /// produce. The default implementation is the scalar loop; metrics with
-    /// a dedicated kernel override it.
-    fn upper_sq_batch<const D: usize>(m: &Mbr<D>, n: &SoaMbrs<'_>, out: &mut Vec<f64>) {
-        out.clear();
-        out.resize(n.len, 0.0);
-        for i in 0..n.len {
-            out[i] = Self::upper_sq(m, &n.mbr::<D>(i));
-        }
-    }
 }
 
 /// The paper's new `NXNDIST` metric (§3.1) — the tight upper bound.
@@ -47,11 +34,6 @@ impl PruneMetric for NxnDist {
     #[inline]
     fn upper_sq<const D: usize>(m: &Mbr<D>, n: &Mbr<D>) -> f64 {
         nxn_dist_sq(m, n)
-    }
-
-    #[inline]
-    fn upper_sq_batch<const D: usize>(m: &Mbr<D>, n: &SoaMbrs<'_>, out: &mut Vec<f64>) {
-        kernels::nxn_dist_sq_batch(m, n, out);
     }
 }
 
@@ -66,11 +48,6 @@ impl PruneMetric for MaxMaxDist {
     #[inline]
     fn upper_sq<const D: usize>(m: &Mbr<D>, n: &Mbr<D>) -> f64 {
         max_max_dist_sq(m, n)
-    }
-
-    #[inline]
-    fn upper_sq_batch<const D: usize>(m: &Mbr<D>, n: &SoaMbrs<'_>, out: &mut Vec<f64>) {
-        kernels::max_max_dist_sq_batch(m, n, out);
     }
 }
 

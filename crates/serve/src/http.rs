@@ -29,7 +29,9 @@ pub const MAX_BODY: usize = 64 * 1024 * 1024;
 pub struct Message {
     /// The start line: `METHOD target HTTP/1.1` or `HTTP/1.1 status reason`.
     pub start_line: String,
-    /// The `Connection` header, when sent: `false` for `close`.
+    /// What the `Connection` header asks for: `Some(false)` when any of
+    /// its tokens is `close`, otherwise `Some(true)` when one is
+    /// `keep-alive`, `None` when neither is sent.
     pub keep_alive: Option<bool>,
     /// Raw body bytes (empty when no `Content-Length` was sent).
     pub body: Vec<u8>,
@@ -117,7 +119,15 @@ impl MessageReader {
                     _ => return Err(bad("bad Content-Length")),
                 }
             } else if name.eq_ignore_ascii_case("connection") {
-                keep_alive = Some(!value.eq_ignore_ascii_case("close"));
+                // RFC 9110 §7.6.1: a comma-separated token list, possibly
+                // over several fields. `close` anywhere wins.
+                for token in value.split(',').map(str::trim) {
+                    if token.eq_ignore_ascii_case("close") {
+                        keep_alive = Some(false);
+                    } else if token.eq_ignore_ascii_case("keep-alive") {
+                        keep_alive.get_or_insert(true);
+                    }
+                }
             } else if name.eq_ignore_ascii_case("transfer-encoding") {
                 return Err(bad("chunked bodies not supported"));
             }
@@ -249,7 +259,7 @@ pub fn read_request(
         path: path.to_string(),
         query,
         body: msg.body,
-        // HTTP/1.1 defaults to keep-alive; only `Connection: close` opts out.
+        // HTTP/1.1 defaults to keep-alive; a `close` token opts out.
         keep_alive: msg.keep_alive.unwrap_or(version == "HTTP/1.1"),
     }))
 }
@@ -487,6 +497,35 @@ mod tests {
         assert!(no_body
             .got
             .ends_with(b"Content-Length: 0\r\nConnection: keep-alive\r\n\r\n"));
+    }
+
+    #[test]
+    fn connection_is_a_token_list_and_close_wins() {
+        let table: [(&str, bool); 8] = [
+            ("GET / HTTP/1.1\r\n\r\n", true),
+            ("GET / HTTP/1.0\r\n\r\n", false),
+            ("GET / HTTP/1.1\r\nConnection: close\r\n\r\n", false),
+            ("GET / HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n", true),
+            (
+                "GET / HTTP/1.1\r\nConnection: keep-alive, close\r\n\r\n",
+                false,
+            ),
+            (
+                "GET / HTTP/1.1\r\nConnection: close\r\nConnection: keep-alive\r\n\r\n",
+                false,
+            ),
+            (
+                "GET / HTTP/1.0\r\nConnection: upgrade ,keep-alive\r\n\r\n",
+                true,
+            ),
+            ("GET / HTTP/1.0\r\nConnection: upgrade\r\n\r\n", false),
+        ];
+        for (wire, keep_alive) in table {
+            let req = read_request(&mut MessageReader::new(MAX_BODY), &mut wire.as_bytes())
+                .expect("well-formed")
+                .expect("one request");
+            assert_eq!(req.keep_alive, keep_alive, "{wire:?}");
+        }
     }
 
     #[test]

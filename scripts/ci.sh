@@ -70,10 +70,11 @@ if git grep -nE 'effective_threads|RetryOverride|fn from_request|set_retry_polic
   exit 1
 fi
 # The kNN machinery is written once (DESIGN.md §11): every algorithm that
-# probes an index's nodes does it through the node scan in `scan.rs`, one
-# best-first search seeds a `BestFirst` (MNN's), and one k-best set
-# (`scratch.rs`) holds the canonical tie-break for BNN, HNN and GORDER.
-probes="$(git grep -l 'upper_sq_batch(' -- crates/core/src crates/gorder/src \
+# probes an index's nodes does it through the node scan in `scan.rs` (the
+# one caller of the batched MBR kernel), one best-first search seeds a
+# `BestFirst` (MNN's), and one k-best set (`scratch.rs`) holds the
+# canonical tie-break for BNN, HNN and GORDER.
+probes="$(git grep -l 'min_min_dist_sq_batch(' -- crates/core/src crates/gorder/src \
   ':!crates/core/src/scan.rs' || true)"
 seeds="$(git grep -c 'BestFirst::seeded' -- crates src tests examples \
   | awk -F: '{ n += $2 } END { print n + 0 }')"
@@ -84,6 +85,14 @@ if [ -n "$probes" ] || [ "$seeds" -gt 1 ] || [ "$offers" -gt 1 ]; then
        "crates/core/src/scan.rs) or a second k-best set (it belongs in" \
        "crates/core/src/scratch.rs): probes in [$probes], $seeds BestFirst::seeded" \
        "call sites, $offers k-best offers" >&2
+  exit 1
+fi
+# The join path scores MIND for every entry and the pruning metric for
+# survivors only (DESIGN.md §11): nothing there batch-evaluates NXNDIST.
+nxn_batch="$(git grep -l 'nxn_dist_sq_batch(' -- crates/core/src crates/gorder/src || true)"
+if [ -n "$nxn_batch" ]; then
+  echo "ci: the join path batch-evaluates the pruning metric; the node scan" \
+       "(crates/core/src/scan.rs) evaluates it per surviving entry:" $nxn_batch >&2
   exit 1
 fi
 # Every page layout is written with one codec (DESIGN.md §7): outside the
