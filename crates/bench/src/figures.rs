@@ -7,9 +7,10 @@
 //! dataset" (with self-matches allowed every answer is trivially the point
 //! itself).
 
-use crate::harness::{run, Method, Metric, RunConfig};
+use crate::harness::{run, Method, RunConfig};
 use crate::report::Figure;
 use ann_core::mba::{Expansion, Traversal};
+use ann_core::query::MetricChoice;
 use ann_geom::Point;
 
 fn scaled(paper_n: usize, fraction: f64) -> usize {
@@ -39,12 +40,12 @@ pub fn fig3a(fraction: f64) -> Figure {
         ),
     );
     let cells = [
-        (Method::Bnn, Metric::MaxMax),
-        (Method::Bnn, Metric::Nxn),
-        (Method::Rba, Metric::MaxMax),
-        (Method::Rba, Metric::Nxn),
-        (Method::Mba, Metric::MaxMax),
-        (Method::Mba, Metric::Nxn),
+        (Method::Bnn, MetricChoice::MaxMax),
+        (Method::Bnn, MetricChoice::Nxn),
+        (Method::Rba, MetricChoice::MaxMax),
+        (Method::Rba, MetricChoice::Nxn),
+        (Method::Mba, MetricChoice::MaxMax),
+        (Method::Mba, MetricChoice::Nxn),
     ];
     for (method, metric) in cells {
         let cfg = RunConfig {
@@ -74,10 +75,10 @@ pub fn fig3a_synthetic(fraction: f64) -> Figure {
         ),
     );
     for (method, metric) in [
-        (Method::Bnn, Metric::MaxMax),
-        (Method::Bnn, Metric::Nxn),
-        (Method::Mba, Metric::MaxMax),
-        (Method::Mba, Metric::Nxn),
+        (Method::Bnn, MetricChoice::MaxMax),
+        (Method::Bnn, MetricChoice::Nxn),
+        (Method::Mba, MetricChoice::MaxMax),
+        (Method::Mba, MetricChoice::Nxn),
     ] {
         let cfg = RunConfig {
             method,
@@ -232,7 +233,7 @@ pub fn ablation_mbr(fraction: f64) -> Figure {
         &data,
         &data,
         &RunConfig {
-            metric: Metric::Nxn,
+            metric: MetricChoice::Nxn,
             ..Default::default()
         },
     );
@@ -242,7 +243,7 @@ pub fn ablation_mbr(fraction: f64) -> Figure {
         &data,
         &data,
         &RunConfig {
-            metric: Metric::MaxMax,
+            metric: MetricChoice::MaxMax,
             ..Default::default()
         },
     );
@@ -252,7 +253,7 @@ pub fn ablation_mbr(fraction: f64) -> Figure {
         &data,
         &data,
         &RunConfig {
-            metric: Metric::MaxMax,
+            metric: MetricChoice::MaxMax,
             use_subtree_mbrs: false,
             ..Default::default()
         },
@@ -516,25 +517,24 @@ pub struct OutofcoreOpts {
     pub seed: Option<u64>,
 }
 
-/// The out-of-core study (`BENCH_outofcore.json`): streaming external
-/// bulk builds onto a [`FileDisk`], then per (points, pool pages) cell a
-/// cold BNN self-join against the Hilbert-packed tree — with the leaf
-/// prefetcher off and on — under the [`SeekDisk`] rotating-disk cost
-/// model.
+/// The out-of-core study (`BENCH_outofcore.json`): streamed MBRQT bulk
+/// builds onto a [`FileDisk`], then per (points, pool pages) cell a cold
+/// BNN self-join against the tree — with the leaf prefetcher off and
+/// on — under the [`SeekDisk`] rotating-disk cost model.
 ///
 /// Prefetching is gated on two invariants, recorded per row: identical
 /// sorted results and an identical logical read count — the prefetcher
 /// may change only *when* a physical read happens, never *whether* a
 /// logical one does. The separate census row streams `scaled(10⁷)`
-/// points through the external R*-tree build, validates every structural
+/// points through the streamed MBRQT build, validates every structural
 /// invariant, and checks that each input oid comes back exactly once.
 ///
 /// [`FileDisk`]: ann_store::FileDisk
 pub fn outofcore(fraction: f64, opts: &OutofcoreOpts) -> crate::report::OutofcoreReport {
     use ann_core::index::{collect_objects, validate};
-    use ann_core::query::{Algorithm, AnnRequest, Input, MetricChoice, NoIndex};
+    use ann_core::query::{Algorithm, AnnRequest, Input, NoIndex};
     use ann_core::tree_file::WritableIndex;
-    use ann_rstar::{RStar, RStarConfig};
+    use ann_mbrqt::{Mbrqt, MbrqtConfig};
     use ann_store::{BufferPool, FileDisk, PrefetchConfig};
     use std::sync::Arc;
     use std::time::{Duration, Instant};
@@ -560,8 +560,8 @@ pub fn outofcore(fraction: f64, opts: &OutofcoreOpts) -> crate::report::Outofcor
         id: "BENCH_outofcore".into(),
         workload: format!(
             "uniform 2D self-join BNN ANN (k=1) against a streamed-built \
-             Hilbert-packed R*-tree on FileDisk (seek {} µs, transfer {} µs \
-             per page), cold pool, prefetch off vs on (n up to {n_max})",
+             MBRQT on FileDisk (seek {} µs, transfer {} µs per page), cold \
+             pool, prefetch off vs on (n up to {n_max})",
             SEEK.as_micros(),
             TRANSFER.as_micros()
         ),
@@ -579,8 +579,8 @@ pub fn outofcore(fraction: f64, opts: &OutofcoreOpts) -> crate::report::Outofcor
     };
 
     for &n in &sweep_points {
-        // Build the S tree once per cardinality through the external
-        // pipeline: the input is a lazy stream, spill traffic goes to its
+        // Build the S tree once per cardinality through the streamed
+        // build: the input is a lazy stream, spill traffic goes to its
         // own file-backed scratch pool, and the build runs uncharged on a
         // generous pool.
         let tree_path = file(&format!("tree-{n}"));
@@ -595,12 +595,12 @@ pub fn outofcore(fraction: f64, opts: &OutofcoreOpts) -> crate::report::Outofcor
         ));
         let budget = (n / 8).max(4_096);
         let t0 = Instant::now();
-        let is = RStar::bulk_build_stream(
+        let is = Mbrqt::bulk_build_stream(
             build_pool.clone(),
             scratch,
             ann_datagen::uniform_stream::<2>(n, seed),
             budget,
-            &RStarConfig::default(),
+            &MbrqtConfig::default(),
         )
         .expect("stream-build I_S");
         let build_seconds = t0.elapsed().as_secs_f64();
@@ -628,7 +628,7 @@ pub fn outofcore(fraction: f64, opts: &OutofcoreOpts) -> crate::report::Outofcor
                 // on the tree handle, and a warm cache would let the
                 // second run skip the pool entirely. `open` validates the
                 // tree, which is why charging only starts afterwards.
-                let is = RStar::<2>::open_at(pool.clone(), is_meta, None).expect("reopen I_S");
+                let is = Mbrqt::<2>::open_at(pool.clone(), is_meta, None).expect("reopen I_S");
                 pool.clear().expect("clear pool");
                 pool.set_capacity(pool_pages.max(8)).expect("set capacity");
                 pool.reset_stats();
@@ -689,10 +689,10 @@ pub fn outofcore(fraction: f64, opts: &OutofcoreOpts) -> crate::report::Outofcor
         std::fs::remove_file(&tree_path).ok();
     }
 
-    // The ≥10⁷-point external build: stream, validate, census.
+    // The ≥10⁷-point streamed build: stream, validate, census.
     let census_n = scaled(10_000_000, fraction);
     let run_budget = census_n.clamp(1, 1 << 20);
-    eprintln!("  [outofcore] census: streaming {census_n} points (run budget {run_budget})");
+    eprintln!("  [outofcore] census: streaming {census_n} points (memory budget {run_budget})");
     let tree_path = file("census-tree");
     let scratch_path = file("census-scratch");
     let pool = Arc::new(BufferPool::new(
@@ -704,12 +704,12 @@ pub fn outofcore(fraction: f64, opts: &OutofcoreOpts) -> crate::report::Outofcor
         512,
     ));
     let t0 = Instant::now();
-    let tree = RStar::bulk_build_stream(
+    let tree = Mbrqt::bulk_build_stream(
         pool,
         scratch,
         ann_datagen::uniform_stream::<2>(census_n, seed),
         run_budget,
-        &RStarConfig::default(),
+        &MbrqtConfig::default(),
     )
     .expect("census stream build");
     let build_seconds = t0.elapsed().as_secs_f64();

@@ -30,26 +30,6 @@ pub const IO_SECONDS_PER_PAGE: f64 = 0.010;
 /// Default buffer pool: the paper's 64 frames = 512 KiB.
 pub const DEFAULT_POOL_FRAMES: usize = 64;
 
-/// Pruning metric selector (runtime dispatch over the compile-time
-/// [`ann_geom::PruneMetric`] strategies).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Metric {
-    /// The paper's NXNDIST.
-    Nxn,
-    /// The traditional MAXMAXDIST.
-    MaxMax,
-}
-
-impl Metric {
-    /// Display name matching the paper's bar labels.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Metric::Nxn => "NXNDIST",
-            Metric::MaxMax => "MAXMAXDIST",
-        }
-    }
-}
-
 /// Algorithm selector.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Method {
@@ -86,8 +66,9 @@ impl Method {
 pub struct RunConfig {
     /// Algorithm under test.
     pub method: Method,
-    /// Pruning metric (ignored by GORDER, which has no metric knob).
-    pub metric: Metric,
+    /// Pruning metric (ignored by GORDER, which has no metric knob); its
+    /// name is the paper's bar label.
+    pub metric: MetricChoice,
     /// Neighbors per query point.
     pub k: usize,
     /// Self-join mode.
@@ -109,7 +90,7 @@ impl Default for RunConfig {
     fn default() -> Self {
         RunConfig {
             method: Method::Mba,
-            metric: Metric::Nxn,
+            metric: MetricChoice::Nxn,
             k: 1,
             exclude_self: true,
             pool_frames: DEFAULT_POOL_FRAMES,
@@ -257,15 +238,11 @@ pub fn run_with_sink<const D: usize>(
         s.len()
     );
     let tracer = sink.map_or(Tracer::disabled(), Tracer::new);
-    let metric = match cfg.metric {
-        Metric::Nxn => MetricChoice::Nxn,
-        Metric::MaxMax => MetricChoice::MaxMax,
-    };
     let request = |alg: Algorithm| {
         let mut req = AnnRequest::new(alg)
             .k(cfg.k)
             .exclude_self(cfg.exclude_self)
-            .metric(metric);
+            .metric(cfg.metric);
         if let Some(sink) = sink {
             req = req.trace(sink);
         }

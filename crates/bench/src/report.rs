@@ -262,12 +262,12 @@ pub struct OutofcoreRow {
     pub points: usize,
     /// Buffer-pool frames during the query phase.
     pub pool_pages: usize,
-    /// Pages the two trees occupy on disk (≥ 10× `pool_pages` on the
-    /// gated cold cell).
+    /// Pages the streamed S tree occupies on disk (≥ 10× `pool_pages`
+    /// on the gated cold cell).
     pub dataset_pages: u64,
     /// Whether the pipelined leaf prefetcher was enabled.
     pub prefetch: bool,
-    /// Streaming (external) build time for both trees, seconds.
+    /// Streamed build time of the S tree, seconds.
     pub build_seconds: f64,
     /// Query-phase wall clock, seconds.
     pub wall_seconds: f64,
@@ -310,12 +310,13 @@ json_fields!(OutofcoreRow {
     identical_to_baseline,
 });
 
-/// The ≥10⁷-point external-build validation row of `BENCH_outofcore`.
+/// The ≥10⁷-point streamed-build validation row of `BENCH_outofcore`.
 #[derive(Clone, Debug)]
 pub struct OutofcoreCensus {
-    /// Points streamed through the external build.
+    /// Points streamed through the MBRQT's streamed build.
     pub points: usize,
-    /// Sorter run budget (records held in memory at once).
+    /// The build's memory budget: the largest partition, in records,
+    /// it materializes at once.
     pub run_budget: usize,
     /// Streaming build wall clock, seconds.
     pub build_seconds: f64,
@@ -339,7 +340,7 @@ json_fields!(OutofcoreCensus {
     census_complete,
 });
 
-/// The out-of-core figure: streaming external builds plus the
+/// The out-of-core figure: streamed MBRQT builds plus the
 /// prefetch-off vs prefetch-on cold query sweep. Emitted as
 /// `BENCH_outofcore.json`.
 #[derive(Clone, Debug)]
@@ -352,7 +353,7 @@ pub struct OutofcoreReport {
     pub seed: u64,
     /// One row per (points, pool pages, prefetch) cell.
     pub rows: Vec<OutofcoreRow>,
-    /// The large-scale external-build validation.
+    /// The large-scale streamed-build validation.
     pub census: OutofcoreCensus,
 }
 
@@ -410,7 +411,7 @@ impl Report for OutofcoreReport {
         }
         let c = &self.census;
         out.push_str(&format!(
-            "census: {} points, run budget {}, build {:.1}s, validate {:.1}s, \
+            "census: {} points, memory budget {}, build {:.1}s, validate {:.1}s, \
              census {:.1}s, {} objects, complete: {}\n",
             c.points,
             c.run_budget,

@@ -25,7 +25,7 @@ use crate::morsel::chunk_ranges;
 use crate::node::{Entry, NodeEntry};
 use crate::resilience::QueryResult;
 use crate::scan::{CandidateQueue, NodeScan};
-use crate::scratch::{GroupHeapItem, KBestSet, QueryScratch};
+use crate::scratch::{self_join_room, GroupHeapItem, KBestSet, QueryScratch};
 use crate::stats::AnnOutput;
 use crate::trace::{Phase, PruneReason, Side, TraceEvent};
 use ann_geom::{curve::GridMapper, kernels, min_min_dist_sq, Mbr, Point, PruneMetric, SoaPoints};
@@ -182,7 +182,7 @@ where
     } = w;
     let is = join.is;
     let mut heap_pops = 0u64;
-    let k_eff = join.k + usize::from(join.exclude_self);
+    let k_eff = self_join_room(join.k, join.exclude_self);
     let gmbr = Mbr::from_points(group.iter().map(|(_, p)| p));
     // Each group point's oid beside its candidates.
     let mut sets: Vec<(u64, KBestSet)> = group

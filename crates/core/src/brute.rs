@@ -26,7 +26,7 @@ pub fn brute_force_aknn<const D: usize>(
     if k == 0 {
         return Vec::new();
     }
-    let mut out = Vec::with_capacity(r.len() * k);
+    let mut out = Vec::with_capacity(r.len() * k.min(s.len()));
     // Column-major mirror of S, built once: every query point then runs
     // one batched kernel call over all of S instead of |S| scalar calls.
     let mut s_cols: Vec<f64> = Vec::with_capacity(D * s.len());

@@ -27,7 +27,7 @@
 use crate::exec::{self, ExecCtx, Join, Spill};
 use crate::morsel::{chunk_ranges, POINT_MORSEL};
 use crate::resilience::QueryResult;
-use crate::scratch::{KBestSet, QueryScratch};
+use crate::scratch::{self_join_room, KBestSet, QueryScratch};
 use crate::stats::AnnOutput;
 use crate::trace::{Phase, PruneReason};
 use ann_geom::{kernels, Mbr, Point, SoaPoints};
@@ -288,7 +288,7 @@ pub(crate) fn run<const D: usize>(
             s,
             grid,
             k,
-            k_eff: k + usize::from(exclude_self),
+            k_eff: self_join_room(k, exclude_self),
             exclude_self,
         })
     })

@@ -45,7 +45,6 @@
 mod bnn;
 pub mod brute;
 mod exec;
-pub mod extsort;
 mod hnn;
 pub mod index;
 pub mod lpq;
@@ -66,7 +65,6 @@ pub mod trace;
 pub mod tree_file;
 pub mod wire;
 
-pub use extsort::{HilbertSorter, KeyedPoint, PointSpill, SortedStream};
 pub use index::SpatialIndex;
 pub use node::{DecodedNode, Entry, Node, NodeColumns, NodeEntry, ObjectEntry};
 pub use node_cache::{NodeCache, NodeCacheStats};

@@ -28,7 +28,7 @@ use crate::morsel::INLINE_SUBTREE_OBJECTS;
 use crate::node::{DecodedNode, Entry, NodeEntry};
 use crate::resilience::QueryResult;
 use crate::scan::NodeScan;
-use crate::scratch::QueryScratch;
+use crate::scratch::{self_join_room, QueryScratch};
 use crate::stats::{AnnOutput, AnnStats, NeighborPair};
 use crate::trace::{PruneReason, Side, TraceEvent};
 use ann_geom::PruneMetric;
@@ -396,7 +396,7 @@ where
             ir,
             is,
             k,
-            k_eff: k + usize::from(exclude_self),
+            k_eff: self_join_room(k, exclude_self),
             exclude_self,
             traversal,
             expansion,

@@ -18,7 +18,7 @@ use crate::morsel::INLINE_SUBTREE_OBJECTS;
 use crate::node::{Entry, ObjectEntry};
 use crate::resilience::QueryResult;
 use crate::scan::{BestFirst, NodeScan};
-use crate::scratch::QueryScratch;
+use crate::scratch::{self_join_room, QueryScratch};
 use crate::stats::{AnnOutput, NeighborPair};
 use crate::trace::{PruneReason, Side, TraceEvent};
 use ann_geom::PruneMetric;
@@ -187,7 +187,7 @@ where
         out,
         local: cutoff_total,
     } = w;
-    let k_eff = k + usize::from(exclude_self);
+    let k_eff = self_join_room(k, exclude_self);
     let owner = Entry::Object(*r);
     let mut front = BestFirst::seeded::<M, I>(is, &r.point, k_eff, scratch);
     let mut scan = NodeScan::checkout(scratch);

@@ -316,8 +316,8 @@ impl<const D: usize> ObjectEntry<D> {
     /// Bytes of one stored object: `oid: u64 | point: D * f64`.
     pub const SIZE: usize = 8 + 8 * D;
 
-    /// Appends the object in its stored form. Leaf entries, the external
-    /// sort's spill records and GORDER's block files all hold objects so.
+    /// Appends the object in its stored form. Leaf entries, the streamed
+    /// build's spill records and GORDER's block files all hold objects so.
     pub fn put(&self, w: &mut Writer) {
         w.u64(self.oid);
         for &c in self.point.coords() {

@@ -157,6 +157,14 @@ impl Ord for KBest {
     }
 }
 
+/// The candidates one query point keeps for its `k` neighbours: `k`, plus
+/// one in an `exclude_self` self-join, whose bounds must guarantee a
+/// candidate beyond the self match they may discard. Saturating: at
+/// `k = usize::MAX` that is every candidate either way.
+pub fn self_join_room(k: usize, exclude_self: bool) -> usize {
+    k.saturating_add(usize::from(exclude_self))
+}
+
 /// The `want` best candidates of one query point, ranked by ascending
 /// `(dist_sq, s_oid)` — the canonical tie-break brute force applies. BNN,
 /// HNN and GORDER keep one per query point.

@@ -185,6 +185,14 @@ fn degenerate_cardinalities_never_panic() {
     check(&some, &one, 5, false, "k > |S|");
     check(&one, &one, 1, true, "|S|=1 exclude_self");
     check(&some, &some, 7, true, "k > |S|-1 exclude_self");
+    check(&some, &some, usize::MAX, false, "k = usize::MAX");
+    check(
+        &some,
+        &some,
+        usize::MAX,
+        true,
+        "k = usize::MAX exclude_self",
+    );
 }
 
 /// Bug class 4: a lattice translated by 1e8 — subtraction-based metric

@@ -1,9 +1,8 @@
 //! The Hilbert space-filling curve over `D`-dimensional grids.
 //!
 //! [`hilbert`] is the Hilbert curve via Skilling's transpose algorithm.
-//! The R*-tree's streamed bulk load packs leaves in its order (through the
-//! external sort), and the BNN baseline uses it to form spatially-coherent
-//! groups of query points.
+//! The BNN baseline uses it to form spatially-coherent groups of query
+//! points.
 //!
 //! It operates on integer grid coordinates; [`GridMapper`] quantizes
 //! floating-point points into such a grid over a dataset's bounding box.

@@ -15,8 +15,8 @@
 //! * [`PruneMetric`] — a zero-sized strategy type that lets every ANN
 //!   algorithm in the workspace run with either NXNDIST or the traditional
 //!   MAXMAXDIST upper bound (the switch that produces the paper's Figure 3a).
-//! * The Hilbert curve ([`curve::hilbert`]) used by the R*-tree's streamed
-//!   bulk load and for grouping points in the BNN baseline.
+//! * The Hilbert curve ([`curve::hilbert`]), which groups query points in
+//!   the BNN baseline.
 //! * Batched SoA kernels ([`kernels`]) — the same metrics evaluated over
 //!   column-major candidate sets, unrolled across candidates so every
 //!   result is bit-identical to the scalar path.

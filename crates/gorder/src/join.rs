@@ -3,7 +3,7 @@
 use crate::grid::GridOrder;
 use crate::pca::Pca;
 use ann_core::node::ObjectEntry;
-use ann_core::scratch::KBestSet;
+use ann_core::scratch::{self_join_room, KBestSet};
 use ann_core::stats::AnnOutput;
 use ann_core::trace::{Phase, PruneReason, TraceEvent, Tracer};
 use ann_geom::{min_min_dist_sq, Mbr, Point};
@@ -143,7 +143,7 @@ pub fn gorder_join_traced<const D: usize>(
     drop(ts);
     tracer.span_exit(Phase::Sort, span_sort, io_now);
 
-    let k_eff = cfg.k + usize::from(cfg.exclude_self);
+    let k_eff = self_join_room(cfg.k, cfg.exclude_self);
 
     // Phase 3: scheduled block nested-loops join.
     let span_j = tracer.span_enter(Phase::Join, io_now);
@@ -153,7 +153,7 @@ pub fn gorder_join_traced<const D: usize>(
         let r_pts = rf.read_block(rb)?;
         let mut sets: Vec<KBestSet> = r_pts
             .iter()
-            .map(|_| KBestSet::new(k_eff, BinaryHeap::with_capacity(k_eff)))
+            .map(|_| KBestSet::new(k_eff, BinaryHeap::with_capacity(k_eff.min(s.len()))))
             .collect();
 
         // Schedule: inner blocks in ascending MINMINDIST to the outer block.

@@ -190,6 +190,24 @@ fn coincident_candidates_resolve_to_smallest_oid() {
     }
 }
 
+/// `k` beyond `|S|` returns every candidate, and at `k = usize::MAX` the
+/// self-join's extra room must not overflow or size an allocation.
+#[test]
+fn huge_k_returns_every_candidate() {
+    let pts = random_points::<2>(50, 3);
+    for exclude_self in [false, true] {
+        let cfg = GorderConfig {
+            k: usize::MAX,
+            exclude_self,
+            ..Default::default()
+        };
+        check(&pts, &pts, &cfg, "k = usize::MAX");
+        let out = gorder_join(&pts, &pts, pool(16), &cfg).unwrap();
+        let per_point = if exclude_self { 49 } else { 50 };
+        assert_eq!(out.results.len(), 50 * per_point);
+    }
+}
+
 #[test]
 fn k_zero_returns_empty() {
     let pts = random_points::<2>(50, 2);

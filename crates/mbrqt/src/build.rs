@@ -9,12 +9,11 @@
 //! Pages are allocated at write time, after their children (post-order).
 
 use crate::{cell_of_point, cell_quadrant, Mbrqt, MbrqtConfig};
-use ann_core::extsort::PointSpill;
 use ann_core::node::{write_node, Entry, Node, NodeEntry, ObjectEntry};
 use ann_core::trace::{Phase, Side, TraceEvent, Tracer};
 use ann_core::tree_file::{MbrqtParams, WritableIndex};
 use ann_geom::{Mbr, Point};
-use ann_store::{BufferPool, PageId, PageStore, Result, StoreError};
+use ann_store::{BufferPool, HeapFile, PageId, PageStore, Reader, Result, StoreError, Writer};
 use std::sync::Arc;
 
 /// Builds the tree for `points`; see [`Mbrqt::bulk_build`].
@@ -75,13 +74,13 @@ pub(crate) fn bulk_build_stream<const D: usize>(
 ) -> Result<Mbrqt<D>> {
     // Pass 1: spill the stream, computing bounds (and the finite check).
     let spill = PointSpill::consume(Arc::clone(&scratch), points)?;
-    let universe = universe_of(spill.bounds, spill.len == 0);
+    let universe = universe_of(spill.bounds, spill.heap.is_empty());
     let tree = Mbrqt::new(Arc::clone(&pool), universe, config)?;
     let mut builder = Builder::new(pool.as_ref(), tree.params);
     // A budget below one bucket would materialize less than a leaf holds.
     let budget = memory_budget.max(tree.params.bucket_capacity).max(1);
     let root = build_external(&mut builder, &scratch, &spill, universe, 0, budget)?;
-    tree.built(root.page, spill.len, spill.bounds)
+    tree.built(root.page, spill.heap.len(), spill.bounds)
 }
 
 /// The universe over data with `bounds`. Halving needs positive extent in
@@ -112,8 +111,8 @@ fn build_external<const D: usize, S: PageStore>(
     depth: usize,
     budget: usize,
 ) -> Result<NodeEntry<D>> {
-    if part.len as usize <= budget || depth >= builder.params.max_depth {
-        let mut points = Vec::with_capacity(part.len as usize);
+    if part.heap.len() as usize <= budget || depth >= builder.params.max_depth {
+        let mut points = Vec::with_capacity(part.heap.len() as usize);
         part.replay(|oid, p| {
             points.push((oid, p));
             Ok(())
@@ -121,7 +120,7 @@ fn build_external<const D: usize, S: PageStore>(
         return builder.build(points, quadrant, depth, 0);
     }
     // Same cell decomposition `Builder::split` would pick at this node.
-    let levels = builder.pick_levels(part.len as usize, depth);
+    let levels = builder.pick_levels(part.heap.len() as usize, depth);
     let mut parts: Vec<(usize, PointSpill<D>)> = Vec::new();
     part.replay(|oid, p| {
         let idx = cell_of_point(&quadrant, &p, levels);
@@ -142,6 +141,60 @@ fn build_external<const D: usize, S: PageStore>(
         entries.push(Entry::Node(entry));
     }
     builder.write_internal(entries, levels, quadrant, None)
+}
+
+/// A raw, unsorted spill of `(oid, point)` records on a scratch pool: the
+/// stream build's input, and each partition it splits off.
+struct PointSpill<const D: usize> {
+    heap: HeapFile,
+    /// Reusable record-encoding buffer.
+    rec: Writer,
+    /// Tight bounds over every spilled point.
+    bounds: Mbr<D>,
+}
+
+impl<const D: usize> PointSpill<D> {
+    /// An empty spill on `scratch`; fill it with [`push`](Self::push).
+    fn create(scratch: Arc<BufferPool>) -> Result<Self> {
+        Ok(PointSpill {
+            heap: HeapFile::create(scratch, ObjectEntry::<D>::SIZE)?,
+            rec: Writer::with_capacity(ObjectEntry::<D>::SIZE),
+            bounds: Mbr::empty(),
+        })
+    }
+
+    /// Appends one record, expanding the bounds. Rejects non-finite
+    /// coordinates.
+    fn push(&mut self, oid: u64, point: Point<D>) -> Result<()> {
+        if !point.is_finite() {
+            return Err(StoreError::corrupt("points must have finite coordinates"));
+        }
+        self.rec.clear();
+        ObjectEntry { oid, point }.put(&mut self.rec);
+        self.heap.append(self.rec.as_bytes())?;
+        self.bounds.expand(&Mbr::from_point(&point));
+        Ok(())
+    }
+
+    /// Consumes `points` into a spill on `scratch`.
+    fn consume(
+        scratch: Arc<BufferPool>,
+        points: impl IntoIterator<Item = (u64, Point<D>)>,
+    ) -> Result<Self> {
+        let mut spill = Self::create(scratch)?;
+        for (oid, point) in points {
+            spill.push(oid, point)?;
+        }
+        Ok(spill)
+    }
+
+    /// Replays every spilled record, in spill order, into `f`.
+    fn replay(&self, mut f: impl FnMut(u64, Point<D>) -> Result<()>) -> Result<()> {
+        self.heap.scan(|_, record| {
+            let o = ObjectEntry::get(&mut Reader::new(record))?;
+            f(o.oid, o.point)
+        })
+    }
 }
 
 /// Writes MBRQT nodes under one tree's parameters.
@@ -294,5 +347,35 @@ impl<'a, S: PageStore, const D: usize> Builder<'a, S, D> {
             count,
             mbr: if tight { node.mbr } else { quadrant },
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ann_store::MemDisk;
+
+    #[test]
+    fn point_spill_replays_in_order_with_bounds() {
+        let scratch = || Arc::new(BufferPool::new(MemDisk::new(), 64));
+        let pts = vec![
+            (3u64, Point::new([0.5, -1.0])),
+            (1, Point::new([2.0, 4.0])),
+            (2, Point::new([-3.0, 0.25])),
+        ];
+        let spill = PointSpill::consume(scratch(), pts.clone()).unwrap();
+        assert_eq!(spill.heap.len(), 3);
+        assert_eq!(spill.bounds, Mbr::new([-3.0, -1.0], [2.0, 4.0]));
+        let mut replayed = Vec::new();
+        spill
+            .replay(|oid, p| {
+                replayed.push((oid, p));
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(replayed, pts);
+
+        let bad = PointSpill::consume(scratch(), vec![(0u64, Point::new([f64::INFINITY, 0.0]))]);
+        assert!(bad.is_err());
     }
 }

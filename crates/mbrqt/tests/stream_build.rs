@@ -3,6 +3,7 @@
 //! does — same partitioning decisions, same page allocation order.
 
 use ann_core::index::{collect_objects, validate, SpatialIndex};
+use ann_core::tree_file::WritableIndex;
 use ann_geom::Point;
 use ann_mbrqt::{Mbrqt, MbrqtConfig};
 use ann_store::{BufferPool, MemDisk};
@@ -71,6 +72,33 @@ fn streamed_build_validates_at_10x_memory_budget() {
     let shape = validate(&tree).unwrap();
     assert_eq!(shape.objects, 6000);
     let mut census = collect_objects(&tree).unwrap();
+    census.sort_by_key(|(oid, _)| *oid);
+    assert_eq!(census, pts);
+}
+
+/// The out-of-core study's path: build onto a pool, drop the handle, and
+/// reopen the tree from its meta page alone.
+#[test]
+fn streamed_build_reopens_from_meta() {
+    let pts = points(800, 99);
+    let p = pool(64);
+    let tree = Mbrqt::bulk_build_stream(
+        Arc::clone(&p),
+        pool(16),
+        pts.iter().copied(),
+        100,
+        &MbrqtConfig::default(),
+    )
+    .unwrap();
+    let meta = tree.meta_page();
+    let bounds = tree.bounds();
+    let shape = validate(&tree).unwrap();
+    drop(tree);
+    let reopened = Mbrqt::<2>::open_at(p, meta, None).unwrap();
+    assert_eq!(reopened.num_points(), 800);
+    assert_eq!(reopened.bounds(), bounds);
+    assert_eq!(validate(&reopened).unwrap(), shape);
+    let mut census = collect_objects(&reopened).unwrap();
     census.sort_by_key(|(oid, _)| *oid);
     assert_eq!(census, pts);
 }

@@ -1,15 +1,13 @@
-//! Bulk loading: STR (Sort-Tile-Recursive) and the Hilbert stream loader.
+//! Bulk loading: STR (Sort-Tile-Recursive).
 //!
 //! STR packs a static dataset into a near-100%-full R-tree: sort by the
 //! first dimension, cut into vertical slabs, recursively tile each slab by
 //! the remaining dimensions, and emit full leaves; then pack the leaf
-//! entries the same way into internal levels until one node remains. The
-//! stream loader packs leaves in Hilbert order instead and chunks each
-//! level in that order. Both write every node through one [`pack`] at one
-//! 90 % fill ([`fills`]) and climb to the root in one [`finish`].
+//! entries the same way into internal levels until one node remains.
+//! Every node is written through one [`pack`] at one 90 % fill
+//! ([`fills`]), and [`finish`] climbs to the root.
 
 use crate::{RStar, RStarConfig};
-use ann_core::extsort::{HilbertSorter, PointSpill};
 use ann_core::node::{write_node, Entry, Node, NodeEntry, ObjectEntry};
 use ann_core::trace::{Phase, Side, TraceEvent, Tracer};
 use ann_core::tree_file::{RStarParams, WritableIndex};
@@ -39,14 +37,13 @@ pub(crate) fn bulk_build<const D: usize>(
         p[d]
     });
     let leaves = tiles.into_iter().map(|tile| {
-        Ok(tile
-            .into_iter()
+        tile.into_iter()
             .map(|(oid, point)| Entry::Object(ObjectEntry { oid, point }))
-            .collect())
+            .collect()
     });
     let leaves = pack(&pool, leaves, true)?;
     let bounds = Mbr::from_points(points.iter().map(|(_, p)| p));
-    let (tree, level_nodes) = finish(tree, &pool, leaves, points.len() as u64, bounds, true)?;
+    let (tree, level_nodes) = finish(tree, &pool, leaves, points.len() as u64, bounds)?;
     // `level_nodes` runs leaves first; report levels with 0 = root to
     // match the query-side per-level accounting.
     for (round, &nodes) in level_nodes.iter().enumerate() {
@@ -54,62 +51,6 @@ pub(crate) fn bulk_build<const D: usize>(
         tracer.event(|| TraceEvent::IndexLevelBuilt { side, level, nodes });
     }
     tracer.span_exit(Phase::Build, span_b, io_now);
-    Ok(tree)
-}
-
-/// Builds a packed tree from a point *stream*; see
-/// [`RStar::bulk_build_stream`].
-///
-/// Unlike [`bulk_build`], which materializes and tiles the whole dataset
-/// (STR), this keeps memory bounded by `run_budget` records regardless of
-/// input size:
-///
-/// 1. the stream is consumed once into a raw spill on `scratch`, which
-///    computes the dataset bounds the Hilbert grid needs up front;
-/// 2. the spill replays into a [`HilbertSorter`] (runs of `run_budget`
-///    records, spilled sorted, k-way merged);
-/// 3. leaves are packed *sequentially* from the merged `(hilbert_key,
-///    oid)` order — curve locality replaces STR's tiling — and internal
-///    levels chunk the previous level's entries in that same order.
-///
-/// The result is deterministic for a given input *set* (the `(key, oid)`
-/// order is total, so chunking of the input stream is immaterial) but is
-/// a different — Hilbert-packed rather than STR-packed — tree than
-/// [`bulk_build`] produces. All structural invariants
-/// ([`ann_core::index::validate`]) hold identically.
-pub(crate) fn bulk_build_stream<const D: usize>(
-    pool: Arc<BufferPool>,
-    scratch: Arc<BufferPool>,
-    points: impl IntoIterator<Item = (u64, Point<D>)>,
-    run_budget: usize,
-    config: &RStarConfig,
-) -> Result<RStar<D>> {
-    // Pass 1: stream to a raw spill (bounds + finite check).
-    let spill = PointSpill::consume(Arc::clone(&scratch), points)?;
-    // Pass 2: replay through the external sorter.
-    let mut sorter = HilbertSorter::new(Arc::clone(&scratch), spill.bounds, run_budget.max(1));
-    spill.replay(|oid, p| sorter.push(oid, p))?;
-    let mut stream = sorter.finish()?;
-
-    let tree = RStar::new(Arc::clone(&pool), config)?;
-    // Leaves are consecutive runs of the merge order, read one at a time.
-    let leaf_fill = fills(&tree.params).0;
-    let leaves = std::iter::from_fn(|| {
-        let mut leaf = Vec::with_capacity(leaf_fill);
-        while leaf.len() < leaf_fill {
-            match stream.next_point() {
-                Ok(Some(r)) => leaf.push(Entry::Object(ObjectEntry {
-                    oid: r.oid,
-                    point: r.point,
-                })),
-                Ok(None) => break,
-                Err(e) => return Some(Err(e)),
-            }
-        }
-        (!leaf.is_empty()).then_some(Ok(leaf))
-    });
-    let leaves = pack(&pool, leaves, true)?;
-    let (tree, _) = finish(tree, &pool, leaves, spill.len, spill.bounds, false)?;
     Ok(tree)
 }
 
@@ -127,7 +68,7 @@ fn fills(params: &RStarParams) -> (usize, usize) {
 /// written, and returns their entries for the level above.
 fn pack<const D: usize>(
     pool: &BufferPool,
-    groups: impl IntoIterator<Item = Result<Vec<Entry<D>>>>,
+    groups: impl IntoIterator<Item = Vec<Entry<D>>>,
     is_leaf: bool,
 ) -> Result<Vec<Entry<D>>> {
     let mut level = Vec::new();
@@ -136,7 +77,7 @@ fn pack<const D: usize>(
             is_leaf,
             aux: 0,
             mbr: Mbr::empty(),
-            entries: entries?,
+            entries,
         };
         node.recompute_mbr();
         let page = pool.allocate()?;
@@ -150,33 +91,28 @@ fn pack<const D: usize>(
     Ok(level)
 }
 
-/// Packs internal levels over `leaves` until one node remains — STR tiles
-/// of each level when `tiled`, consecutive chunks (the curve order)
-/// otherwise — sets the height and commits the tree over `n` points with
-/// `bounds`. An empty dataset gets one empty leaf as its root. Returns the
-/// tree and the nodes written per level, leaves first.
+/// Packs internal levels over `leaves`, each the STR tiles of the level
+/// below, until one node remains; sets the height and commits the tree
+/// over `n` points with `bounds`. An empty dataset gets one empty leaf as
+/// its root. Returns the tree and the nodes written per level, leaves
+/// first.
 fn finish<const D: usize>(
     mut tree: RStar<D>,
     pool: &BufferPool,
     leaves: Vec<Entry<D>>,
     n: u64,
     bounds: Mbr<D>,
-    tiled: bool,
 ) -> Result<(RStar<D>, Vec<u64>)> {
     let mut level = if leaves.is_empty() {
-        pack(pool, [Ok(Vec::new())], true)?
+        pack(pool, [Vec::new()], true)?
     } else {
         leaves
     };
     let fill = fills(&tree.params).1;
     let mut level_nodes = vec![level.len() as u64];
     while level.len() > 1 {
-        let groups = if tiled {
-            str_tiles::<D, _>(&mut level, fill, |e, d| e.mbr().center()[d])
-        } else {
-            level.chunks(fill).map(<[_]>::to_vec).collect()
-        };
-        level = pack(pool, groups.into_iter().map(Ok), false)?;
+        let groups = str_tiles::<D, _>(&mut level, fill, |e, d| e.mbr().center()[d]);
+        level = pack(pool, groups, false)?;
         level_nodes.push(level.len() as u64);
     }
     let Entry::Node(root) = level[0] else {

@@ -118,26 +118,6 @@ impl<const D: usize> RStar<D> {
         bulk::bulk_build(pool, points, config, Side::R, Tracer::disabled())
     }
 
-    /// Bulk-builds a packed tree from a point *stream*, keeping memory
-    /// bounded by `run_budget` records: the stream spills to `scratch`
-    /// (computing bounds), external-sorts by `(hilbert_key, oid)`, and
-    /// packs leaves sequentially in curve order. Use this when the
-    /// dataset does not fit in memory; for in-memory data,
-    /// [`bulk_build`](Self::bulk_build) (STR) packs marginally tighter.
-    ///
-    /// `scratch` holds only temporary spill pages — give it its own pool
-    /// (typically over a [`ann_store::MemDisk`] or a separate file) so
-    /// spill traffic cannot evict the tree's pages from `pool`.
-    pub fn bulk_build_stream(
-        pool: Arc<BufferPool>,
-        scratch: Arc<BufferPool>,
-        points: impl IntoIterator<Item = (u64, Point<D>)>,
-        run_budget: usize,
-        config: &RStarConfig,
-    ) -> Result<Self> {
-        bulk::bulk_build_stream(pool, scratch, points, run_budget, config)
-    }
-
     /// [`bulk_build`](Self::bulk_build) with an attached [`Tracer`]:
     /// wraps construction in a `Build` span (pool I/O deltas included)
     /// and emits one [`ann_core::trace::TraceEvent::IndexLevelBuilt`] per

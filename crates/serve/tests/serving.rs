@@ -177,6 +177,17 @@ fn crud_and_query_roundtrip() {
     let outcome = q.outcome().expect("outcome parses");
     assert_eq!(outcome.results.len(), 3);
 
+    // `k = usize::MAX` asks for every other point, not a worker panic.
+    let every = format!(
+        r#"{{"v":1,"algorithm":{{"name":"mba"}},"k":{},"exclude_self":true}}"#,
+        usize::MAX
+    );
+    let q = client
+        .request("POST", "/collections/demo/query", &every)
+        .expect("huge-k query");
+    assert_eq!(q.status, 200, "{}", q.body);
+    assert_eq!(q.outcome().expect("outcome parses").results.len(), 3 * 2);
+
     // Traced query returns the report inline.
     let traced = client
         .request("POST", "/collections/demo/query?trace=1", &spec.to_json())

@@ -78,11 +78,6 @@ impl HeapFile {
         self.per_page
     }
 
-    /// Page id of the first page in the chain.
-    pub fn first_page(&self) -> PageId {
-        self.pages[0]
-    }
-
     /// Number of pages in the chain.
     pub fn num_pages(&self) -> u64 {
         if self.len == 0 {
@@ -121,20 +116,6 @@ impl HeapFile {
         })??;
         self.len += 1;
         Ok(())
-    }
-
-    /// Reads the record at position `idx` (O(1) via the page directory).
-    pub fn get(&self, idx: u64) -> Result<Vec<u8>> {
-        if idx >= self.len {
-            return Err(StoreError::corrupt("heap record index out of range"));
-        }
-        let page = self.pages[idx as usize / self.per_page];
-        let slot = idx as usize % self.per_page;
-        let rec_size = self.record_size;
-        self.pool.with_page(page, |bytes| {
-            let at = HEADER + slot * rec_size;
-            bytes[at..at + rec_size].to_vec()
-        })
     }
 
     /// Visits the records `start .. start + count` in order, calling
@@ -214,10 +195,18 @@ mod tests {
             hf.append(&i.to_le_bytes()).unwrap();
         }
         assert_eq!(hf.len(), 100);
-        for i in (0u64..100).rev() {
-            assert_eq!(hf.get(i).unwrap(), i.to_le_bytes());
+        // Ranges that start and end mid-page, span pages, and are empty.
+        for (start, count) in [(0u64, 100u64), (37, 1), (99, 1), (10, 55), (100, 0)] {
+            let mut seen = Vec::new();
+            hf.scan_range(start, count, |idx, bytes| {
+                assert_eq!(bytes, idx.to_le_bytes());
+                seen.push(idx);
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(seen, (start..start + count).collect::<Vec<_>>());
         }
-        assert!(hf.get(100).is_err());
+        assert!(hf.scan_range(99, 2, |_, _| Ok(())).is_err());
     }
 
     #[test]

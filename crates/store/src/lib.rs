@@ -17,7 +17,7 @@
 //!   are counted at the pool boundary, so every figure can report an "I/O"
 //!   component that is measured rather than estimated;
 //! * a [`HeapFile`] of fixed-size records ([`heap`]), used by the GORDER
-//!   baseline's sorted block file and the external sorter's runs.
+//!   baseline's sorted block file and the MBRQT's streamed-build spills.
 //!
 //! SHORE also gave the paper's indices durability and corruption detection
 //! for free; this crate reproduces that too:

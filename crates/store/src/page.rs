@@ -127,7 +127,7 @@ macro_rules! little_endian {
     };
 }
 
-little_endian!(u8, u32, u64, u128, f64);
+little_endian!(u8, u32, u64, f64);
 
 /// Payload bytes per chain page, after `next: u32 | magic: u32`.
 const CAPACITY: usize = PAGE_SIZE - 8;
@@ -283,15 +283,13 @@ mod tests {
         w.u8(7);
         w.u32(0xDEAD_BEEF);
         w.u64(u64::MAX - 1);
-        w.u128(1 << 100);
         w.f64(-0.1);
         let bytes = w.into_bytes();
-        assert_eq!(bytes.len(), 1 + 4 + 8 + 16 + 8);
+        assert_eq!(bytes.len(), 1 + 4 + 8 + 8);
         let mut r = Reader::new(&bytes);
         assert_eq!(r.u8().unwrap(), 7);
         assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.u64().unwrap(), u64::MAX - 1);
-        assert_eq!(r.u128().unwrap(), 1 << 100);
         assert_eq!(r.f64().unwrap().to_bits(), (-0.1f64).to_bits());
         assert!(r.rest().is_empty());
         assert!(matches!(r.u8(), Err(StoreError::Corrupt { .. })));

@@ -136,6 +136,15 @@ if [ "$qt_writes" != "crates/mbrqt/src/build.rs:1" ] \
   exit 1
 fi
 
+# And there is one streamed bulk build (DESIGN.md §13): the MBRQT's
+# distribution partitioning. No second out-of-core loader comes back.
+streamers="$(git grep -l 'fn bulk_build_stream' -- 'crates/*/src/*.rs' || true)"
+if [ "$streamers" != $'crates/mbrqt/src/build.rs\ncrates/mbrqt/src/lib.rs' ]; then
+  echo "ci: a second streamed bulk build; the one out-of-core build is" \
+       "Mbrqt::bulk_build_stream (crates/mbrqt/src/build.rs), found in:" $streamers >&2
+  exit 1
+fi
+
 # ann-core's public surface is what something runs: every `pub mod` in its
 # lib.rs is named, as `ann_core::<mod>` (or the facade's `allnn::core::<mod>`)
 # or as a path at the top of a `use ann_core::{…}` group, above the first

@@ -178,29 +178,20 @@ fn streamed_builds_bucket_splits_and_collapses() {
     let data = allnn::datagen::tac_like(3_000, 5);
     let got = digest(64, |pool| {
         let scratch = Arc::new(BufferPool::new(MemDisk::new(), 32));
-        let stream = data.iter().copied();
         Mbrqt::bulk_build_stream(
             Arc::clone(pool),
-            Arc::clone(&scratch),
-            stream.clone(),
+            scratch,
+            data.iter().copied(),
             500,
             &MbrqtConfig::default(),
-        )
-        .unwrap();
-        RStar::bulk_build_stream(
-            Arc::clone(pool),
-            scratch,
-            stream,
-            500,
-            &RStarConfig::default(),
         )
         .unwrap();
         split_then_collapse(pool, &data, |_| {});
     });
     assert_eq!(
         got,
-        (318, 13081952133913228965),
-        "streamed builds, bucket splits and collapses"
+        (303, 2319842005544673851),
+        "streamed build, bucket splits and collapses"
     );
 
     // The same updates off the record: inserts split buckets into
