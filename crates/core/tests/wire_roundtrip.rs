@@ -300,3 +300,168 @@ fn request_spec_conversions_are_lossless() {
     let back: AnnRequest<'static> = req.spec.to_request();
     assert_eq!(back.spec, req.spec);
 }
+
+/// Every I/O counter, each distinct and non-zero; the three prefetch
+/// counters are set too, so a document that carries them shows it.
+fn distinct_io(base: u64) -> ann_store::IoSnapshot {
+    ann_store::IoSnapshot {
+        logical_reads: base + 1,
+        physical_reads: base + 2,
+        physical_writes: base + 3,
+        retries: base + 4,
+        checksum_failures: base + 5,
+        pool_hits: base + 6,
+        pool_misses: base + 7,
+        lock_contention: base + 8,
+        evictions: base + 9,
+        quarantined_pages: base + 10,
+        quarantine_hits: base + 11,
+        prefetch_issued: base + 12,
+        prefetch_hits: base + 13,
+        prefetch_wasted: base + 14,
+    }
+}
+
+/// The outcome's `stats` block, byte for byte: every work counter and
+/// every wire I/O counter distinct, in the v1 key order, and the prefetch
+/// counters off the wire.
+#[test]
+fn golden_outcome_stats_block() {
+    let outcome = QueryOutcome {
+        results: vec![NeighborPair {
+            r_oid: 1,
+            s_oid: 2,
+            dist: 0.5,
+        }],
+        stats: AnnStats {
+            distance_computations: 101,
+            lpqs_created: 102,
+            enqueued: 103,
+            pruned_on_probe: 104,
+            pruned_in_queue: 105,
+            r_nodes_expanded: 106,
+            s_nodes_expanded: 107,
+            io: distinct_io(200),
+        },
+        report: None,
+        version: Some(9),
+    };
+    let expected = "{\"v\":1,\"count\":1,\"pairs\":[{\"r\":1,\"s\":2,\"dist\":0.5}],\
+        \"stats\":{\"distance_computations\":101,\"lpqs_created\":102,\"enqueued\":103,\
+        \"pruned_on_probe\":104,\"pruned_in_queue\":105,\"r_nodes_expanded\":106,\
+        \"s_nodes_expanded\":107,\"io\":{\"logical_reads\":201,\"physical_reads\":202,\
+        \"physical_writes\":203,\"pool_hits\":206,\"pool_misses\":207,\"evictions\":209,\
+        \"retries\":204,\"checksum_failures\":205,\"lock_contention\":208,\
+        \"quarantined_pages\":210,\"quarantine_hits\":211}},\"version\":9}";
+    assert_eq!(outcome.to_json(), expected, "outcome stats block drifted");
+}
+
+/// An execution report with every section non-empty, byte for byte.
+#[test]
+fn golden_execution_report() {
+    use ann_core::trace::{
+        AbortReport, BatchReport, BlockReport, BuildLevelReport, LevelReport, LpqReport,
+        PhaseReport, PruneReport,
+    };
+    let report = ExecutionReport {
+        label: "golden \"run\"".to_string(),
+        phases: vec![
+            PhaseReport {
+                phase: "build",
+                wall_seconds: 2.0,
+                enters: 1,
+                exits: 1,
+                io: distinct_io(0),
+            },
+            PhaseReport {
+                phase: "join",
+                wall_seconds: 0.25,
+                enters: 3,
+                exits: 2,
+                io: distinct_io(100),
+            },
+        ],
+        levels: vec![
+            LevelReport {
+                side: "r",
+                level: 0,
+                expansions: 1,
+                objects: 0,
+            },
+            LevelReport {
+                side: "s",
+                level: 1,
+                expansions: 4,
+                objects: 40,
+            },
+        ],
+        prunes: vec![PruneReport {
+            metric: "NXNDIST",
+            reason: "on_probe",
+            count: 17,
+        }],
+        lpq: LpqReport {
+            retired: 31,
+            enqueued: 32,
+            filtered: 33,
+            max_high_water: 34,
+        },
+        bnn: BatchReport {
+            batches: 41,
+            total_size: 42,
+            min_size: 43,
+            max_size: 44,
+            heap_pops: 45,
+        },
+        gorder: BlockReport {
+            outer_blocks: 51,
+            inner_scanned: 52,
+            inner_skipped: 53,
+        },
+        build_levels: vec![BuildLevelReport {
+            side: "s",
+            level: 0,
+            nodes: 61,
+        }],
+        aborts: vec![AbortReport {
+            reason: "deadline-exceeded",
+            phase: "join",
+        }],
+    };
+    let io = |b: u64| {
+        format!(
+            "{{\"logical_reads\":{},\"physical_reads\":{},\"physical_writes\":{},\
+             \"pool_hits\":{},\"pool_misses\":{},\"evictions\":{},\"retries\":{},\
+             \"checksum_failures\":{},\"lock_contention\":{},\"quarantined_pages\":{},\
+             \"quarantine_hits\":{}}}",
+            b + 1,
+            b + 2,
+            b + 3,
+            b + 6,
+            b + 7,
+            b + 9,
+            b + 4,
+            b + 5,
+            b + 8,
+            b + 10,
+            b + 11
+        )
+    };
+    let expected = format!(
+        "{{\"label\":\"golden \\\"run\\\"\",\
+         \"phases\":[{{\"phase\":\"build\",\"wall_seconds\":2.0,\"enters\":1,\"exits\":1,\"io\":{}}},\
+         {{\"phase\":\"join\",\"wall_seconds\":0.25,\"enters\":3,\"exits\":2,\"io\":{}}}],\
+         \"levels\":[{{\"side\":\"r\",\"level\":0,\"expansions\":1,\"objects\":0}},\
+         {{\"side\":\"s\",\"level\":1,\"expansions\":4,\"objects\":40}}],\
+         \"prunes\":[{{\"metric\":\"NXNDIST\",\"reason\":\"on_probe\",\"count\":17}}],\
+         \"lpq\":{{\"retired\":31,\"enqueued\":32,\"filtered\":33,\"max_high_water\":34}},\
+         \"bnn\":{{\"batches\":41,\"total_size\":42,\"min_size\":43,\"max_size\":44,\
+         \"heap_pops\":45}},\
+         \"gorder\":{{\"outer_blocks\":51,\"inner_scanned\":52,\"inner_skipped\":53}},\
+         \"build_levels\":[{{\"side\":\"s\",\"level\":0,\"nodes\":61}}],\
+         \"aborts\":[{{\"reason\":\"deadline-exceeded\",\"phase\":\"join\"}}]}}",
+        io(0),
+        io(100)
+    );
+    assert_eq!(report.to_json(), expected, "execution report drifted");
+}

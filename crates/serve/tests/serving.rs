@@ -1255,3 +1255,50 @@ fn disconnect_cancels_parallel_query_and_releases_everything() {
     assert_eq!(resp.status, 200, "{}", resp.body);
     server.shutdown();
 }
+
+/// `GET /metrics`, byte for byte: every counter distinct, a few recorded
+/// latencies in three histogram buckets.
+#[test]
+fn metrics_document_is_pinned() {
+    let m = ann_serve::Metrics::new();
+    let counters = [
+        &m.requests,
+        &m.ok,
+        &m.client_errors,
+        &m.server_errors,
+        &m.rejected,
+        &m.cancelled,
+        &m.queries,
+        &m.distance_computations,
+        &m.nodes_expanded,
+        &m.logical_reads,
+        &m.physical_reads,
+    ];
+    for (i, c) in counters.into_iter().enumerate() {
+        c.fetch_add(10 + i as u64, Ordering::Relaxed);
+    }
+    m.record_query(&AnnStats {
+        distance_computations: 100,
+        r_nodes_expanded: 3,
+        s_nodes_expanded: 4,
+        io: ann_store::IoSnapshot {
+            logical_reads: 5,
+            physical_reads: 6,
+            ..Default::default()
+        },
+        ..Default::default()
+    });
+    m.count_status(200);
+    m.count_status(404);
+    m.count_status(500);
+    for us in [3, 100, 100, 5000] {
+        m.record_latency(Duration::from_micros(us));
+    }
+    assert_eq!(
+        m.to_json(),
+        "{\"requests\":10,\"ok\":12,\"client_errors\":13,\"server_errors\":14,\"rejected\":14,\
+         \"cancelled\":15,\"queries\":17,\"distance_computations\":117,\"nodes_expanded\":25,\
+         \"logical_reads\":24,\"physical_reads\":26,\
+         \"latency_us\":{\"p50\":128,\"p95\":8192,\"p99\":8192}}"
+    );
+}
