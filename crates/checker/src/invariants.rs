@@ -461,7 +461,8 @@ fn recovery_leg<T: WritableIndex<2>>(
 /// * a fuzz-generated [`QuerySpec`] survives `to_json → from_json` as the
 ///   identity, and re-serializing is byte-stable;
 /// * a [`QueryOutcome`] whose distances are random *bit patterns*
-///   (excluding NaN) round-trips every `f64` bit-exactly;
+///   (excluding NaN) round-trips every `f64` bit-exactly, and every wire
+///   counter, drawn over the full `u64` range, exactly;
 /// * a randomly corrupted spec document never panics the parser — it
 ///   either parses (the corruption landed in a don't-care spot) or
 ///   returns a structured [`WireError`].
@@ -538,9 +539,26 @@ pub fn check_wire_case(rng: &mut Rng) -> Option<String> {
             }
         })
         .collect();
+    // Every counter over the full u64 range, except the prefetch counters:
+    // they stay off the wire, so they are zero and must come back zero.
+    let mut stats = AnnStats::default();
+    let draw = |rng: &mut Rng| match rng.range(0, 4) {
+        0 => 0,
+        1 => u64::MAX,
+        _ => rng.next_u64(),
+    };
+    for (_, counter) in stats.counters_mut() {
+        *counter = draw(rng);
+    }
+    for (_, counter) in stats.io.counters_mut() {
+        *counter = draw(rng);
+    }
+    stats.io.prefetch_issued = 0;
+    stats.io.prefetch_hits = 0;
+    stats.io.prefetch_wasted = 0;
     let outcome = QueryOutcome {
         results: results.clone(),
-        stats: AnnStats::default(),
+        stats,
         report: None,
         version: match rng.next_u64() % 3 {
             0 => None,
@@ -552,6 +570,12 @@ pub fn check_wire_case(rng: &mut Rng) -> Option<String> {
         Ok(b) => b,
         Err(e) => return Some(format!("outcome failed to re-parse ({e}): {outcome_json}")),
     };
+    if back.stats != outcome.stats {
+        return Some(format!(
+            "outcome counters drifted over the wire: {:?} != {:?}",
+            outcome.stats, back.stats
+        ));
+    }
     if back.results.len() != results.len() {
         return Some(format!(
             "outcome round-trip changed pair count: {} != {}",

@@ -13,30 +13,34 @@ pub struct NeighborPair {
     pub dist: f64,
 }
 
-/// Work counters for one ANN run.
-///
-/// These are the quantities the paper argues about: the efficiency of an
-/// ANN algorithm "heavily depends on how many PQ entries are created and
-/// processed" (§1), so the counters make the pruning-metric effect
-/// directly observable, independent of wall-clock noise.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct AnnStats {
-    /// `Distances` evaluations (one MIND + one MAXD computation).
-    pub distance_computations: u64,
-    /// Local priority queues created (one per unique `I_R` entry reached).
-    pub lpqs_created: u64,
-    /// Entries pushed into some LPQ (survived the Expand-stage filter).
-    pub enqueued: u64,
-    /// Entries rejected by the Expand-stage `MIND > MAXD` test.
-    pub pruned_on_probe: u64,
-    /// Entries evicted by the Filter stage while already queued.
-    pub pruned_in_queue: u64,
-    /// Nodes of `I_R` expanded.
-    pub r_nodes_expanded: u64,
-    /// Nodes of `I_S` expanded.
-    pub s_nodes_expanded: u64,
-    /// Buffer-pool I/O attributable to this run.
-    pub io: IoSnapshot,
+ann_store::counters! {
+    /// Work counters for one ANN run.
+    ///
+    /// These are the quantities the paper argues about: the efficiency of an
+    /// ANN algorithm "heavily depends on how many PQ entries are created and
+    /// processed" (§1), so the counters make the pruning-metric effect
+    /// directly observable, independent of wall-clock noise. Declaration
+    /// order is the wire's key order.
+    #[derive(Clone, Copy, Debug, Default, PartialEq)]
+    pub struct AnnStats: u64 {
+        /// `Distances` evaluations (one MIND + one MAXD computation).
+        distance_computations,
+        /// Local priority queues created (one per unique `I_R` entry reached).
+        lpqs_created,
+        /// Entries pushed into some LPQ (survived the Expand-stage filter).
+        enqueued,
+        /// Entries rejected by the Expand-stage `MIND > MAXD` test.
+        pruned_on_probe,
+        /// Entries evicted by the Filter stage while already queued.
+        pruned_in_queue,
+        /// Nodes of `I_R` expanded.
+        r_nodes_expanded,
+        /// Nodes of `I_S` expanded.
+        s_nodes_expanded,
+        ;
+        /// Buffer-pool I/O attributable to this run.
+        pub io: IoSnapshot,
+    }
 }
 
 impl AnnStats {
@@ -47,13 +51,9 @@ impl AnnStats {
 
     /// Adds another run's counters field-wise, I/O included.
     pub fn merge(&mut self, other: &AnnStats) {
-        self.distance_computations += other.distance_computations;
-        self.lpqs_created += other.lpqs_created;
-        self.enqueued += other.enqueued;
-        self.pruned_on_probe += other.pruned_on_probe;
-        self.pruned_in_queue += other.pruned_in_queue;
-        self.r_nodes_expanded += other.r_nodes_expanded;
-        self.s_nodes_expanded += other.s_nodes_expanded;
+        for ((_, a), (_, b)) in self.counters_mut().into_iter().zip(other.counters()) {
+            *a += b;
+        }
         self.io = self.io.merge(&other.io);
     }
 }

@@ -27,7 +27,7 @@
 //! mode writes one such report per run.
 
 use ann_store::sync::Mutex;
-use ann_store::{IoSnapshot, PageId};
+use ann_store::{write_json_members, IoSnapshot, PageId};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Instant;
@@ -323,39 +323,30 @@ impl std::fmt::Debug for Tracer<'_> {
     }
 }
 
-/// Per-phase aggregate kept by [`RecordingSink`].
-#[derive(Debug, Default, Clone, Copy)]
-struct PhaseAgg {
-    wall_seconds: f64,
-    enters: u64,
-    exits: u64,
-    io: IoSnapshot,
-}
-
 /// Mutable state behind the [`RecordingSink`] mutex.
 #[derive(Debug, Default)]
 struct RecState {
     open: Vec<(Phase, Instant)>,
-    phases: BTreeMap<Phase, PhaseAgg>,
+    phases: BTreeMap<Phase, PhaseReport>,
     /// Page -> inferred tree level (root = 0), per side.
     page_level: BTreeMap<(Side, PageId), u32>,
     /// (side, level) -> (expansions, objects enumerated).
     levels: BTreeMap<(Side, u32), (u64, u64)>,
     prunes: BTreeMap<(&'static str, PruneReason), u64>,
-    lpq_retired: u64,
-    lpq_enqueued: u64,
-    lpq_filtered: u64,
-    lpq_max_high_water: u32,
-    bnn_batches: u64,
-    bnn_total_size: u64,
-    bnn_min_size: u32,
-    bnn_max_size: u32,
-    bnn_heap_pops: u64,
-    gorder_outer_blocks: u64,
-    gorder_scanned: u64,
-    gorder_skipped: u64,
+    lpq: LpqReport,
+    bnn: BatchReport,
+    gorder: BlockReport,
     build_levels: BTreeMap<(Side, u32), u64>,
     aborts: Vec<AbortReport>,
+}
+
+impl RecState {
+    fn phase(&mut self, phase: Phase) -> &mut PhaseReport {
+        self.phases.entry(phase).or_insert_with(|| PhaseReport {
+            phase: phase.name(),
+            ..PhaseReport::default()
+        })
+    }
 }
 
 /// The built-in aggregating sink.
@@ -400,17 +391,7 @@ impl RecordingSink {
         let st = self.state.lock();
         ExecutionReport {
             label: label.to_string(),
-            phases: st
-                .phases
-                .iter()
-                .map(|(p, a)| PhaseReport {
-                    phase: p.name(),
-                    wall_seconds: a.wall_seconds,
-                    enters: a.enters,
-                    exits: a.exits,
-                    io: a.io,
-                })
-                .collect(),
+            phases: st.phases.values().cloned().collect(),
             levels: st
                 .levels
                 .iter()
@@ -430,28 +411,9 @@ impl RecordingSink {
                     count,
                 })
                 .collect(),
-            lpq: LpqReport {
-                retired: st.lpq_retired,
-                enqueued: st.lpq_enqueued,
-                filtered: st.lpq_filtered,
-                max_high_water: st.lpq_max_high_water,
-            },
-            bnn: BatchReport {
-                batches: st.bnn_batches,
-                total_size: st.bnn_total_size,
-                min_size: if st.bnn_batches == 0 {
-                    0
-                } else {
-                    st.bnn_min_size
-                },
-                max_size: st.bnn_max_size,
-                heap_pops: st.bnn_heap_pops,
-            },
-            gorder: BlockReport {
-                outer_blocks: st.gorder_outer_blocks,
-                inner_scanned: st.gorder_scanned,
-                inner_skipped: st.gorder_skipped,
-            },
+            lpq: st.lpq.clone(),
+            bnn: st.bnn.clone(),
+            gorder: st.gorder.clone(),
             build_levels: st
                 .build_levels
                 .iter()
@@ -470,7 +432,7 @@ impl TraceSink for RecordingSink {
     fn span_enter(&self, phase: Phase) {
         let mut st = self.state.lock();
         st.open.push((phase, Instant::now()));
-        st.phases.entry(phase).or_default().enters += 1;
+        st.phase(phase).enters += 1;
     }
 
     fn span_exit(&self, phase: Phase, io: IoSnapshot) {
@@ -483,7 +445,7 @@ impl TraceSink for RecordingSink {
             .rposition(|(p, _)| *p == phase)
             .map(|i| st.open.remove(i).1.elapsed().as_secs_f64())
             .unwrap_or(0.0);
-        let agg = st.phases.entry(phase).or_default();
+        let agg = st.phase(phase);
         agg.exits += 1;
         agg.wall_seconds += wall;
         agg.io = agg.io.merge(&io);
@@ -521,31 +483,29 @@ impl TraceSink for RecordingSink {
                 filtered,
                 high_water,
             } => {
-                st.lpq_retired += 1;
-                st.lpq_enqueued += enqueued;
-                st.lpq_filtered += filtered;
-                st.lpq_max_high_water = st.lpq_max_high_water.max(*high_water);
+                st.lpq.retired += 1;
+                st.lpq.enqueued += enqueued;
+                st.lpq.filtered += filtered;
+                st.lpq.max_high_water = st.lpq.max_high_water.max(u64::from(*high_water));
             }
             TraceEvent::BnnBatch { size, heap_pops } => {
-                if st.bnn_batches == 0 {
-                    st.bnn_min_size = *size;
-                    st.bnn_max_size = *size;
-                } else {
-                    st.bnn_min_size = st.bnn_min_size.min(*size);
-                    st.bnn_max_size = st.bnn_max_size.max(*size);
+                let (bnn, size) = (&mut st.bnn, u64::from(*size));
+                if bnn.batches == 0 || size < bnn.min_size {
+                    bnn.min_size = size;
                 }
-                st.bnn_batches += 1;
-                st.bnn_total_size += u64::from(*size);
-                st.bnn_heap_pops += heap_pops;
+                bnn.max_size = bnn.max_size.max(size);
+                bnn.batches += 1;
+                bnn.total_size += size;
+                bnn.heap_pops += heap_pops;
             }
             TraceEvent::GorderBlock {
                 outer: _,
                 scanned,
                 skipped,
             } => {
-                st.gorder_outer_blocks += 1;
-                st.gorder_scanned += u64::from(*scanned);
-                st.gorder_skipped += u64::from(*skipped);
+                st.gorder.outer_blocks += 1;
+                st.gorder.inner_scanned += u64::from(*scanned);
+                st.gorder.inner_skipped += u64::from(*skipped);
             }
             TraceEvent::IndexLevelBuilt { side, level, nodes } => {
                 *st.build_levels.entry((*side, *level)).or_insert(0) += nodes;
@@ -558,7 +518,7 @@ impl TraceSink for RecordingSink {
 }
 
 /// One phase row of an [`ExecutionReport`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct PhaseReport {
     /// Phase name ([`Phase::name`]).
     pub phase: &'static str,
@@ -596,44 +556,50 @@ pub struct PruneReport {
     pub count: u64,
 }
 
-/// Aggregated Local-Priority-Queue lifecycle over a run.
-#[derive(Clone, Debug, Default)]
-pub struct LpqReport {
-    /// Queues retired.
-    pub retired: u64,
-    /// Entries accepted across all queues.
-    pub enqueued: u64,
-    /// Entries the Filter stage evicted across all queues.
-    pub filtered: u64,
-    /// Largest queue length any queue reached.
-    pub max_high_water: u32,
+ann_store::counters! {
+    /// Aggregated Local-Priority-Queue lifecycle over a run.
+    #[derive(Clone, Debug, Default)]
+    pub struct LpqReport: u64 {
+        /// Queues retired.
+        retired,
+        /// Entries accepted across all queues.
+        enqueued,
+        /// Entries the Filter stage evicted across all queues.
+        filtered,
+        /// Largest queue length any queue reached.
+        max_high_water,
+    }
 }
 
-/// Aggregated BNN batch shape over a run (all-zero for other methods).
-#[derive(Clone, Debug, Default)]
-pub struct BatchReport {
-    /// Batches executed.
-    pub batches: u64,
-    /// Points across all batches.
-    pub total_size: u64,
-    /// Smallest batch.
-    pub min_size: u32,
-    /// Largest batch.
-    pub max_size: u32,
-    /// Best-first heap pops across all batches.
-    pub heap_pops: u64,
+ann_store::counters! {
+    /// Aggregated BNN batch shape over a run (all-zero for other methods).
+    #[derive(Clone, Debug, Default)]
+    pub struct BatchReport: u64 {
+        /// Batches executed.
+        batches,
+        /// Points across all batches.
+        total_size,
+        /// Smallest batch.
+        min_size,
+        /// Largest batch.
+        max_size,
+        /// Best-first heap pops across all batches.
+        heap_pops,
+    }
 }
 
-/// Aggregated GORDER block scheduling over a run (all-zero for other
-/// methods).
-#[derive(Clone, Debug, Default)]
-pub struct BlockReport {
-    /// Outer blocks processed.
-    pub outer_blocks: u64,
-    /// Inner blocks joined.
-    pub inner_scanned: u64,
-    /// Inner blocks pruned off schedule tails.
-    pub inner_skipped: u64,
+ann_store::counters! {
+    /// Aggregated GORDER block scheduling over a run (all-zero for other
+    /// methods).
+    #[derive(Clone, Debug, Default)]
+    pub struct BlockReport: u64 {
+        /// Outer blocks processed.
+        outer_blocks,
+        /// Inner blocks joined.
+        inner_scanned,
+        /// Inner blocks pruned off schedule tails.
+        inner_skipped,
+    }
 }
 
 /// One recorded query abort ([`TraceEvent::QueryAborted`]).
@@ -722,24 +688,13 @@ pub(crate) fn json_num(f: f64) -> String {
     s
 }
 
+/// The `io` object of a trace phase and of a query outcome: the counters
+/// the wire carries.
 pub(crate) fn json_io(io: &IoSnapshot) -> String {
-    format!(
-        "{{\"logical_reads\":{},\"physical_reads\":{},\"physical_writes\":{},\
-         \"pool_hits\":{},\"pool_misses\":{},\"evictions\":{},\"retries\":{},\
-         \"checksum_failures\":{},\"lock_contention\":{},\
-         \"quarantined_pages\":{},\"quarantine_hits\":{}}}",
-        io.logical_reads,
-        io.physical_reads,
-        io.physical_writes,
-        io.pool_hits,
-        io.pool_misses,
-        io.evictions,
-        io.retries,
-        io.checksum_failures,
-        io.lock_contention,
-        io.quarantined_pages,
-        io.quarantine_hits,
-    )
+    let mut out = String::from("{");
+    write_json_members(&mut out, &io.counters()[..IoSnapshot::ON_WIRE]);
+    out.push('}');
+    out
 }
 
 impl ExecutionReport {
@@ -792,23 +747,15 @@ impl ExecutionReport {
         }
         out.push_str("],");
 
-        out.push_str(&format!(
-            "\"lpq\":{{\"retired\":{},\"enqueued\":{},\"filtered\":{},\"max_high_water\":{}}},",
-            self.lpq.retired, self.lpq.enqueued, self.lpq.filtered, self.lpq.max_high_water,
-        ));
-        out.push_str(&format!(
-            "\"bnn\":{{\"batches\":{},\"total_size\":{},\"min_size\":{},\"max_size\":{},\
-             \"heap_pops\":{}}},",
-            self.bnn.batches,
-            self.bnn.total_size,
-            self.bnn.min_size,
-            self.bnn.max_size,
-            self.bnn.heap_pops,
-        ));
-        out.push_str(&format!(
-            "\"gorder\":{{\"outer_blocks\":{},\"inner_scanned\":{},\"inner_skipped\":{}}},",
-            self.gorder.outer_blocks, self.gorder.inner_scanned, self.gorder.inner_skipped,
-        ));
+        for (name, counters) in [
+            ("lpq", &self.lpq.counters()[..]),
+            ("bnn", &self.bnn.counters()[..]),
+            ("gorder", &self.gorder.counters()[..]),
+        ] {
+            out.push_str(&format!("\"{name}\":{{"));
+            write_json_members(&mut out, counters);
+            out.push_str("},");
+        }
 
         out.push_str("\"build_levels\":[");
         for (i, b) in self.build_levels.iter().enumerate() {

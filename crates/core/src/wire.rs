@@ -26,7 +26,7 @@ use crate::query::{Algorithm, MetricChoice};
 use crate::resilience::{BudgetKind, QueryError};
 use crate::stats::{AnnOutput, AnnStats, NeighborPair};
 use crate::trace::{json_escape, json_io, json_num, write_json_num, ExecutionReport};
-use ann_store::{IoSnapshot, RetryPolicy, StoreError};
+use ann_store::{write_json_members, IoSnapshot, RetryPolicy, StoreError};
 use std::fmt::{self, Write as _};
 use std::time::Duration;
 
@@ -1074,8 +1074,11 @@ impl QueryOutcome {
             let _ = write_json_num(&mut out, p.dist);
             out.push('}');
         }
-        out.push_str("],\"stats\":");
-        out.push_str(&stats_json(&self.stats));
+        out.push_str("],\"stats\":{");
+        write_json_members(&mut out, &self.stats.counters());
+        out.push_str(",\"io\":");
+        out.push_str(&json_io(&self.stats.io));
+        out.push('}');
         if let Some(version) = self.version {
             out.push_str(&format!(",\"version\":{version}"));
         }
@@ -1139,68 +1142,38 @@ impl QueryOutcome {
     }
 }
 
-fn stats_json(s: &AnnStats) -> String {
-    format!(
-        "{{\"distance_computations\":{},\"lpqs_created\":{},\"enqueued\":{},\
-         \"pruned_on_probe\":{},\"pruned_in_queue\":{},\"r_nodes_expanded\":{},\
-         \"s_nodes_expanded\":{},\"io\":{}}}",
-        s.distance_computations,
-        s.lpqs_created,
-        s.enqueued,
-        s.pruned_on_probe,
-        s.pruned_in_queue,
-        s.r_nodes_expanded,
-        s.s_nodes_expanded,
-        json_io(&s.io)
-    )
-}
-
+/// Decodes the `stats` object. An absent counter reads as zero; a counter
+/// that is not an integer, or a section that is not an object, is a
+/// schema error.
 fn stats_from_value(st: &JsonValue) -> Result<AnnStats, WireError> {
-    let field = |key: &str| -> Result<u64, WireError> {
-        match st.get(key) {
-            None => Ok(0),
-            Some(v) => v
-                .as_u64()
-                .ok_or_else(|| WireError::Schema(format!("stats {key:?} must be an integer"))),
-        }
-    };
-    let mut stats = AnnStats {
-        distance_computations: field("distance_computations")?,
-        lpqs_created: field("lpqs_created")?,
-        enqueued: field("enqueued")?,
-        pruned_on_probe: field("pruned_on_probe")?,
-        pruned_in_queue: field("pruned_in_queue")?,
-        r_nodes_expanded: field("r_nodes_expanded")?,
-        s_nodes_expanded: field("s_nodes_expanded")?,
-        ..Default::default()
-    };
+    let mut stats = AnnStats::default();
+    read_counters(st, "stats", &mut stats.counters_mut())?;
     if let Some(io) = st.get("io") {
-        let io_field = |key: &str| -> Result<u64, WireError> {
-            match io.get(key) {
-                None => Ok(0),
-                Some(v) => v
-                    .as_u64()
-                    .ok_or_else(|| WireError::Schema(format!("io {key:?} must be an integer"))),
-            }
-        };
-        // Every counter `json_io` writes; the prefetch counters stay off
-        // the wire.
-        stats.io = IoSnapshot {
-            logical_reads: io_field("logical_reads")?,
-            physical_reads: io_field("physical_reads")?,
-            physical_writes: io_field("physical_writes")?,
-            pool_hits: io_field("pool_hits")?,
-            pool_misses: io_field("pool_misses")?,
-            evictions: io_field("evictions")?,
-            retries: io_field("retries")?,
-            checksum_failures: io_field("checksum_failures")?,
-            lock_contention: io_field("lock_contention")?,
-            quarantined_pages: io_field("quarantined_pages")?,
-            quarantine_hits: io_field("quarantine_hits")?,
-            ..IoSnapshot::default()
-        };
+        read_counters(
+            io,
+            "io",
+            &mut stats.io.counters_mut()[..IoSnapshot::ON_WIRE],
+        )?;
     }
     Ok(stats)
+}
+
+fn read_counters(
+    doc: &JsonValue,
+    section: &str,
+    counters: &mut [(&'static str, &mut u64)],
+) -> Result<(), WireError> {
+    if !matches!(doc, JsonValue::Obj(_)) {
+        return Err(WireError::Schema(format!("{section:?} must be an object")));
+    }
+    for (key, slot) in counters {
+        if let Some(v) = doc.get(key) {
+            **slot = v.as_u64().ok_or_else(|| {
+                WireError::Schema(format!("{section} {key:?} must be an integer"))
+            })?;
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1617,6 +1590,23 @@ mod tests {
             assert_eq!(a.dist.to_bits(), b.dist.to_bits(), "distance not bit-exact");
         }
         assert_eq!(back.stats, outcome.stats);
+
+        // A counter section that is not an object is a schema error; an
+        // absent one decodes as zeros.
+        for bad in [
+            r#"{"v":1,"pairs":[],"stats":5}"#,
+            r#"{"v":1,"pairs":[],"stats":null}"#,
+            r#"{"v":1,"pairs":[],"stats":[]}"#,
+            r#"{"v":1,"pairs":[],"stats":{"io":7}}"#,
+            r#"{"v":1,"pairs":[],"stats":{"io":"x"}}"#,
+        ] {
+            let got = QueryOutcome::from_json(bad);
+            assert!(matches!(got, Err(WireError::Schema(_))), "{bad}: {got:?}");
+        }
+        for absent in [r#"{"v":1,"pairs":[]}"#, r#"{"v":1,"pairs":[],"stats":{}}"#] {
+            let got = QueryOutcome::from_json(absent).unwrap();
+            assert_eq!(got.stats, AnnStats::default(), "{absent}");
+        }
     }
 
     #[test]

@@ -11,54 +11,49 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use ann_core::stats::AnnStats;
+use ann_store::write_json_members;
 
-/// Monotonic counters for everything the server has done since start.
-pub struct Metrics {
-    /// HTTP requests accepted (all routes).
-    pub requests: AtomicU64,
-    /// Requests answered 2xx.
-    pub ok: AtomicU64,
-    /// Requests answered 4xx (including 429s, counted separately too).
-    pub client_errors: AtomicU64,
-    /// Requests answered 5xx.
-    pub server_errors: AtomicU64,
-    /// Queries rejected by admission control (429).
-    pub rejected: AtomicU64,
-    /// Queries cancelled because the client disconnected mid-flight.
-    pub cancelled: AtomicU64,
-    /// Queries executed to a verdict (ok or typed error).
-    pub queries: AtomicU64,
-    /// Sum over queries of distance computations.
-    pub distance_computations: AtomicU64,
-    /// Sum over queries of R/S node expansions.
-    pub nodes_expanded: AtomicU64,
-    /// Sum over queries of logical page reads.
-    pub logical_reads: AtomicU64,
-    /// Sum over queries of physical page reads.
-    pub physical_reads: AtomicU64,
-    /// Latency histogram: bucket `i ≥ 1` counts queries with
-    /// `latency_us in [2^(i-1), 2^i)` and bucket 0 the sub-µs ones, where
-    /// latency runs from request fully read to response written — queue
-    /// wait, traversal, encode and the socket write.
-    buckets: [AtomicU64; 64],
+ann_store::counters! {
+    /// Monotonic counters for everything the server has done since start,
+    /// in `/metrics` key order.
+    #[derive(Default)]
+    pub struct Metrics: AtomicU64 {
+        /// HTTP requests accepted (all routes).
+        requests,
+        /// Requests answered 2xx.
+        ok,
+        /// Requests answered 4xx (including 429s, counted separately too).
+        client_errors,
+        /// Requests answered 5xx.
+        server_errors,
+        /// Queries rejected by admission control (429).
+        rejected,
+        /// Queries cancelled because the client disconnected mid-flight.
+        cancelled,
+        /// Queries executed to a verdict (ok or typed error).
+        queries,
+        /// Sum over queries of distance computations.
+        distance_computations,
+        /// Sum over queries of R/S node expansions.
+        nodes_expanded,
+        /// Sum over queries of logical page reads.
+        logical_reads,
+        /// Sum over queries of physical page reads.
+        physical_reads,
+        ;
+        /// Latency histogram: bucket `i ≥ 1` counts queries with
+        /// `latency_us in [2^(i-1), 2^i)` and bucket 0 the sub-µs ones, where
+        /// latency runs from request fully read to response written — queue
+        /// wait, traversal, encode and the socket write.
+        buckets: Buckets,
+    }
 }
 
-impl Default for Metrics {
+struct Buckets([AtomicU64; 64]);
+
+impl Default for Buckets {
     fn default() -> Self {
-        Metrics {
-            requests: AtomicU64::new(0),
-            ok: AtomicU64::new(0),
-            client_errors: AtomicU64::new(0),
-            server_errors: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            cancelled: AtomicU64::new(0),
-            queries: AtomicU64::new(0),
-            distance_computations: AtomicU64::new(0),
-            nodes_expanded: AtomicU64::new(0),
-            logical_reads: AtomicU64::new(0),
-            physical_reads: AtomicU64::new(0),
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
+        Buckets(std::array::from_fn(|_| AtomicU64::new(0)))
     }
 }
 
@@ -82,7 +77,7 @@ impl Metrics {
     pub fn record_latency(&self, latency: Duration) {
         let us = latency.as_micros().min(u128::from(u64::MAX)) as u64;
         let bucket = (64 - us.leading_zeros() as usize).min(63);
-        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
+        self.buckets.0[bucket].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one executed query's work counters.
@@ -105,6 +100,7 @@ impl Metrics {
     pub fn latency_quantile_us(&self, q: f64) -> u64 {
         let counts: Vec<u64> = self
             .buckets
+            .0
             .iter()
             .map(|b| b.load(Ordering::Relaxed))
             .collect();
@@ -125,28 +121,16 @@ impl Metrics {
 
     /// Serializes the counters as a JSON object.
     pub fn to_json(&self) -> String {
-        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        format!(
-            "{{\"requests\":{},\"ok\":{},\"client_errors\":{},\"server_errors\":{},\
-             \"rejected\":{},\"cancelled\":{},\"queries\":{},\
-             \"distance_computations\":{},\"nodes_expanded\":{},\
-             \"logical_reads\":{},\"physical_reads\":{},\
-             \"latency_us\":{{\"p50\":{},\"p95\":{},\"p99\":{}}}}}",
-            load(&self.requests),
-            load(&self.ok),
-            load(&self.client_errors),
-            load(&self.server_errors),
-            load(&self.rejected),
-            load(&self.cancelled),
-            load(&self.queries),
-            load(&self.distance_computations),
-            load(&self.nodes_expanded),
-            load(&self.logical_reads),
-            load(&self.physical_reads),
+        let mut out = String::from("{");
+        let counters = self.counters().map(|(k, c)| (k, c.load(Ordering::Relaxed)));
+        write_json_members(&mut out, &counters);
+        out.push_str(&format!(
+            ",\"latency_us\":{{\"p50\":{},\"p95\":{},\"p99\":{}}}}}",
             self.latency_quantile_us(0.50),
             self.latency_quantile_us(0.95),
             self.latency_quantile_us(0.99),
-        )
+        ));
+        out
     }
 }
 

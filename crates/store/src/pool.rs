@@ -39,6 +39,7 @@
 
 use crate::checksum::{seal_frame, verify_frame};
 use crate::lru::LruList;
+use crate::stats::bump;
 use crate::sync::{unpoisoned, Mutex, MutexGuard};
 use crate::{DiskBackend, IoSnapshot, IoStats, PageId, Result, StoreError, FRAME_SIZE, PAGE_SIZE};
 use std::cell::Cell;
@@ -273,7 +274,7 @@ impl Shard {
                 capacity,
                 scratch: vec![0u8; FRAME_SIZE].into_boxed_slice(),
             }),
-            stats: IoStats::new(),
+            stats: IoStats::default(),
         }
     }
 
@@ -283,7 +284,7 @@ impl Shard {
         match self.inner.try_lock() {
             Some(guard) => guard,
             None => {
-                self.stats.record_lock_contention();
+                bump(&self.stats.lock_contention);
                 self.inner.lock()
             }
         }
@@ -381,7 +382,7 @@ impl BufferPool {
             disk: Box::new(disk),
             shards: caps.into_iter().map(Shard::new).collect(),
             capacity: AtomicUsize::new(capacity),
-            stats: IoStats::new(),
+            stats: IoStats::default(),
             quarantine: Mutex::new(HashSet::new()),
             quarantine_nonempty: AtomicBool::new(false),
             prefetch_on: AtomicBool::new(false),
@@ -705,9 +706,9 @@ impl BufferPool {
                 let frame = &buf[i * FRAME_SIZE..(i + 1) * FRAME_SIZE];
                 let shard = self.shard_of(id);
                 if verify_frame(frame).is_err() {
-                    shard.stats.record_checksum_failure();
+                    bump(&shard.stats.checksum_failures);
                     if self.quarantine.lock().insert(id) {
-                        shard.stats.record_quarantined_page();
+                        bump(&shard.stats.quarantined_pages);
                         self.quarantine_nonempty.store(true, Ordering::Release);
                     }
                     self.release_reserved(id, fi);
@@ -716,8 +717,8 @@ impl BufferPool {
                 let mut inner = shard.lock();
                 let fr = &mut inner.frames[fi as usize];
                 debug_assert_eq!(fr.page, id, "pinned frame was stolen");
-                shard.stats.record_physical_read();
-                shard.stats.record_prefetch_issued();
+                bump(&shard.stats.physical_reads);
+                bump(&shard.stats.prefetch_issued);
                 fr.data.copy_from_slice(&frame[..PAGE_SIZE]);
                 fr.loaded = true;
                 fr.prefetched = true;
@@ -752,7 +753,7 @@ impl BufferPool {
     /// quarantine pages whose *decoded* contents proved corrupt.
     pub fn quarantine(&self, id: PageId) {
         if self.quarantine.lock().insert(id) {
-            self.stats.record_quarantined_page();
+            bump(&self.stats.quarantined_pages);
             self.quarantine_nonempty.store(true, Ordering::Release);
         }
     }
@@ -783,7 +784,7 @@ impl BufferPool {
     fn check_quarantine(&self, id: PageId, stats: &IoStats) -> Result<()> {
         if self.quarantine_nonempty.load(Ordering::Acquire) && self.quarantine.lock().contains(&id)
         {
-            stats.record_quarantine_hit();
+            bump(&stats.quarantine_hits);
             return Err(StoreError::corrupt_page(id, QUARANTINED));
         }
         Ok(())
@@ -847,18 +848,18 @@ impl BufferPool {
     fn with_frame<R>(&self, id: PageId, f: impl FnOnce(&mut Frame) -> R) -> Result<R> {
         let _guard = ReentrancyGuard::enter(self);
         let shard = self.shard_of(id);
-        shard.stats.record_logical_read();
+        bump(&shard.stats.logical_reads);
         self.check_quarantine(id, &shard.stats)?;
         loop {
             let mut inner = shard.lock();
             if let Some(&fi) = inner.map.get(&id) {
                 if inner.frames[fi as usize].loaded {
-                    shard.stats.record_pool_hit();
+                    bump(&shard.stats.pool_hits);
                     if inner.frames[fi as usize].prefetched {
                         // First demand touch claims the prefetched frame;
                         // from here on it ages like any demanded page.
                         inner.frames[fi as usize].prefetched = false;
-                        shard.stats.record_prefetch_hit();
+                        bump(&shard.stats.prefetch_hits);
                         self.prefetch_inflight.fetch_sub(1, Ordering::Relaxed);
                         self.notify_prefetch_worker();
                     }
@@ -874,7 +875,7 @@ impl BufferPool {
             }
 
             // Miss: reserve a pinned frame, then read outside the lock.
-            shard.stats.record_pool_miss();
+            bump(&shard.stats.pool_misses);
             let fi = self.acquire_frame(shard, &mut inner)?;
             {
                 let fr = &mut inner.frames[fi as usize];
@@ -893,11 +894,11 @@ impl BufferPool {
                 .and_then(|()| match verify_frame(&buf) {
                     Ok(()) => Ok(()),
                     Err(what) => {
-                        shard.stats.record_checksum_failure();
+                        bump(&shard.stats.checksum_failures);
                         // Known-bad media: fail further touches fast
                         // instead of re-reading and re-failing the CRC.
                         if self.quarantine.lock().insert(id) {
-                            shard.stats.record_quarantined_page();
+                            bump(&shard.stats.quarantined_pages);
                             self.quarantine_nonempty.store(true, Ordering::Release);
                         }
                         Err(StoreError::corrupt_page(id, what))
@@ -915,7 +916,7 @@ impl BufferPool {
                 inner.free.push(fi);
                 return Err(e);
             }
-            shard.stats.record_physical_read();
+            bump(&shard.stats.physical_reads);
             fr.data.copy_from_slice(&buf[..PAGE_SIZE]);
             fr.loaded = true;
             fr.pins -= 1;
@@ -1096,11 +1097,10 @@ impl BufferPool {
     /// `stats()` — one relaxed load per shard instead of a full
     /// snapshot fold — so I/O-budget guards can poll it per expansion.
     pub fn physical_reads(&self) -> u64 {
-        self.shards
-            .iter()
-            .fold(self.stats.physical_reads(), |acc, shard| {
-                acc + shard.stats.physical_reads()
-            })
+        self.shards.iter().fold(
+            self.stats.physical_reads.load(Ordering::Relaxed),
+            |acc, shard| acc + shard.stats.physical_reads.load(Ordering::Relaxed),
+        )
     }
 
     /// Zeroes the I/O counters of every shard.
@@ -1122,7 +1122,7 @@ impl BufferPool {
         loop {
             match op() {
                 Err(e) if attempt < max_attempts && e.is_transient() => {
-                    stats.record_retry();
+                    bump(&stats.retries);
                     if policy.backoff > Duration::ZERO {
                         std::thread::sleep(policy.backoff.saturating_mul(attempt));
                     }
@@ -1145,7 +1145,7 @@ impl BufferPool {
         scratch[..PAGE_SIZE].copy_from_slice(payload);
         seal_frame(scratch);
         self.retrying(stats, || self.disk.write_page(id, scratch))?;
-        stats.record_physical_write();
+        bump(&stats.physical_writes);
         Ok(())
     }
 
@@ -1177,7 +1177,7 @@ impl BufferPool {
         let Some(victim) = inner.lru.pop_lru() else {
             return Ok(false);
         };
-        shard.stats.record_eviction();
+        bump(&shard.stats.evictions);
         let ShardInner {
             frames,
             scratch,
@@ -1189,7 +1189,7 @@ impl BufferPool {
         debug_assert_eq!(frame.pins, 0, "pinned frame reached the LRU list");
         if frame.prefetched {
             frame.prefetched = false;
-            shard.stats.record_prefetch_wasted();
+            bump(&shard.stats.prefetch_wasted);
             self.prefetch_inflight.fetch_sub(1, Ordering::Relaxed);
             self.notify_prefetch_worker();
         }
@@ -1817,6 +1817,24 @@ mod tests {
         // A second touch is an ordinary hit, not another prefetch hit.
         p.with_page(ids[0], |_| ()).unwrap();
         assert_eq!(p.stats().prefetch_hits, 4);
+    }
+
+    #[test]
+    fn prefetched_then_demanded_page_is_a_hit() {
+        let p = pool(4);
+        let id = p.allocate().unwrap();
+        p.clear().unwrap();
+        p.reset_stats();
+        p.enable_prefetch(PrefetchConfig::default());
+        p.prefetch(&[(id, 0)]);
+        p.with_page(id, |_| ()).unwrap();
+        let s = p.stats();
+        assert_eq!((s.physical_reads, s.logical_reads, s.pool_hits), (1, 1, 1));
+        assert_eq!(
+            s.hit_rate(),
+            1.0,
+            "the prefetch turned the demand into a hit"
+        );
     }
 
     #[test]

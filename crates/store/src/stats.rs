@@ -1,249 +1,190 @@
-//! I/O accounting.
+//! I/O accounting, and the one way a counter set is declared.
 
+use std::fmt::{Display, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Shared atomic I/O counters, incremented by the buffer pool.
-///
-/// "Logical" reads are page requests served from anywhere; "physical" reads
-/// and writes are the subset that actually reached the disk backend —
-/// physical reads are the buffer-pool misses that the paper's I/O bars
-/// measure. `retries` counts re-attempts of transient physical failures
-/// under the pool's [`crate::RetryPolicy`]; `checksum_failures` counts
-/// frames that came back from the backend failing CRC verification.
-///
-/// The sharded pool additionally keeps per-shard cache counters:
-/// `pool_hits` / `pool_misses` split the logical reads by whether the page
-/// was resident, and `lock_contention` counts accesses that found their
-/// shard lock already held by another thread (each such event is one
-/// blocked lock acquisition — the scalability signal the thread-scaling
-/// benchmark tracks). `evictions` counts resident pages pushed out to make
-/// room, which together with `pool_misses` shows whether a phase is
-/// thrashing the pool or merely cold.
-///
-/// The prefetcher keeps its own triple: `prefetch_issued` counts pages it
-/// physically read ahead of demand, `prefetch_hits` counts prefetched
-/// frames later claimed by a demand access, and `prefetch_wasted` counts
-/// prefetched frames evicted without ever being demanded. None of these
-/// feed `logical_reads` — readahead changes *when* a physical read
-/// happens, never whether a logical one does.
-#[derive(Default, Debug)]
-pub struct IoStats {
-    logical_reads: AtomicU64,
-    physical_reads: AtomicU64,
-    physical_writes: AtomicU64,
-    retries: AtomicU64,
-    checksum_failures: AtomicU64,
-    pool_hits: AtomicU64,
-    pool_misses: AtomicU64,
-    lock_contention: AtomicU64,
-    evictions: AtomicU64,
-    quarantined_pages: AtomicU64,
-    quarantine_hits: AtomicU64,
-    prefetch_issued: AtomicU64,
-    prefetch_hits: AtomicU64,
-    prefetch_wasted: AtomicU64,
+/// Declares a counter set once: a struct with one `pub` field of type
+/// `$ty` per counter, and `counters()` / `counters_mut()`, which pair each
+/// field with its name. A counter's name is its JSON key, so every writer
+/// and reader of a set iterates these pairs instead of spelling the keys.
+/// Fields after a `;` are carried along but are not counters.
+#[macro_export]
+macro_rules! counters {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident $(<$t:ident>)? : $ty:ty {
+            $($(#[$doc:meta])* $field:ident,)+
+            $(; $($(#[$xdoc:meta])* $xvis:vis $xfield:ident: $xty:ty,)+)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name $(<$t>)? {
+            $($(#[$doc])* pub $field: $ty,)+
+            $($($(#[$xdoc])* $xvis $xfield: $xty,)+)?
+        }
+
+        impl $(<$t>)? $name $(<$t>)? {
+            /// Every counter with its name, in declaration order.
+            pub fn counters(&self) -> [(&'static str, &$ty); [$(stringify!($field)),+].len()] {
+                [$((stringify!($field), &self.$field)),+]
+            }
+
+            /// Every counter with its name, in declaration order, mutably.
+            pub fn counters_mut(
+                &mut self,
+            ) -> [(&'static str, &mut $ty); [$(stringify!($field)),+].len()] {
+                [$((stringify!($field), &mut self.$field)),+]
+            }
+        }
+    };
+}
+
+/// Writes `(name, value)` pairs as the members of a JSON object,
+/// `"name":value`, comma-separated and without the braces.
+pub fn write_json_members<V: Display>(out: &mut String, members: &[(&'static str, V)]) {
+    for (i, (name, value)) in members.iter().enumerate() {
+        let sep = if i == 0 { "" } else { "," };
+        // A `String` sink cannot fail.
+        let _ = write!(out, "{sep}\"{name}\":{value}");
+    }
+}
+
+counters! {
+    /// The buffer pool's I/O counters: live and shared as [`IoStats`]
+    /// (atomics the pool increments), copied out as [`IoSnapshot`].
+    ///
+    /// "Logical" reads are page requests served from anywhere; "physical"
+    /// reads and writes are the subset that actually reached the disk
+    /// backend — physical reads are the buffer-pool misses that the
+    /// paper's I/O bars measure. `retries` counts re-attempts of transient
+    /// physical failures under the pool's [`crate::RetryPolicy`];
+    /// `checksum_failures` counts frames that came back from the backend
+    /// failing CRC verification.
+    ///
+    /// The sharded pool additionally keeps per-shard cache counters:
+    /// `pool_hits` / `pool_misses` split the logical reads by whether the
+    /// page was resident, and `lock_contention` counts accesses that found
+    /// their shard lock already held by another thread (each such event is
+    /// one blocked lock acquisition — the scalability signal the
+    /// thread-scaling benchmark tracks). `evictions` counts resident pages
+    /// pushed out to make room, which together with `pool_misses` shows
+    /// whether a phase is thrashing the pool or merely cold.
+    ///
+    /// The prefetcher keeps its own triple: `prefetch_issued`,
+    /// `prefetch_hits` and `prefetch_wasted`. None of these feed
+    /// `logical_reads` — readahead changes *when* a physical read happens,
+    /// never whether a logical one does.
+    ///
+    /// Declaration order is wire order: the first
+    /// [`IoSnapshot::ON_WIRE`] counters are a query outcome's and a trace
+    /// phase's `io` object; the prefetch triple stays off the wire.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct IoCounters<T>: T {
+        /// Page requests served (hit or miss).
+        logical_reads,
+        /// Buffer-pool misses that read from the backend.
+        physical_reads,
+        /// Dirty-page evictions and flushes that wrote to the backend.
+        physical_writes,
+        /// Page accesses served by a resident, decoded-and-verified frame.
+        pool_hits,
+        /// Page accesses that had to fault the page in from the backend
+        /// (counted even when the physical read then fails).
+        pool_misses,
+        /// Resident pages evicted to make room (dirty victims additionally
+        /// count one `physical_writes`).
+        evictions,
+        /// Transient-fault re-attempts made under the retry policy.
+        retries,
+        /// Frames read from the backend that failed CRC verification.
+        checksum_failures,
+        /// Shard-lock acquisitions that found the lock already held.
+        lock_contention,
+        /// Pages added to the corrupt-page quarantine set (each failed
+        /// verification quarantines its page exactly once).
+        quarantined_pages,
+        /// Accesses rejected fast because the page was already quarantined.
+        quarantine_hits,
+        /// Pages the prefetcher physically read ahead of demand (each also
+        /// counts one `physical_reads`; none counts a logical read).
+        prefetch_issued,
+        /// Prefetched frames later claimed by a demand access — the read the
+        /// prefetcher turned from a stall into a pool hit.
+        prefetch_hits,
+        /// Prefetched frames evicted before any demand access claimed them:
+        /// readahead bandwidth spent for nothing.
+        prefetch_wasted,
+    }
+}
+
+/// Shared atomic I/O counters, incremented by the buffer pool (see
+/// [`IoCounters`]).
+pub type IoStats = IoCounters<AtomicU64>;
+
+/// A point-in-time copy of [`IoStats`].
+pub type IoSnapshot = IoCounters<u64>;
+
+/// Counts one event on a live counter.
+pub(crate) fn bump(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
 }
 
 impl IoStats {
-    /// Fresh zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub(crate) fn record_logical_read(&self) {
-        self.logical_reads.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_physical_read(&self) {
-        self.physical_reads.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_physical_write(&self) {
-        self.physical_writes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_retry(&self) {
-        self.retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_checksum_failure(&self) {
-        self.checksum_failures.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_pool_hit(&self) {
-        self.pool_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_pool_miss(&self) {
-        self.pool_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_lock_contention(&self) {
-        self.lock_contention.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_eviction(&self) {
-        self.evictions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_quarantined_page(&self) {
-        self.quarantined_pages.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_quarantine_hit(&self) {
-        self.quarantine_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_prefetch_issued(&self) {
-        self.prefetch_issued.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_prefetch_hit(&self) {
-        self.prefetch_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_prefetch_wasted(&self) {
-        self.prefetch_wasted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Reads just the physical-read counter, without folding a full
-    /// snapshot. Query guards poll this on every expansion when an I/O
-    /// budget is armed, so it must stay a single relaxed load.
-    pub fn physical_reads(&self) -> u64 {
-        self.physical_reads.load(Ordering::Relaxed)
-    }
-
     /// A point-in-time copy of the counters.
     pub fn snapshot(&self) -> IoSnapshot {
-        IoSnapshot {
-            logical_reads: self.logical_reads.load(Ordering::Relaxed),
-            physical_reads: self.physical_reads.load(Ordering::Relaxed),
-            physical_writes: self.physical_writes.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            checksum_failures: self.checksum_failures.load(Ordering::Relaxed),
-            pool_hits: self.pool_hits.load(Ordering::Relaxed),
-            pool_misses: self.pool_misses.load(Ordering::Relaxed),
-            lock_contention: self.lock_contention.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            quarantined_pages: self.quarantined_pages.load(Ordering::Relaxed),
-            quarantine_hits: self.quarantine_hits.load(Ordering::Relaxed),
-            prefetch_issued: self.prefetch_issued.load(Ordering::Relaxed),
-            prefetch_hits: self.prefetch_hits.load(Ordering::Relaxed),
-            prefetch_wasted: self.prefetch_wasted.load(Ordering::Relaxed),
+        let mut snap = IoSnapshot::default();
+        for ((_, copy), (_, live)) in snap.counters_mut().into_iter().zip(self.counters()) {
+            *copy = live.load(Ordering::Relaxed);
         }
+        snap
     }
 
     /// Zeroes all counters (used between benchmark phases).
     pub fn reset(&self) {
-        self.logical_reads.store(0, Ordering::Relaxed);
-        self.physical_reads.store(0, Ordering::Relaxed);
-        self.physical_writes.store(0, Ordering::Relaxed);
-        self.retries.store(0, Ordering::Relaxed);
-        self.checksum_failures.store(0, Ordering::Relaxed);
-        self.pool_hits.store(0, Ordering::Relaxed);
-        self.pool_misses.store(0, Ordering::Relaxed);
-        self.lock_contention.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-        self.quarantined_pages.store(0, Ordering::Relaxed);
-        self.quarantine_hits.store(0, Ordering::Relaxed);
-        self.prefetch_issued.store(0, Ordering::Relaxed);
-        self.prefetch_hits.store(0, Ordering::Relaxed);
-        self.prefetch_wasted.store(0, Ordering::Relaxed);
+        for (_, live) in self.counters() {
+            live.store(0, Ordering::Relaxed);
+        }
     }
 }
 
-/// A point-in-time copy of [`IoStats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct IoSnapshot {
-    /// Page requests served (hit or miss).
-    pub logical_reads: u64,
-    /// Buffer-pool misses that read from the backend.
-    pub physical_reads: u64,
-    /// Dirty-page evictions and flushes that wrote to the backend.
-    pub physical_writes: u64,
-    /// Transient-fault re-attempts made under the retry policy.
-    pub retries: u64,
-    /// Frames read from the backend that failed CRC verification.
-    pub checksum_failures: u64,
-    /// Page accesses served by a resident, decoded-and-verified frame.
-    pub pool_hits: u64,
-    /// Page accesses that had to fault the page in from the backend
-    /// (counted even when the physical read then fails).
-    pub pool_misses: u64,
-    /// Shard-lock acquisitions that found the lock already held.
-    pub lock_contention: u64,
-    /// Resident pages evicted to make room (dirty victims additionally
-    /// count one `physical_writes`).
-    pub evictions: u64,
-    /// Pages added to the corrupt-page quarantine set (each failed
-    /// verification quarantines its page exactly once).
-    pub quarantined_pages: u64,
-    /// Accesses rejected fast because the page was already quarantined.
-    pub quarantine_hits: u64,
-    /// Pages the prefetcher physically read ahead of demand (each also
-    /// counts one `physical_reads`; none counts a logical read).
-    pub prefetch_issued: u64,
-    /// Prefetched frames later claimed by a demand access — the read the
-    /// prefetcher turned from a stall into a pool hit.
-    pub prefetch_hits: u64,
-    /// Prefetched frames evicted before any demand access claimed them:
-    /// readahead bandwidth spent for nothing.
-    pub prefetch_wasted: u64,
-}
-
 impl IoSnapshot {
+    /// How many counters, in declaration order, the wire carries.
+    pub const ON_WIRE: usize = 11;
+
     /// Total physical page transfers.
     pub fn physical_total(&self) -> u64 {
         self.physical_reads + self.physical_writes
     }
 
-    /// Buffer-pool hit rate in `[0, 1]`; 1.0 when nothing was read.
+    /// Buffer-pool hit rate in `[0, 1]`: the share of demand accesses a
+    /// resident frame served. 1.0 when nothing was demanded. A prefetched
+    /// page that is then demanded is a hit; readahead itself is not an
+    /// access.
     pub fn hit_rate(&self) -> f64 {
-        if self.logical_reads == 0 {
+        let accesses = self.pool_hits + self.pool_misses;
+        if accesses == 0 {
             return 1.0;
         }
-        1.0 - self.physical_reads as f64 / self.logical_reads as f64
+        1.0 - self.pool_misses as f64 / accesses as f64
     }
 
     /// Counter-wise difference (`self - earlier`), for measuring a phase.
     pub fn since(&self, earlier: &IoSnapshot) -> IoSnapshot {
-        IoSnapshot {
-            logical_reads: self.logical_reads - earlier.logical_reads,
-            physical_reads: self.physical_reads - earlier.physical_reads,
-            physical_writes: self.physical_writes - earlier.physical_writes,
-            retries: self.retries - earlier.retries,
-            checksum_failures: self.checksum_failures - earlier.checksum_failures,
-            pool_hits: self.pool_hits - earlier.pool_hits,
-            pool_misses: self.pool_misses - earlier.pool_misses,
-            lock_contention: self.lock_contention - earlier.lock_contention,
-            evictions: self.evictions - earlier.evictions,
-            quarantined_pages: self.quarantined_pages - earlier.quarantined_pages,
-            quarantine_hits: self.quarantine_hits - earlier.quarantine_hits,
-            prefetch_issued: self.prefetch_issued - earlier.prefetch_issued,
-            prefetch_hits: self.prefetch_hits - earlier.prefetch_hits,
-            prefetch_wasted: self.prefetch_wasted - earlier.prefetch_wasted,
-        }
+        self.zip(earlier, |a, b| a - b)
     }
 
     /// Counter-wise sum, for folding per-shard or per-pool snapshots into
     /// one aggregate.
     pub fn merge(&self, other: &IoSnapshot) -> IoSnapshot {
-        IoSnapshot {
-            logical_reads: self.logical_reads + other.logical_reads,
-            physical_reads: self.physical_reads + other.physical_reads,
-            physical_writes: self.physical_writes + other.physical_writes,
-            retries: self.retries + other.retries,
-            checksum_failures: self.checksum_failures + other.checksum_failures,
-            pool_hits: self.pool_hits + other.pool_hits,
-            pool_misses: self.pool_misses + other.pool_misses,
-            lock_contention: self.lock_contention + other.lock_contention,
-            evictions: self.evictions + other.evictions,
-            quarantined_pages: self.quarantined_pages + other.quarantined_pages,
-            quarantine_hits: self.quarantine_hits + other.quarantine_hits,
-            prefetch_issued: self.prefetch_issued + other.prefetch_issued,
-            prefetch_hits: self.prefetch_hits + other.prefetch_hits,
-            prefetch_wasted: self.prefetch_wasted + other.prefetch_wasted,
+        self.zip(other, |a, b| a + b)
+    }
+
+    fn zip(&self, other: &IoSnapshot, op: impl Fn(u64, u64) -> u64) -> IoSnapshot {
+        let mut out = *self;
+        for ((_, a), (_, b)) in out.counters_mut().into_iter().zip(other.counters()) {
+            *a = op(*a, *b);
         }
+        out
     }
 }
 
@@ -253,47 +194,26 @@ mod tests {
 
     #[test]
     fn snapshot_reflects_counts() {
-        let s = IoStats::new();
-        s.record_logical_read();
-        s.record_logical_read();
-        s.record_physical_read();
-        s.record_physical_write();
-        s.record_retry();
-        s.record_checksum_failure();
-        s.record_pool_hit();
-        s.record_pool_miss();
-        s.record_lock_contention();
-        s.record_eviction();
-        s.record_quarantined_page();
-        s.record_quarantine_hit();
-        s.record_prefetch_issued();
-        s.record_prefetch_hit();
-        s.record_prefetch_wasted();
+        let s = IoStats::default();
+        for (_, live) in s.counters() {
+            bump(live);
+        }
+        bump(&s.logical_reads);
         let snap = s.snapshot();
         assert_eq!(snap.logical_reads, 2);
-        assert_eq!(snap.physical_reads, 1);
-        assert_eq!(snap.physical_writes, 1);
-        assert_eq!(snap.retries, 1);
-        assert_eq!(snap.checksum_failures, 1);
-        assert_eq!(snap.pool_hits, 1);
-        assert_eq!(snap.pool_misses, 1);
-        assert_eq!(snap.lock_contention, 1);
-        assert_eq!(snap.evictions, 1);
-        assert_eq!(snap.quarantined_pages, 1);
-        assert_eq!(snap.quarantine_hits, 1);
-        assert_eq!(snap.prefetch_issued, 1);
-        assert_eq!(snap.prefetch_hits, 1);
-        assert_eq!(snap.prefetch_wasted, 1);
+        for (name, &count) in &snap.counters()[1..] {
+            assert_eq!(count, 1, "{name}");
+        }
         assert_eq!(snap.physical_total(), 2);
         assert_eq!(snap.hit_rate(), 0.5);
     }
 
     #[test]
     fn reset_zeroes() {
-        let s = IoStats::new();
-        s.record_logical_read();
-        s.record_retry();
-        s.record_pool_hit();
+        let s = IoStats::default();
+        bump(&s.logical_reads);
+        bump(&s.retries);
+        bump(&s.pool_hits);
         s.reset();
         assert_eq!(s.snapshot(), IoSnapshot::default());
         assert_eq!(s.snapshot().hit_rate(), 1.0);
@@ -301,17 +221,21 @@ mod tests {
 
     #[test]
     fn since_subtracts() {
-        let s = IoStats::new();
-        s.record_logical_read();
+        let s = IoStats::default();
+        bump(&s.logical_reads);
         let a = s.snapshot();
-        s.record_logical_read();
-        s.record_physical_read();
-        s.record_retry();
-        s.record_pool_miss();
-        s.record_quarantined_page();
-        s.record_quarantine_hit();
-        s.record_prefetch_issued();
-        s.record_prefetch_hit();
+        for live in [
+            &s.logical_reads,
+            &s.physical_reads,
+            &s.retries,
+            &s.pool_misses,
+            &s.quarantined_pages,
+            &s.quarantine_hits,
+            &s.prefetch_issued,
+            &s.prefetch_hits,
+        ] {
+            bump(live);
+        }
         let b = s.snapshot();
         let d = b.since(&a);
         assert_eq!(d.logical_reads, 1);
@@ -327,13 +251,17 @@ mod tests {
 
     #[test]
     fn merge_adds_fieldwise() {
-        let s = IoStats::new();
-        s.record_logical_read();
-        s.record_pool_hit();
-        s.record_quarantined_page();
-        s.record_quarantine_hit();
-        s.record_prefetch_issued();
-        s.record_prefetch_wasted();
+        let s = IoStats::default();
+        for live in [
+            &s.logical_reads,
+            &s.pool_hits,
+            &s.quarantined_pages,
+            &s.quarantine_hits,
+            &s.prefetch_issued,
+            &s.prefetch_wasted,
+        ] {
+            bump(live);
+        }
         let a = s.snapshot();
         let m = a.merge(&a);
         assert_eq!(m.logical_reads, 2);

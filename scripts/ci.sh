@@ -145,6 +145,32 @@ if [ "$streamers" != $'crates/mbrqt/src/build.rs\ncrates/mbrqt/src/lib.rs' ]; th
   exit 1
 fi
 
+# Each counter set is declared once (DESIGN.md §9), with
+# `ann_store::counters!`, and its JSON is written from that declaration:
+# a counter's key is never spelled as an escaped literal with its value
+# formatted in after it (`\"quarantine_hits\":{}`). The keys checked are
+# every counter so declared: the I/O set (crates/store/src/stats.rs), the
+# query's work (crates/core/src/stats.rs), the trace's LPQ, BNN and GORDER
+# tallies (crates/core/src/trace.rs) and the server's
+# (crates/serve/src/metrics.rs).
+# The health body `{"ok":true}` names no counter, so it does not match.
+counter_keys='logical_reads|physical_reads|physical_writes|pool_hits|pool_misses|evictions'
+counter_keys+='|retries|checksum_failures|lock_contention|quarantined_pages|quarantine_hits'
+counter_keys+='|prefetch_issued|prefetch_hits|prefetch_wasted'
+counter_keys+='|distance_computations|lpqs_created|enqueued|pruned_on_probe|pruned_in_queue'
+counter_keys+='|r_nodes_expanded|s_nodes_expanded'
+counter_keys+='|retired|filtered|max_high_water|batches|total_size|min_size|max_size|heap_pops'
+counter_keys+='|outer_blocks|inner_scanned|inner_skipped'
+counter_keys+='|requests|ok|client_errors|server_errors|rejected|cancelled|queries'
+counter_keys+='|nodes_expanded'
+hand_keys="$(git grep -nE '\\"('"$counter_keys"')\\":\{' -- 'crates/*/src/*.rs' || true)"
+if [ -n "$hand_keys" ]; then
+  echo "ci: a counter's JSON key is written by hand; declare the counter with" \
+       "ann_store::counters! and write its JSON from counters():" >&2
+  echo "$hand_keys" >&2
+  exit 1
+fi
+
 # ann-core's public surface is what something runs: every `pub mod` in its
 # lib.rs is named, as `ann_core::<mod>` (or the facade's `allnn::core::<mod>`)
 # or as a path at the top of a `use ann_core::{…}` group, above the first
