@@ -8,8 +8,8 @@
 //!   ablation-traversal | ablation-mbr | ablation-packing
 //!   extra-mnn | extra-hnn
 //!   robustness          resilience fault-free-overhead study (BENCH_robustness.json)
-//!   outofcore           streaming-build + prefetch sweep (BENCH_outofcore.json);
-//!                       honors --points N --pool-pages P --seed S overrides
+//!   outofcore           10⁷-point streamed build + census (BENCH_outofcore.json);
+//!                       honors a --seed S override
 //!   all                 run every figure
 //!   list-datasets       print Table 2 (with the scaled cardinalities)
 //! ```
@@ -24,7 +24,6 @@
 //! pruning-effectiveness breakdown). Measured counters are unaffected.
 
 use ann_bench::{figures, report::Report};
-use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -46,12 +45,6 @@ fn parse_args() -> Result<Args, String> {
     let mut outofcore = ann_bench::figures::OutofcoreOpts::default();
     while let Some(flag) = args.next() {
         match flag.as_str() {
-            "--points" => {
-                outofcore.points = Some(value::<NonZeroUsize>(&mut args, &flag)?.get());
-            }
-            "--pool-pages" => {
-                outofcore.pool_pages = Some(value::<NonZeroUsize>(&mut args, &flag)?.get());
-            }
             "--seed" => outofcore.seed = Some(value(&mut args, &flag)?),
             "--full" => fraction = 1.0,
             "--scale" => {
@@ -89,7 +82,7 @@ fn usage() -> String {
      ablation-traversal|ablation-mbr|ablation-packing|extra-mnn|extra-hnn|\
      robustness|outofcore|all|list-datasets> \
      [--scale F] [--full] [--json DIR] [--trace DIR] \
-     [--points N] [--pool-pages P] [--seed S]"
+     [--seed S]"
         .to_string()
 }
 

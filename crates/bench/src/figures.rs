@@ -438,256 +438,30 @@ pub fn robustness_bench(fraction: f64) -> crate::report::RobustnessReport {
     report
 }
 
-/// A [`DiskBackend`] wrapper that charges rotating-disk latency on reads:
-/// one seek per read operation plus one transfer per page, with
-/// [`read_batch`](ann_store::DiskBackend::read_batch) paying a single
-/// seek per *contiguous ascending run* — the cost model under which the
-/// prefetcher's sequential coalescing shows up in wall clock the way it
-/// would on the paper's 2007 testbed (where a random page cost ~10 ms,
-/// see [`crate::harness::IO_SECONDS_PER_PAGE`]). Buffered file reads
-/// alone are microseconds, which would reduce the sweep to CPU noise.
-///
-/// Charging is toggleable so builds and `open()` validation runs are not
-/// billed; writes are never charged (the measured workloads are
-/// read-only).
-struct SeekDisk<D> {
-    inner: D,
-    seek: std::time::Duration,
-    transfer: std::time::Duration,
-    charging: std::sync::atomic::AtomicBool,
-}
-
-impl<D: ann_store::DiskBackend> SeekDisk<D> {
-    fn new(inner: D, seek: std::time::Duration, transfer: std::time::Duration) -> Self {
-        SeekDisk {
-            inner,
-            seek,
-            transfer,
-            charging: std::sync::atomic::AtomicBool::new(false),
-        }
-    }
-
-    fn set_charging(&self, on: bool) {
-        self.charging
-            .store(on, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    fn charge(&self, seeks: u32, pages: u32) {
-        if self.charging.load(std::sync::atomic::Ordering::Relaxed) {
-            std::thread::sleep(self.seek * seeks + self.transfer * pages);
-        }
-    }
-}
-
-impl<D: ann_store::DiskBackend> ann_store::DiskBackend for SeekDisk<D> {
-    fn read_page(&self, id: ann_store::PageId, buf: &mut [u8]) -> ann_store::Result<()> {
-        self.charge(1, 1);
-        self.inner.read_page(id, buf)
-    }
-
-    fn write_page(&self, id: ann_store::PageId, buf: &[u8]) -> ann_store::Result<()> {
-        self.inner.write_page(id, buf)
-    }
-
-    fn allocate(&self) -> ann_store::Result<ann_store::PageId> {
-        self.inner.allocate()
-    }
-
-    fn num_pages(&self) -> ann_store::PageId {
-        self.inner.num_pages()
-    }
-
-    fn read_batch(&self, ids: &[ann_store::PageId], out: &mut [u8]) -> ann_store::Result<()> {
-        let runs =
-            ids.windows(2).filter(|w| w[1] != w[0] + 1).count() as u32 + u32::from(!ids.is_empty());
-        self.charge(runs, ids.len() as u32);
-        self.inner.read_batch(ids, out)
-    }
-}
-
-/// Overrides for the out-of-core sweep (`figures outofcore --points N
-/// --pool-pages P --seed S`); `None` keeps the fraction-scaled defaults.
+/// Overrides for the out-of-core study (`figures outofcore --seed S`);
+/// `None` keeps the default seed.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct OutofcoreOpts {
-    /// Points per side of the largest sweep cell.
-    pub points: Option<usize>,
-    /// Single query-phase pool size instead of the default sweep list.
-    pub pool_pages: Option<usize>,
     /// Dataset seed.
     pub seed: Option<u64>,
 }
 
-/// The out-of-core study (`BENCH_outofcore.json`): streamed MBRQT bulk
-/// builds onto a [`FileDisk`], then per (points, pool pages) cell a cold
-/// BNN self-join against the tree — with the leaf prefetcher off and
-/// on — under the [`SeekDisk`] rotating-disk cost model.
-///
-/// Prefetching is gated on two invariants, recorded per row: identical
-/// sorted results and an identical logical read count — the prefetcher
-/// may change only *when* a physical read happens, never *whether* a
-/// logical one does. The separate census row streams `scaled(10⁷)`
-/// points through the streamed MBRQT build, validates every structural
-/// invariant, and checks that each input oid comes back exactly once.
+/// The out-of-core study (`BENCH_outofcore.json`): streams `scaled(10⁷)`
+/// uniform 2-D points through the MBRQT's streamed bulk build onto a
+/// [`FileDisk`], validates every structural invariant of the result, and
+/// checks that each input oid comes back exactly once.
 ///
 /// [`FileDisk`]: ann_store::FileDisk
 pub fn outofcore(fraction: f64, opts: &OutofcoreOpts) -> crate::report::OutofcoreReport {
     use ann_core::index::{collect_objects, validate};
-    use ann_core::query::{Algorithm, AnnRequest, Input, NoIndex};
-    use ann_core::tree_file::WritableIndex;
     use ann_mbrqt::{Mbrqt, MbrqtConfig};
-    use ann_store::{BufferPool, FileDisk, PrefetchConfig};
+    use ann_store::{BufferPool, FileDisk};
     use std::sync::Arc;
-    use std::time::{Duration, Instant};
-
-    // The charged disk geometry: 2 ms per seek, 25 µs per page transfer
-    // (a scaled-down version of the paper's 10 ms/page 2007 laptop disk,
-    // keeping runs short while I/O still dominates a cold sweep).
-    const SEEK: Duration = Duration::from_micros(2_000);
-    const TRANSFER: Duration = Duration::from_micros(25);
+    use std::time::Instant;
 
     let seed = opts.seed.unwrap_or(SEED);
-    let n_max = opts.points.unwrap_or_else(|| scaled(400_000, fraction));
-    let mut sweep_points = vec![(n_max / 4).max(2_000), n_max];
-    sweep_points.dedup();
-    let pool_sizes = opts
-        .pool_pages
-        .map_or_else(|| vec![64usize, 256], |p| vec![p]);
-
     let tmp = std::env::temp_dir();
     let file = |tag: &str| tmp.join(format!("ann-outofcore-{}-{tag}.pages", std::process::id()));
-
-    let mut report = crate::report::OutofcoreReport {
-        id: "BENCH_outofcore".into(),
-        workload: format!(
-            "uniform 2D self-join BNN ANN (k=1) against a streamed-built \
-             MBRQT on FileDisk (seek {} µs, transfer {} µs per page), cold \
-             pool, prefetch off vs on (n up to {n_max})",
-            SEEK.as_micros(),
-            TRANSFER.as_micros()
-        ),
-        seed,
-        rows: Vec::new(),
-        census: crate::report::OutofcoreCensus {
-            points: 0,
-            run_budget: 0,
-            build_seconds: 0.0,
-            validate_seconds: 0.0,
-            census_seconds: 0.0,
-            objects: 0,
-            census_complete: false,
-        },
-    };
-
-    for &n in &sweep_points {
-        // Build the S tree once per cardinality through the streamed
-        // build: the input is a lazy stream, spill traffic goes to its
-        // own file-backed scratch pool, and the build runs uncharged on a
-        // generous pool.
-        let tree_path = file(&format!("tree-{n}"));
-        let scratch_path = file(&format!("scratch-{n}"));
-        let build_pool = Arc::new(BufferPool::new(
-            FileDisk::create(&tree_path).expect("create tree file"),
-            2_048,
-        ));
-        let scratch = Arc::new(BufferPool::new(
-            FileDisk::create(&scratch_path).expect("create scratch file"),
-            256,
-        ));
-        let budget = (n / 8).max(4_096);
-        let t0 = Instant::now();
-        let is = Mbrqt::bulk_build_stream(
-            build_pool.clone(),
-            scratch,
-            ann_datagen::uniform_stream::<2>(n, seed),
-            budget,
-            &MbrqtConfig::default(),
-        )
-        .expect("stream-build I_S");
-        let build_seconds = t0.elapsed().as_secs_f64();
-        let dataset_pages = build_pool.num_pages() as u64;
-        let is_meta = is.meta_page();
-        drop((is, build_pool));
-        std::fs::remove_file(&scratch_path).ok();
-
-        // Query phase: the same file reopened behind the charged disk.
-        let r = ann_datagen::uniform::<2>(n, seed);
-        let disk = Arc::new(SeekDisk::new(
-            FileDisk::open(&tree_path).expect("reopen tree file"),
-            SEEK,
-            TRANSFER,
-        ));
-        let pool = Arc::new(BufferPool::new(disk.clone(), 2_048));
-
-        for &pool_pages in &pool_sizes {
-            eprintln!(
-                "  [outofcore] n={n}, pool={pool_pages} frames, {dataset_pages} dataset pages"
-            );
-            let mut baseline: Option<(Vec<ann_core::stats::NeighborPair>, u64)> = None;
-            for prefetch in [false, true] {
-                // Fresh handle per variant: the decoded-node cache lives
-                // on the tree handle, and a warm cache would let the
-                // second run skip the pool entirely. `open` validates the
-                // tree, which is why charging only starts afterwards.
-                let is = Mbrqt::<2>::open_at(pool.clone(), is_meta, None).expect("reopen I_S");
-                pool.clear().expect("clear pool");
-                pool.set_capacity(pool_pages.max(8)).expect("set capacity");
-                pool.reset_stats();
-                if prefetch {
-                    // Pipelined: the pool's worker thread overlaps the
-                    // speculative seeks with BNN compute; `disable_prefetch`
-                    // below parks it before the counters are read.
-                    pool.enable_prefetch_pipelined(PrefetchConfig {
-                        max_inflight: (pool_pages / 8).clamp(4, 32),
-                        batch: 8,
-                    });
-                } else {
-                    pool.disable_prefetch();
-                }
-                disk.set_charging(true);
-                let t0 = Instant::now();
-                let mut out = AnnRequest::new(Algorithm::Bnn { group_size: 256 })
-                    .k(1)
-                    .exclude_self(true)
-                    .metric(MetricChoice::Nxn)
-                    .run(Input::<2, NoIndex>::Points(&r), Input::Index(&is))
-                    .expect("BNN run");
-                let wall_seconds = t0.elapsed().as_secs_f64();
-                disk.set_charging(false);
-                pool.disable_prefetch();
-                let io = pool.stats();
-                out.sort();
-                let identical_to_baseline = match &baseline {
-                    None => {
-                        baseline = Some((out.results.clone(), io.logical_reads));
-                        true
-                    }
-                    Some((pairs, logical)) => *pairs == out.results && *logical == io.logical_reads,
-                };
-                report.rows.push(crate::report::OutofcoreRow {
-                    points: n,
-                    pool_pages,
-                    dataset_pages,
-                    prefetch,
-                    build_seconds,
-                    wall_seconds,
-                    logical_reads: io.logical_reads,
-                    physical_reads: io.physical_reads,
-                    prefetch_issued: io.prefetch_issued,
-                    prefetch_hits: io.prefetch_hits,
-                    prefetch_wasted: io.prefetch_wasted,
-                    prefetch_hit_rate: if io.prefetch_issued == 0 {
-                        0.0
-                    } else {
-                        io.prefetch_hits as f64 / io.prefetch_issued as f64
-                    },
-                    result_pairs: out.results.len(),
-                    identical_to_baseline,
-                });
-            }
-        }
-        drop(pool);
-        std::fs::remove_file(&tree_path).ok();
-    }
 
     // The ≥10⁷-point streamed build: stream, validate, census.
     let census_n = scaled(10_000_000, fraction);
@@ -733,16 +507,23 @@ pub fn outofcore(fraction: f64, opts: &OutofcoreOpts) -> crate::report::Outofcor
     drop(tree);
     std::fs::remove_file(&tree_path).ok();
 
-    report.census = crate::report::OutofcoreCensus {
-        points: census_n,
-        run_budget,
-        build_seconds,
-        validate_seconds,
-        census_seconds,
-        objects: shape.objects,
-        census_complete,
-    };
-    report
+    crate::report::OutofcoreReport {
+        id: "BENCH_outofcore".into(),
+        workload: format!(
+            "streamed MBRQT bulk build of {census_n} uniform 2D points onto \
+             FileDisk, then validate and census"
+        ),
+        seed,
+        census: crate::report::OutofcoreCensus {
+            points: census_n,
+            run_budget,
+            build_seconds,
+            validate_seconds,
+            census_seconds,
+            objects: shape.objects,
+            census_complete,
+        },
+    }
 }
 
 /// All figures at the given fraction (the `figures all` command).

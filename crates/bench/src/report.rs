@@ -251,66 +251,7 @@ impl Report for RobustnessReport {
     }
 }
 
-/// One cell of the out-of-core sweep (`BENCH_outofcore`): an MBA
-/// self-join over two streamed-built MBRQT trees on a [`FileDisk`],
-/// cold pool, with the prefetcher off or on.
-///
-/// [`FileDisk`]: ann_store::FileDisk
-#[derive(Clone, Debug)]
-pub struct OutofcoreRow {
-    /// Points per side of the self-join.
-    pub points: usize,
-    /// Buffer-pool frames during the query phase.
-    pub pool_pages: usize,
-    /// Pages the streamed S tree occupies on disk (≥ 10× `pool_pages`
-    /// on the gated cold cell).
-    pub dataset_pages: u64,
-    /// Whether the pipelined leaf prefetcher was enabled.
-    pub prefetch: bool,
-    /// Streamed build time of the S tree, seconds.
-    pub build_seconds: f64,
-    /// Query-phase wall clock, seconds.
-    pub wall_seconds: f64,
-    /// Logical page reads during the query phase (must be identical
-    /// prefetch-on vs prefetch-off).
-    pub logical_reads: u64,
-    /// Physical page reads during the query phase (prefetch batches
-    /// these; demand faults shrink accordingly).
-    pub physical_reads: u64,
-    /// Pages the prefetcher read ahead of demand.
-    pub prefetch_issued: u64,
-    /// Prefetched frames later claimed by a demand access.
-    pub prefetch_hits: u64,
-    /// Prefetched frames evicted before any demand access claimed them.
-    pub prefetch_wasted: u64,
-    /// `prefetch_hits / prefetch_issued` (0 when nothing was issued).
-    pub prefetch_hit_rate: f64,
-    /// Result pairs produced.
-    pub result_pairs: usize,
-    /// Whether this row's sorted results and logical read count matched
-    /// its prefetch-off twin exactly (trivially `true` on the off rows;
-    /// must always be `true`).
-    pub identical_to_baseline: bool,
-}
-
-json_fields!(OutofcoreRow {
-    points,
-    pool_pages,
-    dataset_pages,
-    prefetch,
-    build_seconds,
-    wall_seconds,
-    logical_reads,
-    physical_reads,
-    prefetch_issued,
-    prefetch_hits,
-    prefetch_wasted,
-    prefetch_hit_rate,
-    result_pairs,
-    identical_to_baseline,
-});
-
-/// The ≥10⁷-point streamed-build validation row of `BENCH_outofcore`.
+/// The ≥10⁷-point streamed-build validation of `BENCH_outofcore`.
 #[derive(Clone, Debug)]
 pub struct OutofcoreCensus {
     /// Points streamed through the MBRQT's streamed build.
@@ -340,9 +281,8 @@ json_fields!(OutofcoreCensus {
     census_complete,
 });
 
-/// The out-of-core figure: streamed MBRQT builds plus the
-/// prefetch-off vs prefetch-on cold query sweep. Emitted as
-/// `BENCH_outofcore.json`.
+/// The out-of-core figure: the ≥10⁷-point streamed MBRQT build and its
+/// census. Emitted as `BENCH_outofcore.json`.
 #[derive(Clone, Debug)]
 pub struct OutofcoreReport {
     /// Output id (`BENCH_outofcore` — also the JSON file stem).
@@ -351,8 +291,6 @@ pub struct OutofcoreReport {
     pub workload: String,
     /// Dataset seed (reproducibility).
     pub seed: u64,
-    /// One row per (points, pool pages, prefetch) cell.
-    pub rows: Vec<OutofcoreRow>,
     /// The large-scale streamed-build validation.
     pub census: OutofcoreCensus,
 }
@@ -361,7 +299,6 @@ json_fields!(OutofcoreReport {
     id,
     workload,
     seed,
-    rows,
     census
 });
 
@@ -373,42 +310,6 @@ impl Report for OutofcoreReport {
     fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("== {} — {} ==\n", self.id, self.workload));
-        out.push_str(&format!(
-            "{:<9} {:>6} {:>8} {:>8} {:>9} {:>9} {:>9} {:>8} {:>7} {:>7} {:>8} {:>9}\n",
-            "points",
-            "pool",
-            "ds-pages",
-            "prefetch",
-            "build(s)",
-            "wall(s)",
-            "logical",
-            "physical",
-            "issued",
-            "hits",
-            "hit-rate",
-            "identical"
-        ));
-        for r in &self.rows {
-            out.push_str(&format!(
-                "{:<9} {:>6} {:>8} {:>8} {:>9.3} {:>9.3} {:>9} {:>8} {:>7} {:>7} {:>7.1}% {:>9}\n",
-                r.points,
-                r.pool_pages,
-                r.dataset_pages,
-                if r.prefetch { "on" } else { "off" },
-                r.build_seconds,
-                r.wall_seconds,
-                r.logical_reads,
-                r.physical_reads,
-                r.prefetch_issued,
-                r.prefetch_hits,
-                r.prefetch_hit_rate * 100.0,
-                if r.identical_to_baseline {
-                    "ok"
-                } else {
-                    "DIFF"
-                },
-            ));
-        }
         let c = &self.census;
         out.push_str(&format!(
             "census: {} points, memory budget {}, build {:.1}s, validate {:.1}s, \

@@ -11,7 +11,7 @@ use ann_core::prelude::*;
 use ann_core::stats::NeighborPair;
 use ann_mbrqt::Mbrqt;
 use ann_rstar::RStar;
-use ann_store::{BufferPool, MemDisk, PrefetchConfig};
+use ann_store::{BufferPool, MemDisk};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -108,10 +108,7 @@ fn run_variant<const D: usize>(
 pub fn build_indexes<const D: usize>(case: &DiffCase<D>) -> (Mbrqt<D>, RStar<D>) {
     let pool = Arc::new(BufferPool::new(MemDisk::new(), 128));
     let ir = Mbrqt::bulk_build(pool.clone(), &case.r, &qt_cfg()).expect("build R index");
-    let is = RStar::bulk_build(pool.clone(), &case.s, &rs_cfg()).expect("build S index");
-    // Every diff case runs with readahead on: prefetching moves physical
-    // reads around but must never change a single byte of any answer.
-    pool.enable_prefetch(PrefetchConfig::default());
+    let is = RStar::bulk_build(pool, &case.s, &rs_cfg()).expect("build S index");
     (ir, is)
 }
 

@@ -22,8 +22,8 @@ use ann_datagen::Rng;
 use ann_mbrqt::Mbrqt;
 use ann_rstar::RStar;
 use ann_store::{
-    BufferPool, FaultyDisk, InjectedFault, MemDisk, PrefetchConfig, RetryPolicy, StoreError,
-    FRAME_SIZE, QUARANTINED,
+    BufferPool, FaultyDisk, InjectedFault, MemDisk, RetryPolicy, StoreError, FRAME_SIZE,
+    QUARANTINED,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -99,15 +99,6 @@ pub fn check_faults_case(rng: &mut Rng) -> Option<String> {
         Ok(t) => t,
         Err(e) => return Some(format!("{label}: fault-free S build failed: {e}")),
     };
-    // Queries run with readahead on. Batch reads bypass the fault
-    // schedule (see `FaultyDisk::read_batch`), so faults stay keyed to
-    // the demand op sequence — and the trichotomy must hold regardless
-    // of which frames the prefetcher happened to load first.
-    pool.enable_prefetch(PrefetchConfig {
-        max_inflight: 4,
-        batch: 4,
-    });
-
     let run = |retry: Option<RetryPolicy>| -> RunResult {
         catch_unwind(AssertUnwindSafe(|| {
             let mut req = AnnRequest::new(alg)

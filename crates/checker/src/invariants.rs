@@ -539,8 +539,7 @@ pub fn check_wire_case(rng: &mut Rng) -> Option<String> {
             }
         })
         .collect();
-    // Every counter over the full u64 range, except the prefetch counters:
-    // they stay off the wire, so they are zero and must come back zero.
+    // Every counter over the full u64 range.
     let mut stats = AnnStats::default();
     let draw = |rng: &mut Rng| match rng.range(0, 4) {
         0 => 0,
@@ -553,9 +552,6 @@ pub fn check_wire_case(rng: &mut Rng) -> Option<String> {
     for (_, counter) in stats.io.counters_mut() {
         *counter = draw(rng);
     }
-    stats.io.prefetch_issued = 0;
-    stats.io.prefetch_hits = 0;
-    stats.io.prefetch_wasted = 0;
     let outcome = QueryOutcome {
         results: results.clone(),
         stats,

@@ -64,18 +64,6 @@ pub trait SpatialIndex<const D: usize> {
         self.node_cache().map_or(0, |cache| cache.epoch())
     }
 
-    /// Reports whether `page` is already held decoded in the node cache.
-    ///
-    /// A cached node is served by [`read_node_cached`](Self::read_node_cached)
-    /// without touching the buffer pool, so readahead hook sites skip
-    /// hinting such pages: prefetching them could only waste disk reads.
-    /// Indices without a node cache report `false` for every page.
-    fn node_is_cached(&self, page: PageId) -> bool {
-        let key = self.cache_key();
-        self.node_cache()
-            .is_some_and(|cache| cache.contains(key, page))
-    }
-
     /// Reads the node starting at `page` through the decoded-node cache:
     /// a hit returns the shared decoded node — with its column-major SoA
     /// mirror for the batched kernels — without touching the buffer pool;

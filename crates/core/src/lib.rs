@@ -55,7 +55,6 @@ pub mod node;
 mod node_cache;
 pub mod prelude;
 pub mod query;
-mod readahead;
 pub mod resilience;
 mod scan;
 pub mod scratch;

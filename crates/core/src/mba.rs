@@ -134,7 +134,7 @@ where
         let owner = lpq.owner;
         w.local
             .scan
-            .scan::<D, M, _, _>(self.is, &owner, node, lpq, &mut w.out.stats);
+            .scan::<D, M, _>(&owner, node, lpq, &mut w.out.stats);
     }
 
     /// The Gather stage: `lpq.owner` is a data object; drain in `MIND`

@@ -229,7 +229,7 @@ where
                     let node = is.read_node_cached(n.page)?;
                     out.stats.s_nodes_expanded += 1;
                     tracer.node_expanded(Side::S, n.page, &node.entries);
-                    scan.scan::<D, M, _, _>(is, &owner, &node, &mut front, &mut out.stats);
+                    scan.scan::<D, M, _>(&owner, &node, &mut front, &mut out.stats);
                 }
             }
         }

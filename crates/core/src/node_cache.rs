@@ -175,15 +175,6 @@ impl<const D: usize> NodeCache<D> {
         &self.shards[page as usize % self.shards.len()]
     }
 
-    /// Reports whether `page` is cached under `epoch` without refreshing
-    /// its access stamp or recording a hit/miss. Prefetch hook sites use
-    /// this to hint only pages the traversal will actually demand from the
-    /// buffer pool: a node-cached page is never read again, so hinting it
-    /// would be pure wasted I/O.
-    pub fn contains(&self, epoch: u64, page: PageId) -> bool {
-        self.shard(page).lock().contains_key(&(epoch, page))
-    }
-
     /// Looks up `page` under `epoch`, refreshing its access stamp.
     pub fn get(&self, epoch: u64, page: PageId) -> Option<Arc<DecodedNode<D>>> {
         let mut shard = self.shard(page).lock();

@@ -46,7 +46,6 @@ use crate::node::{DecodedNode, Entry, NodeEntry};
 use crate::scratch::{BestFirstItem, QueryScratch};
 use crate::stats::AnnStats;
 use ann_geom::{kernels, min_min_dist_sq, min_min_dist_sq_within, Mbr, Point, PruneMetric};
-use ann_store::PageId;
 use std::collections::BinaryHeap;
 
 /// Where a node scan delivers the entries that survive the probe test.
@@ -134,40 +133,33 @@ impl<const D: usize> CandidateQueue<D> for BestFirst<D> {
 /// lifetime of one traversal.
 pub(crate) struct NodeScan {
     mind: Vec<f64>,
-    /// Child pages the replay just committed to visit, handed to the
-    /// `I_S` pool's prefetcher after the loop.
-    hints: Vec<(PageId, u32)>,
 }
 
 impl NodeScan {
     pub(crate) fn checkout<const D: usize>(scratch: &mut QueryScratch<D>) -> Self {
         NodeScan {
             mind: scratch.take_f64(),
-            hints: scratch.take_hints(),
         }
     }
 
     pub(crate) fn release<const D: usize>(self, scratch: &mut QueryScratch<D>) {
         scratch.put_f64(self.mind);
-        scratch.put_hints(self.hints);
     }
 
-    /// Probes every entry of `node` (read from `index`) against `queue` on
-    /// behalf of `owner`, tallying into `stats` what one scalar probe per
-    /// entry would have tallied.
-    pub(crate) fn scan<const D: usize, M, I, Q>(
+    /// Probes every entry of `node` against `queue` on behalf of `owner`,
+    /// tallying into `stats` what one scalar probe per entry would have
+    /// tallied.
+    pub(crate) fn scan<const D: usize, M, Q>(
         &mut self,
-        index: &I,
         owner: &Entry<D>,
         node: &DecodedNode<D>,
         queue: &mut Q,
         stats: &mut AnnStats,
     ) where
         M: PruneMetric,
-        I: SpatialIndex<D>,
         Q: CandidateQueue<D>,
     {
-        let NodeScan { mind, hints } = self;
+        let mind = &mut self.mind;
         // The owner's MBR when MAXD is the pruning metric, evaluated per
         // survivor; `None` on the exact path, where MAXD is the MIND.
         let metric_owner = match (owner, node.leaf_points()) {
@@ -188,9 +180,6 @@ impl NodeScan {
                 Some(om)
             }
         };
-        // Hint collection reads no traversal state and mutates none —
-        // decisions and counters are identical with readahead on or off.
-        let hinting = index.pool().prefetch_enabled();
         for (i, e) in node.entries.iter().enumerate() {
             stats.distance_computations += 1;
             let mind_sq = mind[i];
@@ -213,18 +202,7 @@ impl NodeScan {
                 continue;
             }
             stats.enqueued += 1;
-            if hinting {
-                if let Entry::Node(n) = e {
-                    // First touch only: a node-cached page is served
-                    // without a pool read, so hinting it would be pure
-                    // wasted disk I/O.
-                    if !index.node_is_cached(n.page) {
-                        hints.push((n.page, crate::readahead::depth_priority(n.count)));
-                    }
-                }
-            }
         }
-        crate::readahead::submit(index.pool(), hints);
     }
 }
 
@@ -235,29 +213,8 @@ mod tests {
     use crate::node::{Node, ObjectEntry};
     use ann_datagen::Rng;
     use ann_geom::NxnDist;
-    use ann_store::{BufferPool, MemDisk};
+    use ann_store::PageId;
     use std::cell::Cell;
-
-    /// The scan reads only the index's pool (for readahead); nodes are
-    /// handed to it decoded.
-    struct NoTree {
-        pool: BufferPool,
-    }
-
-    impl<const D: usize> SpatialIndex<D> for NoTree {
-        fn pool(&self) -> &BufferPool {
-            &self.pool
-        }
-        fn root_page(&self) -> PageId {
-            0
-        }
-        fn num_points(&self) -> u64 {
-            0
-        }
-        fn bounds(&self) -> Mbr<D> {
-            Mbr::empty()
-        }
-    }
 
     thread_local! {
         static UPPER_CALLS: Cell<u64> = const { Cell::new(0) };
@@ -366,9 +323,6 @@ mod tests {
     /// Returns `(entries whose MIND passed, entries rejected)` over the
     /// lazily scored scans, for the caller's coverage check.
     fn check_dims<const D: usize>(seed: u64) -> (u64, u64) {
-        let index = NoTree {
-            pool: BufferPool::new(MemDisk::new(), 4),
-        };
         let mut scratch = QueryScratch::<D>::new();
         let mut scan = NodeScan::checkout(&mut scratch);
         let mut rng = Rng::new(seed);
@@ -416,13 +370,7 @@ mod tests {
                                 (AnnStats::default(), AnnStats::default());
                             let passed = scalar_scan(&owner, &node, &mut want, &mut want_stats);
                             UPPER_CALLS.with(|c| c.set(0));
-                            scan.scan::<D, CountingNxn, _, _>(
-                                &index,
-                                &owner,
-                                &node,
-                                &mut got,
-                                &mut got_stats,
-                            );
+                            scan.scan::<D, CountingNxn, _>(&owner, &node, &mut got, &mut got_stats);
                             let calls = UPPER_CALLS.with(Cell::get);
                             let case = format!(
                                 "D={D} len={len} leaf={leaf} object owner={object_owner} \

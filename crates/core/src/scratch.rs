@@ -240,7 +240,6 @@ pub struct QueryScratch<const D: usize> {
     lpq_lists: Vec<Vec<Lpq<D>>>,
     lpq_queues: Vec<VecDeque<Lpq<D>>>,
     page_stacks: Vec<Vec<PageId>>,
-    hint_bufs: Vec<Vec<(PageId, u32)>>,
     best_first_bufs: Vec<Vec<BestFirstItem<D>>>,
     group_heap_bufs: Vec<Vec<GroupHeapItem<D>>>,
     kbest_bufs: Vec<Vec<KBest>>,
@@ -329,18 +328,6 @@ impl<const D: usize> QueryScratch<D> {
         self.page_stacks.push(stack);
     }
 
-    /// A `(page, priority)` hint buffer for readahead submission
-    /// (`readahead.rs`).
-    pub fn take_hints(&mut self) -> Vec<(PageId, u32)> {
-        self.hint_bufs.pop().unwrap_or_default()
-    }
-
-    /// Returns a readahead hint buffer to the pool.
-    pub fn put_hints(&mut self, mut buf: Vec<(PageId, u32)>) {
-        buf.clear();
-        self.hint_bufs.push(buf);
-    }
-
     /// A best-first heap for MNN descents. An empty `Vec` heapifies
     /// trivially, so this preserves the parked buffer's capacity.
     pub fn take_best_first(&mut self) -> BinaryHeap<BestFirstItem<D>> {
@@ -402,7 +389,6 @@ impl<const D: usize> QueryScratch<D> {
                 .map(|q| q.capacity() * size_of::<Lpq<D>>())
                 .sum::<usize>()
             + pool_bytes(&self.page_stacks)
-            + pool_bytes(&self.hint_bufs)
             + pool_bytes(&self.best_first_bufs)
             + pool_bytes(&self.group_heap_bufs)
             + pool_bytes(&self.kbest_bufs)
@@ -416,7 +402,6 @@ impl<const D: usize> QueryScratch<D> {
             + self.lpq_lists.len()
             + self.lpq_queues.len()
             + self.page_stacks.len()
-            + self.hint_bufs.len()
             + self.best_first_bufs.len()
             + self.group_heap_bufs.len()
             + self.kbest_bufs.len()

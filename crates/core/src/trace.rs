@@ -688,11 +688,11 @@ pub(crate) fn json_num(f: f64) -> String {
     s
 }
 
-/// The `io` object of a trace phase and of a query outcome: the counters
-/// the wire carries.
+/// The `io` object of a trace phase and of a query outcome: every I/O
+/// counter.
 pub(crate) fn json_io(io: &IoSnapshot) -> String {
     let mut out = String::from("{");
-    write_json_members(&mut out, &io.counters()[..IoSnapshot::ON_WIRE]);
+    write_json_members(&mut out, &io.counters());
     out.push('}');
     out
 }

@@ -26,7 +26,7 @@ use crate::query::{Algorithm, MetricChoice};
 use crate::resilience::{BudgetKind, QueryError};
 use crate::stats::{AnnOutput, AnnStats, NeighborPair};
 use crate::trace::{json_escape, json_io, json_num, write_json_num, ExecutionReport};
-use ann_store::{write_json_members, IoSnapshot, RetryPolicy, StoreError};
+use ann_store::{write_json_members, RetryPolicy, StoreError};
 use std::fmt::{self, Write as _};
 use std::time::Duration;
 
@@ -1149,11 +1149,7 @@ fn stats_from_value(st: &JsonValue) -> Result<AnnStats, WireError> {
     let mut stats = AnnStats::default();
     read_counters(st, "stats", &mut stats.counters_mut())?;
     if let Some(io) = st.get("io") {
-        read_counters(
-            io,
-            "io",
-            &mut stats.io.counters_mut()[..IoSnapshot::ON_WIRE],
-        )?;
+        read_counters(io, "io", &mut stats.io.counters_mut())?;
     }
     Ok(stats)
 }
@@ -1179,6 +1175,7 @@ fn read_counters(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ann_store::IoSnapshot;
 
     #[test]
     fn json_value_parses_scalars_and_nesting() {
@@ -1555,7 +1552,6 @@ mod tests {
                 },
             ],
             // Every counter the wire carries, each distinct and non-zero.
-            // The prefetch counters are not on the wire.
             stats: AnnStats {
                 distance_computations: 12,
                 lpqs_created: 13,
@@ -1576,7 +1572,6 @@ mod tests {
                     evictions: 29,
                     quarantined_pages: 30,
                     quarantine_hits: 31,
-                    ..IoSnapshot::default()
                 },
             },
             report: None,

@@ -301,8 +301,7 @@ fn request_spec_conversions_are_lossless() {
     assert_eq!(back.spec, req.spec);
 }
 
-/// Every I/O counter, each distinct and non-zero; the three prefetch
-/// counters are set too, so a document that carries them shows it.
+/// Every I/O counter, each distinct and non-zero.
 fn distinct_io(base: u64) -> ann_store::IoSnapshot {
     ann_store::IoSnapshot {
         logical_reads: base + 1,
@@ -316,15 +315,11 @@ fn distinct_io(base: u64) -> ann_store::IoSnapshot {
         evictions: base + 9,
         quarantined_pages: base + 10,
         quarantine_hits: base + 11,
-        prefetch_issued: base + 12,
-        prefetch_hits: base + 13,
-        prefetch_wasted: base + 14,
     }
 }
 
 /// The outcome's `stats` block, byte for byte: every work counter and
-/// every wire I/O counter distinct, in the v1 key order, and the prefetch
-/// counters off the wire.
+/// every I/O counter distinct, in the v1 key order.
 #[test]
 fn golden_outcome_stats_block() {
     let outcome = QueryOutcome {

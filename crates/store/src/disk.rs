@@ -41,26 +41,6 @@ pub trait DiskBackend: Send + Sync + 'static {
 
     /// Number of allocated pages.
     fn num_pages(&self) -> PageId;
-
-    /// Reads `ids.len()` frames into `out` (exactly `ids.len() *`
-    /// [`FRAME_SIZE`] bytes, frame `i` at offset `i * FRAME_SIZE`).
-    ///
-    /// The default implementation reads page by page; backends with real
-    /// positioned I/O override it to coalesce contiguous ascending runs
-    /// into one transfer each — the prefetcher sorts its batch ascending
-    /// for exactly this reason. The result is all-or-nothing: on error,
-    /// the contents of `out` are unspecified.
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic if `out.len() != ids.len() * FRAME_SIZE`.
-    fn read_batch(&self, ids: &[PageId], out: &mut [u8]) -> Result<()> {
-        assert_eq!(out.len(), ids.len() * FRAME_SIZE, "batch buffer size");
-        for (i, &id) in ids.iter().enumerate() {
-            self.read_page(id, &mut out[i * FRAME_SIZE..(i + 1) * FRAME_SIZE])?;
-        }
-        Ok(())
-    }
 }
 
 /// Shared handles delegate, so tests can keep a handle to a backend (e.g.
@@ -81,10 +61,6 @@ impl<B: DiskBackend> DiskBackend for Arc<B> {
 
     fn num_pages(&self) -> PageId {
         (**self).num_pages()
-    }
-
-    fn read_batch(&self, ids: &[PageId], out: &mut [u8]) -> Result<()> {
-        (**self).read_batch(ids, out)
     }
 }
 
@@ -129,19 +105,6 @@ impl DiskBackend for MemDisk {
 
     fn num_pages(&self) -> PageId {
         self.pages.lock().len() as PageId
-    }
-
-    fn read_batch(&self, ids: &[PageId], out: &mut [u8]) -> Result<()> {
-        assert_eq!(out.len(), ids.len() * FRAME_SIZE, "batch buffer size");
-        // One lock acquisition for the whole batch.
-        let pages = self.pages.lock();
-        for (i, &id) in ids.iter().enumerate() {
-            let page = pages
-                .get(id as usize)
-                .ok_or(StoreError::PageOutOfBounds(id))?;
-            out[i * FRAME_SIZE..(i + 1) * FRAME_SIZE].copy_from_slice(page);
-        }
-        Ok(())
     }
 }
 
@@ -215,29 +178,6 @@ impl DiskBackend for FileDisk {
     fn num_pages(&self) -> PageId {
         *self.num_pages.lock()
     }
-
-    fn read_batch(&self, ids: &[PageId], out: &mut [u8]) -> Result<()> {
-        assert_eq!(out.len(), ids.len() * FRAME_SIZE, "batch buffer size");
-        let num_pages = self.num_pages();
-        if let Some(&bad) = ids.iter().find(|&&id| id >= num_pages) {
-            return Err(StoreError::PageOutOfBounds(bad));
-        }
-        // One seek + one read per contiguous ascending run of page ids —
-        // the payoff of packing tree levels sequentially: a readahead
-        // batch over a leaf run becomes a single large transfer.
-        let mut file = self.file.lock();
-        let mut i = 0;
-        while i < ids.len() {
-            let mut j = i + 1;
-            while j < ids.len() && ids[j] == ids[j - 1] + 1 {
-                j += 1;
-            }
-            file.seek(SeekFrom::Start(ids[i] as u64 * FRAME_SIZE as u64))?;
-            file.read_exact(&mut out[i * FRAME_SIZE..j * FRAME_SIZE])?;
-            i = j;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -306,56 +246,6 @@ mod tests {
         disk.read_page(0, &mut page).unwrap();
         assert_eq!(page[42], 7);
         std::fs::remove_file(&path).ok();
-    }
-
-    /// `read_batch` over an arbitrary id permutation (duplicates, runs,
-    /// descents) must agree with page-by-page reads.
-    fn batch_matches_pages(disk: &dyn DiskBackend) {
-        for i in 0..6u8 {
-            let id = disk.allocate().unwrap();
-            let mut page = vec![i + 1; FRAME_SIZE];
-            page[0] = 0xF0 | i;
-            disk.write_page(id, &page).unwrap();
-        }
-        // Two contiguous runs (1,2,3 and 5), a duplicate, and a descent.
-        let ids: [PageId; 6] = [1, 2, 3, 5, 0, 0];
-        let mut batch = vec![0u8; ids.len() * FRAME_SIZE];
-        disk.read_batch(&ids, &mut batch).unwrap();
-        let mut single = vec![0u8; FRAME_SIZE];
-        for (i, &id) in ids.iter().enumerate() {
-            disk.read_page(id, &mut single).unwrap();
-            assert_eq!(
-                &batch[i * FRAME_SIZE..(i + 1) * FRAME_SIZE],
-                &single[..],
-                "batch slot {i} (page {id}) diverged"
-            );
-        }
-        // Out-of-bounds ids fail the whole batch.
-        let mut oob = vec![0u8; 2 * FRAME_SIZE];
-        assert!(matches!(
-            disk.read_batch(&[2, 99], &mut oob),
-            Err(StoreError::PageOutOfBounds(99))
-        ));
-    }
-
-    #[test]
-    fn mem_disk_batch_matches_pages() {
-        batch_matches_pages(&MemDisk::new());
-    }
-
-    #[test]
-    fn file_disk_batch_matches_pages() {
-        let dir = std::env::temp_dir().join(format!("ann-store-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("disk-batch.pages");
-        batch_matches_pages(&FileDisk::create(&path).unwrap());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn arc_backend_forwards_read_batch() {
-        let disk = Arc::new(MemDisk::new());
-        batch_matches_pages(&Arc::clone(&disk));
     }
 
     #[test]

@@ -209,24 +209,6 @@ impl<B: DiskBackend> DiskBackend for FaultyDisk<B> {
     fn num_pages(&self) -> PageId {
         self.inner.num_pages()
     }
-
-    /// The readahead channel deliberately bypasses [`decide`]: fault
-    /// schedules are keyed by *demand*-operation index, and the whole
-    /// point of the prefetcher is that speculative reads may be
-    /// reordered or elided without changing the demand sequence. If
-    /// batch reads advanced the op counter, enabling readahead would
-    /// shift every scheduled fault onto a different operation. Neither
-    /// the schedule nor the budget sees a batch read — but a crashed
-    /// device stays dead for it, so readahead can never resurrect pages
-    /// from media that demand accesses are guaranteed to fail on.
-    ///
-    /// [`decide`]: FaultyDisk::decide
-    fn read_batch(&self, ids: &[PageId], out: &mut [u8]) -> Result<()> {
-        if self.crashed.load(Ordering::Relaxed) {
-            return Err(StoreError::Injected { transient: false });
-        }
-        self.inner.read_batch(ids, out)
-    }
 }
 
 #[cfg(test)]
@@ -309,38 +291,5 @@ mod tests {
         let mut frame = vec![0u8; FRAME_SIZE];
         mem.read_page(id, &mut frame).unwrap();
         assert_eq!(frame[PAGE_SIZE / 2], 1 << 3);
-    }
-
-    #[test]
-    fn read_batch_bypasses_schedule_but_respects_crash() {
-        let disk = FaultyDisk::unlimited(MemDisk::new());
-        let a = disk.allocate().unwrap();
-        let b = disk.allocate().unwrap();
-        let ops_before = disk.op_count();
-        // A fault scheduled on the very next operation must NOT be
-        // absorbed (or even seen) by a batch read.
-        disk.inject_at(ops_before, InjectedFault::Transient);
-        let mut out = vec![0u8; 2 * FRAME_SIZE];
-        disk.read_batch(&[a, b], &mut out).unwrap();
-        assert_eq!(
-            disk.op_count(),
-            ops_before,
-            "batch reads must not advance the fault schedule"
-        );
-        // The scheduled fault still fires on the next demand operation.
-        let mut buf = vec![0u8; FRAME_SIZE];
-        assert!(matches!(
-            disk.read_page(a, &mut buf),
-            Err(StoreError::Injected { transient: true })
-        ));
-        // A crashed device fails batch reads like everything else.
-        disk.inject_at(disk.op_count(), InjectedFault::Crash);
-        let _ = disk.read_page(a, &mut buf);
-        assert!(disk.crashed.load(Ordering::Relaxed));
-        let mut dead = vec![0u8; FRAME_SIZE];
-        assert!(matches!(
-            disk.read_batch(&[a], &mut dead),
-            Err(StoreError::Injected { transient: false })
-        ));
     }
 }

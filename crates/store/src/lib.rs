@@ -14,14 +14,13 @@
 //!   capacity knob is what the paper's Figure 3(b) sweeps from 512 KiB to
 //!   8 MiB;
 //! * I/O accounting ([`IoCounters`]): logical reads, physical reads and
-//!   writes, pool hits and misses, evictions, retries, corruption and
-//!   prefetch counters are counted at the pool boundary, live in
+//!   writes, pool hits and misses, evictions, retries, lock contention
+//!   and corruption counters are counted at the pool boundary, live in
 //!   [`IoStats`] and copied out as an [`IoSnapshot`], so every figure can
 //!   report an "I/O" component that is measured rather than estimated.
-//!   The 14 counters are declared once, with [`counters!`], the macro
-//!   every counter set in the workspace is declared with; the wire
-//!   carries the first 11 ([`IoSnapshot::ON_WIRE`]), and the three
-//!   prefetch counters stay off it;
+//!   The 11 counters are declared once, with [`counters!`], the macro
+//!   every counter set in the workspace is declared with, and the wire
+//!   carries all of them;
 //! * a [`HeapFile`] of fixed-size records ([`heap`]), used by the GORDER
 //!   baseline's sorted block file and the MBRQT's streamed-build spills.
 //!
@@ -80,7 +79,7 @@ pub use journal::{Journal, Recovery};
 pub use page::{
     Chain, ChainPage, PageId, Reader, Writer, FRAME_SIZE, INVALID_PAGE, PAGE_SIZE, PAGE_TRAILER,
 };
-pub use pool::{BufferPool, PageStore, PrefetchConfig, RetryPolicy, RetryScope, QUARANTINED};
+pub use pool::{BufferPool, PageStore, RetryPolicy, RetryScope, QUARANTINED};
 pub use stats::{write_json_members, IoCounters, IoSnapshot, IoStats};
 pub use txn::Txn;
 pub use versioned::{Snapshot, VersionInfo, VersionedStore, DEFAULT_KEEP};

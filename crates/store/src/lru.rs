@@ -84,10 +84,9 @@ impl LruList {
     }
 
     /// Inserts `idx` at the *cold* (least-recently-used) end if absent;
-    /// an index already in the list keeps its position. Prefetched frames
-    /// enter here so that speculative readahead can never push a demanded
-    /// page out of the hot end — a scan of never-demanded prefetches is
-    /// first-out (scan resistance).
+    /// an index already in the list keeps its position. An eviction whose
+    /// write-back failed puts its victim back here, where
+    /// [`pop_lru`](Self::pop_lru) took it from.
     pub(crate) fn push_cold(&mut self, idx: u32) {
         if self.links[idx as usize].in_list {
             return;
@@ -104,17 +103,6 @@ impl LruList {
             self.head = idx;
         }
         self.len += 1;
-    }
-
-    /// The least-recently-used index — the next eviction victim — without
-    /// removing it. The prefetch pump peeks here so it can stall rather
-    /// than evict one of its own not-yet-claimed frames.
-    pub(crate) fn peek_lru(&self) -> Option<u32> {
-        if self.tail == NIL {
-            None
-        } else {
-            Some(self.tail)
-        }
     }
 
     /// Removes and returns the least-recently-used index, if any.

@@ -40,13 +40,13 @@
 use crate::checksum::{seal_frame, verify_frame};
 use crate::lru::LruList;
 use crate::stats::bump;
-use crate::sync::{unpoisoned, Mutex, MutexGuard};
+use crate::sync::{Mutex, MutexGuard};
 use crate::{DiskBackend, IoSnapshot, IoStats, PageId, Result, StoreError, FRAME_SIZE, PAGE_SIZE};
 use std::cell::Cell;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Default number of lock stripes.
@@ -153,10 +153,6 @@ struct Frame {
     /// `false` while the owning thread is still reading the page from
     /// disk; other threads requesting the same page wait for this flag.
     loaded: bool,
-    /// Set while the frame holds a page the prefetcher loaded that no
-    /// demand access has claimed yet. The first demand touch clears it (a
-    /// prefetch hit); eviction while still set is a wasted prefetch.
-    prefetched: bool,
 }
 
 impl Frame {
@@ -167,83 +163,6 @@ impl Frame {
             dirty: false,
             pins: 0,
             loaded: false,
-            prefetched: false,
-        }
-    }
-}
-
-/// Tuning knobs for the pool's readahead (see [`BufferPool::prefetch`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PrefetchConfig {
-    /// Ceiling on prefetched-but-not-yet-demanded resident frames. While
-    /// at the ceiling, new hints wait in the readahead queue. Keep this
-    /// well below the pool capacity: every in-flight frame is one frame
-    /// the demand working set cannot use.
-    pub max_inflight: usize,
-    /// Upper bound on pages per physical `read_batch` transfer.
-    pub batch: usize,
-}
-
-impl Default for PrefetchConfig {
-    fn default() -> Self {
-        PrefetchConfig {
-            max_inflight: 16,
-            batch: 8,
-        }
-    }
-}
-
-/// A queued readahead hint. Ordered by descending priority, then FIFO —
-/// the traversal assigns higher priorities to deeper pages, which the
-/// best-first heaps consume soonest.
-#[derive(PartialEq, Eq)]
-struct Hint {
-    priority: u32,
-    seq: u64,
-    page: PageId,
-}
-
-impl Ord for Hint {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Max-heap: larger priority wins; among equals, smaller seq
-        // (earlier submission) wins.
-        self.priority
-            .cmp(&other.priority)
-            .then(other.seq.cmp(&self.seq))
-    }
-}
-
-impl PartialOrd for Hint {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Handshake between the pool and its pipelined readahead worker (see
-/// [`BufferPool::enable_prefetch_pipelined`]).
-struct PrefetchSignal {
-    state: Mutex<PrefetchWorkerState>,
-    cond: Condvar,
-}
-
-#[derive(Default)]
-struct PrefetchWorkerState {
-    /// Bumped on every wake-worthy event: new hints, a claimed / wasted /
-    /// rewritten speculative frame freeing in-flight budget, shutdown.
-    wakeups: u64,
-    /// The `wakeups` value the worker has fully pumped against; quiescing
-    /// waits for `idle && acked == wakeups`.
-    acked: u64,
-    /// Worker parked between passes.
-    idle: bool,
-    shutdown: bool,
-}
-
-impl PrefetchSignal {
-    fn new() -> Self {
-        PrefetchSignal {
-            state: Mutex::new(PrefetchWorkerState::default()),
-            cond: Condvar::new(),
         }
     }
 }
@@ -333,25 +252,6 @@ pub struct BufferPool {
     /// quarantine lock entirely, keeping the fault-free path at one
     /// relaxed load.
     quarantine_nonempty: AtomicBool,
-    /// Readahead enable flag; `false` (the default) makes
-    /// [`prefetch`](Self::prefetch) a no-op costing one relaxed load.
-    prefetch_on: AtomicBool,
-    prefetch_cfg: Mutex<PrefetchConfig>,
-    /// Pending readahead hints, highest priority first.
-    prefetch_queue: Mutex<BinaryHeap<Hint>>,
-    /// Submission counter: FIFO tie-break among equal-priority hints.
-    prefetch_seq: AtomicU64,
-    /// Resident prefetched frames not yet claimed by a demand access;
-    /// bounded by [`PrefetchConfig::max_inflight`].
-    prefetch_inflight: AtomicUsize,
-    /// Wake/park handshake with the pipelined readahead worker.
-    prefetch_signal: Arc<PrefetchSignal>,
-    /// `true` once [`enable_prefetch_pipelined`] has spawned the worker;
-    /// routes hints (and budget-freed notifications) to it instead of the
-    /// inline pump.
-    ///
-    /// [`enable_prefetch_pipelined`]: BufferPool::enable_prefetch_pipelined
-    prefetch_bg: AtomicBool,
 }
 
 impl BufferPool {
@@ -385,13 +285,6 @@ impl BufferPool {
             stats: IoStats::default(),
             quarantine: Mutex::new(HashSet::new()),
             quarantine_nonempty: AtomicBool::new(false),
-            prefetch_on: AtomicBool::new(false),
-            prefetch_cfg: Mutex::new(PrefetchConfig::default()),
-            prefetch_queue: Mutex::new(BinaryHeap::new()),
-            prefetch_seq: AtomicU64::new(0),
-            prefetch_inflight: AtomicUsize::new(0),
-            prefetch_signal: Arc::new(PrefetchSignal::new()),
-            prefetch_bg: AtomicBool::new(false),
         }
     }
 
@@ -412,336 +305,6 @@ impl BufferPool {
     #[inline]
     fn shard_of(&self, id: PageId) -> &Shard {
         &self.shards[id as usize % self.shards.len()]
-    }
-
-    /// Whether readahead is enabled (see [`prefetch`](Self::prefetch)).
-    pub fn prefetch_enabled(&self) -> bool {
-        self.prefetch_on.load(Ordering::Relaxed)
-    }
-
-    /// Enables readahead with the given tuning. The pump runs *inline*:
-    /// each [`prefetch`](Self::prefetch) call drains the queue on the
-    /// calling thread, which keeps the physical-read schedule a pure
-    /// function of the logical op sequence (the checker's fault classes
-    /// rely on this). For readahead that overlaps I/O with compute, see
-    /// [`enable_prefetch_pipelined`](Self::enable_prefetch_pipelined).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_inflight` or `batch` is zero.
-    pub fn enable_prefetch(&self, cfg: PrefetchConfig) {
-        assert!(cfg.max_inflight > 0, "prefetch needs an in-flight budget");
-        assert!(cfg.batch > 0, "prefetch needs a batch size");
-        *self.prefetch_cfg.lock() = cfg;
-        self.prefetch_on.store(true, Ordering::Relaxed);
-    }
-
-    /// Enables *pipelined* readahead: a dedicated worker thread drains the
-    /// hint queue through the same reserve / batch-read / publish pump as
-    /// the inline mode, so speculative disk reads overlap with the query
-    /// thread's compute instead of serializing in front of it. The worker
-    /// parks when the queue is dry, the in-flight ceiling is reached, or
-    /// every queued hint is stalled behind an unclaimed frame, and wakes
-    /// when new hints arrive or a claim/eviction frees budget.
-    ///
-    /// Everything observable to a query is unchanged from the inline mode:
-    /// results, logical reads, and hit/claim accounting are identical —
-    /// only the *wall-clock placement* of physical reads moves (and with
-    /// it, run-to-run physical read counts may vary, since the worker
-    /// races demand misses for cold pages). A demand access that lands on
-    /// a page mid-prefetch waits for the in-flight read instead of issuing
-    /// its own — that wait is the pipeline's win: part of a batched seek
-    /// instead of a dedicated one.
-    ///
-    /// The worker lives until the pool drops; [`disable_prefetch`]
-    /// (Self::disable_prefetch) parks it after finishing the in-flight
-    /// batch. Requires the pool behind `Arc` so the worker can hold a
-    /// `Weak` handle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_inflight` or `batch` is zero.
-    pub fn enable_prefetch_pipelined(self: &Arc<Self>, cfg: PrefetchConfig) {
-        assert!(cfg.max_inflight > 0, "prefetch needs an in-flight budget");
-        assert!(cfg.batch > 0, "prefetch needs a batch size");
-        *self.prefetch_cfg.lock() = cfg;
-        self.spawn_prefetch_worker();
-        self.prefetch_on.store(true, Ordering::Relaxed);
-    }
-
-    /// Disables readahead, drops every queued hint, and — in pipelined
-    /// mode — waits for the worker to finish its in-flight batch and park,
-    /// so the caller can safely resize or clear the pool and read stable
-    /// counters afterwards. Frames already prefetched stay resident and
-    /// are claimed or evicted normally.
-    pub fn disable_prefetch(&self) {
-        self.prefetch_on.store(false, Ordering::Relaxed);
-        self.prefetch_queue.lock().clear();
-        self.prefetch_quiesce();
-    }
-
-    /// Blocks until the pipelined readahead worker (if any) has consumed
-    /// every wakeup and parked: afterwards no speculative read is in
-    /// flight and the prefetch counters are stable. Queued hints that are
-    /// stalled behind unclaimed frames remain queued. A no-op in inline
-    /// mode.
-    pub fn prefetch_quiesce(&self) {
-        if !self.prefetch_bg.load(Ordering::Relaxed) {
-            return;
-        }
-        let sig = &self.prefetch_signal;
-        let mut st = sig.state.lock();
-        while !(st.idle && st.acked == st.wakeups) {
-            st = unpoisoned(sig.cond.wait(st));
-        }
-    }
-
-    /// Wakes the pipelined worker (new hints, or in-flight budget freed by
-    /// a claim / waste / rewrite). One relaxed load when no worker exists.
-    fn notify_prefetch_worker(&self) {
-        if !self.prefetch_bg.load(Ordering::Relaxed) {
-            return;
-        }
-        let mut st = self.prefetch_signal.state.lock();
-        st.wakeups += 1;
-        self.prefetch_signal.cond.notify_all();
-    }
-
-    /// Spawns the single readahead worker (idempotent). The worker holds
-    /// only a `Weak` pool handle while parked, so dropping the last
-    /// external `Arc` still drops the pool: [`Drop`] flags shutdown and
-    /// the worker exits without touching the freed pool. Mid-pass the
-    /// worker holds a strong handle, which simply defers the drop until
-    /// the batch completes.
-    fn spawn_prefetch_worker(self: &Arc<Self>) {
-        if self.prefetch_bg.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        let weak = Arc::downgrade(self);
-        let sig = Arc::clone(&self.prefetch_signal);
-        std::thread::Builder::new()
-            .name("ann-prefetch".into())
-            .spawn(move || {
-                let mut seen = 0u64;
-                loop {
-                    {
-                        let mut st = sig.state.lock();
-                        loop {
-                            if st.shutdown {
-                                st.idle = true;
-                                sig.cond.notify_all();
-                                return;
-                            }
-                            if st.wakeups != seen {
-                                seen = st.wakeups;
-                                break;
-                            }
-                            st.idle = true;
-                            sig.cond.notify_all();
-                            st = unpoisoned(sig.cond.wait(st));
-                        }
-                        st.idle = false;
-                    }
-                    let Some(pool) = weak.upgrade() else { return };
-                    if pool.prefetch_enabled() {
-                        let cfg = *pool.prefetch_cfg.lock();
-                        pool.pump_prefetch(&cfg);
-                    }
-                    drop(pool);
-                    let mut st = sig.state.lock();
-                    st.acked = st.acked.max(seen);
-                    sig.cond.notify_all();
-                }
-            })
-            .expect("spawn readahead worker");
-    }
-
-    /// Submits readahead hints — `(page, priority)` pairs naming pages a
-    /// traversal has decided to visit soon — and pumps the queue.
-    ///
-    /// Higher `priority` loads first; among equal priorities, submission
-    /// order wins. Under [`enable_prefetch`](Self::enable_prefetch) the
-    /// pump runs **inline on the calling thread**; under
-    /// [`enable_prefetch_pipelined`](Self::enable_prefetch_pipelined) this
-    /// call only enqueues and wakes the worker, which runs the same pump
-    /// concurrently. Either way the pump reserves frames exactly like the
-    /// demand miss path (so the single-fault guarantee and waiter protocol
-    /// are unchanged), reads up to [`PrefetchConfig::batch`] pages per
-    /// [`DiskBackend::read_batch`] call with the ids sorted ascending (so
-    /// sequential leaf runs coalesce into large transfers), and publishes
-    /// the frames *unpinned* at the cold end of their shard's LRU list.
-    /// Readahead never changes logical-read counts: it only moves physical
-    /// reads earlier. Hints for resident, quarantined, or out-of-bounds
-    /// pages are dropped; read failures release the reserved frames
-    /// silently, leaving the error for the demand access (which retries
-    /// under the [`RetryPolicy`]).
-    ///
-    /// The pump is self-limiting: a hint whose frame reservation would
-    /// evict a prefetched frame no demand access has claimed yet is
-    /// *deferred* back to the queue rather than churning the readahead
-    /// window, so speculative frames die only to demand pressure (the
-    /// scan-resistance path) — never to more speculation.
-    ///
-    /// A no-op (one relaxed load) unless enabled with
-    /// [`enable_prefetch`](Self::enable_prefetch). Calling with an empty
-    /// slice just pumps previously queued hints.
-    pub fn prefetch(&self, hints: &[(PageId, u32)]) {
-        if !self.prefetch_enabled() {
-            return;
-        }
-        self.assert_not_reentrant();
-        let cfg = *self.prefetch_cfg.lock();
-        if !hints.is_empty() {
-            let mut queue = self.prefetch_queue.lock();
-            // Bound the backlog: hints are advisory, so once the queue is
-            // deep enough to keep the pump busy, later ones are dropped.
-            let backlog = cfg.max_inflight.saturating_mul(8).max(cfg.batch);
-            for &(page, priority) in hints {
-                if queue.len() >= backlog {
-                    break;
-                }
-                queue.push(Hint {
-                    priority,
-                    seq: self.prefetch_seq.fetch_add(1, Ordering::Relaxed),
-                    page,
-                });
-            }
-        }
-        if self.prefetch_bg.load(Ordering::Relaxed) {
-            self.notify_prefetch_worker();
-        } else {
-            self.pump_prefetch(&cfg);
-        }
-    }
-
-    /// Prefetched frames currently resident and unclaimed.
-    pub fn prefetch_inflight(&self) -> usize {
-        self.prefetch_inflight.load(Ordering::Relaxed)
-    }
-
-    /// Drains the hint queue into frames: reserve, batch-read, publish.
-    /// Stops when the queue is dry, the in-flight ceiling is reached, or
-    /// a read fails.
-    fn pump_prefetch(&self, cfg: &PrefetchConfig) {
-        let num_pages = self.disk.num_pages();
-        loop {
-            let inflight = self.prefetch_inflight.load(Ordering::Relaxed);
-            let budget = cfg.max_inflight.saturating_sub(inflight).min(cfg.batch);
-            if budget == 0 {
-                return;
-            }
-            // Reserve a pinned, not-yet-loaded frame per queued page, the
-            // same protocol as the demand miss path (waiters yield on the
-            // `loaded` flag).
-            let mut reserved: Vec<(PageId, u32)> = Vec::with_capacity(budget);
-            let mut deferred: Vec<Hint> = Vec::new();
-            while reserved.len() < budget {
-                let Some(hint) = self.prefetch_queue.lock().pop() else {
-                    break;
-                };
-                let id = hint.page;
-                if id >= num_pages || self.is_quarantined(id) {
-                    continue;
-                }
-                let shard = self.shard_of(id);
-                let mut inner = shard.lock();
-                if inner.map.contains_key(&id) {
-                    continue; // resident or already loading
-                }
-                // Never cannibalize the readahead window: when making room
-                // would evict a prefetched frame no demand access has
-                // claimed yet, defer the hint until a claim or a demand
-                // miss frees the cold end. Without this, a deep hint
-                // stream churns the window — each reservation evicts (and
-                // wastes) the oldest speculative frame to load the next.
-                if inner.map.len() >= inner.capacity
-                    && inner
-                        .lru
-                        .peek_lru()
-                        .is_some_and(|v| inner.frames[v as usize].prefetched)
-                {
-                    drop(inner);
-                    deferred.push(hint);
-                    continue;
-                }
-                let Ok(fi) = self.acquire_frame(shard, &mut inner) else {
-                    continue; // eviction write failed; drop the hint
-                };
-                {
-                    let fr = &mut inner.frames[fi as usize];
-                    fr.page = id;
-                    fr.dirty = false;
-                    fr.loaded = false;
-                    fr.prefetched = false;
-                    fr.pins = 1;
-                }
-                inner.map.insert(id, fi);
-                drop(inner);
-                reserved.push((id, fi));
-            }
-            if !deferred.is_empty() {
-                // Back into the queue with their original sequence numbers:
-                // deferral is a stall, not a reorder.
-                let mut queue = self.prefetch_queue.lock();
-                for hint in deferred {
-                    queue.push(hint);
-                }
-            }
-            if reserved.is_empty() {
-                return;
-            }
-            // Ascending page order maximizes run coalescing in read_batch.
-            reserved.sort_unstable_by_key(|&(id, _)| id);
-            let ids: Vec<PageId> = reserved.iter().map(|&(id, _)| id).collect();
-            let mut buf = vec![0u8; reserved.len() * FRAME_SIZE];
-            if self.disk.read_batch(&ids, &mut buf).is_err() {
-                // Advisory read: hand every frame back and let the demand
-                // access surface the failure (with retries).
-                for &(id, fi) in &reserved {
-                    self.release_reserved(id, fi);
-                }
-                return;
-            }
-            for (i, &(id, fi)) in reserved.iter().enumerate() {
-                let frame = &buf[i * FRAME_SIZE..(i + 1) * FRAME_SIZE];
-                let shard = self.shard_of(id);
-                if verify_frame(frame).is_err() {
-                    bump(&shard.stats.checksum_failures);
-                    if self.quarantine.lock().insert(id) {
-                        bump(&shard.stats.quarantined_pages);
-                        self.quarantine_nonempty.store(true, Ordering::Release);
-                    }
-                    self.release_reserved(id, fi);
-                    continue;
-                }
-                let mut inner = shard.lock();
-                let fr = &mut inner.frames[fi as usize];
-                debug_assert_eq!(fr.page, id, "pinned frame was stolen");
-                bump(&shard.stats.physical_reads);
-                bump(&shard.stats.prefetch_issued);
-                fr.data.copy_from_slice(&frame[..PAGE_SIZE]);
-                fr.loaded = true;
-                fr.prefetched = true;
-                fr.pins -= 1;
-                if fr.pins == 0 {
-                    inner.lru.push_cold(fi);
-                }
-                self.prefetch_inflight.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Hands back a frame the prefetcher reserved but could not fill.
-    fn release_reserved(&self, id: PageId, fi: u32) {
-        let shard = self.shard_of(id);
-        let mut inner = shard.lock();
-        let fr = &mut inner.frames[fi as usize];
-        debug_assert_eq!(fr.page, id, "pinned frame was stolen");
-        fr.page = crate::INVALID_PAGE;
-        fr.pins = 0;
-        fr.loaded = false;
-        inner.map.remove(&id);
-        inner.free.push(fi);
     }
 
     /// Adds `id` to the quarantine set: until healed (see
@@ -855,14 +418,6 @@ impl BufferPool {
             if let Some(&fi) = inner.map.get(&id) {
                 if inner.frames[fi as usize].loaded {
                     bump(&shard.stats.pool_hits);
-                    if inner.frames[fi as usize].prefetched {
-                        // First demand touch claims the prefetched frame;
-                        // from here on it ages like any demanded page.
-                        inner.frames[fi as usize].prefetched = false;
-                        bump(&shard.stats.prefetch_hits);
-                        self.prefetch_inflight.fetch_sub(1, Ordering::Relaxed);
-                        self.notify_prefetch_worker();
-                    }
                     if inner.frames[fi as usize].pins == 0 {
                         inner.lru.touch(fi);
                     }
@@ -882,7 +437,6 @@ impl BufferPool {
                 fr.page = id;
                 fr.dirty = false;
                 fr.loaded = false;
-                fr.prefetched = false;
                 fr.pins = 1;
             }
             inner.map.insert(id, fi);
@@ -964,13 +518,6 @@ impl BufferPool {
             };
             {
                 let fr = &mut inner.frames[fi as usize];
-                if fr.prefetched {
-                    // A rewrite is neither a prefetch hit nor a waste; the
-                    // frame simply stops being speculative.
-                    fr.prefetched = false;
-                    self.prefetch_inflight.fetch_sub(1, Ordering::Relaxed);
-                    self.notify_prefetch_worker();
-                }
                 fr.data.copy_from_slice(payload);
                 fr.dirty = true;
                 fr.loaded = true;
@@ -1006,7 +553,6 @@ impl BufferPool {
             fr.data.fill(0);
             fr.dirty = true;
             fr.loaded = true;
-            fr.prefetched = false;
         }
         inner.map.insert(id, fi);
         inner.lru.touch(fi);
@@ -1068,10 +614,6 @@ impl BufferPool {
     /// with an empty cache. Frames pinned by concurrent loads survive.
     pub fn clear(&self) -> Result<()> {
         self.assert_not_reentrant();
-        self.prefetch_queue.lock().clear();
-        // Let an in-flight pipelined batch land before sweeping, so the
-        // sweep actually leaves the pool cold.
-        self.prefetch_quiesce();
         for shard in self.shards.iter() {
             let mut inner = shard.lock();
             while self.evict_one(shard, &mut inner)? {}
@@ -1172,31 +714,31 @@ impl BufferPool {
     }
 
     /// Evicts the shard's least-recently-used unpinned page, flushing it
-    /// if dirty. Returns whether a victim existed.
+    /// if dirty. Returns whether a victim existed. When the flush fails the
+    /// victim stays resident, dirty and back at the cold end of the LRU
+    /// list, so a later eviction (or [`clear`](Self::clear)) retries it.
     fn evict_one(&self, shard: &Shard, inner: &mut ShardInner) -> Result<bool> {
         let Some(victim) = inner.lru.pop_lru() else {
             return Ok(false);
         };
-        bump(&shard.stats.evictions);
         let ShardInner {
             frames,
             scratch,
             map,
             free,
+            lru,
             ..
         } = &mut *inner;
         let frame = &mut frames[victim as usize];
         debug_assert_eq!(frame.pins, 0, "pinned frame reached the LRU list");
-        if frame.prefetched {
-            frame.prefetched = false;
-            bump(&shard.stats.prefetch_wasted);
-            self.prefetch_inflight.fetch_sub(1, Ordering::Relaxed);
-            self.notify_prefetch_worker();
-        }
         if frame.dirty {
-            self.write_frame(&shard.stats, frame.page, &frame.data, scratch)?;
+            if let Err(e) = self.write_frame(&shard.stats, frame.page, &frame.data, scratch) {
+                lru.push_cold(victim);
+                return Err(e);
+            }
             frame.dirty = false;
         }
+        bump(&shard.stats.evictions);
         map.remove(&frame.page);
         frame.page = crate::INVALID_PAGE;
         frame.loaded = false;
@@ -1211,21 +753,6 @@ impl BufferPool {
     fn assert_not_reentrant(&self) {
         #[cfg(debug_assertions)]
         reentrancy::assert_not_active(self as *const _ as usize);
-    }
-}
-
-impl Drop for BufferPool {
-    /// Flags the pipelined readahead worker (if any) to exit. No join:
-    /// while parked the worker holds only a `Weak` pool handle (so this
-    /// drop can run at all) plus the signal `Arc`, and the drop itself can
-    /// run *on* the worker thread when its transient strong handle was the
-    /// last one — joining here would deadlock either way.
-    fn drop(&mut self) {
-        if self.prefetch_bg.load(Ordering::Relaxed) {
-            let mut st = self.prefetch_signal.state.lock();
-            st.shutdown = true;
-            self.prefetch_signal.cond.notify_all();
-        }
     }
 }
 
@@ -1778,304 +1305,35 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_is_noop_until_enabled() {
-        let p = pool(4);
-        let id = p.allocate().unwrap();
-        p.clear().unwrap();
-        p.reset_stats();
-        p.prefetch(&[(id, 0)]);
-        let s = p.stats();
-        assert_eq!(s.prefetch_issued, 0);
-        assert_eq!(s.physical_reads, 0);
-    }
-
-    #[test]
-    fn prefetch_loads_pages_without_logical_reads() {
-        let p = pool(8);
-        let ids: Vec<_> = (0..4).map(|_| p.allocate().unwrap()).collect();
-        p.clear().unwrap();
-        p.reset_stats();
-        p.enable_prefetch(PrefetchConfig::default());
-        let hints: Vec<_> = ids.iter().map(|&id| (id, 1)).collect();
-        p.prefetch(&hints);
-        let s = p.stats();
-        assert_eq!(s.prefetch_issued, 4);
-        assert_eq!(s.physical_reads, 4);
-        assert_eq!(s.logical_reads, 0, "readahead charges no logical reads");
-        assert_eq!(s.pool_misses, 0);
-        assert_eq!(p.prefetch_inflight(), 4);
-        assert_eq!(p.pinned_frames(), 0, "published frames are unpinned");
-        // Demand accesses are now pure pool hits, each claiming its frame.
-        for &id in &ids {
-            p.with_page(id, |_| ()).unwrap();
-        }
-        let s = p.stats();
-        assert_eq!(s.physical_reads, 4, "no further physical reads");
-        assert_eq!(s.pool_hits, 4);
-        assert_eq!(s.prefetch_hits, 4);
-        assert_eq!(p.prefetch_inflight(), 0);
-        // A second touch is an ordinary hit, not another prefetch hit.
-        p.with_page(ids[0], |_| ()).unwrap();
-        assert_eq!(p.stats().prefetch_hits, 4);
-    }
-
-    #[test]
-    fn prefetched_then_demanded_page_is_a_hit() {
-        let p = pool(4);
-        let id = p.allocate().unwrap();
-        p.clear().unwrap();
-        p.reset_stats();
-        p.enable_prefetch(PrefetchConfig::default());
-        p.prefetch(&[(id, 0)]);
-        p.with_page(id, |_| ()).unwrap();
-        let s = p.stats();
-        assert_eq!((s.physical_reads, s.logical_reads, s.pool_hits), (1, 1, 1));
-        assert_eq!(
-            s.hit_rate(),
-            1.0,
-            "the prefetch turned the demand into a hit"
-        );
-    }
-
-    #[test]
-    fn prefetch_skips_resident_and_out_of_bounds_pages() {
-        let p = pool(8);
+    fn failed_eviction_write_keeps_victim_evictable() {
+        // Regression: a failed write-back used to count an eviction and
+        // leave the victim mapped but in neither the LRU nor the free
+        // list, so `clear` skipped it and it stayed a hit.
+        let disk = Arc::new(FaultyDisk::unlimited(MemDisk::new()));
+        let p = BufferPool::with_shards(Arc::clone(&disk), 1, 1);
+        let _scope = RetryScope::enter(Some(RetryPolicy {
+            max_attempts: 1,
+            backoff: Duration::ZERO,
+        }));
         let a = p.allocate().unwrap();
-        let b = p.allocate().unwrap();
-        p.clear().unwrap();
-        p.with_page(a, |_| ()).unwrap(); // `a` resident
+        let b = p.allocate().unwrap(); // evicts `a` (write-back succeeds)
+        p.with_page_mut(b, |buf| buf[0] = 7).unwrap();
         p.reset_stats();
-        p.enable_prefetch(PrefetchConfig::default());
-        p.prefetch(&[(a, 0), (b, 0), (999, 0)]);
-        let s = p.stats();
-        assert_eq!(s.prefetch_issued, 1, "only the absent in-bounds page");
-        assert_eq!(s.physical_reads, 1);
-    }
-
-    #[test]
-    fn prefetch_respects_inflight_ceiling_and_drains_later() {
-        // Single shard so LRU/eviction arithmetic is global.
-        let p = BufferPool::with_shards(MemDisk::new(), 8, 1);
-        let ids: Vec<_> = (0..6).map(|_| p.allocate().unwrap()).collect();
-        p.clear().unwrap();
-        p.reset_stats();
-        p.enable_prefetch(PrefetchConfig {
-            max_inflight: 2,
-            batch: 2,
-        });
-        let hints: Vec<_> = ids.iter().map(|&id| (id, 1)).collect();
-        p.prefetch(&hints);
-        assert_eq!(p.stats().prefetch_issued, 2, "ceiling caps the pump");
-        assert_eq!(p.prefetch_inflight(), 2);
-        // Claiming the two frames frees budget; an empty submit re-pumps
-        // the queued remainder.
-        p.with_page(ids[0], |_| ()).unwrap();
-        p.with_page(ids[1], |_| ()).unwrap();
-        p.prefetch(&[]);
-        assert_eq!(p.stats().prefetch_issued, 4);
-        assert_eq!(p.prefetch_inflight(), 2);
-    }
-
-    #[test]
-    fn prefetch_priority_orders_the_queue() {
-        let p = BufferPool::with_shards(MemDisk::new(), 8, 1);
-        let ids: Vec<_> = (0..3).map(|_| p.allocate().unwrap()).collect();
-        p.clear().unwrap();
-        p.reset_stats();
-        p.enable_prefetch(PrefetchConfig {
-            max_inflight: 1,
-            batch: 1,
-        });
-        // Low priority first in submission order; the high-priority hint
-        // must still be fetched first.
-        p.prefetch(&[(ids[0], 1), (ids[1], 5), (ids[2], 1)]);
-        assert_eq!(p.stats().prefetch_issued, 1);
-        assert_eq!(
-            p.stats().physical_reads,
-            1,
-            "exactly the high-priority page"
-        );
-        // Reading the others faults them in: only ids[1] was prefetched.
-        p.reset_stats();
-        p.with_page(ids[1], |_| ()).unwrap();
-        assert_eq!(p.stats().physical_reads, 0, "high-priority page resident");
-        p.with_page(ids[0], |_| ()).unwrap();
-        assert_eq!(p.stats().physical_reads, 1, "low-priority page was queued");
-    }
-
-    #[test]
-    fn prefetched_frames_are_first_out_and_count_wasted() {
-        // Scan resistance: capacity 4, two hot demand pages, then a
-        // prefetch sweep bigger than the pool. The pump fills the two
-        // spare frames and stalls (it never evicts its own still-unclaimed
-        // frames to keep sweeping); demand pressure then reclaims the
-        // speculative frames first, never the hot pages.
-        let p = BufferPool::with_shards(MemDisk::new(), 4, 1);
-        let ids: Vec<_> = (0..8).map(|_| p.allocate().unwrap()).collect();
-        p.clear().unwrap();
-        let hot = [ids[0], ids[1]];
-        p.with_page(hot[0], |_| ()).unwrap();
-        p.with_page(hot[1], |_| ()).unwrap();
-        p.reset_stats();
-        p.enable_prefetch(PrefetchConfig {
-            max_inflight: 8,
-            batch: 2,
-        });
-        let sweep: Vec<_> = ids[2..].iter().map(|&id| (id, 1)).collect();
-        p.prefetch(&sweep);
-        let s = p.stats();
-        assert_eq!(
-            s.prefetch_issued, 2,
-            "pump fills the spare frames, then stalls"
-        );
-        assert_eq!(s.prefetch_wasted, 0, "the pump never evicts its own window");
-        // A demand miss reclaims a cold speculative frame, not a hot page.
-        p.with_page(ids[7], |_| ()).unwrap();
-        let s = p.stats();
-        assert_eq!(s.prefetch_wasted, 1, "cold speculative frame went first");
-        // The hot pages never left the pool.
-        p.with_page(hot[0], |_| ()).unwrap();
-        p.with_page(hot[1], |_| ()).unwrap();
-        assert_eq!(
-            p.stats().physical_reads,
-            3,
-            "no demand faults: hot pages stayed resident"
-        );
-    }
-
-    #[test]
-    fn prefetch_pump_stalls_rather_than_churning_its_window() {
-        // Capacity 4, two demand pages, four hints. Only two frames are
-        // spare, so the pump loads two pages and defers the rest: issuing
-        // them would evict the not-yet-claimed speculative frames, wasting
-        // the reads. Once demand claims the window, the deferred hints
-        // load by evicting demand pages like any other miss.
-        let p = BufferPool::with_shards(MemDisk::new(), 4, 1);
-        let hot: Vec<_> = (0..2).map(|_| p.allocate().unwrap()).collect();
-        let sweep: Vec<_> = (0..4).map(|_| p.allocate().unwrap()).collect();
-        p.clear().unwrap();
-        for &h in &hot {
-            p.with_page(h, |_| ()).unwrap();
-        }
-        p.reset_stats();
-        p.enable_prefetch(PrefetchConfig {
-            max_inflight: 4,
-            batch: 2,
-        });
-        let hints: Vec<_> = sweep.iter().map(|&id| (id, 1)).collect();
-        p.prefetch(&hints);
-        let s = p.stats();
-        assert_eq!(s.prefetch_issued, 2, "two spare frames, two loads");
-        assert_eq!(s.prefetch_wasted, 0);
-        // Pumping again changes nothing while the window is unclaimed.
-        p.prefetch(&[]);
-        assert_eq!(p.stats().prefetch_issued, 2, "deferred hints stay queued");
-        // Claim both speculative frames, then pump: the deferred hints now
-        // load (evicting the stale demand pages), and every prefetched
-        // page is eventually claimed — nothing is wasted.
-        p.with_page(sweep[0], |_| ()).unwrap();
-        p.with_page(sweep[1], |_| ()).unwrap();
-        p.prefetch(&[]);
-        p.with_page(sweep[2], |_| ()).unwrap();
-        p.with_page(sweep[3], |_| ()).unwrap();
-        let s = p.stats();
-        assert_eq!(s.prefetch_issued, 4, "deferred hints loaded after claims");
-        assert_eq!(s.prefetch_hits, 4);
-        assert_eq!(s.prefetch_wasted, 0);
-    }
-
-    #[test]
-    fn pipelined_prefetch_loads_in_background_and_quiesces() {
-        let p = Arc::new(BufferPool::with_shards(MemDisk::new(), 8, 1));
-        let ids: Vec<_> = (0..6).map(|_| p.allocate().unwrap()).collect();
-        p.clear().unwrap();
-        p.reset_stats();
-        p.enable_prefetch_pipelined(PrefetchConfig {
-            max_inflight: 4,
-            batch: 4,
-        });
-        let hints: Vec<_> = ids.iter().map(|&id| (id, 1)).collect();
-        p.prefetch(&hints);
-        // The submit returns immediately; the quiesce barrier is what
-        // makes the worker's progress observable.
-        p.prefetch_quiesce();
-        let s = p.stats();
-        assert_eq!(s.prefetch_issued, 4, "worker pumped to the ceiling");
-        assert_eq!(s.physical_reads, 4);
-        assert_eq!(s.logical_reads, 0, "readahead charges no logical reads");
-        assert_eq!(p.prefetch_inflight(), 4);
-        assert_eq!(p.pinned_frames(), 0, "published frames are unpinned");
-        // Demand touches claim the loaded frames; each claim frees
-        // in-flight budget and wakes the worker, which drains the queued
-        // remainder on its own — no explicit re-pump call.
-        for &id in &ids[..4] {
-            p.with_page(id, |_| ()).unwrap();
-        }
-        p.prefetch_quiesce();
-        let s = p.stats();
-        assert_eq!(s.prefetch_hits, 4);
-        assert_eq!(
-            s.prefetch_issued, 6,
-            "claims woke the worker to finish the queue"
-        );
-        assert_eq!(p.prefetch_inflight(), 2);
-        for &id in &ids[4..] {
-            p.with_page(id, |_| ()).unwrap();
-        }
-        let s = p.stats();
-        assert_eq!(s.prefetch_hits, 6);
-        assert_eq!(s.pool_hits, 6);
-        assert_eq!(s.physical_reads, 6, "every read was speculative");
-        // Disabling parks the worker and leaves counters stable.
-        p.disable_prefetch();
-        assert_eq!(p.stats().prefetch_issued, 6);
-    }
-
-    #[test]
-    fn prefetch_corrupt_page_is_quarantined_not_published() {
-        let mem = Arc::new(MemDisk::new());
-        let p = BufferPool::new(Arc::clone(&mem), 4);
-        let id = p.allocate().unwrap();
-        p.clear().unwrap();
-        damage(&mem, id);
-        p.reset_stats();
-        p.enable_prefetch(PrefetchConfig::default());
-        p.prefetch(&[(id, 0)]);
-        let s = p.stats();
-        assert_eq!(s.prefetch_issued, 0, "corrupt frame is never published");
-        assert_eq!(s.checksum_failures, 1);
-        assert_eq!(s.quarantined_pages, 1);
-        assert_eq!(p.pinned_frames(), 0);
-        assert!(p.is_quarantined(id));
-        // The demand access fails fast on the quarantine.
+        disk.inject_at(disk.op_count(), InjectedFault::Transient);
         assert!(matches!(
-            p.with_page(id, |_| ()),
-            Err(StoreError::Corrupt {
-                what: QUARANTINED,
-                ..
-            })
+            p.with_page(a, |_| ()),
+            Err(StoreError::Injected { transient: true })
         ));
-        // And further hints for the page are dropped silently.
-        p.prefetch(&[(id, 0)]);
-        assert_eq!(p.stats().checksum_failures, 1);
-    }
-
-    #[test]
-    fn clear_discards_queued_hints() {
-        let p = BufferPool::with_shards(MemDisk::new(), 8, 1);
-        let ids: Vec<_> = (0..4).map(|_| p.allocate().unwrap()).collect();
+        assert_eq!(p.stats().evictions, 0, "the eviction did not happen");
+        // `b` is still the (dirty) victim: clearing writes it back and
+        // leaves the pool cold.
         p.clear().unwrap();
-        p.enable_prefetch(PrefetchConfig {
-            max_inflight: 1,
-            batch: 1,
-        });
+        let s = p.stats();
+        assert_eq!((s.evictions, s.physical_writes), (1, 1));
         p.reset_stats();
-        let hints: Vec<_> = ids.iter().map(|&id| (id, 0)).collect();
-        p.prefetch(&hints); // issues 1, queues 3
-        assert_eq!(p.stats().prefetch_issued, 1);
-        p.clear().unwrap();
-        p.prefetch(&[]); // nothing left to pump
-        assert_eq!(p.stats().prefetch_issued, 1);
+        assert_eq!(p.with_page(b, |buf| buf[0]).unwrap(), 7);
+        let s = p.stats();
+        assert_eq!((s.pool_hits, s.pool_misses), (0, 1), "clear left b cold");
     }
 
     #[test]

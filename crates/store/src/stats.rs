@@ -70,14 +70,8 @@ counters! {
     /// pushed out to make room, which together with `pool_misses` shows
     /// whether a phase is thrashing the pool or merely cold.
     ///
-    /// The prefetcher keeps its own triple: `prefetch_issued`,
-    /// `prefetch_hits` and `prefetch_wasted`. None of these feed
-    /// `logical_reads` — readahead changes *when* a physical read happens,
-    /// never whether a logical one does.
-    ///
-    /// Declaration order is wire order: the first
-    /// [`IoSnapshot::ON_WIRE`] counters are a query outcome's and a trace
-    /// phase's `io` object; the prefetch triple stays off the wire.
+    /// Declaration order is wire order: every counter, in this order, is a
+    /// query outcome's and a trace phase's `io` object.
     #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
     pub struct IoCounters<T>: T {
         /// Page requests served (hit or miss).
@@ -105,15 +99,6 @@ counters! {
         quarantined_pages,
         /// Accesses rejected fast because the page was already quarantined.
         quarantine_hits,
-        /// Pages the prefetcher physically read ahead of demand (each also
-        /// counts one `physical_reads`; none counts a logical read).
-        prefetch_issued,
-        /// Prefetched frames later claimed by a demand access — the read the
-        /// prefetcher turned from a stall into a pool hit.
-        prefetch_hits,
-        /// Prefetched frames evicted before any demand access claimed them:
-        /// readahead bandwidth spent for nothing.
-        prefetch_wasted,
     }
 }
 
@@ -148,18 +133,13 @@ impl IoStats {
 }
 
 impl IoSnapshot {
-    /// How many counters, in declaration order, the wire carries.
-    pub const ON_WIRE: usize = 11;
-
     /// Total physical page transfers.
     pub fn physical_total(&self) -> u64 {
         self.physical_reads + self.physical_writes
     }
 
     /// Buffer-pool hit rate in `[0, 1]`: the share of demand accesses a
-    /// resident frame served. 1.0 when nothing was demanded. A prefetched
-    /// page that is then demanded is a hit; readahead itself is not an
-    /// access.
+    /// resident frame served. 1.0 when nothing was demanded.
     pub fn hit_rate(&self) -> f64 {
         let accesses = self.pool_hits + self.pool_misses;
         if accesses == 0 {
@@ -231,8 +211,6 @@ mod tests {
             &s.pool_misses,
             &s.quarantined_pages,
             &s.quarantine_hits,
-            &s.prefetch_issued,
-            &s.prefetch_hits,
         ] {
             bump(live);
         }
@@ -244,9 +222,7 @@ mod tests {
         assert_eq!(d.pool_misses, 1);
         assert_eq!(d.quarantined_pages, 1);
         assert_eq!(d.quarantine_hits, 1);
-        assert_eq!(d.prefetch_issued, 1);
-        assert_eq!(d.prefetch_hits, 1);
-        assert_eq!(d.prefetch_wasted, 0);
+        assert_eq!(d.evictions, 0);
     }
 
     #[test]
@@ -257,8 +233,6 @@ mod tests {
             &s.pool_hits,
             &s.quarantined_pages,
             &s.quarantine_hits,
-            &s.prefetch_issued,
-            &s.prefetch_wasted,
         ] {
             bump(live);
         }
@@ -269,8 +243,5 @@ mod tests {
         assert_eq!(m.physical_reads, 0);
         assert_eq!(m.quarantined_pages, 2);
         assert_eq!(m.quarantine_hits, 2);
-        assert_eq!(m.prefetch_issued, 2);
-        assert_eq!(m.prefetch_hits, 0);
-        assert_eq!(m.prefetch_wasted, 2);
     }
 }

@@ -2,9 +2,7 @@
 //! stay a transparent, integrity-checking cache under concurrent readers
 //! and writers, eviction pressure, and in-flight (pinned) loads.
 
-use ann_store::{
-    BufferPool, DiskBackend, MemDisk, PrefetchConfig, StoreError, FRAME_SIZE, PAGE_SIZE,
-};
+use ann_store::{BufferPool, DiskBackend, MemDisk, StoreError, FRAME_SIZE, PAGE_SIZE};
 use std::sync::Arc;
 
 /// Concurrent readers over every page plus one writer per shard mutating
@@ -260,88 +258,6 @@ fn contention_counter_moves_under_single_shard_load() {
     // Not asserted > 0: a machine could in principle schedule the threads
     // serially. Printed for eyeballing in CI logs instead.
     eprintln!("single-shard contention events: {}", s.lock_contention);
-}
-
-/// Scan resistance under concurrency: readers hammer a small hot working
-/// set while another thread floods the pool with readahead hints for a
-/// sweep eight times the pool's capacity. The speculative flood must
-/// never displace the hot set — prefetched frames enter at the cold end
-/// of the LRU and the pump stalls once the spare frames are full — so
-/// the readers stay at a 100% hit rate for the whole storm, and demand
-/// pressure afterwards reclaims the speculative frames first.
-#[test]
-fn prefetch_flood_cannot_displace_the_hot_working_set() {
-    // Single shard so the hot set and the sweep share one LRU list and
-    // the frame arithmetic below is exact.
-    let pool = Arc::new(BufferPool::with_shards(MemDisk::new(), 8, 1));
-    let hot: Vec<u32> = (0..4).map(|_| pool.allocate().unwrap()).collect();
-    let sweep: Vec<u32> = (0..64).map(|_| pool.allocate().unwrap()).collect();
-    for (i, &p) in hot.iter().enumerate() {
-        pool.with_page_mut(p, |b| b.fill(i as u8 + 1)).unwrap();
-    }
-    pool.clear().unwrap();
-    pool.enable_prefetch(PrefetchConfig {
-        max_inflight: 4,
-        batch: 4,
-    });
-    // Warm the hot set, then zero the counters: from here on, any demand
-    // miss means the flood pushed a hot page out.
-    for &p in &hot {
-        pool.with_page(p, |_| ()).unwrap();
-    }
-    pool.reset_stats();
-
-    std::thread::scope(|s| {
-        for _ in 0..4 {
-            let pool = Arc::clone(&pool);
-            let hot = hot.clone();
-            s.spawn(move || {
-                for _ in 0..2_000 {
-                    for (i, &p) in hot.iter().enumerate() {
-                        assert_eq!(pool.with_page(p, |b| b[0]).unwrap(), i as u8 + 1);
-                    }
-                }
-            });
-        }
-        // The flood: every sweep page hinted over and over. Only the four
-        // spare frames can ever hold speculative pages; the rest of the
-        // hints queue up (bounded) or are dropped.
-        let pool = Arc::clone(&pool);
-        let sweep = sweep.clone();
-        s.spawn(move || {
-            for _ in 0..50 {
-                for chunk in sweep.chunks(4) {
-                    let hints: Vec<_> = chunk.iter().map(|&p| (p, 1)).collect();
-                    pool.prefetch(&hints);
-                }
-            }
-        });
-    });
-
-    let s = pool.stats();
-    assert_eq!(s.pool_misses, 0, "the flood never displaced a hot page");
-    assert_eq!(s.logical_reads, 4 * 2_000 * 4);
-    assert_eq!(
-        s.prefetch_issued, 4,
-        "pump filled the spare frames once, then stalled at the ceiling"
-    );
-    assert_eq!(s.prefetch_wasted, 0, "the pump never churned its window");
-    assert_eq!(pool.prefetch_inflight(), 4);
-
-    // Demand pressure reclaims the speculative frames first: four misses
-    // on never-prefetched pages evict exactly the four unclaimed frames,
-    // and the hot set is still resident afterwards.
-    pool.disable_prefetch();
-    for &p in &sweep[60..64] {
-        pool.with_page(p, |_| ()).unwrap();
-    }
-    let s = pool.stats();
-    assert_eq!(s.pool_misses, 4);
-    assert_eq!(s.prefetch_wasted, 4, "speculative frames were first out");
-    for (i, &p) in hot.iter().enumerate() {
-        assert_eq!(pool.with_page(p, |b| b[0]).unwrap(), i as u8 + 1);
-    }
-    assert_eq!(pool.stats().pool_misses, 4, "hot set survived the scan");
 }
 
 /// Full-page payloads survive concurrent eviction cycles byte-for-byte
