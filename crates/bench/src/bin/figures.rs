@@ -8,8 +8,7 @@
 //!   ablation-traversal | ablation-mbr | ablation-packing
 //!   extra-mnn | extra-hnn
 //!   robustness          resilience fault-free-overhead study (BENCH_robustness.json)
-//!   outofcore           10⁷-point streamed build + census (BENCH_outofcore.json);
-//!                       honors a --seed S override
+//!   outofcore           10⁷-point streamed build + census (BENCH_outofcore.json)
 //!   all                 run every figure
 //!   list-datasets       print Table 2 (with the scaled cardinalities)
 //! ```
@@ -33,7 +32,6 @@ struct Args {
     fraction: f64,
     json_dir: Option<PathBuf>,
     trace_dir: Option<PathBuf>,
-    outofcore: ann_bench::figures::OutofcoreOpts,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -42,10 +40,8 @@ fn parse_args() -> Result<Args, String> {
     let mut fraction = 0.1;
     let mut json_dir = None;
     let mut trace_dir = None;
-    let mut outofcore = ann_bench::figures::OutofcoreOpts::default();
     while let Some(flag) = args.next() {
         match flag.as_str() {
-            "--seed" => outofcore.seed = Some(value(&mut args, &flag)?),
             "--full" => fraction = 1.0,
             "--scale" => {
                 fraction = value(&mut args, &flag)?;
@@ -63,7 +59,6 @@ fn parse_args() -> Result<Args, String> {
         fraction,
         json_dir,
         trace_dir,
-        outofcore,
     })
 }
 
@@ -81,8 +76,7 @@ fn usage() -> String {
     "usage: figures <fig3a|fig3a-synthetic|fig3b|fig4|fig5|fig6|\
      ablation-traversal|ablation-mbr|ablation-packing|extra-mnn|extra-hnn|\
      robustness|outofcore|all|list-datasets> \
-     [--scale F] [--full] [--json DIR] [--trace DIR] \
-     [--seed S]"
+     [--scale F] [--full] [--json DIR] [--trace DIR]"
         .to_string()
 }
 
@@ -129,7 +123,7 @@ fn main() -> ExitCode {
         "extra-hnn" => emit(figures::extra_hnn(f), &args.json_dir),
         "ablation-packing" => emit(figures::ablation_packing(f), &args.json_dir),
         "robustness" => emit(figures::robustness_bench(f), &args.json_dir),
-        "outofcore" => emit(figures::outofcore(f, &args.outofcore), &args.json_dir),
+        "outofcore" => emit(figures::outofcore(f), &args.json_dir),
         "all" => {
             for fig in figures::all(f) {
                 emit(fig, &args.json_dir);

@@ -10,7 +10,7 @@
 use crate::harness::{run, Method, RunConfig};
 use crate::report::Figure;
 use ann_core::mba::{Expansion, Traversal};
-use ann_core::query::MetricChoice;
+use ann_core::query::{Algorithm, MetricChoice};
 use ann_geom::Point;
 
 fn scaled(paper_n: usize, fraction: f64) -> usize {
@@ -40,18 +40,17 @@ pub fn fig3a(fraction: f64) -> Figure {
         ),
     );
     let cells = [
-        (Method::Bnn, MetricChoice::MaxMax),
-        (Method::Bnn, MetricChoice::Nxn),
-        (Method::Rba, MetricChoice::MaxMax),
-        (Method::Rba, MetricChoice::Nxn),
-        (Method::Mba, MetricChoice::MaxMax),
-        (Method::Mba, MetricChoice::Nxn),
+        (Method::Spec, Algorithm::bnn(), MetricChoice::MaxMax),
+        (Method::Spec, Algorithm::bnn(), MetricChoice::Nxn),
+        (Method::Rba, Algorithm::mba(), MetricChoice::MaxMax),
+        (Method::Rba, Algorithm::mba(), MetricChoice::Nxn),
+        (Method::Spec, Algorithm::mba(), MetricChoice::MaxMax),
+        (Method::Spec, Algorithm::mba(), MetricChoice::Nxn),
     ];
-    for (method, metric) in cells {
+    for (method, algorithm, metric) in cells {
         let cfg = RunConfig {
             method,
-            metric,
-            ..Default::default()
+            ..RunConfig::query(algorithm, metric)
         };
         fig.push("TAC", run(&data, &data, &cfg));
     }
@@ -74,17 +73,13 @@ pub fn fig3a_synthetic(fraction: f64) -> Figure {
             data.len()
         ),
     );
-    for (method, metric) in [
-        (Method::Bnn, MetricChoice::MaxMax),
-        (Method::Bnn, MetricChoice::Nxn),
-        (Method::Mba, MetricChoice::MaxMax),
-        (Method::Mba, MetricChoice::Nxn),
+    for (algorithm, metric) in [
+        (Algorithm::bnn(), MetricChoice::MaxMax),
+        (Algorithm::bnn(), MetricChoice::Nxn),
+        (Algorithm::mba(), MetricChoice::MaxMax),
+        (Algorithm::mba(), MetricChoice::Nxn),
     ] {
-        let cfg = RunConfig {
-            method,
-            metric,
-            ..Default::default()
-        };
+        let cfg = RunConfig::query(algorithm, metric);
         fig.push("500K2D", run(&data, &data, &cfg));
     }
     fig
@@ -107,7 +102,7 @@ pub fn fig3b(fraction: f64) -> Figure {
         ("4MB", 512),
         ("8MB", 1024),
     ] {
-        for method in [Method::Mba, Method::Gorder] {
+        for method in [Method::Spec, Method::Gorder] {
             let cfg = RunConfig {
                 method,
                 pool_frames: frames,
@@ -130,7 +125,7 @@ pub fn fig4(fraction: f64) -> Figure {
     macro_rules! sweep {
         ($dim:literal, $label:expr) => {{
             let data = ann_datagen::synthetic_nd::<$dim>(n, SEED);
-            for method in [Method::Mba, Method::Gorder] {
+            for method in [Method::Spec, Method::Gorder] {
                 let cfg = RunConfig {
                     method,
                     ..Default::default()
@@ -153,12 +148,12 @@ pub fn fig5(fraction: f64) -> Figure {
         &format!("TAC-like 2D self-join AkNN (n={})", data.len()),
     );
     for k in [10usize, 20, 30, 40, 50] {
-        for method in [Method::Mba, Method::Gorder] {
-            let cfg = RunConfig {
+        for method in [Method::Spec, Method::Gorder] {
+            let mut cfg = RunConfig {
                 method,
-                k,
                 ..Default::default()
             };
+            cfg.spec.k = k;
             fig.push(&format!("k={k}"), run(&data, &data, &cfg));
         }
     }
@@ -173,12 +168,12 @@ pub fn fig6(fraction: f64) -> Figure {
         &format!("FC-like 10D self-join AkNN (n={})", data.len()),
     );
     for k in [10usize, 20, 30, 40, 50] {
-        for method in [Method::Mba, Method::Gorder] {
-            let cfg = RunConfig {
+        for method in [Method::Spec, Method::Gorder] {
+            let mut cfg = RunConfig {
                 method,
-                k,
                 ..Default::default()
             };
+            cfg.spec.k = k;
             fig.push(&format!("k={k}"), run(&data, &data, &cfg));
         }
     }
@@ -204,11 +199,11 @@ pub fn ablation_traversal(fraction: f64) -> Figure {
             (Expansion::Bidirectional, "BI"),
             (Expansion::Unidirectional, "UNI"),
         ] {
-            let cfg = RunConfig {
+            let algorithm = Algorithm::Mba {
                 traversal: t,
                 expansion: e,
-                ..Default::default()
             };
+            let cfg = RunConfig::query(algorithm, MetricChoice::Nxn);
             let mut m = run(&data, &data, &cfg);
             m.label = format!("MBA {tname}+{ename}");
             fig.push(&format!("{tname}+{ename}"), m);
@@ -229,33 +224,19 @@ pub fn ablation_mbr(fraction: f64) -> Figure {
             data.len()
         ),
     );
-    let mut m = run(
-        &data,
-        &data,
-        &RunConfig {
-            metric: MetricChoice::Nxn,
-            ..Default::default()
-        },
-    );
+    let mut m = run(&data, &data, &RunConfig::default());
     m.label = "MBRQT NXNDIST".into();
     fig.push("mbr", m);
-    let mut m = run(
-        &data,
-        &data,
-        &RunConfig {
-            metric: MetricChoice::MaxMax,
-            ..Default::default()
-        },
-    );
+    let maxmax = RunConfig::query(Algorithm::mba(), MetricChoice::MaxMax);
+    let mut m = run(&data, &data, &maxmax);
     m.label = "MBRQT MAXMAXDIST".into();
     fig.push("mbr", m);
     let mut m = run(
         &data,
         &data,
         &RunConfig {
-            metric: MetricChoice::MaxMax,
             use_subtree_mbrs: false,
-            ..Default::default()
+            ..maxmax
         },
     );
     m.label = "plain-quadrant MAXMAXDIST".into();
@@ -271,11 +252,8 @@ pub fn extra_mnn(fraction: f64) -> Figure {
         "extra-mnn",
         &format!("MNN vs MBA, TAC-like (n={})", data.len()),
     );
-    for method in [Method::Mnn, Method::Mba] {
-        let cfg = RunConfig {
-            method,
-            ..Default::default()
-        };
+    for algorithm in [Algorithm::Mnn, Algorithm::mba()] {
+        let cfg = RunConfig::query(algorithm, MetricChoice::Nxn);
         fig.push("TAC", run(&data, &data, &cfg));
     }
     fig
@@ -315,11 +293,8 @@ pub fn extra_hnn(fraction: f64) -> Figure {
     let uniform = ann_datagen::uniform::<2>(n, SEED);
     let skewed = ann_datagen::skewed::<2>(n, 4.0, SEED);
     for (group, data) in [("uniform", &uniform), ("skewed", &skewed)] {
-        for method in [Method::Hnn, Method::Bnn, Method::Mba] {
-            let cfg = RunConfig {
-                method,
-                ..Default::default()
-            };
+        for algorithm in [Algorithm::hnn(), Algorithm::bnn(), Algorithm::mba()] {
+            let cfg = RunConfig::query(algorithm, MetricChoice::Nxn);
             fig.push(group, run(data, data, &cfg));
         }
     }
@@ -375,7 +350,7 @@ pub fn robustness_bench(fraction: f64) -> crate::report::RobustnessReport {
     let variants: Vec<(&str, Algorithm, usize)> = vec![
         ("mba", Algorithm::mba(), 1),
         ("mba-2t", Algorithm::mba(), 2),
-        ("bnn", Algorithm::Bnn { group_size: 256 }, 1),
+        ("bnn", Algorithm::bnn(), 1),
         ("mnn", Algorithm::Mnn, 1),
         ("hnn", Algorithm::hnn(), 1),
     ];
@@ -438,28 +413,19 @@ pub fn robustness_bench(fraction: f64) -> crate::report::RobustnessReport {
     report
 }
 
-/// Overrides for the out-of-core study (`figures outofcore --seed S`);
-/// `None` keeps the default seed.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct OutofcoreOpts {
-    /// Dataset seed.
-    pub seed: Option<u64>,
-}
-
 /// The out-of-core study (`BENCH_outofcore.json`): streams `scaled(10⁷)`
 /// uniform 2-D points through the MBRQT's streamed bulk build onto a
 /// [`FileDisk`], validates every structural invariant of the result, and
 /// checks that each input oid comes back exactly once.
 ///
 /// [`FileDisk`]: ann_store::FileDisk
-pub fn outofcore(fraction: f64, opts: &OutofcoreOpts) -> crate::report::OutofcoreReport {
+pub fn outofcore(fraction: f64) -> crate::report::OutofcoreReport {
     use ann_core::index::{collect_objects, validate};
     use ann_mbrqt::{Mbrqt, MbrqtConfig};
     use ann_store::{BufferPool, FileDisk};
     use std::sync::Arc;
     use std::time::Instant;
 
-    let seed = opts.seed.unwrap_or(SEED);
     let tmp = std::env::temp_dir();
     let file = |tag: &str| tmp.join(format!("ann-outofcore-{}-{tag}.pages", std::process::id()));
 
@@ -481,7 +447,7 @@ pub fn outofcore(fraction: f64, opts: &OutofcoreOpts) -> crate::report::Outofcor
     let tree = Mbrqt::bulk_build_stream(
         pool,
         scratch,
-        ann_datagen::uniform_stream::<2>(census_n, seed),
+        ann_datagen::uniform_stream::<2>(census_n, SEED),
         run_budget,
         &MbrqtConfig::default(),
     )
@@ -513,7 +479,7 @@ pub fn outofcore(fraction: f64, opts: &OutofcoreOpts) -> crate::report::Outofcor
             "streamed MBRQT bulk build of {census_n} uniform 2D points onto \
              FileDisk, then validate and census"
         ),
-        seed,
+        seed: SEED,
         census: crate::report::OutofcoreCensus {
             points: census_n,
             run_budget,

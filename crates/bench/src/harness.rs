@@ -6,8 +6,7 @@
 //! enabled ([`enable_tracing`]) each run records into a
 //! [`RecordingSink`] and writes one `ExecutionReport` JSON per run.
 
-use ann_core::mba::{Expansion, Traversal};
-use ann_core::query::{Algorithm, AnnRequest, Input, MetricChoice, NoIndex};
+use ann_core::query::{Algorithm, AnnRequest, Input, MetricChoice, NoIndex, QuerySpec};
 use ann_core::stats::AnnOutput;
 use ann_core::trace::{RecordingSink, Side, TraceSink, Tracer};
 use ann_geom::Point;
@@ -30,55 +29,31 @@ pub const IO_SECONDS_PER_PAGE: f64 = 0.010;
 /// Default buffer pool: the paper's 64 frames = 512 KiB.
 pub const DEFAULT_POOL_FRAMES: usize = 64;
 
-/// Algorithm selector.
+/// What a run evaluates that its [`QuerySpec`] cannot say.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Method {
-    /// MBRQT-based ANN (the paper's contribution).
-    Mba,
-    /// The same traversal over R*-trees.
+    /// The spec's algorithm on the paper's indexes: MBA over MBRQTs, BNN
+    /// against an R*-tree, MNN from an MBRQT into an R*-tree, HNN on
+    /// points.
+    Spec,
+    /// The spec's MBA over R*-trees: the paper's RBA.
     Rba,
-    /// Batched NN over an R*-tree (Zhang et al.).
-    Bnn,
-    /// Index nested loops (one best-first search per query).
-    Mnn,
-    /// Spatial-hash grid, no index (Zhang et al.'s HNN).
-    Hnn,
-    /// The GORDER block nested-loops join (Xia et al.).
+    /// The GORDER block nested-loops join (Xia et al.). `ann-gorder` lives
+    /// downstream of `ann-core`, so no [`Algorithm`] names it; it reads
+    /// the spec's `k` and `exclude_self`.
     Gorder,
 }
 
-impl Method {
-    /// Display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Method::Mba => "MBA",
-            Method::Rba => "RBA",
-            Method::Bnn => "BNN",
-            Method::Mnn => "MNN",
-            Method::Hnn => "HNN",
-            Method::Gorder => "GORDER",
-        }
-    }
-}
-
 /// One experiment configuration.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct RunConfig {
-    /// Algorithm under test.
+    /// The query: algorithm, pruning metric (its name is the paper's bar
+    /// label), `k` and self-join mode.
+    pub spec: QuerySpec,
+    /// The tree behind MBA, or GORDER in place of the spec's algorithm.
     pub method: Method,
-    /// Pruning metric (ignored by GORDER, which has no metric knob); its
-    /// name is the paper's bar label.
-    pub metric: MetricChoice,
-    /// Neighbors per query point.
-    pub k: usize,
-    /// Self-join mode.
-    pub exclude_self: bool,
     /// Buffer pool frames (64 = the paper's 512 KiB).
     pub pool_frames: usize,
-    /// Traversal order for MBA/RBA.
-    pub traversal: Traversal,
-    /// Expansion strategy for MBA/RBA.
-    pub expansion: Expansion,
     /// MBRQT stores tight subtree MBRs (ablation flag).
     pub use_subtree_mbrs: bool,
     /// MBRQT decomposition levels per disk node (0 = adaptive default;
@@ -87,18 +62,40 @@ pub struct RunConfig {
 }
 
 impl Default for RunConfig {
+    /// A k = 1 MBA self-join under NXNDIST in the paper's 64-frame pool.
     fn default() -> Self {
         RunConfig {
-            method: Method::Mba,
-            metric: MetricChoice::Nxn,
-            k: 1,
-            exclude_self: true,
+            spec: QuerySpec {
+                exclude_self: true,
+                ..QuerySpec::new(Algorithm::mba())
+            },
+            method: Method::Spec,
             pool_frames: DEFAULT_POOL_FRAMES,
-            traversal: Traversal::DepthFirst,
-            expansion: Expansion::Bidirectional,
             use_subtree_mbrs: true,
             mbrqt_levels_per_node: 0,
         }
+    }
+}
+
+impl RunConfig {
+    /// The default run with `algorithm` under `metric`.
+    pub fn query(algorithm: Algorithm, metric: MetricChoice) -> Self {
+        let mut cfg = RunConfig::default();
+        cfg.spec.algorithm = algorithm;
+        cfg.spec.metric = metric;
+        cfg
+    }
+
+    /// The run's display name: `"MBA NXNDIST"`-style, the bare method for
+    /// the two that take no pruning metric (GORDER, HNN).
+    pub fn label(&self) -> String {
+        let name = match (self.method, self.spec.algorithm) {
+            (Method::Gorder, _) => return "GORDER".into(),
+            (Method::Rba, _) => "RBA".to_string(),
+            (Method::Spec, Algorithm::Hnn { .. }) => return "HNN".into(),
+            (Method::Spec, alg) => alg.name().to_ascii_uppercase(),
+        };
+        format!("{name} {}", self.spec.metric.name())
     }
 }
 
@@ -224,37 +221,52 @@ pub fn run_with_sink<const D: usize>(
     sink: Option<&dyn TraceSink>,
 ) -> Measurement {
     let pool = Arc::new(BufferPool::new(MemDisk::new(), cfg.pool_frames.max(8)));
-    let label = match cfg.method {
-        Method::Gorder | Method::Hnn => cfg.method.name().to_string(),
-        _ => format!("{} {}", cfg.method.name(), cfg.metric.name()),
-    };
+    let label = cfg.label();
+    let spec = &cfg.spec;
 
     eprintln!(
         "  [harness] {} (k={}, pool={} frames, |R|={}, |S|={})",
         label,
-        cfg.k,
+        spec.k,
         cfg.pool_frames,
         r.len(),
         s.len()
     );
     let tracer = sink.map_or(Tracer::disabled(), Tracer::new);
-    let request = |alg: Algorithm| {
-        let mut req = AnnRequest::new(alg)
-            .k(cfg.k)
-            .exclude_self(cfg.exclude_self)
-            .metric(cfg.metric);
-        if let Some(sink) = sink {
-            req = req.trace(sink);
-        }
-        req
-    };
-    let mba_alg = Algorithm::Mba {
-        traversal: cfg.traversal,
-        expansion: cfg.expansion,
-    };
+    let mut request = AnnRequest::from(spec.clone());
+    if let Some(sink) = sink {
+        request = request.trace(sink);
+    }
 
-    match cfg.method {
-        Method::Mba => {
+    match (cfg.method, spec.algorithm) {
+        (Method::Gorder, _) => {
+            // GORDER's sort phase is part of its method; the paper charges
+            // it to the run, and so do we (build_seconds stays 0).
+            prepare_query_phase(&pool);
+            let g_cfg = GorderConfig {
+                k: spec.k,
+                exclude_self: spec.exclude_self,
+            };
+            let t0 = Instant::now();
+            let out = gorder_join_traced(r, s, pool.clone(), &g_cfg, tracer).expect("GORDER run");
+            Measurement::from_output(label, &out, t0.elapsed().as_secs_f64(), 0.0)
+        }
+        (Method::Rba, _) => {
+            let rs_cfg = RStarConfig::default();
+            let t0 = Instant::now();
+            let ir =
+                RStar::bulk_build_traced(pool.clone(), r, &rs_cfg, Side::R, tracer).expect("build");
+            let is =
+                RStar::bulk_build_traced(pool.clone(), s, &rs_cfg, Side::S, tracer).expect("build");
+            let build = t0.elapsed().as_secs_f64();
+            prepare_query_phase(&pool);
+            let t0 = Instant::now();
+            let out = request
+                .run(Input::Index(&ir), Input::Index(&is))
+                .expect("RBA run");
+            Measurement::from_output(label, &out, t0.elapsed().as_secs_f64(), build)
+        }
+        (Method::Spec, Algorithm::Mba { .. }) => {
             let qt_cfg = MbrqtConfig {
                 use_subtree_mbrs: cfg.use_subtree_mbrs,
                 levels_per_node: cfg.mbrqt_levels_per_node,
@@ -266,42 +278,27 @@ pub fn run_with_sink<const D: usize>(
             let is = Mbrqt::bulk_build_traced(pool.clone(), s, &qt_cfg, Side::S, tracer)
                 .expect("build I_S");
             let build = t0.elapsed().as_secs_f64();
-            prepare_query_phase(&pool, cfg.pool_frames);
+            prepare_query_phase(&pool);
             let t0 = Instant::now();
-            let out = request(mba_alg)
+            let out = request
                 .run(Input::Index(&ir), Input::Index(&is))
                 .expect("MBA run");
             Measurement::from_output(label, &out, t0.elapsed().as_secs_f64(), build)
         }
-        Method::Rba => {
-            let rs_cfg = RStarConfig::default();
-            let t0 = Instant::now();
-            let ir =
-                RStar::bulk_build_traced(pool.clone(), r, &rs_cfg, Side::R, tracer).expect("build");
-            let is =
-                RStar::bulk_build_traced(pool.clone(), s, &rs_cfg, Side::S, tracer).expect("build");
-            let build = t0.elapsed().as_secs_f64();
-            prepare_query_phase(&pool, cfg.pool_frames);
-            let t0 = Instant::now();
-            let out = request(mba_alg)
-                .run(Input::Index(&ir), Input::Index(&is))
-                .expect("RBA run");
-            Measurement::from_output(label, &out, t0.elapsed().as_secs_f64(), build)
-        }
-        Method::Bnn => {
+        (Method::Spec, Algorithm::Bnn { .. }) => {
             let t0 = Instant::now();
             let is =
                 RStar::bulk_build_traced(pool.clone(), s, &RStarConfig::default(), Side::S, tracer)
                     .expect("build");
             let build = t0.elapsed().as_secs_f64();
-            prepare_query_phase(&pool, cfg.pool_frames);
+            prepare_query_phase(&pool);
             let t0 = Instant::now();
-            let out = request(Algorithm::Bnn { group_size: 256 })
+            let out = request
                 .run(Input::<D, NoIndex>::Points(r), Input::Index(&is))
                 .expect("BNN run");
             Measurement::from_output(label, &out, t0.elapsed().as_secs_f64(), build)
         }
-        Method::Mnn => {
+        (Method::Spec, Algorithm::Mnn) => {
             let qt_cfg = MbrqtConfig::default();
             let t0 = Instant::now();
             let ir =
@@ -310,19 +307,19 @@ pub fn run_with_sink<const D: usize>(
                 RStar::bulk_build_traced(pool.clone(), s, &RStarConfig::default(), Side::S, tracer)
                     .expect("build");
             let build = t0.elapsed().as_secs_f64();
-            prepare_query_phase(&pool, cfg.pool_frames);
+            prepare_query_phase(&pool);
             let t0 = Instant::now();
-            let out = request(Algorithm::Mnn)
+            let out = request
                 .run(Input::Index(&ir), Input::Index(&is))
                 .expect("MNN run");
             Measurement::from_output(label, &out, t0.elapsed().as_secs_f64(), build)
         }
-        Method::Hnn => {
+        (Method::Spec, _) => {
             // HNN is entirely in-memory (the paper's §2 notes it avoids
             // index construction); no pages are charged.
-            prepare_query_phase(&pool, cfg.pool_frames);
+            prepare_query_phase(&pool);
             let t0 = Instant::now();
-            let out = request(Algorithm::hnn())
+            let out = request
                 .run(
                     Input::<D, NoIndex>::Points(r),
                     Input::<D, NoIndex>::Points(s),
@@ -330,26 +327,11 @@ pub fn run_with_sink<const D: usize>(
                 .expect("HNN run");
             Measurement::from_output(label, &out, t0.elapsed().as_secs_f64(), 0.0)
         }
-        Method::Gorder => {
-            // GORDER's sort phase is part of its method; the paper charges
-            // it to the run, and so do we (build_seconds stays 0).
-            prepare_query_phase(&pool, cfg.pool_frames);
-            let g_cfg = GorderConfig {
-                k: cfg.k,
-                exclude_self: cfg.exclude_self,
-                ..Default::default()
-            };
-            let t0 = Instant::now();
-            let out = gorder_join_traced(r, s, pool.clone(), &g_cfg, tracer).expect("GORDER run");
-            Measurement::from_output(label, &out, t0.elapsed().as_secs_f64(), 0.0)
-        }
     }
 }
 
-/// Clears the pool (cold cache), applies the experiment's capacity, and
-/// zeroes the I/O counters.
-fn prepare_query_phase(pool: &BufferPool, frames: usize) {
+/// Clears the pool (cold cache) and zeroes the I/O counters.
+fn prepare_query_phase(pool: &BufferPool) {
     pool.clear().expect("clear pool");
-    pool.set_capacity(frames.max(8)).expect("set capacity");
     pool.reset_stats();
 }

@@ -20,7 +20,6 @@ pub fn rs_cfg() -> RStarConfig {
     RStarConfig {
         max_leaf_entries: 8,
         max_internal_entries: 4,
-        ..Default::default()
     }
 }
 

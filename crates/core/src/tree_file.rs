@@ -10,7 +10,7 @@
 //! [`Params`]; [`WritableIndex::update`] runs each structural update,
 //! commits the meta page with it and rolls the tree back on `Err`.
 //!
-//! The meta page is written and read here alone (v2; byte table in
+//! The meta page is written and read here alone (v3; byte table in
 //! DESIGN.md §7): a [`Header`] — magic naming the kind, `D`, root, point
 //! count, bounds — then the kind's [`Params`]. A page of another version,
 //! kind or `D` opens as [`StoreError::Corrupt`], never as a misparse.
@@ -26,8 +26,8 @@ use ann_store::{
 use std::ops::DerefMut;
 use std::sync::Arc;
 
-const MBRQT_MAGIC: &[u8; 8] = b"MBRQTv2\0";
-const RSTAR_MAGIC: &[u8; 8] = b"RSTARv2\0";
+const MBRQT_MAGIC: &[u8; 8] = b"MBRQTv3\0";
+const RSTAR_MAGIC: &[u8; 8] = b"RSTARv3\0";
 
 /// What a meta page records first, for every kind: the state each commit
 /// moves. [`TreeFile::header`] mirrors the latest commit's in memory; a
@@ -61,8 +61,6 @@ pub struct MbrqtParams<const D: usize> {
     pub bucket_capacity: usize,
     /// Decomposition levels packed into one disk node.
     pub levels_per_node: usize,
-    /// Depth at which a bucket overflows instead of splitting.
-    pub max_depth: usize,
     /// Whether child entries carry tight subtree MBRs.
     pub use_subtree_mbrs: bool,
 }
@@ -76,10 +74,6 @@ pub struct RStarParams {
     pub max_leaf: usize,
     /// Maximum entries per internal node.
     pub max_internal: usize,
-    /// Minimum fill, as a percentage of the maximum.
-    pub min_fill_percent: usize,
-    /// Share of entries (percent) forced reinsertion evicts.
-    pub reinsert_percent: usize,
 }
 
 /// Decodes the meta page as `store` sees it: the pool, or a snapshot,
@@ -92,7 +86,7 @@ pub(crate) fn read_meta<const D: usize>(
         let mut r = Reader::new(page);
         let magic = r.take(8)?;
         if magic != MBRQT_MAGIC && magic != RSTAR_MAGIC {
-            return Err(StoreError::corrupt("not a v2 tree meta page"));
+            return Err(StoreError::corrupt("not a v3 tree meta page"));
         }
         if r.u32()? as usize != D {
             return Err(StoreError::corrupt("dimensionality mismatch"));
@@ -107,7 +101,6 @@ pub(crate) fn read_meta<const D: usize>(
                 universe: get_mbr(&mut r)?,
                 bucket_capacity: r.u32()? as usize,
                 levels_per_node: r.u32()? as usize,
-                max_depth: r.u32()? as usize,
                 use_subtree_mbrs: r.u32()? != 0,
             })
         } else {
@@ -115,8 +108,6 @@ pub(crate) fn read_meta<const D: usize>(
                 height: r.u32()?,
                 max_leaf: r.u32()? as usize,
                 max_internal: r.u32()? as usize,
-                min_fill_percent: r.u32()? as usize,
-                reinsert_percent: r.u32()? as usize,
             })
         };
         Ok((header, params))
@@ -245,15 +236,12 @@ impl<const D: usize> TreeFile<D> {
                 put_mbr(&mut w, &p.universe);
                 w.u32(p.bucket_capacity as u32);
                 w.u32(p.levels_per_node as u32);
-                w.u32(p.max_depth as u32);
                 w.u32(u32::from(p.use_subtree_mbrs));
             }
             Params::RStar(p) => {
                 w.u32(p.height);
                 w.u32(p.max_leaf as u32);
                 w.u32(p.max_internal as u32);
-                w.u32(p.min_fill_percent as u32);
-                w.u32(p.reinsert_percent as u32);
             }
         }
         txn.with_page_mut(self.meta_page, |page| w.write_into(page))?
@@ -441,7 +429,6 @@ mod tests {
             universe: Mbr::new([-1.0, -1.0], [4.0, 4.0]),
             bucket_capacity: 16,
             levels_per_node: 3,
-            max_depth: 48,
             use_subtree_mbrs: true,
         });
         let first_node = file.transact(|txn| {

@@ -54,7 +54,6 @@ fn rstar_cfg() -> RStarConfig {
     RStarConfig {
         max_leaf_entries: 16,
         max_internal_entries: 8,
-        ..Default::default()
     }
 }
 

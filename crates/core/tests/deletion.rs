@@ -60,7 +60,6 @@ fn rstar_delete_half_keeps_tree_valid() {
         &RStarConfig {
             max_leaf_entries: 16,
             max_internal_entries: 8,
-            ..Default::default()
         },
     )
     .unwrap();

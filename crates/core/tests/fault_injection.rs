@@ -45,7 +45,6 @@ fn rs_cfg() -> RStarConfig {
     RStarConfig {
         max_leaf_entries: 16,
         max_internal_entries: 8,
-        ..Default::default()
     }
 }
 
@@ -412,7 +411,6 @@ fn small_rstar(pool: Arc<BufferPool>) -> RStar<2> {
     let cfg = RStarConfig {
         max_leaf_entries: 4,
         max_internal_entries: 4,
-        ..Default::default()
     };
     RStar::create(pool, &cfg).unwrap()
 }
@@ -501,9 +499,9 @@ fn failed_update_rolls_the_tree_back() {
 }
 
 // ---------------------------------------------------------------------------
-// Typed rejection: a meta page of another kind, another `D` or the v1
-// layout opens as `Corrupt` (never a misparse, never a panic), both plain
-// and through a manifest head.
+// Typed rejection: a meta page of another kind, another `D` or an older
+// layout (v1, v2) opens as `Corrupt` (never a misparse, never a panic),
+// both plain and through a manifest head.
 // ---------------------------------------------------------------------------
 
 use ann_core::tree_file::Params;
@@ -513,11 +511,12 @@ use ann_store::{PageId, PageStore};
 type OnDisk = (Arc<MemDisk>, PageId, Option<PageId>);
 
 /// `CLUSTERS` in a tree built by `build`, flushed and dropped; versioned
-/// or not, and with its meta page rewritten in the v1 layout if `v1`.
+/// or not, and with its meta page rewritten in the layout of meta version
+/// `old` (1 or 2) if one is given.
 fn tree_on_disk<T: WritableIndex<2>>(
     build: fn(Arc<BufferPool>) -> T,
     versioned: bool,
-    v1: bool,
+    old: Option<u8>,
 ) -> OnDisk {
     let mem = Arc::new(MemDisk::new());
     let mut tree = build(Arc::new(BufferPool::new(Arc::clone(&mem), 64)));
@@ -525,8 +524,8 @@ fn tree_on_disk<T: WritableIndex<2>>(
         tree.insert(oid as u64, Point::new(*xy)).unwrap();
     }
     let head = versioned.then(|| tree.enable_versioning(8).unwrap());
-    if v1 {
-        let bytes = v1_meta_page(&tree);
+    if let Some(version) = old {
+        let bytes = old_meta_page(&tree, version);
         tree.transact(|txn| {
             txn.with_page_mut(tree.meta_page(), |page| {
                 page.fill(0);
@@ -539,8 +538,11 @@ fn tree_on_disk<T: WritableIndex<2>>(
     (mem, tree.meta_page(), head)
 }
 
-/// The meta page as the per-kind v1 codecs wrote it, same values.
-fn v1_meta_page<T: WritableIndex<2>>(tree: &T) -> Vec<u8> {
+/// The meta page as the v1 per-kind codecs or the v2 shared codec wrote
+/// it, same values. Both stored the three tree constants v3 dropped: the
+/// MBRQT's maximum depth (48) and the R*-tree's minimum fill (40 %) and
+/// forced-reinsertion share (30 %).
+fn old_meta_page<T: WritableIndex<2>>(tree: &T, version: u8) -> Vec<u8> {
     fn words(out: &mut Vec<u8>, words: &[usize]) {
         words
             .iter()
@@ -552,32 +554,43 @@ fn v1_meta_page<T: WritableIndex<2>>(tree: &T) -> Vec<u8> {
             .for_each(|v| out.extend(v.to_le_bytes()));
     }
     let (mut out, root) = (Vec::new(), tree.root_page() as usize);
-    match tree.params() {
-        Params::Mbrqt(p) => {
+    let n = tree.num_points().to_le_bytes();
+    match (tree.params(), version) {
+        (Params::Mbrqt(p), 1) => {
             out.extend(b"MBRQTv1\0");
             words(&mut out, &[2, root]);
-            out.extend(tree.num_points().to_le_bytes());
+            out.extend(n);
             let flag = usize::from(p.use_subtree_mbrs);
-            words(
-                &mut out,
-                &[p.bucket_capacity, p.levels_per_node, p.max_depth, flag],
-            );
+            words(&mut out, &[p.bucket_capacity, p.levels_per_node, 48, flag]);
             mbr(&mut out, p.universe);
+            mbr(&mut out, tree.bounds());
         }
-        Params::RStar(p) => {
+        (Params::RStar(p), 1) => {
             out.extend(b"RSTARv1\0");
             words(&mut out, &[2, root, p.height as usize]);
-            out.extend(tree.num_points().to_le_bytes());
-            let fill = [
-                p.max_leaf,
-                p.max_internal,
-                p.min_fill_percent,
-                p.reinsert_percent,
-            ];
-            words(&mut out, &fill);
+            out.extend(n);
+            words(&mut out, &[p.max_leaf, p.max_internal, 40, 30]);
+            mbr(&mut out, tree.bounds());
         }
+        (Params::Mbrqt(p), 2) => {
+            out.extend(b"MBRQTv2\0");
+            words(&mut out, &[2, root]);
+            out.extend(n);
+            mbr(&mut out, tree.bounds());
+            mbr(&mut out, p.universe);
+            let flag = usize::from(p.use_subtree_mbrs);
+            words(&mut out, &[p.bucket_capacity, p.levels_per_node, 48, flag]);
+        }
+        (Params::RStar(p), 2) => {
+            out.extend(b"RSTARv2\0");
+            words(&mut out, &[2, root]);
+            out.extend(n);
+            mbr(&mut out, tree.bounds());
+            let height = p.height as usize;
+            words(&mut out, &[height, p.max_leaf, p.max_internal, 40, 30]);
+        }
+        (_, v) => panic!("no meta layout v{v}"),
     }
-    mbr(&mut out, tree.bounds());
     out
 }
 
@@ -593,17 +606,19 @@ fn assert_corrupt<T: WritableIndex<D>, const D: usize>(what: &str, (mem, meta, h
 #[test]
 fn meta_page_of_another_kind_dimension_or_version_is_corrupt() {
     for versioned in [false, true] {
-        let qt = tree_on_disk(small_mbrqt, versioned, false);
-        let rs = tree_on_disk(small_rstar, versioned, false);
+        let qt = tree_on_disk(small_mbrqt, versioned, None);
+        let rs = tree_on_disk(small_rstar, versioned, None);
         let leg = |what: &str| format!("{what} (versioned={versioned})");
         assert_corrupt::<RStar<2>, 2>(&leg("MBRQT opened as R*-tree"), &qt);
         assert_corrupt::<Mbrqt<2>, 2>(&leg("R*-tree opened as MBRQT"), &rs);
         assert_corrupt::<Mbrqt<3>, 3>(&leg("D = 2 MBRQT opened at D = 3"), &qt);
         assert_corrupt::<RStar<3>, 3>(&leg("D = 2 R*-tree opened at D = 3"), &rs);
-        let v1 = tree_on_disk(small_mbrqt, versioned, true);
-        assert_corrupt::<Mbrqt<2>, 2>(&leg("v1 MBRQT meta page"), &v1);
-        let v1 = tree_on_disk(small_rstar, versioned, true);
-        assert_corrupt::<RStar<2>, 2>(&leg("v1 R*-tree meta page"), &v1);
+        for version in [1, 2] {
+            let old = tree_on_disk(small_mbrqt, versioned, Some(version));
+            assert_corrupt::<Mbrqt<2>, 2>(&leg(&format!("v{version} MBRQT meta page")), &old);
+            let old = tree_on_disk(small_rstar, versioned, Some(version));
+            assert_corrupt::<RStar<2>, 2>(&leg(&format!("v{version} R*-tree meta page")), &old);
+        }
 
         // The same files open as their own kind.
         let open = |(mem, meta, head): &OnDisk| {

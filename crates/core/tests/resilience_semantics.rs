@@ -36,7 +36,6 @@ fn rs_cfg() -> RStarConfig {
     RStarConfig {
         max_leaf_entries: 16,
         max_internal_entries: 8,
-        ..Default::default()
     }
 }
 

@@ -34,7 +34,6 @@ fn rs_cfg() -> RStarConfig {
     RStarConfig {
         max_leaf_entries: 8,
         max_internal_entries: 4,
-        ..Default::default()
     }
 }
 

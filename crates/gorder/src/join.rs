@@ -11,19 +11,24 @@ use ann_store::{BufferPool, HeapFile, Reader, Result, Writer};
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-/// Configuration for [`gorder_join`].
+/// Grid segments per (principal) dimension; the GORDER paper's
+/// recommended operating range is tens-to-hundreds depending on
+/// dimensionality.
+pub const SEGMENTS_PER_DIM: u32 = 64;
+
+/// Pages per outer (`R`) block held in memory at a time.
+pub const R_BLOCK_PAGES: usize = 8;
+
+/// Pages per inner (`S`) block.
+pub const S_BLOCK_PAGES: usize = 2;
+
+/// Configuration for [`gorder_join`]: what a query asks for. The grid and
+/// block sizes are [`SEGMENTS_PER_DIM`], [`R_BLOCK_PAGES`] and
+/// [`S_BLOCK_PAGES`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GorderConfig {
     /// Neighbors per query object.
     pub k: usize,
-    /// Grid segments per (principal) dimension; the GORDER paper's
-    /// recommended operating range is tens-to-hundreds depending on
-    /// dimensionality.
-    pub segments_per_dim: u32,
-    /// Pages per outer (`R`) block held in memory at a time.
-    pub r_block_pages: usize,
-    /// Pages per inner (`S`) block.
-    pub s_block_pages: usize,
     /// Self-join mode: skip same-oid pairs.
     pub exclude_self: bool,
 }
@@ -32,9 +37,6 @@ impl Default for GorderConfig {
     fn default() -> Self {
         GorderConfig {
             k: 1,
-            segments_per_dim: 64,
-            r_block_pages: 8,
-            s_block_pages: 2,
             exclude_self: false,
         }
     }
@@ -134,11 +136,11 @@ pub fn gorder_join_traced<const D: usize>(
     // Phase 2: grid-order sort and write back in sorted blocks.
     let span_sort = tracer.span_enter(Phase::Sort, io_now);
     let bounds = Mbr::from_points(tr.iter().chain(ts.iter()).map(|(_, p)| p));
-    let grid = GridOrder::with_uniform_segments(bounds, cfg.segments_per_dim);
+    let grid = GridOrder::with_uniform_segments(bounds, SEGMENTS_PER_DIM);
     grid.sort(&mut tr);
     grid.sort(&mut ts);
-    let rf = BlockFile::write(pool.clone(), &tr, cfg.r_block_pages)?;
-    let sf = BlockFile::write(pool.clone(), &ts, cfg.s_block_pages)?;
+    let rf = BlockFile::write(pool.clone(), &tr, R_BLOCK_PAGES)?;
+    let sf = BlockFile::write(pool.clone(), &ts, S_BLOCK_PAGES)?;
     drop(tr);
     drop(ts);
     tracer.span_exit(Phase::Sort, span_sort, io_now);

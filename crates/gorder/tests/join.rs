@@ -1,11 +1,13 @@
 //! End-to-end correctness of the GORDER join against brute force.
 
 use ann_core::brute::brute_force_aknn;
-use ann_core::stats::NeighborPair;
+use ann_core::node::ObjectEntry;
+use ann_core::trace::{RecordingSink, Tracer};
 use ann_datagen::Rng;
 use ann_geom::Point;
-use ann_gorder::{gorder_join, GorderConfig};
-use ann_store::{BufferPool, MemDisk};
+use ann_gorder::join::{R_BLOCK_PAGES, SEGMENTS_PER_DIM, S_BLOCK_PAGES};
+use ann_gorder::{gorder_join, gorder_join_traced, GorderConfig};
+use ann_store::{BufferPool, HeapFile, MemDisk};
 use std::sync::Arc;
 
 fn pool(frames: usize) -> Arc<BufferPool> {
@@ -90,46 +92,57 @@ fn self_join_with_exclusion() {
     let cfg = GorderConfig {
         k: 2,
         exclude_self: true,
-        ..Default::default()
     };
     check(&pts, &pts, &cfg, "self-join");
 }
 
+/// Records of a `D`-dimensional point in one outer (`R`) block and one
+/// inner (`S`) block.
+fn block_records<const D: usize>() -> (usize, usize) {
+    let heap = HeapFile::create(pool(4), ObjectEntry::<D>::SIZE).unwrap();
+    let per_page = heap.records_per_page();
+    (per_page * R_BLOCK_PAGES, per_page * S_BLOCK_PAGES)
+}
+
+/// Inputs sized around the block boundaries (one record short of a full
+/// block, a full block, one record into the next, several blocks) on both
+/// sides: the last, partial block of either file changes no result.
 #[test]
 fn block_sizes_do_not_change_results() {
-    let r = random_points::<3>(300, 66);
-    let s = random_points::<3>(300, 77);
-    let reference: Vec<NeighborPair> = {
-        let mut out = gorder_join(&r, &s, pool(128), &GorderConfig::default()).unwrap();
-        out.sort();
-        out.results
-    };
-    for (rp, sp) in [(1usize, 1usize), (2, 8), (16, 4)] {
-        let cfg = GorderConfig {
-            r_block_pages: rp,
-            s_block_pages: sp,
-            ..Default::default()
-        };
-        let mut out = gorder_join(&r, &s, pool(128), &cfg).unwrap();
-        out.sort();
-        assert_eq!(out.results.len(), reference.len());
-        for (a, b) in out.results.iter().zip(&reference) {
-            assert_eq!(a.r_oid, b.r_oid);
-            assert!((a.dist - b.dist).abs() < 1e-9);
-        }
+    let (r_block, s_block) = block_records::<3>();
+    for (nr, ns) in [
+        (r_block - 1, s_block + 1),
+        (r_block, s_block),
+        (r_block + 1, s_block - 1),
+        (7, 3 * s_block + 1),
+    ] {
+        let r = random_points::<3>(nr, 66);
+        let s = random_points::<3>(ns, 77);
+        check(
+            &r,
+            &s,
+            &GorderConfig::default(),
+            &format!("|R|={nr} |S|={ns}"),
+        );
     }
 }
 
+/// Inputs sized around the grid's resolution: fewer points than segments
+/// per dimension (most cells empty), about one per segment, and about one
+/// per cell (points on both sides of many cell boundaries).
 #[test]
 fn grid_granularity_does_not_change_results() {
-    let r = random_points::<2>(300, 88);
-    let s = random_points::<2>(300, 99);
-    for segments in [2, 16, 256] {
-        let cfg = GorderConfig {
-            segments_per_dim: segments,
-            ..Default::default()
-        };
-        check(&r, &s, &cfg, &format!("segments={segments}"));
+    let r = random_points::<2>(200, 88);
+    let segments = SEGMENTS_PER_DIM as usize;
+    for ns in [
+        2,
+        segments - 1,
+        segments,
+        segments + 1,
+        segments * segments + 1,
+    ] {
+        let s = random_points::<2>(ns, 99);
+        check(&r, &s, &GorderConfig::default(), &format!("|S|={ns}"));
     }
 }
 
@@ -144,31 +157,36 @@ fn empty_inputs() {
 
 #[test]
 fn schedule_prunes_far_blocks() {
-    // Two well separated clusters: the join of the left cluster must not
-    // scan every block of the right cluster.
+    // Two well separated clusters of one outer block each (so four inner
+    // blocks each): the join of either cluster must not scan a block of
+    // the other.
+    let (r_block, _) = block_records::<10>();
     let mut rng = Rng::new(7);
-    let mut pts: Vec<(u64, Point<2>)> = vec![];
-    for i in 0..2000u64 {
-        let base = if i % 2 == 0 { 0.0 } else { 1000.0 };
-        pts.push((i, Point::new([base + rng.f64(), rng.f64()])));
-    }
-    let p = pool(256);
-    // One-page blocks so each cluster spans several blocks (a 2-D record
-    // is 24 bytes, ~340 per page).
-    let cfg = GorderConfig {
-        r_block_pages: 1,
-        s_block_pages: 1,
-        ..Default::default()
-    };
-    let out = gorder_join(&pts, &pts, p, &cfg).unwrap();
-    assert_eq!(out.results.len(), 2000);
-    // Within-cluster work is inherently ~2 * 1000^2 = 2M pair distances;
-    // the scheduled block pruning must eliminate essentially all of the
-    // ~2M cross-cluster pairs.
-    assert!(
-        out.stats.distance_computations < 2_500_000,
-        "block pruning failed: {} computations",
-        out.stats.distance_computations
+    let pts: Vec<(u64, Point<10>)> = (0..2 * r_block as u64)
+        .map(|i| {
+            let mut c = [0.0; 10];
+            for v in c.iter_mut() {
+                *v = rng.f64();
+            }
+            if i % 2 == 1 {
+                c[0] += 1000.0;
+            }
+            (i, Point::new(c))
+        })
+        .collect();
+    let sink = RecordingSink::new();
+    let cfg = GorderConfig::default();
+    let out = gorder_join_traced(&pts, &pts, pool(256), &cfg, Tracer::new(&sink)).unwrap();
+    assert_eq!(out.results.len(), 2 * r_block);
+    let blocks = sink.report("two clusters").gorder;
+    assert_eq!(
+        (
+            blocks.outer_blocks,
+            blocks.inner_scanned,
+            blocks.inner_skipped
+        ),
+        (2, 8, 8),
+        "each outer block must skip the other cluster's four inner blocks"
     );
 }
 
@@ -180,11 +198,7 @@ fn coincident_candidates_resolve_to_smallest_oid() {
     let s = [(9, Point::new([1.0, 1.0])), (3, Point::new([1.0, 1.0]))];
     for k in [1, 2] {
         for exclude_self in [false, true] {
-            let cfg = GorderConfig {
-                k,
-                exclude_self,
-                ..Default::default()
-            };
+            let cfg = GorderConfig { k, exclude_self };
             check(&r, &s, &cfg, &format!("k={k} exclude_self={exclude_self}"));
         }
     }
@@ -199,7 +213,6 @@ fn huge_k_returns_every_candidate() {
         let cfg = GorderConfig {
             k: usize::MAX,
             exclude_self,
-            ..Default::default()
         };
         check(&pts, &pts, &cfg, "k = usize::MAX");
         let out = gorder_join(&pts, &pts, pool(16), &cfg).unwrap();
@@ -212,11 +225,7 @@ fn huge_k_returns_every_candidate() {
 fn k_zero_returns_empty() {
     let pts = random_points::<2>(50, 2);
     for exclude_self in [false, true] {
-        let cfg = GorderConfig {
-            k: 0,
-            exclude_self,
-            ..Default::default()
-        };
+        let cfg = GorderConfig { k: 0, exclude_self };
         let out = gorder_join(&pts, &pts, pool(16), &cfg).unwrap();
         assert!(out.results.is_empty());
     }
@@ -230,7 +239,6 @@ fn counters_are_pinned_on_one_seeded_input() {
     let cfg = GorderConfig {
         k: 5,
         exclude_self: true,
-        ..Default::default()
     };
     let out = gorder_join(&pts, &pts, pool(16), &cfg).unwrap();
     assert_eq!(

@@ -8,7 +8,7 @@
 //! write their nodes through it, so they cannot disagree on that rule.
 //! Pages are allocated at write time, after their children (post-order).
 
-use crate::{cell_of_point, cell_quadrant, Mbrqt, MbrqtConfig};
+use crate::{cell_of_point, cell_quadrant, Mbrqt, MbrqtConfig, MAX_DEPTH};
 use ann_core::node::{write_node, Entry, Node, NodeEntry, ObjectEntry};
 use ann_core::trace::{Phase, Side, TraceEvent, Tracer};
 use ann_core::tree_file::{MbrqtParams, WritableIndex};
@@ -111,7 +111,7 @@ fn build_external<const D: usize, S: PageStore>(
     depth: usize,
     budget: usize,
 ) -> Result<NodeEntry<D>> {
-    if part.heap.len() as usize <= budget || depth >= builder.params.max_depth {
+    if part.heap.len() as usize <= budget || depth >= MAX_DEPTH {
         let mut points = Vec::with_capacity(part.heap.len() as usize);
         part.replay(|oid, p| {
             points.push((oid, p));
@@ -217,7 +217,7 @@ impl<'a, S: PageStore, const D: usize> Builder<'a, S, D> {
 
     /// Builds the subtree for `points` within `quadrant` on fresh pages,
     /// returning the child entry describing it. `depth` counts quadtree
-    /// decomposition levels (for the `max_depth` budget); `level` counts
+    /// decomposition levels (for the [`MAX_DEPTH`] budget); `level` counts
     /// disk nodes from the subtree root (for the build tally only).
     pub(crate) fn build(
         &mut self,
@@ -233,7 +233,7 @@ impl<'a, S: PageStore, const D: usize> Builder<'a, S, D> {
             }
             tally[level] += 1;
         }
-        if points.len() <= self.params.bucket_capacity || depth >= self.params.max_depth {
+        if points.len() <= self.params.bucket_capacity || depth >= MAX_DEPTH {
             return self.write_leaf(points, quadrant, None);
         }
         self.split(points, quadrant, depth, level, None)
@@ -244,7 +244,7 @@ impl<'a, S: PageStore, const D: usize> Builder<'a, S, D> {
     /// `2^(D * levels)` cells of [`pick_levels`](Self::pick_levels)
     /// levels; only non-empty cells get a child (a sparse vector sorted
     /// by cell index). A degenerate split (all points in one cell at
-    /// every level) is bounded by `max_depth`.
+    /// every level) is bounded by [`MAX_DEPTH`].
     pub(crate) fn split(
         &mut self,
         points: Vec<(u64, Point<D>)>,
@@ -282,7 +282,7 @@ impl<'a, S: PageStore, const D: usize> Builder<'a, S, D> {
         let needed = (ratio.log2() / D as f64).ceil() as usize;
         needed
             .clamp(1, p.levels_per_node)
-            .min((p.max_depth - depth).max(1))
+            .min((MAX_DEPTH - depth).max(1))
     }
 
     /// Writes an internal node over `entries`, its `levels` kept in the

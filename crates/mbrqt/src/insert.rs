@@ -6,7 +6,7 @@
 //! on the same page, the internal node the bulk build would have made of
 //! its points.
 
-use crate::{build::Builder, cell_of_mbr, cell_of_point, cell_quadrant, Mbrqt};
+use crate::{build::Builder, cell_of_mbr, cell_of_point, cell_quadrant, Mbrqt, MAX_DEPTH};
 use ann_core::node::{read_node, Entry, NodeEntry, ObjectEntry};
 use ann_core::tree_file::WritableIndex;
 use ann_geom::{Mbr, Point};
@@ -51,7 +51,7 @@ fn descend<const D: usize>(
 
     if node.is_leaf {
         node.entries.push(Entry::Object(ObjectEntry { oid, point }));
-        if node.entries.len() > builder.params.bucket_capacity && depth < builder.params.max_depth {
+        if node.entries.len() > builder.params.bucket_capacity && depth < MAX_DEPTH {
             // Split: this bucket's page becomes an internal node whose
             // children come from the bulk build's rule.
             let points = node

@@ -59,6 +59,11 @@ use ann_geom::{Mbr, Point};
 use ann_store::{BufferPool, PageId, Result, StoreError};
 use std::sync::Arc;
 
+/// Maximum decomposition depth: a bucket this deep overflows into chained
+/// pages instead of splitting further, which is what makes heavily
+/// duplicated points safe.
+pub const MAX_DEPTH: usize = 48;
+
 /// Tuning knobs for [`Mbrqt`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MbrqtConfig {
@@ -71,10 +76,6 @@ pub struct MbrqtConfig {
     /// would waste almost the whole page in low dimensions (cf. Hjaltason
     /// & Samet's PMR-quadtree paging).
     pub levels_per_node: usize,
-    /// Maximum tree depth; a bucket at this depth is allowed to overflow
-    /// into chained pages instead of splitting further (this is what makes
-    /// heavily duplicated points safe).
-    pub max_depth: usize,
     /// Store tight subtree MBRs on child entries (the paper's MBRQT).
     /// `false` stores the raw quadrant boxes — the plain-quadtree ablation,
     /// only sound with the `MAXMAXDIST` metric (see the crate docs).
@@ -86,7 +87,6 @@ impl Default for MbrqtConfig {
         MbrqtConfig {
             bucket_capacity: 0,
             levels_per_node: 0,
-            max_depth: 48,
             use_subtree_mbrs: true,
         }
     }
@@ -235,7 +235,6 @@ impl<const D: usize> Mbrqt<D> {
                 universe,
                 bucket_capacity: config.resolved_bucket_capacity::<D>(),
                 levels_per_node: config.resolved_levels_per_node::<D>(),
-                max_depth: config.max_depth,
                 use_subtree_mbrs: config.use_subtree_mbrs,
             },
         })

@@ -115,7 +115,7 @@ fn streamed_build_handles_empty_and_duplicate_inputs() {
     .unwrap();
     assert_eq!(validate(&empty).unwrap().objects, 0);
 
-    // Duplicates never make partitioning progress; the max_depth budget
+    // Duplicates never make partitioning progress; the MAX_DEPTH budget
     // must stop the external recursion exactly as it stops the in-memory
     // one.
     let dupes: Vec<(u64, Point<2>)> = (0..300).map(|i| (i, Point::new([0.5, 0.5]))).collect();

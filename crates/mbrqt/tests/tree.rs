@@ -7,7 +7,7 @@ use ann_core::node::Entry;
 use ann_core::tree_file::WritableIndex;
 use ann_datagen::Rng;
 use ann_geom::{Mbr, Point};
-use ann_mbrqt::{Mbrqt, MbrqtConfig};
+use ann_mbrqt::{Mbrqt, MbrqtConfig, MAX_DEPTH};
 use ann_store::{BufferPool, MemDisk};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -124,15 +124,30 @@ fn bucket_capacity_is_respected_above_max_depth() {
 #[test]
 fn duplicate_points_overflow_into_one_bucket() {
     // 500 copies of the same point with capacity 8: splitting can never
-    // separate them, so max_depth must stop the recursion.
+    // separate them, so MAX_DEPTH must stop the recursion, with every copy
+    // in the one bucket at that depth.
     let pts: Vec<(u64, Point<2>)> = (0..500).map(|i| (i, Point::new([5.0, 5.0]))).collect();
     let cfg = MbrqtConfig {
         bucket_capacity: 8,
-        max_depth: 12,
         ..Default::default()
     };
     let tree = Mbrqt::bulk_build(pool(64), &pts, &cfg).unwrap();
     assert_eq!(validate(&tree).unwrap().objects, 500);
+    // An internal node's aux byte is the decomposition levels it packs.
+    let (mut page, mut depth) = (tree.root_page(), 0);
+    let bucket = loop {
+        let node = tree.read_node(page).unwrap();
+        if node.is_leaf {
+            break node;
+        }
+        assert_eq!(node.entries.len(), 1, "duplicates share one cell");
+        let Entry::Node(child) = node.entries[0] else {
+            panic!("internal node holds a child entry");
+        };
+        depth += node.aux as usize;
+        page = child.page;
+    };
+    assert_eq!((depth, bucket.entries.len()), (MAX_DEPTH, 500));
 }
 
 #[test]

@@ -7,6 +7,10 @@ use ann_core::tree_file::WritableIndex;
 use ann_geom::{Mbr, Point};
 use ann_store::{PageId, PageStore, Result, StoreError, Txn};
 
+/// Share of an overflowing node's entries (percent) that forced
+/// reinsertion evicts (the R\* paper's recommendation).
+const REINSERT_PERCENT: usize = 30;
+
 /// Inserts one point; see [`RStar::insert`].
 ///
 /// The whole update — every rewritten node page, any split or reinsertion
@@ -148,9 +152,9 @@ fn descend<const D: usize>(
     // split.
     let is_root = level == tree.params.height - 1;
     let lvl = level as usize;
-    if !is_root && tree.params.reinsert_percent > 0 && reinsert_done.get(lvl) == Some(&false) {
+    if !is_root && reinsert_done.get(lvl) == Some(&false) {
         reinsert_done[lvl] = true;
-        let evicted = forced_reinsert_victims(&mut node, max * tree.params.reinsert_percent / 100);
+        let evicted = forced_reinsert_victims(&mut node, max * REINSERT_PERCENT / 100);
         node.recompute_mbr();
         let count = node.count();
         let mbr = node.mbr;

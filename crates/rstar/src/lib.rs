@@ -50,30 +50,18 @@ use ann_geom::Point;
 use ann_store::{BufferPool, PageId, Result, StoreError};
 use std::sync::Arc;
 
-/// Tuning knobs for [`RStar`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Minimum fill of a non-root node, as a percentage of its maximum (the
+/// R\* paper's recommendation).
+const MIN_FILL_PERCENT: usize = 40;
+
+/// Node sizes for [`RStar`]. The fill and reinsertion shares are the R\*
+/// paper's constants.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RStarConfig {
     /// Maximum entries per leaf node. `0` = fill one page.
     pub max_leaf_entries: usize,
     /// Maximum entries per internal node. `0` = fill one page.
     pub max_internal_entries: usize,
-    /// Minimum fill as a percentage of the maximum (the R\* paper
-    /// recommends 40).
-    pub min_fill_percent: usize,
-    /// Fraction of entries (percent) evicted by forced reinsertion
-    /// (the R\* paper recommends 30). `0` disables reinsertion.
-    pub reinsert_percent: usize,
-}
-
-impl Default for RStarConfig {
-    fn default() -> Self {
-        RStarConfig {
-            max_leaf_entries: 0,
-            max_internal_entries: 0,
-            min_fill_percent: 40,
-            reinsert_percent: 30,
-        }
-    }
 }
 
 impl RStarConfig {
@@ -151,7 +139,7 @@ impl<const D: usize> RStar<D> {
         } else {
             self.params.max_internal
         };
-        (max * self.params.min_fill_percent / 100).max(2)
+        (max * MIN_FILL_PERCENT / 100).max(2)
     }
 
     /// Inserts one point (R\* insertion with forced reinsertion).
@@ -176,8 +164,6 @@ impl<const D: usize> RStar<D> {
                 height: 1,
                 max_leaf: config.resolved_max::<D>(true),
                 max_internal: config.resolved_max::<D>(false),
-                min_fill_percent: config.min_fill_percent.clamp(10, 50),
-                reinsert_percent: config.reinsert_percent.min(45),
             },
         })
     }

@@ -33,7 +33,6 @@ fn small_cfg() -> RStarConfig {
     RStarConfig {
         max_leaf_entries: 16,
         max_internal_entries: 8,
-        ..Default::default()
     }
 }
 
@@ -98,20 +97,6 @@ fn fanout_bounds_hold_after_incremental_build() {
 }
 
 #[test]
-fn reinsert_disabled_still_validates() {
-    let pts = random_points::<2>(2000, 53);
-    let cfg = RStarConfig {
-        reinsert_percent: 0,
-        ..small_cfg()
-    };
-    let mut tree = RStar::create(pool(64), &cfg).unwrap();
-    for &(oid, p) in &pts {
-        tree.insert(oid, p).unwrap();
-    }
-    assert_eq!(validate(&tree).unwrap().objects, 2000);
-}
-
-#[test]
 fn mixed_bulk_then_incremental() {
     let pts = random_points::<2>(2000, 59);
     let (bulk_half, inc_half) = pts.split_at(1000);
@@ -135,7 +120,6 @@ fn str_build_packs_efficiently() {
     let cfg = RStarConfig {
         max_leaf_entries: 100,
         max_internal_entries: 100,
-        ..Default::default()
     };
     let tree = RStar::bulk_build(pool(64), &pts, &cfg).unwrap();
     let shape = validate(&tree).unwrap();

@@ -199,7 +199,8 @@ pub struct Request {
     pub method: String,
     /// Path component, without the query string.
     pub path: String,
-    /// Decoded `key=value` pairs from the query string, in order.
+    /// `key=value` pairs from the query string, in order, split at `&`
+    /// and the first `=` and kept as sent: nothing is percent-decoded.
     pub query: Vec<(String, String)>,
     /// Raw body bytes (empty when no `Content-Length` was sent).
     pub body: Vec<u8>,

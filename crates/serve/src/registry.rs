@@ -2,10 +2,10 @@
 //!
 //! A *collection* is one bulk-built spatial index (MBRQT or R*-tree) over
 //! a point set, persisted in its own [`FileDisk`] file with a JSON
-//! sidecar recording how to reopen it (index kind, metadata page, pool
-//! size, and the MVCC manifest head; its `points` is the bulk-build count,
-//! written for people and never read back — the live count is in the
-//! tree's own meta page). The registry maps [`CollectionId`]s to live
+//! sidecar recording how to reopen it: index kind, metadata page and the
+//! MVCC manifest head. The pool a collection opens with is the registry's
+//! (`ServerConfig::pool_frames`), and the live point count is in the
+//! tree's own meta page. The registry maps [`CollectionId`]s to live
 //! [`Collection`] handles, opening lazily on first use so a restarted
 //! server picks up everything a previous run created.
 //!
@@ -57,7 +57,9 @@ pub const SERVE_DIMS: usize = 2;
 /// Sidecar schema version (bumped independently of the query wire
 /// schema; same rule — removals or meaning changes bump, additions of
 /// optional fields do not). Every v1 sidecar this registry reads carries
-/// `versions_head`.
+/// `versions_head`. Earlier v1 sidecars also carry `points` and
+/// `pool_frames`, which the reader never required and now ignores, so
+/// dropping them kept the version at 1.
 const SIDECAR_VERSION: u64 = 1;
 
 /// A service-level error: the stable [`ErrorCode`] plus a human message.
@@ -269,9 +271,8 @@ impl Registry {
     ) -> Result<(), ApiError> {
         use std::io::Write;
         let kind = kind.as_str();
-        let (meta_page, points, pool_frames) =
-            (index.meta_page(), index.num_points(), self.pool_frames);
-        let sidecar = format!("{{\"v\":{SIDECAR_VERSION},\"kind\":\"{kind}\",\"meta_page\":{meta_page},\"points\":{points},\"pool_frames\":{pool_frames},\"versions_head\":{versions_head}}}\n");
+        let meta_page = index.meta_page();
+        let sidecar = format!("{{\"v\":{SIDECAR_VERSION},\"kind\":\"{kind}\",\"meta_page\":{meta_page},\"versions_head\":{versions_head}}}\n");
         let tmp = self.root.join(format!("{id}.meta.json.tmp"));
         (|| {
             let mut file = std::fs::File::create(&tmp)?;
@@ -441,17 +442,13 @@ impl Registry {
             .and_then(JsonValue::as_u64)
             .and_then(|p| u32::try_from(p).ok())
             .ok_or_else(|| invalid("missing or out-of-range meta_page"))?;
-        let frames = doc
-            .get("pool_frames")
-            .and_then(JsonValue::as_usize)
-            .unwrap_or(self.pool_frames);
         let versions_head = doc
             .get("versions_head")
             .and_then(JsonValue::as_u64)
             .and_then(|p| u32::try_from(p).ok())
             .ok_or_else(|| invalid("missing or out-of-range versions_head"))?;
         let disk = FileDisk::open(self.disk_path(id)).map_err(|e| ApiError::from_store(&e))?;
-        let pool = Arc::new(BufferPool::new(disk, frames.max(16)));
+        let pool = Arc::new(BufferPool::new(disk, self.pool_frames));
         let p = Arc::clone(&pool);
         let opened = match kind {
             IndexKind::Mbrqt => Mbrqt::open_at(p, meta_page, Some(versions_head)).map(boxed),

@@ -920,7 +920,7 @@ fn pre_versioning_collection_is_rejected_on_open() {
 
 /// The point count — and with it the next oid — is tree state: after a
 /// restart it comes back from the tree's own meta page, which every insert
-/// commits, for either index kind. (The sidecar's `points` is the
+/// commits, for either index kind. (Sidecars once carried `points`, the
 /// bulk-build count; reading it back handed out oid 10 a second time.)
 #[test]
 fn point_count_and_oids_survive_restart() {
@@ -990,6 +990,66 @@ fn point_count_and_oids_survive_restart() {
         let truth = brute_force_aknn(&keyed, &keyed, spec.k, true);
         assert_eq!(pairs_json(out.results), pairs_json(truth), "{name}");
         drop((ctx, coll));
+        server.shutdown();
+    }
+}
+
+/// A collection's pool size is the serving process's `pool_frames`: one
+/// created under 64 frames reopens through 256 in a server started with
+/// 256, from the sidecar the registry writes and from one an earlier build
+/// wrote, which also carried `points` and `pool_frames`.
+#[test]
+fn reopened_collection_reads_through_the_servers_pool_size() {
+    use ann_core::wire::{CollectionId, JsonValue};
+    use ann_serve::{IndexKind, Registry};
+
+    let points = uniform_points(300, 0x9F);
+    for earlier_sidecar in [false, true] {
+        let dir = temp_dir("pool-size");
+        let id = CollectionId::new("sized").expect("id");
+        let registry = Registry::open(&dir, 64).expect("registry");
+        let created = registry
+            .create(&id, IndexKind::Mbrqt, &points)
+            .expect("create");
+        assert_eq!(created.pool.capacity(), 64);
+        drop((created, registry));
+        if earlier_sidecar {
+            let path = dir.join("sized.meta.json");
+            let doc = JsonValue::parse(&std::fs::read_to_string(&path).expect("sidecar"))
+                .expect("sidecar JSON");
+            let field = |key: &str| doc.get(key).and_then(JsonValue::as_u64).expect(key);
+            let (meta_page, head) = (field("meta_page"), field("versions_head"));
+            std::fs::write(
+                &path,
+                format!(
+                    "{{\"v\":1,\"kind\":\"mbrqt\",\"meta_page\":{meta_page},\"points\":300,\"pool_frames\":64,\"versions_head\":{head}}}\n"
+                ),
+            )
+            .expect("rewrite sidecar");
+        }
+
+        let server = Server::start(ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 1,
+            queue_depth: 4,
+            data_dir: dir,
+            pool_frames: 256,
+            compute_tokens: 0,
+        })
+        .expect("server over the same directory");
+        let coll = server.registry().get(&id).expect("reopen");
+        assert_eq!(coll.pool.capacity(), 256, "earlier={earlier_sidecar}");
+        let spec = QuerySpec {
+            exclude_self: true,
+            ..QuerySpec::default()
+        };
+        let answer = Client::new(server.addr().to_string())
+            .query("sized", &spec)
+            .expect("query");
+        assert_eq!(answer.status, 200, "{}", answer.body);
+        let outcome = QueryOutcome::from_json(&answer.body).expect("an outcome");
+        assert_eq!(outcome.results.len(), 300);
+        drop(coll);
         server.shutdown();
     }
 }

@@ -5,8 +5,8 @@
 //! [`BufferPool::with_page`] / [`BufferPool::with_page_mut`]; the pool
 //! charges a logical read per access and a physical read per miss. The
 //! default experimental configuration is the paper's: 64 frames × 8 KiB =
-//! 512 KiB (§4.1). [`BufferPool::set_capacity`] changes the budget at run
-//! time, which is how the Figure 3(b) buffer-size sweep is driven.
+//! 512 KiB (§4.1). The budget is fixed when the pool is built: the
+//! Figure 3(b) buffer-size sweep builds one pool per size.
 //!
 //! # Sharding
 //!
@@ -45,7 +45,7 @@ use crate::{DiskBackend, IoSnapshot, IoStats, PageId, Result, StoreError, FRAME_
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -238,7 +238,7 @@ pub struct BufferPool {
     disk: Box<dyn DiskBackend>,
     shards: Box<[Shard]>,
     /// Requested total frame budget (the per-shard budgets derive from it).
-    capacity: AtomicUsize,
+    capacity: usize,
     /// Pool-level counters not attributable to one shard (allocation
     /// retries); folded into [`stats`](Self::stats) with the shard counters.
     stats: IoStats,
@@ -281,20 +281,20 @@ impl BufferPool {
         BufferPool {
             disk: Box::new(disk),
             shards: caps.into_iter().map(Shard::new).collect(),
-            capacity: AtomicUsize::new(capacity),
+            capacity,
             stats: IoStats::default(),
             quarantine: Mutex::new(HashSet::new()),
             quarantine_nonempty: AtomicBool::new(false),
         }
     }
 
-    /// Current requested capacity in frames.
+    /// Requested capacity in frames.
     ///
     /// With more shards than frames-per-shard rounding allows, the
     /// *enforced* budget is `max(capacity, num_shards)` — every shard keeps
     /// at least one frame.
     pub fn capacity(&self) -> usize {
-        self.capacity.load(Ordering::Relaxed)
+        self.capacity
     }
 
     /// Number of lock stripes.
@@ -368,27 +368,6 @@ impl BufferPool {
                     .sum::<usize>()
             })
             .sum()
-    }
-
-    /// Resizes the pool to `capacity` frames, evicting (and flushing) the
-    /// least-recently-used pages of each shard if shrinking. The stripe
-    /// count is fixed at construction, so each shard keeps at least one
-    /// frame (see [`capacity`](Self::capacity)).
-    pub fn set_capacity(&self, capacity: usize) -> Result<()> {
-        assert!(capacity > 0, "buffer pool needs at least one frame");
-        self.assert_not_reentrant();
-        self.capacity.store(capacity, Ordering::Relaxed);
-        let caps = shard_capacities(capacity, self.shards.len());
-        for (shard, cap) in self.shards.iter().zip(caps) {
-            let mut inner = shard.lock();
-            inner.capacity = cap;
-            while inner.map.len() > inner.capacity {
-                if !self.evict_one(shard, &mut inner)? {
-                    break; // every remaining frame is pinned by a loader
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Reads page `id` and passes its bytes to `f`.
@@ -695,11 +674,11 @@ impl BufferPool {
     /// the shard's LRU page first when the shard is at capacity.
     ///
     /// Residency is governed by `map.len()` (which includes frames pinned
-    /// by in-flight loads), not by the size of the frame vector: after
-    /// [`BufferPool::set_capacity`] shrinks the pool, the old frames sit
-    /// on the free list, and reusing them must not let the resident count
-    /// exceed the new capacity. When every resident frame is pinned the
-    /// shard over-provisions temporarily instead of deadlocking.
+    /// by in-flight loads), not by the size of the frame vector: after a
+    /// shard over-provisions, the extra frames sit on the free list, and
+    /// reusing them must not let the resident count exceed the capacity.
+    /// When every resident frame is pinned the shard over-provisions
+    /// temporarily instead of deadlocking.
     fn acquire_frame(&self, shard: &Shard, inner: &mut ShardInner) -> Result<u32> {
         if inner.map.len() >= inner.capacity {
             self.evict_one(shard, inner)?;
@@ -944,26 +923,6 @@ mod tests {
     }
 
     #[test]
-    fn shrink_capacity_evicts_excess() {
-        // Single shard: the test asserts a *global* LRU residency set.
-        let p = BufferPool::with_shards(MemDisk::new(), 8, 1);
-        let ids: Vec<_> = (0..8).map(|_| p.allocate().unwrap()).collect();
-        p.set_capacity(2).unwrap();
-        assert_eq!(p.capacity(), 2);
-        p.reset_stats();
-        // Only the two most recently used pages can still be resident.
-        let mut faults = 0;
-        for &id in &ids {
-            let before = p.stats().physical_reads;
-            p.with_page(id, |_| ()).unwrap();
-            if p.stats().physical_reads > before {
-                faults += 1;
-            }
-        }
-        assert!(faults >= 6, "expected at least 6 faults, got {faults}");
-    }
-
-    #[test]
     fn grow_capacity_reduces_faults() {
         let run = |cap: usize| -> u64 {
             let p = pool(cap);
@@ -979,29 +938,6 @@ mod tests {
         };
         assert!(run(4) > run(16), "bigger pool must fault less");
         assert_eq!(run(16), 0, "pool holding everything never faults");
-    }
-
-    #[test]
-    fn shrunk_pool_enforces_new_capacity() {
-        // Regression: shrinking used to leave old frames on the free
-        // list, silently keeping the old effective capacity.
-        let p = pool(1024);
-        let ids: Vec<_> = (0..16).map(|_| p.allocate().unwrap()).collect();
-        p.set_capacity(4).unwrap();
-        p.clear().unwrap();
-        p.reset_stats();
-        // Three cyclic sweeps over 16 pages with (effectively) one frame
-        // per stripe: pure thrash, every access must miss.
-        for _ in 0..3 {
-            for &id in &ids {
-                p.with_page(id, |_| ()).unwrap();
-            }
-        }
-        assert_eq!(
-            p.stats().physical_reads,
-            48,
-            "shrunken pool must behave exactly like a freshly small pool"
-        );
     }
 
     #[test]

@@ -155,6 +155,18 @@ if [ -n "$readahead" ]; then
   exit 1
 fi
 
+# Tuning values that every workload, figure and server leaves at one value
+# are constants (DESIGN.md §7, §8): the R*-tree's minimum fill and forced
+# reinsertion share, the MBRQT's maximum depth, GORDER's grid and block
+# sizes, and the pool's budget, fixed when the pool is built. None of them
+# comes back as a settable field or a resize.
+settings="$(git grep -nwE -e 'pub (min_fill_percent|reinsert_percent|max_depth|segments_per_dim|r_block_pages|s_block_pages)' -e 'fn set_capacity' -- crates || true)"
+if [ -n "$settings" ]; then
+  echo "ci: a tuning value nothing sets is settable again; it is a constant:" >&2
+  echo "$settings" >&2
+  exit 1
+fi
+
 # Each counter set is declared once (DESIGN.md §9), with
 # `ann_store::counters!`, and its JSON is written from that declaration:
 # a counter's key is never spelled as an escaped literal with its value

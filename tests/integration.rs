@@ -77,7 +77,6 @@ fn all_six_methods_agree() {
         &GorderConfig {
             k,
             exclude_self: true,
-            ..Default::default()
         },
     )
     .unwrap();
