@@ -5,9 +5,9 @@
 //!    policy is absorbed; the output matches the fault-free run
 //!    bit-for-bit and the retry is counted;
 //! 2. **clean typed error**: the query returns a structured
-//!    [`QueryError`] with every pool pin released, and (when the device
-//!    survives) a fault-free re-run over the same pool is byte-identical
-//!    to a fresh run;
+//!    [`QueryError`], and a cold fault-free re-run is byte-identical to a
+//!    fresh run — over the same pool when the device survives, over the
+//!    trees reopened from the intact media when it crashed;
 //! 3. **quarantined**: corruption detected by the pool's checksum fails
 //!    the query, quarantines the page so the next touch fails fast, and
 //!    healing (clearing the quarantine) fully restores service.
@@ -18,6 +18,7 @@ use crate::common::{chill, decisions, panic_text, qt_cfg, rs_cfg};
 use crate::gen::{self, DiffCase};
 use ann_core::mba::{Expansion, Traversal};
 use ann_core::prelude::*;
+use ann_core::WritableIndex;
 use ann_datagen::Rng;
 use ann_mbrqt::Mbrqt;
 use ann_rstar::RStar;
@@ -89,7 +90,8 @@ pub fn check_faults_case(rng: &mut Rng) -> Option<String> {
 
     // Shared pool over a schedulable disk; a tiny frame budget forces
     // real disk traffic even for small cases.
-    let fd = Arc::new(FaultyDisk::unlimited(MemDisk::new()));
+    let mem = Arc::new(MemDisk::new());
+    let fd = Arc::new(FaultyDisk::unlimited(Arc::clone(&mem)));
     let pool = Arc::new(BufferPool::new(Arc::clone(&fd), 8));
     let ir = match Mbrqt::bulk_build(pool.clone(), &case.r, &qt_cfg()) {
         Ok(t) => t,
@@ -99,7 +101,7 @@ pub fn check_faults_case(rng: &mut Rng) -> Option<String> {
         Ok(t) => t,
         Err(e) => return Some(format!("{label}: fault-free S build failed: {e}")),
     };
-    let run = |retry: Option<RetryPolicy>| -> RunResult {
+    let run_on = |ir: &Mbrqt<2>, is: &RStar<2>, retry: Option<RetryPolicy>| -> RunResult {
         catch_unwind(AssertUnwindSafe(|| {
             let mut req = AnnRequest::new(alg)
                 .threads(threads)
@@ -109,9 +111,10 @@ pub fn check_faults_case(rng: &mut Rng) -> Option<String> {
             if let Some(p) = retry {
                 req = req.retry(p);
             }
-            req.run(Input::Index(&ir), Input::Index(&is))
+            req.run(Input::Index(ir), Input::Index(is))
         }))
     };
+    let run = |retry: Option<RetryPolicy>| run_on(&ir, &is, retry);
 
     // Cold fault-free baseline: the reference output AND the length of
     // the disk-operation window a fault can be scheduled into.
@@ -129,9 +132,6 @@ pub fn check_faults_case(rng: &mut Rng) -> Option<String> {
         Ok(Err(e)) => return Some(format!("{label}: fault-free run failed: {e}")),
         Ok(Ok(out)) => out,
     };
-    if pool.pinned_frames() != 0 {
-        return Some(format!("{label}: fault-free run leaked pins"));
-    }
     let span = (fd.op_count() - o0) as usize;
     if span == 0 {
         return None; // the query never reaches the disk (tiny inputs)
@@ -166,9 +166,6 @@ pub fn check_faults_case(rng: &mut Rng) -> Option<String> {
     };
     let faulted = run(request_retry);
     fd.clear_faults(); // an unfired fault must not leak into the re-runs
-    if pool.pinned_frames() != 0 {
-        return Some(format!("{label}: faulted run leaked pins"));
-    }
 
     match (scenario, faulted) {
         (_, Err(e)) => {
@@ -257,9 +254,6 @@ pub fn check_faults_case(rng: &mut Rng) -> Option<String> {
                     return Some(format!("{label}: wrong error under quarantine: {e}"));
                 }
             }
-            if pool.pinned_frames() != 0 {
-                return Some(format!("{label}: quarantined re-run leaked pins"));
-            }
             // Heal: the flip only damaged the in-flight read (the media
             // is intact), so lifting the quarantine restores service.
             pool.clear_quarantine();
@@ -286,8 +280,28 @@ pub fn check_faults_case(rng: &mut Rng) -> Option<String> {
         }
 
         (Scenario::Crash, Ok(Err(QueryError::Io(StoreError::Injected { transient: false })))) => {
-            // Leg 2, permanent flavor: typed error with pins released
-            // (checked above). The device stays dead — no re-run leg.
+            // Leg 2, permanent flavor: typed error. The device stays
+            // dead, but the query only read (the cold start flushed every
+            // dirty page), so the trees reopened from the intact media
+            // through a fresh pool answer byte-identically.
+            let cold = Arc::new(BufferPool::new(Arc::clone(&mem), 8));
+            let reopened = Mbrqt::open_at(Arc::clone(&cold), ir.meta_page(), None)
+                .and_then(|ir| Ok((ir, RStar::open_at(cold, is.meta_page(), None)?)));
+            let (ir, is) = match reopened {
+                Ok(trees) => trees,
+                Err(e) => return Some(format!("{label}: reopen after crash failed: {e}")),
+            };
+            match run_on(&ir, &is, None) {
+                Err(e) => {
+                    return Some(format!("{label}: re-run panicked: {}", panic_text(&*e)));
+                }
+                Ok(Err(e)) => return Some(format!("{label}: re-run after crash failed: {e}")),
+                Ok(Ok(out)) => {
+                    if decisions(&out) != base {
+                        return Some(format!("{label}: re-run diverged after crash"));
+                    }
+                }
+            }
         }
         (Scenario::Crash, Ok(Ok(_))) => {
             return Some(format!("{label}: query survived a crashed device"));
@@ -295,10 +309,6 @@ pub fn check_faults_case(rng: &mut Rng) -> Option<String> {
         (Scenario::Crash, Ok(Err(e))) => {
             return Some(format!("{label}: wrong error for crash: {e}"));
         }
-    }
-
-    if pool.pinned_frames() != 0 {
-        return Some(format!("{label}: case ends with leaked pins"));
     }
     None
 }

@@ -9,7 +9,8 @@
 //!   byte-identical to brute force over its version's model point set,
 //!   no matter how many commits landed after the pin;
 //! * an aborted transaction (an out-of-universe MBRQT insert) leaves the
-//!   latest version, the census, and `pinned_frames()` untouched;
+//!   latest version and the census untouched, and a cold query over the
+//!   latest version still equals brute force over the model;
 //! * versions below the GC floor reject new pins with
 //!   `VersionNotRetained`, while already-pinned stragglers stay readable;
 //! * the decoded-node cache never holds entries below the retire floor
@@ -17,8 +18,7 @@
 //! * a free-running writer racing threaded readers (each pin → census →
 //!   release) never produces a torn read: every snapshot's census length
 //!   equals its own pinned meta count;
-//! * when every pin is released: `pinned_readers() == 0` and
-//!   `pinned_frames() == 0`.
+//! * when every pin is released: `pinned_readers() == 0`.
 
 use crate::common::{qt_cfg, rs_cfg};
 use ann_core::brute::brute_force_aknn;
@@ -163,12 +163,6 @@ fn run_case<T: WritableIndex<2>>(
                 store.latest()
             ));
         }
-        if pool.pinned_frames() != 0 {
-            return Some(format!(
-                "aborted insert left {} frames pinned",
-                pool.pinned_frames()
-            ));
-        }
         match collect_objects(&tree) {
             Ok(census) => {
                 if census.len() != live.len() {
@@ -180,6 +174,23 @@ fn run_case<T: WritableIndex<2>>(
                 }
             }
             Err(e) => return Some(format!("census after abort failed: {e:?}")),
+        }
+        if let Some(c) = tree.node_cache() {
+            c.clear();
+        }
+        if let Err(e) = pool.clear() {
+            return Some(format!("clear after abort failed: {e:?}"));
+        }
+        let reader = match handle.pin(None) {
+            Ok(ctx) => PinnedReader {
+                ctx,
+                model: live.clone(),
+                pinned_at_step: ops,
+            },
+            Err(e) => return Some(format!("pin after abort failed: {e:?}")),
+        };
+        if let Some(m) = verify_pinned(rng, &reader) {
+            return Some(format!("cold re-run after aborted insert: {m}"));
         }
     }
 
@@ -228,13 +239,6 @@ fn run_case<T: WritableIndex<2>>(
     // -- threaded: free-running writer vs pin/census/release readers -------
     if let Some(m) = threaded_race(rng, &mut tree, &handle, &mut live, &mut next_oid, scale) {
         return Some(m);
-    }
-
-    if pool.pinned_frames() != 0 {
-        return Some(format!(
-            "{} frames still pinned at case end",
-            pool.pinned_frames()
-        ));
     }
     None
 }

@@ -16,10 +16,10 @@
 //!   step is told it may not hand work to siblings ([`Spill::shared`] is
 //!   false), so it finishes each morsel inline — which is the serial
 //!   algorithm, page-op for page-op; or
-//! * **several workers** — the lead is worker 0 of a [`MorselPool`], and
-//!   `workers − 1` scoped helpers, each with a fresh scratch, join it.
-//!   Every worker runs [`drain`], splitting large morsels into stealable
-//!   children, and traces live into the request's [`Tracer`]: a worker
+//! * **several workers** — the lead and `workers − 1` scoped helpers,
+//!   each with a fresh scratch, share one [`MorselPool`]. Every worker
+//!   runs [`drain`], splitting large morsels into children any worker may
+//!   take, and traces live into the request's [`Tracer`]: a worker
 //!   emits a node's expansion before it publishes the children, so a
 //!   sink still sees every parent before its children. Outputs fold in
 //!   worker order; the first panic is re-raised, else the first error
@@ -62,9 +62,8 @@ pub(crate) struct Worker<'a, const D: usize, L> {
 pub(crate) enum Spill<'a, T> {
     /// One worker: children join the back of the calling thread's FIFO.
     Local(&'a mut VecDeque<T>),
-    /// Several workers: children join this worker's deque in the shared
-    /// pool, from which siblings steal.
-    Shared(&'a MorselPool<T>, usize),
+    /// Several workers: children join the shared pool's queue.
+    Shared(&'a MorselPool<T>),
 }
 
 impl<T> Spill<'_, T> {
@@ -77,7 +76,7 @@ impl<T> Spill<'_, T> {
     pub(crate) fn push(&mut self, unit: T) {
         match self {
             Spill::Local(queue) => queue.push_back(unit),
-            Spill::Shared(pool, worker) => pool.push(*worker, unit),
+            Spill::Shared(pool) => pool.push(unit),
         }
     }
 }
@@ -147,9 +146,10 @@ pub(crate) struct Frame<'a, const D: usize> {
 /// steps before every node read, bounding abort latency to one node
 /// expansion. On abort the open spans are closed, a
 /// [`TraceEvent::QueryAborted`] records the reason and phase, every
-/// worker has returned its buffers, and — because node reads pin pages
-/// only for the duration of the copy — no buffer-pool pin outlives the
-/// call. [`QueryError::BudgetExhausted`](crate::QueryError) carries the
+/// worker has returned its buffers, and — because every page access is
+/// one critical section of its pool shard — nothing the query held in
+/// the pool outlives the call.
+/// [`QueryError::BudgetExhausted`](crate::QueryError) carries the
 /// counters every worker accumulated up to the abort point.
 pub(crate) fn drive<const D: usize>(
     ctx: ExecCtx<'_, D>,
@@ -235,10 +235,10 @@ impl<const D: usize> Frame<'_, D> {
             self.out = join.retire(lead);
             ran
         } else {
-            let pool = MorselPool::new(self.workers, seeds);
+            let pool = MorselPool::new(seeds);
             let drained = thread::scope(|scope| {
                 let helpers: Vec<_> = (1..self.workers)
-                    .map(|index| {
+                    .map(|_| {
                         let pool = &pool;
                         scope.spawn(move || {
                             // A helper reads pages under the query's own
@@ -252,11 +252,11 @@ impl<const D: usize> Frame<'_, D> {
                                 scratch: &mut scratch,
                                 out: AnnOutput::default(),
                             };
-                            drain(join, helper, pool, index)
+                            drain(join, helper, pool)
                         })
                     })
                     .collect();
-                let mut drained = vec![drain(join, lead, &pool, 0)];
+                let mut drained = vec![drain(join, lead, &pool)];
                 drained.extend(helpers.into_iter().map(|h| h.join().unwrap_or_else(Err)));
                 drained
             });
@@ -285,11 +285,10 @@ fn drain<J: Join<D>, const D: usize>(
     join: &J,
     mut w: Worker<'_, D, J::Local>,
     pool: &MorselPool<J::Morsel>,
-    index: usize,
 ) -> thread::Result<(AnnOutput, QueryResult<()>)> {
     let ran = panic::catch_unwind(AssertUnwindSafe(|| {
-        while let Some(morsel) = pool.pop(index) {
-            let step = join.step(&mut w, morsel, &mut Spill::Shared(pool, index));
+        while let Some(morsel) = pool.pop() {
+            let step = join.step(&mut w, morsel, &mut Spill::Shared(pool));
             pool.complete();
             step?;
         }
@@ -409,7 +408,7 @@ mod tests {
 
     /// Runs the toy at 1, 2, 3 and 8 workers and checks every step's pair
     /// and counter reached the folded output once, and that the calling
-    /// thread was worker 0: at most `workers − 1` other threads ran a step.
+    /// thread was a worker: at most `workers − 1` other threads ran a step.
     fn assert_folds(seeds: Vec<u64>, split_below: u64, expect: std::ops::Range<u64>) {
         for workers in [1usize, 2, 3, 8] {
             let toy = Toy::new(seeds.clone(), split_below, Fault::None);
@@ -446,12 +445,13 @@ mod tests {
 
     #[test]
     fn first_error_aborts_the_pool_and_keeps_partial_stats() {
-        // The lead's deque holds 0, 3, …, 999 and it pops newest first:
-        // its tenth step fails, after nine counted ones.
-        let toy = Toy::new((0..1000).collect(), 0, Fault::ErrAt(999 - 3 * 9));
+        // The queue hands out 999, 998, … newest first: the step for 972
+        // fails after the 27 newer morsels were taken, and each of those
+        // steps finishes and counts before its worker sees the abort.
+        let toy = Toy::new((0..1000).collect(), 0, Fault::ErrAt(999 - 27));
         match toy.run(3) {
             Err(QueryError::BudgetExhausted { partial, .. }) => {
-                assert!(partial.enqueued >= 9, "the lead's steps folded in");
+                assert!(partial.enqueued >= 27, "every worker's steps folded in");
                 assert!(
                     partial.enqueued < 500,
                     "abort drained the pool early: {}",

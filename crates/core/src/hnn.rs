@@ -74,7 +74,12 @@ struct Grid<const D: usize> {
 impl<const D: usize> Grid<D> {
     fn build(s: &[(u64, Point<D>)], avg_occupancy: f64) -> Self {
         let bounds = Mbr::from_points(s.iter().map(|(_, p)| p));
-        let cells_wanted = (s.len() as f64 / avg_occupancy).max(1.0);
+        // Never more cells than points: an occupancy below one only
+        // spreads `S` thinner, and a tiny one would ask for more cells
+        // than a cell index can address.
+        let cells_wanted = (s.len() as f64 / avg_occupancy)
+            .min(s.len() as f64)
+            .max(1.0);
         // Edge length so the grid has ≈ cells_wanted cells. Naively that
         // is (volume / cells_wanted)^(1/D), but flat or near-flat extents
         // (collinear data, duplicated coordinates) would drive the
@@ -239,7 +244,9 @@ impl<const D: usize> Join<D> for Hnn<'_, D> {
 
     /// HNN performs no I/O, so an I/O budget never trips here;
     /// cancellation, deadlines and the visit budget are checked once per
-    /// query point (the poolless analogue of one node expansion).
+    /// query point (the poolless analogue of one node expansion), and
+    /// cancellation and deadlines again before every ring, so one point's
+    /// search cannot outlive them.
     fn step(
         &self,
         w: &mut Worker<'_, D>,
@@ -248,7 +255,7 @@ impl<const D: usize> Join<D> for Hnn<'_, D> {
     ) -> QueryResult<()> {
         for &(r_oid, r_pt) in &self.r[range] {
             w.guard.tick()?;
-            run_point(self, w, r_oid, r_pt);
+            run_point(self, w, r_oid, r_pt)?;
         }
         Ok(())
     }
@@ -295,10 +302,16 @@ pub(crate) fn run<const D: usize>(
 }
 
 /// The ring search for one query point.
-fn run_point<const D: usize>(join: &Hnn<'_, D>, w: &mut Worker<'_, D>, r_oid: u64, r_pt: Point<D>) {
+fn run_point<const D: usize>(
+    join: &Hnn<'_, D>,
+    w: &mut Worker<'_, D>,
+    r_oid: u64,
+    r_pt: Point<D>,
+) -> QueryResult<()> {
     let (s, grid, k_eff) = (join.s, &join.grid, join.k_eff);
     let exec::Worker {
         tracer,
+        guard,
         scratch,
         out,
         local: Local {
@@ -323,6 +336,7 @@ fn run_point<const D: usize>(join: &Hnn<'_, D>, w: &mut Worker<'_, D>, r_oid: u6
             }
             break;
         }
+        guard.preflight()?;
         grid.for_ring(&home, ring, |cell| {
             seen += cell.len();
             // One kernel call per cell; an excluded self-pair's distance
@@ -347,6 +361,7 @@ fn run_point<const D: usize>(join: &Hnn<'_, D>, w: &mut Worker<'_, D>, r_oid: u6
         }
     }
     scratch.put_kbest(best.emit(r_oid, join.k, &mut out.results));
+    Ok(())
 }
 
 #[cfg(test)]

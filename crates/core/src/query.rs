@@ -124,7 +124,8 @@ pub enum Algorithm {
     /// points. Ignores the metric choice (it prunes on exact grid-ring
     /// geometry).
     Hnn {
-        /// Target average number of `S` points per grid cell.
+        /// Target average number of `S` points per grid cell. Below one
+        /// the grid still has at most one cell per point.
         avg_cell_occupancy: f64,
     },
 }
@@ -252,8 +253,8 @@ pub struct QuerySpec {
     /// value for that many workers. A count that *resolves* to one
     /// worker — `1`, or `0` on a one-core host — runs on the calling
     /// thread with the caller's scratch; more keep the calling thread as
-    /// worker 0 and start `threads − 1` helpers that steal morsels from
-    /// it ([`crate::morsel::MorselPool`]). Output is in canonical
+    /// one worker and start `threads − 1` helpers that share its morsel
+    /// queue ([`crate::morsel::MorselPool`]). Output is in canonical
     /// `(r_oid, dist, s_oid)` order at *every* count, so results are
     /// byte-identical regardless of this knob.
     pub threads: usize,

@@ -23,8 +23,9 @@
 //!   accumulated up to the abort point.
 //!
 //! The clean-abort contract: whichever way a query ends, the system is
-//! left reusable — pool pins are released by the pool's own miss-path
-//! error handling, `NodeCache` entries are never published half-built,
+//! left reusable — a page access is one critical section of its pool
+//! shard, so an abort holds no frame and a failed read publishes none,
+//! `NodeCache` entries are never published half-built,
 //! `QueryScratch` buffers at worst drop (they are re-allocated on next
 //! use), and a subsequent fault-free run returns byte-identical results.
 

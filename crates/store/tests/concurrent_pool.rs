@@ -1,6 +1,7 @@
 //! Multi-threaded stress tests for the sharded buffer pool: the pool must
 //! stay a transparent, integrity-checking cache under concurrent readers
-//! and writers, eviction pressure, and in-flight (pinned) loads.
+//! and writers, eviction pressure, and misses that read under the shard
+//! lock.
 
 use ann_store::{BufferPool, DiskBackend, MemDisk, StoreError, FRAME_SIZE, PAGE_SIZE};
 use std::sync::Arc;
@@ -99,8 +100,8 @@ fn eviction_thrash_preserves_contents() {
 }
 
 /// Many threads cold-reading the *same* page concurrently: the load is
-/// performed once (waiters block on the pinned in-flight frame rather
-/// than issuing duplicate reads), and everyone sees the same bytes.
+/// performed once (the others queue on the shard lock the loader holds
+/// across its read, then hit), and everyone sees the same bytes.
 #[test]
 fn concurrent_cold_reads_of_one_page_fault_once() {
     let pool = Arc::new(BufferPool::new(MemDisk::new(), 8));
@@ -122,10 +123,50 @@ fn concurrent_cold_reads_of_one_page_fault_once() {
     let s = pool.stats();
     assert_eq!(
         s.physical_reads, 1,
-        "one loader reads; waiting threads reuse the pinned frame"
+        "one loader reads; queued threads hit the published frame"
     );
     assert_eq!(s.pool_misses, 1, "only the loader counts a miss");
     assert_eq!(s.logical_reads, 8);
+}
+
+/// Concurrent misses through a one-frame budget: 8 threads fault distinct
+/// cold pages, each evicting the others' frame. Every closure sees its own
+/// page's bytes, so a miss never publishes a frame another miss is still
+/// filling, and the shard stays within its budget (the pool asserts that
+/// in debug builds on every frame it hands out).
+#[test]
+fn concurrent_misses_respect_a_one_frame_budget() {
+    let disk = MemDisk::new();
+    let pool = Arc::new(BufferPool::with_shards(disk, 1, 1));
+    let pages: Vec<u32> = (0..8).map(|_| pool.allocate().unwrap()).collect();
+    for (i, &p) in pages.iter().enumerate() {
+        pool.with_page_mut(p, |b| b.fill(i as u8 + 1)).unwrap();
+    }
+    pool.clear().unwrap();
+    pool.reset_stats();
+
+    std::thread::scope(|s| {
+        for (i, &p) in pages.iter().enumerate() {
+            let pool = Arc::clone(&pool);
+            s.spawn(move || {
+                for _ in 0..200 {
+                    pool.with_page(p, |b| {
+                        assert!(
+                            b.iter().all(|&x| x == i as u8 + 1),
+                            "page {p} served another page's bytes"
+                        );
+                    })
+                    .unwrap();
+                }
+            });
+        }
+    });
+
+    let s = pool.stats();
+    assert_eq!(s.logical_reads, 8 * 200);
+    assert_eq!(s.pool_hits + s.pool_misses, s.logical_reads);
+    assert_eq!(s.physical_reads, s.pool_misses, "every miss read once");
+    assert!(s.pool_misses >= 8, "each page faulted in at least once");
 }
 
 /// Checksum verification under concurrency: a page corrupted behind the

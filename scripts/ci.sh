@@ -155,6 +155,21 @@ if [ -n "$readahead" ]; then
   exit 1
 fi
 
+# Nothing waits by spinning (DESIGN.md §8, §16): a pool miss reads its
+# page under the shard lock, so no frame is ever in flight, and an idle
+# morsel worker blocks on the pool's one condvar. No yield loop, spin
+# hint, frame pin count or spin budget comes back above the first
+# `#[cfg(test)]` of a store or core source file.
+spin_words='yield_now|spin_loop|pinned_frames|SPIN_ROUNDS'
+spinners="$(git grep -lE "$spin_words" -- 'crates/store/src/*.rs' 'crates/core/src/*.rs' \
+  | xargs -r awk -v words="$spin_words" '/#\[cfg\(test\)\]/ { nextfile } $0 ~ words { print FILENAME ":" FNR; nextfile }' \
+  || true)"
+if [ -n "$spinners" ]; then
+  echo "ci: a spin wait is back; the pool reads a miss under its shard lock" \
+       "and morsel workers wait on a condvar, found:" $spinners >&2
+  exit 1
+fi
+
 # Tuning values that every workload, figure and server leaves at one value
 # are constants (DESIGN.md §7, §8): the R*-tree's minimum fill and forced
 # reinsertion share, the MBRQT's maximum depth, GORDER's grid and block
