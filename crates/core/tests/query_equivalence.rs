@@ -659,3 +659,49 @@ const FROZEN: &[(&str, Row)] = &[
     ("2d-clustered/rstar mba MaxMax k=10 exclude_self=true", [59477, 543, 11550, 48536, 5081, 43, 337, 86, 0, 86, 0, 0]),
     ("2d-clustered/rstar mnn MaxMax k=10 exclude_self=true", [29694, 0, 17918, 11776, 0, 43, 2826, 86, 0, 86, 0, 0]),
 ];
+
+// ---------------------------------------------------------------------
+// LPQ tallies: the traced report's queue lifecycle (retired, enqueued,
+// filtered, high-water) is the one observable the `AnnStats` rows above
+// do not cover. Pinned on two traced serial MBA self-joins.
+// ---------------------------------------------------------------------
+
+/// Runs a traced serial MBA `exclude_self` self-join of `pts` over an
+/// MBRQT and returns its `AnnStats` row beside the report's
+/// `[retired, enqueued, filtered, max_high_water]`.
+fn traced_self_join<const D: usize>(pts: &[(u64, Point<D>)], k: usize) -> (Row, [u64; 4]) {
+    let p = pool(4096);
+    let ir = mbrqt(p.clone(), pts);
+    let is = mbrqt(p, pts);
+    let sink = RecordingSink::new();
+    let out = AnnRequest::new(Algorithm::mba())
+        .k(k)
+        .exclude_self(true)
+        .threads(1)
+        .trace(&sink)
+        .run(Input::Index(&ir), Input::Index(&is))
+        .unwrap();
+    assert_matches_truth(out.clone(), &truth_sorted(pts, pts, k, true), "traced");
+    let lpq = sink.report("mba").lpq;
+    (
+        row(&out.stats),
+        [lpq.retired, lpq.enqueued, lpq.filtered, lpq.max_high_water],
+    )
+}
+
+#[test]
+fn lpq_tallies_are_pinned_on_traced_self_joins() {
+    let got = [
+        traced_self_join(&clustered_2d(600, 1), 1),
+        traced_self_join(&correlated_10d(300, 3), 10),
+    ];
+    assert_eq!(got, LPQ_TALLIES);
+}
+
+/// `(AnnStats row, [retired, enqueued, filtered, max_high_water])` for
+/// the 2-D k = 1 and the 10-D k = 10 self-join.
+#[rustfmt::skip]
+const LPQ_TALLIES: [(Row, [u64; 4]); 2] = [
+    ([25119, 715, 4714, 21189, 2018, 115, 558, 230, 0, 230, 0, 0], [600, 3017, 1699, 5]),
+    ([28151, 526, 9064, 19569, 2130, 226, 2779, 452, 0, 452, 0, 0], [300, 4489, 835, 14]),
+];
