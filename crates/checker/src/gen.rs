@@ -184,7 +184,9 @@ pub fn diff_case<const D: usize>(rng: &mut Rng) -> DiffCase<D> {
         points::<D>(rng, nr_draw, shape, scale, offset, oid_stride)
     };
     let ns = s.len();
-    let k_choices = [0, 1, 2, ns.saturating_sub(1), ns, ns + 3];
+    // A mid-range k (3..=17) reaches AkNN queues deeper than two
+    // neighbors while k stays well under |S|.
+    let k_choices = [0, 1, 2, rng.range(3, 18), ns.saturating_sub(1), ns, ns + 3];
     let k = *rng.pick(&k_choices);
     DiffCase {
         r,

@@ -123,22 +123,25 @@ pub fn run_class(class: Class, seed: u64, cases: usize) -> Vec<Failure> {
         let case_seed = parent.next_u64();
         let f = match class {
             // Round-robin the dimensionalities the paper's analysis
-            // spans: the planar base case, the 1-D degenerate case, and
-            // a high-D case where MBR faces dominate.
-            Class::Diff => match i % 3 {
+            // spans: the planar base case, the 1-D degenerate case, a
+            // high-D case where MBR faces dominate, and the benchmark's
+            // 10-D join.
+            Class::Diff => match i % 4 {
                 0 => diff_one::<2>(case_seed, i),
                 1 => diff_one::<1>(case_seed, i),
-                _ => diff_one::<8>(case_seed, i),
+                2 => diff_one::<8>(case_seed, i),
+                _ => diff_one::<10>(case_seed, i),
             },
             Class::Nxn => match i % 3 {
                 0 => invariant_one::<2>(class, case_seed, i),
                 1 => invariant_one::<1>(class, case_seed, i),
                 _ => invariant_one::<8>(class, case_seed, i),
             },
-            Class::Kernels => match i % 3 {
+            Class::Kernels => match i % 4 {
                 0 => invariant_one::<2>(class, case_seed, i),
                 1 => invariant_one::<1>(class, case_seed, i),
-                _ => invariant_one::<8>(class, case_seed, i),
+                2 => invariant_one::<8>(class, case_seed, i),
+                _ => invariant_one::<10>(class, case_seed, i),
             },
             Class::Tree => match i % 3 {
                 0 => invariant_one::<2>(class, case_seed, i),

@@ -187,6 +187,39 @@ impl BoundTracker {
     pub fn prunes(&self, mind_sq: f64) -> bool {
         mind_sq > self.prune_threshold_sq()
     }
+
+    /// A tracker over `storage` that reads this one's bound and keeps it
+    /// through further [`offer_kept`](Self::offer_kept)s while nothing is
+    /// removed: it holds only the `k_remaining` smallest live bounds, the
+    /// only ones [`bound_sq`](Self::bound_sq) can read.
+    fn shadow_in(&self, mut storage: Vec<f64>) -> BoundTracker {
+        storage.clear();
+        storage.extend_from_slice(&self.live[..self.live.len().min(self.k_remaining)]);
+        BoundTracker {
+            k_original: self.k_original,
+            k_remaining: self.k_remaining,
+            inherited_sq: self.inherited_sq,
+            min_ever_sq: self.min_ever_sq,
+            live: storage,
+        }
+    }
+
+    /// [`offer`](Self::offer) on a [`shadow_in`](Self::shadow_in) tracker.
+    fn offer_kept(&mut self, maxd_sq: f64) {
+        self.offer(maxd_sq);
+        self.live.truncate(self.k_remaining);
+    }
+}
+
+/// The working buffers of [`Lpq::offer_points`], kept by the caller so a
+/// warm batch allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct PointBatch {
+    /// The shadow bound tracker's live bounds.
+    pub(crate) smallest: Vec<f64>,
+    /// Distances of the accepted points the batch's Filter stage has not
+    /// evicted yet.
+    pub(crate) alive: Vec<f64>,
 }
 
 /// An `I_S` entry queued in an LPQ, with its distance fields.
@@ -313,7 +346,7 @@ pub struct Lpq<const D: usize> {
     bound: BoundTracker,
     /// `true` while [`satisfy_one`](Self::satisfy_one) has tightened the
     /// bound since the last Filter pass — the one way the bound can drop
-    /// below a queued entry's `MIND` outside [`try_enqueue`](Self::try_enqueue).
+    /// below a queued entry's `MIND` outside an offer.
     filter_pending: bool,
     /// Lifetime tallies for observability ([`crate::trace`]): entries ever
     /// accepted, entries the Filter stage evicted, and the queue-length
@@ -414,6 +447,114 @@ impl<const D: usize> Lpq<D> {
             return (false, 0);
         }
         self.bound.offer(e.maxd_sq);
+        self.insert(e);
+        self.enqueued_total += 1;
+        let len = (self.keys.len() - self.head) as u32;
+        if len > self.high_water {
+            self.high_water = len;
+        }
+        // Filter stage: drop the tail that the tightened bound now
+        // excludes. Every queued entry passed the probe test against a
+        // bound no tighter than `bound_before` (a dequeue only loosens
+        // it; `satisfy_one` raises `filter_pending`), so when the offer
+        // left the bound where it was there is nothing to evict.
+        let bound_after = self.bound.bound_sq();
+        if bound_after == bound_before && !self.filter_pending {
+            return (true, 0);
+        }
+        self.filter_pending = false;
+        // The keys are MIND-sorted, so the victims form a suffix.
+        let bound = bound_after * (1.0 + PRUNE_EPS);
+        let cut = self.keys[self.head..].partition_point(|q| q.mind_sq <= bound) + self.head;
+        let filtered = (self.keys.len() - cut) as u64;
+        self.evict_from(cut);
+        self.filtered_total += filtered;
+        (true, filtered)
+    }
+
+    /// Offers the points of one leaf — `entries[i]` at squared distance
+    /// `dist_sq[i]`, which is both its MIND and its MAXD — with the
+    /// outcome of one [`try_enqueue`](Self::try_enqueue) per point in
+    /// order: the same queue, bound and tallies, and the same summed
+    /// `(accepted, filtered)`. Only the points still queued at the end
+    /// of the batch touch the keys, the slab and the bound tracker.
+    ///
+    /// The batch replays the bound on a shadow tracker that nothing ever
+    /// leaves. That is exact because nothing dequeues within a batch, so
+    /// the bound only falls, and because an entry the Filter stage evicts
+    /// never moved the bound: its MAXD is at least its MIND (equal for a
+    /// point, clamped for NXNDIST, a sum of larger terms for MAXMAXDIST),
+    /// which is above the bound. The queue length is replayed as a count,
+    /// the queued entries as the evicted suffix of the keys plus the
+    /// distances of the accepted points still alive. Since the threshold
+    /// only falls, a point is queued at the end exactly when its distance
+    /// passes the final threshold, and queued entries are evicted exactly
+    /// when theirs does not.
+    pub(crate) fn offer_points(
+        &mut self,
+        entries: &[Entry<D>],
+        dist_sq: &[f64],
+        batch: &mut PointBatch,
+    ) -> (u64, u64) {
+        debug_assert_eq!(entries.len(), dist_sq.len());
+        let mut shadow = self.bound.shadow_in(std::mem::take(&mut batch.smallest));
+        let alive = &mut batch.alive;
+        alive.clear();
+        let mut pending = self.filter_pending;
+        let mut cut = self.keys.len();
+        let mut high_water = self.high_water;
+        let mut accepted = 0u64;
+        let mut bound = shadow.bound_sq();
+        let mut threshold = bound * (1.0 + PRUNE_EPS);
+        for &d in dist_sq {
+            if d > threshold {
+                continue;
+            }
+            shadow.offer_kept(d);
+            alive.push(d);
+            accepted += 1;
+            high_water = high_water.max((cut - self.head + alive.len()) as u32);
+            let bound_after = shadow.bound_sq();
+            if bound_after == bound && !pending {
+                continue;
+            }
+            pending = false;
+            bound = bound_after;
+            threshold = bound * (1.0 + PRUNE_EPS);
+            while cut > self.head && self.keys[cut - 1].mind_sq > threshold {
+                cut -= 1;
+            }
+            alive.retain(|&a| a <= threshold);
+        }
+        let survivors = alive.len();
+        batch.smallest = shadow.into_storage();
+        if accepted == 0 {
+            return (0, 0);
+        }
+        let filtered = (self.keys.len() - cut) as u64 + accepted - survivors as u64;
+        debug_assert!(self.keys[cut..].iter().all(|q| q.maxd_sq >= q.mind_sq));
+        self.evict_from(cut);
+        for (e, &d) in entries.iter().zip(dist_sq) {
+            if d <= threshold {
+                self.bound.offer(d);
+                self.insert(QueuedEntry {
+                    mind_sq: d,
+                    maxd_sq: d,
+                    entry: *e,
+                });
+            }
+        }
+        debug_assert_eq!(self.len(), cut - self.head + survivors);
+        debug_assert_eq!(self.bound.bound_sq().to_bits(), bound.to_bits());
+        self.enqueued_total += accepted;
+        self.filtered_total += filtered;
+        self.high_water = high_water;
+        self.filter_pending = false;
+        (accepted, filtered)
+    }
+
+    /// Writes `e` into a slab slot and its key at its sorted position.
+    fn insert(&mut self, e: QueuedEntry<D>) {
         let slot = if self.free == NO_SLOT {
             self.slab.push(Slot::Full(e.entry));
             u32::try_from(self.slab.len() - 1)
@@ -448,33 +589,17 @@ impl<const D: usize> Lpq<D> {
         let order = key.order();
         let pos = self.keys[self.head..].partition_point(|q| q.order() <= order) + self.head;
         self.keys.insert(pos, key);
-        self.enqueued_total += 1;
-        let len = (self.keys.len() - self.head) as u32;
-        if len > self.high_water {
-            self.high_water = len;
-        }
-        // Filter stage: drop the tail that the tightened bound now
-        // excludes. Every queued entry passed the probe test against a
-        // bound no tighter than `bound_before` (a dequeue only loosens
-        // it; `satisfy_one` raises `filter_pending`), so when the offer
-        // left the bound where it was there is nothing to evict.
-        let bound_after = self.bound.bound_sq();
-        if bound_after == bound_before && !self.filter_pending {
-            return (true, 0);
-        }
-        self.filter_pending = false;
-        // The keys are MIND-sorted, so the victims form a suffix.
-        let bound = bound_after * (1.0 + PRUNE_EPS);
-        let cut = self.keys[self.head..].partition_point(|q| q.mind_sq <= bound) + self.head;
-        let filtered = (self.keys.len() - cut) as u64;
+    }
+
+    /// The Filter stage's eviction: drops `keys[cut..]`, their bounds and
+    /// their slab slots.
+    fn evict_from(&mut self, cut: usize) {
         for victim in &self.keys[cut..] {
             self.bound.remove(victim.maxd_sq);
             self.slab[victim.slot as usize] = Slot::Free(self.free);
             self.free = victim.slot;
         }
         self.keys.truncate(cut);
-        self.filtered_total += filtered;
-        (true, filtered)
     }
 
     /// Entries this queue ever accepted (observability tally).
@@ -532,6 +657,7 @@ impl<const D: usize> Lpq<D> {
 mod tests {
     use super::*;
     use crate::node::{NodeEntry, ObjectEntry};
+    use ann_datagen::Rng;
     use ann_geom::{Mbr, NxnDist, Point};
 
     fn obj(oid: u64, x: f64, y: f64) -> Entry<2> {
@@ -735,6 +861,105 @@ mod tests {
                 assert_eq!(lpq.slab.len(), lpq.len() + free);
             }
         });
+    }
+
+    fn drain(mut lpq: Lpq<2>) -> Vec<(u64, u64, Entry<2>)> {
+        std::iter::from_fn(|| lpq.dequeue())
+            .map(|q| (q.mind_sq.to_bits(), q.maxd_sq.to_bits(), q.entry))
+            .collect()
+    }
+
+    /// A queue for `k` neighbors under an `inherited` bound, seeded with
+    /// node entries (MAXD above MIND) and objects, some dequeued again,
+    /// then one emitted result when `satisfied`.
+    fn seeded_queue(rng: &mut Rng, k: usize, inherited: f64, satisfied: bool) -> Lpq<2> {
+        let mut lpq = Lpq::new(node(0, [0.0, 0.0], [1.0, 1.0]), k, inherited);
+        for id in 0..rng.range(0, 2 * k + 4) as u32 {
+            let mind = rng.range_f64(0.0, 100.0);
+            if rng.chance(0.5) {
+                let maxd = mind + rng.range_f64(0.0, 50.0);
+                lpq.try_enqueue(qe(node(id, [0.0; 2], [1.0; 2]), mind, maxd));
+            } else {
+                lpq.try_enqueue(qe(obj(u64::from(id), 0.0, 0.0), mind, mind));
+            }
+        }
+        for _ in 0..rng.range(0, 3) {
+            lpq.dequeue();
+        }
+        if satisfied {
+            lpq.satisfy_one();
+        }
+        lpq
+    }
+
+    /// `len` leaf points and their distances: fresh draws, exact
+    /// duplicates (one in five under a repeated oid), values a fraction of
+    /// `PRUNE_EPS` away from the previous one or from `near`.
+    fn leaf(rng: &mut Rng, len: usize, near: f64) -> (Vec<Entry<2>>, Vec<f64>) {
+        let (mut entries, mut dist) = (Vec::new(), Vec::<f64>::new());
+        for i in 0..len as u64 {
+            let prev = dist.last().copied();
+            let eps = PRUNE_EPS * *rng.pick(&[-1.5, -1.0, -0.5, 0.5, 1.0, 1.5]);
+            let d = match (rng.range(0, 8), prev) {
+                (0, Some(p)) => p,
+                (1, Some(p)) => p * (1.0 + eps),
+                (2, _) if near.is_finite() => near * (1.0 + eps),
+                _ => rng.range_f64(0.0, 100.0),
+            };
+            let oid = match prev {
+                Some(p) if d == p && rng.chance(0.2) => 1000 + i - 1,
+                _ => 1000 + i,
+            };
+            entries.push(obj(oid, i as f64, 0.0));
+            dist.push(d);
+        }
+        (entries, dist)
+    }
+
+    /// One batched offer ≡ one `try_enqueue` per point, on clones of the
+    /// same queue: same drained keys and bound, bit for bit, same
+    /// `(accepted, filtered)` and same tallies.
+    #[test]
+    fn offer_points_equals_per_point_replay() {
+        let mut batch = PointBatch::default();
+        let (mut accepted_total, mut filtered_total) = (0, 0);
+        ann_datagen::for_each_case(0xBA7C, 24, |rng| {
+            for len in [1, 15, 16, 17, 125, 500] {
+                for k in [1, 2, 3, 11, 51] {
+                    for inherited in [f64::INFINITY, 40.0] {
+                        for satisfied in [false, true] {
+                            let mut want = seeded_queue(rng, k, inherited, satisfied);
+                            let (entries, dist) = leaf(rng, len, want.bound_sq());
+                            let mut got = want.clone();
+                            let mut replayed = (0, 0);
+                            for (e, &d) in entries.iter().zip(&dist) {
+                                let (acc, filtered) = want.try_enqueue(qe(*e, d, d));
+                                replayed.0 += u64::from(acc);
+                                replayed.1 += filtered;
+                            }
+                            let batched = got.offer_points(&entries, &dist, &mut batch);
+                            let case = format!(
+                                "len={len} k={k} inherited={inherited} satisfied={satisfied}"
+                            );
+                            assert_eq!(batched, replayed, "{case}");
+                            assert_eq!(
+                                got.bound_sq().to_bits(),
+                                want.bound_sq().to_bits(),
+                                "{case}"
+                            );
+                            let tallies = |q: &Lpq<2>| {
+                                (q.enqueued_total(), q.filtered_total(), q.high_water())
+                            };
+                            assert_eq!(tallies(&got), tallies(&want), "{case}");
+                            assert_eq!(drain(got), drain(want), "{case}");
+                            accepted_total += batched.0;
+                            filtered_total += batched.1;
+                        }
+                    }
+                }
+            }
+        });
+        assert!(accepted_total > 0 && filtered_total > 0);
     }
 
     #[test]

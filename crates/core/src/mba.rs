@@ -11,7 +11,8 @@
 //!   entry (inheriting the parent's bound), then drains its own queue,
 //!   probing each drained entry (or, under bi-directional expansion, that
 //!   entry's children) against every child LPQ;
-//! * **Filter stage** — inside [`Lpq::try_enqueue`]: queued entries whose
+//! * **Filter stage** — inside [`Lpq::try_enqueue`] (and
+//!   [`Lpq::offer_points`] for a leaf's points): queued entries whose
 //!   `MIND` exceeds a newly tightened bound are evicted;
 //! * **Gather stage** — an object owner drains its queue in `MIND` order;
 //!   the first `k` objects popped are its `k` nearest neighbors.

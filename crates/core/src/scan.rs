@@ -39,9 +39,21 @@
 //! rejection never moves the threshold, so by induction all `len` entries
 //! fail the same test. Both counters a rejected entry touches are charged
 //! `len` at once.
+//!
+//! A leaf that passes goes to the queue in one batched offer
+//! ([`Lpq::offer_points`]), which decides every point as the sequential
+//! replay would but writes only the points still queued at its end. Three
+//! facts make that exact. Nothing dequeues and nothing emits within the
+//! batch, so the threshold only falls. An entry the Filter stage evicts
+//! never moved the bound (its MAXD is at least its MIND, which is above
+//! the bound), so the bound can be replayed from the offers alone. And
+//! because the threshold only falls, the points queued at the end are
+//! exactly those within the final threshold; each pays one bound-tracker
+//! offer and one sorted insert, and a point accepted and evicted within
+//! the leaf pays neither. The four counters are charged once per leaf.
 
 use crate::index::SpatialIndex;
-use crate::lpq::{BoundTracker, Lpq, QueuedEntry};
+use crate::lpq::{BoundTracker, Lpq, PointBatch, QueuedEntry};
 use crate::node::{DecodedNode, Entry, NodeEntry};
 use crate::scratch::{BestFirstItem, QueryScratch};
 use crate::stats::AnnStats;
@@ -55,6 +67,31 @@ pub(crate) trait CandidateQueue<const D: usize> {
 
     /// Queues `e`; returns `(accepted, evicted by the Filter stage)`.
     fn offer(&mut self, e: QueuedEntry<D>) -> (bool, u64);
+
+    /// Offers a leaf's points, `entries[i]` at squared distance
+    /// `dist_sq[i]` (its MIND and its MAXD), one after another behind the
+    /// probe test; returns the summed `(accepted, evicted)`.
+    fn offer_points(
+        &mut self,
+        entries: &[Entry<D>],
+        dist_sq: &[f64],
+        _batch: &mut PointBatch,
+    ) -> (u64, u64) {
+        let (mut accepted, mut filtered) = (0, 0);
+        for (e, &d) in entries.iter().zip(dist_sq) {
+            if d > self.prune_threshold_sq() {
+                continue;
+            }
+            let (acc, evicted) = self.offer(QueuedEntry {
+                mind_sq: d,
+                maxd_sq: d,
+                entry: *e,
+            });
+            accepted += u64::from(acc);
+            filtered += evicted;
+        }
+        (accepted, filtered)
+    }
 }
 
 impl<const D: usize> CandidateQueue<D> for Lpq<D> {
@@ -66,6 +103,15 @@ impl<const D: usize> CandidateQueue<D> for Lpq<D> {
     #[inline]
     fn offer(&mut self, e: QueuedEntry<D>) -> (bool, u64) {
         self.try_enqueue(e)
+    }
+
+    fn offer_points(
+        &mut self,
+        entries: &[Entry<D>],
+        dist_sq: &[f64],
+        batch: &mut PointBatch,
+    ) -> (u64, u64) {
+        Lpq::offer_points(self, entries, dist_sq, batch)
     }
 }
 
@@ -133,16 +179,23 @@ impl<const D: usize> CandidateQueue<D> for BestFirst<D> {
 /// lifetime of one traversal.
 pub(crate) struct NodeScan {
     mind: Vec<f64>,
+    batch: PointBatch,
 }
 
 impl NodeScan {
     pub(crate) fn checkout<const D: usize>(scratch: &mut QueryScratch<D>) -> Self {
         NodeScan {
             mind: scratch.take_f64(),
+            batch: PointBatch {
+                smallest: scratch.take_f64(),
+                alive: scratch.take_f64(),
+            },
         }
     }
 
     pub(crate) fn release<const D: usize>(self, scratch: &mut QueryScratch<D>) {
+        scratch.put_f64(self.batch.alive);
+        scratch.put_f64(self.batch.smallest);
         scratch.put_f64(self.mind);
     }
 
@@ -160,26 +213,26 @@ impl NodeScan {
         Q: CandidateQueue<D>,
     {
         let mind = &mut self.mind;
-        // The owner's MBR when MAXD is the pruning metric, evaluated per
-        // survivor; `None` on the exact path, where MAXD is the MIND.
-        let metric_owner = match (owner, node.leaf_points()) {
-            (Entry::Object(o), Some(points)) => {
-                let len = points.len as u64;
-                let om = Mbr::from_point(&o.point);
-                if min_min_dist_sq_within(&om, &node.mbr, queue.prune_threshold_sq()).is_none() {
-                    stats.distance_computations += len;
-                    stats.pruned_on_probe += len;
-                    return;
-                }
+        if let (Entry::Object(o), Some(points)) = (owner, node.leaf_points()) {
+            let len = points.len as u64;
+            let om = Mbr::from_point(&o.point);
+            let accepted = if min_min_dist_sq_within(&om, &node.mbr, queue.prune_threshold_sq())
+                .is_none()
+            {
+                0
+            } else {
                 kernels::dist_sq_batch(&o.point, &points, mind);
-                None
-            }
-            _ => {
-                let om = owner.mbr();
-                kernels::min_min_dist_sq_batch(&om, &node.soa_mbrs(), mind);
-                Some(om)
-            }
-        };
+                let (accepted, filtered) = queue.offer_points(&node.entries, mind, &mut self.batch);
+                stats.enqueued += accepted;
+                stats.pruned_in_queue += filtered;
+                accepted
+            };
+            stats.distance_computations += len;
+            stats.pruned_on_probe += len - accepted;
+            return;
+        }
+        let om = owner.mbr();
+        kernels::min_min_dist_sq_batch(&om, &node.soa_mbrs(), mind);
         for (i, e) in node.entries.iter().enumerate() {
             stats.distance_computations += 1;
             let mind_sq = mind[i];
@@ -187,13 +240,9 @@ impl NodeScan {
                 stats.pruned_on_probe += 1;
                 continue;
             }
-            let maxd_sq = match &metric_owner {
-                Some(om) => M::upper_sq(om, &e.mbr()),
-                None => mind_sq,
-            };
             let (accepted, filtered) = queue.offer(QueuedEntry {
                 mind_sq,
-                maxd_sq,
+                maxd_sq: M::upper_sq(&om, &e.mbr()),
                 entry: *e,
             });
             stats.pruned_in_queue += filtered;
@@ -320,6 +369,11 @@ mod tests {
             .collect()
     }
 
+    /// The queue's `(enqueued, filtered, high-water)` lifetime tallies.
+    fn tallies<const D: usize>(lpq: &Lpq<D>) -> (u64, u64, u32) {
+        (lpq.enqueued_total(), lpq.filtered_total(), lpq.high_water())
+    }
+
     /// Returns `(entries whose MIND passed, entries rejected)` over the
     /// lazily scored scans, for the caller's coverage check.
     fn check_dims<const D: usize>(seed: u64) -> (u64, u64) {
@@ -327,7 +381,7 @@ mod tests {
         let mut scan = NodeScan::checkout(&mut scratch);
         let mut rng = Rng::new(seed);
         let (mut lazy_passed, mut lazy_rejected) = (0, 0);
-        for len in [1, 2, 15, 16, 17, 31, 32, 33, 40] {
+        for len in [1, 2, 15, 16, 17, 31, 32, 33, 40, 125, 500] {
             for leaf in [false, true] {
                 let node = random_node::<D>(&mut rng, leaf, len);
                 for object_owner in [false, true] {
@@ -377,6 +431,7 @@ mod tests {
                                  k={k} seed bound={seed_bound}"
                             );
                             assert_eq!(got_stats, want_stats, "{case}");
+                            assert_eq!(tallies(&got), tallies(&want), "{case}");
                             assert_eq!(drain(got), drain(want), "{case}");
                             if object_owner && leaf {
                                 // The exact path evaluates no metric at all.

@@ -308,8 +308,9 @@ mod tests {
 
     fn check_dims<const D: usize>(seed: u64) {
         let mut rng = Rng::new(seed);
-        // Cover every block/remainder split around LANES.
-        for n in [0, 1, 3, 4, 5, 7, 8, 13, 64] {
+        // Every split of `n` into full blocks and an in-loop tail, and a
+        // run of whole blocks.
+        for n in (0..=2 * LANES + 1).chain([64]) {
             let (lo, hi) = gen_mbrs::<D>(&mut rng, n);
             let mbrs = SoaMbrs::new(n, &lo, &hi);
             let m = gen_owner::<D>(&mut rng);
@@ -367,6 +368,11 @@ mod tests {
     #[test]
     fn bit_identical_to_scalar_d8() {
         check_dims::<8>(0xD8);
+    }
+
+    #[test]
+    fn bit_identical_to_scalar_d10() {
+        check_dims::<10>(0xDA);
     }
 
     #[test]
