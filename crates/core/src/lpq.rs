@@ -738,6 +738,96 @@ mod tests {
         assert_eq!(b.bound_sq(), 4.0);
     }
 
+    /// The bound recomputed from a model of the tracker's history: every
+    /// value ever offered (`min_ever`), the values offered and not
+    /// removed (`live`, any order) and the neighbors still wanted.
+    fn model_bound(
+        k: usize,
+        k_remaining: usize,
+        inherited: f64,
+        min_ever: f64,
+        live: &[f64],
+    ) -> f64 {
+        if k_remaining == 0 {
+            return 0.0;
+        }
+        if k == 1 {
+            return inherited.min(min_ever);
+        }
+        let mut sorted = live.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        sorted
+            .get(k_remaining - 1)
+            .map_or(inherited, |&kth| inherited.min(kth))
+    }
+
+    /// After every offer, removal, emitted result and shadow
+    /// `offer_kept` of a random sequence, the tracker's bound and
+    /// threshold are the ones the model recomputes from scratch.
+    #[test]
+    fn bound_equals_from_scratch_formula_after_every_operation() {
+        ann_datagen::for_each_case(0xB0B0, 64, |rng| {
+            for k in [1, 2, 3, 11, 51] {
+                for inherited in [f64::INFINITY, 40.0] {
+                    let mut b = BoundTracker::new(k, inherited);
+                    let (mut k_remaining, mut min_ever) = (k, f64::INFINITY);
+                    let mut live: Vec<f64> = Vec::new();
+                    let check = |b: &BoundTracker, k_rem: usize, min_ever: f64, live: &[f64]| {
+                        let want = model_bound(k, k_rem, inherited, min_ever, live);
+                        let case = format!("k={k} inherited={inherited} k_remaining={k_rem}");
+                        assert_eq!(b.bound_sq().to_bits(), want.to_bits(), "{case}");
+                        let threshold = want * (1.0 + PRUNE_EPS);
+                        assert_eq!(
+                            b.prune_threshold_sq().to_bits(),
+                            threshold.to_bits(),
+                            "{case}"
+                        );
+                    };
+                    check(&b, k_remaining, min_ever, &live);
+                    for _ in 0..rng.range(1, 4 * k + 20) {
+                        match rng.range(0, 16) {
+                            // Down to 0 and past it: satisfy_one saturates.
+                            0 => {
+                                b.satisfy_one();
+                                k_remaining = k_remaining.saturating_sub(1);
+                            }
+                            1..=4 if !live.is_empty() => {
+                                let v = live.swap_remove(rng.range(0, live.len()));
+                                b.remove(v);
+                            }
+                            5 => {
+                                // A shadow keeps the bound through offers
+                                // while nothing is removed.
+                                let mut shadow = b.shadow_in(Vec::new());
+                                let mut shadow_live = live.clone();
+                                let mut shadow_min = min_ever;
+                                check(&shadow, k_remaining, shadow_min, &shadow_live);
+                                for _ in 0..rng.range(1, 2 * k + 4) {
+                                    let v = rng.range_f64(0.0, 100.0);
+                                    shadow.offer_kept(v);
+                                    shadow_live.push(v);
+                                    shadow_min = shadow_min.min(v);
+                                    check(&shadow, k_remaining, shadow_min, &shadow_live);
+                                }
+                            }
+                            _ => {
+                                // Repeat a live value now and then: ties.
+                                let v = match live.last() {
+                                    Some(&v) if rng.chance(0.2) => v,
+                                    _ => rng.range_f64(0.0, 100.0),
+                                };
+                                b.offer(v);
+                                live.push(v);
+                                min_ever = min_ever.min(v);
+                            }
+                        }
+                        check(&b, k_remaining, min_ever, &live);
+                    }
+                }
+            }
+        });
+    }
+
     #[test]
     fn enqueue_orders_by_mind() {
         let mut lpq = Lpq::new(node(0, [0.0, 0.0], [1.0, 1.0]), 1, f64::INFINITY);

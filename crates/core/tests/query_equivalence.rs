@@ -662,14 +662,19 @@ const FROZEN: &[(&str, Row)] = &[
 
 // ---------------------------------------------------------------------
 // LPQ tallies: the traced report's queue lifecycle (retired, enqueued,
-// filtered, high-water) is the one observable the `AnnStats` rows above
-// do not cover. Pinned on two traced serial MBA self-joins.
+// filtered, high-water) and its prune-reason split are the observables
+// the `AnnStats` rows above do not cover. Pinned on two traced serial MBA
+// self-joins.
 // ---------------------------------------------------------------------
 
 /// Runs a traced serial MBA `exclude_self` self-join of `pts` over an
 /// MBRQT and returns its `AnnStats` row beside the report's
-/// `[retired, enqueued, filtered, max_high_water]`.
-fn traced_self_join<const D: usize>(pts: &[(u64, Point<D>)], k: usize) -> (Row, [u64; 4]) {
+/// `[retired, enqueued, filtered, max_high_water]` and its prune counts
+/// `[on_probe, parent_reject, in_queue]`.
+fn traced_self_join<const D: usize>(
+    pts: &[(u64, Point<D>)],
+    k: usize,
+) -> (Row, [u64; 4], [u64; 3]) {
     let p = pool(4096);
     let ir = mbrqt(p.clone(), pts);
     let is = mbrqt(p, pts);
@@ -682,10 +687,24 @@ fn traced_self_join<const D: usize>(pts: &[(u64, Point<D>)], k: usize) -> (Row, 
         .run(Input::Index(&ir), Input::Index(&is))
         .unwrap();
     assert_matches_truth(out.clone(), &truth_sorted(pts, pts, k, true), "traced");
-    let lpq = sink.report("mba").lpq;
+    let report = sink.report("mba");
+    let pruned = |reason: &str| {
+        report
+            .prunes
+            .iter()
+            .filter(|p| p.reason == reason)
+            .map(|p| p.count)
+            .sum()
+    };
+    let lpq = report.lpq;
     (
         row(&out.stats),
         [lpq.retired, lpq.enqueued, lpq.filtered, lpq.max_high_water],
+        [
+            pruned("on_probe"),
+            pruned("parent_reject"),
+            pruned("in_queue"),
+        ],
     )
 }
 
@@ -698,10 +717,11 @@ fn lpq_tallies_are_pinned_on_traced_self_joins() {
     assert_eq!(got, LPQ_TALLIES);
 }
 
-/// `(AnnStats row, [retired, enqueued, filtered, max_high_water])` for
-/// the 2-D k = 1 and the 10-D k = 10 self-join.
+/// `(AnnStats row, [retired, enqueued, filtered, max_high_water],
+/// [on_probe, parent_reject, in_queue])` for the 2-D k = 1 and the 10-D
+/// k = 10 self-join.
 #[rustfmt::skip]
-const LPQ_TALLIES: [(Row, [u64; 4]); 2] = [
-    ([25119, 715, 4714, 21189, 2018, 115, 558, 230, 0, 230, 0, 0], [600, 3017, 1699, 5]),
-    ([28151, 526, 9064, 19569, 2130, 226, 2779, 452, 0, 452, 0, 0], [300, 4489, 835, 14]),
+const LPQ_TALLIES: [(Row, [u64; 4], [u64; 3]); 2] = [
+    ([25119, 715, 4714, 21189, 2018, 115, 558, 230, 0, 230, 0, 0], [600, 3017, 1699, 5], [20405, 784, 2018]),
+    ([28151, 526, 9064, 19569, 2130, 226, 2779, 452, 0, 452, 0, 0], [300, 4489, 835, 14], [19087, 482, 2130]),
 ];
