@@ -17,6 +17,10 @@
 //! the bound monotonically non-increasing over the whole search, which is
 //! the property the Three-Stage pruning relies on (§3.3.3).
 //!
+//! Every probe reads that bound, and far fewer operations change it, so
+//! [`BoundTracker`] keeps it in a field that each change refreshes:
+//! reading it is a load.
+//!
 //! The queue is kept as a `MIND`-sorted vector. That makes the **Filter
 //! stage** — "entries with a MIND greater than the MAXD of the new entry
 //! are immediately discarded" — a truncation of the sorted tail whenever
@@ -36,6 +40,14 @@
 //! never touch the slab, and the Filter stage truncates keys only. The
 //! three vectors — keys, slab and the bound tracker's live bounds — travel
 //! together as one [`LpqStorage`] for recycling.
+//!
+//! # One leaf, one batched offer
+//!
+//! [`Lpq::offer_points`] offers a leaf's points with the outcome of one
+//! [`Lpq::try_enqueue`] per point, replaying the bound on a shadow
+//! tracker and keeping the indices of the accepted points still alive.
+//! Only the points within the final threshold — exactly that list — are
+//! written to the keys, the slab and the tracker.
 
 use crate::node::Entry;
 use ann_geom::{min_min_dist_sq, min_min_dist_sq_within, PruneMetric};
@@ -67,6 +79,11 @@ pub const PRUNE_EPS: f64 = 1e-12;
 /// is emitted, that minimum would be 0 and would prune the true nearest
 /// neighbor. Only a tracker created for `k = 1` uses the min-ever bound,
 /// because its search ends at the first emission.
+///
+/// The bound is read on every probe and written far less often, so it is
+/// kept in a field: every method that changes an input of the formula
+/// ([`formula_sq`](Self::formula_sq)) refreshes it, and
+/// [`bound_sq`](Self::bound_sq) is a load.
 #[derive(Clone, Debug)]
 pub struct BoundTracker {
     /// Neighbors originally requested.
@@ -85,6 +102,8 @@ pub struct BoundTracker {
     /// An `exclude_self` self-join runs at `k + 1`, so every `k = 1`
     /// self-join keeps this vector.
     live: Vec<f64>,
+    /// [`formula_sq`](Self::formula_sq) as of the last change.
+    bound_sq: f64,
 }
 
 impl BoundTracker {
@@ -101,13 +120,16 @@ impl BoundTracker {
     pub fn new_in(k: usize, inherited_sq: f64, mut live: Vec<f64>) -> Self {
         assert!(k >= 1, "k must be at least 1");
         live.clear();
-        BoundTracker {
+        let mut tracker = BoundTracker {
             k_original: k,
             k_remaining: k,
             inherited_sq,
             min_ever_sq: f64::INFINITY,
             live,
-        }
+            bound_sq: 0.0,
+        };
+        tracker.refresh();
+        tracker
     }
 
     /// Consumes the tracker and hands its live-bound storage back
@@ -127,6 +149,7 @@ impl BoundTracker {
             let at = self.live.partition_point(|v| v.total_cmp(&maxd_sq).is_lt());
             self.live.insert(at, maxd_sq);
         }
+        self.refresh();
     }
 
     /// Records that an entry with this squared upper bound left the queue
@@ -141,16 +164,30 @@ impl BoundTracker {
             }
             Err(_) => debug_assert!(false, "removed a bound that was never offered"),
         }
+        self.refresh();
     }
 
     /// Records one emitted result: one fewer neighbor is wanted.
     pub fn satisfy_one(&mut self) {
         self.k_remaining = self.k_remaining.saturating_sub(1);
+        self.refresh();
     }
 
     /// Current squared pruning bound.
     #[inline]
     pub fn bound_sq(&self) -> f64 {
+        self.bound_sq
+    }
+
+    /// Stores [`formula_sq`](Self::formula_sq) as the bound.
+    #[inline]
+    fn refresh(&mut self) {
+        self.bound_sq = self.formula_sq();
+    }
+
+    /// The squared pruning bound, derived from the tracker's state.
+    #[inline]
+    fn formula_sq(&self) -> f64 {
         if self.k_remaining == 0 {
             // Nothing more is wanted: prune everything.
             return 0.0;
@@ -201,10 +238,13 @@ impl BoundTracker {
             inherited_sq: self.inherited_sq,
             min_ever_sq: self.min_ever_sq,
             live: storage,
+            bound_sq: self.bound_sq,
         }
     }
 
     /// [`offer`](Self::offer) on a [`shadow_in`](Self::shadow_in) tracker.
+    /// The bound reads `live[k_remaining - 1]`, which the truncation
+    /// keeps, so the refresh inside `offer` stays current.
     fn offer_kept(&mut self, maxd_sq: f64) {
         self.offer(maxd_sq);
         self.live.truncate(self.k_remaining);
@@ -217,9 +257,9 @@ impl BoundTracker {
 pub(crate) struct PointBatch {
     /// The shadow bound tracker's live bounds.
     pub(crate) smallest: Vec<f64>,
-    /// Distances of the accepted points the batch's Filter stage has not
-    /// evicted yet.
-    pub(crate) alive: Vec<f64>,
+    /// Leaf indices of the accepted points the batch's Filter stage has
+    /// not evicted yet, ascending.
+    pub(crate) alive: Vec<u32>,
 }
 
 /// An `I_S` entry queued in an LPQ, with its distance fields.
@@ -486,10 +526,12 @@ impl<const D: usize> Lpq<D> {
     /// point, clamped for NXNDIST, a sum of larger terms for MAXMAXDIST),
     /// which is above the bound. The queue length is replayed as a count,
     /// the queued entries as the evicted suffix of the keys plus the
-    /// distances of the accepted points still alive. Since the threshold
+    /// indices of the accepted points still alive. Since the threshold
     /// only falls, a point is queued at the end exactly when its distance
     /// passes the final threshold, and queued entries are evicted exactly
-    /// when theirs does not.
+    /// when theirs does not. The alive list is exactly those points, in
+    /// leaf order, so the final pass writes them without rescanning the
+    /// leaf.
     pub(crate) fn offer_points(
         &mut self,
         entries: &[Entry<D>],
@@ -497,6 +539,7 @@ impl<const D: usize> Lpq<D> {
         batch: &mut PointBatch,
     ) -> (u64, u64) {
         debug_assert_eq!(entries.len(), dist_sq.len());
+        debug_assert!(u32::try_from(dist_sq.len()).is_ok());
         let mut shadow = self.bound.shadow_in(std::mem::take(&mut batch.smallest));
         let alive = &mut batch.alive;
         alive.clear();
@@ -506,12 +549,14 @@ impl<const D: usize> Lpq<D> {
         let mut accepted = 0u64;
         let mut bound = shadow.bound_sq();
         let mut threshold = bound * (1.0 + PRUNE_EPS);
-        for &d in dist_sq {
-            if d > threshold {
-                continue;
-            }
-            shadow.offer_kept(d);
-            alive.push(d);
+        let mut next = 0;
+        // Each round skips the run of points above the threshold in force
+        // and accepts the first one within it.
+        while let Some(skipped) = dist_sq[next..].iter().position(|&d| d <= threshold) {
+            let i = next + skipped;
+            next = i + 1;
+            shadow.offer_kept(dist_sq[i]);
+            alive.push(i as u32);
             accepted += 1;
             high_water = high_water.max((cut - self.head + alive.len()) as u32);
             let bound_after = shadow.bound_sq();
@@ -524,7 +569,7 @@ impl<const D: usize> Lpq<D> {
             while cut > self.head && self.keys[cut - 1].mind_sq > threshold {
                 cut -= 1;
             }
-            alive.retain(|&a| a <= threshold);
+            alive.retain(|&a| dist_sq[a as usize] <= threshold);
         }
         let survivors = alive.len();
         batch.smallest = shadow.into_storage();
@@ -534,15 +579,15 @@ impl<const D: usize> Lpq<D> {
         let filtered = (self.keys.len() - cut) as u64 + accepted - survivors as u64;
         debug_assert!(self.keys[cut..].iter().all(|q| q.maxd_sq >= q.mind_sq));
         self.evict_from(cut);
-        for (e, &d) in entries.iter().zip(dist_sq) {
-            if d <= threshold {
-                self.bound.offer(d);
-                self.insert(QueuedEntry {
-                    mind_sq: d,
-                    maxd_sq: d,
-                    entry: *e,
-                });
-            }
+        for &i in &batch.alive {
+            let d = dist_sq[i as usize];
+            debug_assert!(d <= threshold);
+            self.bound.offer(d);
+            self.insert(QueuedEntry {
+                mind_sq: d,
+                maxd_sq: d,
+                entry: entries[i as usize],
+            });
         }
         debug_assert_eq!(self.len(), cut - self.head + survivors);
         debug_assert_eq!(self.bound.bound_sq().to_bits(), bound.to_bits());

@@ -10,7 +10,10 @@
 //! * **Expand stage** — an internal owner spawns one child LPQ per child
 //!   entry (inheriting the parent's bound), then drains its own queue,
 //!   probing each drained entry (or, under bi-directional expansion, that
-//!   entry's children) against every child LPQ;
+//!   entry's children) against every child LPQ. A drained entry whose
+//!   MIND exceeds the widest child threshold is rejected unprobed; that
+//!   maximum is taken once per probe round, the only place the children
+//!   change;
 //! * **Filter stage** — inside [`Lpq::try_enqueue`] (and
 //!   [`Lpq::offer_points`] for a leaf's points): queued entries whose
 //!   `MIND` exceeds a newly tightened bound are evicted;
@@ -204,12 +207,22 @@ where
         }
         w.out.stats.lpqs_created += children.len() as u64;
 
+        // The widest child threshold. Every child prunes a MIND exactly
+        // when it exceeds this maximum, and the children change only in a
+        // probe round, after which it is taken again.
+        let widest = |children: &[Lpq<D>]| {
+            children
+                .iter()
+                .map(Lpq::prune_threshold_sq)
+                .fold(f64::NEG_INFINITY, f64::max)
+        };
+        let mut threshold = widest(&children);
         while let Some(q) = lpq.dequeue() {
             // Algorithm 4 lines 13-18: a popped entry is only worth
             // processing if its MIND passes at least one child LPQ's MAXD —
             // MIND against the parent owner lower-bounds MIND against every
             // child, so this rejection is safe and saves the node read.
-            if children.iter().all(|c| c.prunes(q.mind_sq)) {
+            if q.mind_sq > threshold {
                 w.out.stats.pruned_on_probe += 1;
                 if w.tracer.enabled() {
                     w.local.parent_rejects += 1;
@@ -242,6 +255,7 @@ where
                     }
                 }
             }
+            threshold = widest(&children);
         }
 
         // Algorithm 4 line 19: enqueue all non-empty child LPQs; empty

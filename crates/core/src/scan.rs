@@ -188,13 +188,13 @@ impl NodeScan {
             mind: scratch.take_f64(),
             batch: PointBatch {
                 smallest: scratch.take_f64(),
-                alive: scratch.take_f64(),
+                alive: scratch.take_indices(),
             },
         }
     }
 
     pub(crate) fn release<const D: usize>(self, scratch: &mut QueryScratch<D>) {
-        scratch.put_f64(self.batch.alive);
+        scratch.put_indices(self.batch.alive);
         scratch.put_f64(self.batch.smallest);
         scratch.put_f64(self.mind);
     }

@@ -229,6 +229,8 @@ impl KBestSet {
 #[derive(Debug, Default)]
 pub struct QueryScratch<const D: usize> {
     f64_bufs: Vec<Vec<f64>>,
+    /// Candidate-index lists (a leaf batch's accepted points).
+    index_bufs: Vec<Vec<u32>>,
     /// Backing storage of object-owned LPQs only; a node-owned LPQ
     /// allocates its own and frees it (see the module docs). With
     /// node-owned storage pooled too, a 20 000-point uniform 10-D
@@ -264,6 +266,17 @@ impl<const D: usize> QueryScratch<D> {
     pub fn put_f64(&mut self, mut buf: Vec<f64>) {
         buf.clear();
         self.f64_bufs.push(buf);
+    }
+
+    /// A list of candidate indices.
+    pub(crate) fn take_indices(&mut self) -> Vec<u32> {
+        self.index_bufs.pop().unwrap_or_default()
+    }
+
+    /// Returns a candidate-index list to the pool.
+    pub(crate) fn put_indices(&mut self, mut buf: Vec<u32>) {
+        buf.clear();
+        self.index_bufs.push(buf);
     }
 
     /// Live-bound storage for a [`BoundTracker`](crate::lpq::BoundTracker).
@@ -372,6 +385,7 @@ impl<const D: usize> QueryScratch<D> {
     /// nothing new.
     pub fn footprint_bytes(&self) -> usize {
         pool_bytes(&self.f64_bufs)
+            + pool_bytes(&self.index_bufs)
             + self
                 .lpq_bufs
                 .iter()
@@ -397,6 +411,7 @@ impl<const D: usize> QueryScratch<D> {
     /// Number of buffers currently parked across all pools.
     pub fn parked(&self) -> usize {
         self.f64_bufs.len()
+            + self.index_bufs.len()
             + self.lpq_bufs.len()
             + self.bound_bufs.len()
             + self.lpq_lists.len()

@@ -95,6 +95,14 @@ if [ -n "$nxn_batch" ]; then
        "(crates/core/src/scan.rs) evaluates it per surviving entry:" $nxn_batch >&2
   exit 1
 fi
+# The Expand stage rejects a popped entry against the widest child
+# threshold, taken once per probe round (DESIGN.md §11), not by asking
+# every child LPQ on every popped entry.
+if grep -n 'children.iter().all(' crates/core/src/mba.rs; then
+  echo "ci: the Expand stage asks every child LPQ per popped entry again; compare" \
+       "MIND with the widest child threshold (crates/core/src/mba.rs)" >&2
+  exit 1
+fi
 # Every page layout is written with one codec (DESIGN.md §7): outside the
 # page module and the frame checksum, no line above a file's first
 # `#[cfg(test)]` converts little-endian bytes by hand.
