@@ -11,13 +11,18 @@
 //! The CRC is table-driven and implemented here (no external crate: the
 //! workspace must build with an offline registry). The reflected IEEE
 //! polynomial is the same one used by zip/png/ethernet, with the standard
-//! check value `crc32(b"123456789") == 0xCBF4_3926`.
+//! check value `crc32(b"123456789") == 0xCBF4_3926`. It folds eight bytes
+//! per step through eight tables (slicing-by-8), about four times the
+//! speed of the byte-at-a-time loop over a page, with the same values: a
+//! page is checksummed on every physical read and write.
 
 use crate::{FRAME_SIZE, PAGE_SIZE};
 
-/// 256-entry lookup table for the reflected IEEE polynomial `0xEDB88320`.
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Lookup tables for the reflected IEEE polynomial `0xEDB88320`:
+/// `t[0][b]` folds byte `b` into a zero state, and `t[j][b]` folds `b`
+/// followed by `j` zero bytes.
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -30,21 +35,43 @@ const fn crc_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        t[0][i] = crc;
         i += 1;
     }
-    table
+    let mut i = 0;
+    while i < 256 {
+        let mut j = 1;
+        while j < 8 {
+            t[j][i] = (t[j - 1][i] >> 8) ^ t[0][(t[j - 1][i] & 0xFF) as usize];
+            j += 1;
+        }
+        i += 1;
+    }
+    t
 }
 
-static CRC_TABLE: [u32; 256] = crc_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
 /// Initial state for incremental CRC computation.
 pub const CRC_INIT: u32 = 0xFFFF_FFFF;
 
 /// Folds `bytes` into an in-progress CRC state (start from [`CRC_INIT`]).
 pub fn crc32_update(mut state: u32, bytes: &[u8]) -> u32 {
-    for &b in bytes {
-        state = CRC_TABLE[((state ^ b as u32) & 0xFF) as usize] ^ (state >> 8);
+    let t = &CRC_TABLES;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = state ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        state = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        state = t[0][((state ^ b as u32) & 0xFF) as usize] ^ (state >> 8);
     }
     state
 }
@@ -122,6 +149,41 @@ mod tests {
             state = crc32_update(state, chunk);
         }
         assert_eq!(crc32_finish(state), crc32(data));
+    }
+
+    /// The byte-at-a-time CRC the tables are derived for.
+    fn bytewise(mut state: u32, bytes: &[u8]) -> u32 {
+        for &b in bytes {
+            state = CRC_TABLES[0][((state ^ b as u32) & 0xFF) as usize] ^ (state >> 8);
+        }
+        state
+    }
+
+    /// Slicing-by-8 equals the bytewise fold for every length up to past
+    /// a page, from every start alignment, split at arbitrary points.
+    #[test]
+    fn slicing_by_8_equals_bytewise() {
+        const MAX_LEN: usize = 8200;
+        let mut rng = ann_datagen::Rng::new(0xC3C3);
+        let data: Vec<u8> = (0..MAX_LEN + 8).map(|_| rng.range(0, 256) as u8).collect();
+        // The reference state of `data[start..start + len]`, one per start,
+        // extended by one byte per length.
+        let mut want = [CRC_INIT; 8];
+        for len in 0..=MAX_LEN {
+            let start = len % 8;
+            let bytes = &data[start..start + len];
+            assert_eq!(crc32_update(CRC_INIT, bytes), want[start], "len {len}");
+            let split = rng.range(0, len + 1);
+            let (a, b) = bytes.split_at(split);
+            assert_eq!(
+                crc32_update(crc32_update(CRC_INIT, a), b),
+                want[start],
+                "len {len} split at {split}"
+            );
+            for (s, w) in want.iter_mut().enumerate() {
+                *w = bytewise(*w, &data[s + len..s + len + 1]);
+            }
+        }
     }
 
     #[test]
