@@ -23,10 +23,10 @@
 //!   the scalar metric (`(m.lo[d] - hi).max(lo - m.hi[d]).max(0.0)` for
 //!   MINMINDIST, the Algorithm-1 endpoint/midpoint evaluation for NXNDIST,
 //!   ...), so the individual contributions are bit-equal too;
-//! * block remainders of the MBR kernels fall back to the scalar functions
-//!   on a gathered [`Mbr`], which is trivially identical; [`dist_sq_batch`]
-//!   — the kernel every point×leaf scan runs — keeps its remainder in the
-//!   lane loop.
+//! * [`dist_sq_batch`] and [`min_min_dist_sq_batch`] — the kernels every
+//!   node scan runs — keep their block remainders in the lane loop; the
+//!   other MBR kernels fall back to the scalar functions on a gathered
+//!   [`Mbr`], which is trivially identical.
 
 use crate::{Mbr, Point};
 
@@ -177,6 +177,11 @@ pub fn dist_sq_batch<const D: usize>(q: &Point<D>, points: &SoaPoints<'_>, out: 
 
 /// Batched [`crate::min_min_dist_sq`]: `out[i] = MINMINDIST²(m, mbrs[i])`,
 /// bit-exact.
+///
+/// Like [`dist_sq_batch`], it gathers no candidate back into an [`Mbr`]:
+/// the last `n % LANES` run the lane loop over a narrower window. A 10-D
+/// leaf holds about a dozen points, so every probe of one by a node owner
+/// is such a remainder.
 pub fn min_min_dist_sq_batch<const D: usize>(m: &Mbr<D>, mbrs: &SoaMbrs<'_>, out: &mut Vec<f64>) {
     let n = mbrs.len;
     debug_assert_eq!(mbrs.lo.len(), D * n);
@@ -195,9 +200,17 @@ pub fn min_min_dist_sq_batch<const D: usize>(m: &Mbr<D>, mbrs: &SoaMbrs<'_>, out
         out[i..i + LANES].copy_from_slice(&acc);
         i += LANES;
     }
-    while i < n {
-        out[i] = crate::min_min_dist_sq(m, &mbrs.mbr::<D>(i));
-        i += 1;
+    if i < n {
+        let mut acc = [0.0f64; LANES];
+        for d in 0..D {
+            let lo = &mbrs.lo[d * n + i..(d + 1) * n];
+            let hi = &mbrs.hi[d * n + i..(d + 1) * n];
+            for ((a, l), h) in acc.iter_mut().zip(lo).zip(hi) {
+                let gap = (m.lo[d] - h).max(l - m.hi[d]).max(0.0);
+                *a += gap * gap;
+            }
+        }
+        out[i..].copy_from_slice(&acc[..n - i]);
     }
 }
 
