@@ -188,7 +188,12 @@ pub(crate) fn drive<const D: usize>(
     match ran {
         Ok(()) => {
             // The one canonical sort: output is byte-identical at every
-            // worker count, including 1.
+            // worker count, including 1. Its key orders distances by
+            // their bits, which order as the values for these.
+            debug_assert!(out
+                .results
+                .iter()
+                .all(|p| p.dist.is_finite() && p.dist.is_sign_positive()));
             out.sort();
             Ok(out)
         }

@@ -71,12 +71,16 @@ pub struct AnnOutput {
 impl AnnOutput {
     /// Sorts results by `(r_oid, dist, s_oid)` — canonical order for
     /// comparisons in tests.
+    ///
+    /// Every distance is finite and at least `+0.0` (a square root of a
+    /// sum of squares; [`crate::exec`] asserts it), and for such values
+    /// the bit patterns order as the numbers do. The key
+    /// `(r_oid, dist.to_bits(), s_oid)` is then a total order whose ties
+    /// are identical pairs, so an unstable sort on it yields the bytes a
+    /// stable sort by value would.
     pub fn sort(&mut self) {
-        self.results.sort_by(|a, b| {
-            (a.r_oid, a.dist, a.s_oid)
-                .partial_cmp(&(b.r_oid, b.dist, b.s_oid))
-                .expect("distances are finite")
-        });
+        self.results
+            .sort_unstable_by_key(|p| (p.r_oid, p.dist.to_bits(), p.s_oid));
     }
 }
 
@@ -109,6 +113,45 @@ mod tests {
         out.sort();
         let order: Vec<_> = out.results.iter().map(|p| (p.r_oid, p.s_oid)).collect();
         assert_eq!(order, vec![(1, 3), (1, 5), (2, 0)]);
+    }
+
+    /// The unstable bit-key sort equals the stable sort by value on
+    /// shuffled outputs with tied distances, repeated oids and `+0.0`.
+    #[test]
+    fn sort_equals_stable_value_order() {
+        ann_datagen::for_each_case(0x5047, 64, |rng| {
+            let dists = [0.0, 0.5, 1.0, 1.0 + f64::EPSILON, 2.0, 1e300];
+            let mut results: Vec<NeighborPair> = (0..rng.range(0, 200))
+                .map(|_| NeighborPair {
+                    r_oid: rng.range(0, 6) as u64,
+                    s_oid: rng.range(0, 6) as u64,
+                    dist: match rng.range(0, 3) {
+                        0 => rng.range_f64(0.0, 3.0),
+                        _ => *rng.pick(&dists),
+                    },
+                })
+                .collect();
+            for i in (1..results.len()).rev() {
+                results.swap(i, rng.range(0, i + 1));
+            }
+            let mut want = results.clone();
+            want.sort_by(|a, b| {
+                (a.r_oid, a.dist, a.s_oid)
+                    .partial_cmp(&(b.r_oid, b.dist, b.s_oid))
+                    .expect("finite")
+            });
+            let mut got = AnnOutput {
+                results,
+                stats: AnnStats::default(),
+            };
+            got.sort();
+            let bits = |v: &[NeighborPair]| -> Vec<(u64, u64, u64)> {
+                v.iter()
+                    .map(|p| (p.r_oid, p.dist.to_bits(), p.s_oid))
+                    .collect()
+            };
+            assert_eq!(bits(&got.results), bits(&want));
+        });
     }
 
     #[test]
