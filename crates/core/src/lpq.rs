@@ -685,12 +685,6 @@ impl<const D: usize> Lpq<D> {
         })
     }
 
-    /// Epsilon-tolerant pruning test against this LPQ's bound.
-    #[inline]
-    pub fn prunes(&self, mind_sq: f64) -> bool {
-        self.bound.prunes(mind_sq)
-    }
-
     /// Records one emitted result for this LPQ's owner (AkNN bookkeeping).
     pub fn satisfy_one(&mut self) {
         self.bound.satisfy_one();
