@@ -1,9 +1,11 @@
 //! MVCC interleaving checks: versioned commits racing pinned readers.
 //!
-//! Each case drives one versioned tree (MBRQT or R*-tree, chosen by the
-//! seed) through a random insert/delete schedule while reader snapshots
-//! are pinned, held across later commits, and verified against a shadow
-//! model of **exactly the point set their version saw**:
+//! Each case drives one versioned MBRQT (the one index kind that takes
+//! writes) through a random insert schedule while reader snapshots are
+//! pinned, held across later commits, and verified against a shadow
+//! model of **exactly the point set their version saw**. With `keep` of
+//! 2–6 versions, the schedule also retires versions and reuses their
+//! pages:
 //!
 //! * a pinned [`ReadContext`]'s object census and ANN query answers are
 //!   byte-identical to brute force over its version's model point set,
@@ -20,16 +22,14 @@
 //!   equals its own pinned meta count;
 //! * when every pin is released: `pinned_readers() == 0`.
 
-use crate::common::{qt_cfg, rs_cfg};
+use crate::common::qt_cfg;
 use ann_core::brute::brute_force_aknn;
 use ann_core::index::{collect_objects, validate, SpatialIndex};
 use ann_core::prelude::*;
 use ann_core::snapshot::{ReadContext, VersionedHandle};
 use ann_core::stats::NeighborPair;
-use ann_core::tree_file::WritableIndex;
 use ann_geom::{Mbr, Point};
 use ann_mbrqt::Mbrqt;
-use ann_rstar::RStar;
 use ann_store::{BufferPool, MemDisk, StoreError};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -50,26 +50,15 @@ pub fn check_interleave_case(rng: &mut Rng) -> Option<String> {
     let universe = Mbr::new([0.0, 0.0], [hi, hi]);
     let keep = rng.range(2, 7) as u32;
     let pool = Arc::new(BufferPool::new(MemDisk::new(), 192));
-
-    if rng.chance(0.5) {
-        // A fixed halving domain: inserts outside the universe must fail.
-        let tree = Mbrqt::<2>::create(Arc::clone(&pool), universe, &qt_cfg());
-        run_case(rng, tree, keep, true, &pool, scale).map(|m| format!("mbrqt keep={keep}: {m}"))
-    } else {
-        // Bounds grow: there is no out-of-universe insert to reject.
-        let tree = RStar::<2>::create(Arc::clone(&pool), &rs_cfg());
-        run_case(rng, tree, keep, false, &pool, scale).map(|m| format!("rstar keep={keep}: {m}"))
-    }
+    // A fixed halving domain: inserts outside the universe must fail.
+    let tree = Mbrqt::<2>::create(Arc::clone(&pool), universe, &qt_cfg());
+    run_case(rng, tree, keep, &pool, scale).map(|m| format!("keep={keep}: {m}"))
 }
 
-/// One driver for both index kinds: all it needs of the tree is the write
-/// side ([`WritableIndex`]) and whether the kind `rejects_out_of_universe`
-/// inserts.
-fn run_case<T: WritableIndex<2>>(
+fn run_case(
     rng: &mut Rng,
-    created: ann_store::Result<T>,
+    created: ann_store::Result<Mbrqt<2>>,
     keep: u32,
-    rejects_out_of_universe: bool,
     pool: &Arc<BufferPool>,
     scale: f64,
 ) -> Option<String> {
@@ -89,32 +78,16 @@ fn run_case<T: WritableIndex<2>>(
     // -- scripted interleaving: commits with pins held across them -------
     let ops = rng.range(12, 48);
     for step in 0..ops {
-        let deleting = !live.is_empty() && rng.chance(0.35);
-        if deleting {
-            let idx = rng.range(0, live.len());
-            let (&oid, &point) = live.iter().nth(idx).expect("index in range");
-            match tree.delete(oid, &point) {
-                Ok(true) => {}
-                Ok(false) => {
-                    return Some(format!(
-                        "delete of live oid {oid} at step {step} reported absent"
-                    ))
-                }
-                Err(e) => return Some(format!("delete failed at step {step}: {e:?}")),
-            }
-            live.remove(&oid);
-        } else {
-            let p = Point::new([
-                rng.range(0, 9) as f64 * scale,
-                rng.range(0, 9) as f64 * scale,
-            ]);
-            let oid = next_oid;
-            next_oid += 1;
-            if let Err(e) = tree.insert(oid, p) {
-                return Some(format!("insert failed at step {step}: {e:?}"));
-            }
-            live.insert(oid, p);
+        let p = Point::new([
+            rng.range(0, 9) as f64 * scale,
+            rng.range(0, 9) as f64 * scale,
+        ]);
+        let oid = next_oid;
+        next_oid += 1;
+        if let Err(e) = tree.insert(oid, p) {
+            return Some(format!("insert failed at step {step}: {e:?}"));
         }
+        live.insert(oid, p);
 
         // Satellite invariant: no mutation may strand retired-version
         // entries in the decoded-node cache.
@@ -150,49 +123,48 @@ fn run_case<T: WritableIndex<2>>(
     }
 
     // -- abort path: a failed txn changes nothing --------------------------
-    if rejects_out_of_universe {
-        let latest_before = store.latest();
-        let outside = Point::new([20.0 * scale, 20.0 * scale]);
-        if tree.insert(next_oid, outside).is_ok() {
-            return Some("out-of-universe insert was accepted".to_string());
-        }
-        if store.latest() != latest_before {
-            return Some(format!(
-                "aborted insert advanced the version: {} -> {}",
-                latest_before,
-                store.latest()
-            ));
-        }
-        match collect_objects(&tree) {
-            Ok(census) => {
-                if census.len() != live.len() {
-                    return Some(format!(
-                        "aborted insert changed the census: {} vs {}",
-                        census.len(),
-                        live.len()
-                    ));
-                }
-            }
-            Err(e) => return Some(format!("census after abort failed: {e:?}")),
-        }
-        if let Some(c) = tree.node_cache() {
-            c.clear();
-        }
-        if let Err(e) = pool.clear() {
-            return Some(format!("clear after abort failed: {e:?}"));
-        }
-        let reader = match handle.pin(None) {
-            Ok(ctx) => PinnedReader {
-                ctx,
-                model: live.clone(),
-                pinned_at_step: ops,
-            },
-            Err(e) => return Some(format!("pin after abort failed: {e:?}")),
-        };
-        if let Some(m) = verify_pinned(rng, &reader) {
-            return Some(format!("cold re-run after aborted insert: {m}"));
-        }
+    let latest_before = store.latest();
+    let outside = Point::new([20.0 * scale, 20.0 * scale]);
+    if tree.insert(next_oid, outside).is_ok() {
+        return Some("out-of-universe insert was accepted".to_string());
     }
+    if store.latest() != latest_before {
+        return Some(format!(
+            "aborted insert advanced the version: {} -> {}",
+            latest_before,
+            store.latest()
+        ));
+    }
+    match collect_objects(&tree) {
+        Ok(census) => {
+            if census.len() != live.len() {
+                return Some(format!(
+                    "aborted insert changed the census: {} vs {}",
+                    census.len(),
+                    live.len()
+                ));
+            }
+        }
+        Err(e) => return Some(format!("census after abort failed: {e:?}")),
+    }
+    if let Some(c) = tree.node_cache() {
+        c.clear();
+    }
+    if let Err(e) = pool.clear() {
+        return Some(format!("clear after abort failed: {e:?}"));
+    }
+    let reader = match handle.pin(None) {
+        Ok(ctx) => PinnedReader {
+            ctx,
+            model: live.clone(),
+            pinned_at_step: ops,
+        },
+        Err(e) => return Some(format!("pin after abort failed: {e:?}")),
+    };
+    if let Some(m) = verify_pinned(rng, &reader) {
+        return Some(format!("cold re-run after aborted insert: {m}"));
+    }
+    drop(reader);
 
     // -- GC floor: unpinned history rejects, stragglers survive ------------
     let floor = store.version_floor();
@@ -326,9 +298,9 @@ fn compare_pairs(got: &[NeighborPair], want: &[NeighborPair]) -> Option<String> 
 /// the torn-read oracle is *internal* consistency: each snapshot's
 /// census must match its own pinned meta count exactly, and every point
 /// must be one the writer could have written.
-fn threaded_race<T: WritableIndex<2>>(
+fn threaded_race(
     rng: &mut Rng,
-    tree: &mut T,
+    tree: &mut Mbrqt<2>,
     handle: &VersionedHandle<2>,
     live: &mut BTreeMap<u64, Point<2>>,
     next_oid: &mut u64,
@@ -394,28 +366,17 @@ fn threaded_race<T: WritableIndex<2>>(
         // The writer: commits race the pins above.
         let mut writer_fail = None;
         for step in 0..commits {
-            let deleting = !live.is_empty() && rng.chance(0.3);
-            if deleting {
-                let idx = rng.range(0, live.len());
-                let (&oid, &point) = live.iter().nth(idx).expect("index in range");
-                if let Err(e) = tree.delete(oid, &point) {
-                    writer_fail = Some(format!("racing delete failed at step {step}: {e:?}"));
-                    break;
-                }
-                live.remove(&oid);
-            } else {
-                let p = Point::new([
-                    rng.range(0, 9) as f64 * scale,
-                    rng.range(0, 9) as f64 * scale,
-                ]);
-                let oid = *next_oid;
-                *next_oid += 1;
-                if let Err(e) = tree.insert(oid, p) {
-                    writer_fail = Some(format!("racing insert failed at step {step}: {e:?}"));
-                    break;
-                }
-                live.insert(oid, p);
+            let p = Point::new([
+                rng.range(0, 9) as f64 * scale,
+                rng.range(0, 9) as f64 * scale,
+            ]);
+            let oid = *next_oid;
+            *next_oid += 1;
+            if let Err(e) = tree.insert(oid, p) {
+                writer_fail = Some(format!("racing insert failed at step {step}: {e:?}"));
+                break;
             }
+            live.insert(oid, p);
         }
 
         for h in handles {

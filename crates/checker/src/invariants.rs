@@ -15,7 +15,6 @@ use ann_geom::{
 use ann_mbrqt::Mbrqt;
 use ann_rstar::RStar;
 use ann_store::{BufferPool, FaultyDisk, InjectedFault, MemDisk, PageId, DEFAULT_KEEP, FRAME_SIZE};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Relative slack for cross-expression-tree float comparisons (a point
@@ -234,10 +233,11 @@ pub fn check_kernels_case<const D: usize>(rng: &mut Rng) -> Option<String> {
     None
 }
 
-/// Replays a random insert/delete interleaving against both index kinds,
-/// validating the full structural invariant set ([`validate`]) and the
-/// object census after every batch. Duplicate and coincident points are
-/// deliberately common (lattice coordinates).
+/// Grows an MBRQT by a random insert sequence, validating the full
+/// structural invariant set ([`validate`]) and the object census after
+/// every batch, then STR-builds an R*-tree over the same points and checks
+/// it the same way. Duplicate and coincident points are deliberately
+/// common (lattice coordinates).
 pub fn check_tree_case<const D: usize>(rng: &mut Rng) -> Option<String> {
     let scale = *rng.pick(&crate::gen::SCALES);
     let universe = {
@@ -250,119 +250,74 @@ pub fn check_tree_case<const D: usize>(rng: &mut Rng) -> Option<String> {
         Ok(t) => t,
         Err(e) => return Some(format!("mbrqt create failed: {e:?}")),
     };
-    let mut rs = match RStar::<D>::create(pool, &rs_cfg()) {
-        Ok(t) => t,
-        Err(e) => return Some(format!("rstar create failed: {e:?}")),
-    };
 
-    let mut live: BTreeMap<u64, Point<D>> = BTreeMap::new();
-    let mut next_oid = 0u64;
     let ops = rng.range(10, 120);
+    let mut live: Vec<(u64, Point<D>)> = Vec::with_capacity(ops);
     for step in 0..ops {
-        let deleting = !live.is_empty() && rng.chance(0.35);
-        if deleting {
-            let idx = rng.range(0, live.len());
-            let (&oid, &point) = live.iter().nth(idx).expect("index in range");
-            for (name, deleted) in [
-                ("mbrqt", qt.delete(oid, &point)),
-                ("rstar", rs.delete(oid, &point)),
-            ] {
-                match deleted {
-                    Ok(true) => {}
-                    Ok(false) => {
-                        return Some(format!(
-                            "{name}: delete of live oid {oid} at step {step} reported absent"
-                        ))
-                    }
-                    Err(e) => return Some(format!("{name}: delete failed at step {step}: {e:?}")),
-                }
-            }
-            live.remove(&oid);
-        } else {
-            let mut c = [0.0; D];
-            for v in c.iter_mut() {
-                *v = rng.range(0, 9) as f64 * scale;
-            }
-            let p = Point::new(c);
-            let oid = next_oid;
-            next_oid += 1;
-            for (name, inserted) in [("mbrqt", qt.insert(oid, p)), ("rstar", rs.insert(oid, p))] {
-                if let Err(e) = inserted {
-                    return Some(format!("{name}: insert failed at step {step}: {e:?}"));
-                }
-            }
-            live.insert(oid, p);
+        let mut c = [0.0; D];
+        for v in c.iter_mut() {
+            *v = rng.range(0, 9) as f64 * scale;
         }
+        let p = Point::new(c);
+        if let Err(e) = qt.insert(step as u64, p) {
+            return Some(format!("mbrqt: insert failed at step {step}: {e:?}"));
+        }
+        live.push((step as u64, p));
 
         if step % 7 == 0 || step + 1 == ops {
-            for (name, shape) in [("mbrqt", validate(&qt)), ("rstar", validate(&rs))] {
-                match shape {
-                    Ok(shape) => {
-                        if shape.objects != live.len() as u64 {
-                            return Some(format!(
-                                "{name}: {} objects after step {step}, expected {}",
-                                shape.objects,
-                                live.len()
-                            ));
-                        }
-                    }
-                    Err(e) => {
-                        return Some(format!(
-                            "{name}: invariant violation after step {step}: {e:?}"
-                        ))
-                    }
-                }
+            if let Some(m) = census(&qt, &live) {
+                return Some(format!("mbrqt after step {step}: {m}"));
             }
         }
     }
 
-    // Census: the exact (oid, point) multiset must survive.
-    for (name, got) in [
-        ("mbrqt", collect_objects(&qt)),
-        ("rstar", collect_objects(&rs)),
-    ] {
-        let mut got = match got {
-            Ok(g) => g,
-            Err(e) => return Some(format!("{name}: collect failed: {e:?}")),
-        };
-        got.sort_by_key(|(oid, _)| *oid);
-        let want: Vec<(u64, Point<D>)> = live.iter().map(|(&o, &p)| (o, p)).collect();
-        if got != want {
-            return Some(format!(
-                "{name}: object census diverged: {} live vs {} expected",
-                got.len(),
-                want.len()
-            ));
-        }
+    match RStar::<D>::bulk_build(pool, &live, &rs_cfg()) {
+        Ok(rs) => census(&rs, &live).map(|m| format!("rstar: {m}")),
+        Err(e) => Some(format!("rstar: STR build failed: {e:?}")),
     }
-    None
+}
+
+/// Checks `tree` against the model `live` (sorted by oid): the structural
+/// invariants, the object count and the exact `(oid, point)` multiset.
+fn census<const D: usize>(tree: &impl SpatialIndex<D>, live: &[(u64, Point<D>)]) -> Option<String> {
+    match validate(tree) {
+        Ok(shape) if shape.objects != live.len() as u64 => {
+            return Some(format!(
+                "{} objects, expected {}",
+                shape.objects,
+                live.len()
+            ))
+        }
+        Ok(_) => {}
+        Err(e) => return Some(format!("invariant violation: {e:?}")),
+    }
+    let mut got = match collect_objects(tree) {
+        Ok(g) => g,
+        Err(e) => return Some(format!("collect failed: {e:?}")),
+    };
+    got.sort_by_key(|(oid, _)| *oid);
+    (got != live).then(|| {
+        format!(
+            "object census diverged: {} live vs {} expected",
+            got.len(),
+            live.len()
+        )
+    })
 }
 
 /// Crashes a create+insert sequence at a random disk operation (torn
 /// write), then checks that reopening recovers a valid tree holding the
 /// committed prefix — and that recovery is **idempotent**: a second
 /// reopen of the same surviving media yields the identical tree. Each
-/// case draws one of {MBRQT, R*-tree} × {plain, versioned}: all four
-/// reach disk through the one [`ann_core::tree_file::TreeFile`].
+/// case draws a plain or a versioned MBRQT: both reach disk through the
+/// one [`ann_core::tree_file::TreeFile`].
 pub fn check_recovery_case(rng: &mut Rng) -> Option<String> {
-    let (rstar, versioned) = (rng.chance(0.5), rng.chance(0.5));
-    let leg = if rstar {
-        recovery_leg(rng, versioned, |pool| RStar::create(pool, &rs_cfg()))
-    } else {
-        let universe = Mbr::new([0.0, 0.0], [9.0, 9.0]);
-        recovery_leg(rng, versioned, |pool| {
-            Mbrqt::create(pool, universe, &qt_cfg())
-        })
-    };
-    let kind = if rstar { "rstar" } else { "mbrqt" };
-    leg.map(|m| format!("{kind} versioned={versioned}: {m}"))
+    let versioned = rng.chance(0.5);
+    recovery_leg(rng, versioned).map(|m| format!("versioned={versioned}: {m}"))
 }
 
-fn recovery_leg<T: WritableIndex<2>>(
-    rng: &mut Rng,
-    versioned: bool,
-    create: impl Fn(Arc<BufferPool>) -> ann_store::Result<T>,
-) -> Option<String> {
+fn recovery_leg(rng: &mut Rng, versioned: bool) -> Option<String> {
+    let universe = Mbr::new([0.0, 0.0], [9.0, 9.0]);
     let n = rng.range(5, 60);
     let mut pts: Vec<(u64, Point<2>)> = Vec::with_capacity(n);
     for i in 0..n {
@@ -379,7 +334,7 @@ fn recovery_leg<T: WritableIndex<2>>(
                     head: &mut Option<PageId>|
      -> ann_store::Result<()> {
         let pool = Arc::new(BufferPool::new(Arc::clone(fd), 8));
-        let mut tree = create(Arc::clone(&pool))?;
+        let mut tree = Mbrqt::create(Arc::clone(&pool), universe, &qt_cfg())?;
         if versioned {
             let manifest = tree.enable_versioning(DEFAULT_KEEP)?;
             pool.flush_all()?;
@@ -413,7 +368,7 @@ fn recovery_leg<T: WritableIndex<2>>(
 
     let reopen = |mem: &Arc<MemDisk>| -> Result<u64, String> {
         let pool = Arc::new(BufferPool::new(Arc::clone(mem), 64));
-        match T::open_at(pool, 0, head) {
+        match Mbrqt::<2>::open_at(pool, 0, head) {
             Ok(tree) => match validate(&tree) {
                 Ok(shape) => Ok(shape.objects),
                 Err(e) => Err(format!("recovered tree fails validation: {e:?}")),

@@ -22,10 +22,12 @@
 //!   offsets, degenerate boxes, `D ∈ {1, 2, 8}`), and the scalar
 //!   `min_min_dist_sq_within` early exit accepts exactly the
 //!   `MINMINDIST²`s within its bound, bit-equal.
-//! * [`Class::Tree`] — MBRQT and R*-tree structural invariants and the
-//!   exact object census survive random insert/delete interleavings.
-//! * [`Class::Recovery`] — journal recovery after an injected torn-write
-//!   crash lands on a committed prefix and is idempotent across reopens.
+//! * [`Class::Tree`] — MBRQT structural invariants and the exact object
+//!   census survive random insert sequences, and an STR-built R*-tree
+//!   over the same duplicate-heavy points passes the same checks.
+//! * [`Class::Recovery`] — journal recovery of a plain or versioned MBRQT
+//!   after an injected torn-write crash lands on a committed prefix and
+//!   is idempotent across reopens.
 //! * [`Class::Faults`] — a query hit by a scheduled transient fault, bit
 //!   flip, or device crash lands in exactly one of three clean outcomes:
 //!   retried-and-byte-identical, a structured [`QueryError`]

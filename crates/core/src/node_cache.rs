@@ -12,10 +12,10 @@
 //! # Invalidation
 //!
 //! Entries are keyed by `(key, PageId)`, where `key` is either a tree
-//! epoch or an MVCC version (see below). Structural mutation (MBRQT /
-//! R*-tree insert and delete) bumps the tree's epoch, which atomically
-//! invalidates every cached node: stale entries can never match a post-bump
-//! lookup, and the bump also drops them eagerly to free memory. The cache
+//! epoch or an MVCC version (see below). Structural mutation (an MBRQT
+//! insert) bumps the tree's epoch, which atomically invalidates every
+//! cached node: stale entries can never match a post-bump lookup, and
+//! the bump also drops them eagerly to free memory. The cache
 //! additionally maintains a **retired floor**: inserts under a key below
 //! the floor are dropped on arrival, so a lookup/insert pair racing a bump
 //! can never park an unreachable entry in a shard ([`NodeCache::stale_len`]
@@ -130,7 +130,7 @@ impl<const D: usize> NodeCache<D> {
 
     /// Invalidates every cached node: future lookups miss until re-filled
     /// under the new epoch. Called by the owning tree on structural
-    /// mutation (insert/delete).
+    /// mutation (an insert).
     ///
     /// The new epoch also becomes the retired floor, so an insert racing
     /// this bump (its key snapshotted pre-bump) is dropped on arrival

@@ -19,7 +19,7 @@ use crate::index::SpatialIndex;
 use crate::node::{get_mbr, put_mbr, read_node, write_node, Node};
 use crate::node_cache::NodeCache;
 use crate::snapshot::VersionedHandle;
-use ann_geom::{Mbr, Point};
+use ann_geom::Mbr;
 use ann_store::{
     BufferPool, Journal, PageId, PageStore, Reader, Result, StoreError, Txn, VersionedStore, Writer,
 };
@@ -248,7 +248,7 @@ impl<const D: usize> TreeFile<D> {
     }
 
     /// Switches the tree into MVCC snapshot mode: from here on every
-    /// insert/delete commits an immutable new version (copy-on-write
+    /// update commits an immutable new version (copy-on-write
     /// pages), and readers pin versions through
     /// [`versioned_handle`](Self::versioned_handle) without blocking on
     /// the writer. `keep` bounds the history ([`ann_store::DEFAULT_KEEP`]).
@@ -287,10 +287,12 @@ impl<const D: usize> TreeFile<D> {
     }
 }
 
-/// One kind of tree over a [`TreeFile`] — GiST's extension point: a kind
-/// supplies its [`Params`] and its insert and delete, and derefs to its
-/// file for the rest (the lifecycle methods, and the [`SpatialIndex`]
-/// answers every `WritableIndex` gets from the file's header).
+/// One kind of tree over a [`TreeFile`]: a kind supplies its [`Params`]
+/// and derefs to its file for the rest (the lifecycle methods, and the
+/// [`SpatialIndex`] answers every `WritableIndex` gets from the file's
+/// header). A kind's own writes (the MBRQT's `insert`, both kinds' bulk
+/// builds) are inherent methods that commit through
+/// [`update`](Self::update) and [`built`](Self::built).
 pub trait WritableIndex<const D: usize>: DerefMut<Target = TreeFile<D>> {
     /// Opens a built tree from its meta page (and manifest `head`, if
     /// versioned; see [`TreeFile::open`]), then [`crate::index::validate`]s
@@ -299,12 +301,6 @@ pub trait WritableIndex<const D: usize>: DerefMut<Target = TreeFile<D>> {
     fn open_at(pool: Arc<BufferPool>, meta_page: PageId, head: Option<PageId>) -> Result<Self>
     where
         Self: Sized;
-
-    /// Inserts one point.
-    fn insert(&mut self, oid: u64, point: Point<D>) -> Result<()>;
-
-    /// Deletes the object `(oid, point)`; returns whether it existed.
-    fn delete(&mut self, oid: u64, point: &Point<D>) -> Result<bool>;
 
     /// The parameter block this tree's meta page records.
     fn params(&self) -> Params<D>;

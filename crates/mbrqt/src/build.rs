@@ -4,7 +4,7 @@
 //! sparse, sorted grid cells of [`Builder::pick_levels`] levels, a bucket
 //! is a leaf, and every child entry carries the tight MBR of its subtree
 //! (or its quadrant, in the plain-quadtree ablation). The bulk build, the
-//! streamed build, an insert's bucket split and a delete's collapse all
+//! streamed build and an insert's path rewrite and bucket split all
 //! write their nodes through it, so they cannot disagree on that rule.
 //! Pages are allocated at write time, after their children (post-order).
 
@@ -234,7 +234,7 @@ impl<'a, S: PageStore, const D: usize> Builder<'a, S, D> {
             tally[level] += 1;
         }
         if points.len() <= self.params.bucket_capacity || depth >= MAX_DEPTH {
-            return self.write_leaf(points, quadrant, None);
+            return self.write_leaf(points, quadrant);
         }
         self.split(points, quadrant, depth, level, None)
     }
@@ -303,12 +303,11 @@ impl<'a, S: PageStore, const D: usize> Builder<'a, S, D> {
         self.write(node, quadrant, at)
     }
 
-    /// Writes the bucket of `objects` over `quadrant`.
+    /// Writes the bucket of `objects` over `quadrant` on a fresh page.
     pub(crate) fn write_leaf(
         &self,
         objects: impl IntoIterator<Item = (u64, Point<D>)>,
         quadrant: Mbr<D>,
-        at: Option<PageId>,
     ) -> Result<NodeEntry<D>> {
         let entries = objects
             .into_iter()
@@ -320,7 +319,7 @@ impl<'a, S: PageStore, const D: usize> Builder<'a, S, D> {
             mbr: Mbr::empty(),
             entries,
         };
-        self.write(node, quadrant, at)
+        self.write(node, quadrant, None)
     }
 
     /// Writes `node` over `quadrant` at `at`, or on a page allocated now,

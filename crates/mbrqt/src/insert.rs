@@ -93,7 +93,7 @@ fn descend<const D: usize>(
         }
         // Fresh cell: a one-point leaf.
         None => {
-            let entry = builder.write_leaf([(oid, point)], child_q, None)?;
+            let entry = builder.write_leaf([(oid, point)], child_q)?;
             node.entries.push(Entry::Node(entry));
         }
     }

@@ -49,7 +49,6 @@
 #![forbid(unsafe_code)]
 
 mod build;
-mod delete;
 mod insert;
 
 use ann_core::node::Node;
@@ -214,14 +213,6 @@ impl<const D: usize> Mbrqt<D> {
         insert::insert(self, oid, point)
     }
 
-    /// Deletes the object `(oid, point)` (both must match an indexed
-    /// object exactly). Internal nodes whose subtrees shrink to bucket
-    /// size collapse back into single leaf buckets. Returns whether the
-    /// object existed.
-    pub fn delete(&mut self, oid: u64, point: &Point<D>) -> Result<bool> {
-        delete::delete(self, oid, point)
-    }
-
     /// Starts a tree over `universe` on `pool` — its file exists, its root
     /// does not yet: what `create` and the bulk builds begin with.
     pub(crate) fn new(
@@ -263,14 +254,6 @@ impl<const D: usize> WritableIndex<D> for Mbrqt<D> {
         let tree = Mbrqt { file, params };
         ann_core::index::validate(&tree)?;
         Ok(tree)
-    }
-
-    fn insert(&mut self, oid: u64, point: Point<D>) -> Result<()> {
-        Mbrqt::insert(self, oid, point)
-    }
-
-    fn delete(&mut self, oid: u64, point: &Point<D>) -> Result<bool> {
-        Mbrqt::delete(self, oid, point)
     }
 
     fn params(&self) -> Params<D> {
@@ -409,11 +392,10 @@ mod tests {
 
         tree.insert(1, Point::new([2.0, 2.0])).unwrap();
         tree.insert(2, Point::new([60.0, 60.0])).unwrap();
-        assert!(tree.delete(0, &Point::new([1.0, 1.0])).unwrap());
 
         // The writer sees the newest state; the pinned reader still sees
-        // exactly the point set from before the mutations.
-        assert_eq!(SpatialIndex::num_points(&tree), 2);
+        // exactly the point set from before the inserts.
+        assert_eq!(SpatialIndex::num_points(&tree), 3);
         let old_objs = ann_core::index::collect_objects(&old).unwrap();
         assert_eq!(old_objs, vec![(0, Point::new([1.0, 1.0]))]);
         ann_core::index::validate(&old).unwrap();
@@ -421,7 +403,7 @@ mod tests {
 
         // A fresh pin sees the newest version, and both views coexist.
         let new = handle.pin(None).unwrap();
-        assert_eq!(ann_core::index::collect_objects(&new).unwrap().len(), 2);
+        assert_eq!(ann_core::index::collect_objects(&new).unwrap().len(), 3);
         assert!(new.version() > old.version());
         assert_eq!(handle.store().pinned_readers(), 2);
         drop((old, new));
@@ -448,5 +430,48 @@ mod tests {
         let handle = tree.versioned_handle().unwrap();
         let ctx = handle.pin(None).unwrap();
         assert_eq!(ann_core::index::collect_objects(&ctx).unwrap().len(), 40);
+    }
+
+    /// Without deletes, version retirement alone frees pages: under
+    /// `keep = 2` an insert's copy-on-write pages retire two commits
+    /// later, `gc` moves them to the free list once no pin holds them,
+    /// and later commits that add no node take their pages from that
+    /// list instead of growing the file.
+    #[test]
+    fn insert_only_commits_reach_gc_page_reuse() {
+        let pool = Arc::new(BufferPool::new(ann_store::MemDisk::new(), 256));
+        let pts: Vec<(u64, Point<2>)> = (0..1_000u64)
+            .map(|i| (i, Point::new([(i % 40) as f64, (i / 40) as f64])))
+            .collect();
+        let mut tree =
+            Mbrqt::<2>::bulk_build(Arc::clone(&pool), &pts, &MbrqtConfig::default()).unwrap();
+        let nodes = ann_core::index::validate(&tree).unwrap().nodes;
+        assert!(nodes > 1, "the inserts must copy a root-to-leaf path");
+        tree.enable_versioning(2).unwrap();
+        let handle = tree.versioned_handle().unwrap();
+        let store = Arc::clone(handle.store());
+        let mut oid = 10_000;
+        let mut insert = |tree: &mut Mbrqt<2>, n: usize| {
+            for _ in 0..n {
+                tree.insert(oid, Point::new([1.5, 1.5])).unwrap();
+                oid += 1;
+            }
+        };
+
+        // A pin holds every retirement behind it; releasing it lets `gc`
+        // reclaim them.
+        let pinned = handle.pin(None).unwrap();
+        insert(&mut tree, 4);
+        assert_eq!(store.gc(), 0, "the pinned version keeps its pages");
+        drop(pinned);
+        assert!(store.gc() > 0, "retired copies are reclaimed");
+
+        // From here each commit reuses freed pages.
+        insert(&mut tree, 2);
+        let pages = pool.num_pages();
+        insert(&mut tree, 20);
+        assert_eq!(pool.num_pages(), pages, "insert-only commits grew the file");
+        let shape = ann_core::index::validate(&tree).unwrap();
+        assert_eq!((shape.nodes, shape.objects), (nodes, 1_026));
     }
 }

@@ -295,29 +295,15 @@ fn node_cache_serves_repeat_traversals_and_invalidates_on_mutation() {
     }
     assert!(found, "cached traversal observes the inserted point");
 
-    // Delete: epoch bumps again; the cached traversal must stop seeing it.
+    // A rejected insert (outside the universe) writes nothing and must
+    // NOT invalidate the cache.
     let epoch_before = cache.epoch();
-    assert!(tree.delete(999_999, &extra).unwrap());
-    let cache = tree.node_cache().unwrap();
-    assert_ne!(cache.epoch(), epoch_before, "delete bumps the epoch");
-    let mut stack = vec![tree.root_page()];
-    while let Some(page) = stack.pop() {
-        let node = tree.read_node_cached(page).unwrap();
-        for e in node.entries.iter() {
-            match e {
-                Entry::Object(o) => assert_ne!(o.oid, 999_999, "stale cache"),
-                Entry::Node(n) => stack.push(n.page),
-            }
-        }
-    }
-
-    // A failed delete (nothing removed) must NOT invalidate the cache.
-    let epoch_before = cache.epoch();
-    assert!(!tree.delete(123_456_789, &extra).unwrap());
+    let outside = Point::new([1.0e9, 1.0e9]);
+    assert!(tree.insert(123_456_789, outside).is_err());
     assert_eq!(
         tree.node_cache().unwrap().epoch(),
         epoch_before,
-        "no-op delete keeps the cache"
+        "rejected insert keeps the cache"
     );
 }
 

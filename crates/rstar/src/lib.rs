@@ -7,17 +7,15 @@
 //! paper's **RBA** algorithm; the **BNN** baseline also searches an
 //! `RStar`.
 //!
-//! Implemented features:
+//! The paper's joins run over indexes built once, so a tree is built
+//! one way only:
 //!
-//! * **ChooseSubtree** with the R\* rules: minimum *overlap* enlargement at
-//!   the level above the leaves, minimum *area* enlargement elsewhere;
-//! * the **R\* split**: margin-driven split-axis election followed by
-//!   overlap-driven split-index election;
-//! * **forced reinsertion**: the first overflow per level per insertion
-//!   evicts the 30 % of entries farthest from the node center and
-//!   re-inserts them, improving the packing;
 //! * **STR bulk loading** (Sort-Tile-Recursive, Leutenegger et al. 1997)
-//!   for building well-packed trees from a known dataset;
+//!   packs the known dataset into near-full nodes. It is a stronger
+//!   baseline than the paper's dynamically built R\*-tree (EXPERIMENTS.md,
+//!   "Why"); the R\* insertion rules (ChooseSubtree, the R\* split,
+//!   forced reinsertion) are not implemented, and a built tree takes no
+//!   inserts or deletes;
 //! * one node per 8 KiB page via the shared codec in [`ann_core::node`].
 //!
 //! # Example
@@ -40,8 +38,6 @@
 #![forbid(unsafe_code)]
 
 mod bulk;
-mod delete;
-mod insert;
 
 use ann_core::node::Node;
 use ann_core::trace::{Side, Tracer};
@@ -50,12 +46,7 @@ use ann_geom::Point;
 use ann_store::{BufferPool, PageId, Result, StoreError};
 use std::sync::Arc;
 
-/// Minimum fill of a non-root node, as a percentage of its maximum (the
-/// R\* paper's recommendation).
-const MIN_FILL_PERCENT: usize = 40;
-
-/// Node sizes for [`RStar`]. The fill and reinsertion shares are the R\*
-/// paper's constants.
+/// Node sizes for [`RStar`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RStarConfig {
     /// Maximum entries per leaf node. `0` = fill one page.
@@ -80,7 +71,7 @@ impl RStarConfig {
     }
 }
 
-/// A disk-resident R\*-tree over `D`-dimensional points.
+/// A disk-resident R\*-tree over `D`-dimensional points, built by STR.
 ///
 /// Derefs to its [`TreeFile`], which carries everything about durability
 /// and versioning (`meta_page`, `enable_versioning`, `versioned_handle`,
@@ -92,11 +83,6 @@ pub struct RStar<const D: usize> {
 }
 
 impl<const D: usize> RStar<D> {
-    /// Creates an empty tree.
-    pub fn create(pool: Arc<BufferPool>, config: &RStarConfig) -> Result<Self> {
-        RStar::new(pool, config)?.with_empty_root()
-    }
-
     /// Bulk-builds a well-packed tree over `points` with STR.
     pub fn bulk_build(
         pool: Arc<BufferPool>,
@@ -127,36 +113,8 @@ impl<const D: usize> RStar<D> {
         self.params.height
     }
 
-    /// Maximum entries per node (leaf, internal).
-    pub fn capacities(&self) -> (usize, usize) {
-        (self.params.max_leaf, self.params.max_internal)
-    }
-
-    /// Minimum entries per node of each kind (root excepted).
-    pub fn min_entries(&self, is_leaf: bool) -> usize {
-        let max = if is_leaf {
-            self.params.max_leaf
-        } else {
-            self.params.max_internal
-        };
-        (max * MIN_FILL_PERCENT / 100).max(2)
-    }
-
-    /// Inserts one point (R\* insertion with forced reinsertion).
-    pub fn insert(&mut self, oid: u64, point: Point<D>) -> Result<()> {
-        insert::insert(self, oid, point)
-    }
-
-    /// Deletes the object `(oid, point)` (both must match an indexed
-    /// object exactly). Underfull nodes dissolve and their entries
-    /// re-insert, per the classic CondenseTree treatment. Returns whether
-    /// the object existed.
-    pub fn delete(&mut self, oid: u64, point: &Point<D>) -> Result<bool> {
-        delete::delete(self, oid, point)
-    }
-
     /// Starts a tree on `pool` — its file exists, its root does not yet:
-    /// what `create` and the bulk builds begin with.
+    /// what the bulk build begins with.
     pub(crate) fn new(pool: Arc<BufferPool>, config: &RStarConfig) -> Result<Self> {
         Ok(RStar {
             file: TreeFile::create(pool)?,
@@ -166,14 +124,6 @@ impl<const D: usize> RStar<D> {
                 max_internal: config.resolved_max::<D>(false),
             },
         })
-    }
-
-    pub(crate) fn max_entries(&self, is_leaf: bool) -> usize {
-        if is_leaf {
-            self.params.max_leaf
-        } else {
-            self.params.max_internal
-        }
     }
 }
 
@@ -201,14 +151,6 @@ impl<const D: usize> WritableIndex<D> for RStar<D> {
         Ok(tree)
     }
 
-    fn insert(&mut self, oid: u64, point: Point<D>) -> Result<()> {
-        RStar::insert(self, oid, point)
-    }
-
-    fn delete(&mut self, oid: u64, point: &Point<D>) -> Result<bool> {
-        RStar::delete(self, oid, point)
-    }
-
     fn params(&self) -> Params<D> {
         Params::RStar(self.params)
     }
@@ -220,45 +162,15 @@ mod tests {
     use ann_core::index::SpatialIndex;
 
     #[test]
-    fn versioned_mutations_preserve_pinned_snapshots() {
-        let pool = Arc::new(BufferPool::new(ann_store::MemDisk::new(), 256));
-        let mut tree = RStar::<2>::create(pool, &RStarConfig::default()).unwrap();
-        tree.insert(0, Point::new([1.0, 1.0])).unwrap();
-        tree.enable_versioning(8).unwrap();
-
-        let handle = tree.versioned_handle().unwrap();
-        let old = handle.pin(None).unwrap();
-        assert_eq!(SpatialIndex::num_points(&old), 1);
-
-        tree.insert(1, Point::new([2.0, 2.0])).unwrap();
-        tree.insert(2, Point::new([60.0, 60.0])).unwrap();
-        assert!(tree.delete(0, &Point::new([1.0, 1.0])).unwrap());
-
-        // The writer sees the newest state; the pinned reader still sees
-        // exactly the point set from before the mutations.
-        assert_eq!(SpatialIndex::num_points(&tree), 2);
-        let old_objs = ann_core::index::collect_objects(&old).unwrap();
-        assert_eq!(old_objs, vec![(0, Point::new([1.0, 1.0]))]);
-        ann_core::index::validate(&old).unwrap();
-        ann_core::index::validate(&tree).unwrap();
-
-        let new = handle.pin(None).unwrap();
-        assert_eq!(ann_core::index::collect_objects(&new).unwrap().len(), 2);
-        assert!(new.version() > old.version());
-        drop((old, new));
-        assert_eq!(handle.store().pinned_readers(), 0);
-    }
-
-    #[test]
     fn versioned_tree_reopens_from_manifest() {
         let pool = Arc::new(BufferPool::new(ann_store::MemDisk::new(), 256));
-        let mut tree = RStar::<2>::create(Arc::clone(&pool), &RStarConfig::default()).unwrap();
+        let pts: Vec<_> = (0..40u64)
+            .map(|i| (i, Point::new([(i % 10) as f64, (i / 10) as f64])))
+            .collect();
+        let mut tree =
+            RStar::<2>::bulk_build(Arc::clone(&pool), &pts, &RStarConfig::default()).unwrap();
         let meta_page = tree.meta_page();
         let head = tree.enable_versioning(4).unwrap();
-        for i in 0..40u64 {
-            tree.insert(i, Point::new([(i % 10) as f64, (i / 10) as f64]))
-                .unwrap();
-        }
         tree.flush().unwrap();
         drop(tree);
 

@@ -1,5 +1,5 @@
-//! Structural tests for the R*-tree: STR bulk builds, incremental R*
-//! insertion with forced reinsertion, fanout invariants, persistence.
+//! Structural tests for the R*-tree: STR bulk builds, packing,
+//! persistence.
 
 use ann_core::index::{collect_objects, validate, SpatialIndex};
 use ann_core::node::Entry;
@@ -53,67 +53,6 @@ fn bulk_build_validates_and_contains_all_points() {
 }
 
 #[test]
-fn incremental_insert_validates() {
-    let pts = random_points::<2>(3000, 43);
-    let mut tree = RStar::create(pool(64), &small_cfg()).unwrap();
-    for &(oid, p) in &pts {
-        tree.insert(oid, p).unwrap();
-    }
-    assert_eq!(tree.num_points(), 3000);
-    let shape = validate(&tree).unwrap();
-    assert_eq!(shape.objects, 3000);
-    assert!(tree.height() >= 3, "small fanout must give a deep tree");
-}
-
-#[test]
-fn fanout_bounds_hold_after_incremental_build() {
-    let pts = random_points::<2>(4000, 47);
-    let mut tree = RStar::create(pool(64), &small_cfg()).unwrap();
-    for &(oid, p) in &pts {
-        tree.insert(oid, p).unwrap();
-    }
-    let (max_leaf, max_internal) = tree.capacities();
-    let mut stack = vec![(tree.root_page(), true)];
-    while let Some((page, is_root)) = stack.pop() {
-        let node = tree.read_node(page).unwrap();
-        let max = if node.is_leaf { max_leaf } else { max_internal };
-        assert!(node.entries.len() <= max, "node exceeds max fanout");
-        if !is_root {
-            let min = tree.min_entries(node.is_leaf);
-            assert!(
-                node.entries.len() >= min,
-                "{} node underfull: {} < {}",
-                if node.is_leaf { "leaf" } else { "internal" },
-                node.entries.len(),
-                min
-            );
-        }
-        for e in &node.entries {
-            if let Entry::Node(n) = e {
-                stack.push((n.page, false));
-            }
-        }
-    }
-}
-
-#[test]
-fn mixed_bulk_then_incremental() {
-    let pts = random_points::<2>(2000, 59);
-    let (bulk_half, inc_half) = pts.split_at(1000);
-    let mut tree = RStar::bulk_build(pool(64), bulk_half, &small_cfg()).unwrap();
-    for &(oid, p) in inc_half {
-        tree.insert(oid, p).unwrap();
-    }
-    assert_eq!(validate(&tree).unwrap().objects, 2000);
-    let got: HashSet<u64> = collect_objects(&tree)
-        .unwrap()
-        .iter()
-        .map(|(o, _)| *o)
-        .collect();
-    assert_eq!(got.len(), 2000);
-}
-
-#[test]
 fn str_build_packs_efficiently() {
     // STR should use close to the minimum number of leaves.
     let pts = random_points::<2>(10_000, 61);
@@ -151,12 +90,9 @@ fn wrong_dimension_open_fails() {
 }
 
 #[test]
-fn ten_dimensional_build_and_insert() {
+fn ten_dimensional_build() {
     let pts = random_points::<10>(1200, 73);
-    let mut tree = RStar::bulk_build(pool(128), &pts[..1000], &RStarConfig::default()).unwrap();
-    for &(oid, p) in &pts[1000..] {
-        tree.insert(oid, p).unwrap();
-    }
+    let tree = RStar::bulk_build(pool(128), &pts, &RStarConfig::default()).unwrap();
     assert_eq!(validate(&tree).unwrap().objects, 1200);
 }
 
@@ -166,8 +102,8 @@ fn empty_and_tiny_trees() {
     assert_eq!(empty.num_points(), 0);
     assert_eq!(validate(&empty).unwrap().objects, 0);
 
-    let mut one = RStar::<2>::create(pool(16), &RStarConfig::default()).unwrap();
-    one.insert(9, Point::new([1.0, 2.0])).unwrap();
+    let pts = [(9, Point::new([1.0, 2.0]))];
+    let one = RStar::<2>::bulk_build(pool(16), &pts, &RStarConfig::default()).unwrap();
     assert_eq!(
         collect_objects(&one).unwrap(),
         vec![(9, Point::new([1.0, 2.0]))]
@@ -176,75 +112,19 @@ fn empty_and_tiny_trees() {
 
 #[test]
 fn duplicate_points_are_allowed() {
-    let mut tree = RStar::<2>::create(pool(32), &small_cfg()).unwrap();
-    for i in 0..200 {
-        tree.insert(i, Point::new([1.0, 1.0])).unwrap();
-    }
+    let pts: Vec<_> = (0..200).map(|i| (i, Point::new([1.0, 1.0]))).collect();
+    let tree = RStar::<2>::bulk_build(pool(32), &pts, &small_cfg()).unwrap();
     assert_eq!(validate(&tree).unwrap().objects, 200);
+    assert!(tree.height() >= 2, "200 duplicates span several leaves");
 }
 
 #[test]
 fn rejects_non_finite_points() {
-    let mut tree = RStar::<2>::create(pool(16), &RStarConfig::default()).unwrap();
-    assert!(tree.insert(0, Point::new([f64::NAN, 0.0])).is_err());
-    assert_eq!(tree.num_points(), 0);
-}
-
-#[test]
-fn node_cache_invalidated_by_insert_and_delete() {
-    let pts = random_points::<2>(1500, 31);
-    let mut tree = RStar::bulk_build(pool(64), &pts, &small_cfg()).unwrap();
-    let cache = tree.node_cache().expect("R*-tree keeps a node cache");
-
-    cache.reset_stats();
-    tree.read_node_cached(tree.root_page()).unwrap();
-    tree.read_node_cached(tree.root_page()).unwrap();
-    let s = cache.stats();
-    assert_eq!(s.misses, 1);
-    assert_eq!(s.hits, 1);
-    let epoch_before = cache.epoch();
-
-    // Mutations bump the epoch, so cached traversals see the new shape.
-    let extra = Point::new([3.5, -8.75]);
-    tree.insert(77_777, extra).unwrap();
-    let cache = tree.node_cache().unwrap();
-    assert_ne!(cache.epoch(), epoch_before, "insert bumps the epoch");
-
-    let mut stack = vec![tree.root_page()];
-    let mut found = false;
-    while let Some(page) = stack.pop() {
-        let node = tree.read_node_cached(page).unwrap();
-        for e in node.entries.iter() {
-            match e {
-                Entry::Object(o) if o.oid == 77_777 => found = true,
-                Entry::Node(n) => stack.push(n.page),
-                _ => {}
-            }
-        }
-    }
-    assert!(found, "cached traversal observes the inserted point");
-
-    let epoch_before = cache.epoch();
-    assert!(tree.delete(77_777, &extra).unwrap());
-    let cache = tree.node_cache().unwrap();
-    assert_ne!(cache.epoch(), epoch_before, "delete bumps the epoch");
-    let mut stack = vec![tree.root_page()];
-    while let Some(page) = stack.pop() {
-        let node = tree.read_node_cached(page).unwrap();
-        for e in node.entries.iter() {
-            match e {
-                Entry::Object(o) => assert_ne!(o.oid, 77_777, "stale cache"),
-                Entry::Node(n) => stack.push(n.page),
-            }
-        }
-    }
-    let epoch_before = cache.epoch();
-    assert!(!tree.delete(424_242, &extra).unwrap());
-    assert_eq!(
-        tree.node_cache().unwrap().epoch(),
-        epoch_before,
-        "no-op delete keeps the cache"
-    );
+    let pts = [
+        (0, Point::new([1.0, 1.0])),
+        (1, Point::new([f64::NAN, 0.0])),
+    ];
+    assert!(RStar::<2>::bulk_build(pool(16), &pts, &RStarConfig::default()).is_err());
 }
 
 #[test]

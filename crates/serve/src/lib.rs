@@ -6,8 +6,8 @@
 //! framing ([`http`]) and JSON ([`ann_core::wire`]) — instead of adding
 //! dependencies, in keeping with the rest of the repo.
 //!
-//! * [`registry`] — named on-disk collections (MBRQT or R*-tree over
-//!   `D = 2` points), created/opened/dropped behind a process-wide map;
+//! * [`registry`] — named on-disk collections (MBRQTs over `D = 2`
+//!   points), created/opened/dropped behind a process-wide map;
 //! * [`server`] — the acceptor / connection-thread / bounded-worker-pool
 //!   service with admission control (429 on overflow) and
 //!   cancellation-on-disconnect;

@@ -1,11 +1,10 @@
 //! Named on-disk collections behind a process-wide registry.
 //!
-//! A *collection* is one bulk-built spatial index (MBRQT or R*-tree) over
-//! a point set, persisted in its own [`FileDisk`] file with a JSON
-//! sidecar recording how to reopen it: index kind, metadata page and the
-//! MVCC manifest head. The pool a collection opens with is the registry's
-//! (`ServerConfig::pool_frames`), and the live point count is in the
-//! tree's own meta page. The registry maps [`CollectionId`]s to live
+//! A *collection* is one bulk-built MBRQT over a point set, persisted in
+//! its own [`FileDisk`] file with a JSON sidecar recording how to reopen
+//! it: index kind, metadata page and the MVCC manifest head. The pool a
+//! collection opens with is the registry's (`ServerConfig::pool_frames`),
+//! and the live point count is in the tree's own meta page. The registry maps [`CollectionId`]s to live
 //! [`Collection`] handles, opening lazily on first use so a restarted
 //! server picks up everything a previous run created.
 //!
@@ -47,7 +46,6 @@ use ann_core::tree_file::WritableIndex;
 use ann_core::wire::{CollectionId, ErrorCode, JsonValue};
 use ann_geom::Point;
 use ann_mbrqt::{Mbrqt, MbrqtConfig};
-use ann_rstar::{RStar, RStarConfig};
 use ann_store::sync::Mutex;
 use ann_store::{BufferPool, FileDisk, PageId, StoreError, DEFAULT_KEEP};
 
@@ -88,55 +86,48 @@ impl ApiError {
     }
 }
 
-/// Which index structure backs a collection.
+/// Which index structure backs a collection: always the MBRQT. A served
+/// collection grows by point inserts, and of the two trees only the
+/// MBRQT takes them; the R\*-tree is built once, by STR.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexKind {
     /// MBR-quadtree ([`ann_mbrqt`]), the paper's primary structure.
     Mbrqt,
-    /// R*-tree ([`ann_rstar`]), the paper's RBA host.
-    RStar,
 }
 
 impl IndexKind {
-    /// Wire name (`"mbrqt"` / `"rstar"`).
+    /// Wire name (`"mbrqt"`).
     pub fn as_str(self) -> &'static str {
         match self {
             IndexKind::Mbrqt => "mbrqt",
-            IndexKind::RStar => "rstar",
         }
     }
 
-    /// Parses a wire name.
+    /// Parses a wire name. `"rstar"` named a kind earlier builds served;
+    /// it gets its own refusal, so a client or an old sidecar learns why.
     pub fn parse(s: &str) -> Result<Self, ApiError> {
         match s {
             "mbrqt" => Ok(IndexKind::Mbrqt),
-            "rstar" => Ok(IndexKind::RStar),
+            "rstar" => Err(ApiError::new(
+                ErrorCode::BadRequest,
+                "R*-tree collections are no longer served \
+                 (the one accepted kind is \"mbrqt\")",
+            )),
             other => Err(ApiError::new(
                 ErrorCode::BadRequest,
-                format!("unknown index kind {other:?} (expected \"mbrqt\" or \"rstar\")"),
+                format!("unknown index kind {other:?} (the one accepted kind is \"mbrqt\")"),
             )),
         }
     }
-}
-
-/// A collection's writer handle, either structure behind the write-side
-/// trait so collection storage stays homogeneous. Queries never touch it:
-/// they read pinned snapshots.
-type AnyIndex = Box<dyn WritableIndex<SERVE_DIMS> + Send>;
-
-fn boxed(tree: impl WritableIndex<SERVE_DIMS> + Send + 'static) -> AnyIndex {
-    Box::new(tree)
 }
 
 /// One open collection: the index, its buffer pool, and its identity.
 pub struct Collection {
     /// The registry name.
     pub id: CollectionId,
-    /// Which structure backs it.
-    pub kind: IndexKind,
     /// The mutable tree, locked only by writers (mutations are
-    /// serialized).
-    writer: Mutex<AnyIndex>,
+    /// serialized). Queries never touch it: they read pinned snapshots.
+    writer: Mutex<Mbrqt<SERVE_DIMS>>,
     /// Lock-free snapshot factory: readers pin MVCC snapshots through it
     /// and never take the writer lock.
     pub(crate) handle: VersionedHandle<SERVE_DIMS>,
@@ -151,8 +142,7 @@ pub struct Collection {
 impl Collection {
     fn new(
         id: &CollectionId,
-        kind: IndexKind,
-        index: AnyIndex,
+        index: Mbrqt<SERVE_DIMS>,
         pool: Arc<BufferPool>,
     ) -> Result<Arc<Collection>, ApiError> {
         let handle = index
@@ -166,7 +156,6 @@ impl Collection {
             .num_points();
         Ok(Arc::new(Collection {
             id: id.clone(),
-            kind,
             writer: Mutex::new(index),
             handle,
             pool,
@@ -205,11 +194,24 @@ impl Collection {
     /// writer lock; concurrent queries keep reading their pinned
     /// snapshots throughout. Returns `(first_oid, latest_version)`.
     ///
-    /// Each point commits its own snapshot version, so a mid-batch
-    /// failure (e.g. an MBRQT point outside the fixed universe) leaves
-    /// the successfully inserted prefix committed and the count accurate.
+    /// The MBRQT decomposes a fixed universe, the bulk build's bounding
+    /// box. A batch with a point outside it is refused whole, as
+    /// `BadRequest` naming the first such point, before anything commits.
+    /// Each point of an accepted batch commits its own snapshot version,
+    /// so a storage failure mid-batch leaves the inserted prefix committed
+    /// and the count accurate.
     pub fn insert_points(&self, points: &[Point<SERVE_DIMS>]) -> Result<(u64, u32), ApiError> {
         let mut index = self.writer.lock();
+        let universe = index.universe();
+        if let Some(at) = points.iter().position(|p| !universe.contains_point(p)) {
+            return Err(ApiError::new(
+                ErrorCode::BadRequest,
+                format!(
+                    "point {at} {:?} lies outside the collection's universe {:?} to {:?}",
+                    points[at].0, universe.lo, universe.hi
+                ),
+            ));
+        }
         let first = index.num_points();
         let inserted = (first..)
             .zip(points)
@@ -265,12 +267,11 @@ impl Registry {
     fn write_sidecar(
         &self,
         id: &CollectionId,
-        kind: IndexKind,
-        index: &AnyIndex,
+        index: &Mbrqt<SERVE_DIMS>,
         versions_head: PageId,
     ) -> Result<(), ApiError> {
         use std::io::Write;
-        let kind = kind.as_str();
+        let kind = IndexKind::Mbrqt.as_str();
         let meta_page = index.meta_page();
         let sidecar = format!("{{\"v\":{SIDECAR_VERSION},\"kind\":\"{kind}\",\"meta_page\":{meta_page},\"versions_head\":{versions_head}}}\n");
         let tmp = self.root.join(format!("{id}.meta.json.tmp"));
@@ -314,13 +315,15 @@ impl Registry {
     /// the input positions), versioned from birth. Fails with
     /// `CollectionExists` if the name is taken, either live or on disk.
     /// Only this name's slot is locked during the build; other
-    /// collections stay fully available.
+    /// collections stay fully available. `kind` has one value; the
+    /// parameter stays while the benchmark passes it.
     pub fn create(
         &self,
         id: &CollectionId,
         kind: IndexKind,
         points: &[Point<SERVE_DIMS>],
     ) -> Result<Arc<Collection>, ApiError> {
+        let IndexKind::Mbrqt = kind;
         if points.is_empty() {
             return Err(ApiError::new(
                 ErrorCode::BadRequest,
@@ -337,7 +340,7 @@ impl Registry {
                 format!("collection {id:?} already exists"),
             ));
         }
-        let result = self.build(id, kind, points);
+        let result = self.build(id, points);
         match result {
             Ok(coll) => {
                 *state = Some(Arc::clone(&coll));
@@ -359,7 +362,6 @@ impl Registry {
     fn build(
         &self,
         id: &CollectionId,
-        kind: IndexKind,
         points: &[Point<SERVE_DIMS>],
     ) -> Result<Arc<Collection>, ApiError> {
         let keyed: Vec<(u64, Point<SERVE_DIMS>)> = points
@@ -369,18 +371,14 @@ impl Registry {
             .collect();
         let disk = FileDisk::create(self.disk_path(id)).map_err(|e| ApiError::from_store(&e))?;
         let pool = Arc::new(BufferPool::new(disk, self.pool_frames));
-        let p = Arc::clone(&pool);
-        let built = match kind {
-            IndexKind::Mbrqt => Mbrqt::bulk_build(p, &keyed, &MbrqtConfig::default()).map(boxed),
-            IndexKind::RStar => RStar::bulk_build(p, &keyed, &RStarConfig::default()).map(boxed),
-        };
-        let mut index = built.map_err(|e| ApiError::from_store(&e))?;
+        let mut index = Mbrqt::bulk_build(Arc::clone(&pool), &keyed, &MbrqtConfig::default())
+            .map_err(|e| ApiError::from_store(&e))?;
         let head = index
             .enable_versioning(DEFAULT_KEEP)
             .and_then(|head| pool.flush_all().map(|()| head))
             .map_err(|e| ApiError::from_store(&e))?;
-        self.write_sidecar(id, kind, &index, head)?;
-        Collection::new(id, kind, index, pool)
+        self.write_sidecar(id, &index, head)?;
+        Collection::new(id, index, pool)
     }
 
     /// Returns the live handle for `id`, opening it from disk on first
@@ -431,7 +429,7 @@ impl Registry {
         if v > SIDECAR_VERSION {
             return Err(invalid(&format!("unsupported sidecar version {v}")));
         }
-        let kind = IndexKind::parse(
+        IndexKind::parse(
             doc.get("kind")
                 .and_then(JsonValue::as_str)
                 .ok_or_else(|| invalid("missing kind"))?,
@@ -449,13 +447,9 @@ impl Registry {
             .ok_or_else(|| invalid("missing or out-of-range versions_head"))?;
         let disk = FileDisk::open(self.disk_path(id)).map_err(|e| ApiError::from_store(&e))?;
         let pool = Arc::new(BufferPool::new(disk, self.pool_frames));
-        let p = Arc::clone(&pool);
-        let opened = match kind {
-            IndexKind::Mbrqt => Mbrqt::open_at(p, meta_page, Some(versions_head)).map(boxed),
-            IndexKind::RStar => RStar::open_at(p, meta_page, Some(versions_head)).map(boxed),
-        };
-        let index = opened.map_err(|e| ApiError::from_store(&e))?;
-        Collection::new(id, kind, index, pool)
+        let index = Mbrqt::open_at(Arc::clone(&pool), meta_page, Some(versions_head))
+            .map_err(|e| ApiError::from_store(&e))?;
+        Collection::new(id, index, pool)
     }
 
     /// Drops a collection: unregisters the live handle and deletes its

@@ -702,14 +702,15 @@ fn describe_collection(raw_id: &str, ctx: &Ctx) -> Result<Reply, ApiError> {
     Ok(Reply::ok(format!(
         "{{\"id\":\"{}\",\"kind\":\"{}\",\"points\":{},\"versioned\":true,\"latest_version\":{}}}",
         coll.id,
-        coll.kind.as_str(),
+        IndexKind::Mbrqt.as_str(),
         coll.num_points(),
         coll.handle.latest()
     )))
 }
 
-/// `POST /collections` — body `{"id": "...", "kind": "mbrqt"|"rstar",
-/// "points": [[x, y], ...]}`; oids are the array positions.
+/// `POST /collections` — body `{"id": "...", "kind": "mbrqt",
+/// "points": [[x, y], ...]}`; oids are the array positions. `kind` may be
+/// left out; any other value is a 400.
 fn create_collection(req: &Request, ctx: &Ctx) -> Result<Reply, ApiError> {
     let bad = |msg: &str| ApiError::new(ErrorCode::BadRequest, msg);
     let body = req.body_str().ok_or_else(|| bad("body must be UTF-8"))?;
@@ -731,7 +732,7 @@ fn create_collection(req: &Request, ctx: &Ctx) -> Result<Reply, ApiError> {
         format!(
             "{{\"id\":\"{}\",\"kind\":\"{}\",\"points\":{}}}",
             coll.id,
-            coll.kind.as_str(),
+            IndexKind::Mbrqt.as_str(),
             coll.num_points()
         ),
     ))

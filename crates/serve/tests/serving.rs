@@ -25,7 +25,6 @@ use ann_core::wire::{QueryOutcome, QuerySpec};
 use ann_datagen::Rng;
 use ann_geom::Point;
 use ann_mbrqt::{Mbrqt, MbrqtConfig};
-use ann_rstar::{RStar, RStarConfig};
 use ann_serve::client::{Client, Conn};
 use ann_serve::registry::Collection;
 use ann_serve::server::{Server, ServerConfig};
@@ -94,14 +93,10 @@ fn server_pairs(body: &str) -> String {
     pairs_json(outcome.results)
 }
 
-/// Runs `spec` in-process over freshly built indices (MBRQT for R,
-/// optionally R*-tree for S) with positional oids — the library-side
-/// reference for the differential tests.
-fn library_pairs(
-    r_pts: &[Point<2>],
-    s_pts: Option<(&[Point<2>], bool)>, // (points, as_rstar)
-    spec: &QuerySpec,
-) -> String {
+/// Runs `spec` in-process over freshly built MBRQTs (R, and optionally a
+/// separate S) with positional oids — the library-side reference for the
+/// differential tests.
+fn library_pairs(r_pts: &[Point<2>], s_pts: Option<&[Point<2>]>, spec: &QuerySpec) -> String {
     let keyed = |pts: &[Point<2>]| -> Vec<(u64, Point<2>)> {
         pts.iter()
             .enumerate()
@@ -113,13 +108,7 @@ fn library_pairs(
     let req = spec.to_request();
     let out = match s_pts {
         None => run(&req, Input::Index(&ir), Input::Index(&ir)),
-        Some((s, true)) => {
-            let pool_s = Arc::new(BufferPool::new(MemDisk::new(), 256));
-            let is =
-                RStar::bulk_build(pool_s, &keyed(s), &RStarConfig::default()).expect("build S");
-            run(&req, Input::Index(&ir), Input::Index(&is))
-        }
-        Some((s, false)) => {
+        Some(s) => {
             let pool_s = Arc::new(BufferPool::new(MemDisk::new(), 256));
             let is =
                 Mbrqt::bulk_build(pool_s, &keyed(s), &MbrqtConfig::default()).expect("build S");
@@ -297,12 +286,12 @@ fn server_results_match_library_for_fuzz_workloads() {
         } else {
             let s_name = format!("diff-s-{case_idx}");
             let created = client
-                .create_collection(&s_name, "rstar", &to_rows(&s_pts))
+                .create_collection(&s_name, "mbrqt", &to_rows(&s_pts))
                 .expect("create S");
             assert_eq!(created.status, 201, "{}", created.body);
             (
                 format!("/collections/{r_name}/query?target={s_name}"),
-                library_pairs(&r_pts, Some((&s_pts, true)), &spec),
+                library_pairs(&r_pts, Some(&s_pts), &spec),
             )
         };
 
@@ -828,7 +817,7 @@ fn collections_reopen_from_disk_across_restarts() {
     let first = Server::start(config(&dir)).expect("first server");
     let client = Client::new(first.addr().to_string());
     let created = client
-        .create_collection("persist", "rstar", &to_rows(&points))
+        .create_collection("persist", "mbrqt", &to_rows(&points))
         .expect("create");
     assert_eq!(created.status, 201, "{}", created.body);
     let before = client.query("persist", &spec).expect("query before");
@@ -927,10 +916,114 @@ fn pre_versioning_collection_is_rejected_on_open() {
     assert!(err.message.contains("versions_head"), "{}", err.message);
 }
 
+/// A collection is an MBRQT. Asking to create an R\*-tree collection is
+/// a 400 that names the one accepted kind, leaving `kind` out still means
+/// `"mbrqt"`, and the sidecar of an R\*-tree collection an earlier build
+/// served is refused as an invalid collection, not read as a corrupt
+/// MBRQT.
+#[test]
+fn rstar_collections_are_refused_at_create_and_on_open() {
+    use ann_core::wire::{CollectionId, ErrorCode};
+    use ann_rstar::{RStar, RStarConfig};
+    use ann_serve::Registry;
+    use ann_store::{FileDisk, DEFAULT_KEEP};
+
+    let server = start_server("kinds", 1, 4, 64);
+    let client = Client::new(server.addr().to_string());
+    let rows = to_rows(&uniform_points(50, 0x4B));
+    let refused = client
+        .create_collection("tree", "rstar", &rows)
+        .expect("create rstar");
+    assert_eq!(refused.status, 400, "{}", refused.body);
+    assert!(refused.body.contains("\"bad-request\""), "{}", refused.body);
+    assert!(refused.body.contains("\\\"mbrqt\\\""), "{}", refused.body);
+    let listed = client.request("GET", "/collections", "").expect("list");
+    assert!(!listed.body.contains("\"tree\""), "{}", listed.body);
+    let points: Vec<String> = rows.iter().map(|[x, y]| format!("[{x:?},{y:?}]")).collect();
+    let body = format!("{{\"id\":\"plain\",\"points\":[{}]}}", points.join(","));
+    let defaulted = client
+        .request("POST", "/collections", &body)
+        .expect("create without kind");
+    assert_eq!(defaulted.status, 201, "{}", defaulted.body);
+    assert!(
+        defaulted.body.contains("\"kind\":\"mbrqt\""),
+        "{}",
+        defaulted.body
+    );
+    server.shutdown();
+
+    let dir = temp_dir("rstar-sidecar");
+    let keyed: Vec<(u64, Point<2>)> = (0..).zip(uniform_points(300, 0x5D)).collect();
+    let disk = FileDisk::create(dir.join("old.pages")).expect("create pages");
+    let pool = Arc::new(BufferPool::new(disk, 64));
+    let mut tree =
+        RStar::bulk_build(Arc::clone(&pool), &keyed, &RStarConfig::default()).expect("STR build");
+    let head = tree.enable_versioning(DEFAULT_KEEP).expect("versioning");
+    pool.flush_all().expect("flush");
+    std::fs::write(
+        dir.join("old.meta.json"),
+        format!(
+            "{{\"v\":1,\"kind\":\"rstar\",\"meta_page\":{},\"versions_head\":{head}}}\n",
+            tree.meta_page()
+        ),
+    )
+    .expect("write sidecar");
+    drop((tree, pool));
+
+    let registry = Registry::open(&dir, 64).expect("registry");
+    let err = registry
+        .get(&CollectionId::new("old").expect("id"))
+        .err()
+        .expect("an R*-tree sidecar");
+    assert_eq!(err.code, ErrorCode::InvalidCollection, "{}", err.message);
+    assert!(err.message.contains("no longer served"), "{}", err.message);
+}
+
+/// An insert batch with a point outside the collection's universe (the
+/// bulk build's bounding box) is the client's error: a 400 naming the
+/// first such point, with nothing of the batch committed.
+#[test]
+fn out_of_universe_insert_is_refused_whole() {
+    use ann_core::wire::JsonValue;
+
+    let server = start_server("universe", 1, 4, 64);
+    let client = Client::new(server.addr().to_string());
+    let created = client
+        .create_collection("box", "mbrqt", &[[0.0, 0.0], [10.0, 10.0], [5.0, 5.0]])
+        .expect("create");
+    assert_eq!(created.status, 201, "{}", created.body);
+    let describe = || {
+        let resp = client
+            .request("GET", "/collections/box", "")
+            .expect("describe");
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        let doc = JsonValue::parse(&resp.body).expect("describe JSON");
+        let field = |key: &str| doc.get(key).and_then(JsonValue::as_u64).expect(key);
+        (field("points"), field("latest_version"))
+    };
+    let before = describe();
+
+    let refused = client
+        .insert_points("box", &[[1.0, 1.0], [2.0, 2.0], [20.0, 3.0], [4.0, 4.0]])
+        .expect("insert");
+    assert_eq!(refused.status, 400, "{}", refused.body);
+    assert!(refused.body.contains("\"bad-request\""), "{}", refused.body);
+    assert!(refused.body.contains("point 2 "), "{}", refused.body);
+    assert!(refused.body.contains("universe"), "{}", refused.body);
+    assert_eq!(describe(), before, "a refused batch committed points");
+
+    let accepted = client
+        .insert_points("box", &[[1.0, 1.0], [10.0, 0.0]])
+        .expect("insert");
+    assert_eq!(accepted.status, 200, "{}", accepted.body);
+    assert_eq!(describe(), (before.0 + 2, before.1 + 2));
+    server.shutdown();
+}
+
 /// The point count — and with it the next oid — is tree state: after a
 /// restart it comes back from the tree's own meta page, which every insert
-/// commits, for either index kind. (Sidecars once carried `points`, the
-/// bulk-build count; reading it back handed out oid 10 a second time.)
+/// commits. (Sidecars once carried `points`, the bulk-build count; reading
+/// it back handed out oid 10 a second time.)
 #[test]
 fn point_count_and_oids_survive_restart() {
     use ann_core::brute::brute_force_aknn;
@@ -939,68 +1032,68 @@ fn point_count_and_oids_survive_restart() {
     use ann_core::wire::CollectionId;
     use ann_serve::{IndexKind, Registry};
 
-    for kind in [IndexKind::Mbrqt, IndexKind::RStar] {
-        let name = kind.as_str();
-        let dir = temp_dir("count");
-        let id = CollectionId::new(name).expect("id");
-        // Corners first, so every later point is inside the MBRQT universe.
-        let mut points = vec![Point([0.0, 0.0]), Point([1000.0, 1000.0])];
-        points.extend(uniform_points(11, 0xC0));
-        {
-            let registry = Registry::open(&dir, 64).expect("registry");
-            let coll = registry.create(&id, kind, &points[..10]).expect("create");
-            let (first_oid, _) = coll.insert_points(&points[10..12]).expect("insert");
-            assert_eq!(first_oid, 10);
-        }
-
-        let server = Server::start(ServerConfig {
-            addr: "127.0.0.1:0".into(),
-            workers: 1,
-            queue_depth: 4,
-            data_dir: dir,
-            pool_frames: 64,
-            compute_tokens: 0,
-        })
-        .expect("server over the same directory");
-        let coll = server.registry().get(&id).expect("reopen");
-        assert_eq!(coll.num_points(), 12, "{name}");
-        let client = Client::new(server.addr().to_string());
-        let described = client
-            .request("GET", &format!("/collections/{name}"), "")
-            .expect("describe");
-        assert!(
-            described.body.contains("\"points\":12"),
-            "{}",
-            described.body
-        );
-        let inserted = client
-            .insert_points(name, &to_rows(&points[12..]))
-            .expect("insert after restart");
-        assert!(
-            inserted.body.contains("\"first_oid\":12"),
-            "{}",
-            inserted.body
-        );
-
-        let keyed: Vec<(u64, Point<2>)> = (0..).zip(points).collect();
-        let spec = QuerySpec {
-            k: 2,
-            exclude_self: true,
-            ..QuerySpec::default()
-        };
-        let ctx = coll.pin(None).expect("pin");
-        let out = run_scratch(
-            &spec.to_request(),
-            Input::Index(&ctx),
-            Input::Index(&ctx),
-            &mut QueryScratch::new(),
-        )
-        .expect("self-join");
-        let truth = brute_force_aknn(&keyed, &keyed, spec.k, true);
-        assert_eq!(pairs_json(out.results), pairs_json(truth), "{name}");
-        drop((ctx, coll));
-        server.shutdown();
+    let name = "counted";
+    let dir = temp_dir("count");
+    let id = CollectionId::new(name).expect("id");
+    // Corners first, so every later point is inside the MBRQT universe.
+    let mut points = vec![Point([0.0, 0.0]), Point([1000.0, 1000.0])];
+    points.extend(uniform_points(11, 0xC0));
+    {
+        let registry = Registry::open(&dir, 64).expect("registry");
+        let coll = registry
+            .create(&id, IndexKind::Mbrqt, &points[..10])
+            .expect("create");
+        let (first_oid, _) = coll.insert_points(&points[10..12]).expect("insert");
+        assert_eq!(first_oid, 10);
     }
+
+    let server = Server::start(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        queue_depth: 4,
+        data_dir: dir,
+        pool_frames: 64,
+        compute_tokens: 0,
+    })
+    .expect("server over the same directory");
+    let coll = server.registry().get(&id).expect("reopen");
+    assert_eq!(coll.num_points(), 12);
+    let client = Client::new(server.addr().to_string());
+    let described = client
+        .request("GET", &format!("/collections/{name}"), "")
+        .expect("describe");
+    assert!(
+        described.body.contains("\"points\":12"),
+        "{}",
+        described.body
+    );
+    let inserted = client
+        .insert_points(name, &to_rows(&points[12..]))
+        .expect("insert after restart");
+    assert!(
+        inserted.body.contains("\"first_oid\":12"),
+        "{}",
+        inserted.body
+    );
+
+    let keyed: Vec<(u64, Point<2>)> = (0..).zip(points).collect();
+    let spec = QuerySpec {
+        k: 2,
+        exclude_self: true,
+        ..QuerySpec::default()
+    };
+    let ctx = coll.pin(None).expect("pin");
+    let out = run_scratch(
+        &spec.to_request(),
+        Input::Index(&ctx),
+        Input::Index(&ctx),
+        &mut QueryScratch::new(),
+    )
+    .expect("self-join");
+    let truth = brute_force_aknn(&keyed, &keyed, spec.k, true);
+    assert_eq!(pairs_json(out.results), pairs_json(truth));
+    drop((ctx, coll));
+    server.shutdown();
 }
 
 /// A collection's pool size is the serving process's `pool_frames`: one

