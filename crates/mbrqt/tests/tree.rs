@@ -183,6 +183,25 @@ fn ten_dimensional_build() {
 }
 
 #[test]
+fn ten_dimensional_build_and_insert() {
+    let pts = random_points::<10>(1000, 73);
+    let mut tree = Mbrqt::bulk_build(pool(256), &pts, &MbrqtConfig::default()).unwrap();
+    // A bulk build fixes the universe to the input's bounds, so the
+    // inserted points are drawn inside it.
+    let universe = tree.universe();
+    let mut rng = Rng::new(79);
+    for oid in 1000..1200u64 {
+        let mut c = [0.0; 10];
+        for (d, v) in c.iter_mut().enumerate() {
+            *v = rng.range_f64(universe.lo[d], universe.hi[d]);
+        }
+        tree.insert(oid, Point::new(c)).unwrap();
+    }
+    assert_eq!(tree.num_points(), 1200);
+    assert_eq!(validate(&tree).unwrap().objects, 1200);
+}
+
+#[test]
 fn plain_quadrant_ablation_builds() {
     let pts = random_points::<2>(2000, 31);
     let cfg = MbrqtConfig {

@@ -90,7 +90,7 @@ fn wrong_dimension_open_fails() {
 }
 
 #[test]
-fn ten_dimensional_build() {
+fn ten_dimensional_str_build() {
     let pts = random_points::<10>(1200, 73);
     let tree = RStar::bulk_build(pool(128), &pts, &RStarConfig::default()).unwrap();
     assert_eq!(validate(&tree).unwrap().objects, 1200);
